@@ -32,7 +32,7 @@ let dc_equivalent ?(inputs = []) circuit =
     (Circuit.devices circuit);
   dc
 
-let operating_point ?(solver = `Dense) ?inputs circuit =
+let operating_point ?inputs circuit =
   let dc = dc_equivalent ?inputs circuit in
   let sys = System.build dc in
   let n = System.size sys in
@@ -41,13 +41,7 @@ let operating_point ?(solver = `Dense) ?inputs circuit =
   System.stamp_rhs sys ~h:1.0 ~state:(Array.make n 0.0) ~input ~rhs;
   let x = ref (Array.make n 0.0) in
   let solve state =
-    match solver with
-    | `Dense ->
-        Matrix.lu_solve (Matrix.lu_factor (System.stamp_matrix ~state sys ~h:1.0)) rhs
-    | `Sparse ->
-        Sparse.lu_solve
-          (Sparse.lu_factor ~n (System.stamp_triplets ~state sys ~h:1.0))
-          rhs
+    Matrix.lu_solve (Matrix.lu_factor (System.stamp_matrix ~state sys ~h:1.0)) rhs
   in
   (* Region iteration for piecewise-linear devices (a trivial single
      pass for linear networks). *)

@@ -10,14 +10,9 @@
 type solution
 
 val operating_point :
-  ?solver:[ `Dense | `Sparse ] ->
-  ?inputs:(string * float) list ->
-  Amsvp_netlist.Circuit.t ->
-  solution
+  ?inputs:(string * float) list -> Amsvp_netlist.Circuit.t -> solution
 (** [inputs] gives the DC level of each external input signal
-    (default 0). [solver] selects the linear-algebra back-end
-    (default [`Dense]; [`Sparse] factors with {!Sparse} and must
-    agree with the dense path to rounding).
+    (default 0).
     @raise Invalid_argument on invalid circuits or missing inputs
     @raise Matrix.Singular on ill-posed networks
     @raise Failure if the piecewise-linear region iteration does not

@@ -31,9 +31,9 @@ let g_matrix_dim =
   Obs.Gauge.make ~help:"dimension of the last MNA system built"
     "amsvp_mna_matrix_dim"
 
-(* Convergence telemetry — only advanced while the journal is enabled,
-   because the residual norms that feed them are not computed
-   otherwise (the fixed-budget inner loop has no other use for them). *)
+(* Convergence telemetry — only advanced by runs that compute the
+   residual norms: every fast whole run, and paper runs while the
+   journal is enabled (the fixed budget has no other use for them). *)
 let c_newton_wasted =
   Obs.Counter.make
     ~help:"Newton passes taken after the update norm already met tolerance"
@@ -80,9 +80,11 @@ let newton_atol = 1e-12
    time constant. *)
 let stress_threshold = 0.5
 
-let check_args ~dt ~t_stop =
+(* The number of reporting steps of a whole run. *)
+let reporting_steps ~dt ~t_stop =
   if dt <= 0.0 then invalid_arg "Engine: dt must be positive";
-  if t_stop < dt then invalid_arg "Engine: t_stop shorter than one step"
+  if t_stop < dt then invalid_arg "Engine: t_stop shorter than one step";
+  int_of_float (Float.round (t_stop /. dt))
 
 let input_fun inputs =
   let tbl = Hashtbl.create 8 in
@@ -92,216 +94,15 @@ let input_fun inputs =
     | Some f -> f t
     | None -> invalid_arg ("Engine: no stimulus bound to input " ^ name)
 
-(* The faithful paper-cost-model path. This body is kept byte-for-byte
-   the pre-fidelity [spice_like]: `Paper must stay bit-identical. *)
-let spice_like_paper ?(substeps = 8) ?(iterations = 3) ?observe circuit ~inputs
-    ~output ~dt ~t_stop =
-  check_args ~dt ~t_stop;
-  if substeps < 1 || iterations < 1 then
-    invalid_arg "Engine.spice_like: substeps and iterations must be >= 1";
-  Obs.with_span ~cat:"mna" "mna.spice_like" @@ fun () ->
-  let sys = System.build circuit in
-  let n = System.size sys in
-  let input_at = input_fun inputs in
-  let h = dt /. float_of_int substeps in
-  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-  let x = ref (Array.make n 0.0) in
-  let rhs = Array.make n 0.0 in
-  let trace = Trace.create ~capacity:(nsteps + 1) () in
-  let device_evals = ref 0 and factorizations = ref 0 and solves = ref 0 in
-  (* Convergence telemetry, computed only while the journal records
-     events: the fixed Newton budget never reads the residual, so with
-     the journal off the inner loop runs exactly as before. *)
-  let jn = Journal.enabled () in
-  let total_iters = ref 0 and wasted_iters = ref 0 in
-  let max_residual = ref 0.0 in
-  let pivot_min = ref infinity and pivot_max = ref 0.0 in
-  let dt_stress = ref 0.0 and stressed_substeps = ref 0 in
-  let reader v = System.output_value sys v !x in
-  Trace.add trace ~time:0.0 ~value:(System.output_value sys output !x);
-  (match observe with None -> () | Some f -> f 0.0 reader);
-  for step = 1 to nsteps do
-    let t_base = float_of_int (step - 1) *. dt in
-    (* Per-reporting-step journal aggregates. *)
-    let step_residual = ref 0.0 in
-    let step_converged_at = ref 0 in
-    let step_wasted = ref 0 in
-    let step_stress = ref 0.0 in
-    for sub = 1 to substeps do
-      (* The last substep lands exactly on the reporting instant so that
-         stimulus edges are sampled at the same points as the
-         fixed-step engines (no knife-edge drift on square waves). *)
-      let t =
-        if sub = substeps then float_of_int step *. dt
-        else t_base +. (float_of_int sub *. h)
-      in
-      let input = input_at t in
-      let x_next = ref !x in
-      let converged_at = ref 0 in
-      let last_delta = ref infinity in
-      for iter = 1 to iterations do
-        (* Device evaluation: the full system is re-stamped (with
-           piecewise-linear regions selected by the latest estimate),
-           then re-factored, at every solver pass — the SPICE cost
-           model. *)
-        let m = System.stamp_matrix ~state:!x_next sys ~h in
-        incr device_evals;
-        System.stamp_rhs sys ~h ~state:!x ~input ~rhs;
-        let lu =
-          try Matrix.lu_factor m
-          with Matrix.Singular k ->
-            if jn then
-              Journal.emit ~severity:Journal.Error ~step ~time:t ~cat:"mna"
-                "singular_pivot"
-                [ ("column", Journal.I k); ("dim", Journal.I n) ];
-            raise (Matrix.Singular k)
-        in
-        incr factorizations;
-        let prev = !x_next in
-        x_next := Matrix.lu_solve lu rhs;
-        incr solves;
-        if jn then begin
-          incr total_iters;
-          (* Conditioning proxy sampled on the final pass only: the
-             re-stamped matrix drifts little between passes, and the
-             diagonal scan is a third of the telemetry's cost. *)
-          if iter = iterations then begin
-            let mn, mx = Matrix.pivot_range lu in
-            if mn < !pivot_min then pivot_min := mn;
-            if mx > !pivot_max then pivot_max := mx
-          end;
-          (* Update norm ||x_k - x_{k-1}||_inf against the iterate
-             scale; [prev] is the previous Newton iterate (the substep
-             start state on the first pass). *)
-          let delta = ref 0.0 and scale = ref 0.0 in
-          let xn = !x_next in
-          for i = 0 to n - 1 do
-            let d = abs_float (xn.(i) -. prev.(i)) in
-            if d > !delta then delta := d;
-            let m = abs_float xn.(i) in
-            if m > !scale then scale := m
-          done;
-          last_delta := !delta;
-          if !converged_at > 0 then begin
-            incr wasted_iters;
-            incr step_wasted
-          end
-          else if !delta <= (newton_rtol *. !scale) +. newton_atol then
-            converged_at := iter
-        end
-      done;
-      if jn then begin
-        Obs.Histogram.observe h_newton_residual !last_delta;
-        if !last_delta > !max_residual then max_residual := !last_delta;
-        step_residual := !last_delta;
-        step_converged_at := !converged_at;
-        (* Relative state motion across this one substep. *)
-        let stress = ref 0.0 in
-        let x0 = !x and x1 = !x_next in
-        for i = 0 to n - 1 do
-          let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
-          if m > newton_atol then begin
-            let r = abs_float (x1.(i) -. x0.(i)) /. m in
-            if r > !stress then stress := r
-          end
-        done;
-        if !stress > !step_stress then step_stress := !stress;
-        if !stress > !dt_stress then dt_stress := !stress;
-        if !stress > stress_threshold then incr stressed_substeps
-      end;
-      x := !x_next
-    done;
-    Obs.Histogram.observe h_solver_passes
-      (float_of_int (substeps * iterations));
-    let t_report = float_of_int step *. dt in
-    if jn then
-      Journal.emit ~step ~time:t_report ~cat:"mna" "newton.step"
-        [
-          ("residual", Journal.F !step_residual);
-          ("converged_at", Journal.I !step_converged_at);
-          ("wasted", Journal.I !step_wasted);
-          ("stress", Journal.F !step_stress);
-        ];
-    Trace.add trace ~time:t_report
-      ~value:(System.output_value sys output !x);
-    match observe with None -> () | Some f -> f t_report reader
-  done;
-  Obs.Counter.add c_steps nsteps;
-  Obs.Counter.add c_device_evals !device_evals;
-  Obs.Counter.add c_factorizations !factorizations;
-  Obs.Counter.add c_solves !solves;
-  Obs.Counter.add c_rhs_builds !solves;
-  Obs.Gauge.set g_matrix_dim (float_of_int n);
-  let newton =
-    if not jn then None
-    else begin
-      Obs.Counter.add c_newton_wasted !wasted_iters;
-      let pivot_ratio =
-        if !pivot_min > 0.0 && !pivot_min < infinity then
-          !pivot_max /. !pivot_min
-        else infinity
-      in
-      if pivot_ratio > 1e12 then
-        Journal.emit ~severity:Journal.Warn ~cat:"mna" "conditioning"
-          [
-            ("pivot_min", Journal.F !pivot_min);
-            ("pivot_max", Journal.F !pivot_max);
-            ("pivot_ratio", Journal.F pivot_ratio);
-          ];
-      if !stressed_substeps > 0 then
-        Journal.emit ~severity:Journal.Warn ~cat:"mna" "dt_stress"
-          [
-            ("max_rel_change", Journal.F !dt_stress);
-            ("stressed_substeps", Journal.I !stressed_substeps);
-            ("dt", Journal.F dt);
-            ("substeps", Journal.I substeps);
-          ];
-      Journal.emit ~cat:"mna" "newton.run"
-        [
-          ("steps", Journal.I nsteps);
-          ("total_iters", Journal.I !total_iters);
-          ("wasted_iters", Journal.I !wasted_iters);
-          ("max_residual", Journal.F !max_residual);
-          ("pivot_min", Journal.F !pivot_min);
-          ("pivot_max", Journal.F !pivot_max);
-          ("dt_stress", Journal.F !dt_stress);
-          ("dim", Journal.I n);
-        ];
-      Some
-        {
-          total_iters = !total_iters;
-          wasted_iters = !wasted_iters;
-          max_residual = !max_residual;
-          pivot_min = !pivot_min;
-          pivot_max = !pivot_max;
-          dt_stress = !dt_stress;
-          stressed_substeps = !stressed_substeps;
-        }
-    end
-  in
-  {
-    trace;
-    stats =
-      {
-        steps = nsteps;
-        device_evals = !device_evals;
-        factorizations = !factorizations;
-        solves = !solves;
-      };
-    matrix_dim = n;
-    newton;
-  }
-
-(* Shared factor cache of the fast fidelity path: the sparse symbolic
-   factorisation is computed once per topology, and the numeric factors
-   are reused across Newton passes and substeps until the timestep or
-   the piecewise-linear region selection changes. A numerically stale
-   pivot (Sparse.Singular out of [refactor]) triggers one re-analysis
-   with fresh pivoting before the failure is surfaced with the same
-   [Matrix.Singular] diagnostics as the paper path. *)
+(* Factor cache of the fast fidelity: the sparse symbolic factorisation
+   is computed once per topology, and the numeric factors are reused
+   across Newton passes and substeps until the timestep or the
+   piecewise-linear region selection changes. A numerically stale pivot
+   (Sparse.Singular out of [refactor]) triggers one re-analysis with
+   fresh pivoting before the failure is surfaced as the same
+   [Matrix.Singular] as the paper path raises. *)
 module Fast_cache = struct
   type t = {
-    n : int;
     sys : System.t;
     npwl : int;
     mutable symbolic : Sparse.symbolic option;
@@ -313,7 +114,6 @@ module Fast_cache = struct
 
   let create sys =
     {
-      n = System.size sys;
       sys;
       npwl = System.pwl_count sys;
       symbolic = None;
@@ -323,59 +123,42 @@ module Fast_cache = struct
       scratch = Array.make (System.pwl_count sys) false;
     }
 
-  let bools_equal a b npwl =
-    let ok = ref true in
-    for i = 0 to npwl - 1 do
-      if a.(i) <> b.(i) then ok := false
-    done;
-    !ok
-
-  let refactor_with c triplets =
-    match c.symbolic with
-    | Some sym -> (
-        try Sparse.refactor sym triplets
-        with Sparse.Singular _ ->
-          (* Reused pivots went numerically stale: re-analyze with
-             fresh pivoting and retry once. *)
-          let sym = Sparse.analyze ~n:c.n triplets in
-          c.symbolic <- Some sym;
-          Sparse.refactor sym triplets)
-    | None ->
-        let sym = Sparse.analyze ~n:c.n triplets in
-        c.symbolic <- Some sym;
-        Sparse.refactor sym triplets
-
-  (* Factors for the system stamped at [state] with timestep [h],
-     reusing the cached LU when neither changed anything the stamp
-     depends on. [on_stamp] is the device-evaluation counter hook;
-     [on_singular] runs before the error is re-raised. *)
-  let factor c ~state ~h ~on_stamp ~on_factor ~on_singular =
+  (* Selects the regions of [state] into [scratch]; true if they are
+     the ones the cached LU was stamped with. *)
+  let same_regions c state =
     System.pwl_regions_into c.sys state ~regions:c.scratch;
-    match c.lu with
-    | Some lu when c.h = h && bools_equal c.scratch c.regions c.npwl -> lu
-    | _ ->
-        let triplets = System.stamp_triplets ~state c.sys ~h in
-        on_stamp ();
-        let lu =
-          try refactor_with c triplets
-          with Sparse.Singular k ->
-            on_singular k;
-            raise (Matrix.Singular k)
-        in
-        on_factor ();
-        c.h <- h;
-        Array.blit c.scratch 0 c.regions 0 c.npwl;
-        c.lu <- Some lu;
-        lu
+    let same = ref true in
+    for i = 0 to c.npwl - 1 do
+      if c.scratch.(i) <> c.regions.(i) then same := false
+    done;
+    !same
 
-  (* Does [state] select the same regions as the cached LU was stamped
-     with? Vacuously true for a linear network. *)
-  let regions_stable c state =
-    if c.npwl = 0 then true
-    else begin
-      System.pwl_regions_into c.sys state ~regions:c.scratch;
-      bools_equal c.scratch c.regions c.npwl
-    end
+  (* The cached factors, if the system stamped at [state] with timestep
+     [h] would produce them again. *)
+  let cached c ~state ~h =
+    if same_regions c state && c.h = h then c.lu else None
+
+  let restamp c ~state ~h =
+    let triplets = System.stamp_triplets ~state c.sys ~h in
+    let analyze () =
+      let sym = Sparse.analyze ~n:(System.size c.sys) triplets in
+      c.symbolic <- Some sym;
+      Sparse.refactor sym triplets
+    in
+    let lu =
+      try
+        match c.symbolic with
+        | Some sym -> (
+            (* Reused pivots may have gone numerically stale. *)
+            try Sparse.refactor sym triplets
+            with Sparse.Singular _ -> analyze ())
+        | None -> analyze ()
+      with Sparse.Singular k -> raise (Matrix.Singular k)
+    in
+    c.h <- h;
+    Array.blit c.scratch 0 c.regions 0 c.npwl;
+    c.lu <- Some lu;
+    lu
 end
 
 (* Substep controller thresholds for the fast path: refine (double the
@@ -385,336 +168,442 @@ end
 let lte_refine = 0.05
 let lte_relax = lte_refine /. 8.0
 
-let spice_like_fast ~substeps ~iterations ?observe circuit ~inputs ~output ~dt
-    ~t_stop =
-  check_args ~dt ~t_stop;
-  Obs.with_span ~cat:"mna" "mna.spice_like" @@ fun () ->
+(* Control quantities of the last Newton loop and substep. An all-float
+   record, so updating it never allocates. *)
+type scan = {
+  mutable delta : float;  (* last Newton update norm *)
+  mutable stress : float;  (* relative state motion over the last substep *)
+  mutable step_stress : float;  (* maxima over the current reporting step *)
+  mutable step_lte : float;
+}
+
+(* Solver state shared by the whole-run engine and the stepper. The
+   work counters accumulate until [flush] hands them to the registry. *)
+type state = {
+  sys : System.t;
+  dt : float;
+  substeps : int;
+  iterations : int;
+  cache : Fast_cache.t option;  (* [None] = paper fidelity *)
+  rhs : float array;
+  mutable x : float array;
+  mutable xm1 : float array;  (* one substep back, for the LTE proxy *)
+  mutable nsub : int;  (* substeps per reporting step (adaptive if fast) *)
+  mutable step : int;  (* reporting steps taken *)
+  sc : scan;
+  mutable device_evals : int;
+  mutable factorizations : int;
+  mutable solves : int;
+  mutable rhs_builds : int;
+}
+
+(* Convergence telemetry accumulator. The paper path only computes the
+   update norm and the stress when one is passed; the fast path needs
+   them for control anyway, so its whole-run driver always passes one. *)
+type telemetry = {
+  journal : bool;  (* emit events and the residual histogram *)
+  mutable total_iters : int;
+  mutable wasted_iters : int;
+  mutable max_residual : float;
+  mutable pivot_min : float;
+  mutable pivot_max : float;
+  mutable dt_stress : float;
+  mutable stressed_substeps : int;
+  mutable converged_at : int;  (* of the last substep *)
+  mutable step_wasted : int;  (* since the last newton.step event *)
+}
+
+let create_state ~substeps ~iterations ~fidelity circuit ~dt =
   let sys = System.build circuit in
   let n = System.size sys in
-  let input_at = input_fun inputs in
-  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-  let nonlinear = System.has_pwl sys in
-  let x = ref (Array.make n 0.0) in
-  (* State one substep back, for the second-difference LTE estimate. *)
-  let xm1 = ref (Array.make n 0.0) in
-  let rhs = Array.make n 0.0 in
-  let trace = Trace.create ~capacity:(nsteps + 1) () in
-  let device_evals = ref 0 and factorizations = ref 0 and solves = ref 0 in
-  let rhs_builds = ref 0 in
-  let jn = Journal.enabled () in
-  (* Unlike the paper path, every control quantity here (update norm,
-     stress, LTE, pivot range) is computed unconditionally: the update
-     norm is the early-exit test and stress/LTE drive the substep
-     controller, so the journal can only change what is emitted, never
-     the numerics — journal-off runs are step-identical to journal-on. *)
-  let total_iters = ref 0 in
-  let max_residual = ref 0.0 in
-  let pivot_min = ref infinity and pivot_max = ref 0.0 in
-  let dt_stress = ref 0.0 and stressed_substeps = ref 0 in
-  let cache = Fast_cache.create sys in
-  let nsub = ref substeps in
-  let reader v = System.output_value sys v !x in
-  Trace.add trace ~time:0.0 ~value:(System.output_value sys output !x);
-  (match observe with None -> () | Some f -> f 0.0 reader);
-  for step = 1 to nsteps do
-    let t_base = float_of_int (step - 1) *. dt in
-    let x_save = !x and xm1_save = !xm1 in
-    let step_residual = ref 0.0 in
-    let step_converged_at = ref 0 in
-    let step_passes = ref 0 in
-    let step_stress = ref 0.0 in
-    let step_lte = ref 0.0 in
-    let step_nsub = ref !nsub in
-    let retry = ref true in
-    while !retry do
-      retry := false;
-      step_residual := 0.0;
-      step_converged_at := 0;
-      step_stress := 0.0;
-      step_lte := 0.0;
-      let ns = !nsub in
-      step_nsub := ns;
-      let h = dt /. float_of_int ns in
-      let aborted = ref false in
-      let sub = ref 1 in
-      while (not !aborted) && !sub <= ns do
-        (* As in the paper path, the last substep lands exactly on the
-           reporting instant. *)
-        let t =
-          if !sub = ns then float_of_int step *. dt
-          else t_base +. (float_of_int !sub *. h)
+  {
+    sys;
+    dt;
+    substeps;
+    iterations;
+    cache =
+      (match fidelity with
+      | `Paper -> None
+      | `Fast -> Some (Fast_cache.create sys));
+    rhs = Array.make n 0.0;
+    x = Array.make n 0.0;
+    xm1 = Array.make n 0.0;
+    nsub = substeps;
+    step = 0;
+    sc = { delta = 0.0; stress = 0.0; step_stress = 0.0; step_lte = 0.0 };
+    device_evals = 0;
+    factorizations = 0;
+    solves = 0;
+    rhs_builds = 0;
+  }
+
+(* Hand the work counters to the registry and zero them. *)
+let flush st ~steps =
+  Obs.Counter.add c_steps steps;
+  Obs.Counter.add c_device_evals st.device_evals;
+  Obs.Counter.add c_factorizations st.factorizations;
+  Obs.Counter.add c_solves st.solves;
+  Obs.Counter.add c_rhs_builds st.rhs_builds;
+  st.device_evals <- 0;
+  st.factorizations <- 0;
+  st.solves <- 0;
+  st.rhs_builds <- 0
+
+let build_rhs st ~h ~input =
+  System.stamp_rhs st.sys ~h ~state:st.x ~input ~rhs:st.rhs;
+  st.rhs_builds <- st.rhs_builds + 1
+
+let record_pivots tl (mn, mx) =
+  if mn < tl.pivot_min then tl.pivot_min <- mn;
+  if mx > tl.pivot_max then tl.pivot_max <- mx
+
+(* One solver pass from iterate [prev]: the paper path re-stamps the
+   dense system (and its RHS) and re-factors it — the SPICE cost model;
+   the fast path reuses the cached sparse factors. *)
+let solve_pass st tel ~h ~t ~input ~last prev =
+  try
+    match st.cache with
+    | None ->
+        let m = System.stamp_matrix ~state:prev st.sys ~h in
+        st.device_evals <- st.device_evals + 1;
+        build_rhs st ~h ~input;
+        let lu = Matrix.lu_factor m in
+        st.factorizations <- st.factorizations + 1;
+        (* Conditioning proxy sampled on the final pass only: the
+           re-stamped matrix drifts little between passes, and the
+           diagonal scan is a third of the telemetry's cost. *)
+        (match tel with
+        | Some tl when last -> record_pivots tl (Matrix.pivot_range lu)
+        | _ -> ());
+        Matrix.lu_solve lu st.rhs
+    | Some c ->
+        let lu =
+          match Fast_cache.cached c ~state:prev ~h with
+          | Some lu -> lu
+          | None ->
+              st.device_evals <- st.device_evals + 1;
+              let lu = Fast_cache.restamp c ~state:prev ~h in
+              st.factorizations <- st.factorizations + 1;
+              lu
         in
-        let input = input_at t in
-        (* The RHS depends only on the substep-start state and the
-           input, so one build serves every Newton pass. *)
-        System.stamp_rhs sys ~h ~state:!x ~input ~rhs;
-        incr rhs_builds;
-        let x_next = ref !x in
-        let converged_at = ref 0 in
-        let last_delta = ref infinity in
-        (* A linear network needs exactly one pass: the matrix does not
-           depend on the state, so the first solve is the solution. *)
-        let max_iters = if nonlinear then iterations else 1 in
-        let iter = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !iter < max_iters do
-          incr iter;
-          let lu =
-            Fast_cache.factor cache ~state:!x_next ~h
-              ~on_stamp:(fun () -> incr device_evals)
-              ~on_factor:(fun () -> incr factorizations)
-              ~on_singular:(fun k ->
-                if jn then
-                  Journal.emit ~severity:Journal.Error ~step ~time:t
-                    ~cat:"mna" "singular_pivot"
-                    [ ("column", Journal.I k); ("dim", Journal.I n) ])
-          in
-          let prev = !x_next in
-          x_next := Sparse.lu_solve lu rhs;
-          incr solves;
-          incr total_iters;
-          incr step_passes;
-          let mn, mx = Sparse.pivot_range lu in
-          if mn < !pivot_min then pivot_min := mn;
-          if mx > !pivot_max then pivot_max := mx;
-          let delta = ref 0.0 and scale = ref 0.0 in
-          let xn = !x_next in
-          for i = 0 to n - 1 do
-            let d = abs_float (xn.(i) -. prev.(i)) in
-            if d > !delta then delta := d;
-            let m = abs_float xn.(i) in
-            if m > !scale then scale := m
-          done;
-          last_delta := !delta;
-          (* Early exit: update norm inside tolerance AND the region
-             selection the LU was stamped with still matches the new
-             iterate — otherwise another pass re-stamps. *)
-          if
-            !delta <= (newton_rtol *. !scale) +. newton_atol
-            && Fast_cache.regions_stable cache xn
-          then begin
-            converged_at := !iter;
-            stop := true
-          end
-        done;
-        if jn then Obs.Histogram.observe h_newton_residual !last_delta;
-        if !last_delta > !max_residual then max_residual := !last_delta;
-        step_residual := !last_delta;
-        step_converged_at := !converged_at;
-        (* Stress (relative motion over this substep) and the LTE proxy
-           (scaled second difference, ~ h^2/2 * |x''|). *)
-        let stress = ref 0.0 and lte = ref 0.0 in
-        let x0 = !x and x1 = !x_next and xm = !xm1 in
-        for i = 0 to n - 1 do
-          let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
-          if m > newton_atol then begin
-            let r = abs_float (x1.(i) -. x0.(i)) /. m in
-            if r > !stress then stress := r;
-            let l =
-              abs_float (x1.(i) -. (2.0 *. x0.(i)) +. xm.(i)) /. (2.0 *. m)
-            in
-            if l > !lte then lte := l
-          end
-        done;
-        if !stress > !step_stress then step_stress := !stress;
-        if !lte > !step_lte then step_lte := !lte;
-        if (!lte > lte_refine || !stress > stress_threshold) && ns < substeps
-        then
-          (* Over the error band and refinement headroom remains: abort
-             and redo the whole reporting step with more substeps. *)
-          aborted := true
-        else begin
-          if !stress > !dt_stress then dt_stress := !stress;
-          if !stress > stress_threshold then incr stressed_substeps;
-          xm1 := !x;
-          x := !x_next;
-          incr sub
-        end
-      done;
-      if !aborted then begin
-        x := x_save;
-        xm1 := xm1_save;
-        nsub := min substeps (ns * 2);
-        retry := true
-      end
-      else if
-        !step_lte < lte_relax
-        && !step_stress < stress_threshold /. 2.0
-        && ns > 1
-      then nsub := ns / 2
-    done;
-    Obs.Histogram.observe h_solver_passes (float_of_int !step_passes);
-    let t_report = float_of_int step *. dt in
-    if jn then
-      Journal.emit ~step ~time:t_report ~cat:"mna" "newton.step"
-        [
-          ("residual", Journal.F !step_residual);
-          ("converged_at", Journal.I !step_converged_at);
-          ("wasted", Journal.I 0);
-          ("stress", Journal.F !step_stress);
-          ("nsub", Journal.I !step_nsub);
-        ];
-    Trace.add trace ~time:t_report ~value:(System.output_value sys output !x);
-    match observe with None -> () | Some f -> f t_report reader
+        (match tel with
+        | Some tl -> record_pivots tl (Sparse.pivot_range lu)
+        | None -> ());
+        Sparse.lu_solve lu st.rhs
+  with Matrix.Singular k ->
+    (match tel with
+    | Some tl when tl.journal ->
+        Journal.emit ~severity:Journal.Error ~step:st.step ~time:t ~cat:"mna"
+          "singular_pivot"
+          [ ("column", Journal.I k); ("dim", Journal.I (Array.length st.rhs)) ]
+    | _ -> ());
+    raise (Matrix.Singular k)
+
+(* Newton convergence on the update norm: records ||xn - prev||_inf in
+   [sc.delta] and tests it against rtol * ||xn||_inf + atol. *)
+let update_converged sc prev xn =
+  let delta = ref 0.0 and scale = ref 0.0 in
+  for i = 0 to Array.length xn - 1 do
+    let d = abs_float (xn.(i) -. prev.(i)) in
+    if d > !delta then delta := d;
+    let m = abs_float xn.(i) in
+    if m > !scale then scale := m
   done;
-  Obs.Counter.add c_steps nsteps;
-  Obs.Counter.add c_device_evals !device_evals;
-  Obs.Counter.add c_factorizations !factorizations;
-  Obs.Counter.add c_solves !solves;
-  Obs.Counter.add c_rhs_builds !rhs_builds;
-  Obs.Gauge.set g_matrix_dim (float_of_int n);
-  let pivot_ratio =
-    if !pivot_min > 0.0 && !pivot_min < infinity then !pivot_max /. !pivot_min
-    else infinity
+  sc.delta <- !delta;
+  !delta <= (newton_rtol *. !scale) +. newton_atol
+
+(* Stress (relative motion over the substep x0 -> x1) and the LTE proxy
+   (scaled second difference, ~ h^2/2 * |x''|), with their maxima over
+   the reporting step; true if the substep crossed the refinement band. *)
+let scan_motion sc ~xm ~x0 ~x1 =
+  let stress = ref 0.0 and lte = ref 0.0 in
+  for i = 0 to Array.length x0 - 1 do
+    let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
+    if m > newton_atol then begin
+      let r = abs_float (x1.(i) -. x0.(i)) /. m in
+      if r > !stress then stress := r;
+      let l = abs_float (x1.(i) -. (2.0 *. x0.(i)) +. xm.(i)) /. (2.0 *. m) in
+      if l > !lte then lte := l
+    end
+  done;
+  sc.stress <- !stress;
+  if !stress > sc.step_stress then sc.step_stress <- !stress;
+  if !lte > sc.step_lte then sc.step_lte <- !lte;
+  !lte > lte_refine || !stress > stress_threshold
+
+(* The Newton loop of one substep ending at [t]: from the substep-start
+   state [st.x], which it leaves in place; returns the final iterate.
+   The paper path runs the fixed [iterations] budget and measures
+   convergence only for telemetry; the fast path needs one pass for a
+   linear network and otherwise exits once the update norm is inside
+   tolerance and the region selection the factors were stamped with
+   still holds. *)
+let newton st tel ~h ~t ~input =
+  let fast = Option.is_some st.cache in
+  (* The fast RHS depends only on the substep-start state and the
+     input, so one build serves every pass. *)
+  if fast then build_rhs st ~h ~input;
+  let max_iters =
+    match st.cache with Some c when c.npwl = 0 -> 1 | _ -> st.iterations
   in
-  if jn then begin
+  let measure = fast || Option.is_some tel in
+  let x_next = ref st.x and iter = ref 0 in
+  let converged_at = ref 0 and stop = ref false in
+  while (not !stop) && !iter < max_iters do
+    incr iter;
+    let prev = !x_next in
+    x_next := solve_pass st tel ~h ~t ~input ~last:(!iter = max_iters) prev;
+    st.solves <- st.solves + 1;
+    if
+      measure
+      && update_converged st.sc prev !x_next
+      && !converged_at = 0
+      &&
+      match st.cache with
+      | Some c -> c.npwl = 0 || Fast_cache.same_regions c !x_next
+      | None -> true
+    then begin
+      converged_at := !iter;
+      stop := fast
+    end
+  done;
+  (match tel with
+  | Some tl ->
+      (* Passes taken after the update norm already met tolerance. *)
+      let wasted = if !converged_at > 0 then !iter - !converged_at else 0 in
+      tl.total_iters <- tl.total_iters + !iter;
+      tl.wasted_iters <- tl.wasted_iters + wasted;
+      tl.step_wasted <- tl.step_wasted + wasted;
+      if tl.journal then Obs.Histogram.observe h_newton_residual st.sc.delta;
+      if st.sc.delta > tl.max_residual then tl.max_residual <- st.sc.delta;
+      tl.converged_at <- !converged_at
+  | None -> ());
+  !x_next
+
+(* One reporting step. [input t] is the input lookup at substep time
+   [t]: the whole-run engine samples its stimuli there, the stepper
+   holds the values it was handed for the whole step. The fast path
+   redoes the step with twice the substeps when a substep crosses the
+   error band (while refinement headroom remains), and halves the
+   count after a step that stayed comfortably inside it. *)
+let advance st tel ~input =
+  let fast = Option.is_some st.cache in
+  let solves0 = st.solves and ns_used = ref st.nsub in
+  st.step <- st.step + 1;
+  let t_end = float_of_int st.step *. st.dt in
+  let t_base = float_of_int (st.step - 1) *. st.dt in
+  let x_save = st.x and xm1_save = st.xm1 in
+  let retry = ref true in
+  while !retry do
+    retry := false;
+    let ns = st.nsub in
+    ns_used := ns;
+    let h = st.dt /. float_of_int ns in
+    st.sc.step_stress <- 0.0;
+    st.sc.step_lte <- 0.0;
+    let aborted = ref false and sub = ref 1 in
+    while (not !aborted) && !sub <= ns do
+      (* The last substep lands exactly on the reporting instant, so
+         stimulus edges are sampled at the same points as by the
+         fixed-step engines (no knife-edge drift on square waves). *)
+      let t =
+        if !sub = ns then t_end else t_base +. (float_of_int !sub *. h)
+      in
+      let x_next = newton st tel ~h ~t ~input:(input t) in
+      let crossed =
+        (fast || Option.is_some tel)
+        && scan_motion st.sc ~xm:st.xm1 ~x0:st.x ~x1:x_next
+      in
+      if fast && crossed && ns < st.substeps then aborted := true
+      else begin
+        (match tel with
+        | Some tl ->
+            if st.sc.stress > tl.dt_stress then tl.dt_stress <- st.sc.stress;
+            if st.sc.stress > stress_threshold then
+              tl.stressed_substeps <- tl.stressed_substeps + 1
+        | None -> ());
+        st.xm1 <- st.x;
+        st.x <- x_next;
+        incr sub
+      end
+    done;
+    if !aborted then begin
+      st.x <- x_save;
+      st.xm1 <- xm1_save;
+      st.nsub <- min st.substeps (ns * 2);
+      retry := true
+    end
+    else if
+      fast
+      && st.sc.step_lte < lte_relax
+      && st.sc.step_stress < stress_threshold /. 2.0
+      && ns > 1
+    then st.nsub <- ns / 2
+  done;
+  Obs.Histogram.observe h_solver_passes (float_of_int (st.solves - solves0));
+  match tel with
+  | Some tl when tl.journal ->
+      Journal.emit ~step:st.step ~time:t_end ~cat:"mna" "newton.step"
+        ([
+           ("residual", Journal.F st.sc.delta);
+           ("converged_at", Journal.I tl.converged_at);
+           ("wasted", Journal.I tl.step_wasted);
+           ("stress", Journal.F st.sc.step_stress);
+         ]
+        @ if fast then [ ("nsub", Journal.I !ns_used) ] else []);
+      tl.step_wasted <- 0
+  | _ -> ()
+
+(* The run's journal summaries and the [newton] result record. *)
+let summarize st tl ~nsteps =
+  Obs.Counter.add c_newton_wasted tl.wasted_iters;
+  if tl.journal then begin
+    let pivot_ratio =
+      if tl.pivot_min > 0.0 && tl.pivot_min < infinity then
+        tl.pivot_max /. tl.pivot_min
+      else infinity
+    in
     if pivot_ratio > 1e12 then
       Journal.emit ~severity:Journal.Warn ~cat:"mna" "conditioning"
         [
-          ("pivot_min", Journal.F !pivot_min);
-          ("pivot_max", Journal.F !pivot_max);
+          ("pivot_min", Journal.F tl.pivot_min);
+          ("pivot_max", Journal.F tl.pivot_max);
           ("pivot_ratio", Journal.F pivot_ratio);
         ];
-    if !stressed_substeps > 0 then
+    if tl.stressed_substeps > 0 then
       Journal.emit ~severity:Journal.Warn ~cat:"mna" "dt_stress"
         [
-          ("max_rel_change", Journal.F !dt_stress);
-          ("stressed_substeps", Journal.I !stressed_substeps);
-          ("dt", Journal.F dt);
-          ("substeps", Journal.I substeps);
+          ("max_rel_change", Journal.F tl.dt_stress);
+          ("stressed_substeps", Journal.I tl.stressed_substeps);
+          ("dt", Journal.F st.dt);
+          ("substeps", Journal.I st.substeps);
         ];
     Journal.emit ~cat:"mna" "newton.run"
       [
         ("steps", Journal.I nsteps);
-        ("total_iters", Journal.I !total_iters);
-        ("wasted_iters", Journal.I 0);
-        ("max_residual", Journal.F !max_residual);
-        ("pivot_min", Journal.F !pivot_min);
-        ("pivot_max", Journal.F !pivot_max);
-        ("dt_stress", Journal.F !dt_stress);
-        ("dim", Journal.I n);
+        ("total_iters", Journal.I tl.total_iters);
+        ("wasted_iters", Journal.I tl.wasted_iters);
+        ("max_residual", Journal.F tl.max_residual);
+        ("pivot_min", Journal.F tl.pivot_min);
+        ("pivot_max", Journal.F tl.pivot_max);
+        ("dt_stress", Journal.F tl.dt_stress);
+        ("dim", Journal.I (System.size st.sys));
       ]
   end;
-  {
-    trace;
-    stats =
-      {
-        steps = nsteps;
-        device_evals = !device_evals;
-        factorizations = !factorizations;
-        solves = !solves;
-      };
-    matrix_dim = n;
-    newton =
-      Some
-        {
-          total_iters = !total_iters;
-          wasted_iters = 0;
-          max_residual = !max_residual;
-          pivot_min = !pivot_min;
-          pivot_max = !pivot_max;
-          dt_stress = !dt_stress;
-          stressed_substeps = !stressed_substeps;
-        };
-  }
+  ({
+     total_iters = tl.total_iters;
+     wasted_iters = tl.wasted_iters;
+     max_residual = tl.max_residual;
+     pivot_min = tl.pivot_min;
+     pivot_max = tl.pivot_max;
+     dt_stress = tl.dt_stress;
+     stressed_substeps = tl.stressed_substeps;
+   }
+    : newton)
+
+let check_budget who ~substeps ~iterations =
+  if substeps < 1 || iterations < 1 then
+    invalid_arg (who ^ ": substeps and iterations must be >= 1")
+
+(* The whole-run loop of both engines: [advance t] takes the state to
+   the reporting instant [t], [read] evaluates a quantity on it. Records
+   [output] (and calls [observe]) at t = 0 and after every step. *)
+let drive ?observe ~dt ~nsteps ~read ~output advance =
+  let trace = Trace.create ~capacity:(nsteps + 1) () in
+  let record t =
+    Trace.add trace ~time:t ~value:(read output);
+    match observe with None -> () | Some f -> f t read
+  in
+  record 0.0;
+  for step = 1 to nsteps do
+    let t = float_of_int step *. dt in
+    advance t;
+    record t
+  done;
+  trace
 
 let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
     circuit ~inputs ~output ~dt ~t_stop =
-  match fidelity with
-  | `Paper ->
-      spice_like_paper ~substeps ~iterations ?observe circuit ~inputs ~output
-        ~dt ~t_stop
-  | `Fast ->
-      if substeps < 1 || iterations < 1 then
-        invalid_arg "Engine.spice_like: substeps and iterations must be >= 1";
-      spice_like_fast ~substeps ~iterations ?observe circuit ~inputs ~output
-        ~dt ~t_stop
-
-let eln_like ?(on_step = fun _ _ -> ()) ?observe circuit ~inputs ~output ~dt
-    ~t_stop =
-  check_args ~dt ~t_stop;
-  if Amsvp_netlist.Circuit.has_pwl circuit then
-    invalid_arg "Engine.eln_like: the linear-network engine cannot simulate \
-                 piecewise-linear devices";
-  Obs.with_span ~cat:"mna" "mna.eln_like" @@ fun () ->
-  let sys = System.build circuit in
-  let n = System.size sys in
-  let input_at = input_fun inputs in
-  let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-  (* Linear fixed-step network: assemble and factor exactly once. *)
-  let m = System.stamp_matrix sys ~h:dt in
-  let lu = Matrix.lu_factor m in
-  let x = Array.make n 0.0 in
-  let x_next = Array.make n 0.0 in
-  let rhs = Array.make n 0.0 in
-  let trace = Trace.create ~capacity:(nsteps + 1) () in
-  let solves = ref 0 in
-  let reader v = System.output_value sys v x in
-  Trace.add trace ~time:0.0 ~value:(System.output_value sys output x);
-  (match observe with None -> () | Some f -> f 0.0 reader);
-  for step = 1 to nsteps do
-    let t = float_of_int step *. dt in
-    System.stamp_rhs sys ~h:dt ~state:x ~input:(input_at t) ~rhs;
-    Matrix.lu_solve_into lu ~b:rhs ~x:x_next;
-    incr solves;
-    Array.blit x_next 0 x 0 n;
-    let out = System.output_value sys output x in
-    Trace.add trace ~time:t ~value:out;
-    on_step t out;
-    match observe with None -> () | Some f -> f t reader
-  done;
-  Obs.Counter.add c_steps nsteps;
-  Obs.Counter.add c_device_evals 1;
-  Obs.Counter.add c_factorizations 1;
-  Obs.Counter.add c_solves !solves;
-  Obs.Counter.add c_rhs_builds !solves;
+  let nsteps = reporting_steps ~dt ~t_stop in
+  check_budget "Engine.spice_like" ~substeps ~iterations;
+  Obs.with_span ~cat:"mna" "mna.spice_like" @@ fun () ->
+  let st = create_state ~substeps ~iterations ~fidelity circuit ~dt in
+  let journal = Journal.enabled () in
+  let tel =
+    if journal || fidelity = `Fast then
+      Some
+        {
+          journal;
+          total_iters = 0;
+          wasted_iters = 0;
+          max_residual = 0.0;
+          pivot_min = infinity;
+          pivot_max = 0.0;
+          dt_stress = 0.0;
+          stressed_substeps = 0;
+          converged_at = 0;
+          step_wasted = 0;
+        }
+    else None
+  in
+  let input = input_fun inputs in
+  let trace =
+    drive ?observe ~dt ~nsteps ~output
+      ~read:(fun v -> System.output_value st.sys v st.x)
+      (fun _ -> advance st tel ~input)
+  in
+  let stats =
+    {
+      steps = nsteps;
+      device_evals = st.device_evals;
+      factorizations = st.factorizations;
+      solves = st.solves;
+    }
+  in
+  flush st ~steps:nsteps;
+  let n = System.size st.sys in
   Obs.Gauge.set g_matrix_dim (float_of_int n);
-  if Journal.enabled () then begin
-    let mn, mx = Matrix.pivot_range lu in
-    Journal.emit ~cat:"mna" "eln.run"
-      [
-        ("steps", Journal.I nsteps);
-        ("solves", Journal.I !solves);
-        ("pivot_min", Journal.F mn);
-        ("pivot_max", Journal.F mx);
-        ("dim", Journal.I n);
-      ]
-  end;
-  {
-    trace;
-    stats =
-      { steps = nsteps; device_evals = 1; factorizations = 1; solves = !solves };
-    matrix_dim = n;
-    newton = None;
-  }
+  let newton = Option.map (fun tl -> summarize st tl ~nsteps) tel in
+  { trace; stats; matrix_dim = n; newton }
+
+(* The input lookup of a stepper tick: [values] ordered as [names]. *)
+let held_input who names values =
+  if Array.length values <> Array.length names then
+    invalid_arg
+      (Printf.sprintf "%s.step: expected %d input(s), got %d" who
+         (Array.length names) (Array.length values));
+  fun name ->
+    let rec find i =
+      if i >= Array.length names then
+        invalid_arg (who ^ ": unknown input " ^ name)
+      else if names.(i) = name then values.(i)
+      else find (i + 1)
+    in
+    find 0
 
 module Eln_stepper = struct
-  type factors = Dense of Matrix.lu | Sparse_lu of Sparse.lu
-
   type t = {
     sys : System.t;
-    lu : factors;
+    lu : Matrix.lu;
     dt : float;
     inputs : string array;
     output_var : Expr.var;
     x : float array;
-    x_next : float array;
     rhs : float array;
     mutable out : float;
   }
 
-  let create ?(solver = `Dense) circuit ~inputs ~output ~dt =
+  let create circuit ~inputs ~output ~dt =
     if dt <= 0.0 then invalid_arg "Eln_stepper: dt must be positive";
     if Amsvp_netlist.Circuit.has_pwl circuit then
       invalid_arg "Eln_stepper: the linear-network engine cannot simulate \
                    piecewise-linear devices";
     let sys = System.build circuit in
     let n = System.size sys in
-    let lu =
-      match solver with
-      | `Dense -> Dense (Matrix.lu_factor (System.stamp_matrix sys ~h:dt))
-      | `Sparse -> Sparse_lu (Sparse.lu_factor ~n (System.stamp_triplets sys ~h:dt))
-    in
+    (* Linear fixed-step network: assemble and factor exactly once. *)
+    let lu = Matrix.lu_factor (System.stamp_matrix sys ~h:dt) in
+    Obs.Counter.incr c_device_evals;
+    Obs.Counter.incr c_factorizations;
     {
       sys;
       lu;
@@ -722,36 +611,23 @@ module Eln_stepper = struct
       inputs = Array.of_list inputs;
       output_var = output;
       x = Array.make n 0.0;
-      x_next = Array.make n 0.0;
       rhs = Array.make n 0.0;
       out = 0.0;
     }
 
-  let step st ~input_values =
-    if Array.length input_values <> Array.length st.inputs then
-      invalid_arg
-        (Printf.sprintf "Eln_stepper.step: expected %d input(s), got %d"
-           (Array.length st.inputs)
-           (Array.length input_values));
-    let input name =
-      let rec find i =
-        if i >= Array.length st.inputs then
-          invalid_arg ("Eln_stepper: unknown input " ^ name)
-        else if st.inputs.(i) = name then input_values.(i)
-        else find (i + 1)
-      in
-      find 0
-    in
+  let advance st ~input =
     System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~input ~rhs:st.rhs;
-    (match st.lu with
-    | Dense lu -> Matrix.lu_solve_into lu ~b:st.rhs ~x:st.x_next
-    | Sparse_lu lu -> Sparse.lu_solve_into lu ~b:st.rhs ~x:st.x_next);
+    (* Solving in place is safe: the RHS already carries all the solve
+       needs of the old state. *)
+    Matrix.lu_solve_into st.lu ~b:st.rhs ~x:st.x;
     Obs.Counter.incr c_steps;
     Obs.Counter.incr c_solves;
     Obs.Counter.incr c_rhs_builds;
-    Array.blit st.x_next 0 st.x 0 (Array.length st.x);
     st.out <- System.output_value st.sys st.output_var st.x;
     st.out
+
+  let step st ~input_values =
+    advance st ~input:(held_input "Eln_stepper" st.inputs input_values)
 
   let output st = st.out
   let read st v = System.output_value st.sys v st.x
@@ -761,202 +637,70 @@ module Eln_stepper = struct
     st.out <- 0.0
 end
 
-module Spice_stepper = struct
-  (* Persistent fast-fidelity state: the factor cache survives across
-     ticks (the whole point of symbolic reuse in lock-step
-     co-simulation) and so does the adaptive substep count. *)
-  type fast = {
-    cache : Fast_cache.t;
-    mutable nsub : int;
-    mutable xm1 : float array;
+let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
+  let nsteps = reporting_steps ~dt ~t_stop in
+  Obs.with_span ~cat:"mna" "mna.eln_like" @@ fun () ->
+  let st =
+    Eln_stepper.create circuit ~inputs:(List.map fst inputs) ~output ~dt
+  in
+  let input_at = input_fun inputs in
+  let trace =
+    drive ?observe ~dt ~nsteps ~output ~read:(Eln_stepper.read st) (fun t ->
+        ignore (Eln_stepper.advance st ~input:(input_at t)))
+  in
+  let n = System.size st.sys in
+  Obs.Gauge.set g_matrix_dim (float_of_int n);
+  if Journal.enabled () then begin
+    let mn, mx = Matrix.pivot_range st.lu in
+    Journal.emit ~cat:"mna" "eln.run"
+      [
+        ("steps", Journal.I nsteps);
+        ("solves", Journal.I nsteps);
+        ("pivot_min", Journal.F mn);
+        ("pivot_max", Journal.F mx);
+        ("dim", Journal.I n);
+      ]
+  end;
+  {
+    trace;
+    stats =
+      { steps = nsteps; device_evals = 1; factorizations = 1; solves = nsteps };
+    matrix_dim = n;
+    newton = None;
   }
 
-  type t = {
-    sys : System.t;
-    dt : float;
-    h : float;
-    substeps : int;
-    iterations : int;
-    inputs : string array;
-    output_var : Expr.var;
-    mutable x : float array;
-    rhs : float array;
-    mutable out : float;
-    fast : fast option;  (* [None] = paper fidelity *)
-  }
+module Spice_stepper = struct
+  (* The fast path's factor cache and adaptive substep count live in
+     [st] and so persist across ticks — symbolic reuse is what makes
+     lock-step co-simulation cheap. No telemetry: steppers run inside a
+     DE kernel, whose host owns observability. *)
+  type t = { st : state; inputs : string array; output_var : Expr.var }
 
   let create ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) circuit
       ~inputs ~output ~dt =
     if dt <= 0.0 then invalid_arg "Spice_stepper: dt must be positive";
-    if substeps < 1 || iterations < 1 then
-      invalid_arg "Spice_stepper: substeps and iterations must be >= 1";
-    let sys = System.build circuit in
-    let n = System.size sys in
-    let fast =
-      match fidelity with
-      | `Paper -> None
-      | `Fast ->
-          Some
-            {
-              cache = Fast_cache.create sys;
-              nsub = substeps;
-              xm1 = Array.make n 0.0;
-            }
-    in
+    check_budget "Spice_stepper" ~substeps ~iterations;
     {
-      sys;
-      dt;
-      h = dt /. float_of_int substeps;
-      substeps;
-      iterations;
+      st = create_state ~substeps ~iterations ~fidelity circuit ~dt;
       inputs = Array.of_list inputs;
       output_var = output;
-      x = Array.make n 0.0;
-      rhs = Array.make n 0.0;
-      out = 0.0;
-      fast;
     }
 
-  (* One fast-fidelity tick: same controller as the fast engine path —
-     early-exit Newton over reused factors, adaptive substep count with
-     refine-and-retry — minus the journal (steppers run inside a DE
-     kernel; the host owns observability). *)
-  let step_fast st fs ~input =
-    let n = Array.length st.x in
-    let nonlinear = System.has_pwl st.sys in
-    let passes = ref 0 and stamps = ref 0 and factors = ref 0 in
-    let x_save = st.x and xm1_save = fs.xm1 in
-    let retry = ref true in
-    while !retry do
-      retry := false;
-      let ns = fs.nsub in
-      let h = st.dt /. float_of_int ns in
-      let step_stress = ref 0.0 and step_lte = ref 0.0 in
-      let aborted = ref false in
-      let sub = ref 1 in
-      while (not !aborted) && !sub <= ns do
-        System.stamp_rhs st.sys ~h ~state:st.x ~input ~rhs:st.rhs;
-        let x_next = ref st.x in
-        let max_iters = if nonlinear then st.iterations else 1 in
-        let iter = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !iter < max_iters do
-          incr iter;
-          let lu =
-            Fast_cache.factor fs.cache ~state:!x_next ~h
-              ~on_stamp:(fun () -> incr stamps)
-              ~on_factor:(fun () -> incr factors)
-              ~on_singular:(fun _ -> ())
-          in
-          let prev = !x_next in
-          x_next := Sparse.lu_solve lu st.rhs;
-          incr passes;
-          let delta = ref 0.0 and scale = ref 0.0 in
-          let xn = !x_next in
-          for i = 0 to n - 1 do
-            let d = abs_float (xn.(i) -. prev.(i)) in
-            if d > !delta then delta := d;
-            let m = abs_float xn.(i) in
-            if m > !scale then scale := m
-          done;
-          if
-            !delta <= (newton_rtol *. !scale) +. newton_atol
-            && Fast_cache.regions_stable fs.cache xn
-          then stop := true
-        done;
-        let stress = ref 0.0 and lte = ref 0.0 in
-        let x0 = st.x and x1 = !x_next and xm = fs.xm1 in
-        for i = 0 to n - 1 do
-          let m = Float.max (abs_float x0.(i)) (abs_float x1.(i)) in
-          if m > newton_atol then begin
-            let r = abs_float (x1.(i) -. x0.(i)) /. m in
-            if r > !stress then stress := r;
-            let l =
-              abs_float (x1.(i) -. (2.0 *. x0.(i)) +. xm.(i)) /. (2.0 *. m)
-            in
-            if l > !lte then lte := l
-          end
-        done;
-        if !stress > !step_stress then step_stress := !stress;
-        if !lte > !step_lte then step_lte := !lte;
-        if (!lte > lte_refine || !stress > stress_threshold) && ns < st.substeps
-        then aborted := true
-        else begin
-          fs.xm1 <- st.x;
-          st.x <- !x_next;
-          incr sub
-        end
-      done;
-      if !aborted then begin
-        st.x <- x_save;
-        fs.xm1 <- xm1_save;
-        fs.nsub <- min st.substeps (ns * 2);
-        retry := true
-      end
-      else if
-        !step_lte < lte_relax
-        && !step_stress < stress_threshold /. 2.0
-        && ns > 1
-      then fs.nsub <- ns / 2
-    done;
-    Obs.Counter.incr c_steps;
-    Obs.Counter.add c_device_evals !stamps;
-    Obs.Counter.add c_factorizations !factors;
-    Obs.Counter.add c_solves !passes;
-    Obs.Counter.add c_rhs_builds !passes;
-    Obs.Histogram.observe h_solver_passes (float_of_int !passes);
-    st.out <- System.output_value st.sys st.output_var st.x;
-    st.out
+  let read s v = System.output_value s.st.sys v s.st.x
+  let output s = read s s.output_var
 
-  let step st ~input_values =
-    if Array.length input_values <> Array.length st.inputs then
-      invalid_arg
-        (Printf.sprintf "Spice_stepper.step: expected %d input(s), got %d"
-           (Array.length st.inputs)
-           (Array.length input_values));
-    let input name =
-      let rec find i =
-        if i >= Array.length st.inputs then
-          invalid_arg ("Spice_stepper: unknown input " ^ name)
-        else if st.inputs.(i) = name then input_values.(i)
-        else find (i + 1)
-      in
-      find 0
-    in
-    match st.fast with
-    | Some fs -> step_fast st fs ~input
-    | None ->
-    for _sub = 1 to st.substeps do
-      let x_next = ref st.x in
-      for _iter = 1 to st.iterations do
-        let m = System.stamp_matrix ~state:!x_next st.sys ~h:st.h in
-        System.stamp_rhs st.sys ~h:st.h ~state:st.x ~input ~rhs:st.rhs;
-        let lu = Matrix.lu_factor m in
-        x_next := Matrix.lu_solve lu st.rhs
-      done;
-      st.x <- !x_next
-    done;
-    let passes = st.substeps * st.iterations in
-    Obs.Counter.incr c_steps;
-    Obs.Counter.add c_device_evals passes;
-    Obs.Counter.add c_factorizations passes;
-    Obs.Counter.add c_solves passes;
-    Obs.Counter.add c_rhs_builds passes;
-    Obs.Histogram.observe h_solver_passes (float_of_int passes);
-    st.out <- System.output_value st.sys st.output_var st.x;
-    st.out
+  let step s ~input_values =
+    let input = held_input "Spice_stepper" s.inputs input_values in
+    advance s.st None ~input:(fun _ -> input);
+    flush s.st ~steps:1;
+    output s
 
-  let output st = st.out
-  let read st v = System.output_value st.sys v st.x
-
-  let reset st =
-    Array.fill st.x 0 (Array.length st.x) 0.0;
-    (match st.fast with
-    | Some fs ->
-        fs.nsub <- st.substeps;
-        fs.xm1 <- Array.make (Array.length st.x) 0.0
-    | None -> ());
-    st.out <- 0.0
+  let reset s =
+    let n = Array.length s.st.x in
+    s.st.x <- Array.make n 0.0;
+    s.st.xm1 <- Array.make n 0.0;
+    s.st.nsub <- s.st.substeps;
+    s.st.step <- 0
 end
 
 let run_testcase_spice ?substeps ?iterations ?fidelity

@@ -1,7 +1,19 @@
-(** Conservative transient simulation back-ends.
+(** Conservative transient simulation back-ends: one kernel, two
+    drivers.
 
-    Two engines over the same MNA system, mirroring the cost structure
-    of the tools the paper measures:
+    One MNA solver kernel advances a shared state by one reporting step
+    at a time, mirroring the cost structure of the tools the paper
+    measures, and is driven two ways:
+
+    - the whole-run engines ({!spice_like}, {!eln_like}) loop the kernel
+      over [t_stop / dt] steps, sampling the stimuli at every substep,
+      recording a trace and summarising the run in the journal — the
+      Verilog-AMS reference runs of Tables I–II;
+    - the steppers ({!Spice_stepper}, {!Eln_stepper}) advance it one
+      step per call with inputs held over the step — the lock-step
+      co-simulation of Table III.
+
+    Two fidelities share that kernel:
 
     - {!spice_like} — the Verilog-AMS/ELDO stand-in and accuracy
       reference. It refines every reporting step into [substeps]
@@ -12,9 +24,7 @@
       are "the two most serious bottlenecks" (§III-B [5]).
     - {!eln_like} — the SystemC-AMS/ELN stand-in: the network equations
       are set up and factored {e once} (linear network, fixed step);
-      each step costs one RHS build plus one triangular solve, plus a
-      synchronisation callback so the caller can model the DE-kernel
-      boundary. *)
+      each step costs one RHS build plus one triangular solve. *)
 
 type stats = {
   steps : int;  (** reporting steps taken *)
@@ -37,18 +47,21 @@ type newton = {
           local time constant *)
   stressed_substeps : int;  (** substeps whose relative change > 0.5 *)
 }
-(** Solver-convergence telemetry for one {!spice_like} run. Only
-    computed while the {!Amsvp_obs.Journal} is enabled — the residual
-    norms have no other consumer, so with the journal off the inner
-    loop is byte-for-byte the pre-telemetry loop. *)
+(** Solver-convergence telemetry for one {!spice_like} run. With
+    [`Paper] it is only computed while the {!Amsvp_obs.Journal} is
+    enabled — the residual norms have no other consumer there, so with
+    the journal off the inner loop is byte-for-byte the pre-telemetry
+    loop. With [`Fast] it is always computed: the update norm and the
+    stress drive the early exit and the substep controller. *)
 
 type result = {
   trace : Amsvp_util.Trace.t;
   stats : stats;
   matrix_dim : int;
   newton : newton option;
-      (** [Some] iff the journal was enabled during the run (always
-          [None] for {!eln_like}, which has no Newton loop). *)
+      (** With [`Paper], [Some] iff the journal was enabled during the
+          run; always [Some] with [`Fast]; always [None] for
+          {!eln_like}, which has no Newton loop. *)
 }
 
 val spice_like :
@@ -92,7 +105,6 @@ val spice_like :
     @raise Invalid_argument on a missing input signal or bad step. *)
 
 val eln_like :
-  ?on_step:(float -> float -> unit) ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_netlist.Circuit.t ->
   inputs:(string * Amsvp_util.Stimulus.t) list ->
@@ -100,10 +112,11 @@ val eln_like :
   dt:float ->
   t_stop:float ->
   result
-(** Fixed-step linear-network engine; [on_step time value] is invoked
-    once per step (the ELN-cluster to DE-kernel synchronisation
-    point). [observe] is the probe attachment point, as in
-    {!spice_like}. *)
+(** Fixed-step linear-network engine: an {!Eln_stepper} driven over
+    the run. [observe] is the probe attachment point, as in
+    {!spice_like}.
+    @raise Invalid_argument on piecewise-linear devices, a missing
+    input signal or a bad step. *)
 
 (** Step-wise interface to the ELN engine, for embedding the linear
     network inside a discrete-event kernel (the SystemC-AMS use case):
@@ -113,16 +126,12 @@ module Eln_stepper : sig
   type t
 
   val create :
-    ?solver:[ `Dense | `Sparse ] ->
     Amsvp_netlist.Circuit.t ->
     inputs:string list ->
     output:Expr.var ->
     dt:float ->
     t
-  (** [inputs] declares the input signal order used by [step]; [solver]
-      selects the linear-algebra back-end (default [`Dense]; [`Sparse]
-      factors with {!Sparse} — the right choice for large networks, see
-      the dense-vs-sparse ablation). *)
+  (** [inputs] declares the input signal order used by [step]. *)
 
   val step : t -> input_values:float array -> float
   (** Advance one timestep with the given input samples (ordered as the
@@ -142,9 +151,10 @@ end
 
 (** Step-wise interface to the SPICE-like engine, for lock-step
     co-simulation with a digital simulator (the Questa-ADMS use case of
-    Table III): every [step] refines the reporting step into internal
-    substeps, re-evaluating devices and re-factoring at each solver
-    pass. *)
+    Table III): every [step] runs the same kernel as {!spice_like} for
+    one reporting step, with the inputs held over its substeps. Under a
+    constant stimulus its outputs and work counters match
+    {!spice_like}'s bit for bit, in either fidelity. *)
 module Spice_stepper : sig
   type t
 
@@ -167,6 +177,7 @@ module Spice_stepper : sig
       and actual input counts. *)
 
   val output : t -> float
+  (** Output quantity of the current state (0 before the first [step]). *)
 
   val read : t -> Expr.var -> float
   (** Evaluate any circuit quantity from the current state. *)

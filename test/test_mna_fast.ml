@@ -14,8 +14,12 @@
      stale-pivot escape hatch raises and recovers as documented;
    - singular and near-singular networks fail with the same
      [Matrix.Singular] diagnostics under either fidelity;
-   - telemetry: a [`Fast] run never reports wasted Newton passes, and
-     enabling the journal does not change a single sample. *)
+   - telemetry: a [`Fast] run never reports wasted Newton passes, the
+     [`Paper] run summary is pinned, and enabling the journal does not
+     change a single sample in either fidelity;
+   - the steppers run the engines' kernel: under a constant stimulus
+     they reproduce the whole-run traces bit for bit and count the
+     same work. *)
 
 module Matrix = Amsvp_mna.Matrix
 module Sparse = Amsvp_mna.Sparse
@@ -28,16 +32,17 @@ module Trace = Amsvp_util.Trace
 module Stimulus = Amsvp_util.Stimulus
 module Metrics = Amsvp_util.Metrics
 module Journal = Amsvp_obs.Journal
+module Obs = Amsvp_obs.Obs
 
 let checkf tol = Alcotest.(check (float tol))
-let ulp_ok a b = Int64.compare (Metrics.ulp_distance a b) 1L <= 0
-
+(* Sample-for-sample bit identity. *)
 let check_traces label a b =
   Alcotest.(check int)
     (label ^ ": sample count") (Trace.length a) (Trace.length b);
   for i = 0 to Trace.length a - 1 do
     let va = Trace.value a i and vb = Trace.value b i in
-    if not (ulp_ok va vb) then
+    if not (Int64.equal (Int64.bits_of_float va) (Int64.bits_of_float vb))
+    then
       Alcotest.failf "%s: sample %d differs: %h vs %h (t=%.9g)" label i va vb
         (Trace.time a i)
   done
@@ -241,48 +246,6 @@ let test_stale_pivot_fallback () =
   checkf 1e-12 "recovered x0" 4.0 x'.(0);
   checkf 1e-12 "recovered x1" 3.0 x'.(1)
 
-(* ---- `Sparse back-end coverage in DC and the ELN stepper ---- *)
-
-let test_dc_sparse_solver () =
-  let check_circuit label c nodes =
-    let dense = Dc.operating_point c in
-    let sparse = Dc.operating_point ~solver:`Sparse c in
-    List.iter
-      (fun n ->
-        checkf 1e-9
-          (Printf.sprintf "%s: V(%s)" label n)
-          (Dc.voltage dense n) (Dc.voltage sparse n))
-      nodes
-  in
-  let div = Circuit.create () in
-  Circuit.add_vsource div ~name:"vs" ~pos:"a" ~neg:"gnd" (Component.Dc 9.0);
-  Circuit.add_resistor div ~name:"r1" ~pos:"a" ~neg:"mid" 1.0e3;
-  Circuit.add_resistor div ~name:"r2" ~pos:"mid" ~neg:"gnd" 2.0e3;
-  check_circuit "divider" div [ "a"; "mid" ];
-  checkf 1e-9 "divider value" 6.0
-    (Dc.voltage (Dc.operating_point ~solver:`Sparse div) "mid");
-  (* Piecewise-linear region iteration through the sparse back-end. *)
-  let rect = (Circuits.rectifier ()).Circuits.circuit in
-  check_circuit "rectifier op" rect [ "in"; "out" ]
-
-let test_eln_stepper_sparse () =
-  let tc = Circuits.rc_ladder 8 in
-  let inputs = List.map fst tc.Circuits.stimuli in
-  let stim = List.map snd tc.Circuits.stimuli in
-  let mk solver =
-    Engine.Eln_stepper.create ~solver tc.Circuits.circuit ~inputs
-      ~output:tc.Circuits.output ~dt:1e-5
-  in
-  let dense = mk `Dense and sparse = mk `Sparse in
-  for k = 1 to 200 do
-    let t = float_of_int k *. 1e-5 in
-    let iv = Array.of_list (List.map (fun s -> s t) stim) in
-    let vd = Engine.Eln_stepper.step dense ~input_values:iv in
-    let vs = Engine.Eln_stepper.step sparse ~input_values:iv in
-    if not (abs_float (vd -. vs) <= 1e-12 *. (1.0 +. abs_float vd)) then
-      Alcotest.failf "eln step %d: dense %h vs sparse %h" k vd vs
-  done
-
 (* ---- Singular and near-singular parity across fidelities ---- *)
 
 let singular_of fidelity circuit ~output =
@@ -319,41 +282,45 @@ let test_singular_parity () =
 
 (* ---- Telemetry: journal population and journal-off identity ---- *)
 
-let test_fast_journal_telemetry () =
+(* Runs [run] with the journal off and on; checks the journal is pure
+   observation and emits one newton.step per reporting step and one
+   newton.run; returns both results and the newton.run payload. *)
+let journal_on_off run =
   Journal.reset ();
   Journal.disable ();
-  let tc = Circuits.rc_ladder 20 in
-  let run () =
-    Engine.run_testcase_spice ~fidelity:`Fast tc ~dt:2e-6 ~t_stop:1e-3
-  in
   let off = run () in
   Journal.reset ();
   Journal.enable ();
   let on = run () in
   Journal.disable ();
   (* The journal is pure observation: not one sample may move. *)
-  check_traces "journal on/off" off.trace on.trace;
+  check_traces "journal on/off" off.Engine.trace on.Engine.trace;
   Alcotest.(check int) "same factorizations" off.stats.factorizations
     on.stats.factorizations;
   let events = List.filter (fun e -> e.Journal.cat = "mna") (Journal.events ()) in
-  let runs = List.filter (fun e -> e.Journal.name = "newton.run") events in
-  (match runs with
-  | [ e ] ->
-      let field k = List.assoc_opt k e.Journal.payload in
-      Alcotest.(check bool) "wasted_iters = 0" true
-        (field "wasted_iters" = Some (Journal.I 0));
-      (match field "dt_stress" with
-      | Some (Journal.F s) ->
-          Alcotest.(check bool) "dt_stress finite" true (Float.is_finite s)
-      | _ -> Alcotest.fail "newton.run missing dt_stress");
-      (match field "total_iters" with
-      | Some (Journal.I t) ->
-          Alcotest.(check bool) "total_iters positive" true (t > 0)
-      | _ -> Alcotest.fail "newton.run missing total_iters")
-  | l -> Alcotest.failf "expected one newton.run event, got %d" (List.length l));
   let steps = List.filter (fun e -> e.Journal.name = "newton.step") events in
   Alcotest.(check int) "one newton.step per reporting step" on.stats.steps
     (List.length steps);
+  match List.filter (fun e -> e.Journal.name = "newton.run") events with
+  | [ e ] -> (off, on, steps, fun k -> List.assoc_opt k e.Journal.payload)
+  | l -> Alcotest.failf "expected one newton.run event, got %d" (List.length l)
+
+let test_fast_journal_telemetry () =
+  let _, _, steps, run_field =
+    journal_on_off (fun () ->
+        Engine.run_testcase_spice ~fidelity:`Fast (Circuits.rc_ladder 20)
+          ~dt:2e-6 ~t_stop:1e-3)
+  in
+  Alcotest.(check bool) "wasted_iters = 0" true
+    (run_field "wasted_iters" = Some (Journal.I 0));
+  (match run_field "dt_stress" with
+  | Some (Journal.F s) ->
+      Alcotest.(check bool) "dt_stress finite" true (Float.is_finite s)
+  | _ -> Alcotest.fail "newton.run missing dt_stress");
+  (match run_field "total_iters" with
+  | Some (Journal.I t) ->
+      Alcotest.(check bool) "total_iters positive" true (t > 0)
+  | _ -> Alcotest.fail "newton.run missing total_iters");
   List.iter
     (fun e ->
       match List.assoc_opt "nsub" e.Journal.payload with
@@ -362,6 +329,33 @@ let test_fast_journal_telemetry () =
             Alcotest.failf "newton.step nsub %d out of range" ns
       | _ -> Alcotest.fail "newton.step missing nsub")
     steps
+
+let test_paper_journal_telemetry () =
+  (* The seed engine's summaries of these runs; with 3 passes the last
+     one of every substep is wasted on this linear network. *)
+  List.iter
+    (fun (iterations, total, wasted) ->
+      let off, on, _, run_field =
+        journal_on_off (fun () ->
+            Engine.run_testcase_spice ~substeps:4 ~iterations ~fidelity:`Paper
+              (Circuits.rc_ladder 1) ~dt:1e-5 ~t_stop:1e-3)
+      in
+      Alcotest.(check bool) "telemetry only with the journal on" true
+        (off.newton = None && on.newton <> None);
+      List.iter
+        (fun (k, v) ->
+          if run_field k <> Some v then
+            Alcotest.failf
+              "iterations %d: newton.run %s differs from the pinned value"
+              iterations k)
+        [
+          ("total_iters", Journal.I total);
+          ("wasted_iters", Journal.I wasted);
+          ("max_residual", Journal.F 0.0);
+          ("dt_stress", Journal.F 0x1.052cdb8400334p+0);
+          ("dim", Journal.I 3);
+        ])
+    [ (2, 800, 0); (3, 1200, 400) ]
 
 (* ---- Golden traces for the fast path ---- *)
 
@@ -414,31 +408,101 @@ let test_golden_fast_traces () =
           Alcotest.failf "%s drifted from its golden baseline" base)
     golden_cases
 
-(* ---- Stepper parity: the VP embedding of the fast engine ---- *)
+(* ---- Stepper parity: the VP embedding of the engines ---- *)
 
-let test_stepper_fast_matches_engine () =
-  (* With a constant stimulus the stepper's hold-within-step input
-     contract coincides with the engine's substep sampling, so the
-     two adaptive controllers must walk the same path. *)
-  let tc = Circuits.rc_ladder 4 in
-  let dt = 1e-5 in
-  let names = List.map fst tc.Circuits.stimuli in
-  let inputs = List.map (fun n -> (n, Stimulus.constant 1.0)) names in
-  let engine =
-    Engine.spice_like ~fidelity:`Fast tc.Circuits.circuit ~inputs
-      ~output:tc.Circuits.output ~dt ~t_stop:1e-3
-  in
+(* With a constant stimulus the stepper's hold-within-step input
+   contract coincides with the engine's substep sampling, so the two
+   drivers of the kernel must walk the same path. *)
+let parity_cases =
+  [ Circuits.rc_ladder 4; Circuits.rc_ladder 20; Circuits.rectifier () ]
+
+let dt_parity = 1e-5
+
+let constant_inputs (tc : Circuits.testcase) =
+  List.map (fun (n, _) -> (n, Stimulus.constant 1.0)) tc.stimuli
+
+let engine_run fidelity (tc : Circuits.testcase) =
+  Engine.spice_like ~fidelity tc.circuit ~inputs:(constant_inputs tc)
+    ~output:tc.output ~dt:dt_parity ~t_stop:(100.0 *. dt_parity)
+
+(* 100 stepper ticks; the outputs as a trace aligned with the engine's. *)
+let stepper_run fidelity (tc : Circuits.testcase) =
+  let names = List.map fst tc.stimuli in
   let st =
-    Engine.Spice_stepper.create ~fidelity:`Fast tc.Circuits.circuit
-      ~inputs:names ~output:tc.Circuits.output ~dt
+    Engine.Spice_stepper.create ~fidelity tc.circuit ~inputs:names
+      ~output:tc.output ~dt:dt_parity
   in
   let iv = Array.make (List.length names) 1.0 in
-  for k = 1 to Trace.length engine.trace - 1 do
-    let v = Engine.Spice_stepper.step st ~input_values:iv in
-    let ve = Trace.value engine.trace k in
-    if not (abs_float (v -. ve) <= 1e-9 *. (1.0 +. abs_float ve)) then
-      Alcotest.failf "stepper step %d: %h vs engine %h" k v ve
-  done
+  let trace = Trace.create () in
+  Trace.add trace ~time:0.0 ~value:(Engine.Spice_stepper.read st tc.output);
+  for k = 1 to 100 do
+    Trace.add trace ~time:(float_of_int k *. dt_parity)
+      ~value:(Engine.Spice_stepper.step st ~input_values:iv)
+  done;
+  trace
+
+let test_stepper_matches_engine fidelity () =
+  List.iter
+    (fun (tc : Circuits.testcase) ->
+      let engine = engine_run fidelity tc in
+      check_traces ("stepper vs engine " ^ tc.label) engine.trace
+        (stepper_run fidelity tc))
+    parity_cases
+
+let mna_counters =
+  [
+    "amsvp_mna_rhs_builds_total";
+    "amsvp_mna_solves_total";
+    "amsvp_mna_factorizations_total";
+    "amsvp_mna_device_evals_total";
+  ]
+
+(* Registry counter deltas over [f ()]. *)
+let counter_deltas f =
+  let snap () =
+    List.filter_map
+      (fun (n, _, v) -> if List.mem n mna_counters then Some (n, v) else None)
+      (Obs.counter_values ())
+  in
+  let before = snap () in
+  f ();
+  List.map (fun (n, v) -> (n, v - List.assoc n before)) (snap ())
+
+let test_stepper_counters_match_engine () =
+  let check label engine stepper =
+    let e = counter_deltas engine and s = counter_deltas stepper in
+    List.iter
+      (fun n ->
+        Alcotest.(check (option int)) (label ^ ": " ^ n) (List.assoc_opt n e)
+          (List.assoc_opt n s))
+      mna_counters
+  in
+  List.iter
+    (fun (tc : Circuits.testcase) ->
+      List.iter
+        (fun (fl, fidelity) ->
+          check
+            (Printf.sprintf "%s %s" tc.label fl)
+            (fun () -> ignore (engine_run fidelity tc))
+            (fun () -> ignore (stepper_run fidelity tc)))
+        [ ("paper", `Paper); ("fast", `Fast) ])
+    [ Circuits.rc_ladder 20; Circuits.rectifier () ];
+  (* The ELN engine is its stepper plus a loop: the one factorisation
+     and device evaluation are counted by either. *)
+  let tc = Circuits.rc_ladder 20 in
+  check "RC20 eln"
+    (fun () ->
+      ignore
+        (Engine.eln_like tc.circuit ~inputs:(constant_inputs tc)
+           ~output:tc.output ~dt:dt_parity ~t_stop:(100.0 *. dt_parity)))
+    (fun () ->
+      let st =
+        Engine.Eln_stepper.create tc.circuit ~inputs:(List.map fst tc.stimuli)
+          ~output:tc.output ~dt:dt_parity
+      in
+      for _ = 1 to 100 do
+        ignore (Engine.Eln_stepper.step st ~input_values:[| 1.0 |])
+      done)
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -455,7 +519,11 @@ let () =
             test_fast_linear_workload;
           Alcotest.test_case "fast pwl re-stamps" `Quick test_fast_pwl_restamps;
           Alcotest.test_case "stepper fast matches engine" `Quick
-            test_stepper_fast_matches_engine;
+            (test_stepper_matches_engine `Fast);
+          Alcotest.test_case "stepper paper matches engine" `Quick
+            (test_stepper_matches_engine `Paper);
+          Alcotest.test_case "stepper counters match engine" `Quick
+            test_stepper_counters_match_engine;
         ] );
       ( "random",
         qt
@@ -469,14 +537,14 @@ let () =
         [
           Alcotest.test_case "stale pivot fallback" `Quick
             test_stale_pivot_fallback;
-          Alcotest.test_case "dc sparse solver" `Quick test_dc_sparse_solver;
-          Alcotest.test_case "eln stepper sparse" `Quick test_eln_stepper_sparse;
           Alcotest.test_case "singular parity" `Quick test_singular_parity;
         ] );
       ( "telemetry",
         [
           Alcotest.test_case "fast journal telemetry" `Quick
             test_fast_journal_telemetry;
+          Alcotest.test_case "paper journal telemetry" `Quick
+            test_paper_journal_telemetry;
         ] );
       ( "golden",
         [
