@@ -26,6 +26,7 @@ module De = Amsvp_sysc.De
 module Codegen = Amsvp_codegen.Codegen
 module Platform = Amsvp_vp.Platform
 module Trace = Amsvp_util.Trace
+module Json = Amsvp_util.Json
 module Metrics = Amsvp_util.Metrics
 module Sources = Amsvp_vams.Sources
 module Elaborate = Amsvp_vams.Elaborate
@@ -175,136 +176,121 @@ let self_times (spans : Obs.span array) =
       self)
     spans
 
-let sections_json b =
+let sections_json () =
+  let open Json in
   let spans = Array.of_list (Obs.spans ()) in
   let selfs = self_times spans in
-  Buffer.add_string b ",\n  \"sections\": [";
-  List.iteri
-    (fun i (name, lo, hi) ->
-      if i > 0 then Buffer.add_char b ',';
-      let agg : (string, int * int * int) Hashtbl.t = Hashtbl.create 16 in
-      let order = ref [] in
-      for j = lo to min hi (Array.length spans) - 1 do
-        let s = spans.(j) in
-        if s.Obs.dur_ns > 0 then begin
-          let calls, tot, slf =
-            Option.value ~default:(0, 0, 0) (Hashtbl.find_opt agg s.Obs.name)
-          in
-          if calls = 0 then order := s.Obs.name :: !order;
-          Hashtbl.replace agg s.Obs.name
-            (calls + 1, tot + s.Obs.dur_ns, slf + selfs.(j))
-        end
-      done;
-      Printf.bprintf b "\n    {\"section\": %S, \"spans\": [" name;
-      List.iteri
-        (fun k n ->
-          let calls, tot, slf = Hashtbl.find agg n in
-          if k > 0 then Buffer.add_char b ',';
-          Printf.bprintf b
-            "\n      {\"name\": %S, \"calls\": %d, \"total_s\": %.9g, \
-             \"self_s\": %.9g}"
-            n calls
-            (float_of_int tot *. 1e-9)
-            (float_of_int slf *. 1e-9))
-        (List.rev !order);
-      Buffer.add_string b "\n    ]}")
-    (List.rev !section_spans);
-  Buffer.add_string b "\n  ]"
+  let section (name, lo, hi) =
+    let agg : (string, int * int * int) Hashtbl.t = Hashtbl.create 16 in
+    let order = ref [] in
+    for j = lo to min hi (Array.length spans) - 1 do
+      let s = spans.(j) in
+      if s.Obs.dur_ns > 0 then begin
+        let calls, tot, slf =
+          Option.value ~default:(0, 0, 0) (Hashtbl.find_opt agg s.Obs.name)
+        in
+        if calls = 0 then order := s.Obs.name :: !order;
+        Hashtbl.replace agg s.Obs.name
+          (calls + 1, tot + s.Obs.dur_ns, slf + selfs.(j))
+      end
+    done;
+    let span n =
+      let calls, tot, slf = Hashtbl.find agg n in
+      Obj
+        [ ("name", Str n); ("calls", Num (float_of_int calls));
+          ("total_s", Num (float_of_int tot *. 1e-9));
+          ("self_s", Num (float_of_int slf *. 1e-9)) ]
+    in
+    Obj [ ("section", Str name); ("spans", Arr (List.rev_map span !order)) ]
+  in
+  Arr (List.rev_map section !section_spans)
 
 let results_json ~quick ~total_wall_s =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\n  \"bench\": \"amsvp\",\n  \"quick\": %b,\n  \"dt\": %g,\n  \
-     \"total_wall_s\": %.6f,\n  \"rows\": [" quick dt total_wall_s;
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n    {\"table\": %S, \"comp\": %S, \"target\": %S, \"method\": %S, \
-         \"time_s\": %.9g"
-        r.row_table r.row_comp r.row_target r.row_method r.row_time_s;
-      (match r.row_nrmse with
-      | Some e when Float.is_finite e -> Printf.bprintf b ", \"nrmse\": %.9g" e
-      | Some _ | None -> ());
-      Buffer.add_char b '}')
-    (List.rev !bench_rows);
-  Buffer.add_string b "\n  ]";
-  if !engine_rows <> [] then begin
-    Buffer.add_string b ",\n  \"engines\": [";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b
-          "\n    {\"circuit\": %S, \"assignments\": %d, \"instrs\": %d, \
-           \"regs\": %d, \"compile_s\": %.9g, \"tree_step_ns\": %.9g, \
-           \"bytecode_step_ns\": %.9g, \"speedup\": %.4g, \"max_ulp\": %Ld}"
-          r.e_circuit r.e_assignments r.e_instrs r.e_regs r.e_compile_s
-          r.e_tree_step_ns r.e_byte_step_ns
-          (r.e_tree_step_ns /. r.e_byte_step_ns)
-          r.e_max_ulp)
-      (List.rev !engine_rows);
-    Buffer.add_string b "\n  ]"
-  end;
-  (match !convergence_block with
-  | Some c ->
-      Printf.bprintf b
-        ",\n  \"convergence\": {\"comp\": %S, \"journal_off_s\": %.9g, \
-         \"journal_on_s\": %.9g, \"overhead_pct\": %.4g, \"steps\": %d, \
-         \"total_iters\": %d, \"wasted_iters\": %d, \"max_residual\": %.9g, \
-         \"pivot_ratio\": %.9g, \"stressed_substeps\": %d}"
-        c.cb_comp c.cb_off_s c.cb_on_s c.cb_overhead_pct c.cb_steps
-        c.cb_total_iters c.cb_wasted_iters c.cb_max_residual c.cb_pivot_ratio
-        c.cb_stressed_substeps
-  | None -> ());
-  if !mna_fast_rows <> [] then begin
-    Buffer.add_string b ",\n  \"mna_fast\": [";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b
-          "\n    {\"comp\": %S, \"paper_s\": %.9g, \"fast_s\": %.9g, \
-           \"speedup\": %.4g, \"nrmse\": %.9g, \"paper_factorizations\": %d, \
-           \"fast_factorizations\": %d}"
-          r.mf_comp r.mf_paper_s r.mf_fast_s r.mf_speedup r.mf_nrmse
-          r.mf_paper_factors r.mf_fast_factors)
-      (List.rev !mna_fast_rows);
-    Buffer.add_string b "\n  ]"
-  end;
-  (match !serve_block with
-  | Some s ->
-      let per t = t /. float_of_int (max 1 s.sv_points) *. 1e3 in
-      Printf.bprintf b
-        ",\n  \"serve\": {\"spec\": %S, \"points\": %d, \"prepare_s\": %.9g, \
-         \"cold_s\": %.9g, \"warm_s\": %.9g, \"cold_point_ms\": %.6g, \
-         \"warm_point_ms\": %.6g, \"warm_speedup\": %.4g}"
-        s.sv_spec s.sv_points s.sv_prepare_s s.sv_cold_s s.sv_warm_s
-        (per s.sv_cold_s) (per s.sv_warm_s)
-        (s.sv_cold_s /. s.sv_warm_s)
-  | None -> ());
-  (match !obs_serve_block with
-  | Some o ->
-      let per t = t /. float_of_int (max 1 o.ob_points) *. 1e3 in
-      Printf.bprintf b
-        ",\n  \"obs_serve\": {\"points\": %d, \"telemetry_off_s\": %.9g, \
-         \"telemetry_on_s\": %.9g, \"off_point_ms\": %.6g, \"on_point_ms\": \
-         %.6g, \"overhead_pct\": %.4g}"
-        o.ob_points o.ob_off_s o.ob_on_s (per o.ob_off_s) (per o.ob_on_s)
-        o.ob_overhead_pct
-  | None -> ());
-  (match !absint_block with
-  | Some a ->
-      Printf.bprintf b
-        ",\n  \"absint\": {\"spec\": %S, \"points\": %d, \"pruned\": %d, \
-         \"prune_ratio\": %.4g, \"plain_s\": %.9g, \"pruned_s\": %.9g, \
-         \"speedup\": %.4g}"
-        a.ai_spec a.ai_points a.ai_pruned
-        (float_of_int a.ai_pruned /. float_of_int (max 1 a.ai_points))
-        a.ai_plain_s a.ai_pruned_s
-        (a.ai_plain_s /. a.ai_pruned_s)
-  | None -> ());
-  sections_json b;
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  let open Json in
+  let int i = Num (float_of_int i) in
+  (* rows and sections are recorded newest first *)
+  let rows field f = function
+    | [] -> []
+    | l -> [ (field, Arr (List.rev_map (fun r -> Obj (f r)) l)) ]
+  in
+  let block field f = function Some x -> [ (field, Obj (f x)) ] | None -> [] in
+  let per_point_ms points t = Num (t /. float_of_int (max 1 points) *. 1e3) in
+  let row r =
+    Obj
+      ([ ("table", Str r.row_table); ("comp", Str r.row_comp);
+         ("target", Str r.row_target); ("method", Str r.row_method);
+         ("time_s", Num r.row_time_s) ]
+      @
+      match r.row_nrmse with
+      | Some e when Float.is_finite e -> [ ("nrmse", Num e) ]
+      | Some _ | None -> [])
+  in
+  print
+    (Obj
+       ([ ("bench", Str "amsvp"); ("quick", Bool quick); ("dt", Num dt);
+          ("total_wall_s", Num total_wall_s);
+          ("rows", Arr (List.rev_map row !bench_rows)) ]
+       @ rows "engines"
+           (fun r ->
+             [ ("circuit", Str r.e_circuit);
+               ("assignments", int r.e_assignments);
+               ("instrs", int r.e_instrs); ("regs", int r.e_regs);
+               ("compile_s", Num r.e_compile_s);
+               ("tree_step_ns", Num r.e_tree_step_ns);
+               ("bytecode_step_ns", Num r.e_byte_step_ns);
+               ("speedup", Num (r.e_tree_step_ns /. r.e_byte_step_ns));
+               ("max_ulp", Num (Int64.to_float r.e_max_ulp)) ])
+           !engine_rows
+       @ block "convergence"
+           (fun c ->
+             [ ("comp", Str c.cb_comp); ("journal_off_s", Num c.cb_off_s);
+               ("journal_on_s", Num c.cb_on_s);
+               ("overhead_pct", Num c.cb_overhead_pct);
+               ("steps", int c.cb_steps);
+               ("total_iters", int c.cb_total_iters);
+               ("wasted_iters", int c.cb_wasted_iters);
+               ("max_residual", Num c.cb_max_residual);
+               ("pivot_ratio", Num c.cb_pivot_ratio);
+               ("stressed_substeps", int c.cb_stressed_substeps) ])
+           !convergence_block
+       @ rows "mna_fast"
+           (fun r ->
+             [ ("comp", Str r.mf_comp); ("paper_s", Num r.mf_paper_s);
+               ("fast_s", Num r.mf_fast_s); ("speedup", Num r.mf_speedup);
+               ("nrmse", Num r.mf_nrmse);
+               ("paper_factorizations", int r.mf_paper_factors);
+               ("fast_factorizations", int r.mf_fast_factors) ])
+           !mna_fast_rows
+       @ block "serve"
+           (fun s ->
+             [ ("spec", Str s.sv_spec); ("points", int s.sv_points);
+               ("prepare_s", Num s.sv_prepare_s); ("cold_s", Num s.sv_cold_s);
+               ("warm_s", Num s.sv_warm_s);
+               ("cold_point_ms", per_point_ms s.sv_points s.sv_cold_s);
+               ("warm_point_ms", per_point_ms s.sv_points s.sv_warm_s);
+               ("warm_speedup", Num (s.sv_cold_s /. s.sv_warm_s)) ])
+           !serve_block
+       @ block "obs_serve"
+           (fun o ->
+             [ ("points", int o.ob_points);
+               ("telemetry_off_s", Num o.ob_off_s);
+               ("telemetry_on_s", Num o.ob_on_s);
+               ("off_point_ms", per_point_ms o.ob_points o.ob_off_s);
+               ("on_point_ms", per_point_ms o.ob_points o.ob_on_s);
+               ("overhead_pct", Num o.ob_overhead_pct) ])
+           !obs_serve_block
+       @ block "absint"
+           (fun a ->
+             [ ("spec", Str a.ai_spec); ("points", int a.ai_points);
+               ("pruned", int a.ai_pruned);
+               ( "prune_ratio",
+                 Num
+                   (float_of_int a.ai_pruned /. float_of_int (max 1 a.ai_points))
+               );
+               ("plain_s", Num a.ai_plain_s); ("pruned_s", Num a.ai_pruned_s);
+               ("speedup", Num (a.ai_plain_s /. a.ai_pruned_s)) ])
+           !absint_block
+       @ [ ("sections", sections_json ()) ]))
 
 let wall f =
   let t0 = Unix.gettimeofday () in

@@ -527,7 +527,9 @@ let report_cmd =
         in
         let bench = Option.map parse_json bench_file in
         let r = Runreport.build ~top:top_n ~journal ?bench () in
-        let contents = if json then Runreport.to_json r else Runreport.to_text r in
+        let contents =
+          if json then Runreport.to_json r ^ "\n" else Runreport.to_text r
+        in
         (match out_file with
         | Some path -> Obs.write_file path contents
         | None -> print_string contents)
@@ -1344,8 +1346,8 @@ let lint_cmd =
     let findings = Diag.apply config findings in
     (match format with
     | `Text -> print_string (Diag.report_to_text findings)
-    | `Json -> print_string (Diag.report_to_json ~file findings)
-    | `Sarif -> print_string (Diag.report_to_sarif findings));
+    | `Json -> print_endline (Diag.report_to_json ~file findings)
+    | `Sarif -> print_endline (Diag.report_to_sarif findings));
     if Diag.error_count findings > 0 then exit 1
   in
   let top_opt =

@@ -1,10 +1,11 @@
+module Json = Amsvp_util.Json
+
 type severity = Error | Warning | Info
 
 type span = { file : string; line : int; col : int }
 
 let span ?(file = "<input>") line col = { file; line; col }
 
-let pp_span ppf s = Format.fprintf ppf "%s:%d:%d" s.file s.line s.col
 
 type finding = {
   code : string;
@@ -169,8 +170,10 @@ let apply cfg findings =
       compare (key a) (key b))
     kept
 
-let error_count findings =
-  List.length (List.filter (fun f -> f.severity = Error) findings)
+let count sev findings =
+  List.length (List.filter (fun f -> f.severity = sev) findings)
+
+let error_count findings = count Error findings
 
 let severity_name = function
   | Error -> "error"
@@ -192,129 +195,78 @@ let report_to_text findings =
       Buffer.add_string b (to_text f);
       Buffer.add_char b '\n')
     findings;
-  let count sev =
-    List.length (List.filter (fun f -> f.severity = sev) findings)
-  in
-  Buffer.add_string b
-    (Printf.sprintf "%d error(s), %d warning(s), %d info\n" (count Error)
-       (count Warning) (count Info));
+  Printf.bprintf b "%d error(s), %d warning(s), %d info\n"
+    (count Error findings) (count Warning findings) (count Info findings);
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
+let finding_json f =
+  let open Json in
+  Obj
+    ([ ("code", Str f.code); ("severity", Str (severity_name f.severity));
+       ("message", Str f.message) ]
+    @ (match f.span with
+      | Some s ->
+          [ ("file", Str s.file); ("line", Num (float_of_int s.line));
+            ("col", Num (float_of_int s.col)) ]
+      | None -> [])
+    @ match f.subject with Some s -> [ ("subject", Str s) ] | None -> [])
 
 let report_to_json ?file findings =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{";
-  (match file with
-  | Some f -> Buffer.add_string b (Printf.sprintf "\"file\": %s, " (jstr f))
-  | None -> ());
-  Buffer.add_string b "\"findings\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "{\"code\": %s, \"severity\": %s, \"message\": %s"
-           (jstr f.code)
-           (jstr (severity_name f.severity))
-           (jstr f.message));
-      (match f.span with
-      | Some s ->
-          Buffer.add_string b
-            (Printf.sprintf ", \"file\": %s, \"line\": %d, \"col\": %d"
-               (jstr s.file) s.line s.col)
-      | None -> ());
-      (match f.subject with
-      | Some s -> Buffer.add_string b (Printf.sprintf ", \"subject\": %s" (jstr s))
-      | None -> ());
-      Buffer.add_string b "}")
-    findings;
-  let count sev =
-    List.length (List.filter (fun f -> f.severity = sev) findings)
-  in
-  Buffer.add_string b
-    (Printf.sprintf "], \"errors\": %d, \"warnings\": %d}" (count Error)
-       (count Warning));
-  Buffer.contents b
+  let open Json in
+  print
+    (Obj
+       ((match file with Some f -> [ ("file", Str f) ] | None -> [])
+       @ [ ("findings", Arr (List.map finding_json findings));
+           ("errors", Num (float_of_int (count Error findings)));
+           ("warnings", Num (float_of_int (count Warning findings))) ]))
 
 let report_to_sarif ?(tool_version = "0.1.0") findings =
+  let open Json in
   let level = function
     | Error -> "error"
     | Warning -> "warning"
     | Info -> "note"
   in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"version\": \"2.1.0\",\n";
-  Buffer.add_string b
-    "  \"$schema\": \
-     \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  Buffer.add_string b "  \"runs\": [\n    {\n";
-  Buffer.add_string b "      \"tool\": {\n        \"driver\": {\n";
-  Buffer.add_string b "          \"name\": \"amsvp\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "          \"version\": %s,\n" (jstr tool_version));
-  Buffer.add_string b "          \"rules\": [\n";
-  (* Only the rules actually fired, sorted by id, each once. *)
-  let fired =
-    List.sort_uniq compare (List.map (fun f -> f.code) findings)
+  let rule id =
+    let title =
+      match List.find_opt (fun c -> c.id = id) codes with
+      | Some c -> c.title
+      | None -> id
+    in
+    Obj [ ("id", Str id); ("shortDescription", Obj [ ("text", Str title) ]) ]
   in
-  List.iteri
-    (fun i id ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let title =
-        match List.find_opt (fun c -> c.id = id) codes with
-        | Some c -> c.title
-        | None -> id
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "            {\"id\": %s, \"shortDescription\": {\"text\": %s}}"
-           (jstr id) (jstr title)))
-    fired;
-  Buffer.add_string b "\n          ]\n        }\n      },\n";
-  Buffer.add_string b "      \"results\": [\n";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "        {\n";
-      Buffer.add_string b
-        (Printf.sprintf "          \"ruleId\": %s,\n" (jstr f.code));
-      Buffer.add_string b
-        (Printf.sprintf "          \"level\": %s,\n"
-           (jstr (level f.severity)));
-      Buffer.add_string b
-        (Printf.sprintf "          \"message\": {\"text\": %s}"
-           (jstr f.message));
-      (match f.span with
-      | Some s ->
-          Buffer.add_string b ",\n          \"locations\": [\n";
-          Buffer.add_string b
-            (Printf.sprintf
-               "            {\"physicalLocation\": {\"artifactLocation\": \
-                {\"uri\": %s}, \"region\": {\"startLine\": %d, \
-                \"startColumn\": %d}}}\n"
-               (jstr s.file) s.line s.col);
-          Buffer.add_string b "          ]"
-      | None -> ());
-      Buffer.add_string b "\n        }")
-    findings;
-  Buffer.add_string b "\n      ]\n    }\n  ]\n}\n";
-  Buffer.contents b
-
-let pp ppf f = Format.pp_print_string ppf (to_text f)
+  let location s =
+    let region =
+      [ ("startLine", Num (float_of_int s.line));
+        ("startColumn", Num (float_of_int s.col)) ]
+    in
+    Obj
+      [ ( "physicalLocation",
+          Obj
+            [ ("artifactLocation", Obj [ ("uri", Str s.file) ]);
+              ("region", Obj region) ] ) ]
+  in
+  let result f =
+    Obj
+      ([ ("ruleId", Str f.code); ("level", Str (level f.severity));
+         ("message", Obj [ ("text", Str f.message) ]) ]
+      @
+      match f.span with
+      | Some s -> [ ("locations", Arr [ location s ]) ]
+      | None -> [])
+  in
+  (* Only the rules actually fired, sorted by id, each once. *)
+  let fired = List.sort_uniq compare (List.map (fun f -> f.code) findings) in
+  let driver =
+    [ ("name", Str "amsvp"); ("version", Str tool_version);
+      ("rules", Arr (List.map rule fired)) ]
+  in
+  print
+    (Obj
+       [ ("version", Str "2.1.0");
+         ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ( "runs",
+           Arr
+             [ Obj
+                 [ ("tool", Obj [ ("driver", Obj driver) ]);
+                   ("results", Arr (List.map result findings)) ] ] ) ])

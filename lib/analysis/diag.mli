@@ -14,8 +14,6 @@ type span = { file : string; line : int; col : int }
 (** A source position. [file] is ["<input>"] for in-memory sources. *)
 
 val span : ?file:string -> int -> int -> span
-val pp_span : Format.formatter -> span -> unit
-(** Rendered as [file:line:col]. *)
 
 type finding = {
   code : string;  (** stable diagnostic code, e.g. ["AMS020"] *)
@@ -80,9 +78,16 @@ val to_text : finding -> string
 val report_to_text : finding list -> string
 (** One line per finding plus a trailing summary line. *)
 
+val finding_json : finding -> Amsvp_util.Json.t
+(** [{code, severity, message, file, line, col, subject}]; the span
+    fields are omitted when there is no span, [subject] when there is
+    none. The service protocol's rejection frames carry the same
+    objects. *)
+
 val report_to_json : ?file:string -> finding list -> string
-(** [{ "file": ..., "findings": [ {code, severity, message, file, line,
-    col, subject} ], "errors": n, "warnings": n }]. *)
+(** [{"file":...,"findings":[...],"errors":n,"warnings":n}] with one
+    {!finding_json} object per finding, printed compact by
+    {!Amsvp_util.Json.print}. *)
 
 val report_to_sarif : ?tool_version:string -> finding list -> string
 (** SARIF 2.1.0 ([amsvp lint --format sarif]): one run, the fired rule
@@ -91,5 +96,3 @@ val report_to_sarif : ?tool_version:string -> finding list -> string
     [error]/[warning]/[note] and the span (when known) as a
     [physicalLocation]. Findings should already be ordered by
     {!apply}. *)
-
-val pp : Format.formatter -> finding -> unit

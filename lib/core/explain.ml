@@ -1,3 +1,4 @@
+module Json = Amsvp_util.Json
 module Sfprogram = Amsvp_sf.Sfprogram
 
 type provenance =
@@ -100,8 +101,6 @@ let of_signal_flow (p : Sfprogram.t) =
         p.Sfprogram.assignments;
   }
 
-let cone e = List.length e.choices
-
 let mode_label : Solve.mode -> string = function
   | `Auto -> "auto"
   | `Exact -> "exact"
@@ -121,95 +120,59 @@ let origin_label (o : Eqn.origin) =
 
 (* ---- JSON ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let jlist items = "[" ^ String.concat "," items ^ "]"
-
 let to_json e =
-  let b = Buffer.create 4096 in
   let plan = e.plan in
-  Printf.bprintf b
-    "{\"model\":%s,\"dt\":%.17g,\"mode\":%s,\"effective_mode\":%s,\
-     \"integration\":%s,\"regions\":%d,\"ddt_aux\":%d,\"classes\":%d,\
-     \"cone\":%d,"
-    (jstr e.model) e.dt
-    (jstr (mode_label e.requested_mode))
-    (jstr (mode_label (plan.Solve.effective_mode :> Solve.mode)))
-    (jstr (integration_label plan.Solve.integration_used))
-    plan.Solve.regions plan.Solve.ddt_aux e.classes_total (cone e);
-  Printf.bprintf b "\"inputs\":%s,"
-    (jlist (List.map jstr e.inputs));
-  Printf.bprintf b "\"outputs\":%s,"
-    (jlist (List.map (fun v -> jstr (Expr.var_name v)) e.outputs));
-  Printf.bprintf b "\"lagged\":%s,"
-    (jlist (List.map (fun v -> jstr (Expr.var_name v)) plan.Solve.lagged));
-  Printf.bprintf b "\"eliminations\":%s,"
-    (jlist
-       (List.map
-          (fun (el : Solve.elimination) ->
-            Printf.sprintf "{\"members\":%s,\"pivots\":%s}"
-              (jlist
-                 (List.map
-                    (fun v -> jstr (Expr.var_name v))
-                    el.Solve.members))
-              (jlist
-                 (List.map
-                    (fun (p : Solve.pivot) ->
-                      Printf.sprintf "{\"var\":%s,\"magnitude\":%.9g}"
-                        (jstr (Expr.var_name p.Solve.pivot_var))
-                        p.Solve.pivot_mag)
-                    el.Solve.pivots)))
-          plan.Solve.eliminations));
-  Printf.bprintf b "\"variables\":%s}"
-    (jlist
-       (List.map
-          (fun c ->
-            let common =
-              Printf.sprintf
-                "\"var\":%s,\"integrates\":%b,\"equation\":%s"
-                (jstr (Expr.var_name c.target))
-                c.integrates
-                (jstr
-                   (Printf.sprintf "%s = %s"
-                      (if c.integrates then
-                         "ddt(" ^ Expr.var_name c.target ^ ")"
-                       else Expr.var_name c.target)
-                      (Expr.to_string c.rhs)))
-            in
-            match c.provenance with
-            | Direct -> Printf.sprintf "{%s,\"source\":\"direct\"}" common
-            | From_class { class_id; origin; defines; disabled } ->
-                Printf.sprintf
-                  "{%s,\"source\":\"class\",\"class\":%d,\"origin\":%s,\
-                   \"defines\":%s,\"disabled\":%s}"
-                  common class_id
-                  (jstr (origin_label origin.Eqn.origin))
-                  (jstr (Eqn.pseudo_name defines))
-                  (jlist
-                     (List.map
-                        (fun (v : Eqmap.variant) ->
-                          Printf.sprintf "{\"defines\":%s,\"rhs\":%s}"
-                            (jstr (Eqn.pseudo_name v.Eqmap.defines))
-                            (jstr (Expr.to_string v.Eqmap.rhs)))
-                        disabled)))
-          e.choices));
-  Buffer.contents b
+  let open Json in
+  let int i = Num (float_of_int i) in
+  let names vs = Arr (List.map (fun v -> Str (Expr.var_name v)) vs) in
+  let variant (v : Eqmap.variant) =
+    Obj
+      [ ("defines", Str (Eqn.pseudo_name v.Eqmap.defines));
+        ("rhs", Str (Expr.to_string v.Eqmap.rhs)) ]
+  in
+  let variable c =
+    let lhs =
+      if c.integrates then "ddt(" ^ Expr.var_name c.target ^ ")"
+      else Expr.var_name c.target
+    in
+    Obj
+      ([ ("var", Str (Expr.var_name c.target));
+         ("integrates", Bool c.integrates);
+         ("equation", Str (lhs ^ " = " ^ Expr.to_string c.rhs)) ]
+      @
+      match c.provenance with
+      | Direct -> [ ("source", Str "direct") ]
+      | From_class { class_id; origin; defines; disabled } ->
+          [ ("source", Str "class"); ("class", int class_id);
+            ("origin", Str (origin_label origin.Eqn.origin));
+            ("defines", Str (Eqn.pseudo_name defines));
+            ("disabled", Arr (List.map variant disabled)) ])
+  in
+  let pivot (p : Solve.pivot) =
+    Obj
+      [ ("var", Str (Expr.var_name p.Solve.pivot_var));
+        ("magnitude", Num p.Solve.pivot_mag) ]
+  in
+  let elimination (el : Solve.elimination) =
+    Obj
+      [ ("members", names el.Solve.members);
+        ("pivots", Arr (List.map pivot el.Solve.pivots)) ]
+  in
+  print
+    (Obj
+       [ ("model", Str e.model); ("dt", Num e.dt);
+         ("mode", Str (mode_label e.requested_mode));
+         ( "effective_mode",
+           Str (mode_label (plan.Solve.effective_mode :> Solve.mode)) );
+         ("integration", Str (integration_label plan.Solve.integration_used));
+         ("regions", int plan.Solve.regions);
+         ("ddt_aux", int plan.Solve.ddt_aux);
+         ("classes", int e.classes_total);
+         ("cone", int (List.length e.choices));
+         ("inputs", Arr (List.map (fun i -> Str i) e.inputs));
+         ("outputs", names e.outputs); ("lagged", names plan.Solve.lagged);
+         ("eliminations", Arr (List.map elimination plan.Solve.eliminations));
+         ("variables", Arr (List.map variable e.choices)) ])
 
 (* ---- pretty text ---- *)
 
@@ -225,8 +188,8 @@ let pp ppf e =
     (if plan.Solve.ddt_aux > 0 then
        Printf.sprintf ", ddt auxiliaries: %d" plan.Solve.ddt_aux
      else "");
-  Format.fprintf ppf "cone of influence: %d of %d equation classes@," (cone e)
-    e.classes_total;
+  Format.fprintf ppf "cone of influence: %d of %d equation classes@,"
+    (List.length e.choices) e.classes_total;
   Format.fprintf ppf "inputs: %s@," (String.concat ", " e.inputs);
   Format.fprintf ppf "outputs: %s@,"
     (String.concat ", " (List.map Expr.var_name e.outputs));

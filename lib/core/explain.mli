@@ -60,9 +60,8 @@ val of_signal_flow : Amsvp_sf.Sfprogram.t -> t
 (** Trivial explanation for a model that was already signal-flow: one
     [Direct] choice per assignment. *)
 
-val cone : t -> int
-(** [List.length choices] — the cone-of-influence size. *)
-
 val to_json : t -> string
-val pp : Format.formatter -> t -> unit
+(** One compact JSON document; [cone] is [List.length choices], the
+    cone-of-influence size. *)
+
 val to_text : t -> string

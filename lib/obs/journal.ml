@@ -9,6 +9,8 @@
    for the sequence number, which is what makes the merged order a
    total order consistent with every domain's program order. *)
 
+module Json = Amsvp_util.Json
+
 type severity = Debug | Info | Warn | Error
 
 let severity_label = function
@@ -241,56 +243,28 @@ let reset () =
 
 (* ---- JSONL sink ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON has no literal for non-finite floats; {!Json.print} writes them
+   as the strings "NaN"/"Infinity"/"-Infinity", which readers treat as
+   the floats they name. *)
+let event_json e =
+  let open Json in
+  let int i = Num (float_of_int i) in
+  let value = function
+    | F f -> Num f
+    | I i -> int i
+    | S s -> Str s
+    | B b -> Bool b
+  in
+  Obj
+    ([ ("seq", int e.seq); ("dom", int e.dom); ("cat", Str e.cat);
+       ("name", Str e.name); ("sev", Str (severity_label e.severity)) ]
+    @ (if e.origin <> "" then [ ("origin", Str e.origin) ] else [])
+    @ (if e.step >= 0 then [ ("step", int e.step) ] else [])
+    @ (if Float.is_finite e.time then [ ("time", Num e.time) ] else [])
+    @ [ ("wall_ns", int e.wall_ns);
+        ("data", Obj (List.map (fun (k, v) -> (k, value v)) e.payload)) ])
 
-(* JSON has no literal for non-finite floats, so they are emitted as
-   strings; readers treat "NaN"/"Infinity"/"-Infinity" payload values
-   as the floats they name. *)
-let add_float b v =
-  if Float.is_finite v then Printf.bprintf b "%.17g" v
-  else if Float.is_nan v then Buffer.add_string b "\"NaN\""
-  else if v > 0.0 then Buffer.add_string b "\"Infinity\""
-  else Buffer.add_string b "\"-Infinity\""
-
-let add_value b = function
-  | F v -> add_float b v
-  | I i -> Printf.bprintf b "%d" i
-  | S s -> Printf.bprintf b "\"%s\"" (json_escape s)
-  | B v -> Buffer.add_string b (if v then "true" else "false")
-
-let event_to_json e =
-  let b = Buffer.create 160 in
-  Printf.bprintf b "{\"seq\":%d,\"dom\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"sev\":\"%s\""
-    e.seq e.dom (json_escape e.cat) (json_escape e.name)
-    (severity_label e.severity);
-  if e.origin <> "" then
-    Printf.bprintf b ",\"origin\":\"%s\"" (json_escape e.origin);
-  if e.step >= 0 then Printf.bprintf b ",\"step\":%d" e.step;
-  if Float.is_finite e.time then Printf.bprintf b ",\"time\":%.17g" e.time;
-  Printf.bprintf b ",\"wall_ns\":%d" e.wall_ns;
-  Buffer.add_string b ",\"data\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":" (json_escape k);
-      add_value b v)
-    e.payload;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+let event_to_json e = Json.print (event_json e)
 
 let to_jsonl () =
   let b = Buffer.create 4096 in

@@ -47,9 +47,6 @@ val set_capacity : int -> unit
 
 type severity = Debug | Info | Warn | Error
 
-val severity_label : severity -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
 (** Typed payload values, so the JSONL sink needs no stringly-typed
     round-trip and floats keep full precision. *)
 type value = F of float | I of int | S of string | B of bool
@@ -135,12 +132,17 @@ val reset : unit -> unit
 
 (** {1 JSONL sink} *)
 
-val event_to_json : event -> string
-(** One event as a single-line JSON object:
+val event_json : event -> Amsvp_util.Json.t
+(** One event as a JSON object:
     [{"seq":..,"dom":..,"cat":..,"name":..,"sev":..,"origin":..,
-      "step":..,"time":..,"wall_ns":..,"data":{...}}]. [origin] is
-    omitted when [""] (so single-process output is unchanged), [step]
-    when [-1], [time] when not finite. *)
+      "step":..,"time":..,"wall_ns":..,"data":{...}}]. [sev] is
+    ["debug"], ["info"], ["warn"] or ["error"]. [origin] is omitted
+    when [""] (so single-process output is unchanged), [step] when
+    [-1], [time] when not finite. Non-finite payload floats follow
+    {!Amsvp_util.Json.print}'s float rule. *)
+
+val event_to_json : event -> string
+(** {!event_json} printed on a single line. *)
 
 val to_jsonl : unit -> string
 (** Every event of {!events}, one JSON object per line. *)

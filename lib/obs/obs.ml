@@ -10,6 +10,8 @@
    domain-local state, since interleaving unrelated domains' depths
    would be meaningless. *)
 
+module Json = Amsvp_util.Json
+
 type span = {
   name : string;
   cat : string;
@@ -424,22 +426,6 @@ let span_aggregate () =
 
 (* ---- sinks ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let chrome_trace () =
   let snapshot = span_snapshot () in
   (* Each span-recording process gets its own trace pid so daemon and
@@ -461,47 +447,34 @@ let chrome_trace () =
       in
       find 2 origins
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  Buffer.add_string b
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"amsvp\"}}";
-  List.iteri
-    (fun i o ->
-      Printf.bprintf b
-        ",{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":1,\"args\":{\"name\":\"%s\"}}"
-        (i + 2) (json_escape o))
-    origins;
-  Array.iter
-    (fun s ->
-      let cat = if s.cat = "" then "amsvp" else s.cat in
-      let pid = pid_of s.proc in
-      Buffer.add_char b ',';
-      if s.dur_ns = 0 then
-        Printf.bprintf b
-          "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d"
-          (json_escape s.name) (json_escape cat)
-          (float_of_int s.start_ns /. 1e3)
-          pid (s.dom + 1)
-      else
-        Printf.bprintf b
-          "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
-          (json_escape s.name) (json_escape cat)
-          (float_of_int s.start_ns /. 1e3)
-          (float_of_int s.dur_ns /. 1e3)
-          pid (s.dom + 1);
-      if s.args <> [] then begin
-        Buffer.add_string b ",\"args\":{";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Printf.bprintf b "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-          s.args;
-        Buffer.add_char b '}'
-      end;
-      Buffer.add_char b '}')
-    snapshot;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let open Json in
+  let int i = Num (float_of_int i) in
+  let us ns = Num (float_of_int ns /. 1e3) in
+  let process pid name =
+    Obj
+      [ ("name", Str "process_name"); ("ph", Str "M"); ("pid", int pid);
+        ("tid", int 1); ("args", Obj [ ("name", Str name) ]) ]
+  in
+  let event s =
+    let cat = if s.cat = "" then "amsvp" else s.cat in
+    Obj
+      ([ ("name", Str s.name); ("cat", Str cat) ]
+      @ (if s.dur_ns = 0 then
+           [ ("ph", Str "i"); ("s", Str "t"); ("ts", us s.start_ns) ]
+         else [ ("ph", Str "X"); ("ts", us s.start_ns); ("dur", us s.dur_ns) ])
+      @ [ ("pid", int (pid_of s.proc)); ("tid", int (s.dom + 1)) ]
+      @
+      if s.args = [] then []
+      else [ ("args", Obj (List.map (fun (k, v) -> (k, Str v)) s.args)) ])
+  in
+  let processes =
+    process 1 "amsvp" :: List.mapi (fun i o -> process (i + 2) o) origins
+  in
+  print
+    (Obj
+       [ ("displayTimeUnit", Str "ms");
+         ( "traceEvents",
+           Arr (processes @ Array.to_list (Array.map event snapshot)) ) ])
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]* *)
 let prom_name s =

@@ -387,111 +387,67 @@ let to_text r =
 
 (* ---- JSON rendering ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.9g" v
-  else if Float.is_nan v then "\"NaN\""
-  else if v > 0.0 then "\"Infinity\""
-  else "\"-Infinity\""
-
 let to_json r =
-  let b = Buffer.create 2048 in
-  Printf.bprintf b "{\n  \"journal_events\": %d" r.r_journal_events;
-  if r.r_profile <> [] then begin
-    Buffer.add_string b ",\n  \"profile\": [";
-    List.iteri
-      (fun i sp ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b
-          "\n    {\"section\": \"%s\", \"name\": \"%s\", \"calls\": %d, \
-           \"total_s\": %s, \"self_s\": %s}"
-          (json_escape sp.sp_section) (json_escape sp.sp_name) sp.sp_calls
-          (json_float sp.sp_total_s) (json_float sp.sp_self_s))
-      r.r_profile;
-    Buffer.add_string b "\n  ]"
-  end;
-  (match r.r_convergence with
-  | None -> ()
-  | Some cv ->
-      Printf.bprintf b
-        ",\n  \"convergence\": {\n    \"steps\": %d,\n    \"wasted_iters\": \
-         %d,\n    \"total_iters\": %d,\n    \"max_residual\": %s,\n    \
-         \"max_stress\": %s,\n    \"singular_pivots\": %d,\n    \
-         \"conditioning_warnings\": %d,\n    \"residual_hist\": ["
-        cv.cv_steps cv.cv_wasted cv.cv_total_iters
-        (json_float cv.cv_max_residual)
-        (json_float cv.cv_max_stress)
-        cv.cv_singular cv.cv_conditioning;
-      List.iteri
-        (fun i (bound, n) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Printf.bprintf b "{\"le\": %s, \"count\": %d}"
-            (if bound = infinity then "\"+Inf\"" else json_float bound)
-            n)
-        cv.cv_residual_hist;
-      Buffer.add_string b "],\n    \"converged_at\": [";
-      List.iteri
-        (fun i (k, n) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Printf.bprintf b "{\"iteration\": %d, \"count\": %d}" k n)
-        cv.cv_converged_hist;
-      Buffer.add_string b "]\n  }");
-  (match r.r_cache with
-  | None -> ()
-  | Some ca ->
-      Printf.bprintf b
-        ",\n  \"cache\": {\"points\": %d, \"hits\": %d, \"misses\": %d, \
-         \"wall_mean_s\": %s, \"unhealthy\": %d}"
-        ca.ca_points ca.ca_hits ca.ca_misses
-        (json_float ca.ca_wall_mean_s)
-        ca.ca_unhealthy);
-  (match r.r_traffic with
-  | None -> ()
-  | Some tf ->
-      Printf.bprintf b
-        ",\n  \"traffic\": {\"runs\": %d, \"ticks\": %d, \"reads\": %d, \
-         \"writes\": %d, \"flops\": %d}"
-        tf.tf_runs tf.tf_ticks tf.tf_reads tf.tf_writes tf.tf_flops);
-  if r.r_origins <> [] then begin
-    Buffer.add_string b ",\n  \"origins\": [";
-    List.iteri
-      (fun i og ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b
-          "\n    {\"origin\": \"%s\", \"events\": %d, \"points\": %d}"
-          (json_escape og.og_origin) og.og_events og.og_points)
-      r.r_origins;
-    Buffer.add_string b "\n  ]"
-  end;
-  (match r.r_health with
-  | None -> ()
-  | Some he ->
-      Printf.bprintf b
-        ",\n  \"health\": {\"warnings\": %d, \"errors\": %d, \"kinds\": {"
-        he.he_warn he.he_error;
-      List.iteri
-        (fun i (k, n) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Printf.bprintf b "\"%s\": %d" (json_escape k) n)
-        he.he_kinds;
-      Buffer.add_string b "}}");
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  let open Json in
+  let int i = Num (float_of_int i) in
+  let opt field f = function Some x -> [ (field, Obj (f x)) ] | None -> [] in
+  let list field f = function
+    | [] -> []
+    | l -> [ (field, Arr (List.map (fun x -> Obj (f x)) l)) ]
+  in
+  let bucket k key n = Obj [ (k, key); ("count", int n) ] in
+  print
+    (Obj
+       ([ ("journal_events", int r.r_journal_events) ]
+       @ list "profile"
+           (fun sp ->
+             [ ("section", Str sp.sp_section); ("name", Str sp.sp_name);
+               ("calls", int sp.sp_calls); ("total_s", Num sp.sp_total_s);
+               ("self_s", Num sp.sp_self_s) ])
+           r.r_profile
+       @ opt "convergence"
+           (fun cv ->
+             [ ("steps", int cv.cv_steps); ("wasted_iters", int cv.cv_wasted);
+               ("total_iters", int cv.cv_total_iters);
+               ("max_residual", Num cv.cv_max_residual);
+               ("max_stress", Num cv.cv_max_stress);
+               ("singular_pivots", int cv.cv_singular);
+               ("conditioning_warnings", int cv.cv_conditioning);
+               ( "residual_hist",
+                 Arr
+                   (List.map
+                      (fun (le, n) -> bucket "le" (Num le) n)
+                      cv.cv_residual_hist) );
+               ( "converged_at",
+                 Arr
+                   (List.map
+                      (fun (k, n) -> bucket "iteration" (int k) n)
+                      cv.cv_converged_hist) ) ])
+           r.r_convergence
+       @ opt "cache"
+           (fun ca ->
+             [ ("points", int ca.ca_points); ("hits", int ca.ca_hits);
+               ("misses", int ca.ca_misses);
+               ("wall_mean_s", Num ca.ca_wall_mean_s);
+               ("unhealthy", int ca.ca_unhealthy) ])
+           r.r_cache
+       @ opt "traffic"
+           (fun tf ->
+             [ ("runs", int tf.tf_runs); ("ticks", int tf.tf_ticks);
+               ("reads", int tf.tf_reads); ("writes", int tf.tf_writes);
+               ("flops", int tf.tf_flops) ])
+           r.r_traffic
+       @ list "origins"
+           (fun og ->
+             [ ("origin", Str og.og_origin); ("events", int og.og_events);
+               ("points", int og.og_points) ])
+           r.r_origins
+       @ opt "health"
+           (fun he ->
+             [ ("warnings", int he.he_warn); ("errors", int he.he_error);
+               ("kinds", Obj (List.map (fun (k, n) -> (k, int n)) he.he_kinds));
+             ])
+           r.r_health))
 
 (* ---- perf comparison ---- *)
 

@@ -86,7 +86,8 @@ val to_text : t -> string
 (** Human-readable report with ASCII histograms. *)
 
 val to_json : t -> string
-(** The same report as a JSON document. *)
+(** The same report as one compact JSON document
+    ({!Amsvp_util.Json.print}). *)
 
 (** {1 Comparing runs} *)
 

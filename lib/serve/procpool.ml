@@ -46,15 +46,13 @@ let make_tally () =
 (* ---- task codec (parent -> child), one line per dispatch ---- *)
 
 let encode_task (p : Sampler.point) ~retry =
-  Printf.sprintf "{\"index\":%d,\"label\":%s,\"overrides\":{%s},\"retry\":%d}"
-    p.Sampler.index
-    (Checkpoint.jstr p.Sampler.label)
-    (String.concat ","
-       (List.map
-          (fun (k, v) ->
-            Printf.sprintf "%s:%s" (Checkpoint.jstr k) (Checkpoint.jnum v))
-          p.Sampler.overrides))
-    retry
+  let open Json in
+  print
+    (Obj
+       [ ("index", Num (float_of_int p.Sampler.index));
+         ("label", Str p.Sampler.label);
+         ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
+         ("retry", Num (float_of_int retry)) ])
 
 let decode_task line =
   match Json.parse line with

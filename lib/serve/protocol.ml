@@ -56,72 +56,56 @@ type response =
   | Stats_reply of stats
   | Bye
 
-let jstr = Checkpoint.jstr
-let jnum = Checkpoint.jnum
-
 (* ---- encoders: one line, no trailing newline ---- *)
+
+let int i = Json.Num (float_of_int i)
+
+(* Every frame opens with the protocol version. *)
+let frame fields = Json.print (Json.Obj (("v", int version) :: fields))
 
 let encode_request = function
   | Submit { spec_text; jobs } ->
-      Printf.sprintf "{\"v\":%d,\"req\":\"submit\",\"spec\":%s%s}" version
-        (jstr spec_text)
-        (match jobs with
-        | Some j -> Printf.sprintf ",\"jobs\":%d" j
-        | None -> "")
-  | Ping -> Printf.sprintf "{\"v\":%d,\"req\":\"ping\"}" version
-  | Stats -> Printf.sprintf "{\"v\":%d,\"req\":\"stats\"}" version
-  | Shutdown -> Printf.sprintf "{\"v\":%d,\"req\":\"shutdown\"}" version
+      frame
+        ([ ("req", Json.Str "submit"); ("spec", Json.Str spec_text) ]
+        @ match jobs with Some j -> [ ("jobs", int j) ] | None -> [])
+  | Ping -> frame [ ("req", Json.Str "ping") ]
+  | Stats -> frame [ ("req", Json.Str "stats") ]
+  | Shutdown -> frame [ ("req", Json.Str "shutdown") ]
 
-let encode_response = function
+let encode_response r =
+  let open Json in
+  let ev name fields = frame (("ev", Str name) :: fields) in
+  match r with
   | Accepted { id; sweep; circuit; points; resumed } ->
-      Printf.sprintf
-        "{\"v\":%d,\"ev\":\"accepted\",\"id\":%d,\"sweep\":%s,\"circuit\":%s,\"points\":%d,\"resumed\":%d}"
-        version id (jstr sweep) (jstr circuit) points resumed
+      ev "accepted"
+        [ ("id", int id); ("sweep", Str sweep); ("circuit", Str circuit);
+          ("points", int points); ("resumed", int resumed) ]
   | Point { id; result } ->
-      Printf.sprintf "{\"v\":%d,\"ev\":\"point\",\"id\":%d,\"result\":%s}"
-        version id
-        (Checkpoint.result_to_json result)
+      ev "point" [ ("id", int id); ("result", Checkpoint.result_json result) ]
   | Done { id; points; unhealthy; cache_hits; cache_misses; total_s; complete }
     ->
-      Printf.sprintf
-        "{\"v\":%d,\"ev\":\"done\",\"id\":%d,\"points\":%d,\"unhealthy\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"total_s\":%s,\"complete\":%b}"
-        version id points unhealthy cache_hits cache_misses (jnum total_s)
-        complete
-  | Failed { message } ->
-      Printf.sprintf "{\"v\":%d,\"ev\":\"error\",\"message\":%s}" version
-        (jstr message)
+      ev "done"
+        [ ("id", int id); ("points", int points); ("unhealthy", int unhealthy);
+          ("cache_hits", int cache_hits); ("cache_misses", int cache_misses);
+          ("total_s", Num total_s); ("complete", Bool complete) ]
+  | Failed { message } -> ev "error" [ ("message", Str message) ]
   | Rejected { message; findings } ->
-      let module Diag = Amsvp_diag.Diag in
-      let finding_json (f : Diag.finding) =
-        let b = Buffer.create 128 in
-        Printf.bprintf b "{\"code\":%s,\"severity\":%s,\"message\":%s"
-          (jstr f.Diag.code)
-          (jstr (Diag.severity_name f.Diag.severity))
-          (jstr f.Diag.message);
-        (match f.Diag.span with
-        | Some s ->
-            Printf.bprintf b ",\"file\":%s,\"line\":%d,\"col\":%d"
-              (jstr s.Diag.file) s.Diag.line s.Diag.col
-        | None -> ());
-        (match f.Diag.subject with
-        | Some s -> Printf.bprintf b ",\"subject\":%s" (jstr s)
-        | None -> ());
-        Buffer.add_char b '}';
-        Buffer.contents b
-      in
-      Printf.sprintf
-        "{\"v\":%d,\"ev\":\"rejected\",\"message\":%s,\"findings\":[%s]}"
-        version (jstr message)
-        (String.concat "," (List.map finding_json findings))
-  | Pong -> Printf.sprintf "{\"v\":%d,\"ev\":\"pong\"}" version
+      ev "rejected"
+        [ ("message", Str message);
+          ("findings", Arr (List.map Amsvp_diag.Diag.finding_json findings)) ]
+  | Pong -> ev "pong" []
   | Stats_reply s ->
-      Printf.sprintf
-        "{\"v\":%d,\"ev\":\"stats\",\"requests\":%d,\"points\":%d,\"ctx_hits\":%d,\"ctx_misses\":%d,\"uptime_s\":%s,\"in_flight\":%d,\"workers\":%d,\"spawned\":%d,\"crashed\":%d,\"timeouts\":%d,\"redispatched\":%d,\"telemetry_torn\":%d,\"journal_dropped\":%d,\"heap_words\":%d}"
-        version s.st_requests s.st_points s.st_ctx_hits s.st_ctx_misses
-        (jnum s.st_uptime_s) s.st_in_flight s.st_workers s.st_spawned
-        s.st_crashed s.st_timeouts s.st_redispatched s.st_telemetry_torn
-        s.st_journal_dropped s.st_heap_words
-  | Bye -> Printf.sprintf "{\"v\":%d,\"ev\":\"bye\"}" version
+      ev "stats"
+        [ ("requests", int s.st_requests); ("points", int s.st_points);
+          ("ctx_hits", int s.st_ctx_hits); ("ctx_misses", int s.st_ctx_misses);
+          ("uptime_s", Num s.st_uptime_s); ("in_flight", int s.st_in_flight);
+          ("workers", int s.st_workers); ("spawned", int s.st_spawned);
+          ("crashed", int s.st_crashed); ("timeouts", int s.st_timeouts);
+          ("redispatched", int s.st_redispatched);
+          ("telemetry_torn", int s.st_telemetry_torn);
+          ("journal_dropped", int s.st_journal_dropped);
+          ("heap_words", int s.st_heap_words) ]
+  | Bye -> ev "bye" []
 
 (* ---- decoders: total, never raise ---- *)
 
@@ -289,54 +273,41 @@ type telemetry =
       counters : (string * (string * string) list * int) list;
     }
 
+(* Pinned by a test to the bytes {!encode_telemetry}'s frames open with. *)
 let telemetry_prefix = Printf.sprintf "{\"v\":%d,\"tel\":\"" version
 
-let span_to_json (s : Obs.span) =
-  let b = Buffer.create 128 in
-  Printf.bprintf b
-    "{\"name\":%s,\"cat\":%s,\"start_ns\":%d,\"dur_ns\":%d,\"depth\":%d,\"dom\":%d"
-    (jstr s.Obs.name) (jstr s.Obs.cat) s.Obs.start_ns s.Obs.dur_ns
-    s.Obs.depth s.Obs.dom;
-  if s.Obs.proc <> "" then Printf.bprintf b ",\"proc\":%s" (jstr s.Obs.proc);
-  if s.Obs.args <> [] then begin
-    Buffer.add_string b ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "%s:%s" (jstr k) (jstr v))
-      s.Obs.args;
-    Buffer.add_char b '}'
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let string_pairs_json pairs =
+  Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) pairs)
 
-let counter_to_json (name, labels, value) =
-  let b = Buffer.create 64 in
-  Printf.bprintf b "{\"name\":%s" (jstr name);
-  if labels <> [] then begin
-    Buffer.add_string b ",\"labels\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "%s:%s" (jstr k) (jstr v))
-      labels;
-    Buffer.add_char b '}'
-  end;
-  Printf.bprintf b ",\"value\":%d}" value;
-  Buffer.contents b
+let span_json (s : Obs.span) =
+  let open Json in
+  Obj
+    ([ ("name", Str s.Obs.name); ("cat", Str s.Obs.cat);
+       ("start_ns", int s.Obs.start_ns); ("dur_ns", int s.Obs.dur_ns);
+       ("depth", int s.Obs.depth); ("dom", int s.Obs.dom) ]
+    @ (if s.Obs.proc <> "" then [ ("proc", Str s.Obs.proc) ] else [])
+    @ if s.Obs.args <> [] then [ ("args", string_pairs_json s.Obs.args) ]
+      else [])
 
-let encode_telemetry = function
+let counter_json (name, labels, value) =
+  Json.Obj
+    ([ ("name", Json.Str name) ]
+    @ (if labels <> [] then [ ("labels", string_pairs_json labels) ] else [])
+    @ [ ("value", int value) ])
+
+let encode_telemetry t =
+  let open Json in
+  let tel kind fields = frame (("tel", Str kind) :: fields) in
+  match t with
   | Tel_journal events ->
-      Printf.sprintf "%sjournal\",\"events\":[%s]}" telemetry_prefix
-        (String.concat "," (List.map Journal.event_to_json events))
+      tel "journal" [ ("events", Arr (List.map Journal.event_json events)) ]
   | Tel_spans { origin; spans } ->
-      Printf.sprintf "%sspans\",\"origin\":%s,\"spans\":[%s]}" telemetry_prefix
-        (jstr origin)
-        (String.concat "," (List.map span_to_json spans))
+      tel "spans"
+        [ ("origin", Str origin); ("spans", Arr (List.map span_json spans)) ]
   | Tel_counters { origin; counters } ->
-      Printf.sprintf "%scounters\",\"origin\":%s,\"counters\":[%s]}"
-        telemetry_prefix (jstr origin)
-        (String.concat "," (List.map counter_to_json counters))
+      tel "counters"
+        [ ("origin", Str origin);
+          ("counters", Arr (List.map counter_json counters)) ]
 
 (* Decoding back into journal values. Numbers decode to [I] when they
    are integral and inside the range the [I] encoder can have produced

@@ -3,9 +3,10 @@
     Every frame is one JSON object on one line, carrying [{"v":1}].
     Requests name an operation in ["req"]; responses name an event in
     ["ev"]. Point results reuse the checkpoint codec
-    ({!Amsvp_sweep.Checkpoint.result_to_json}) verbatim as the
+    ({!Amsvp_sweep.Checkpoint.result_json}) verbatim as the
     ["result"] payload, so a client that can read a checkpoint file can
-    read the stream.
+    read the stream. Every frame is printed by
+    {!Amsvp_util.Json.print}.
 
     Decoders are total: a malformed, truncated or wrong-version frame
     yields [Error] with a human-readable reason, never an exception —

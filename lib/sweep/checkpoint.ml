@@ -4,47 +4,34 @@ module Health = Amsvp_probe.Health
 let version = 1
 let kind = "amsvp-sweep-checkpoint"
 
-(* Floats must survive the trip byte-exactly — a resumed sweep's report
-   has to equal the uninterrupted one's.  %.17g round-trips every finite
-   double; non-finite values use the journal's string encoding, which
-   [Json.to_float] reads back. *)
-let jnum v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if Float.is_nan v then "\"NaN\""
-  else if v > 0.0 then "\"Infinity\""
-  else "\"-Infinity\""
-
-let jstr s = "\"" ^ Report.json_escape s ^ "\""
-
 let digest (spec : Spec.t) ~circuit =
   Digest.to_hex (Digest.string (Spec.to_string spec ^ "\ncircuit " ^ circuit))
 
 (* ---- point-result codec (one JSON object per line) ---- *)
 
-let result_to_json (r : Runner.point_result) =
-  let b = Buffer.create 256 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"index\":%d,\"label\":%s,\"overrides\":{%s}" r.point.Sampler.index
-    (jstr r.point.Sampler.label)
-    (String.concat ","
-       (List.map
-          (fun (k, v) -> Printf.sprintf "%s:%s" (jstr k) (jnum v))
-          r.point.Sampler.overrides));
-  add ",\"out_final\":%s,\"out_rms\":%s" (jnum r.out_final) (jnum r.out_rms);
-  (match r.nrmse with Some e -> add ",\"nrmse\":%s" (jnum e) | None -> ());
-  add ",\"signal\":%s,\"healthy\":%b"
-    (jstr r.health.Health.v_signal)
-    r.health.Health.v_healthy;
-  add ",\"issues\":[%s]"
-    (String.concat ","
-       (List.map
-          (fun (i : Health.issue) ->
-            Printf.sprintf "{\"kind\":%s,\"time\":%s,\"value\":%s}"
-              (jstr (Health.kind_label i.Health.kind))
-              (jnum i.Health.time) (jnum i.Health.value))
-          r.health.Health.v_issues));
-  add ",\"cached\":%b,\"wall_s\":%s}" r.cached (jnum r.wall_s);
-  Buffer.contents b
+(* Floats must survive the trip byte-exactly — a resumed sweep's report
+   has to equal the uninterrupted one's — which {!Json.print}'s float
+   rule guarantees. *)
+let result_json (r : Runner.point_result) =
+  let open Json in
+  let p = r.point and h = r.health in
+  let issue (i : Health.issue) =
+    Obj
+      [ ("kind", Str (Health.kind_label i.Health.kind));
+        ("time", Num i.Health.time); ("value", Num i.Health.value) ]
+  in
+  Obj
+    ([ ("index", Num (float_of_int p.Sampler.index));
+       ("label", Str p.Sampler.label);
+       ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
+       ("out_final", Num r.out_final); ("out_rms", Num r.out_rms) ]
+    @ (match r.nrmse with Some e -> [ ("nrmse", Num e) ] | None -> [])
+    @ [ ("signal", Str h.Health.v_signal);
+        ("healthy", Bool h.Health.v_healthy);
+        ("issues", Arr (List.map issue h.Health.v_issues));
+        ("cached", Bool r.cached); ("wall_s", Num r.wall_s) ])
+
+let result_to_json r = Json.print (result_json r)
 
 let result_of_json (j : Json.t) =
   let ( let* ) o f =
@@ -109,13 +96,13 @@ let result_of_line line =
 (* ---- checkpoint files ---- *)
 
 let header_line spec ~circuit ~points =
-  Printf.sprintf
-    "{\"v\":%d,\"kind\":%s,\"sweep\":%s,\"circuit\":%s,\"spec_sha\":%s,\"points\":%d}"
-    version (jstr kind)
-    (jstr spec.Spec.name)
-    (jstr circuit)
-    (jstr (digest spec ~circuit))
-    points
+  let open Json in
+  print
+    (Obj
+       [ ("v", Num (float_of_int version)); ("kind", Str kind);
+         ("sweep", Str spec.Spec.name); ("circuit", Str circuit);
+         ("spec_sha", Str (digest spec ~circuit));
+         ("points", Num (float_of_int points)) ])
 
 let header_matches spec ~circuit line =
   match Json.parse line with

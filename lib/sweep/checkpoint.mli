@@ -9,9 +9,8 @@
     result and a resumed run ({!Runner.run}'s [completed] argument)
     reruns only the missing points.
 
-    Floats round-trip byte-exactly (%.17g; non-finite values use the
-    journal's ["NaN"]/["Infinity"] string encoding), so a resumed
-    sweep's report equals the uninterrupted one's.
+    Floats round-trip byte-exactly ({!Amsvp_util.Json.print}'s float
+    rule), so a resumed sweep's report equals the uninterrupted one's.
 
     The per-result codec ({!result_to_json} / {!result_of_json}) is also
     the payload format the {e serve} protocol streams to clients. *)
@@ -22,13 +21,9 @@ val digest : Spec.t -> circuit:string -> string
 
 (** {1 Point-result codec} *)
 
-val jnum : float -> string
-(** A float as JSON, exact round-trip: [%.17g] when finite, the strings
-    ["NaN"] / ["Infinity"] / ["-Infinity"] otherwise (read back by
-    [Amsvp_util.Json.to_float]). *)
-
-val jstr : string -> string
-(** A quoted, escaped JSON string literal. *)
+val result_json : Runner.point_result -> Amsvp_util.Json.t
+(** The JSON object {!result_to_json} prints; the service protocol
+    embeds it in its point frames. *)
 
 val result_to_json : Runner.point_result -> string
 (** One-line JSON object (no trailing newline). *)

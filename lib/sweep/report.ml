@@ -1,95 +1,55 @@
 module Health = Amsvp_probe.Health
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ json_escape s ^ "\""
-
-let jfloat v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
-
-let jstats (s : Stats.t) =
-  Printf.sprintf
-    "{\"n\":%d,\"min\":%s,\"max\":%s,\"mean\":%s,\"stddev\":%s,\"p50\":%s,\"p95\":%s}"
-    s.n (jfloat s.min) (jfloat s.max) (jfloat s.mean) (jfloat s.stddev)
-    (jfloat s.p50) (jfloat s.p95)
+module Json = Amsvp_util.Json
 
 let json ?(timings = true) (s : Runner.summary) =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"sweep\": %s,\n" (jstr s.spec.Spec.name);
-  add "  \"circuit\": %s,\n" (jstr s.label);
-  add "  \"seed\": %d,\n" s.spec.Spec.seed;
-  add "  \"jobs\": %d,\n" s.jobs;
-  add "  \"points\": %d,\n" (Array.length s.points);
-  add "  \"unhealthy\": %d,\n" s.unhealthy;
-  add "  \"pruned\": %d,\n" s.pruned;
-  add "  \"cache_hits\": %d,\n" s.cache_hits;
-  add "  \"cache_misses\": %d,\n" s.cache_misses;
-  add "  \"total_s\": %s,\n" (if timings then jfloat s.total_s else "0");
-  add "  \"stats\": {";
-  let stats =
-    List.filter_map
-      (fun (k, v) -> Option.map (fun st -> (k, st)) v)
-      [
-        ("nrmse", s.nrmse_stats);
-        ("wall_s", if timings then s.wall_stats else None);
-        ("out_rms", s.rms_stats);
-      ]
+  let open Json in
+  let int i = Num (float_of_int i) in
+  let timed v = Num (if timings then v else 0.0) in
+  let stats (st : Stats.t) =
+    Obj
+      [ ("n", int st.n); ("min", Num st.min); ("max", Num st.max);
+        ("mean", Num st.mean); ("stddev", Num st.stddev);
+        ("p50", Num st.p50); ("p95", Num st.p95) ]
   in
-  add "%s"
-    (String.concat ","
-       (List.map
-          (fun (k, st) -> Printf.sprintf "\n    %s: %s" (jstr k) (jstats st))
-          stats));
-  if stats <> [] then add "\n  ";
-  add "},\n";
-  add "  \"results\": [";
-  Array.iteri
-    (fun i (r : Runner.point_result) ->
-      if i > 0 then add ",";
-      add "\n    {\"index\":%d,\"label\":%s,\"overrides\":{%s}"
-        r.point.Sampler.index (jstr r.point.Sampler.label)
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%s:%s" (jstr k) (jfloat v))
-              r.point.Sampler.overrides));
-      add ",\"out_final\":%s,\"out_rms\":%s" (jfloat r.out_final)
-        (jfloat r.out_rms);
-      (match r.nrmse with
-      | Some e -> add ",\"nrmse\":%s" (jfloat e)
-      | None -> ());
-      (let v = r.health in
-       if v.Health.v_healthy then add ",\"health\":\"ok\""
-       else
-         add ",\"health\":{\"signal\":%s,\"issues\":[%s]}"
-           (jstr v.Health.v_signal)
-           (String.concat ","
-              (List.map
-                 (fun (i : Health.issue) ->
-                   Printf.sprintf
-                     "{\"kind\":%s,\"time\":%s,\"value\":%s}"
-                     (jstr (Health.kind_label i.Health.kind))
-                     (jfloat i.Health.time) (jfloat i.Health.value))
-                 v.Health.v_issues)));
-      add ",\"cached\":%b,\"wall_s\":%s}" r.cached
-        (if timings then jfloat r.wall_s else "0"))
-    s.points;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let issue (i : Health.issue) =
+    Obj
+      [ ("kind", Str (Health.kind_label i.Health.kind));
+        ("time", Num i.Health.time); ("value", Num i.Health.value) ]
+  in
+  let health (v : Health.verdict) =
+    if v.Health.v_healthy then Str "ok"
+    else
+      Obj
+        [ ("signal", Str v.Health.v_signal);
+          ("issues", Arr (List.map issue v.Health.v_issues)) ]
+  in
+  let result (r : Runner.point_result) =
+    let p = r.point in
+    Obj
+      ([ ("index", int p.Sampler.index); ("label", Str p.Sampler.label);
+         ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
+         ("out_final", Num r.out_final); ("out_rms", Num r.out_rms) ]
+      @ (match r.nrmse with Some e -> [ ("nrmse", Num e) ] | None -> [])
+      @ [ ("health", health r.health); ("cached", Bool r.cached);
+          ("wall_s", timed r.wall_s) ])
+  in
+  let stats_fields =
+    List.filter_map
+      (fun (k, v) -> Option.map (fun st -> (k, stats st)) v)
+      [ ("nrmse", s.nrmse_stats);
+        ("wall_s", if timings then s.wall_stats else None);
+        ("out_rms", s.rms_stats) ]
+  in
+  print
+    (Obj
+       [ ("sweep", Str s.spec.Spec.name); ("circuit", Str s.label);
+         ("seed", int s.spec.Spec.seed); ("jobs", int s.jobs);
+         ("points", int (Array.length s.points));
+         ("unhealthy", int s.unhealthy); ("pruned", int s.pruned);
+         ("cache_hits", int s.cache_hits);
+         ("cache_misses", int s.cache_misses);
+         ("total_s", timed s.total_s); ("stats", Obj stats_fields);
+         ("results", Arr (Array.to_list (Array.map result s.points))) ])
 
 (* Override keys in first-appearance order across all points (corners
    may bind a subset of the axis parameters). *)
@@ -166,6 +126,6 @@ let write ?timings ~basename s =
     path
   in
   [
-    out (basename ^ ".json") (json ?timings s);
+    out (basename ^ ".json") (json ?timings s ^ "\n");
     out (basename ^ ".csv") (csv ?timings s);
   ]

@@ -4,18 +4,15 @@
     a JSON document with the spec echo, aggregate statistics and every
     per-point result, and a flat CSV table (one row per point, one
     column per overridden parameter) for spreadsheet-side analysis.
-    Non-finite numbers are emitted as [null] in JSON and as empty cells
-    in CSV.
+    The JSON is compact ({!Amsvp_util.Json.print}), so non-finite
+    numbers follow its float rule (["NaN"]/["Infinity"] strings); CSV
+    leaves them as empty cells.
 
     [timings] (default [true]) controls the volatile wall-clock fields
     ([total_s], per-point [wall_s] and the [wall_s] stats block): with
     [~timings:false] they are scrubbed (zeroed / omitted), making the
     report a pure function of the point values — two runs of the same
     spec, including a checkpoint-resumed one, compare byte-for-byte. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping (quotes, backslash, control characters) —
-    shared with the checkpoint and service-protocol writers. *)
 
 val json : ?timings:bool -> Runner.summary -> string
 val csv : ?timings:bool -> Runner.summary -> string

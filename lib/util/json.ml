@@ -1,4 +1,5 @@
-(* Recursive-descent JSON reader; see json.mli for scope. *)
+(* Recursive-descent JSON reader and the one compact printer; see
+   json.mli for scope and the float rule. *)
 
 type t =
   | Null
@@ -242,11 +243,60 @@ let to_float = function
   | _ -> None
 
 let to_string = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function Arr l -> Some l | _ -> None
 let mem_float k j = Option.bind (member k j) to_float
 let mem_string k j = Option.bind (member k j) to_string
-let mem_bool k j = Option.bind (member k j) to_bool
 
-let mem_list k j =
-  match Option.bind (member k j) to_list with Some l -> l | None -> []
+let mem_bool k j =
+  match member k j with Some (Bool b) -> Some b | _ -> None
+
+let mem_list k j = match member k j with Some (Arr l) -> l | _ -> []
+
+(* ---- printer ---- *)
+
+let add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+(* [op] items separated by ',' [cl] *)
+let add_items b op cl f l =
+  Buffer.add_char b op;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      f x)
+    l;
+  Buffer.add_char b cl
+
+let print v =
+  let b = Buffer.create 256 in
+  let rec value = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Num v when Float.is_finite v -> Printf.bprintf b "%.17g" v
+    | Num v ->
+        add_string b
+          (if Float.is_nan v then "NaN"
+           else if v > 0.0 then "Infinity"
+           else "-Infinity")
+    | Str s -> add_string b s
+    | Arr l -> add_items b '[' ']' value l
+    | Obj fields ->
+        add_items b '{' '}'
+          (fun (k, v) ->
+            add_string b k;
+            Buffer.add_char b ':';
+            value v)
+          fields
+  in
+  value v;
+  Buffer.contents b

@@ -4,6 +4,7 @@
    the lint/abstract consistency property. *)
 
 module Diag = Amsvp_diag.Diag
+module Json = Amsvp_util.Json
 module Lint = Amsvp_analysis.Lint
 module Circuit = Amsvp_netlist.Circuit
 module Component = Amsvp_netlist.Component
@@ -242,18 +243,48 @@ let test_acceptance_scenario () =
       "m.vams:16:5: error[AMS020]";
       "V(s,gnd)";
     ];
-  let json = Diag.report_to_json ~file:"m.vams" fs in
+  let json = Json.parse (Diag.report_to_json ~file:"m.vams" fs) in
+  Alcotest.(check (option string)) "json file" (Some "m.vams")
+    (Json.mem_string "file" json);
+  let findings = Json.mem_list "findings" json in
+  let json_has what p =
+    Alcotest.(check bool) ("json has " ^ what) true (List.exists p findings)
+  in
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json has " ^ needle) true
-        (contains_substring json needle))
-    [
-      {|"code": "AMS016"|};
-      {|"code": "AMS030"|};
-      {|"code": "AMS020"|};
-      {|"line": 15|};
-      {|"subject": "V(s,gnd)"|};
-    ]
+    (fun c -> json_has c (fun f -> Json.mem_string "code" f = Some c))
+    [ "AMS016"; "AMS030"; "AMS020" ];
+  json_has "line 15" (fun f -> Json.mem_float "line" f = Some 15.0);
+  json_has "subject V(s,gnd)" (fun f ->
+      Json.mem_string "subject" f = Some "V(s,gnd)");
+  (* SARIF: one result per finding, in order, carrying its code and
+     line. *)
+  let sarif = Json.parse (Diag.report_to_sarif fs) in
+  Alcotest.(check (option string)) "sarif version" (Some "2.1.0")
+    (Json.mem_string "version" sarif);
+  let results =
+    match Json.mem_list "runs" sarif with
+    | [ run ] -> Json.mem_list "results" run
+    | runs -> Alcotest.failf "expected one SARIF run, got %d" (List.length runs)
+  in
+  Alcotest.(check int) "one sarif result per finding" (List.length fs)
+    (List.length results);
+  List.iter2
+    (fun (f : Diag.finding) r ->
+      Alcotest.(check (option string)) "ruleId" (Some f.Diag.code)
+        (Json.mem_string "ruleId" r);
+      let start_line =
+        match Json.mem_list "locations" r with
+        | [ loc ] ->
+            Option.bind (Json.member "physicalLocation" loc) (fun pl ->
+                Option.bind (Json.member "region" pl)
+                  (Json.mem_float "startLine"))
+        | _ -> None
+      in
+      Alcotest.(check (option (float 0.0)))
+        (f.Diag.code ^ " startLine")
+        (Option.map (fun s -> float_of_int s.Diag.line) f.Diag.span)
+        start_line)
+    fs results
 
 let test_werror_and_suppression () =
   let fs = lint showcase in

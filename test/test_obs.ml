@@ -4,170 +4,12 @@
    [Obs.reset] and an explicit enable/disable. *)
 
 module Obs = Amsvp_obs.Obs
+module Json = Amsvp_util.Json
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   ln = 0 || go 0
-
-(* A minimal JSON reader, enough to check well-formedness of the Chrome
-   trace output (the toolchain has no JSON library). *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some (('"' | '\\' | '/') as c) ->
-                Buffer.add_char b c;
-                advance ();
-                go ()
-            | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-            | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-            | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-            | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-            | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-            | Some 'u' ->
-                advance ();
-                if !pos + 4 > n then fail "truncated \\u escape";
-                let hex = String.sub s !pos 4 in
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> fail "bad \\u escape"
-                in
-                (* Only BMP code points below 0x80 appear in our output;
-                   anything else is kept as '?' — good enough for a
-                   well-formedness check. *)
-                Buffer.add_char b
-                  (if code < 0x80 then Char.chr code else '?');
-                pos := !pos + 4;
-                go ()
-            | _ -> fail "bad escape")
-        | Some c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> is_num_char c | None -> false) do
-        advance ()
-      done;
-      let lit = String.sub s start (!pos - start) in
-      match float_of_string_opt lit with
-      | Some f -> f
-      | None -> fail (Printf.sprintf "bad number %S" lit)
-    in
-    let expect_lit lit v =
-      let l = String.length lit in
-      if !pos + l <= n && String.sub s !pos l = lit then (
-        pos := !pos + l;
-        v)
-      else fail (Printf.sprintf "expected %s" lit)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then (
-            advance ();
-            Obj [])
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((k, v) :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (members [])
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then (
-            advance ();
-            List [])
-          else
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elems (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            List (elems [])
-      | Some 't' -> expect_lit "true" (Bool true)
-      | Some 'f' -> expect_lit "false" (Bool false)
-      | Some 'n' -> expect_lit "null" Null
-      | Some _ -> Num (parse_number ())
-      | None -> fail "unexpected end of input"
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function
-    | Obj fields -> List.assoc_opt k fields
-    | _ -> None
-end
 
 let fresh () =
   Obs.reset ();
@@ -364,7 +206,7 @@ let test_chrome_trace_json () =
   let doc = Json.parse (Obs.chrome_trace ()) in
   let events =
     match Json.member "traceEvents" doc with
-    | Some (Json.List l) -> l
+    | Some (Json.Arr l) -> l
     | _ -> Alcotest.fail "traceEvents array missing"
   in
   (* Metadata event + 2 spans + 1 instant. *)

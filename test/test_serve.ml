@@ -370,6 +370,30 @@ let test_telemetry_truncation () =
       "{\"v\":1,\"req\":\"ping\"}";
     ]
 
+(* [telemetry_prefix] is the one frame fragment not built through
+   [Json.print]; it must be exactly how the printer opens a frame. *)
+let test_telemetry_prefix_pinned () =
+  let opening =
+    Json.print
+      (Json.Obj
+         [
+           ("v", Json.Num (float_of_int Protocol.version)); ("tel", Json.Str "");
+         ])
+  in
+  Alcotest.(check string) "prefix is the printer's frame opening"
+    (String.sub opening 0 (String.length opening - 2))
+    Protocol.telemetry_prefix;
+  List.iter
+    (fun t ->
+      let line = Protocol.encode_telemetry t in
+      Alcotest.(check bool) ("frame starts with the prefix: " ^ line) true
+        (String.starts_with ~prefix:Protocol.telemetry_prefix line))
+    [
+      Protocol.Tel_journal [];
+      Protocol.Tel_spans { origin = "w0:1"; spans = [] };
+      Protocol.Tel_counters { origin = "w0:1"; counters = [ ("c", [], 1) ] };
+    ]
+
 let test_ingest_telemetry_line () =
   Journal.enable ();
   Journal.reset ();
@@ -944,6 +968,8 @@ let () =
               `Quick test_telemetry_truncation;
             Alcotest.test_case "ingest_telemetry_line" `Quick
               test_ingest_telemetry_line;
+            Alcotest.test_case "prefix pinned to the printer" `Quick
+              test_telemetry_prefix_pinned;
           ] );
       ( "checkpoint",
         [

@@ -17,6 +17,7 @@ module Obs = Amsvp_obs.Obs
 module Health = Amsvp_probe.Health
 module Component = Amsvp_netlist.Component
 module Diag = Amsvp_diag.Diag
+module Json = Amsvp_util.Json
 
 let rich_spec =
   {
@@ -357,8 +358,7 @@ let test_report_outputs () =
   let s = run_small 1 in
   let json = Report.json s in
   Alcotest.(check bool) "json object" true
-    (String.length json > 2 && json.[0] = '{'
-    && json.[String.length json - 2] = '}');
+    (match Json.parse json with Json.Obj _ -> true | _ -> false);
   let count_char c str =
     String.fold_left (fun n x -> if x = c then n + 1 else n) 0 str
   in
@@ -423,18 +423,21 @@ let test_nan_point_flagged () =
   | issues ->
       Alcotest.failf "expected exactly the nan issue, got %d" (List.length issues));
   (* The verdict reaches both report formats. *)
-  let json = Report.json s in
+  let json = Json.parse (Report.json s) in
+  let health i =
+    Json.member "health" (List.nth (Json.mem_list "results" json) i)
+  in
+  Alcotest.(check (option (float 0.0))) "json summary counts it" (Some 1.0)
+    (Json.mem_float "unhealthy" json);
+  Alcotest.(check (option string)) "json verdict object" (Some "V(out,gnd)")
+    (Option.bind (health 1) (Json.mem_string "signal"));
+  Alcotest.(check bool) "json ok for the good point" true
+    (health 0 = Some (Json.Str "ok"));
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "json summary counts it" true
-    (contains json "\"unhealthy\": 1");
-  Alcotest.(check bool) "json verdict object" true
-    (contains json "\"health\":{\"signal\":\"V(out,gnd)\"");
-  Alcotest.(check bool) "json ok for the good point" true
-    (contains json "\"health\":\"ok\"");
   let csv = Report.csv s in
   Alcotest.(check bool) "csv health column" true
     (contains csv ",health,");
@@ -568,16 +571,25 @@ let test_prune_static_sound_and_deterministic () =
     (Report.json ~timings:false pruned)
     (Report.json ~timings:false again);
   (* the report surfaces the verdict and the counter *)
-  let json = Report.json ~timings:false pruned in
+  let json = Json.parse (Report.json ~timings:false pruned) in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "json counts pruned" true
-    (contains json (Printf.sprintf "\"pruned\": %d" pruned.Runner.pruned));
+  Alcotest.(check (option (float 0.0))) "json counts pruned"
+    (Some (float_of_int pruned.Runner.pruned))
+    (Json.mem_float "pruned" json);
+  let issue_kinds r =
+    match Json.member "health" r with
+    | Some h ->
+        List.filter_map (Json.mem_string "kind") (Json.mem_list "issues" h)
+    | None -> []
+  in
   Alcotest.(check bool) "json carries the verdict" true
-    (contains json "\"kind\":\"pruned\"");
+    (List.exists
+       (fun r -> List.mem "pruned" (issue_kinds r))
+       (Json.mem_list "results" json));
   Alcotest.(check bool) "csv carries the verdict" true
     (contains (Report.csv ~timings:false pruned) "pruned@")
 

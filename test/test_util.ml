@@ -4,6 +4,7 @@ module Trace = Amsvp_util.Trace
 module Metrics = Amsvp_util.Metrics
 module Stimulus = Amsvp_util.Stimulus
 module Vcd = Amsvp_util.Vcd
+module Json = Amsvp_util.Json
 
 let checkf tol = Alcotest.(check (float tol))
 
@@ -175,6 +176,111 @@ let prop_sample_at_is_monotone_on_monotone_traces =
       done;
       !ok)
 
+(* JSON codec *)
+
+let test_json_print_pinned () =
+  let doc =
+    Json.(
+      Obj
+        [
+          ("s", Str "q\"b\\n\nr\rt\t\001\031\195\169");
+          ("neg0", Num (-0.0));
+          ("big", Num 1e300);
+          ("nan", Num nan);
+          ("inf", Arr [ Num infinity; Num neg_infinity ]);
+          ("int", Num 1e15);
+          ("tenth", Num 0.1);
+          ("misc", Arr [ Null; Bool true; Bool false; Obj []; Arr [] ]);
+        ])
+  in
+  Alcotest.(check string) "compact, one escape, one float rule"
+    ({|{"s":"q\"b\\n\nr\rt\t\u0001\u001f|} ^ "\195\169"
+   ^ {|","neg0":-0,"big":1.0000000000000001e+300,"nan":"NaN",|}
+   ^ {|"inf":["Infinity","-Infinity"],"int":1000000000000000,|}
+   ^ {|"tenth":0.10000000000000001,"misc":[null,true,false,{},[]]}|})
+    (Json.print doc)
+
+let all_bytes = String.init 256 Char.chr
+
+let gen_json_string =
+  let open QCheck.Gen in
+  let chunk =
+    oneof
+      [
+        map (String.make 1) char;
+        oneofl
+          [ "\""; "\\"; "\\u0041"; "\\u"; "\\\""; "\r\n"; "\000"; all_bytes ];
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 6) chunk)
+
+let gen_json_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        map float_of_int int;
+        oneofl
+          [
+            0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; 1e-310;
+            max_float; -.max_float; nan; infinity; neg_infinity; 1e15; 0.1;
+          ];
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) gen_json_float;
+                 map (fun s -> Json.Str s) gen_json_string;
+               ]
+           in
+           let sub = self (n / 4) in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) sub));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair gen_json_string sub)) );
+               ]))
+
+(* [expected] printed and parsed back gives [got]: finite numbers
+   bit for bit, non-finite ones as the strings [Json.to_float] reads. *)
+let rec json_roundtrips expected got =
+  match (expected, got) with
+  | Json.Num a, Json.Num b ->
+      Float.is_finite a
+      && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  | Json.Num a, Json.Str _ -> (
+      (not (Float.is_finite a))
+      &&
+      match Json.to_float got with
+      | Some b -> (Float.is_nan a && Float.is_nan b) || a = b
+      | None -> false)
+  | Json.Arr l, Json.Arr l' ->
+      List.length l = List.length l' && List.for_all2 json_roundtrips l l'
+  | Json.Obj l, Json.Obj l' ->
+      List.length l = List.length l'
+      && List.for_all2
+           (fun (k, v) (k', v') -> String.equal k k' && json_roundtrips v v')
+           l l'
+  | (Json.Null | Json.Bool _ | Json.Str _), _ -> expected = got
+  | _ -> false
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (print v) = v" ~count:500
+    (QCheck.make ~print:Json.print gen_json)
+    (fun v -> json_roundtrips v (Json.parse (Json.print v)))
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -204,5 +310,9 @@ let () =
           Alcotest.test_case "structure" `Quick test_vcd_structure;
           Alcotest.test_case "validation" `Quick test_vcd_validation;
         ] );
-      ("properties", qt [ prop_sample_at_is_monotone_on_monotone_traces ]);
+      ( "json",
+        [ Alcotest.test_case "print pinned" `Quick test_json_print_pinned ] );
+      ( "properties",
+        qt [ prop_sample_at_is_monotone_on_monotone_traces; prop_json_roundtrip ]
+      );
     ]
