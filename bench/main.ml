@@ -36,123 +36,62 @@ module Probe = Amsvp_probe.Probe
 
 let dt = 50e-9 (* the paper's time step (Section V-A) *)
 
-(* Machine-readable results, one row per (table, component, target):
-   written to BENCH_results.json so the perf trajectory can be compared
-   across commits without scraping the human-readable tables. *)
+(* Everything the harness reports is a row of BENCH_results.json,
+   keyed by (table, comp, target, method), so the perf trajectory can be
+   compared across commits without scraping the human-readable tables.
+   [time_s] is wall seconds; for a side of a {!paired} comparison it is
+   that side's minimum over the rounds. Section evidence rides along as
+   optional fields:
+   - [ratio]: a paired comparison's median per-round ratio, on the row
+     of the variant under test;
+   - [nrmse]: error against the section's reference trace;
+   - [factorizations]: MNA factorisations of the run;
+   - [max_ulp]: worst ulp distance between the two engines' traces;
+   - [steps], [newton_iters], [wasted_iters]: Newton totals of a
+     journaled SPICE-like run;
+   - [points], [pruned]: sweep size and statically pruned points. *)
 type bench_row = {
-  row_table : string;
-  row_comp : string;
-  row_target : string;
-  row_method : string;
-  row_time_s : float;
-  row_nrmse : float option;
+  table : string;
+  comp : string;
+  target : string;
+  meth : string;
+  time_s : float;
+  nrmse : float option;
+  ratio : float option;
+  factorizations : int option;
+  max_ulp : int option;
+  steps : int option;
+  newton_iters : int option;
+  wasted_iters : int option;
+  points : int option;
+  pruned : int option;
 }
 
 let bench_rows : bench_row list ref = ref []
 
-let record ~table ~comp ~target ?(meth = "") ?nrmse time_s =
-  bench_rows :=
-    {
-      row_table = table;
-      row_comp = comp;
-      row_target = target;
-      row_method = meth;
-      row_time_s = time_s;
-      row_nrmse = nrmse;
-    }
-    :: !bench_rows
+let row ~table ~comp ~target ?(meth = "") ?nrmse ?ratio ?factorizations
+    ?max_ulp ?steps ?newton_iters ?wasted_iters ?points ?pruned time_s =
+  { table; comp; target; meth; time_s; nrmse; ratio; factorizations; max_ulp;
+    steps; newton_iters; wasted_iters; points; pruned }
 
-(* One row per circuit of the "engines" section: both per-step costs,
-   the compile cost they bought, and the worst ulp distance observed
-   between the two engines' traces (the identical-output evidence). *)
-type engine_row = {
-  e_circuit : string;
-  e_assignments : int;
-  e_instrs : int;
-  e_regs : int;
-  e_compile_s : float;
-  e_tree_step_ns : float;
-  e_byte_step_ns : float;
-  e_max_ulp : int64;
-}
+let record r = bench_rows := r :: !bench_rows
 
-let engine_rows : engine_row list ref = ref []
-
-(* The "convergence" block: journal overhead on the RC20 SPICE-like
-   run (off vs on) and the Newton telemetry of the journaled run. *)
-type convergence_block = {
-  cb_comp : string;
-  cb_off_s : float;
-  cb_on_s : float;
-  cb_overhead_pct : float;
-  cb_steps : int;
-  cb_total_iters : int;
-  cb_wasted_iters : int;
-  cb_max_residual : float;
-  cb_pivot_ratio : float;
-  cb_stressed_substeps : int;
-}
-
-let convergence_block : convergence_block option ref = ref None
-
-(* The "serve" block: what keeping a prepared sweep warm across
-   requests buys — one request executed cold (prepare + run) vs warm
-   (run only, against the cached context), as the daemon does. *)
-type serve_block = {
-  sv_spec : string;
-  sv_points : int;
-  sv_prepare_s : float;
-  sv_cold_s : float;
-  sv_warm_s : float;
-}
-
-let serve_block : serve_block option ref = ref None
-
-(* The "obs_serve" block: what the cross-process telemetry pipeline
-   costs per point — the same forked-pool sweep run with the journal
-   (and therefore worker event/span shipping and parent ingestion) off
-   vs on. The budget is 5%: past that the always-on service telemetry
-   would not be free enough to leave on. *)
-type obs_serve_block = {
-  ob_points : int;
-  ob_off_s : float;
-  ob_on_s : float;
-  ob_overhead_pct : float;
-}
-
-let obs_serve_block : obs_serve_block option ref = ref None
-
-(* The "absint" block: the static-pruning economics on a poisoned
-   sweep -- a grid whose high-resistance corner provably breaches the
-   amplitude budget, run in full vs with the MUST-proof pruner. The
-   per-circuit analysis wall lands in the rows ("absint" table). *)
-type absint_block = {
-  ai_spec : string;
-  ai_points : int;
-  ai_pruned : int;
-  ai_plain_s : float;
-  ai_pruned_s : float;
-}
-
-let absint_block : absint_block option ref = ref None
-
-(* The "mna_fast" block: what the fast-fidelity conservative engine
-   buys over the paper cost model on the hardest SPICE-like runs —
-   sparse symbolic reuse, numeric-factor caching, Newton early-exit
-   and adaptive substepping — with the NRMSE between the two traces
-   as the accuracy evidence. The gate mirrors the issue's acceptance
-   bar: >= 5x on each row with NRMSE inside the health budget. *)
-type mna_fast_row = {
-  mf_comp : string;
-  mf_paper_s : float;
-  mf_fast_s : float;
-  mf_speedup : float;
-  mf_nrmse : float;
-  mf_paper_factors : int;
-  mf_fast_factors : int;
-}
-
-let mna_fast_rows : mna_fast_row list ref = ref []
+let row_json r =
+  let open Json in
+  let opt name f = function Some v -> [ (name, Num (f v)) ] | None -> [] in
+  let int name = opt name float_of_int in
+  Obj
+    ([ ("table", Str r.table); ("comp", Str r.comp); ("target", Str r.target);
+       ("method", Str r.meth); ("time_s", Num r.time_s) ]
+    @ (match r.nrmse with
+      | Some e when Float.is_finite e -> [ ("nrmse", Num e) ]
+      | Some _ | None -> [])
+    @ opt "ratio" Fun.id r.ratio
+    @ int "factorizations" r.factorizations
+    @ int "max_ulp" r.max_ulp @ int "steps" r.steps
+    @ int "newton_iters" r.newton_iters
+    @ int "wasted_iters" r.wasted_iters @ int "points" r.points
+    @ int "pruned" r.pruned)
 
 (* Per-section span accounting, written as "sections" in
    BENCH_results.json. The recorder runs for the whole harness; each
@@ -207,95 +146,61 @@ let sections_json () =
 
 let results_json ~quick ~total_wall_s =
   let open Json in
-  let int i = Num (float_of_int i) in
   (* rows and sections are recorded newest first *)
-  let rows field f = function
-    | [] -> []
-    | l -> [ (field, Arr (List.rev_map (fun r -> Obj (f r)) l)) ]
-  in
-  let block field f = function Some x -> [ (field, Obj (f x)) ] | None -> [] in
-  let per_point_ms points t = Num (t /. float_of_int (max 1 points) *. 1e3) in
-  let row r =
-    Obj
-      ([ ("table", Str r.row_table); ("comp", Str r.row_comp);
-         ("target", Str r.row_target); ("method", Str r.row_method);
-         ("time_s", Num r.row_time_s) ]
-      @
-      match r.row_nrmse with
-      | Some e when Float.is_finite e -> [ ("nrmse", Num e) ]
-      | Some _ | None -> [])
-  in
   print
     (Obj
-       ([ ("bench", Str "amsvp"); ("quick", Bool quick); ("dt", Num dt);
-          ("total_wall_s", Num total_wall_s);
-          ("rows", Arr (List.rev_map row !bench_rows)) ]
-       @ rows "engines"
-           (fun r ->
-             [ ("circuit", Str r.e_circuit);
-               ("assignments", int r.e_assignments);
-               ("instrs", int r.e_instrs); ("regs", int r.e_regs);
-               ("compile_s", Num r.e_compile_s);
-               ("tree_step_ns", Num r.e_tree_step_ns);
-               ("bytecode_step_ns", Num r.e_byte_step_ns);
-               ("speedup", Num (r.e_tree_step_ns /. r.e_byte_step_ns));
-               ("max_ulp", Num (Int64.to_float r.e_max_ulp)) ])
-           !engine_rows
-       @ block "convergence"
-           (fun c ->
-             [ ("comp", Str c.cb_comp); ("journal_off_s", Num c.cb_off_s);
-               ("journal_on_s", Num c.cb_on_s);
-               ("overhead_pct", Num c.cb_overhead_pct);
-               ("steps", int c.cb_steps);
-               ("total_iters", int c.cb_total_iters);
-               ("wasted_iters", int c.cb_wasted_iters);
-               ("max_residual", Num c.cb_max_residual);
-               ("pivot_ratio", Num c.cb_pivot_ratio);
-               ("stressed_substeps", int c.cb_stressed_substeps) ])
-           !convergence_block
-       @ rows "mna_fast"
-           (fun r ->
-             [ ("comp", Str r.mf_comp); ("paper_s", Num r.mf_paper_s);
-               ("fast_s", Num r.mf_fast_s); ("speedup", Num r.mf_speedup);
-               ("nrmse", Num r.mf_nrmse);
-               ("paper_factorizations", int r.mf_paper_factors);
-               ("fast_factorizations", int r.mf_fast_factors) ])
-           !mna_fast_rows
-       @ block "serve"
-           (fun s ->
-             [ ("spec", Str s.sv_spec); ("points", int s.sv_points);
-               ("prepare_s", Num s.sv_prepare_s); ("cold_s", Num s.sv_cold_s);
-               ("warm_s", Num s.sv_warm_s);
-               ("cold_point_ms", per_point_ms s.sv_points s.sv_cold_s);
-               ("warm_point_ms", per_point_ms s.sv_points s.sv_warm_s);
-               ("warm_speedup", Num (s.sv_cold_s /. s.sv_warm_s)) ])
-           !serve_block
-       @ block "obs_serve"
-           (fun o ->
-             [ ("points", int o.ob_points);
-               ("telemetry_off_s", Num o.ob_off_s);
-               ("telemetry_on_s", Num o.ob_on_s);
-               ("off_point_ms", per_point_ms o.ob_points o.ob_off_s);
-               ("on_point_ms", per_point_ms o.ob_points o.ob_on_s);
-               ("overhead_pct", Num o.ob_overhead_pct) ])
-           !obs_serve_block
-       @ block "absint"
-           (fun a ->
-             [ ("spec", Str a.ai_spec); ("points", int a.ai_points);
-               ("pruned", int a.ai_pruned);
-               ( "prune_ratio",
-                 Num
-                   (float_of_int a.ai_pruned /. float_of_int (max 1 a.ai_points))
-               );
-               ("plain_s", Num a.ai_plain_s); ("pruned_s", Num a.ai_pruned_s);
-               ("speedup", Num (a.ai_plain_s /. a.ai_pruned_s)) ])
-           !absint_block
-       @ [ ("sections", sections_json ()) ]))
+       [ ("bench", Str "amsvp"); ("quick", Bool quick); ("dt", Num dt);
+         ("total_wall_s", Num total_wall_s);
+         ("rows", Arr (List.rev_map row_json !bench_rows));
+         ("sections", sections_json ()) ])
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let y = f () in
   (y, Unix.gettimeofday () -. t0)
+
+(* The one A/B timer: [rounds] rounds of one [a] and one [b] run back
+   to back, alternating which goes first. A fixed order would charge
+   clock drift and heap growth to whichever side always runs second;
+   running the two in the same window makes ambient load shift both
+   samples of a round together, and the median per-round ratio then
+   discards rounds where a burst landed between them (min-vs-min would
+   compare floors from two different windows). Returns each side's last
+   result and minimum wall time, and the median of t_b / t_a. *)
+type ('a, 'b) paired = {
+  a : 'a;
+  b : 'b;
+  a_s : float;
+  b_s : float;
+  b_over_a : float;
+}
+
+let paired ~rounds a b =
+  let last_a = ref None and last_b = ref None in
+  let time last f =
+    let y, t = wall f in
+    last := Some y;
+    t
+  in
+  let pairs =
+    Array.init rounds (fun i ->
+        if i land 1 = 0 then
+          let ta = time last_a a in
+          (ta, time last_b b)
+        else
+          let tb = time last_b b in
+          (time last_a a, tb))
+  in
+  let ratios = Array.map (fun (ta, tb) -> tb /. ta) pairs in
+  Array.sort compare ratios;
+  let least f = Array.fold_left (fun m p -> Float.min m (f p)) infinity pairs in
+  {
+    a = Option.get !last_a;
+    b = Option.get !last_b;
+    a_s = least fst;
+    b_s = least snd;
+    b_over_a = (ratios.((rounds - 1) / 2) +. ratios.(rounds / 2)) /. 2.0;
+  }
 
 let line () = print_endline (String.make 100 '-')
 
@@ -348,14 +253,7 @@ let paper_table3 =
     ("OA", [ 1165.52; 743.54; 57.23; 51.96; 50.86; 27.72 ]);
   ]
 
-type row = {
-  lang : string;
-  method_ : string;
-  time_s : float;
-  nrmse : float option;
-}
-
-let measure_rows (tc : Circuits.testcase) ~t_stop ~with_vams =
+let measure_rows ~table (tc : Circuits.testcase) ~t_stop ~with_vams =
   let rep = Flow.abstract_testcase tc ~dt in
   let p = rep.Flow.program in
   let vams =
@@ -382,20 +280,16 @@ let measure_rows (tc : Circuits.testcase) ~t_stop ~with_vams =
   let reference =
     match vams with Some (tr, _) -> tr | None -> eln.Wrap.trace
   in
-  let err trace = Some (nrmse_against ~reference trace ~t_stop) in
+  let row = row ~table ~comp:tc.Circuits.label in
+  let err (r : Wrap.result) = nrmse_against ~reference r.Wrap.trace ~t_stop in
   (match vams with
-  | Some (_, t) ->
-      [ { lang = "Verilog-AMS"; method_ = "manual"; time_s = t; nrmse = Some 0.0 } ]
+  | Some (_, t) -> [ row ~target:"Verilog-AMS" ~meth:"manual" ~nrmse:0.0 t ]
   | None -> [])
   @ [
-      { lang = "SC-AMS/ELN"; method_ = "manual"; time_s = t_eln;
-        nrmse = err eln.Wrap.trace };
-      { lang = "SC-AMS/TDF"; method_ = "algo"; time_s = t_tdf;
-        nrmse = err tdf.Wrap.trace };
-      { lang = "SC-DE"; method_ = "algo"; time_s = t_de;
-        nrmse = err de.Wrap.trace };
-      { lang = "C++"; method_ = "algo"; time_s = t_cpp;
-        nrmse = err cpp.Wrap.trace };
+      row ~target:"SC-AMS/ELN" ~meth:"manual" ~nrmse:(err eln) t_eln;
+      row ~target:"SC-AMS/TDF" ~meth:"algo" ~nrmse:(err tdf) t_tdf;
+      row ~target:"SC-DE" ~meth:"algo" ~nrmse:(err de) t_de;
+      row ~target:"C++" ~meth:"algo" ~nrmse:(err cpp) t_cpp;
     ]
 
 let table1 ~t_stop () =
@@ -409,12 +303,8 @@ let table1 ~t_stop () =
     "PaperNRMSE";
   List.iter
     (fun (tc : Circuits.testcase) ->
-      let rows = measure_rows tc ~t_stop ~with_vams:true in
-      List.iter
-        (fun r ->
-          record ~table:"table1" ~comp:tc.Circuits.label ~target:r.lang
-            ~meth:r.method_ ?nrmse:r.nrmse r.time_s)
-        rows;
+      let rows = measure_rows ~table:"table1" tc ~t_stop ~with_vams:true in
+      List.iter record rows;
       let base = (List.hd rows).time_s in
       let paper_rows =
         Option.value ~default:[] (List.assoc_opt tc.Circuits.label paper_table1)
@@ -427,20 +317,20 @@ let table1 ~t_stop () =
       List.iter
         (fun r ->
           let speedup =
-            if r.lang = "Verilog-AMS" then "0x"
+            if r.target = "Verilog-AMS" then "0x"
             else Printf.sprintf "%.0fx" (base /. r.time_s)
           in
           let paper_t, paper_spd, paper_err =
-            match List.assoc_opt r.lang paper_rows with
+            match List.assoc_opt r.target paper_rows with
             | Some (t, e) ->
                 ( Printf.sprintf "%.2f" t,
-                  (if r.lang = "Verilog-AMS" then "0x"
+                  (if r.target = "Verilog-AMS" then "0x"
                    else Printf.sprintf "%.0fx" (paper_base /. t)),
                   Printf.sprintf "%.2e" e )
             | None -> ("-", "-", "-")
           in
           Printf.printf "%-6s %-12s %-7s %10.3f %9s %11s | %10s %10s %12s\n"
-            tc.Circuits.label r.lang r.method_ r.time_s speedup
+            tc.Circuits.label r.target r.meth r.time_s speedup
             (match r.nrmse with
             | Some e -> Printf.sprintf "%.2e" e
             | None -> "-")
@@ -459,12 +349,8 @@ let table2 ~t_stop () =
     "Method" "Time(s)" "Speedup" "Paper(s)" "PaperSpd";
   List.iter
     (fun (tc : Circuits.testcase) ->
-      let rows = measure_rows tc ~t_stop ~with_vams:false in
-      List.iter
-        (fun r ->
-          record ~table:"table2" ~comp:tc.Circuits.label ~target:r.lang
-            ~meth:r.method_ ?nrmse:r.nrmse r.time_s)
-        rows;
+      let rows = measure_rows ~table:"table2" tc ~t_stop ~with_vams:false in
+      List.iter record rows;
       let base = (List.hd rows).time_s in
       let paper_rows =
         Option.value ~default:[] (List.assoc_opt tc.Circuits.label paper_table2)
@@ -475,26 +361,27 @@ let table2 ~t_stop () =
       List.iter
         (fun r ->
           let speedup =
-            if r.lang = "SC-AMS/ELN" then "0x"
+            if r.target = "SC-AMS/ELN" then "0x"
             else Printf.sprintf "%.2fx" (base /. r.time_s)
           in
           let paper_t, paper_spd =
-            match List.assoc_opt r.lang paper_rows with
+            match List.assoc_opt r.target paper_rows with
             | Some t ->
                 ( Printf.sprintf "%.2f" t,
-                  if r.lang = "SC-AMS/ELN" then "0x"
+                  if r.target = "SC-AMS/ELN" then "0x"
                   else Printf.sprintf "%.2fx" (paper_base /. t) )
             | None -> ("-", "-")
           in
           Printf.printf "%-6s %-12s %-7s %10.3f %9s | %10s %10s\n"
-            tc.Circuits.label r.lang r.method_ r.time_s speedup paper_t
+            tc.Circuits.label r.target r.meth r.time_s speedup paper_t
             paper_spd)
         rows;
       print_newline ())
     (Circuits.all_paper_cases ());
   let tc = Circuits.rc_ladder 20 in
   let rep, t = wall (fun () -> Flow.abstract_testcase tc ~dt) in
-  record ~table:"table2" ~comp:tc.Circuits.label ~target:"abstraction-tool" t;
+  record
+    (row ~table:"table2" ~comp:tc.Circuits.label ~target:"abstraction-tool" t);
   Printf.printf
     "Abstraction tool on RC20 (%d nodes, %d branches): %.4f s wall (paper: \
      7.67 s on the authors' machine)\n"
@@ -536,8 +423,9 @@ let table3 ~t_stop () =
                     ~t_stop ())
             in
             ignore r.Platform.uart_output;
-            record ~table:"table3" ~comp:tc.Circuits.label
-              ~target:(Platform.binding_label binding) t;
+            record
+              (row ~table:"table3" ~comp:tc.Circuits.label
+                 ~target:(Platform.binding_label binding) t);
             (binding, t))
           bindings
       in
@@ -568,8 +456,9 @@ let tool_time () =
     (fun n ->
       let tc = Circuits.rc_ladder n in
       let rep = Flow.abstract_testcase tc ~dt in
-      record ~table:"tooltime" ~comp:tc.Circuits.label
-        ~target:"abstraction-flow" (Flow.total_seconds rep);
+      record
+        (row ~table:"tooltime" ~comp:tc.Circuits.label
+           ~target:"abstraction-flow" (Flow.total_seconds rep));
       Printf.printf "%-6s %6d %8d %8d %6d %11.3f %11.3f %12.3f %10.3f\n"
         tc.Circuits.label rep.Flow.nodes rep.Flow.branches rep.Flow.classes
         rep.Flow.definitions
@@ -816,13 +705,15 @@ let sweep_bench ~t_stop ~seed ~jobs () =
   Printf.printf "%-8s %10s %12s %14s %12s\n" "jobs" "time(s)" "points/s"
     "cache hit/miss" "NRMSE mean";
   let report (s : Sweep_runner.summary) =
-    record ~table:"sweep" ~comp:"RECT"
-      ~target:(Printf.sprintf "jobs%d" s.Sweep_runner.jobs)
-      ?nrmse:
-        (Option.map
-           (fun (st : Sweep_stats.t) -> st.Sweep_stats.mean)
-           s.Sweep_runner.nrmse_stats)
-      s.Sweep_runner.total_s;
+    record
+      (row ~table:"sweep" ~comp:"RECT"
+         ~target:(Printf.sprintf "jobs%d" s.Sweep_runner.jobs)
+         ?nrmse:
+           (Option.map
+              (fun (st : Sweep_stats.t) -> st.Sweep_stats.mean)
+              s.Sweep_runner.nrmse_stats)
+         ~points:(Array.length s.Sweep_runner.points)
+         s.Sweep_runner.total_s);
     Printf.printf "%-8d %10.3f %12.1f %8d/%-5d %12s\n" s.Sweep_runner.jobs
       s.Sweep_runner.total_s
       (float_of_int (Array.length s.Sweep_runner.points)
@@ -861,7 +752,7 @@ let serve_bench ~t_stop ~seed () =
        (t_stop *. 1e3));
   (* RC20: the one circuit whose preparation (the full abstraction
      flow) is expensive enough to matter per request. Reference off —
-     the serve block measures request overhead, not MNA cost. *)
+     the serve rows measure request overhead, not MNA cost. *)
   let spec =
     {
       Spec.default with
@@ -879,46 +770,32 @@ let serve_bench ~t_stop ~seed () =
     }
   in
   let tc = Option.get (Circuits.by_name "RC20") in
-  let best n f =
-    let t = ref infinity in
-    for _ = 1 to n do
-      let (), ti = wall f in
-      if ti < !t then t := ti
-    done;
-    !t
-  in
-  let run_all ctx =
+  let run_all ctx () =
     Array.iter
       (fun p -> ignore (Sweep_runner.run_point ctx p))
       (Sweep_runner.ctx_points ctx)
   in
-  (* Cold request: prepare + execute, as the daemon's first submit of a
-     spec does. Best-of-2 so one allocator hiccup does not decide it. *)
-  let cold_s = best 2 (fun () -> run_all (Sweep_runner.prepare spec tc)) in
   let ctx, prepare_s = wall (fun () -> Sweep_runner.prepare spec tc) in
   let points = Array.length (Sweep_runner.ctx_points ctx) in
-  (* Warm request: same points against the kept context. *)
-  run_all ctx;
-  let warm_s = best 2 (fun () -> run_all ctx) in
-  record ~table:"serve" ~comp:"RC20" ~target:"request" ~meth:"cold" cold_s;
-  record ~table:"serve" ~comp:"RC20" ~target:"request" ~meth:"warm" warm_s;
-  record ~table:"serve" ~comp:"RC20" ~target:"prepare" prepare_s;
-  serve_block :=
-    Some
-      {
-        sv_spec = spec.Spec.name;
-        sv_points = points;
-        sv_prepare_s = prepare_s;
-        sv_cold_s = cold_s;
-        sv_warm_s = warm_s;
-      };
+  run_all ctx () (* warm-up *);
+  (* Warm request: the same points against the kept context. Cold
+     request: prepare + execute, as the daemon's first submit of a spec
+     does. *)
+  let p =
+    paired ~rounds:2 (run_all ctx) (fun () ->
+        run_all (Sweep_runner.prepare spec tc) ())
+  in
+  let row = row ~table:"serve" ~comp:"RC20" in
+  record (row ~target:"request" ~meth:"cold" ~points p.b_s);
+  record
+    (row ~target:"request" ~meth:"warm" ~points ~ratio:p.b_over_a p.a_s);
+  record (row ~target:"prepare" prepare_s);
   let per t = t /. float_of_int (max 1 points) *. 1e3 in
   Printf.printf
     "%-8s %3d points   prepare: %.4f s\n\
      cold submit: %.4f s (%.3f ms/point)   warm resubmit: %.4f s (%.3f \
      ms/point)   warm speedup: %.2fx\n"
-    "RC20" points prepare_s cold_s (per cold_s) warm_s (per warm_s)
-    (cold_s /. warm_s)
+    "RC20" points prepare_s p.b_s (per p.b_s) p.a_s (per p.a_s) p.b_over_a
 
 (* Per-point cost of the cross-process telemetry pipeline: the same
    forked-pool sweep with the journal off (workers ship nothing) vs on
@@ -955,58 +832,28 @@ let obs_serve_bench ~t_stop ~seed () =
          (fun ~retry:_ p -> Sweep_runner.run_point ctx p)
          points)
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let journal_was = Journal.enabled () in
   Journal.disable ();
   run_pool () (* warm-up: page in the pool machinery once *);
-  (* Paired rounds, alternating which side goes first each round: a
-     pool run is ~0.2 s, and fork cost grows with the parent heap, so
-     any fixed ordering would charge whichever side consistently ran
-     later for GC drift. Each round times off and on back-to-back in
-     the same window, so ambient load shifts both sides of a pair
-     together; the median per-round ratio then discards rounds where a
-     burst landed between the two samples — unlike min-of-each-side,
-     which compares floors from two different windows. *)
-  let rounds = 7 in
-  let sample enabled =
+  (* A pool run is ~0.2 s and fork cost grows with the parent heap, so
+     the order-alternating pairs of [paired] matter most here. *)
+  let sample enabled () =
     Journal.set_enabled enabled;
-    time run_pool
+    run_pool ()
   in
-  let pairs =
-    Array.init rounds (fun round ->
-        if round land 1 = 0 then
-          let o = sample false in
-          let n = sample true in
-          (o, n)
-        else
-          let n = sample true in
-          let o = sample false in
-          (o, n))
-  in
+  let p = paired ~rounds:7 (sample false) (sample true) in
   Journal.set_enabled journal_was;
-  let ranked =
-    Array.to_list pairs
-    |> List.map (fun (o, n) -> ((n -. o) /. o, o, n))
-    |> List.sort compare
+  let overhead_pct = (p.b_over_a -. 1.0) *. 100.0 in
+  let row =
+    row ~table:"obs_serve" ~comp:"RC20" ~target:"pool" ~points:n_points
   in
-  let ratio, off_s, on_s = List.nth ranked (rounds / 2) in
-  let overhead_pct = ratio *. 100.0 in
-  record ~table:"obs_serve" ~comp:"RC20" ~target:"pool" ~meth:"telemetry_off"
-    off_s;
-  record ~table:"obs_serve" ~comp:"RC20" ~target:"pool" ~meth:"telemetry_on"
-    on_s;
-  obs_serve_block :=
-    Some { ob_points = n_points; ob_off_s = off_s; ob_on_s = on_s;
-           ob_overhead_pct = overhead_pct };
+  record (row ~meth:"telemetry_off" p.a_s);
+  record (row ~meth:"telemetry_on" ~ratio:p.b_over_a p.b_s);
   let per t = t /. float_of_int (max 1 n_points) *. 1e3 in
   Printf.printf
     "%-8s %3d points   telemetry off: %.4f s (%.3f ms/point)   on: %.4f s \
      (%.3f ms/point)   overhead: %+.2f%% %s\n"
-    "RC20" n_points off_s (per off_s) on_s (per on_s) overhead_pct
+    "RC20" n_points p.a_s (per p.a_s) p.b_s (per p.b_s) overhead_pct
     (if overhead_pct <= 5.0 then "(within budget)" else "(OVER 5% BUDGET)")
 
 module Absint = Amsvp_analysis.Absint
@@ -1020,21 +867,16 @@ module Lint = Amsvp_analysis.Lint
    unit sine -- run in full vs with static pruning, same spec. *)
 let absint_bench ~t_stop () =
   header "ABSINT -- value-range analysis wall and static-prune economics";
-  let best n f =
-    let t = ref infinity in
-    for _ = 1 to n do
-      let (), ti = wall f in
-      if ti < !t then t := ti
-    done;
-    !t
-  in
+  (* One-sided best-of-3: [paired] against a no-op. *)
+  let best f = (paired ~rounds:3 f ignore).a_s in
+  let row = row ~table:"absint" in
   List.iter
     (fun label ->
       let tc = Option.get (Circuits.by_name label) in
       let p = (Flow.abstract_testcase tc ~dt).Flow.program in
-      let analyze_s = best 3 (fun () -> ignore (Absint.analyze p)) in
+      let analyze_s = best (fun () -> ignore (Absint.analyze p)) in
       let a = Absint.analyze p in
-      record ~table:"absint" ~comp:label ~target:"analyze" analyze_s;
+      record (row ~comp:label ~target:"analyze" analyze_s);
       Printf.printf
         "%-8s analyze: %8.4f ms   abstract steps: %2d%s   constant facts: %d\n"
         label (analyze_s *. 1e3) a.Absint.a_steps
@@ -1046,8 +888,8 @@ let absint_bench ~t_stop () =
   let example = "examples/rc_lowpass.vams" in
   if Sys.file_exists example then begin
     let src = In_channel.with_open_text example In_channel.input_all in
-    let lint_s = best 3 (fun () -> ignore (Lint.lint ~file:example src)) in
-    record ~table:"absint" ~comp:"rc_lowpass" ~target:"lint" lint_s;
+    let lint_s = best (fun () -> ignore (Lint.lint ~file:example src)) in
+    record (row ~comp:"rc_lowpass" ~target:"lint" lint_s);
     Printf.printf "%-8s full lint: %8.4f ms\n" "rc_low" (lint_s *. 1e3)
   end
   else Printf.printf "(%s not found -- lint row skipped)\n" example;
@@ -1073,29 +915,20 @@ let absint_bench ~t_stop () =
     }
   in
   let tc = Option.get (Circuits.by_name "RC1") in
-  let plain, plain_s = wall (fun () -> Sweep_runner.run ~jobs:1 spec tc) in
-  let pruned, pruned_s =
-    wall (fun () -> Sweep_runner.run ~jobs:1 ~prune:true spec tc)
+  let p =
+    paired ~rounds:1
+      (fun () -> Sweep_runner.run ~jobs:1 ~prune:true spec tc)
+      (fun () -> Sweep_runner.run ~jobs:1 spec tc)
   in
-  let points = Array.length plain.Sweep_runner.points in
-  let n_pruned = pruned.Sweep_runner.pruned in
-  record ~table:"absint" ~comp:"RC1" ~target:"poisoned-sweep" ~meth:"plain"
-    plain_s;
-  record ~table:"absint" ~comp:"RC1" ~target:"poisoned-sweep" ~meth:"pruned"
-    pruned_s;
-  absint_block :=
-    Some
-      {
-        ai_spec = spec.Spec.name;
-        ai_points = points;
-        ai_pruned = n_pruned;
-        ai_plain_s = plain_s;
-        ai_pruned_s = pruned_s;
-      };
+  let points = Array.length p.b.Sweep_runner.points in
+  let pruned = p.a.Sweep_runner.pruned in
+  let row = row ~comp:"RC1" ~target:"poisoned-sweep" ~points in
+  record (row ~meth:"plain" p.b_s);
+  record (row ~meth:"pruned" ~pruned ~ratio:p.b_over_a p.a_s);
   Printf.printf
     "%-8s %2d points   plain: %.4f s   with --prune-static: %.4f s   (%d/%d \
      points proven unhealthy, %.2fx)\n"
-    "RC1" points plain_s pruned_s n_pruned points (plain_s /. pruned_s)
+    "RC1" points p.b_s p.a_s pruned points p.b_over_a
 
 let micro () =
   header "MICRO -- Bechamel per-step benchmarks (one group per table)";
@@ -1165,30 +998,21 @@ let probe_overhead ~t_stop () =
     ignore (Wrap.run_cpp ?observe p ~stimuli:tc.Circuits.stimuli ~t_stop)
   in
   run ();
-  (* Best-of-5 so a stray scheduler hiccup does not decide the verdict. *)
-  let best f =
-    let t = ref infinity in
-    for _ = 1 to 5 do
-      let _, ti = wall f in
-      if ti < !t then t := ti
-    done;
-    !t
-  in
-  let t_off = best (fun () -> run ()) in
-  let t_on =
-    best (fun () ->
+  let p =
+    paired ~rounds:5 run (fun () ->
         let probes = Probe.create ~capacity:4096 () in
         ignore (Probe.tap probes tc.Circuits.output);
         ignore (Probe.watch probes tc.Circuits.output);
         run ~observe:(Probe.observer probes) ())
   in
-  record ~table:"probes" ~comp:tc.Circuits.label ~target:"probes-off" t_off;
-  record ~table:"probes" ~comp:tc.Circuits.label ~target:"probes-on" t_on;
+  let row = row ~table:"probes" ~comp:tc.Circuits.label in
+  record (row ~target:"probes-off" p.a_s);
+  record (row ~target:"probes-on" ~ratio:p.b_over_a p.b_s);
   Printf.printf
     "%-6s probes off: %.4f s   probes on (1 tap + 1 monitor): %.4f s   \
      attached cost: %+.2f%%\n"
-    tc.Circuits.label t_off t_on
-    ((t_on /. t_off -. 1.0) *. 100.0)
+    tc.Circuits.label p.a_s p.b_s
+    ((p.b_over_a -. 1.0) *. 100.0)
 
 (* ---- Convergence telemetry: journal overhead + Newton stats ---- *)
 
@@ -1201,71 +1025,48 @@ let convergence ~t_stop () =
        (t_stop *. 1e3));
   let tc = Circuits.rc_ladder 20 in
   let was_enabled = Journal.enabled () in
-  let run () = Engine.run_testcase_spice tc ~dt ~t_stop in
-  ignore (run ());
-  (* Interleaved off/on pairs, overhead = median of the per-pair time
-     ratios: sequential best-of-N batches fold clock drift (thermal,
-     frequency scaling, heap growth) into whichever side runs second —
-     an off-vs-off control showed that bias alone can exceed the
-     budget — and pairing plus the median also discards the stray
-     scheduler hiccup a shared machine throws in. *)
-  let pairs = 11 in
-  let ratios = Array.make pairs 0.0 in
-  let t_off = ref infinity and t_on = ref infinity in
-  let last = ref None in
-  for i = 0 to pairs - 1 do
-    Journal.disable ();
-    let _, toff = wall (fun () -> ignore (run ())) in
-    if toff < !t_off then t_off := toff;
-    Journal.enable ();
-    let _, ton = wall (fun () -> last := Some (run ())) in
-    if ton < !t_on then t_on := ton;
-    ratios.(i) <- ton /. toff
-  done;
-  let t_off = !t_off and t_on = !t_on in
-  if not was_enabled then Journal.disable ();
-  Array.sort compare ratios;
-  let overhead = (ratios.(pairs / 2) -. 1.0) *. 100.0 in
-  record ~table:"convergence" ~comp:tc.Circuits.label ~target:"journal-off"
-    t_off;
-  record ~table:"convergence" ~comp:tc.Circuits.label ~target:"journal-on"
-    t_on;
+  let run journal () =
+    Journal.set_enabled journal;
+    Engine.run_testcase_spice tc ~dt ~t_stop
+  in
+  ignore (run was_enabled ());
+  (* Overhead = the median per-round ratio: an off-vs-off control showed
+     that the drift a fixed off-then-on order folds into the second side
+     can alone exceed the budget. *)
+  let p = paired ~rounds:11 (run false) (run true) in
+  Journal.set_enabled was_enabled;
+  let overhead = (p.b_over_a -. 1.0) *. 100.0 in
+  let nw = p.b.Engine.newton in
+  let newton f = Option.map f nw in
+  let row = row ~table:"convergence" ~comp:tc.Circuits.label in
+  record (row ~target:"journal-off" p.a_s);
+  record
+    (row ~target:"journal-on" ~ratio:p.b_over_a
+       ~steps:p.b.Engine.stats.Engine.steps
+       ?newton_iters:(newton (fun n -> n.Engine.total_iters))
+       ?wasted_iters:(newton (fun n -> n.Engine.wasted_iters))
+       p.b_s);
   Printf.printf
     "%-6s journal off: %.4f s   journal on: %.4f s   overhead: %+.2f%% \
      (budget 5%%: %s)\n"
-    tc.Circuits.label t_off t_on overhead
+    tc.Circuits.label p.a_s p.b_s overhead
     (if overhead <= 5.0 then "PASS" else "OVER");
-  match !last with
-  | Some { Engine.stats; newton = Some nw; _ } ->
-      let pivot_ratio =
-        if nw.Engine.pivot_min > 0.0 then
-          nw.Engine.pivot_max /. nw.Engine.pivot_min
-        else infinity
-      in
+  match nw with
+  | Some nw ->
       Printf.printf
         "%-6s steps: %d   newton passes: %d   wasted: %d (%.1f%%)   max \
          residual: %.2e   pivot ratio: %.2e   stressed substeps: %d\n"
-        tc.Circuits.label stats.Engine.steps nw.Engine.total_iters
+        tc.Circuits.label p.b.Engine.stats.Engine.steps nw.Engine.total_iters
         nw.Engine.wasted_iters
         (100.0
         *. float_of_int nw.Engine.wasted_iters
         /. float_of_int (max 1 nw.Engine.total_iters))
-        nw.Engine.max_residual pivot_ratio nw.Engine.stressed_substeps;
-      convergence_block :=
-        Some
-          {
-            cb_comp = tc.Circuits.label;
-            cb_off_s = t_off;
-            cb_on_s = t_on;
-            cb_overhead_pct = overhead;
-            cb_steps = stats.Engine.steps;
-            cb_total_iters = nw.Engine.total_iters;
-            cb_wasted_iters = nw.Engine.wasted_iters;
-            cb_max_residual = nw.Engine.max_residual;
-            cb_pivot_ratio = pivot_ratio;
-            cb_stressed_substeps = nw.Engine.stressed_substeps;
-          }
-  | Some _ | None ->
+        nw.Engine.max_residual
+        (if nw.Engine.pivot_min > 0.0 then
+           nw.Engine.pivot_max /. nw.Engine.pivot_min
+         else infinity)
+        nw.Engine.stressed_substeps
+  | None ->
       print_endline "convergence: no Newton telemetry captured (unexpected)"
 
 (* ---- Fast-fidelity conservative engine vs the paper cost model ---- *)
@@ -1283,45 +1084,28 @@ let mna_fast ~t_stop () =
   in
   List.iter
     (fun (tc : Circuits.testcase) ->
-      let run fidelity =
+      let run fidelity () =
         Engine.run_testcase_spice ~fidelity tc ~dt ~t_stop
       in
-      (* warm-up, and the traces for the accuracy evidence *)
-      let paper = run `Paper in
-      let fast = run `Fast in
-      let nrmse = nrmse_against ~reference:paper.Engine.trace fast.Engine.trace ~t_stop in
-      (* Interleaved pairs, best-of: same drift-folding rationale as
-         the convergence section. *)
-      let pairs = 3 in
-      let t_paper = ref infinity and t_fast = ref infinity in
-      for _ = 1 to pairs do
-        let _, tp = wall (fun () -> ignore (run `Paper)) in
-        if tp < !t_paper then t_paper := tp;
-        let _, tf = wall (fun () -> ignore (run `Fast)) in
-        if tf < !t_fast then t_fast := tf
-      done;
-      let speedup = !t_paper /. !t_fast in
-      record ~table:"mna_fast" ~comp:tc.Circuits.label ~target:"paper"
-        !t_paper;
-      record ~table:"mna_fast" ~comp:tc.Circuits.label ~target:"fast" ~nrmse
-        !t_fast;
+      (* The accuracy evidence reuses the traces of the timed runs. *)
+      let p = paired ~rounds:3 (run `Fast) (run `Paper) in
+      let fast = p.a and paper = p.b and speedup = p.b_over_a in
+      let nrmse =
+        nrmse_against ~reference:paper.Engine.trace fast.Engine.trace ~t_stop
+      in
+      let row = row ~table:"mna_fast" ~comp:tc.Circuits.label in
+      record
+        (row ~target:"paper" ~factorizations:paper.Engine.stats.factorizations
+           p.b_s);
+      record
+        (row ~target:"fast" ~nrmse ~ratio:speedup
+           ~factorizations:fast.Engine.stats.factorizations p.a_s);
       Printf.printf
         "%-6s paper: %.4f s (%d factorizations)   fast: %.4f s (%d)   \
          speedup: %.1fx   nrmse: %.2e   gate: %s\n"
-        tc.Circuits.label !t_paper paper.Engine.stats.factorizations !t_fast
+        tc.Circuits.label p.b_s paper.Engine.stats.factorizations p.a_s
         fast.Engine.stats.factorizations speedup nrmse
-        (if speedup >= 5.0 && nrmse <= 5e-3 then "PASS" else "FAIL");
-      mna_fast_rows :=
-        {
-          mf_comp = tc.Circuits.label;
-          mf_paper_s = !t_paper;
-          mf_fast_s = !t_fast;
-          mf_speedup = speedup;
-          mf_nrmse = nrmse;
-          mf_paper_factors = paper.Engine.stats.factorizations;
-          mf_fast_factors = fast.Engine.stats.factorizations;
-        }
-        :: !mna_fast_rows)
+        (if speedup >= 5.0 && nrmse <= 5e-3 then "PASS" else "FAIL"))
     cases
 
 (* ---- Execution engines: tree interpreter vs register bytecode ---- *)
@@ -1359,51 +1143,36 @@ let engines ~t_stop () =
              !max_ulp);
       (* Per-step cost: the bare hot loop, stimulus sampling excluded,
          input values toggled so piecewise-linear models exercise both
-         branches. Best-of-5 runs of the whole loop. *)
+         branches. Five rounds of the whole loop under each engine. *)
       let steps = max 1000 (int_of_float (t_stop /. dt)) in
-      let n_inputs = List.length p.Sfprogram.inputs in
-      let time_engine runner =
-        let inputs = Array.make (max 1 n_inputs) 0.0 in
-        let pass () =
-          Sfprogram.Runner.reset runner;
-          for i = 1 to steps do
-            Array.fill inputs 0 (Array.length inputs)
-              (if i land 31 < 16 then 0.0 else 1.0);
-            Sfprogram.Runner.step runner ~inputs
-          done
-        in
-        let best = ref infinity in
-        for _ = 1 to 5 do
-          let (), d = wall pass in
-          if d < !best then best := d
-        done;
-        !best /. float_of_int steps
+      let inputs = Array.make (max 1 (List.length p.Sfprogram.inputs)) 0.0 in
+      let pass runner () =
+        Sfprogram.Runner.reset runner;
+        for i = 1 to steps do
+          Array.fill inputs 0 (Array.length inputs)
+            (if i land 31 < 16 then 0.0 else 1.0);
+          Sfprogram.Runner.step runner ~inputs
+        done
       in
-      let tree_s = time_engine (Sfprogram.Runner.create ~engine:`Tree p) in
-      let byte_s = time_engine (Sfprogram.Runner.create ~compiled p) in
-      record ~table:"engines" ~comp:label ~target:"step" ~meth:"tree" tree_s;
-      record ~table:"engines" ~comp:label ~target:"step" ~meth:"bytecode"
-        byte_s;
-      record ~table:"engines" ~comp:label ~target:"compile" compile_s;
-      engine_rows :=
-        {
-          e_circuit = label;
-          e_assignments = List.length p.Sfprogram.assignments;
-          e_instrs = Amsvp_sf.Compile.n_instrs compiled;
-          e_regs = Amsvp_sf.Compile.n_regs compiled;
-          e_compile_s = compile_s;
-          e_tree_step_ns = tree_s *. 1e9;
-          e_byte_step_ns = byte_s *. 1e9;
-          e_max_ulp = !max_ulp;
-        }
-        :: !engine_rows;
-      Printf.printf "%-6s %7d %7d %6d %12.2f %14.1f %14.1f %8.2fx %8Ld\n"
+      let t =
+        paired ~rounds:5
+          (pass (Sfprogram.Runner.create ~compiled p))
+          (pass (Sfprogram.Runner.create ~engine:`Tree p))
+      in
+      let per_step s = s /. float_of_int steps in
+      let tree_s = per_step t.b_s and byte_s = per_step t.a_s in
+      let max_ulp = Int64.to_int !max_ulp in
+      let row = row ~table:"engines" ~comp:label in
+      record (row ~target:"step" ~meth:"tree" tree_s);
+      record
+        (row ~target:"step" ~meth:"bytecode" ~ratio:t.b_over_a ~max_ulp byte_s);
+      record (row ~target:"compile" compile_s);
+      Printf.printf "%-6s %7d %7d %6d %12.2f %14.1f %14.1f %8.2fx %8d\n"
         label
         (List.length p.Sfprogram.assignments)
         (Amsvp_sf.Compile.n_instrs compiled)
         (Amsvp_sf.Compile.n_regs compiled)
-        (compile_s *. 1e6) (tree_s *. 1e9) (byte_s *. 1e9) (tree_s /. byte_s)
-        !max_ulp)
+        (compile_s *. 1e6) (tree_s *. 1e9) (byte_s *. 1e9) t.b_over_a max_ulp)
     [ "2IN"; "RC1"; "RC20"; "OA"; "RECT" ]
 
 type cli = {
@@ -1419,8 +1188,8 @@ type cli = {
 }
 
 let all_sections =
-  [ "table1"; "table2"; "table3"; "tooltime"; "ablation"; "sweep"; "probes";
-    "convergence"; "mna_fast"; "engines"; "serve"; "obs_serve"; "absint";
+  [ "table1"; "table2"; "table3"; "tooltime"; "ablation"; "obs_serve"; "sweep";
+    "probes"; "convergence"; "mna_fast"; "engines"; "serve"; "absint";
     "figures"; "micro" ]
 
 let parse_cli argv =
@@ -1430,8 +1199,8 @@ let parse_cli argv =
        FILE]\n\
       \             [--journal-out FILE] [--results-out FILE | --no-results]\n\
       \             [--seed N] [--jobs N] [SECTION...]\n\
-       sections: table1 table2 table3 tooltime ablation sweep probes \
-       convergence mna_fast engines serve obs_serve absint figures micro";
+       sections: table1 table2 table3 tooltime ablation obs_serve sweep \
+       probes convergence mna_fast engines serve absint figures micro";
     exit 2
   in
   let int_arg name v rest k =
@@ -1515,6 +1284,13 @@ let () =
       ablation ~t_stop:(scale 5e-3) ();
       ablation_integration ~t_stop:2e-3 ();
       ablation_sparse ());
+  (* Fixed simulated time: the telemetry cost per task is fixed (a few
+     frames), so the budget is judged against a realistically sized
+     point (the sweep section's t_stop), not against fork overhead on a
+     toy point. Before "sweep": the pool forks, and OCaml 5 forbids
+     [Unix.fork] once the sweep's worker domains have been spawned. *)
+  section "obs_serve" (fun () ->
+      obs_serve_bench ~t_stop:2e-3 ~seed:cli.seed ());
   section "sweep" (fun () ->
       sweep_bench ~t_stop:(scale 2e-3) ~seed:cli.seed ~jobs:cli.jobs ());
   section "probes" (fun () -> probe_overhead ~t_stop:(scale 50e-3) ());
@@ -1525,16 +1301,10 @@ let () =
      error, and turns the accuracy gate into noise. *)
   section "mna_fast" (fun () -> mna_fast ~t_stop:1e-3 ());
   section "engines" (fun () -> engines ~t_stop:t1 ());
-  (* Fixed simulated time: the serve block measures per-request
+  (* Fixed simulated time: the serve rows measure per-request
      overhead (prepare vs replay), which scaling t_stop would only
      dilute. *)
   section "serve" (fun () -> serve_bench ~t_stop:1e-4 ~seed:cli.seed ());
-  (* Fixed simulated time, like "serve": the telemetry cost per task
-     is fixed (a few frames), so the budget is judged against a
-     realistically sized point (the sweep section's t_stop), not
-     against fork overhead on a toy point. *)
-  section "obs_serve" (fun () ->
-      obs_serve_bench ~t_stop:2e-3 ~seed:cli.seed ());
   (* Fixed simulated time: the prune economics depend on where the
      breach lands in the horizon, so scaling t_stop would change the
      story, not just its magnitude. *)

@@ -35,9 +35,6 @@ type itv = {
   ninf : bool;  (** [-inf] is a possible value *)
 }
 
-val bot : itv
-(** The empty set (unreachable). *)
-
 val top : itv
 (** Every double. *)
 
@@ -49,9 +46,6 @@ val interval : float -> float -> itv
     endpoints set the corresponding flag.
     @raise Invalid_argument on NaN endpoints or [lo > hi]. *)
 
-val fin : float -> float -> itv
-(** Unchecked finite range (internal constructor, exposed for tests). *)
-
 val join : itv -> itv -> itv
 val widen : itv -> itv -> itv
 (** [widen old next] jumps unstable bounds to the next magnitude
@@ -62,17 +56,13 @@ val mem : float -> itv -> bool
 (** [mem v i]: is the concrete value [v] (NaN and infinities included)
     inside the concretisation of [i]? The soundness relation. *)
 
-val is_bot : itv -> bool
 val has_finite : itv -> bool
-val has_flag : itv -> bool
-(** Some non-finite value (NaN or an infinity) is possible. *)
 
 val singleton : itv -> float option
 (** [Some c] when the abstraction proves the value is exactly the
     finite constant [c] (no flags, [lo = hi]). *)
 
 val may_non_finite : itv -> bool
-val may_zero : itv -> bool
 
 val definitely_non_finite : itv -> bool
 (** No finite value is possible, yet some value is — every concrete
@@ -122,20 +112,12 @@ type analysis = {
   a_widened : bool;  (** widening (or the top fallback) was needed *)
 }
 
-val default_input_box : itv
-(** [[-1, 1]] — the unit box assumed for inputs not named by the
-    caller, keeping AMS061 about structural hazards rather than
-    unbounded-stimulus overflow. *)
-
 val analyze :
   ?max_steps:int -> ?inputs:(string * itv) list -> Sfprogram.t -> analysis
 (** Fixpoint analysis: exact abstract steps while new states appear
     (at most [max_steps], default 64), then widening iterations until
     the accumulated state is inductive. Inputs default to
-    {!default_input_box} per input signal. *)
-
-val dead_targets : Sfprogram.t -> Expr.var list
-(** The demand analysis of {!analysis.a_dead} alone (no fixpoint). *)
+    the unit box [[-1, 1]] per input signal not named in [inputs]. *)
 
 val constant_facts : analysis -> (int * float) list
 (** Slots proven to hold one finite nonzero constant at every step —

@@ -211,6 +211,24 @@ let finding_json f =
       | None -> [])
     @ match f.subject with Some s -> [ ("subject", Str s) ] | None -> [])
 
+let finding_of_json j =
+  let ( let* ) = Option.bind in
+  let* code = Json.mem_string "code" j in
+  let* name = Json.mem_string "severity" j in
+  let* severity =
+    List.find_opt (fun s -> severity_name s = name) [ Error; Warning; Info ]
+  in
+  let* message = Json.mem_string "message" j in
+  let span =
+    match
+      (Json.mem_string "file" j, Json.mem_float "line" j, Json.mem_float "col" j)
+    with
+    | Some file, Some line, Some col ->
+        Some { file; line = int_of_float line; col = int_of_float col }
+    | _ -> None
+  in
+  Some { code; severity; message; span; subject = Json.mem_string "subject" j }
+
 let report_to_json ?file findings =
   let open Json in
   print

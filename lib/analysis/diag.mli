@@ -69,8 +69,6 @@ val error_count : finding list -> int
 (** Findings with [Error] severity (after {!apply}, this is what decides
     a non-zero exit). *)
 
-val severity_name : severity -> string
-
 val to_text : finding -> string
 (** One compiler-style line:
     [file:line:col: severity[CODE]: message]. *)
@@ -83,6 +81,11 @@ val finding_json : finding -> Amsvp_util.Json.t
     fields are omitted when there is no span, [subject] when there is
     none. The service protocol's rejection frames carry the same
     objects. *)
+
+val finding_of_json : Amsvp_util.Json.t -> finding option
+(** Inverse of {!finding_json}: [None] when [code], [message] or a
+    known [severity] is missing. The span is kept only when [file],
+    [line] and [col] are all present. *)
 
 val report_to_json : ?file:string -> finding list -> string
 (** [{"file":...,"findings":[...],"errors":n,"warnings":n}] with one

@@ -24,21 +24,9 @@
     against the conservative reference. Algebraic (derivative-free)
     loops are always solved exactly, so high-gain feedback stays
     stable. [`Auto] (the default) picks [`Exact] for small cones and
-    [`Relaxed] beyond {!auto_threshold} definitions. *)
+    [`Relaxed] beyond 16 definitions. *)
 
 type mode = [ `Exact | `Relaxed | `Auto ]
-
-val auto_threshold : int
-(** Cone size above which [`Auto] switches to [`Relaxed] (16). *)
-
-val max_region_conditions : int
-(** Piecewise-linear models (paper §III-C, [7]): when the definitions
-    carry conditionals, the solver enumerates the truth assignments of
-    the distinct conditions (regions are selected on the previous
-    step's values), solves the linear system of every region exactly
-    and emits update rules that pick the solved region at run time. At
-    most this many distinct conditions (2^k regions) are supported;
-    beyond it, {!Nonlinear} is raised. *)
 
 exception Nonlinear of Expr.var
 (** A definition is not affine in the unknowns (outside the linear
@@ -123,9 +111,3 @@ val solved_assignments :
 (** The explicit update rules without program packaging (used by the
     Fig. 7 walkthrough and by tests). *)
 
-val solved_assignments_plan :
-  ?mode:mode ->
-  ?integration:integration ->
-  dt:float ->
-  Assemble.result ->
-  (Expr.var * Expr.t) list * plan

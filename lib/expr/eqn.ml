@@ -144,5 +144,3 @@ let solve_for p eq =
           Some (Expr.simplify (of_plinear scaled)))
 
 let is_linear eq = plinear_form (residual eq) <> None
-
-let eval_residual env eq = Expr.eval env (residual eq)

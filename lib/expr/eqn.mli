@@ -27,7 +27,6 @@ val residual : t -> Expr.t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val pp_origin : Format.formatter -> origin -> unit
 
 (** {1 Linear view}
 
@@ -42,7 +41,6 @@ type pseudo =
 
 val compare_pseudo : pseudo -> pseudo -> int
 val pseudo_name : pseudo -> string
-val expr_of_pseudo : pseudo -> Expr.t
 
 val plinear_form : Expr.t -> ((pseudo * float) list * float) option
 (** Affine decomposition over pseudo-variables. [ddt] distributes over
@@ -62,6 +60,3 @@ val solve_for : pseudo -> t -> Expr.t option
 
 val is_linear : t -> bool
 
-val eval_residual : (Expr.var -> float) -> t -> float
-(** Evaluate the residual under an environment; requires a
-    derivative-free (already discretised) equation. *)

@@ -174,9 +174,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val pp_c : name:(var -> string) -> Format.formatter -> t -> unit
-(** C/C++ rendering; variables are printed through [name]. *)
-
 val to_c : name:(var -> string) -> t -> string
 
 val pp_tree : Format.formatter -> t -> unit

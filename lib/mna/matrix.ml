@@ -23,7 +23,6 @@ let add_to m i j v =
   m.a.((i * m.n) + j) <- m.a.((i * m.n) + j) +. v
 
 let copy m = { n = m.n; a = Array.copy m.a }
-let fill_zero m = Array.fill m.a 0 (Array.length m.a) 0.0
 
 type lu = { ln : int; lu : float array; perm : int array }
 

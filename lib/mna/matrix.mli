@@ -20,7 +20,6 @@ val add_to : t -> int -> int -> float -> unit
     primitive. *)
 
 val copy : t -> t
-val fill_zero : t -> unit
 
 type lu
 (** An LU factorisation with partial pivoting. *)

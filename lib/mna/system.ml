@@ -38,7 +38,6 @@ let build circuit =
   { circuit; devices; node_index; current_index; nnodes; size = !next }
 
 let size s = s.size
-let node_voltage_count s = s.nnodes
 let has_pwl s = Circuit.has_pwl s.circuit
 
 (* Node index, or -1 for ground. *)

@@ -15,8 +15,6 @@ val build : Amsvp_netlist.Circuit.t -> t
 val size : t -> int
 (** Dimension of the MNA system. *)
 
-val node_voltage_count : t -> int
-
 val stamp_matrix : ?state:float array -> t -> h:float -> Matrix.t
 (** The MNA matrix for timestep [h]; constant for a linear network.
     Piecewise-linear devices stamp the conductance of the region

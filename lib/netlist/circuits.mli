@@ -50,5 +50,3 @@ val by_name : string -> testcase option
 val all_paper_cases : unit -> testcase list
 (** [2IN; RC1; RC20; OA], the rows of Tables I–III. *)
 
-(** The op-amp open-loop gain used for the ideal stages. *)
-val open_loop_gain : float

@@ -49,8 +49,6 @@ let dipole_equation d =
   in
   Eqn.make (Eqn.Dipole d.name) ~lhs ~rhs
 
-let is_source d = match d.kind with Vsource _ | Isource _ -> true | _ -> false
-
 let params d =
   match d.kind with
   | Resistor r -> [ ("r", r) ]

@@ -46,7 +46,6 @@ val dipole_equation : t -> Eqn.t
     [I(d) = C * ddt(V(a,b))] for a capacitor). Sources driven by
     [Input u] refer to the signal variable [u]. *)
 
-val is_source : t -> bool
 val input_signals : t -> string list
 
 (** {1 Parameter access}

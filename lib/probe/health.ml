@@ -196,8 +196,3 @@ type verdict = { v_signal : string; v_healthy : bool; v_issues : issue list }
 
 let verdict m =
   { v_signal = m.signal; v_healthy = healthy m; v_issues = issues m }
-
-let issue_to_string i =
-  Printf.sprintf "%s at t=%.9g (value=%.9g)" (kind_label i.kind) i.time i.value
-
-let pp_issue ppf i = Format.pp_print_string ppf (issue_to_string i)

@@ -117,7 +117,4 @@ type verdict = { v_signal : string; v_healthy : bool; v_issues : issue list }
     form embedded in sweep reports. *)
 
 val verdict : t -> verdict
-val issue_to_string : issue -> string
-(** E.g. ["nan at t=2.5e-05 (value=nan)"]. *)
 
-val pp_issue : Format.formatter -> issue -> unit

@@ -29,9 +29,6 @@ module Tap : sig
 
   val values : t -> float array
 
-  val to_trace : t -> Amsvp_util.Trace.t
-  (** Retained samples as a trace (the repo's common waveform
-      currency). *)
 end
 
 type t

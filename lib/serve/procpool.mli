@@ -37,11 +37,6 @@
     cover the whole pool. Torn telemetry frames are dropped and
     counted, never fatal to the connection. *)
 
-val encode_task : Amsvp_sweep.Sampler.point -> retry:int -> string
-(** Exposed for tests. *)
-
-val decode_task : string -> (Amsvp_sweep.Sampler.point * int) option
-
 (** Worker-outcome tally for one [run], mutated as events happen; hand
     the same record to successive runs to accumulate service totals. *)
 type tally = {

@@ -184,43 +184,11 @@ let decode_response line =
           let* message = Json.mem_string "message" j in
           Ok (Failed { message })
       | Some "rejected" -> (
-          let module Diag = Amsvp_diag.Diag in
-          let severity_of_name = function
-            | "error" -> Some Diag.Error
-            | "warning" -> Some Diag.Warning
-            | "info" -> Some Diag.Info
-            | _ -> None
-          in
-          let finding_of_json fj =
-            let ( let* ) = Option.bind in
-            let* code = Json.mem_string "code" fj in
-            let* severity =
-              Option.bind (Json.mem_string "severity" fj) severity_of_name
-            in
-            let* message = Json.mem_string "message" fj in
-            let span =
-              match
-                ( Json.mem_string "file" fj,
-                  Json.mem_float "line" fj,
-                  Json.mem_float "col" fj )
-              with
-              | Some file, Some line, Some col ->
-                  Some
-                    {
-                      Diag.file;
-                      line = int_of_float line;
-                      col = int_of_float col;
-                    }
-              | _ -> None
-            in
-            let subject = Json.mem_string "subject" fj in
-            Some { Diag.code; severity; message; span; subject }
-          in
           let* message = Json.mem_string "message" j in
           match
             List.fold_right
               (fun fj acc ->
-                match (finding_of_json fj, acc) with
+                match (Amsvp_diag.Diag.finding_of_json fj, acc) with
                 | Some f, Some tl -> Some (f :: tl)
                 | _ -> None)
               (Json.mem_list "findings" j)

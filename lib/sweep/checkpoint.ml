@@ -12,24 +12,30 @@ let digest (spec : Spec.t) ~circuit =
 (* Floats must survive the trip byte-exactly — a resumed sweep's report
    has to equal the uninterrupted one's — which {!Json.print}'s float
    rule guarantees. *)
-let result_json (r : Runner.point_result) =
+let issue_json (i : Health.issue) =
   let open Json in
-  let p = r.point and h = r.health in
-  let issue (i : Health.issue) =
-    Obj
-      [ ("kind", Str (Health.kind_label i.Health.kind));
-        ("time", Num i.Health.time); ("value", Num i.Health.value) ]
-  in
+  Obj
+    [ ("kind", Str (Health.kind_label i.Health.kind));
+      ("time", Num i.Health.time); ("value", Num i.Health.value) ]
+
+let point_json (r : Runner.point_result) tail =
+  let open Json in
+  let p = r.point in
   Obj
     ([ ("index", Num (float_of_int p.Sampler.index));
        ("label", Str p.Sampler.label);
        ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
        ("out_final", Num r.out_final); ("out_rms", Num r.out_rms) ]
     @ (match r.nrmse with Some e -> [ ("nrmse", Num e) ] | None -> [])
-    @ [ ("signal", Str h.Health.v_signal);
-        ("healthy", Bool h.Health.v_healthy);
-        ("issues", Arr (List.map issue h.Health.v_issues));
-        ("cached", Bool r.cached); ("wall_s", Num r.wall_s) ])
+    @ tail)
+
+let result_json (r : Runner.point_result) =
+  let open Json in
+  let h = r.health in
+  point_json r
+    [ ("signal", Str h.Health.v_signal); ("healthy", Bool h.Health.v_healthy);
+      ("issues", Arr (List.map issue_json h.Health.v_issues));
+      ("cached", Bool r.cached); ("wall_s", Num r.wall_s) ]
 
 let result_to_json r = Json.print (result_json r)
 

@@ -21,6 +21,16 @@ val digest : Spec.t -> circuit:string -> string
 
 (** {1 Point-result codec} *)
 
+val point_json :
+  Runner.point_result -> (string * Amsvp_util.Json.t) list -> Amsvp_util.Json.t
+(** [point_json r tail]: the object every point row opens with —
+    [index], [label], [overrides], [out_final], [out_rms] and [nrmse]
+    when there is one — followed by the fields of [tail]. Both
+    {!result_json} and the sweep report's per-point rows build on it. *)
+
+val issue_json : Amsvp_probe.Health.issue -> Amsvp_util.Json.t
+(** [{kind, time, value}]. *)
+
 val result_json : Runner.point_result -> Amsvp_util.Json.t
 (** The JSON object {!result_to_json} prints; the service protocol
     embeds it in its point frames. *)

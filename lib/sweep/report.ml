@@ -11,27 +11,17 @@ let json ?(timings = true) (s : Runner.summary) =
         ("mean", Num st.mean); ("stddev", Num st.stddev);
         ("p50", Num st.p50); ("p95", Num st.p95) ]
   in
-  let issue (i : Health.issue) =
-    Obj
-      [ ("kind", Str (Health.kind_label i.Health.kind));
-        ("time", Num i.Health.time); ("value", Num i.Health.value) ]
-  in
   let health (v : Health.verdict) =
     if v.Health.v_healthy then Str "ok"
     else
       Obj
         [ ("signal", Str v.Health.v_signal);
-          ("issues", Arr (List.map issue v.Health.v_issues)) ]
+          ("issues", Arr (List.map Checkpoint.issue_json v.Health.v_issues)) ]
   in
   let result (r : Runner.point_result) =
-    let p = r.point in
-    Obj
-      ([ ("index", int p.Sampler.index); ("label", Str p.Sampler.label);
-         ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
-         ("out_final", Num r.out_final); ("out_rms", Num r.out_rms) ]
-      @ (match r.nrmse with Some e -> [ ("nrmse", Num e) ] | None -> [])
-      @ [ ("health", health r.health); ("cached", Bool r.cached);
-          ("wall_s", timed r.wall_s) ])
+    Checkpoint.point_json r
+      [ ("health", health r.health); ("cached", Bool r.cached);
+        ("wall_s", timed r.wall_s) ]
   in
   let stats_fields =
     List.filter_map

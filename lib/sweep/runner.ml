@@ -109,9 +109,6 @@ type ctx = {
   c_points : Sampler.point array;
 }
 
-let ctx_spec c = c.c_spec
-let ctx_label c = c.c_tc.Circuits.label
-let ctx_jobs c = c.c_jobs
 let ctx_points c = c.c_points
 
 let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =

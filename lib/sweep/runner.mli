@@ -77,10 +77,6 @@ val prepare : ?jobs:int -> Spec.t -> Amsvp_netlist.Circuits.testcase -> ctx
     @raise Invalid_argument on an invalid spec or output, and whatever
     the circuit lint gate raises on a structurally broken circuit. *)
 
-val ctx_spec : ctx -> Spec.t
-val ctx_label : ctx -> string
-val ctx_jobs : ctx -> int
-
 val ctx_points : ctx -> Sampler.point array
 (** Points in expansion order; [point.index] is the slot in this
     array. *)
@@ -100,12 +96,6 @@ val prune_static :
     [amplitude_limit] and the structural non-finite hazard.  Returns
     the provably-unhealthy points; the caller decides whether to skip
     them ({!run} with [~prune:true] does). *)
-
-val pruned_result :
-  ctx -> Sampler.point -> Amsvp_analysis.Absint.bad -> point_result
-(** The result recorded for a statically pruned point: NaN values, a
-    single [Pruned] health issue timed at the first provably-bad step,
-    zero wall clock.  Journals a [point.pruned] event. *)
 
 val run_point : ?timeout_s:float -> ctx -> Sampler.point -> point_result
 (** Execute one point.  [timeout_s] (defaulting to the spec's
@@ -131,8 +121,9 @@ val run :
     dispatch of {!run_point} over every pending point, {!summarize}.
 
     [prune] (default false) runs {!prune_static} first: provably
-    unhealthy points are answered with {!pruned_result} instead of
-    being simulated, leaving every surviving point's result untouched
+    unhealthy points are answered with a pruned result (NaN values,
+    one [Pruned] health issue, zero wall clock) instead of being
+    simulated, leaving every surviving point's result untouched
     (the proof is a MUST analysis, so nothing healthy is ever
     skipped).  [completed] injects results recovered from a
     checkpoint: their points are skipped and the recovered results

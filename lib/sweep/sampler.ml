@@ -73,8 +73,3 @@ let points (spec : Spec.t) =
     (combos spec.axes);
   List.iter (fun (c : Spec.corner) -> emit c.corner_name c.binds) spec.corners;
   List.rev !acc
-
-let pp_point ppf p =
-  Format.fprintf ppf "%s:%s" p.label
-    (String.concat ","
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%.6g" k v) p.overrides))

@@ -20,4 +20,3 @@ val points : Spec.t -> point list
     Carlo axes; corners follow as one point each.  Length equals
     {!Spec.point_count}. *)
 
-val pp_point : Format.formatter -> point -> unit

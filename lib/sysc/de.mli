@@ -19,7 +19,6 @@ val now : t -> float
 (** Current simulated time in seconds. *)
 
 val ps_of_seconds : float -> int
-val seconds_of_ps : int -> float
 
 type process
 (** An SC_METHOD-like process: a callback run by the kernel whenever an
@@ -29,7 +28,6 @@ val spawn : t -> name:string -> (unit -> unit) -> process
 (** Register an SC_METHOD-like process. It does not run until an event
     triggers it (use {!Event.notify_delta} on a sensitive event for
     time-zero activation). *)
-
 
 module Event : sig
   type event

@@ -91,14 +91,6 @@ let add_module c ~name ~reads ~writes body =
 let read p i = p.tokens.(p.read_base + i)
 let write p i v = p.tokens.(p.write_base + i) <- v
 
-let from_de c ~name sig_in =
-  let p = port c (name ^ ".out") ~rate:1 in
-  let _ =
-    add_module c ~name ~reads:[] ~writes:[ p ] (fun () ->
-        write p 0 (De.Signal.read sig_in))
-  in
-  p
-
 let to_de c ~name p =
   let s = De.Signal.float_signal c.kernel ~name:(name ^ ".sig") 0.0 in
   let _ =

@@ -54,10 +54,6 @@ val write : port -> int -> float -> unit
 
 (** {1 DE boundary converters} *)
 
-val from_de : cluster -> name:string -> float De.Signal.signal -> port
-(** A converter module sampling a kernel signal into a rate-1 port at
-    every activation. *)
-
 val to_de : cluster -> name:string -> port -> float De.Signal.signal
 (** A converter module writing a rate-1 port into a kernel signal at
     every activation (one request/update per timestep — the sync

@@ -34,16 +34,6 @@ let nrmse_traces ~reference measured ~t0 ~dt ~n =
   let b = Trace.resample measured ~t0 ~dt ~n in
   nrmse ~reference:a b
 
-let max_abs_error a b =
-  check_same_length a b;
-  let m = ref 0.0 in
-  Array.iteri
-    (fun i v ->
-      let d = abs_float (v -. b.(i)) in
-      if d > !m then m := d)
-    a;
-  !m
-
 let ulp_distance a b =
   (* Map the IEEE-754 bit pattern onto a monotone integer line: for
      non-negative floats the bits already order correctly; negative

@@ -19,9 +19,6 @@ val nrmse : reference:float array -> float array -> float
 val nrmse_traces :
   reference:Trace.t -> Trace.t -> t0:float -> dt:float -> n:int -> float
 
-(** [max_abs_error a b] is the maximum pointwise absolute difference. *)
-val max_abs_error : float array -> float array -> float
-
 (** [ulp_distance a b] is the number of representable floats between
     [a] and [b] (0 when bit-identical, 1 for adjacent floats). Signed
     zeros are 0 apart; two NaNs are 0 apart regardless of payload; a

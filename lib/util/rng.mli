@@ -21,9 +21,6 @@ val derive : int -> stream:int -> t
     decorrelated sequences, and the construction is pure — calling it
     twice yields identical generators. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform in [\[0, 1)] with 53 bits of precision. *)
 

@@ -81,24 +81,3 @@ let rec pp_expr ppf e =
         args
   | Ternary (c, a, b) ->
       Format.fprintf ppf "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
-
-let rec pp_stmt ppf s =
-  match s.sdesc with
-  | Contribution (lhs, rhs) ->
-      Format.fprintf ppf "%a <+ %a;" pp_expr lhs pp_expr rhs
-  | Assign (name, rhs) -> Format.fprintf ppf "%s = %a;" name pp_expr rhs
-  | If (c, ts, []) ->
-      Format.fprintf ppf "if (%a) %a" pp_expr c
-        (Format.pp_print_list pp_stmt)
-        ts
-  | If (c, ts, es) ->
-      Format.fprintf ppf "if (%a) %a else %a" pp_expr c
-        (Format.pp_print_list pp_stmt)
-        ts
-        (Format.pp_print_list pp_stmt)
-        es
-
-let pp_module ppf m =
-  Format.fprintf ppf "@[<v>module %s (%s);@,...%d items@,endmodule@]" m.name
-    (String.concat ", " m.ports)
-    (List.length m.items)

@@ -83,5 +83,3 @@ type design = module_def list
 val find_module : design -> string -> module_def option
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_module : Format.formatter -> module_def -> unit

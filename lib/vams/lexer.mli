@@ -21,6 +21,3 @@ exception Lex_error of string * int * int
 val tokenize : string -> positioned list
 (** @raise Lex_error on an unexpected character or malformed number. *)
 
-val scale_factor : char -> float option
-(** The Verilog-AMS scale factors: [T=1e12 .. a=1e-18]; [None] for
-    other characters. *)

@@ -26,13 +26,12 @@ val step : t -> unit
 (** Fetch, decode and execute one instruction. A pending interrupt is
     taken first when interrupts are enabled: the return address is
     saved to EPC, interrupts are masked and control transfers to
-    {!interrupt_vector}. *)
+    the fixed handler address 0x80. *)
 
 val pc : t -> int
 val reg : t -> int -> int
 (** Register file access (register 0 is hard-wired to zero). *)
 
-val set_reg : t -> int -> int -> unit
 val instructions_retired : t -> int
 
 (** {1 Interrupts}
@@ -40,9 +39,6 @@ val instructions_retired : t -> int
     A minimal external-interrupt model: one level-triggered request
     line, an enable bit (COP0-style status, managed by [mtc0 rt, $12]
     and restored by [eret]) and an EPC register ([mfc0 rt, $14]). *)
-
-val interrupt_vector : int
-(** Fixed handler address (0x80). *)
 
 val set_irq : t -> bool -> unit
 (** Drive the external interrupt request line. *)

@@ -49,10 +49,6 @@ type result = {
   de_stats : Amsvp_sysc.De.stats option;
 }
 
-val default_program : string
-(** Polling firmware: waits for fresh ADC samples, accumulates them and
-    transmits a byte on the UART every 256 samples. *)
-
 val run :
   ?cpu_hz:float ->
   ?asm_src:string ->

@@ -166,6 +166,13 @@ let test_simple_frames_roundtrip () =
                 span = None;
                 subject = None;
               };
+              {
+                Diag.code = "AMS062";
+                severity = Diag.Info;
+                message = "proven-constant contribution";
+                span = Some (Diag.span ~file:"m.vams" 7 3);
+                subject = Some "r1";
+              };
             ];
         };
       Protocol.Rejected { message = "gate refused"; findings = [] };
