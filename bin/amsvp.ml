@@ -392,13 +392,20 @@ let simulate_cmd =
         in
         let probes = probe_set probecfg ~default:(Expr.var_name output) in
         let observe = Option.map Probe.observer probes in
+        let reads = Option.map Probe.vars probes in
         let stim = Stimulus.square ~period ~low ~high in
         let stimuli = List.map (fun n -> (n, stim)) p.Sfprogram.inputs in
         let trace =
           match moc with
-          | `Cpp -> (Wrap.run_cpp ~engine ?observe p ~stimuli ~t_stop).Wrap.trace
-          | `De -> (Wrap.run_de ~engine ?observe p ~stimuli ~t_stop).Wrap.trace
-          | `Tdf -> (Wrap.run_tdf ~engine ?observe p ~stimuli ~t_stop).Wrap.trace
+          | `Cpp ->
+              (Wrap.run_cpp ~engine ?reads ?observe p ~stimuli ~t_stop)
+                .Wrap.trace
+          | `De ->
+              (Wrap.run_de ~engine ?reads ?observe p ~stimuli ~t_stop)
+                .Wrap.trace
+          | `Tdf ->
+              (Wrap.run_tdf ~engine ?reads ?observe p ~stimuli ~t_stop)
+                .Wrap.trace
           | `Eln | `Vams -> (
               let flat = flatten_any lang (read_file file) ~file top inputs in
               match Elaborate.classify flat with

@@ -421,9 +421,10 @@ let widen old nw =
 (* ---- abstract evaluation of expression trees ----
 
    [pool], when given, overrides literal constants positionally in the
-   left-to-right traversal order of [Compile.collect_consts] — the
-   layout of a [`Template] constant pool — so one abstract run can
-   cover a whole family of rebound programs at once. Both arms of a
+   left-to-right traversal order of [Compile.collect_consts] over every
+   assignment — the layout of a [`Template] constant pool of the whole
+   program — so one abstract run can cover a whole family of rebound
+   programs at once. Both arms of a
    conditional are always walked (positions must stay aligned, and it
    matches the bytecode's eager [Sel]). *)
 
@@ -566,32 +567,6 @@ let abstract_step pr ?pool ?(on_div = fun _ _ -> ()) ?(on_assign = fun _ _ -> ()
     pr.assigns;
   Array.iter (fun (dst, src) -> st.(dst) <- st.(src)) pr.rotations
 
-(* Transitive demand from the outputs: an assignment whose target is
-   never read (at any delay) on a path to an output contributes
-   nothing to the observable trace. *)
-let dead_targets (p : Sfprogram.t) =
-  let rhs : (Expr.base, Expr.Var_set.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (a : Sfprogram.assignment) ->
-      Hashtbl.replace rhs a.Sfprogram.target.Expr.base (Expr.vars a.Sfprogram.expr))
-    p.Sfprogram.assignments;
-  let demanded : (Expr.base, unit) Hashtbl.t = Hashtbl.create 16 in
-  let rec demand b =
-    if not (Hashtbl.mem demanded b) then begin
-      Hashtbl.add demanded b ();
-      match Hashtbl.find_opt rhs b with
-      | None -> ()
-      | Some vars ->
-          Expr.Var_set.iter (fun v -> demand v.Expr.base) vars
-    end
-  in
-  List.iter (fun (o : Expr.var) -> demand o.Expr.base) p.Sfprogram.outputs;
-  List.filter_map
-    (fun (a : Sfprogram.assignment) ->
-      if Hashtbl.mem demanded a.Sfprogram.target.Expr.base then None
-      else Some a.Sfprogram.target)
-    p.Sfprogram.assignments
-
 type analysis = {
   a_program : Sfprogram.t;
   a_inputs : (string * itv) list;  (** the box the analysis assumed *)
@@ -707,7 +682,7 @@ let analyze ?(max_steps = 64) ?(inputs = []) p =
     a_outputs;
     a_div_sure = of_slots div_sure;
     a_div_may = of_slots div_may;
-    a_dead = dead_targets p;
+    a_dead = Sfprogram.dead_targets p;
     a_steps = !steps;
     a_widened = !widened;
   }

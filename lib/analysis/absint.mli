@@ -147,9 +147,10 @@ val prove_unhealthy :
     which output [output] (default 0) is {!definitely_unhealthy}.
     [inputs k] gives the abstract inputs of step [k] (1-based) —
     exact singletons when the stimulus is known. [pool] positionally
-    overrides literal constants in [Compile.collect_consts] order
-    (a [`Template] pool hull), letting one run cover a whole family
-    of rebound programs. [Some _] is a proof that {e every} concrete
+    overrides the literal constants of every assignment, left to
+    right, letting one run cover a whole family of rebound programs.
+    (A [`Template] artifact's pool holds the live assignments'
+    literals only; hull those with {!prove_unhealthy_compiled}.) [Some _] is a proof that {e every} concrete
     run in the box is reported unhealthy; [None] proves nothing. *)
 
 val prove_unhealthy_compiled :

@@ -54,6 +54,11 @@ val taps : t -> Tap.t list
 val monitors : t -> Health.t list
 val is_empty : t -> bool
 
+val vars : t -> Expr.var list
+(** Every variable {!sample} reads: tapped ones, then watched ones, in
+    attachment order. A signal-flow runner evaluates only what its
+    outputs depend on, so pass this as its [~reads]. *)
+
 val sample : t -> time:float -> (Expr.var -> float) -> unit
 (** Feed one step: reads every tapped / watched variable through the
     reader. Raises whatever the reader raises on an unknown variable

@@ -19,6 +19,8 @@ type instr =
   | Orb of int * int * int
   | Notb of int * int
   | Sel of int * int * int * int  (** dst, cond, then, else *)
+  | Mul_add of int * int * int * int  (** d := a*b + c *)
+  | Add_mul of int * int * int * int  (** d := c + a*b *)
 
 type t = {
   mode : mode;
@@ -29,6 +31,7 @@ type t = {
   n_slots : int;
   n_regs : int;
   consts : float array;  (** [consts.(i)] preloads register [n_slots + i] *)
+  targets : int array;  (** target slot of each compiled assignment *)
   code : instr array;
 }
 
@@ -36,6 +39,7 @@ let n_slots t = t.n_slots
 let n_regs t = t.n_regs
 let n_instrs t = Array.length t.code
 let n_consts t = Array.length t.consts
+let target_slots t = Array.copy t.targets
 
 (* ---- observability ---- *)
 
@@ -466,11 +470,6 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
               let reg = emit r in
               push (Mov (tslot, reg))))
     roots;
-  let vcode = Array.of_list (List.rev !vcode) in
-  (* -- pass 3: collapse virtual temporaries onto a small physical
-     file. Last uses are computed over the whole program, so a value
-     shared across assignments (CSE) stays live until its final
-     reader; past it, the register returns to the free list. -- *)
   let srcs = function
     | Mov (_, s) | Neg (_, s) | Notb (_, s) -> [ s ]
     | Add (_, a, b) | Sub (_, a, b) | Mul (_, a, b) | Div (_, a, b)
@@ -479,6 +478,8 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
     | App (_, _, a) -> [ a ]
     | Cmp (_, _, a, b) -> [ a; b ]
     | Sel (_, c, a, b) -> [ c; a; b ]
+    | Mul_add (_, a, b, c) -> [ a; b; c ]
+    | Add_mul (_, c, a, b) -> [ c; a; b ]
   in
   let dst_of = function
     | Mov (d, _) | Neg (d, _) | Notb (d, _)
@@ -486,9 +487,37 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
     | Andb (d, _, _) | Orb (d, _, _)
     | App (_, d, _)
     | Cmp (_, d, _, _)
-    | Sel (d, _, _, _) ->
+    | Sel (d, _, _, _)
+    | Mul_add (d, _, _, _)
+    | Add_mul (d, _, _, _) ->
         d
   in
+  (* -- multiply-add: a product read only by the addition right after
+     it folds into one instruction. Adjacency means no store can fall
+     between the two reads of the product's operands; the operand
+     order of the addition is kept (two opcodes), and execution is
+     still a rounded [*.] then a rounded [+.], so results stay
+     bit-identical. -- *)
+  let vcode =
+    let uses = Array.make (max 1 (!next_vtemp - temp_base)) 0 in
+    let use s = if s >= temp_base then uses.(s - temp_base) <- uses.(s - temp_base) + 1 in
+    List.iter (fun i -> List.iter use (srcs i)) !vcode;
+    let single t = t >= temp_base && uses.(t - temp_base) = 1 in
+    (* [!vcode] is newest first, so an addition is met before the
+       product it may absorb *)
+    let rec fuse acc = function
+      | Add (d, x, y) :: Mul (t, a, b) :: rest when single t && (x = t || y = t) ->
+          let i = if x = t then Mul_add (d, a, b, y) else Add_mul (d, x, a, b) in
+          fuse (i :: acc) rest
+      | i :: rest -> fuse (i :: acc) rest
+      | [] -> Array.of_list acc
+    in
+    fuse [] !vcode
+  in
+  (* -- pass 3: collapse virtual temporaries onto a small physical
+     file. Last uses are computed over the whole program, so a value
+     shared across assignments (CSE) stays live until its final
+     reader; past it, the register returns to the free list. -- *)
   let last_use : (int, int) Hashtbl.t = Hashtbl.create 32 in
   Array.iteri
     (fun i instr ->
@@ -545,10 +574,13 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
         | App (f, _, _), [ a ] -> App (f, d, a)
         | Cmp (c, _, _, _), [ a; b ] -> Cmp (c, d, a, b)
         | Sel _, [ c; a; b ] -> Sel (d, c, a, b)
+        | Mul_add _, [ a; b; c ] -> Mul_add (d, a, b, c)
+        | Add_mul _, [ c; a; b ] -> Add_mul (d, c, a, b)
         | _ -> assert false)
       vcode
   in
-  { mode; shape; n_slots; n_regs = temp_base + !n_temps; consts; code }
+  let targets = Array.of_list (List.map fst roots) in
+  { mode; shape; n_slots; n_regs = temp_base + !n_temps; consts; targets; code }
 
 let compile ?(mode : mode = `Optimize) ?(facts = []) ~slot ~n_slots assigns =
   Obs.with_span ~cat:"sf" "sf.compile" @@ fun () ->
@@ -590,24 +622,25 @@ let traffic t =
   let count name n_src ~flop =
     reads := !reads + n_src;
     incr writes;
-    if flop then incr flops;
+    flops := !flops + flop;
     Hashtbl.replace mix name (1 + Option.value ~default:0 (Hashtbl.find_opt mix name))
   in
   Array.iter
     (fun instr ->
       match instr with
-      | Mov _ -> count "mov" 1 ~flop:false
-      | Neg _ -> count "neg" 1 ~flop:true
-      | Add _ -> count "add" 2 ~flop:true
-      | Sub _ -> count "sub" 2 ~flop:true
-      | Mul _ -> count "mul" 2 ~flop:true
-      | Div _ -> count "div" 2 ~flop:true
-      | App _ -> count "app" 1 ~flop:true
-      | Cmp _ -> count "cmp" 2 ~flop:true
-      | Andb _ -> count "and" 2 ~flop:false
-      | Orb _ -> count "or" 2 ~flop:false
-      | Notb _ -> count "not" 1 ~flop:false
-      | Sel _ -> count "sel" 3 ~flop:false)
+      | Mov _ -> count "mov" 1 ~flop:0
+      | Neg _ -> count "neg" 1 ~flop:1
+      | Add _ -> count "add" 2 ~flop:1
+      | Sub _ -> count "sub" 2 ~flop:1
+      | Mul _ -> count "mul" 2 ~flop:1
+      | Div _ -> count "div" 2 ~flop:1
+      | App _ -> count "app" 1 ~flop:1
+      | Cmp _ -> count "cmp" 2 ~flop:1
+      | Andb _ -> count "and" 2 ~flop:0
+      | Orb _ -> count "or" 2 ~flop:0
+      | Notb _ -> count "not" 1 ~flop:0
+      | Sel _ -> count "sel" 3 ~flop:0
+      | Mul_add _ | Add_mul _ -> count "madd" 3 ~flop:2)
     t.code;
   let t_opcode_mix =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) mix []
@@ -648,6 +681,8 @@ let exec t (regs : float array) =
         set d (if get a <> 0.0 || get b <> 0.0 then 1.0 else 0.0)
     | Notb (d, a) -> set d (if get a <> 0.0 then 0.0 else 1.0)
     | Sel (d, c, a, b) -> set d (if get c <> 0.0 then get a else get b)
+    | Mul_add (d, a, b, c) -> set d ((get a *. get b) +. get c)
+    | Add_mul (d, c, a, b) -> set d (get c +. (get a *. get b))
   done
 
 (* ---- generic (abstract) execution ---- *)
@@ -688,6 +723,10 @@ let exec_with (ip : 'a interp) t (regs : 'a array) =
     | Orb (d, a, b) -> regs.(d) <- ip.i_or regs.(a) regs.(b)
     | Notb (d, a) -> regs.(d) <- ip.i_not regs.(a)
     | Sel (d, c, a, b) -> regs.(d) <- ip.i_sel regs.(c) regs.(a) regs.(b)
+    | Mul_add (d, a, b, c) ->
+        regs.(d) <- ip.i_add (ip.i_mul regs.(a) regs.(b)) regs.(c)
+    | Add_mul (d, c, a, b) ->
+        regs.(d) <- ip.i_add regs.(c) (ip.i_mul regs.(a) regs.(b))
   done
 
 (* ---- disassembly ---- *)
@@ -720,7 +759,11 @@ let pp ppf t =
           Format.fprintf ppf "  %s := %s || %s" (r d) (r a) (r b)
       | Notb (d, a) -> Format.fprintf ppf "  %s := !%s" (r d) (r a)
       | Sel (d, c, a, b) ->
-          Format.fprintf ppf "  %s := %s ? %s : %s" (r d) (r c) (r a) (r b));
+          Format.fprintf ppf "  %s := %s ? %s : %s" (r d) (r c) (r a) (r b)
+      | Mul_add (d, a, b, c) ->
+          Format.fprintf ppf "  %s := %s * %s + %s" (r d) (r a) (r b) (r c)
+      | Add_mul (d, c, a, b) ->
+          Format.fprintf ppf "  %s := %s + %s * %s" (r d) (r c) (r a) (r b));
       Format.fprintf ppf "@,")
     t.code;
   Format.fprintf ppf "@]"

@@ -12,7 +12,12 @@
     primitives).
 
     Lowering goes through a value-numbering DAG, which gives three
-    classic optimisations for free:
+    classic optimisations for free, and two more run around it:
+
+    - {e liveness}: [Sfprogram.compile] passes only the assignments
+      that reach an output (or a declared read), so a slot no output
+      depends on is never computed; the slot layout is the full
+      program's all the same;
 
     - {e constant folding}: an operation whose operands are all
       constants is evaluated at compile time with exactly the IEEE
@@ -25,7 +30,12 @@
     - {e dead-register elimination}: instructions are emitted
       demand-first from the assignment roots, so unreferenced nodes
       are never scheduled, and temporaries are re-allocated from a
-      free list after their last use.
+      free list after their last use;
+    - {e multiply-add}: a product whose only reader is the addition
+      scheduled right after it becomes one instruction, [d := a*b + c]
+      or [d := c + a*b] (the addition keeps its operand order). It
+      still rounds the product and then the sum, exactly as the
+      interpreter does — it is not a fused [Float.fma].
 
     Conditionals are compiled eagerly ([Sel] evaluates both arms).
     This is value-identical to the interpreter's lazy evaluation
@@ -96,6 +106,10 @@ val n_instrs : t -> int
 val n_consts : t -> int
 (** Constant-pool size. *)
 
+val target_slots : t -> int array
+(** Target slot of each compiled assignment, in execution order: the
+    live set the artifact evaluates. *)
+
 type traffic = {
   t_reads : int;  (** register reads per executed step *)
   t_writes : int;  (** register writes per executed step *)
@@ -150,7 +164,9 @@ val const_pool : t -> float array
 val exec_with : 'a interp -> t -> 'a array -> unit
 (** One step over an arbitrary domain: the caller preloads constants
     (mapped from {!const_pool}) at registers [n_slots t ..] and input
-    slots, then each instruction applies the supplied operation.
+    slots, then each instruction applies the supplied operation (a
+    multiply-add applies [i_mul], then [i_add] in the addition's
+    operand order).
     @raise Invalid_argument if the register file is shorter than
     {!n_regs}. *)
 

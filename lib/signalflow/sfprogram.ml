@@ -86,6 +86,34 @@ let state_vars p =
     p.assignments
   |> List.map (fun a -> a.target)
 
+(* Demand closure: the bases an output or a declared read depends on,
+   through the right-hand sides at any delay. *)
+let demanded ?(reads = []) p =
+  let rhs : (Expr.base, Expr.Var_set.t) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun a -> Hashtbl.replace rhs a.target.Expr.base (Expr.vars a.expr))
+    p.assignments;
+  let seen : (Expr.base, unit) Hashtbl.t = Hashtbl.create 16 in
+  let rec demand b =
+    if not (Hashtbl.mem seen b) then begin
+      Hashtbl.add seen b ();
+      match Hashtbl.find_opt rhs b with
+      | None -> ()
+      | Some vars -> Expr.Var_set.iter (fun v -> demand v.Expr.base) vars
+    end
+  in
+  List.iter (fun (v : Expr.var) -> demand v.Expr.base) p.outputs;
+  List.iter (fun (v : Expr.var) -> demand v.Expr.base) reads;
+  seen
+
+let is_live seen a = Hashtbl.mem seen a.target.Expr.base
+
+let dead_targets ?reads p =
+  let seen = demanded ?reads p in
+  List.filter_map
+    (fun a -> if is_live seen a then None else Some a.target)
+    p.assignments
+
 let pp ppf p =
   Format.fprintf ppf "@[<v>program %s (dt=%g)@," p.name p.dt;
   Format.fprintf ppf "inputs: %s@," (String.concat ", " p.inputs);
@@ -179,15 +207,26 @@ let layout_rotations lay = Array.copy lay.l_rotations
 let assignment_slots lay (p : t) =
   List.map (fun a -> (layout_slot lay a.target, a.expr)) p.assignments
 
-let compile ?mode ?facts (p : t) =
-  let lay = layout_of p in
-  Compile.compile ?mode ?facts ~slot:(layout_slot lay) ~n_slots:lay.l_count
-    (assignment_slots lay p)
+(* The (slot, rhs) pairs of the live assignments only; the layout
+   stays the full program's, so slots, facts and template pools agree
+   with every other consumer of [layout_of]. *)
+let live_slots lay seen (p : t) =
+  List.filter_map
+    (fun a ->
+      if is_live seen a then Some (layout_slot lay a.target, a.expr) else None)
+    p.assignments
 
-let rebind_compiled artifact (p : t) =
+let compile_live ?mode ?facts lay live =
+  Compile.compile ?mode ?facts ~slot:(layout_slot lay) ~n_slots:lay.l_count live
+
+let compile ?mode ?facts ?reads (p : t) =
+  let lay = layout_of p in
+  compile_live ?mode ?facts lay (live_slots lay (demanded ?reads p) p)
+
+let rebind_compiled ?reads artifact (p : t) =
   let lay = layout_of p in
   Compile.rebind artifact ~slot:(layout_slot lay) ~n_slots:lay.l_count
-    (assignment_slots lay p)
+    (live_slots lay (demanded ?reads p) p)
 
 module Runner = struct
   module Obs = Amsvp_obs.Obs
@@ -217,6 +256,9 @@ module Runner = struct
             the first [n_state] entries in both engines *)
     n_state : int;
     slot_of : Expr.var -> int;
+    readable : bool array;
+        (** per variable slot: an input or a live quantity (current or
+            history); every other slot stays 0 and must not be read *)
     input_slots : int array;
     output_slots : int array;
     impl : impl;
@@ -225,32 +267,56 @@ module Runner = struct
         (** dst, src pairs applied (in order) after each step *)
   }
 
-  let create ?(engine : engine = `Bytecode) ?compiled (p : program) =
+  let create ?(engine : engine = `Bytecode) ?compiled ?reads (p : program) =
     let lay = layout_of p in
+    let seen = demanded ?reads p in
+    let live = live_slots lay seen p in
+    let readable = Array.make (max 1 lay.l_count) false in
+    Hashtbl.iter
+      (fun (v : Expr.var) s ->
+        readable.(s) <-
+          Hashtbl.mem seen v.Expr.base
+          ||
+          match v.Expr.base with
+          | Expr.Signal name -> is_input p name
+          | Expr.Potential _ | Expr.Flow _ | Expr.Param _ -> false)
+      lay.l_table;
     let impl, slots =
       match engine with
       | `Tree ->
           let steps =
             Array.of_list
               (List.map
-                 (fun a ->
-                   (layout_slot lay a.target,
-                    Expr.compile (layout_slot lay) a.expr))
-                 p.assignments)
+                 (fun (s, e) -> (s, Expr.compile (layout_slot lay) e))
+                 live)
           in
           (Tree_steps steps, Array.make (max 1 lay.l_count) 0.0)
       | `Bytecode ->
           let artifact =
             match compiled with
             | Some a ->
+                let fail fmt =
+                  Printf.ksprintf
+                    (fun m ->
+                      invalid_arg
+                        (Printf.sprintf "Sfprogram.Runner.create(%s): %s"
+                           p.name m))
+                    fmt
+                in
                 if Compile.n_slots a <> lay.l_count then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Sfprogram.Runner.create(%s): compiled artifact has \
-                        %d slots, program needs %d"
-                       p.name (Compile.n_slots a) lay.l_count)
+                  fail "compiled artifact has %d slots, program needs %d"
+                    (Compile.n_slots a) lay.l_count
+                else if
+                  Compile.target_slots a
+                  <> Array.of_list (List.map fst live)
+                then
+                  fail
+                    "compiled artifact evaluates a different live set (%d \
+                     assignments, this runner %d)"
+                    (Array.length (Compile.target_slots a))
+                    (List.length live)
                 else a
-            | None -> compile p
+            | None -> compile_live lay live
           in
           let slots = Array.make (max 1 (Compile.n_regs artifact)) 0.0 in
           Compile.load_consts artifact slots;
@@ -261,11 +327,17 @@ module Runner = struct
       slots;
       n_state = lay.l_count;
       slot_of = layout_slot lay;
+      readable;
       input_slots = lay.l_input_slots;
       output_slots = lay.l_output_slots;
       impl;
-      n_assign = List.length p.assignments;
-      rotations = lay.l_rotations;
+      n_assign = List.length live;
+      (* a history no live assignment reads needs no rotation *)
+      rotations =
+        Array.of_list
+          (List.filter
+             (fun (dst, _) -> readable.(dst))
+             (Array.to_list lay.l_rotations));
     }
 
   (* Only the variable slots are cleared: constant registers of the
@@ -299,7 +371,15 @@ module Runner = struct
     Obs.Counter.add c_ops r.n_assign
 
   let output r i = r.slots.(r.output_slots.(i))
-  let read r v = r.slots.(r.slot_of v)
+  let read r v =
+    let s = r.slot_of v in
+    if not r.readable.(s) then
+      invalid_arg
+        (Printf.sprintf
+           "Sfprogram.Runner.read(%s): %s reaches no output and is not \
+            evaluated; declare it in ~reads"
+           r.program.name (Expr.var_name v));
+    r.slots.(s)
 
   let run r ~stimuli ~t_stop ?(probe = 0) ?observe () =
     Obs.with_span ~cat:"sf" ~args:[ ("program", r.program.name) ] "sf.run"

@@ -40,6 +40,13 @@ val state_vars : t -> Expr.var list
 (** Targets whose past samples are referenced (the discrete state X of
     Equation 1). *)
 
+val dead_targets : ?reads:Expr.var list -> t -> Expr.var list
+(** Targets of the assignments that are not {e live}, in execution
+    order. An assignment is live when its target is an output, the base
+    quantity of a [reads] entry, or read (at any delay) by a live
+    assignment. The runners and {!compile} evaluate only live
+    assignments; the lint's dead-definition finding reports the rest. *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable listing of the program. *)
 
@@ -82,18 +89,26 @@ val assignment_slots : layout -> t -> (int * Expr.t) list
 (** The (target slot, right-hand side) pairs {!Compile.compile}
     consumes, in execution order. *)
 
-val compile : ?mode:Compile.mode -> ?facts:(int * float) list -> t -> Compile.t
-(** Lower the program to bytecode against its canonical slot layout
-    (the one {!Runner.create} uses). With [~mode:`Template] the
-    artifact can be {!rebind_compiled} onto same-shaped programs.
+val compile :
+  ?mode:Compile.mode ->
+  ?facts:(int * float) list ->
+  ?reads:Expr.var list ->
+  t ->
+  Compile.t
+(** Lower the live assignments (see {!dead_targets}; [reads] as in
+    {!Runner.create}) to bytecode against the full program's canonical
+    slot layout (the one {!Runner.create} uses). With [~mode:`Template]
+    the artifact can be {!rebind_compiled} onto same-shaped programs;
+    its constant pool then holds the live assignments' literals only.
     [facts] are proven-constant slot invariants forwarded to
     {!Compile.compile}. *)
 
-val rebind_compiled : Compile.t -> t -> Compile.t option
+val rebind_compiled : ?reads:Expr.var list -> Compile.t -> t -> Compile.t option
 (** Re-target a [`Template] artifact at a program with the same shape
     but different constant values (the sweep engine's plan-replay
     case), skipping lowering, scheduling and register allocation.
-    [None] when the shapes differ; fall back to {!compile}. *)
+    [reads] must be the ones the artifact was compiled with. [None]
+    when the shapes differ; fall back to {!compile}. *)
 
 (** {1 Execution} *)
 
@@ -106,15 +121,30 @@ module Runner : sig
   (** A compiled instance with its own mutable state, all slots
       preallocated; stepping allocates nothing. *)
 
-  val create : ?engine:engine -> ?compiled:Compile.t -> program -> t
+  val create :
+    ?engine:engine ->
+    ?compiled:Compile.t ->
+    ?reads:Expr.var list ->
+    program ->
+    t
   (** [engine] selects the execution engine (default [`Bytecode]; the
       interpreter remains available as [`Tree] for reference and
       differential testing — both produce bit-identical traces).
+
+      Either engine evaluates only the live assignments (see
+      {!dead_targets}): those an output depends on, plus those the
+      caller declares in [reads] (default none) and what they depend
+      on. A [reads] entry names a quantity by its base; every delay of
+      it becomes readable. Entries the program does not assign are
+      ignored here ({!read} still rejects them). Outputs, inputs and
+      live quantities keep exactly the values the full program would
+      give them; nothing else is computed.
+
       [compiled] supplies a ready bytecode artifact (from
-      {!Sfprogram.compile} or {!Sfprogram.rebind_compiled}) to skip
-      compilation; it is ignored under [`Tree].
+      {!Sfprogram.compile} or {!Sfprogram.rebind_compiled}, with the
+      same [reads]) to skip compilation; it is ignored under [`Tree].
       @raise Invalid_argument if [compiled] was built for a different
-      slot layout. *)
+      slot layout or a different live set. *)
 
   val reset : t -> unit
   (** Zero all state (initial condition [X0 = 0]). *)
@@ -129,7 +159,11 @@ module Runner : sig
   (** Value of the i-th output after the last [step]. *)
 
   val read : t -> Expr.var -> float
-  (** Read any assigned target (current value). *)
+  (** Current value of an input or a live quantity, at any delay the
+      program keeps.
+      @raise Invalid_argument on a variable the program never touches,
+      or on one outside the live set (it would silently read 0); the
+      message names the variable. *)
 
   val run :
     t ->
@@ -147,6 +181,8 @@ module Runner : sig
       t = 0) with the current time and a reader over the runner's
       variables; it is how waveform probes ([Amsvp_probe]) attach
       without touching the hot loop — when absent, the per-step cost is
-      one branch. The reader raises [Invalid_argument] on variables the
-      program does not compute. *)
+      one branch. The reader is {!read}: it raises [Invalid_argument]
+      on variables the program does not compute and on those outside
+      the live set, so a probe must declare its variables in
+      [create ~reads]. *)
 end

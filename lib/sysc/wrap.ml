@@ -15,21 +15,21 @@ let stimuli_for (p : Sfprogram.t) bindings =
 
 let steps_of ~dt ~t_stop = int_of_float (Float.round (t_stop /. dt))
 
-let run_cpp ?engine ?observe p ~stimuli ~t_stop =
+let run_cpp ?engine ?reads ?observe p ~stimuli ~t_stop =
   Obs.with_span ~cat:"sysc" ~args:[ ("program", p.Sfprogram.name) ]
     "wrap.run_cpp"
   @@ fun () ->
-  let runner = Sfprogram.Runner.create ?engine p in
+  let runner = Sfprogram.Runner.create ?engine ?reads p in
   let stims = stimuli_for p stimuli in
   let trace = Sfprogram.Runner.run runner ~stimuli:stims ~t_stop ?observe () in
   { trace; de_stats = None }
 
-let run_de ?engine ?observe p ~stimuli ~t_stop =
+let run_de ?engine ?reads ?observe p ~stimuli ~t_stop =
   Obs.with_span ~cat:"sysc" ~args:[ ("program", p.Sfprogram.name) ]
     "wrap.run_de"
   @@ fun () ->
   let kernel = De.create () in
-  let runner = Sfprogram.Runner.create ?engine p in
+  let runner = Sfprogram.Runner.create ?engine ?reads p in
   let reader = Sfprogram.Runner.read runner in
   let stims = stimuli_for p stimuli in
   let dt_ps = De.ps_of_seconds p.Sfprogram.dt in
@@ -66,12 +66,12 @@ let run_de ?engine ?observe p ~stimuli ~t_stop =
   De.run_until kernel ~ps:until_ps;
   { trace; de_stats = Some (De.stats kernel) }
 
-let run_tdf ?engine ?observe p ~stimuli ~t_stop =
+let run_tdf ?engine ?reads ?observe p ~stimuli ~t_stop =
   Obs.with_span ~cat:"sysc" ~args:[ ("program", p.Sfprogram.name) ]
     "wrap.run_tdf"
   @@ fun () ->
   let kernel = De.create () in
-  let runner = Sfprogram.Runner.create ?engine p in
+  let runner = Sfprogram.Runner.create ?engine ?reads p in
   let reader = Sfprogram.Runner.read runner in
   let stims = stimuli_for p stimuli in
   let dt = p.Sfprogram.dt in

@@ -26,6 +26,7 @@ type result = {
 
 val run_cpp :
   ?engine:Amsvp_sf.Sfprogram.Runner.engine ->
+  ?reads:Expr.var list ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_sf.Sfprogram.t ->
   stimuli:(string * Amsvp_util.Stimulus.t) list ->
@@ -35,14 +36,20 @@ val run_cpp :
     engine — the default register bytecode or the reference [`Tree]
     interpreter; both produce bit-identical traces.
 
+    [reads] (on every model runner) declares the quantities [observe]
+    will read beyond the outputs; the model evaluates only what the
+    outputs and [reads] depend on ({!Amsvp_sf.Sfprogram.Runner.create}).
+
     [observe] (on every runner) is called once per simulated step with
     the current time and a reader over the model's quantities — the
     attachment point for [Amsvp_probe] waveform taps. It costs one
-    branch per step when absent.
+    branch per step when absent. On a model runner the reader raises
+    [Invalid_argument] on a quantity outside the outputs and [reads].
     @raise Invalid_argument if a program input has no stimulus. *)
 
 val run_de :
   ?engine:Amsvp_sf.Sfprogram.Runner.engine ->
+  ?reads:Expr.var list ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_sf.Sfprogram.t ->
   stimuli:(string * Amsvp_util.Stimulus.t) list ->
@@ -51,6 +58,7 @@ val run_de :
 
 val run_tdf :
   ?engine:Amsvp_sf.Sfprogram.Runner.engine ->
+  ?reads:Expr.var list ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_sf.Sfprogram.t ->
   stimuli:(string * Amsvp_util.Stimulus.t) list ->

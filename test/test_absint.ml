@@ -92,10 +92,11 @@ let gen_case =
 let nsteps = 48
 
 (* Run [p] concretely for [nsteps], returning per-step target values
-   (in assignment order) and the output trace. *)
+   (in assignment order) and the output trace. Every target is declared
+   read, so the runner evaluates the whole program. *)
 let concrete_trace p (us : float array) =
-  let r = Sfprogram.Runner.create p in
   let targets = List.map (fun a -> a.Sfprogram.target) p.Sfprogram.assignments in
+  let r = Sfprogram.Runner.create ~reads:targets p in
   let rows = ref [] in
   for k = 0 to nsteps - 1 do
     Sfprogram.Runner.step r ~inputs:[| us.(k) |];

@@ -125,110 +125,12 @@ let test_example_models () =
 
 (* ---- Random programs ---- *)
 
-(* The generator grows a valid program directly: assignment [i] may
-   read the inputs and targets [0..i-1] at the current time, and any
-   target up to [i] (itself included) or an input at delays 1..2 —
-   exactly what [Sfprogram.make] admits, so nothing is discarded. *)
-
-let inputs = [ "u0"; "u1" ]
-let input_vars = List.map Expr.signal inputs
-let target_var i = Expr.signal (Printf.sprintf "s%d" i)
-
-let interesting =
-  [|
-    0.0; -0.0; 1.0; -1.0; 0.5; -2.0; 3.141592653589793; 1e-12; -1e-12; 1e12;
-    1e300; -1e300; 1e-300; 7.25;
-  |]
-
-let gen_const =
-  QCheck.Gen.(
-    frequency
-      [
-        (3, map (fun i -> interesting.(i mod Array.length interesting)) nat);
-        (2, float);
-      ])
-
-let gen_fun =
-  QCheck.Gen.oneofl
-    [ Expr.Sin; Expr.Cos; Expr.Exp; Expr.Ln; Expr.Sqrt; Expr.Abs; Expr.Tanh ]
-
-let gen_cmp = QCheck.Gen.oneofl [ Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ]
-
-let gen_expr ~cur ~hist =
-  let open QCheck.Gen in
-  let leaf =
-    let vars = Array.of_list (List.map Expr.var (cur @ hist)) in
-    frequency
-      [
-        (2, map Expr.const gen_const);
-        (3, map (fun i -> vars.(i mod Array.length vars)) nat);
-      ]
-  in
-  fix
-    (fun self n ->
-      if n <= 0 then leaf
-      else
-        let sub = self (n / 2) in
-        let cond =
-          (* one level of boolean structure over random comparisons *)
-          let cmp = map3 (fun c a b -> Expr.Cmp (c, a, b)) gen_cmp sub sub in
-          frequency
-            [
-              (4, cmp);
-              (1, map2 (fun a b -> Expr.And (a, b)) cmp cmp);
-              (1, map2 (fun a b -> Expr.Or (a, b)) cmp cmp);
-              (1, map (fun a -> Expr.Not a) cmp);
-            ]
-        in
-        frequency
-          [
-            (2, leaf);
-            (2, map2 Expr.( + ) sub sub);
-            (2, map2 Expr.( - ) sub sub);
-            (2, map2 Expr.( * ) sub sub);
-            (1, map2 Expr.( / ) sub sub);
-            (1, map Expr.neg sub);
-            (1, map2 (fun f a -> Expr.App (f, a)) gen_fun sub);
-            (1, map3 (fun c a b -> Expr.Cond (c, a, b)) cond sub sub);
-          ])
-    8
-
-let gen_program =
-  let open QCheck.Gen in
-  int_range 1 5 >>= fun n_assign ->
-  let rec build i acc =
-    if i >= n_assign then return (List.rev acc)
-    else
-      let prior = List.init i target_var in
-      let cur = input_vars @ prior in
-      let hist =
-        List.concat_map
-          (fun v -> [ Expr.delayed v 1; Expr.delayed v 2 ])
-          (input_vars @ prior @ [ target_var i ])
-      in
-      gen_expr ~cur ~hist >>= fun e ->
-      build (i + 1) ({ Sfprogram.target = target_var i; expr = e } :: acc)
-  in
-  build 0 [] >|= fun assignments ->
-  Sfprogram.make ~name:"rand" ~inputs
-    ~outputs:[ target_var (List.length assignments - 1) ]
-    ~assignments ~dt:1.0
-
-let gen_stimulus_value =
-  QCheck.Gen.(
-    frequency
-      [
-        (6, gen_const);
-        (1, return nan);
-        (1, return infinity);
-        (1, return neg_infinity);
-      ])
-
 let arb_case =
   QCheck.make
     ~print:(fun (p, _) -> Format.asprintf "%a" Sfprogram.pp p)
     QCheck.Gen.(
-      pair gen_program (array_size (return 24) (pair gen_stimulus_value gen_stimulus_value)))
+      pair Sfgen.program
+        (array_size (return 24) (pair Sfgen.stimulus_value Sfgen.stimulus_value)))
 
 (* Replace every constant (including those inside conditions) so the
    perturbed program shares the original's shape but no values. *)
@@ -263,14 +165,16 @@ let perturb (p : Sfprogram.t) =
         p.Sfprogram.assignments;
   }
 
+let targets (p : Sfprogram.t) =
+  List.map (fun (a : Sfprogram.assignment) -> a.Sfprogram.target)
+    p.Sfprogram.assignments
+
 (* Step two runners in lock-step and compare every assigned target
    after every step — stricter than comparing output traces, since CSE
-   and dead-register elimination must not disturb intermediates. *)
+   and dead-register elimination must not disturb intermediates. The
+   runners must declare every target in [~reads]. *)
 let lockstep label p stims ra rb =
-  let targets =
-    List.map (fun (a : Sfprogram.assignment) -> a.Sfprogram.target)
-      p.Sfprogram.assignments
-  in
+  let targets = targets p in
   Array.iteri
     (fun t (a, b) ->
       Sfprogram.Runner.step ra ~inputs:[| a; b |];
@@ -288,20 +192,25 @@ let lockstep label p stims ra rb =
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: tree = bytecode = rebound template"
     ~count:300 arb_case (fun (p, stims) ->
+      let reads = targets p in
       lockstep "tree/bytecode" p stims
-        (Sfprogram.Runner.create ~engine:`Tree p)
-        (Sfprogram.Runner.create p);
+        (Sfprogram.Runner.create ~engine:`Tree ~reads p)
+        (Sfprogram.Runner.create ~reads p);
       (* The sweep replay path: a [`Template] artifact compiled from
          [p], re-targeted at the constant-perturbed sibling. *)
       let p2 = perturb p in
-      (match Sfprogram.rebind_compiled (Sfprogram.compile ~mode:`Template p) p2 with
+      (match
+         Sfprogram.rebind_compiled ~reads
+           (Sfprogram.compile ~mode:`Template ~reads p)
+           p2
+       with
       | None ->
           QCheck.Test.fail_reportf
             "rebind refused a same-shape program:@ %a" Sfprogram.pp p2
       | Some art ->
           lockstep "tree/rebound" p2 stims
-            (Sfprogram.Runner.create ~engine:`Tree p2)
-            (Sfprogram.Runner.create ~compiled:art p2));
+            (Sfprogram.Runner.create ~engine:`Tree ~reads p2)
+            (Sfprogram.Runner.create ~compiled:art ~reads p2));
       true)
 
 let () =

@@ -162,6 +162,46 @@ let test_read_by_name () =
   Alcotest.(check (float 0.0)) "read z" 6.0 (Sfprogram.Runner.read r z);
   Alcotest.(check (float 0.0)) "read y" 5.0 (Sfprogram.Runner.read r y)
 
+(* Liveness: only what reaches an output or a declared read runs. *)
+
+let both_engines = [ ("tree", `Tree); ("bytecode", `Bytecode) ]
+
+let test_read_sliced_away () =
+  (* z feeds nothing: without [~reads] it is never computed, and
+     reading it must fail loudly (naming it) instead of returning 0. *)
+  let p =
+    mk [ asg z Expr.(scale 3.0 (var input)); asg y Expr.(var input - Expr.one) ]
+  in
+  List.iter
+    (fun (name, engine) ->
+      let r = Sfprogram.Runner.create ~engine p in
+      Sfprogram.Runner.step r ~inputs:[| 2.0 |];
+      Alcotest.(check (float 0.0)) (name ^ ": output") 1.0
+        (Sfprogram.Runner.read r y);
+      (match Sfprogram.Runner.read r z with
+      | v -> Alcotest.failf "%s: read of sliced-away z returned %g" name v
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (name ^ ": message names z: " ^ msg)
+            true
+            (List.mem "z" (String.split_on_char ' ' msg)));
+      let r = Sfprogram.Runner.create ~engine ~reads:[ z ] p in
+      Sfprogram.Runner.step r ~inputs:[| 2.0 |];
+      Alcotest.(check (float 0.0)) (name ^ ": declared read") 6.0
+        (Sfprogram.Runner.read r z))
+    both_engines
+
+let test_compiled_live_set_checked () =
+  let p =
+    mk [ asg z Expr.(scale 3.0 (var input)); asg y Expr.(var input - Expr.one) ]
+  in
+  expect_invalid "artifact for another live set" (fun () ->
+      Sfprogram.Runner.create ~compiled:(Sfprogram.compile p) ~reads:[ z ] p);
+  ignore
+    (Sfprogram.Runner.create
+       ~compiled:(Sfprogram.compile ~reads:[ z ] p)
+       ~reads:[ z ] p)
+
 let test_run_records_trace () =
   let p = mk [ asg y (Expr.var input) ] in
   let r = Sfprogram.Runner.create p in
@@ -172,9 +212,26 @@ let test_run_records_trace () =
 (* Serialisation *)
 
 module Serialize = Amsvp_sf.Serialize
+module Compile = Amsvp_sf.Compile
 module Circuits = Amsvp_netlist.Circuits
 module Flow = Amsvp_core.Flow
 module Metrics = Amsvp_util.Metrics
+
+(* The RC20 ladder at the simulate defaults: 81 assignments, of which
+   the capacitor currents and resistor voltages reach no output. *)
+let test_rc20_counts () =
+  let p =
+    (Flow.abstract_testcase (Circuits.rc_ladder 20) ~dt:50e-9).Flow.program
+  in
+  Alcotest.(check int) "assignments" 81 (List.length p.Sfprogram.assignments);
+  Alcotest.(check int) "dead" 38 (List.length (Sfprogram.dead_targets p));
+  let c = Sfprogram.compile p in
+  Alcotest.(check int) "live assignments" 43
+    (Array.length (Compile.target_slots c));
+  Alcotest.(check int) "fused instructions" 120 (Compile.n_instrs c);
+  Alcotest.(check int) "multiply-adds" 78
+    (Option.value ~default:0
+       (List.assoc_opt "madd" (Compile.traffic c).Compile.t_opcode_mix))
 
 let roundtrip_equal_traces p stimuli t_stop =
   let text = Serialize.program_to_string p in
@@ -260,6 +317,70 @@ let prop_linear_program_superposition =
       let a = run 1.0 and b = run k in
       abs_float (b -. (k *. a)) <= 1e-9 *. (1.0 +. abs_float b))
 
+(* Slicing and fusion are invisible: on random programs (NaN, +-inf
+   and -0 constants and stimuli included) the outputs of a sliced
+   runner are bit-identical to those of a runner that evaluates every
+   assignment, under both engines, and the fused bytecode agrees
+   bit for bit with the tree interpreter on every live target. *)
+let prop_slicing_and_fusion_bit_identical =
+  QCheck.Test.make ~name:"sliced = full and tree = fused bytecode, bitwise"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (p, _) -> Format.asprintf "%a" Sfprogram.pp p)
+       QCheck.Gen.(
+         pair Sfgen.program
+           (array_size (return 24)
+              (pair Sfgen.stimulus_value Sfgen.stimulus_value))))
+    (fun (p, stims) ->
+      let all = List.map (fun a -> a.Sfprogram.target) p.Sfprogram.assignments in
+      let live =
+        List.filter
+          (fun t -> not (List.mem t (Sfprogram.dead_targets p)))
+          all
+      in
+      let create engine reads = Sfprogram.Runner.create ~engine ~reads p in
+      let runners =
+        [
+          ("tree/sliced", create `Tree [], live);
+          ("tree/full", create `Tree all, all);
+          ("bytecode/sliced", create `Bytecode [], live);
+          ("bytecode/full", create `Bytecode all, all);
+        ]
+      in
+      let bits v = Int64.bits_of_float v in
+      Array.iteri
+        (fun k (a, b) ->
+          let rows =
+            List.map
+              (fun (name, r, vars) ->
+                Sfprogram.Runner.step r ~inputs:[| a; b |];
+                (name, List.map (fun v -> (v, Sfprogram.Runner.read r v)) vars))
+              runners
+          in
+          let _, reference = List.hd rows in
+          List.iter
+            (fun (name, row) ->
+              List.iter
+                (fun (v, x) ->
+                  match List.assoc_opt v reference with
+                  | Some y when bits x <> bits y ->
+                      QCheck.Test.fail_reportf "%s, step %d, %s: %h vs tree %h"
+                        name k (Expr.var_name v) x y
+                  | _ -> ())
+                row)
+            rows;
+          let full name = List.assoc name rows in
+          List.iter
+            (fun (v, x) ->
+              let y = List.assoc v (full "tree/full") in
+              if bits x <> bits y then
+                QCheck.Test.fail_reportf
+                  "bytecode/full, step %d, %s: %h vs tree %h" k
+                  (Expr.var_name v) x y)
+            (full "bytecode/full"))
+        stims;
+      true)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "signalflow"
@@ -295,6 +416,12 @@ let () =
             test_input_arity_message;
           Alcotest.test_case "read by variable" `Quick test_read_by_name;
           Alcotest.test_case "trace recording" `Quick test_run_records_trace;
+          Alcotest.test_case "read of a sliced-away target" `Quick
+            test_read_sliced_away;
+          Alcotest.test_case "compiled live set checked" `Quick
+            test_compiled_live_set_checked;
+          Alcotest.test_case "RC20 live and fused counts" `Quick
+            test_rc20_counts;
         ] );
       ( "serialize",
         [
@@ -306,5 +433,10 @@ let () =
             test_serialize_header_roundtrip;
           Alcotest.test_case "errors" `Quick test_serialize_errors;
         ] );
-      ("properties", qt [ prop_linear_program_superposition ]);
+      ( "properties",
+        qt
+          [
+            prop_linear_program_superposition;
+            prop_slicing_and_fusion_bit_identical;
+          ] );
     ]
