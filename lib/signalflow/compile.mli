@@ -15,9 +15,8 @@
     classic optimisations for free, and two more run around it:
 
     - {e liveness}: [Sfprogram.compile] passes only the assignments
-      that reach an output (or a declared read), so a slot no output
-      depends on is never computed; the slot layout is the full
-      program's all the same;
+      that reach an output, so a slot no output depends on is never
+      computed; the slot layout is the full program's all the same;
 
     - {e constant folding}: an operation whose operands are all
       constants is evaluated at compile time with exactly the IEEE

@@ -108,8 +108,8 @@ let demanded ?(reads = []) p =
 
 let is_live seen a = Hashtbl.mem seen a.target.Expr.base
 
-let dead_targets ?reads p =
-  let seen = demanded ?reads p in
+let dead_targets p =
+  let seen = demanded p in
   List.filter_map
     (fun a -> if is_live seen a then None else Some a.target)
     p.assignments
@@ -219,14 +219,14 @@ let live_slots lay seen (p : t) =
 let compile_live ?mode ?facts lay live =
   Compile.compile ?mode ?facts ~slot:(layout_slot lay) ~n_slots:lay.l_count live
 
-let compile ?mode ?facts ?reads (p : t) =
+let compile ?mode ?facts (p : t) =
   let lay = layout_of p in
-  compile_live ?mode ?facts lay (live_slots lay (demanded ?reads p) p)
+  compile_live ?mode ?facts lay (live_slots lay (demanded p) p)
 
-let rebind_compiled ?reads artifact (p : t) =
+let rebind_compiled artifact (p : t) =
   let lay = layout_of p in
   Compile.rebind artifact ~slot:(layout_slot lay) ~n_slots:lay.l_count
-    (live_slots lay (demanded ?reads p) p)
+    (live_slots lay (demanded p) p)
 
 module Runner = struct
   module Obs = Amsvp_obs.Obs

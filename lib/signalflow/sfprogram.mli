@@ -40,12 +40,13 @@ val state_vars : t -> Expr.var list
 (** Targets whose past samples are referenced (the discrete state X of
     Equation 1). *)
 
-val dead_targets : ?reads:Expr.var list -> t -> Expr.var list
+val dead_targets : t -> Expr.var list
 (** Targets of the assignments that are not {e live}, in execution
-    order. An assignment is live when its target is an output, the base
-    quantity of a [reads] entry, or read (at any delay) by a live
-    assignment. The runners and {!compile} evaluate only live
-    assignments; the lint's dead-definition finding reports the rest. *)
+    order. An assignment is live when its target is an output or is
+    read (at any delay) by a live assignment. {!compile} lowers only
+    live assignments, and so do the runners unless
+    [Runner.create ~reads] widens the set; the lint's dead-definition
+    finding reports the rest. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable listing of the program. *)
@@ -86,29 +87,24 @@ val layout_rotations : layout -> (int * int) array
     ([x@-k] receives [x@-(k-1)], deepest level first per quantity). *)
 
 val assignment_slots : layout -> t -> (int * Expr.t) list
-(** The (target slot, right-hand side) pairs {!Compile.compile}
-    consumes, in execution order. *)
+(** Every assignment's (target slot, right-hand side) pair, live or
+    not, in execution order: the whole-program view the abstract
+    interpreter steps. {!compile} and the runners use only the live
+    subset (see {!dead_targets}). *)
 
-val compile :
-  ?mode:Compile.mode ->
-  ?facts:(int * float) list ->
-  ?reads:Expr.var list ->
-  t ->
-  Compile.t
-(** Lower the live assignments (see {!dead_targets}; [reads] as in
-    {!Runner.create}) to bytecode against the full program's canonical
-    slot layout (the one {!Runner.create} uses). With [~mode:`Template]
-    the artifact can be {!rebind_compiled} onto same-shaped programs;
-    its constant pool then holds the live assignments' literals only.
-    [facts] are proven-constant slot invariants forwarded to
-    {!Compile.compile}. *)
+val compile : ?mode:Compile.mode -> ?facts:(int * float) list -> t -> Compile.t
+(** Lower the live assignments (see {!dead_targets}) to bytecode
+    against the full program's canonical slot layout (the one
+    {!Runner.create} uses). With [~mode:`Template] the artifact can be
+    {!rebind_compiled} onto same-shaped programs; its constant pool
+    then holds the live assignments' literals only. [facts] are
+    proven-constant slot invariants forwarded to {!Compile.compile}. *)
 
-val rebind_compiled : ?reads:Expr.var list -> Compile.t -> t -> Compile.t option
+val rebind_compiled : Compile.t -> t -> Compile.t option
 (** Re-target a [`Template] artifact at a program with the same shape
     but different constant values (the sweep engine's plan-replay
     case), skipping lowering, scheduling and register allocation.
-    [reads] must be the ones the artifact was compiled with. [None]
-    when the shapes differ; fall back to {!compile}. *)
+    [None] when the shapes differ; fall back to {!compile}. *)
 
 (** {1 Execution} *)
 
@@ -141,8 +137,10 @@ module Runner : sig
       give them; nothing else is computed.
 
       [compiled] supplies a ready bytecode artifact (from
-      {!Sfprogram.compile} or {!Sfprogram.rebind_compiled}, with the
-      same [reads]) to skip compilation; it is ignored under [`Tree].
+      {!Sfprogram.compile} or {!Sfprogram.rebind_compiled}) to skip
+      compilation; it is ignored under [`Tree]. Such an artifact covers
+      the outputs' live set only, so it cannot be combined with a
+      [reads] entry that widens that set.
       @raise Invalid_argument if [compiled] was built for a different
       slot layout or a different live set. *)
 

@@ -1,9 +1,10 @@
 (* Differential tests for the two signal-flow execution engines: the
    reference tree-walking interpreter and the register bytecode of
-   [Amsvp_sf.Compile] must produce identical traces — within 1 ulp,
-   and in practice bit-identical — on randomly generated programs, on
-   every built-in paper circuit, and on the checked-in example models,
-   including runs whose stimuli inject NaN and infinities. The
+   [Amsvp_sf.Compile] must produce identical traces — within 1 ulp on
+   every built-in paper circuit and on the checked-in example models,
+   including runs whose stimuli inject NaN and infinities, and bit for
+   bit on randomly generated programs (NaN, +-inf and -0 constants
+   included), whether every assignment runs or only the live ones. The
    [`Template]/[rebind_compiled] path (what the sweep engine replays)
    is exercised by re-targeting each random program's artifact at a
    constant-perturbed sibling. *)
@@ -125,12 +126,110 @@ let test_example_models () =
 
 (* ---- Random programs ---- *)
 
+(* The generator grows a valid program directly: assignment [i] may
+   read the inputs and targets [0..i-1] at the current time, and any
+   target up to [i] (itself included) or an input at delays 1..2 —
+   exactly what [Sfprogram.make] admits, so nothing is discarded. *)
+
+let inputs = [ "u0"; "u1" ]
+let input_vars = List.map Expr.signal inputs
+let target_var i = Expr.signal (Printf.sprintf "s%d" i)
+
+let interesting =
+  [|
+    0.0; -0.0; 1.0; -1.0; 0.5; -2.0; 3.141592653589793; 1e-12; -1e-12; 1e12;
+    1e300; -1e300; 1e-300; 7.25; nan; infinity; neg_infinity;
+  |]
+
+let gen_const =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun i -> interesting.(i mod Array.length interesting)) nat);
+        (2, float);
+      ])
+
+let gen_fun =
+  QCheck.Gen.oneofl
+    [ Expr.Sin; Expr.Cos; Expr.Exp; Expr.Ln; Expr.Sqrt; Expr.Abs; Expr.Tanh ]
+
+let gen_cmp = QCheck.Gen.oneofl [ Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ]
+
+let gen_expr ~cur ~hist =
+  let open QCheck.Gen in
+  let leaf =
+    let vars = Array.of_list (List.map Expr.var (cur @ hist)) in
+    frequency
+      [
+        (2, map Expr.const gen_const);
+        (3, map (fun i -> vars.(i mod Array.length vars)) nat);
+      ]
+  in
+  fix
+    (fun self n ->
+      if n <= 0 then leaf
+      else
+        let sub = self (n / 2) in
+        let cond =
+          (* one level of boolean structure over random comparisons *)
+          let cmp = map3 (fun c a b -> Expr.Cmp (c, a, b)) gen_cmp sub sub in
+          frequency
+            [
+              (4, cmp);
+              (1, map2 (fun a b -> Expr.And (a, b)) cmp cmp);
+              (1, map2 (fun a b -> Expr.Or (a, b)) cmp cmp);
+              (1, map (fun a -> Expr.Not a) cmp);
+            ]
+        in
+        frequency
+          [
+            (2, leaf);
+            (2, map2 Expr.( + ) sub sub);
+            (2, map2 Expr.( - ) sub sub);
+            (2, map2 Expr.( * ) sub sub);
+            (1, map2 Expr.( / ) sub sub);
+            (1, map Expr.neg sub);
+            (1, map2 (fun f a -> Expr.App (f, a)) gen_fun sub);
+            (1, map3 (fun c a b -> Expr.Cond (c, a, b)) cond sub sub);
+          ])
+    8
+
+let gen_program =
+  let open QCheck.Gen in
+  int_range 1 5 >>= fun n_assign ->
+  let rec build i acc =
+    if i >= n_assign then return (List.rev acc)
+    else
+      let prior = List.init i target_var in
+      let cur = input_vars @ prior in
+      let hist =
+        List.concat_map
+          (fun v -> [ Expr.delayed v 1; Expr.delayed v 2 ])
+          (input_vars @ prior @ [ target_var i ])
+      in
+      gen_expr ~cur ~hist >>= fun e ->
+      build (i + 1) ({ Sfprogram.target = target_var i; expr = e } :: acc)
+  in
+  build 0 [] >|= fun assignments ->
+  Sfprogram.make ~name:"rand" ~inputs
+    ~outputs:[ target_var (List.length assignments - 1) ]
+    ~assignments ~dt:1.0
+
+let gen_stimulus_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, gen_const);
+        (1, return nan);
+        (1, return infinity);
+        (1, return neg_infinity);
+      ])
+
 let arb_case =
   QCheck.make
     ~print:(fun (p, _) -> Format.asprintf "%a" Sfprogram.pp p)
     QCheck.Gen.(
-      pair Sfgen.program
-        (array_size (return 24) (pair Sfgen.stimulus_value Sfgen.stimulus_value)))
+      pair gen_program (array_size (return 24) (pair gen_stimulus_value gen_stimulus_value)))
 
 (* Replace every constant (including those inside conditions) so the
    perturbed program shares the original's shape but no values. *)
@@ -169,48 +268,64 @@ let targets (p : Sfprogram.t) =
   List.map (fun (a : Sfprogram.assignment) -> a.Sfprogram.target)
     p.Sfprogram.assignments
 
-(* Step two runners in lock-step and compare every assigned target
-   after every step — stricter than comparing output traces, since CSE
-   and dead-register elimination must not disturb intermediates. The
-   runners must declare every target in [~reads]. *)
-let lockstep label p stims ra rb =
-  let targets = targets p in
+(* Step [reference] and [others] in lock-step and compare, after every
+   step, each other runner's [vars] with the reference's values bit for
+   bit — stricter than comparing output traces, since CSE,
+   dead-register elimination, multiply-add fusion and slicing must not
+   disturb intermediates. The reference must declare every target in
+   [~reads]. *)
+let lockstep label stims reference others =
+  let bits = Int64.bits_of_float in
   Array.iteri
     (fun t (a, b) ->
-      Sfprogram.Runner.step ra ~inputs:[| a; b |];
-      Sfprogram.Runner.step rb ~inputs:[| a; b |];
+      Sfprogram.Runner.step reference ~inputs:[| a; b |];
       List.iter
-        (fun v ->
-          let va = Sfprogram.Runner.read ra v
-          and vb = Sfprogram.Runner.read rb v in
-          if not (ulp_ok va vb) then
-            QCheck.Test.fail_reportf "%s: step %d, %s: %h vs %h" label t
-              (Expr.var_name v) va vb)
-        targets)
+        (fun (name, r, vars) ->
+          Sfprogram.Runner.step r ~inputs:[| a; b |];
+          List.iter
+            (fun v ->
+              let x = Sfprogram.Runner.read r v
+              and y = Sfprogram.Runner.read reference v in
+              if bits x <> bits y then
+                QCheck.Test.fail_reportf "%s: %s, step %d, %s: %h vs tree %h"
+                  label name t (Expr.var_name v) x y)
+            vars)
+        others)
     stims
 
+(* A runner without [~reads] evaluates only the live assignments;
+   declaring every target makes it evaluate them all. Sliced and full
+   runners of both engines, and the rebound template, must agree with
+   the full tree interpreter on every target they compute. *)
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: tree = bytecode = rebound template"
     ~count:300 arb_case (fun (p, stims) ->
-      let reads = targets p in
-      lockstep "tree/bytecode" p stims
-        (Sfprogram.Runner.create ~engine:`Tree ~reads p)
-        (Sfprogram.Runner.create ~reads p);
+      let all = targets p in
+      let live =
+        let dead = Sfprogram.dead_targets p in
+        List.filter (fun v -> not (List.mem v dead)) all
+      in
+      let create ?compiled engine reads q =
+        Sfprogram.Runner.create ?compiled ~engine ~reads q
+      in
+      lockstep "program" stims (create `Tree all p)
+        [
+          ("bytecode/full", create `Bytecode all p, all);
+          ("tree/sliced", create `Tree [] p, live);
+          ("bytecode/sliced", create `Bytecode [] p, live);
+        ];
       (* The sweep replay path: a [`Template] artifact compiled from
          [p], re-targeted at the constant-perturbed sibling. *)
       let p2 = perturb p in
       (match
-         Sfprogram.rebind_compiled ~reads
-           (Sfprogram.compile ~mode:`Template ~reads p)
-           p2
+         Sfprogram.rebind_compiled (Sfprogram.compile ~mode:`Template p) p2
        with
       | None ->
           QCheck.Test.fail_reportf
             "rebind refused a same-shape program:@ %a" Sfprogram.pp p2
       | Some art ->
-          lockstep "tree/rebound" p2 stims
-            (Sfprogram.Runner.create ~engine:`Tree ~reads p2)
-            (Sfprogram.Runner.create ~compiled:art ~reads p2));
+          lockstep "perturbed" stims (create `Tree all p2)
+            [ ("rebound", create ~compiled:art `Bytecode [] p2, live) ]);
       true)
 
 let () =
