@@ -109,6 +109,122 @@ let test_stats_counted () =
   Alcotest.(check int) "activations" 10 st.De.activations;
   Alcotest.(check bool) "updates counted" true (st.De.signal_updates >= 10)
 
+(* Activation-order pins: the kernel's queues may change representation,
+   but never the order in which processes run. *)
+
+let stats_list k =
+  let st = De.stats k in
+  [ st.De.activations; st.De.delta_cycles; st.De.timed_notifications;
+    st.De.signal_updates ]
+
+let test_same_instant_order () =
+  (* Timed notifications interleaved across two instants, one made
+     stale by an earlier re-notification, and more pushed from inside
+     a process: same-instant subscribers run in heap-pop order. *)
+  let k = De.create () in
+  let log = ref [] in
+  let evs = Array.init 6 (fun i -> De.Event.create k (Printf.sprintf "e%d" i)) in
+  let mark name = log := Printf.sprintf "%s@%d" name (De.now_ps k) :: !log in
+  Array.iteri
+    (fun i ev ->
+      let p = De.spawn k ~name:"p" (fun () -> mark (Printf.sprintf "p%d" i)) in
+      De.Event.sensitize p ev)
+    evs;
+  let late = De.spawn k ~name:"late" (fun () -> mark "late") in
+  De.Event.sensitize late evs.(2);
+  let kick =
+    De.spawn k ~name:"kick" (fun () ->
+        mark "kick";
+        De.Event.notify_delayed evs.(1) ~delay_ps:50;
+        De.Event.notify_delayed evs.(4) ~delay_ps:50)
+  in
+  De.Event.sensitize kick evs.(0);
+  De.Event.notify_delayed evs.(0) ~delay_ps:200;
+  List.iter
+    (fun (i, d) -> De.Event.notify_delayed evs.(i) ~delay_ps:d)
+    [ (3, 100); (0, 50); (5, 100); (1, 100); (4, 50); (2, 100); (5, 100) ];
+  De.run k;
+  Alcotest.(check (list string)) "activation order"
+    [ "kick@50"; "p0@50"; "p4@50"; "p3@100"; "p4@100"; "p1@100"; "p5@100";
+      "late@100"; "p2@100" ]
+    (List.rev !log);
+  Alcotest.(check (list int)) "stats" [ 9; 2; 8; 0 ] (stats_list k)
+
+let test_update_delta_order () =
+  (* Signal writes become delta notifications in update order; a
+     reader's own write primes a further delta cycle. *)
+  let k = De.create () in
+  let log = ref [] in
+  let mark name = log := Printf.sprintf "%s/%d" name (De.stats k).De.delta_cycles :: !log in
+  let a = De.Signal.int_signal k ~name:"a" 0
+  and b = De.Signal.int_signal k ~name:"b" 0
+  and c = De.Signal.int_signal k ~name:"c" 0
+  and d = De.Signal.int_signal k ~name:"d" 0 in
+  let go = De.Event.create k "go" in
+  let w1 =
+    De.spawn k ~name:"w1" (fun () ->
+        mark "w1";
+        De.Signal.write c 1;
+        De.Signal.write a 1;
+        De.Signal.write b 0;
+        De.Signal.write a 2)
+  in
+  let w2 =
+    De.spawn k ~name:"w2" (fun () ->
+        mark "w2";
+        De.Signal.write b 3)
+  in
+  De.Event.sensitize w1 go;
+  De.Event.sensitize w2 go;
+  let reader name s =
+    let p = De.spawn k ~name (fun () -> mark name) in
+    De.Event.sensitize p (De.Signal.change_event s);
+    p
+  in
+  let ra =
+    De.spawn k ~name:"ra" (fun () ->
+        mark (Printf.sprintf "ra=%d" (De.Signal.read a));
+        De.Signal.write d (De.Signal.read a))
+  in
+  De.Event.sensitize ra (De.Signal.change_event a);
+  ignore (reader "rb" b);
+  ignore (reader "rc" c);
+  ignore (reader "rd" d);
+  De.Event.notify_delayed go ~delay_ps:10;
+  De.run k;
+  Alcotest.(check (list string)) "activation order"
+    [ "w2/1"; "w1/1"; "rc/2"; "ra=2/2"; "rd/3" ]
+    (List.rev !log);
+  Alcotest.(check (list int)) "stats" [ 5; 3; 1; 4 ] (stats_list k)
+
+let test_two_events_one_delta () =
+  (* A process sensitive to two events that fire in the same delta
+     cycle runs once in it, timed or delta-notified. *)
+  let k = De.create () in
+  let e1 = De.Event.create k "e1" and e2 = De.Event.create k "e2" in
+  let runs = ref [] in
+  let p =
+    De.spawn k ~name:"p" (fun () ->
+        runs := (De.now_ps k, (De.stats k).De.delta_cycles) :: !runs)
+  in
+  De.Event.sensitize p e1;
+  De.Event.sensitize p e2;
+  let trigger =
+    De.spawn k ~name:"trigger" (fun () ->
+        De.Event.notify_delta e2;
+        De.Event.notify_delta e1)
+  in
+  let t = De.Event.create k "t" in
+  De.Event.sensitize trigger t;
+  De.Event.notify_delayed e1 ~delay_ps:20;
+  De.Event.notify_delayed e2 ~delay_ps:20;
+  De.Event.notify_delayed t ~delay_ps:40;
+  De.run k;
+  Alcotest.(check (list (pair int int))) "one run per delta"
+    [ (20, 1); (40, 3) ]
+    (List.rev !runs);
+  Alcotest.(check (list int)) "stats" [ 3; 3; 3; 0 ] (stats_list k)
+
 (* Thread processes (SC_THREAD style, via effects) *)
 
 let test_thread_clock_generator () =
@@ -422,6 +538,10 @@ let () =
           Alcotest.test_case "notification collapse" `Quick test_notify_collapse;
           Alcotest.test_case "run_until boundary" `Quick test_run_until_boundary;
           Alcotest.test_case "stats" `Quick test_stats_counted;
+          Alcotest.test_case "same-instant order" `Quick test_same_instant_order;
+          Alcotest.test_case "update delta order" `Quick test_update_delta_order;
+          Alcotest.test_case "two events one delta" `Quick
+            test_two_events_one_delta;
         ] );
       ( "threads",
         [

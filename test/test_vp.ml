@@ -435,6 +435,82 @@ let test_platform_interrupt_driven () =
     (String.length de.Platform.uart_output);
   Alcotest.(check bool) "DE interrupts fire" true (de.Platform.interrupts > 0)
 
+(* Bit-identity pin: the Table III platform on RC20 under every
+   binding, 0.05 ms. The trace digest covers every sample bit for bit
+   ([%h]); the constants were recorded before the MNA device layout
+   was resolved to indices and the DE queues became arrays, which must
+   change neither a sample nor a kernel count. *)
+let trace_digest tr =
+  let b = Buffer.create 4096 in
+  for i = 0 to Amsvp_util.Trace.length tr - 1 do
+    Printf.bprintf b "%h %h\n" (Amsvp_util.Trace.time tr i)
+      (Amsvp_util.Trace.value tr i)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_platform_rc20_pinned () =
+  let tc = Circuits.rc_ladder 20 in
+  let dt = 50e-9 in
+  let program = Some (Flow.abstract_testcase tc ~dt).Flow.program in
+  let cosim rtl_grain fidelity =
+    Platform.Cosim { rtl_grain; substeps = 8; iterations = 3; fidelity }
+  in
+  let pinned =
+    [
+      ( cosim true `Fast,
+        "7a6f1106fe1961370839bf26c9feea92",
+        Some ((61065, 40007), (21057, 20030)),
+        13495,
+        "\000\000\000" );
+      ( cosim false `Paper,
+        "5f0f7e4b520702a86c99c5c38a8dc5f0",
+        Some ((11000, 10000), (11000, 0)),
+        13495,
+        "\000\000\000" );
+      ( Platform.Eln,
+        "30e0148cfec42e0791941da8751c078b",
+        Some ((11000, 10000), (11000, 0)),
+        13495,
+        "\000\000\000" );
+      ( Platform.Tdf,
+        "b272a65a0a9268b72906463e510f1128",
+        Some ((11000, 11000), (11000, 1000)),
+        13495,
+        "\000\000\000" );
+      ( Platform.De_model,
+        "ad872a9e53307f85838f3bec4229263d",
+        Some ((11000, 11000), (11000, 1000)),
+        13495,
+        "\000\000\000" );
+      ( Platform.Cpp,
+        "ad872a9e53307f85838f3bec4229263d",
+        None,
+        13493,
+        "\000\000\000" );
+    ]
+  in
+  List.iter
+    (fun (binding, digest, stats, transfers, uart) ->
+      let r =
+        Platform.run ~cpu_hz:2e8 ~testcase:tc ~program ~binding ~dt
+          ~t_stop:0.05e-3 ()
+      in
+      let label = Platform.binding_label binding in
+      Alcotest.(check string) (label ^ " trace digest") digest
+        (trace_digest r.Platform.trace);
+      Alcotest.(check (option (pair (pair int int) (pair int int))))
+        (label ^ " DE stats")
+        stats
+        (Option.map
+           (fun (s : De.stats) ->
+             ((s.activations, s.delta_cycles),
+              (s.timed_notifications, s.signal_updates)))
+           r.Platform.de_stats);
+      Alcotest.(check int) (label ^ " bus transfers") transfers
+        r.Platform.bus_transfers;
+      Alcotest.(check string) (label ^ " UART text") uart r.Platform.uart_output)
+    pinned
+
 let test_platform_requires_program () =
   let tc, _ = rc1_setup () in
   Alcotest.(check bool) "missing program" true
@@ -494,5 +570,7 @@ let () =
           Alcotest.test_case "interrupt-driven firmware" `Quick
             test_platform_interrupt_driven;
           Alcotest.test_case "missing program" `Quick test_platform_requires_program;
+          Alcotest.test_case "RC20 bindings pinned" `Quick
+            test_platform_rc20_pinned;
         ] );
     ]
