@@ -653,8 +653,14 @@ let op_cmd =
   let run file top lang inputs levels =
     with_frontend_errors ~file (fun () ->
         let circuit = conservative_circuit lang file top inputs None in
-        let sol = Amsvp_mna.Dc.operating_point ~inputs:levels circuit in
-        Format.printf "%a@." Amsvp_mna.Dc.pp sol)
+        match Amsvp_mna.Dc.operating_point ~inputs:levels circuit with
+        | sol -> Format.printf "%a@." Amsvp_mna.Dc.pp sol
+        | exception Amsvp_mna.Dc.No_fixed_point passes ->
+            fatal_finding
+              (Diag.error "AMS025"
+                 (Printf.sprintf
+                    "piecewise-linear regions do not settle after %d passes"
+                    passes)))
   in
   let levels =
     Arg.(value & opt (list (pair ~sep:'=' string float)) []

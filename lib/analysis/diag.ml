@@ -68,6 +68,11 @@ let codes =
     };
     { id = "AMS024"; default_severity = Error; title = "empty circuit" };
     {
+      id = "AMS025";
+      default_severity = Error;
+      title = "no DC operating point";
+    };
+    {
       id = "AMS030";
       default_severity = Error;
       title = "under-determined system";
@@ -238,7 +243,7 @@ let report_to_json ?file findings =
            ("errors", Num (float_of_int (count Error findings)));
            ("warnings", Num (float_of_int (count Warning findings))) ]))
 
-let report_to_sarif ?(tool_version = "0.1.0") findings =
+let report_to_sarif findings =
   let open Json in
   let level = function
     | Error -> "error"
@@ -276,7 +281,7 @@ let report_to_sarif ?(tool_version = "0.1.0") findings =
   (* Only the rules actually fired, sorted by id, each once. *)
   let fired = List.sort_uniq compare (List.map (fun f -> f.code) findings) in
   let driver =
-    [ ("name", Str "amsvp"); ("version", Str tool_version);
+    [ ("name", Str "amsvp"); ("version", Str "0.1.0");
       ("rules", Arr (List.map rule fired)) ]
   in
   print

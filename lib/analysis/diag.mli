@@ -92,7 +92,7 @@ val report_to_json : ?file:string -> finding list -> string
     {!finding_json} object per finding, printed compact by
     {!Amsvp_util.Json.print}. *)
 
-val report_to_sarif : ?tool_version:string -> finding list -> string
+val report_to_sarif : finding list -> string
 (** SARIF 2.1.0 ([amsvp lint --format sarif]): one run, the fired rule
     ids with their registry titles under [tool.driver.rules], one
     result per finding with severity mapped to

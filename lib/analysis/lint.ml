@@ -335,13 +335,16 @@ let ams003 (msg, sp) = Diag.finding ?span:sp Diag.Error "AMS003" msg
 (* Semantic value-range passes (abstract interpretation)               *)
 (* ------------------------------------------------------------------ *)
 
+(* Inputs range over the unit box unless `lint --input-bound` widens
+   it, so AMS061 reports structural hazards rather than
+   unbounded-stimulus overflow. *)
+let default_input_bound = 1.0
+
 (* Once a route produced a signal-flow program, run the abstract
-   interpreter over it with every input confined to ±input_bound (the
-   unit box by default, so AMS061 reports structural hazards rather
-   than unbounded-stimulus overflow) and turn the proven facts into
-   findings. *)
-let absint_findings ?amplitude_budget ?(input_bound = 1.0)
-    ?(report_dead = true) ~span_of_target (program : Amsvp_sf.Sfprogram.t) =
+   interpreter over it with every input confined to ±input_bound and
+   turn the proven facts into findings. *)
+let bounded_findings ?amplitude_budget ~input_bound ?(report_dead = true)
+    ~span_of_target (program : Amsvp_sf.Sfprogram.t) =
   match
     Absint.analyze
       ~inputs:
@@ -439,6 +442,11 @@ let absint_findings ?amplitude_budget ?(input_bound = 1.0)
       in
       div60 @ nonfinite61 @ const62 @ dead62 @ budget63
 
+(* The value-range pass on the default input box. *)
+let absint_findings ?amplitude_budget ?report_dead ~span_of_target program =
+  bounded_findings ?amplitude_budget ~input_bound:default_input_bound
+    ?report_dead ~span_of_target program
+
 (* The ground-connected part of a circuit: devices with both terminals
    reachable from ground. Lets the deeper passes run even when a
    floating island was diagnosed. *)
@@ -475,7 +483,7 @@ let grounded_subcircuit circuit =
     c
   end
 
-let conservative_findings ?amplitude_budget ?input_bound ~outputs ~dt
+let conservative_findings ?amplitude_budget ~input_bound ~outputs ~dt
     (flat : Elaborate.flat) =
   match Elaborate.to_circuit flat with
   | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
@@ -631,7 +639,7 @@ let conservative_findings ?amplitude_budget ?input_bound ~outputs ~dt
                            currents, potential differences) that are
                            legitimately unused — dead-code reporting is
                            for user-written assignments only *)
-                        absint_findings ?amplitude_budget ?input_bound
+                        bounded_findings ?amplitude_budget ~input_bound
                           ~report_dead:false ~span_of_target:span_of_var
                           report.Flow.program
                     | exception _ -> []
@@ -643,7 +651,7 @@ let conservative_findings ?amplitude_budget ?input_bound ~outputs ~dt
         | exception Invalid_argument msg -> topo @ [ Diag.error "AMS030" msg ]
       end
 
-let signal_flow_findings ?amplitude_budget ?input_bound ~outputs ~dt top
+let signal_flow_findings ?amplitude_budget ~input_bound ~outputs ~dt top
     (flat : Elaborate.flat) =
   match Elaborate.signal_flow_assignments flat with
   | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
@@ -718,7 +726,7 @@ let signal_flow_findings ?amplitude_budget ?input_bound ~outputs ~dt top
                   if Expr.equal_var t v then Some sp else None)
                 pairs
             in
-            absint_findings ?amplitude_budget ?input_bound ~span_of_target
+            bounded_findings ?amplitude_budget ~input_bound ~span_of_target
               program
         | exception Solve.Nonlinear v ->
             [
@@ -742,20 +750,21 @@ let signal_flow_findings ?amplitude_budget ?input_bound ~outputs ~dt top
             [ Diag.error code msg ]
       end
 
-let flat_findings ?amplitude_budget ?input_bound ~outputs ~dt top
+let flat_findings ?amplitude_budget ~input_bound ~outputs ~dt top
     (flat : Elaborate.flat) =
   match Elaborate.classify flat with
   | `Conservative ->
-      conservative_findings ?amplitude_budget ?input_bound ~outputs ~dt flat
+      conservative_findings ?amplitude_budget ~input_bound ~outputs ~dt flat
   | `Signal_flow ->
-      signal_flow_findings ?amplitude_budget ?input_bound ~outputs ~dt top flat
+      signal_flow_findings ?amplitude_budget ~input_bound ~outputs ~dt top flat
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(outputs = [])
-    ?(dt = 50e-9) ?amplitude_budget ?input_bound ~file src =
+    ?(dt = 50e-9) ?amplitude_budget ?(input_bound = default_input_bound) ~file
+    src =
   match lang with
   | `Verilog_ams -> (
       match Parser.parse ~file src with
@@ -775,7 +784,7 @@ let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(outputs = [])
             match Elaborate.flatten design ~top with
             | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
             | flat ->
-                flat_findings ?amplitude_budget ?input_bound ~outputs ~dt top
+                flat_findings ?amplitude_budget ~input_bound ~outputs ~dt top
                   flat
           in
           ast @ deep)
@@ -802,5 +811,5 @@ let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(outputs = [])
               | exception Velaborate.Elab_error (msg, sp) ->
                   [ ams003 (msg, sp) ]
               | flat ->
-                  flat_findings ?amplitude_budget ?input_bound ~outputs ~dt
+                  flat_findings ?amplitude_budget ~input_bound ~outputs ~dt
                     top flat)))

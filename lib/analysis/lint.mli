@@ -40,13 +40,13 @@ type lang = [ `Verilog_ams | `Vhdl_ams ]
 
 val absint_findings :
   ?amplitude_budget:float ->
-  ?input_bound:float ->
   ?report_dead:bool ->
   span_of_target:(Expr.var -> Amsvp_diag.Diag.span option) ->
   Amsvp_sf.Sfprogram.t ->
   Amsvp_diag.Diag.finding list
 (** The value-range pass alone, over an already-obtained signal-flow
-    program: AMS060–AMS063 as in {!lint}. [report_dead] (default true)
+    program: AMS060–AMS063 as in {!lint}, with every input confined to
+    [±1] (the default [input_bound] of {!lint}). [report_dead] (default true)
     controls the dead-definition half of AMS062 — turn it off for
     solver-generated programs whose auxiliary definitions are
     legitimately unused. [span_of_target] anchors findings to source

@@ -63,32 +63,17 @@ let analyze circuit ~input ~output ~freqs =
   (match Circuit.validate circuit with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Ac.analyze: " ^ msg));
-  if not (List.mem input (Circuit.input_signals circuit)) then
-    invalid_arg ("Ac.analyze: unknown input signal " ^ input);
+  let sys = System.build circuit in
+  let drive =
+    match Array.find_index (String.equal input) (System.inputs sys) with
+    | Some slot -> slot
+    | None -> invalid_arg ("Ac.analyze: unknown input signal " ^ input)
+  in
   List.iter
     (fun f -> if f <= 0.0 then invalid_arg "Ac.analyze: non-positive frequency")
     freqs;
-  let ground = Circuit.ground circuit in
-  let node_index = Hashtbl.create 16 in
-  List.iteri
-    (fun i n -> Hashtbl.add node_index n i)
-    (List.filter (fun n -> n <> ground) (Circuit.nodes circuit));
-  let nnodes = Hashtbl.length node_index in
-  let devices = Circuit.devices circuit in
-  let current_index = Hashtbl.create 8 in
-  let next = ref nnodes in
-  List.iter
-    (fun (d : Component.t) ->
-      match d.kind with
-      | Component.Vsource _ | Component.Inductor _ | Component.Vcvs _ ->
-          Hashtbl.add current_index d.name !next;
-          incr next
-      | Component.Resistor _ | Component.Capacitor _ | Component.Isource _
-      | Component.Vccs _ | Component.Pwl_conductance _ ->
-          ())
-    devices;
-  let size = !next in
-  let nid n = match Hashtbl.find_opt node_index n with Some i -> i | None -> -1 in
+  let out = System.locate sys output in
+  let size = System.size sys in
   let solve_at freq_hz =
     let w = 2.0 *. Float.pi *. freq_hz in
     let m = Cmatrix.create size in
@@ -103,90 +88,57 @@ let analyze circuit ~input ~output ~freqs =
         Cmatrix.add_to m bn a (Complex.neg y)
       end
     in
-    List.iter
-      (fun (d : Component.t) ->
-        let a = nid d.pos and bn = nid d.neg in
-        match d.kind with
+    let stamp_branch a bn k =
+      if a >= 0 then begin
+        Cmatrix.add_to m a k Complex.one;
+        Cmatrix.add_to m k a Complex.one
+      end;
+      if bn >= 0 then begin
+        Cmatrix.add_to m bn k (real (-1.0));
+        Cmatrix.add_to m k bn (real (-1.0))
+      end
+    in
+    (* AC excitation: unit phasor on the selected input, zero
+       elsewhere. *)
+    let amp (d : System.device) = if d.slot = drive then 1.0 else 0.0 in
+    Array.iter
+      (fun (d : System.device) ->
+        let a = d.pos and bn = d.neg and k = d.branch in
+        match d.component.kind with
         | Component.Resistor r -> stamp_admittance a bn (real (1.0 /. r))
         | Component.Capacitor c -> stamp_admittance a bn (imag (w *. c))
-        | Component.Vccs { gm; ctrl_pos; ctrl_neg } ->
-            let cp = nid ctrl_pos and cn = nid ctrl_neg in
+        | Component.Vccs { gm; _ } ->
+            let cp = d.ctrl_pos and cn = d.ctrl_neg in
             let add i j v = if i >= 0 && j >= 0 then Cmatrix.add_to m i j v in
             add a cp (real gm);
             add a cn (real (-.gm));
             add bn cp (real (-.gm));
             add bn cn (real gm)
-        | Component.Isource src ->
-            (* AC excitation: unit phasor on the selected input, zero
-               elsewhere. *)
-            let amp =
-              match src with Component.Input u when u = input -> 1.0 | _ -> 0.0
-            in
-            if a >= 0 then b.(a) <- Complex.sub b.(a) (real amp);
-            if bn >= 0 then b.(bn) <- Complex.add b.(bn) (real amp)
-        | Component.Vsource src ->
-            let k = Hashtbl.find current_index d.name in
-            if a >= 0 then begin
-              Cmatrix.add_to m a k Complex.one;
-              Cmatrix.add_to m k a Complex.one
-            end;
-            if bn >= 0 then begin
-              Cmatrix.add_to m bn k (real (-1.0));
-              Cmatrix.add_to m k bn (real (-1.0))
-            end;
-            let amp =
-              match src with Component.Input u when u = input -> 1.0 | _ -> 0.0
-            in
-            b.(k) <- real amp
-        | Component.Vcvs { gain; ctrl_pos; ctrl_neg } ->
-            let k = Hashtbl.find current_index d.name in
-            if a >= 0 then begin
-              Cmatrix.add_to m a k Complex.one;
-              Cmatrix.add_to m k a Complex.one
-            end;
-            if bn >= 0 then begin
-              Cmatrix.add_to m bn k (real (-1.0));
-              Cmatrix.add_to m k bn (real (-1.0))
-            end;
-            let cp = nid ctrl_pos and cn = nid ctrl_neg in
-            if cp >= 0 then Cmatrix.add_to m k cp (real (-.gain));
-            if cn >= 0 then Cmatrix.add_to m k cn (real gain)
+        | Component.Isource _ ->
+            if a >= 0 then b.(a) <- Complex.sub b.(a) (real (amp d));
+            if bn >= 0 then b.(bn) <- Complex.add b.(bn) (real (amp d))
+        | Component.Vsource _ ->
+            stamp_branch a bn k;
+            b.(k) <- real (amp d)
+        | Component.Vcvs { gain; _ } ->
+            stamp_branch a bn k;
+            if d.ctrl_pos >= 0 then Cmatrix.add_to m k d.ctrl_pos (real (-.gain));
+            if d.ctrl_neg >= 0 then Cmatrix.add_to m k d.ctrl_neg (real gain)
         | Component.Inductor l ->
-            let k = Hashtbl.find current_index d.name in
-            if a >= 0 then begin
-              Cmatrix.add_to m a k Complex.one;
-              Cmatrix.add_to m k a Complex.one
-            end;
-            if bn >= 0 then begin
-              Cmatrix.add_to m bn k (real (-1.0));
-              Cmatrix.add_to m k bn (real (-1.0))
-            end;
+            stamp_branch a bn k;
             Cmatrix.add_to m k k (imag (-.(w *. l)))
         | Component.Pwl_conductance _ -> assert false)
-      devices;
+      (System.devices sys);
     let x = Cmatrix.solve m b in
-    let node_phasor n =
-      let i = nid n in
-      if i < 0 then Complex.zero else x.(i)
-    in
+    let node_phasor i = if i < 0 then Complex.zero else x.(i) in
     let response =
-      match output.Expr.base with
-      | Expr.Potential (p, q) when output.Expr.delay = 0 ->
-          Complex.sub (node_phasor p) (node_phasor q)
-      | Expr.Flow (name, "") when output.Expr.delay = 0 -> (
-          match Hashtbl.find_opt current_index name with
-          | Some k -> x.(k)
-          | None -> (
-              match Circuit.find circuit name with
-              | Some { Component.kind = Component.Resistor r; pos; neg; _ } ->
-                  Complex.div
-                    (Complex.sub (node_phasor pos) (node_phasor neg))
-                    { Complex.re = r; im = 0.0 }
-              | Some _ | None ->
-                  invalid_arg
-                    ("Ac.analyze: no phasor available for flow " ^ name)))
-      | Expr.Potential _ | Expr.Flow _ | Expr.Signal _ | Expr.Param _ ->
-          invalid_arg "Ac.analyze: unsupported output quantity"
+      match out with
+      | System.Potential (p, q) -> Complex.sub (node_phasor p) (node_phasor q)
+      | System.Branch k -> x.(k)
+      | System.Resistor_flow (p, q, r) ->
+          Complex.div
+            (Complex.sub (node_phasor p) (node_phasor q))
+            { Complex.re = r; im = 0.0 }
     in
     { freq_hz; response }
   in

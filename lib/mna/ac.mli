@@ -20,10 +20,12 @@ val analyze :
 (** [analyze ckt ~input ~output ~freqs] drives the voltage source
     carrying input signal [input] with a unit phasor (all other
     sources at zero) and returns the transfer function at each
-    frequency. The output is a node-pair potential or a branch flow
-    carried by a current unknown.
+    frequency. The network is laid out by {!System.build} and the
+    output located by {!System.locate}: a node-pair potential, a branch
+    flow carried by a current unknown, or a resistor current.
     @raise Invalid_argument on piecewise-linear networks (no small-
-    signal model), unknown inputs or non-positive frequencies. *)
+    signal model), unknown inputs, unsupported outputs or non-positive
+    frequencies. *)
 
 val magnitude_db : point -> float
 val phase_deg : point -> float

@@ -32,13 +32,18 @@ let dc_equivalent ?(inputs = []) circuit =
     (Circuit.devices circuit);
   dc
 
+exception No_fixed_point of int
+
+(* Region iterations before the search is declared unsettled. *)
+let max_region_passes = 50
+
 let operating_point ?inputs circuit =
   let dc = dc_equivalent ?inputs circuit in
   let sys = System.build dc in
   let n = System.size sys in
   let rhs = Array.make n 0.0 in
-  let input _ = invalid_arg "Dc: unresolved input" in
-  System.stamp_rhs sys ~h:1.0 ~state:(Array.make n 0.0) ~input ~rhs;
+  (* Every input is resolved to a DC level: the equivalent has no slots. *)
+  System.stamp_rhs sys ~h:1.0 ~state:(Array.make n 0.0) ~inputs:[||] ~rhs;
   let x = ref (Array.make n 0.0) in
   let solve state =
     Matrix.lu_solve (Matrix.lu_factor (System.stamp_matrix ~state sys ~h:1.0)) rhs
@@ -46,8 +51,7 @@ let operating_point ?inputs circuit =
   (* Region iteration for piecewise-linear devices (a trivial single
      pass for linear networks). *)
   let rec iterate k =
-    if k > 50 then
-      failwith "Dc.operating_point: piecewise-linear regions do not settle";
+    if k > max_region_passes then raise (No_fixed_point max_region_passes);
     let x' = solve !x in
     let moved =
       let acc = ref 0.0 in
@@ -60,7 +64,7 @@ let operating_point ?inputs circuit =
   iterate 1;
   { circuit = dc; sys; x = !x }
 
-let read s v = System.output_value s.sys v s.x
+let read s v = System.read (System.locate s.sys v) s.x
 
 let voltage s node =
   if not (List.mem node (Circuit.nodes s.circuit)) then

@@ -9,14 +9,20 @@
 
 type solution
 
+exception No_fixed_point of int
+(** The piecewise-linear region iteration did not settle within the
+    given number of passes: every region selection the search visited
+    moves the solution out of itself, so the network has no DC
+    operating point under the region model. *)
+
 val operating_point :
   ?inputs:(string * float) list -> Amsvp_netlist.Circuit.t -> solution
 (** [inputs] gives the DC level of each external input signal
     (default 0).
     @raise Invalid_argument on invalid circuits or missing inputs
     @raise Matrix.Singular on ill-posed networks
-    @raise Failure if the piecewise-linear region iteration does not
-    settle (no DC fixed point). *)
+    @raise No_fixed_point if the piecewise-linear region iteration does
+    not settle. *)
 
 val voltage : solution -> string -> float
 (** Node voltage (0 for the ground node).
@@ -28,8 +34,7 @@ val current : solution -> string -> float
     @raise Invalid_argument otherwise. *)
 
 val read : solution -> Expr.var -> float
-(** Potentials and flows through the {!System.output_value}
-    conventions. *)
+(** Potentials and flows through the {!System.locate} conventions. *)
 
 val pp : Format.formatter -> solution -> unit
 (** Table of node voltages and source/inductor currents. *)

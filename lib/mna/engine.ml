@@ -86,13 +86,23 @@ let reporting_steps ~dt ~t_stop =
   if t_stop < dt then invalid_arg "Engine: t_stop shorter than one step";
   int_of_float (Float.round (t_stop /. dt))
 
-let input_fun inputs =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (name, f) -> Hashtbl.replace tbl name f) inputs;
-  fun t name ->
-    match Hashtbl.find_opt tbl name with
-    | Some f -> f t
-    | None -> invalid_arg ("Engine: no stimulus bound to input " ^ name)
+(* For each input slot of [sys], the position of its signal in [names]
+   (the first one, on duplicates). *)
+let slot_positions who sys names =
+  Array.map
+    (fun u ->
+      let rec find i = function
+        | [] -> invalid_arg (who ^ ": no stimulus bound to input " ^ u)
+        | n :: rest -> if n = u then i else find (i + 1) rest
+      in
+      find 0 names)
+    (System.inputs sys)
+
+(* The stimuli of a whole run in slot order. *)
+let slot_stimuli who sys inputs =
+  Array.map
+    (fun i -> snd (List.nth inputs i))
+    (slot_positions who sys (List.map fst inputs))
 
 (* Factor cache of the fast fidelity: the sparse symbolic factorisation
    is computed once per topology, and the numeric factors are reused
@@ -185,6 +195,7 @@ type state = {
   substeps : int;
   iterations : int;
   cache : Fast_cache.t option;  (* [None] = paper fidelity *)
+  inputs : float array;  (* input values by slot, for the current substep *)
   rhs : float array;
   mutable x : float array;
   mutable xm1 : float array;  (* one substep back, for the LTE proxy *)
@@ -225,6 +236,7 @@ let create_state ~substeps ~iterations ~fidelity circuit ~dt =
       (match fidelity with
       | `Paper -> None
       | `Fast -> Some (Fast_cache.create sys));
+    inputs = Array.make (Array.length (System.inputs sys)) 0.0;
     rhs = Array.make n 0.0;
     x = Array.make n 0.0;
     xm1 = Array.make n 0.0;
@@ -249,8 +261,8 @@ let flush st ~steps =
   st.solves <- 0;
   st.rhs_builds <- 0
 
-let build_rhs st ~h ~input =
-  System.stamp_rhs st.sys ~h ~state:st.x ~input ~rhs:st.rhs;
+let build_rhs st ~h =
+  System.stamp_rhs st.sys ~h ~state:st.x ~inputs:st.inputs ~rhs:st.rhs;
   st.rhs_builds <- st.rhs_builds + 1
 
 let record_pivots tl (mn, mx) =
@@ -260,13 +272,13 @@ let record_pivots tl (mn, mx) =
 (* One solver pass from iterate [prev]: the paper path re-stamps the
    dense system (and its RHS) and re-factors it — the SPICE cost model;
    the fast path reuses the cached sparse factors. *)
-let solve_pass st tel ~h ~t ~input ~last prev =
+let solve_pass st tel ~h ~t ~last prev =
   try
     match st.cache with
     | None ->
         let m = System.stamp_matrix ~state:prev st.sys ~h in
         st.device_evals <- st.device_evals + 1;
-        build_rhs st ~h ~input;
+        build_rhs st ~h;
         let lu = Matrix.lu_factor m in
         st.factorizations <- st.factorizations + 1;
         (* Conditioning proxy sampled on the final pass only: the
@@ -338,11 +350,11 @@ let scan_motion sc ~xm ~x0 ~x1 =
    linear network and otherwise exits once the update norm is inside
    tolerance and the region selection the factors were stamped with
    still holds. *)
-let newton st tel ~h ~t ~input =
+let newton st tel ~h ~t =
   let fast = Option.is_some st.cache in
   (* The fast RHS depends only on the substep-start state and the
      input, so one build serves every pass. *)
-  if fast then build_rhs st ~h ~input;
+  if fast then build_rhs st ~h;
   let max_iters =
     match st.cache with Some c when c.npwl = 0 -> 1 | _ -> st.iterations
   in
@@ -352,7 +364,7 @@ let newton st tel ~h ~t ~input =
   while (not !stop) && !iter < max_iters do
     incr iter;
     let prev = !x_next in
-    x_next := solve_pass st tel ~h ~t ~input ~last:(!iter = max_iters) prev;
+    x_next := solve_pass st tel ~h ~t ~last:(!iter = max_iters) prev;
     st.solves <- st.solves + 1;
     if
       measure
@@ -380,13 +392,13 @@ let newton st tel ~h ~t ~input =
   | None -> ());
   !x_next
 
-(* One reporting step. [input t] is the input lookup at substep time
+(* One reporting step. [sample t] sets [st.inputs] for substep time
    [t]: the whole-run engine samples its stimuli there, the stepper
    holds the values it was handed for the whole step. The fast path
    redoes the step with twice the substeps when a substep crosses the
    error band (while refinement headroom remains), and halves the
    count after a step that stayed comfortably inside it. *)
-let advance st tel ~input =
+let advance st tel ~sample =
   let fast = Option.is_some st.cache in
   let solves0 = st.solves and ns_used = ref st.nsub in
   st.step <- st.step + 1;
@@ -409,7 +421,8 @@ let advance st tel ~input =
       let t =
         if !sub = ns then t_end else t_base +. (float_of_int !sub *. h)
       in
-      let x_next = newton st tel ~h ~t ~input:(input t) in
+      sample t;
+      let x_next = newton st tel ~h ~t in
       let crossed =
         (fast || Option.is_some tel)
         && scan_motion st.sc ~xm:st.xm1 ~x0:st.x ~x1:x_next
@@ -506,12 +519,13 @@ let check_budget who ~substeps ~iterations =
     invalid_arg (who ^ ": substeps and iterations must be >= 1")
 
 (* The whole-run loop of both engines: [advance t] takes the state to
-   the reporting instant [t], [read] evaluates a quantity on it. Records
-   [output] (and calls [observe]) at t = 0 and after every step. *)
+   the reporting instant [t], [output ()] reads the output quantity on
+   it and [read] any quantity. Records the output (and calls [observe])
+   at t = 0 and after every step. *)
 let drive ?observe ~dt ~nsteps ~read ~output advance =
   let trace = Trace.create ~capacity:(nsteps + 1) () in
   let record t =
-    Trace.add trace ~time:t ~value:(read output);
+    Trace.add trace ~time:t ~value:(output ());
     match observe with None -> () | Some f -> f t read
   in
   record 0.0;
@@ -546,11 +560,18 @@ let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
         }
     else None
   in
-  let input = input_fun inputs in
+  let stims = slot_stimuli "Engine" st.sys inputs in
+  let sample t =
+    for i = 0 to Array.length stims - 1 do
+      st.inputs.(i) <- stims.(i) t
+    done
+  in
+  let out = System.locate st.sys output in
   let trace =
-    drive ?observe ~dt ~nsteps ~output
-      ~read:(fun v -> System.output_value st.sys v st.x)
-      (fun _ -> advance st tel ~input)
+    drive ?observe ~dt ~nsteps
+      ~read:(fun v -> System.read (System.locate st.sys v) st.x)
+      ~output:(fun () -> System.read out st.x)
+      (fun _ -> advance st tel ~sample)
   in
   let stats =
     {
@@ -566,28 +587,26 @@ let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
   let newton = Option.map (fun tl -> summarize st tl ~nsteps) tel in
   { trace; stats; matrix_dim = n; newton }
 
-(* The input lookup of a stepper tick: [values] ordered as [names]. *)
-let held_input who names values =
-  if Array.length values <> Array.length names then
+(* A stepper tick: copy [values] (ordered as the [declared] inputs)
+   into the slot array through [positions]. *)
+let hold who ~declared ~positions ~slots values =
+  if Array.length values <> declared then
     invalid_arg
-      (Printf.sprintf "%s.step: expected %d input(s), got %d" who
-         (Array.length names) (Array.length values));
-  fun name ->
-    let rec find i =
-      if i >= Array.length names then
-        invalid_arg (who ^ ": unknown input " ^ name)
-      else if names.(i) = name then values.(i)
-      else find (i + 1)
-    in
-    find 0
+      (Printf.sprintf "%s.step: expected %d input(s), got %d" who declared
+         (Array.length values));
+  for i = 0 to Array.length positions - 1 do
+    slots.(i) <- values.(positions.(i))
+  done
 
 module Eln_stepper = struct
   type t = {
     sys : System.t;
     lu : Matrix.lu;
     dt : float;
-    inputs : string array;
-    output_var : Expr.var;
+    declared : int;  (* number of declared inputs *)
+    positions : int array;  (* declared position of each slot's input *)
+    inputs : float array;  (* input values by slot *)
+    out_loc : System.locator;
     x : float array;
     rhs : float array;
     mutable out : float;
@@ -600,6 +619,8 @@ module Eln_stepper = struct
                    piecewise-linear devices";
     let sys = System.build circuit in
     let n = System.size sys in
+    let positions = slot_positions "Eln_stepper" sys inputs in
+    let out_loc = System.locate sys output in
     (* Linear fixed-step network: assemble and factor exactly once. *)
     let lu = Matrix.lu_factor (System.stamp_matrix sys ~h:dt) in
     Obs.Counter.incr c_device_evals;
@@ -608,29 +629,34 @@ module Eln_stepper = struct
       sys;
       lu;
       dt;
-      inputs = Array.of_list inputs;
-      output_var = output;
+      declared = List.length inputs;
+      positions;
+      inputs = Array.make (Array.length positions) 0.0;
+      out_loc;
       x = Array.make n 0.0;
       rhs = Array.make n 0.0;
       out = 0.0;
     }
 
-  let advance st ~input =
-    System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~input ~rhs:st.rhs;
+  (* One step from the input values already in [st.inputs]. *)
+  let advance st =
+    System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~inputs:st.inputs ~rhs:st.rhs;
     (* Solving in place is safe: the RHS already carries all the solve
        needs of the old state. *)
     Matrix.lu_solve_into st.lu ~b:st.rhs ~x:st.x;
     Obs.Counter.incr c_steps;
     Obs.Counter.incr c_solves;
     Obs.Counter.incr c_rhs_builds;
-    st.out <- System.output_value st.sys st.output_var st.x;
+    st.out <- System.read st.out_loc st.x;
     st.out
 
   let step st ~input_values =
-    advance st ~input:(held_input "Eln_stepper" st.inputs input_values)
+    hold "Eln_stepper" ~declared:st.declared ~positions:st.positions
+      ~slots:st.inputs input_values;
+    advance st
 
   let output st = st.out
-  let read st v = System.output_value st.sys v st.x
+  let read st v = System.read (System.locate st.sys v) st.x
 
   let reset st =
     Array.fill st.x 0 (Array.length st.x) 0.0;
@@ -643,10 +669,15 @@ let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
   let st =
     Eln_stepper.create circuit ~inputs:(List.map fst inputs) ~output ~dt
   in
-  let input_at = input_fun inputs in
+  let stims = Array.map (fun i -> snd (List.nth inputs i)) st.positions in
   let trace =
-    drive ?observe ~dt ~nsteps ~output ~read:(Eln_stepper.read st) (fun t ->
-        ignore (Eln_stepper.advance st ~input:(input_at t)))
+    drive ?observe ~dt ~nsteps ~read:(Eln_stepper.read st)
+      ~output:(fun () -> System.read st.out_loc st.x)
+      (fun t ->
+        for i = 0 to Array.length stims - 1 do
+          st.inputs.(i) <- stims.(i) t
+        done;
+        ignore (Eln_stepper.advance st))
   in
   let n = System.size st.sys in
   Obs.Gauge.set g_matrix_dim (float_of_int n);
@@ -674,24 +705,35 @@ module Spice_stepper = struct
      [st] and so persist across ticks — symbolic reuse is what makes
      lock-step co-simulation cheap. No telemetry: steppers run inside a
      DE kernel, whose host owns observability. *)
-  type t = { st : state; inputs : string array; output_var : Expr.var }
+  type t = {
+    st : state;
+    declared : int;  (* number of declared inputs *)
+    positions : int array;  (* declared position of each slot's input *)
+    out_loc : System.locator;
+  }
 
   let create ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) circuit
       ~inputs ~output ~dt =
     if dt <= 0.0 then invalid_arg "Spice_stepper: dt must be positive";
     check_budget "Spice_stepper" ~substeps ~iterations;
+    let st = create_state ~substeps ~iterations ~fidelity circuit ~dt in
     {
-      st = create_state ~substeps ~iterations ~fidelity circuit ~dt;
-      inputs = Array.of_list inputs;
-      output_var = output;
+      st;
+      declared = List.length inputs;
+      positions = slot_positions "Spice_stepper" st.sys inputs;
+      out_loc = System.locate st.sys output;
     }
 
-  let read s v = System.output_value s.st.sys v s.st.x
-  let output s = read s s.output_var
+  let read s v = System.read (System.locate s.st.sys v) s.st.x
+  let output s = System.read s.out_loc s.st.x
+
+  (* The inputs are held over the substeps: nothing to sample. *)
+  let held _ = ()
 
   let step s ~input_values =
-    let input = held_input "Spice_stepper" s.inputs input_values in
-    advance s.st None ~input:(fun _ -> input);
+    hold "Spice_stepper" ~declared:s.declared ~positions:s.positions
+      ~slots:s.st.inputs input_values;
+    advance s.st None ~sample:held;
     flush s.st ~steps:1;
     output s
 

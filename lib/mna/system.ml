@@ -1,12 +1,22 @@
 module Circuit = Amsvp_netlist.Circuit
 module Component = Amsvp_netlist.Component
 
+type device = {
+  component : Component.t;
+  pos : int;
+  neg : int;
+  branch : int;
+  ctrl_pos : int;
+  ctrl_neg : int;
+  slot : int;
+}
+
 type t = {
-  circuit : Circuit.t;
-  devices : Component.t array;
   node_index : (string, int) Hashtbl.t;  (* non-ground nodes -> 0.. *)
-  current_index : (string, int) Hashtbl.t;  (* device name -> unknown *)
-  nnodes : int;
+  by_name : (string, device) Hashtbl.t;
+  devices : device array;
+  pwl : device array;  (* the piecewise-linear devices, in stamp order *)
+  inputs : string array;  (* input signal of each slot *)
   size : int;
 }
 
@@ -15,6 +25,8 @@ let needs_current_unknown (d : Component.t) =
   | Vsource _ | Inductor _ | Vcvs _ -> true
   | Resistor _ | Capacitor _ | Isource _ | Vccs _ | Pwl_conductance _ -> false
 
+(* Every name is looked up here, once: the per-step paths below only
+   index arrays. *)
 let build circuit =
   (match Circuit.validate circuit with
   | Ok () -> ()
@@ -24,28 +36,55 @@ let build circuit =
   List.iteri
     (fun i n -> Hashtbl.add node_index n i)
     (List.filter (fun n -> n <> ground) (Circuit.nodes circuit));
-  let nnodes = Hashtbl.length node_index in
-  let devices = Array.of_list (Circuit.devices circuit) in
-  let current_index = Hashtbl.create 8 in
-  let next = ref nnodes in
-  Array.iter
-    (fun (d : Component.t) ->
+  let nid n = match Hashtbl.find_opt node_index n with Some i -> i | None -> -1 in
+  let inputs = Array.of_list (Circuit.input_signals circuit) in
+  let slot_of u =
+    let rec find i = if inputs.(i) = u then i else find (i + 1) in
+    find 0
+  in
+  let next = ref (Hashtbl.length node_index) in
+  let resolve (d : Component.t) =
+    let branch =
       if needs_current_unknown d then begin
-        Hashtbl.add current_index d.name !next;
-        incr next
-      end)
-    devices;
-  { circuit; devices; node_index; current_index; nnodes; size = !next }
+        incr next;
+        !next - 1
+      end
+      else -1
+    in
+    let ctrl_pos, ctrl_neg =
+      match d.kind with
+      | Vcvs { ctrl_pos; ctrl_neg; _ } | Vccs { ctrl_pos; ctrl_neg; _ } ->
+          (nid ctrl_pos, nid ctrl_neg)
+      | _ -> (-1, -1)
+    in
+    let slot =
+      match d.kind with
+      | Vsource (Input u) | Isource (Input u) -> slot_of u
+      | _ -> -1
+    in
+    { component = d; pos = nid d.pos; neg = nid d.neg; branch; ctrl_pos;
+      ctrl_neg; slot }
+  in
+  let devices = Array.of_list (List.map resolve (Circuit.devices circuit)) in
+  let by_name = Hashtbl.create 16 in
+  Array.iter (fun d -> Hashtbl.add by_name d.component.name d) devices;
+  let pwl =
+    Array.of_list
+      (List.filter
+         (fun d ->
+           match d.component.kind with Pwl_conductance _ -> true | _ -> false)
+         (Array.to_list devices))
+  in
+  { node_index; by_name; devices; pwl; inputs; size = !next }
 
 let size s = s.size
-let has_pwl s = Circuit.has_pwl s.circuit
+let devices s = s.devices
+let inputs s = s.inputs
+let has_pwl s = Array.length s.pwl > 0
+let pwl_count s = Array.length s.pwl
 
-(* Node index, or -1 for ground. *)
-let nid s n = match Hashtbl.find_opt s.node_index n with Some i -> i | None -> -1
-
-let node_value s state n =
-  let i = nid s n in
-  if i < 0 then 0.0 else state.(i)
+let node_value state i = if i < 0 then 0.0 else state.(i)
+let branch_voltage state d = node_value state d.pos -. node_value state d.neg
 
 (* Stamping through an abstract accumulator so that both the dense and
    the sparse back-ends share the device models. *)
@@ -59,79 +98,57 @@ let stamp_into ?state s ~h ~add =
       add j i (-.g)
     end
   in
+  (* The branch-current coupling of a device with a current unknown. *)
+  let stamp_branch a b k =
+    if a >= 0 then begin
+      add a k 1.0;
+      add k a 1.0
+    end;
+    if b >= 0 then begin
+      add b k (-1.0);
+      add k b (-1.0)
+    end
+  in
   Array.iter
-    (fun (d : Component.t) ->
-      let a = nid s d.pos and b = nid s d.neg in
-      match d.kind with
+    (fun d ->
+      let a = d.pos and b = d.neg in
+      match d.component.kind with
       | Resistor r -> stamp_conductance a b (1.0 /. r)
       | Pwl_conductance { g_on; g_off; threshold } ->
           (* Region selected by the current solution estimate: the
              SPICE-like engine re-stamps at every pass, so the region
              follows the Newton iteration. *)
-          let v = node_value s state d.pos -. node_value s state d.neg in
+          let v = branch_voltage state d in
           stamp_conductance a b (if v >= threshold then g_on else g_off)
       | Capacitor c -> stamp_conductance a b (c /. h)
       | Isource _ -> ()
-      | Vccs { gm; ctrl_pos; ctrl_neg } ->
-          let cp = nid s ctrl_pos and cn = nid s ctrl_neg in
+      | Vccs { gm; _ } ->
+          let cp = d.ctrl_pos and cn = d.ctrl_neg in
           let addc i j v = if i >= 0 && j >= 0 then add i j v in
           addc a cp gm;
           addc a cn (-.gm);
           addc b cp (-.gm);
           addc b cn gm
-      | Vsource _ ->
-          let k = Hashtbl.find s.current_index d.name in
-          if a >= 0 then begin
-            add a k 1.0;
-            add k a 1.0
-          end;
-          if b >= 0 then begin
-            add b k (-1.0);
-            add k b (-1.0)
-          end
-      | Vcvs { gain; ctrl_pos; ctrl_neg } ->
-          let k = Hashtbl.find s.current_index d.name in
-          if a >= 0 then begin
-            add a k 1.0;
-            add k a 1.0
-          end;
-          if b >= 0 then begin
-            add b k (-1.0);
-            add k b (-1.0)
-          end;
-          let cp = nid s ctrl_pos and cn = nid s ctrl_neg in
-          if cp >= 0 then add k cp (-.gain);
-          if cn >= 0 then add k cn gain
+      | Vsource _ -> stamp_branch a b d.branch
+      | Vcvs { gain; _ } ->
+          let k = d.branch in
+          stamp_branch a b k;
+          if d.ctrl_pos >= 0 then add k d.ctrl_pos (-.gain);
+          if d.ctrl_neg >= 0 then add k d.ctrl_neg gain
       | Inductor l ->
-          let k = Hashtbl.find s.current_index d.name in
-          if a >= 0 then begin
-            add a k 1.0;
-            add k a 1.0
-          end;
-          if b >= 0 then begin
-            add b k (-1.0);
-            add k b (-1.0)
-          end;
+          let k = d.branch in
+          stamp_branch a b k;
           add k k (-.(l /. h)))
     s.devices
 
-let pwl_count s =
-  Array.fold_left
-    (fun acc (d : Component.t) ->
-      match d.kind with Pwl_conductance _ -> acc + 1 | _ -> acc)
-    0 s.devices
-
 let pwl_regions_into s state ~regions =
-  let k = ref 0 in
-  Array.iter
-    (fun (d : Component.t) ->
-      match d.kind with
+  Array.iteri
+    (fun i d ->
+      match d.component.kind with
       | Pwl_conductance { threshold; _ } ->
-          let v = node_value s state d.pos -. node_value s state d.neg in
-          regions.(!k) <- v >= threshold;
-          incr k
-      | _ -> ())
-    s.devices
+          regions.(i) <- branch_voltage state d >= threshold
+      | _ -> assert false)
+    s.pwl
 
 let stamp_matrix ?state s ~h =
   let m = Matrix.create s.size in
@@ -143,52 +160,57 @@ let stamp_triplets ?state s ~h =
   stamp_into ?state s ~h ~add:(fun i j v -> acc := (i, j, v) :: !acc);
   !acc
 
-let source_value input = function
+let source_value inputs d = function
   | Component.Dc v -> v
-  | Component.Input u -> input u
+  | Component.Input _ -> inputs.(d.slot)
 
-let stamp_rhs s ~h ~state ~input ~rhs =
+let stamp_rhs s ~h ~state ~inputs ~rhs =
   Array.fill rhs 0 (Array.length rhs) 0.0;
   Array.iter
-    (fun (d : Component.t) ->
-      let a = nid s d.pos and b = nid s d.neg in
-      match d.kind with
-      | Resistor _ | Vccs _ | Pwl_conductance _ -> ()
+    (fun d ->
+      let a = d.pos and b = d.neg in
+      match d.component.kind with
+      | Resistor _ | Vccs _ | Pwl_conductance _ | Vcvs _ -> ()
       | Capacitor c ->
           (* History current of the backward-Euler companion model. *)
-          let v_prev = node_value s state d.pos -. node_value s state d.neg in
-          let ieq = c /. h *. v_prev in
+          let ieq = c /. h *. branch_voltage state d in
           if a >= 0 then rhs.(a) <- rhs.(a) +. ieq;
           if b >= 0 then rhs.(b) <- rhs.(b) -. ieq
       | Isource src ->
-          let j = source_value input src in
+          let j = source_value inputs d src in
           if a >= 0 then rhs.(a) <- rhs.(a) -. j;
           if b >= 0 then rhs.(b) <- rhs.(b) +. j
-      | Vsource src ->
-          let k = Hashtbl.find s.current_index d.name in
-          rhs.(k) <- source_value input src
-      | Vcvs _ -> ()
+      | Vsource src -> rhs.(d.branch) <- source_value inputs d src
       | Inductor l ->
-          let k = Hashtbl.find s.current_index d.name in
+          let k = d.branch in
           rhs.(k) <- -.(l /. h) *. state.(k))
-    s.devices;
-  ()
+    s.devices
 
-let output_value s v state =
-  if v.Expr.delay <> 0 then
-    invalid_arg "System.output_value: delayed quantity";
+type locator =
+  | Potential of int * int
+  | Branch of int
+  | Resistor_flow of int * int * float
+
+let locate s v =
+  if v.Expr.delay <> 0 then invalid_arg "System.locate: delayed quantity";
   match v.Expr.base with
-  | Expr.Potential (a, b) -> node_value s state a -. node_value s state b
+  | Expr.Potential (a, b) ->
+      (* An unknown node reads as ground, like the ground node itself. *)
+      let node n = Option.value ~default:(-1) (Hashtbl.find_opt s.node_index n) in
+      Potential (node a, node b)
   | Expr.Flow (name, "") -> (
-      match Hashtbl.find_opt s.current_index name with
-      | Some k -> state.(k)
-      | None -> (
-          match Circuit.find s.circuit name with
-          | Some { Component.kind = Component.Resistor r; pos; neg; _ } ->
-              (node_value s state pos -. node_value s state neg) /. r
-          | Some _ ->
-              invalid_arg
-                ("System.output_value: no current unknown for device " ^ name)
-          | None -> invalid_arg ("System.output_value: unknown device " ^ name)))
+      match Hashtbl.find_opt s.by_name name with
+      | Some { branch; _ } when branch >= 0 -> Branch branch
+      | Some { component = { kind = Resistor r; _ }; pos; neg; _ } ->
+          Resistor_flow (pos, neg, r)
+      | Some _ ->
+          invalid_arg ("System.locate: no current unknown for device " ^ name)
+      | None -> invalid_arg ("System.locate: unknown device " ^ name))
   | Expr.Flow _ | Expr.Signal _ | Expr.Param _ ->
-      invalid_arg "System.output_value: unsupported quantity"
+      invalid_arg "System.locate: unsupported quantity"
+
+let read loc state =
+  match loc with
+  | Potential (a, b) -> node_value state a -. node_value state b
+  | Branch k -> state.(k)
+  | Resistor_flow (a, b, r) -> (node_value state a -. node_value state b) /. r

@@ -5,15 +5,42 @@
     sources, inductors, controlled voltage sources). Companion models
     use backward Euler with step [h]: a capacitor becomes a conductance
     [C/h] with a history current, an inductor a resistive branch with a
-    history voltage. *)
+    history voltage.
+
+    Resolved device layout: {!build} looks every name up once and
+    stores each device with the integer indices its stamps use — its
+    terminal nodes, its current unknown, its control nodes and the
+    input slot of an [Input] source. The per-step functions
+    ({!stamp_into} through {!stamp_matrix}/{!stamp_triplets},
+    {!stamp_rhs}, {!pwl_regions_into}) and {!read} only index arrays;
+    callers resolve their names once, with {!inputs} and {!locate}. *)
 
 type t
+
+type device = {
+  component : Amsvp_netlist.Component.t;
+  pos : int;  (** node index of the positive terminal, -1 for ground *)
+  neg : int;  (** node index of the negative terminal, -1 for ground *)
+  branch : int;  (** current unknown, -1 for devices without one *)
+  ctrl_pos : int;
+      (** control node of a VCVS/VCCS (-1 for ground and for every
+          other device kind) *)
+  ctrl_neg : int;
+  slot : int;  (** input slot of an [Input] source, -1 otherwise *)
+}
 
 val build : Amsvp_netlist.Circuit.t -> t
 (** @raise Invalid_argument if the circuit fails validation. *)
 
 val size : t -> int
 (** Dimension of the MNA system. *)
+
+val devices : t -> device array
+(** Every device with its resolved indices, in stamp order. *)
+
+val inputs : t -> string array
+(** The external input signal of each slot, in order of first use
+    ({!Amsvp_netlist.Circuit.input_signals}). *)
 
 val stamp_matrix : ?state:float array -> t -> h:float -> Matrix.t
 (** The MNA matrix for timestep [h]; constant for a linear network.
@@ -42,15 +69,27 @@ val stamp_rhs :
   t ->
   h:float ->
   state:float array ->
-  input:(string -> float) ->
+  inputs:float array ->
   rhs:float array ->
   unit
 (** Fill [rhs] for one step: [state] is the previous solution vector
-    (history terms), [input] maps external signal names to their value
-    at the new time point. *)
+    (history terms), [inputs] holds the value of each input slot (see
+    {!inputs}) at the new time point. *)
 
-val output_value : t -> Expr.var -> float array -> float
-(** Read an output quantity from a solution vector: a [Potential(a,b)]
-    is [e_a - e_b]; a [Flow(dev)] is supported for devices carrying a
-    current unknown and for resistors.
-    @raise Invalid_argument for unsupported or unknown quantities. *)
+(** Where an output quantity sits in a solution vector. *)
+type locator =
+  | Potential of int * int  (** [e_a - e_b]; -1 is ground *)
+  | Branch of int  (** a current unknown *)
+  | Resistor_flow of int * int * float
+      (** [(e_a - e_b) / r] through a resistor *)
+
+val locate : t -> Expr.var -> locator
+(** Resolve an output quantity: a [Potential(a,b)] is [e_a - e_b] (a
+    node outside the circuit reads as ground); a [Flow(dev)] is
+    supported for devices carrying a current unknown and for
+    resistors.
+    @raise Invalid_argument for delayed, unsupported or unknown
+    quantities. *)
+
+val read : locator -> float array -> float
+(** The located quantity's value in a solution vector. *)

@@ -381,7 +381,7 @@ module Runner = struct
            r.program.name (Expr.var_name v));
     r.slots.(s)
 
-  let run r ~stimuli ~t_stop ?(probe = 0) ?observe () =
+  let run r ~stimuli ~t_stop ?observe () =
     Obs.with_span ~cat:"sf" ~args:[ ("program", r.program.name) ] "sf.run"
     @@ fun () ->
     reset r;
@@ -392,7 +392,7 @@ module Runner = struct
     (* The reader closure is built once, outside the loop; when no
        observer is attached the per-step cost is a single branch. *)
     let reader = read r in
-    Trace.add trace ~time:0.0 ~value:(output r probe);
+    Trace.add trace ~time:0.0 ~value:(output r 0);
     (match observe with None -> () | Some f -> f 0.0 reader);
     for i = 1 to nsteps do
       let t = float_of_int i *. dt in
@@ -400,7 +400,7 @@ module Runner = struct
         inputs.(k) <- stimuli.(k) t
       done;
       step r ~inputs;
-      Trace.add trace ~time:t ~value:(output r probe);
+      Trace.add trace ~time:t ~value:(output r 0);
       match observe with None -> () | Some f -> f t reader
     done;
     if Journal.enabled () then begin

@@ -167,12 +167,11 @@ module Runner : sig
     t ->
     stimuli:(float -> float) array ->
     t_stop:float ->
-    ?probe:int ->
     ?observe:(float -> (Expr.var -> float) -> unit) ->
     unit ->
     Amsvp_util.Trace.t
   (** Run from time 0 to [t_stop], sampling the stimuli at each step
-      and recording output [probe] (default 0). The runner is reset
+      and recording the first output. The runner is reset
       first. This tight loop is the "plain C++" execution model.
 
       [observe] is called once per step (including the initial state at

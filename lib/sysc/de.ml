@@ -4,6 +4,22 @@ type process = {
   mutable queued : bool;  (* already in the runnable queue of this delta *)
 }
 
+(* A growable array used as a FIFO that is drained all at once: [push]
+   appends; the kernel reads [items.(0 .. len - 1)] in order, then
+   empties it by setting [len] back to 0. *)
+type 'a queue = { mutable items : 'a array; mutable len : int }
+
+let queue () = { items = [||]; len = 0 }
+
+let push q x =
+  if q.len = Array.length q.items then begin
+    let bigger = Array.make (max 16 (2 * q.len)) x in
+    Array.blit q.items 0 bigger 0 q.len;
+    q.items <- bigger
+  end;
+  q.items.(q.len) <- x;
+  q.len <- q.len + 1
+
 type event = {
   ename : string;
   mutable subscribers : process list;
@@ -14,11 +30,21 @@ type event = {
 
 and t = {
   mutable time_ps : int;
-  mutable heap : (int * event) array;  (* binary min-heap on time *)
+  (* Binary min-heap on time, as parallel arrays: entry [i] is the
+     notification of [heap_ev.(i)] at [heap_time.(i)]. *)
+  mutable heap_time : int array;
+  mutable heap_ev : event array;
   mutable heap_len : int;
-  mutable delta_queue : event list;
-  mutable runnable : process list;  (* reverse activation order *)
-  mutable updates : (unit -> unit) list;
+  (* The delta, runnable and update queues of the current delta cycle
+     and their spares: a cycle swaps each queue with its spare before
+     draining it, so what the drained items enqueue lands in the next
+     cycle. *)
+  mutable delta_queue : event queue;
+  mutable delta_spare : event queue;
+  mutable runnable : process queue;
+  mutable runnable_spare : process queue;
+  mutable updates : (unit -> unit) queue;
+  mutable updates_spare : (unit -> unit) queue;
   mutable activations : int;
   mutable delta_cycles : int;
   mutable timed_notifications : int;
@@ -28,11 +54,15 @@ and t = {
 let create () =
   {
     time_ps = 0;
-    heap = [||];
+    heap_time = [||];
+    heap_ev = [||];
     heap_len = 0;
-    delta_queue = [];
-    runnable = [];
-    updates = [];
+    delta_queue = queue ();
+    delta_spare = queue ();
+    runnable = queue ();
+    runnable_spare = queue ();
+    updates = queue ();
+    updates_spare = queue ();
     activations = 0;
     delta_cycles = 0;
     timed_notifications = 0;
@@ -44,55 +74,59 @@ let ps_of_seconds s = int_of_float (Float.round (s *. 1e12))
 let seconds_of_ps ps = float_of_int ps *. 1e-12
 let now k = seconds_of_ps k.time_ps
 
-(* Binary min-heap on notification time. *)
-let heap_push k entry =
-  if k.heap_len = Array.length k.heap then begin
-    let bigger = Array.make (max 64 (2 * Array.length k.heap)) entry in
-    Array.blit k.heap 0 bigger 0 k.heap_len;
-    k.heap <- bigger
+let heap_swap k i j =
+  let t = k.heap_time.(i) and e = k.heap_ev.(i) in
+  k.heap_time.(i) <- k.heap_time.(j);
+  k.heap_ev.(i) <- k.heap_ev.(j);
+  k.heap_time.(j) <- t;
+  k.heap_ev.(j) <- e
+
+let heap_push k time ev =
+  if k.heap_len = Array.length k.heap_time then begin
+    let cap = max 64 (2 * k.heap_len) in
+    let times = Array.make cap 0 and evs = Array.make cap ev in
+    Array.blit k.heap_time 0 times 0 k.heap_len;
+    Array.blit k.heap_ev 0 evs 0 k.heap_len;
+    k.heap_time <- times;
+    k.heap_ev <- evs
   end;
-  k.heap.(k.heap_len) <- entry;
+  k.heap_time.(k.heap_len) <- time;
+  k.heap_ev.(k.heap_len) <- ev;
   let i = ref k.heap_len in
   k.heap_len <- k.heap_len + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if fst k.heap.(!i) < fst k.heap.(parent) then begin
-      let tmp = k.heap.(!i) in
-      k.heap.(!i) <- k.heap.(parent);
-      k.heap.(parent) <- tmp;
+    if k.heap_time.(!i) < k.heap_time.(parent) then begin
+      heap_swap k !i parent;
       i := parent
     end
     else continue := false
   done
 
+(* Remove the root entry; the caller has read it. *)
 let heap_pop k =
   assert (k.heap_len > 0);
-  let top = k.heap.(0) in
   k.heap_len <- k.heap_len - 1;
   if k.heap_len > 0 then begin
-    k.heap.(0) <- k.heap.(k.heap_len);
+    k.heap_time.(0) <- k.heap_time.(k.heap_len);
+    k.heap_ev.(0) <- k.heap_ev.(k.heap_len);
     let i = ref 0 in
     let continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
       let smallest = ref !i in
-      if l < k.heap_len && fst k.heap.(l) < fst k.heap.(!smallest) then
+      if l < k.heap_len && k.heap_time.(l) < k.heap_time.(!smallest) then
         smallest := l;
-      if r < k.heap_len && fst k.heap.(r) < fst k.heap.(!smallest) then
+      if r < k.heap_len && k.heap_time.(r) < k.heap_time.(!smallest) then
         smallest := r;
       if !smallest <> !i then begin
-        let tmp = k.heap.(!i) in
-        k.heap.(!i) <- k.heap.(!smallest);
-        k.heap.(!smallest) <- tmp;
+        heap_swap k !i !smallest;
         i := !smallest
       end
       else continue := false
     done
-  end;
-  top
-
-let heap_peek k = if k.heap_len = 0 then None else Some k.heap.(0)
+  end
 
 let spawn _k ~name run = { pname = name; run; queued = false }
 
@@ -112,13 +146,13 @@ module Event = struct
     if ev.scheduled_at < 0 || t < ev.scheduled_at then begin
       ev.scheduled_at <- t;
       k.timed_notifications <- k.timed_notifications + 1;
-      heap_push k (t, ev)
+      heap_push k t ev
     end
 
   let notify_delta ev =
     if not ev.delta_pending then begin
       ev.delta_pending <- true;
-      ev.owner.delta_queue <- ev :: ev.owner.delta_queue
+      push ev.owner.delta_queue ev
     end
 end
 
@@ -127,7 +161,7 @@ let enqueue_subscribers k ev =
     (fun p ->
       if not p.queued then begin
         p.queued <- true;
-        k.runnable <- p :: k.runnable
+        push k.runnable p
       end)
     ev.subscribers
 
@@ -136,51 +170,51 @@ let enqueue_subscribers k ev =
    delta cycle. *)
 let run_delta_cycle k =
   k.delta_cycles <- k.delta_cycles + 1;
-  let ps = List.rev k.runnable in
-  k.runnable <- [];
-  List.iter
-    (fun p ->
-      p.queued <- false;
-      k.activations <- k.activations + 1;
-      p.run ())
-    ps;
-  let ups = List.rev k.updates in
-  k.updates <- [];
-  List.iter (fun u -> u ()) ups
+  let ps = k.runnable in
+  k.runnable <- k.runnable_spare;
+  k.runnable_spare <- ps;
+  for i = 0 to ps.len - 1 do
+    let p = ps.items.(i) in
+    p.queued <- false;
+    k.activations <- k.activations + 1;
+    p.run ()
+  done;
+  ps.len <- 0;
+  let ups = k.updates in
+  k.updates <- k.updates_spare;
+  k.updates_spare <- ups;
+  for i = 0 to ups.len - 1 do
+    ups.items.(i) ()
+  done;
+  ups.len <- 0
 
 (* Process every delta cycle pending at the current instant. *)
 let drain_instant k =
-  let rec loop () =
-    if k.delta_queue <> [] || k.runnable <> [] then begin
-      let fired = List.rev k.delta_queue in
-      k.delta_queue <- [];
-      List.iter
-        (fun ev ->
-          ev.delta_pending <- false;
-          enqueue_subscribers k ev)
-        fired;
-      run_delta_cycle k;
-      loop ()
-    end
-  in
-  loop ()
+  while k.delta_queue.len > 0 || k.runnable.len > 0 do
+    let fired = k.delta_queue in
+    k.delta_queue <- k.delta_spare;
+    k.delta_spare <- fired;
+    for i = 0 to fired.len - 1 do
+      let ev = fired.items.(i) in
+      ev.delta_pending <- false;
+      enqueue_subscribers k ev
+    done;
+    fired.len <- 0;
+    run_delta_cycle k
+  done
 
 (* Fire all timed events scheduled for the current time. *)
 let fire_current_time k =
-  let rec loop () =
-    match heap_peek k with
-    | Some (t, _) when t = k.time_ps ->
-        let _, ev = heap_pop k in
-        (* Stale entries (event re-collapsed to another time) are
-           skipped. *)
-        if ev.scheduled_at = k.time_ps then begin
-          ev.scheduled_at <- -1;
-          enqueue_subscribers k ev
-        end;
-        loop ()
-    | Some _ | None -> ()
-  in
-  loop ()
+  while k.heap_len > 0 && k.heap_time.(0) = k.time_ps do
+    let ev = k.heap_ev.(0) in
+    heap_pop k;
+    (* Stale entries (event re-collapsed to another time) are
+       skipped. *)
+    if ev.scheduled_at = k.time_ps then begin
+      ev.scheduled_at <- -1;
+      enqueue_subscribers k ev
+    end
+  done
 
 (* Kernel counters mirrored into the metrics registry: [run_until] adds
    the delta accumulated by this kernel instance on exit, so repeated
@@ -207,27 +241,18 @@ let run_until k ~ps =
   and delta_cycles0 = k.delta_cycles
   and timed0 = k.timed_notifications
   and updates0 = k.signal_updates in
-  let rec loop () =
+  let continue = ref true in
+  while !continue do
     fire_current_time k;
     drain_instant k;
     (* Advance to the next non-stale timed notification. *)
-    let rec next_time () =
-      match heap_peek k with
-      | None -> None
-      | Some (t, ev) ->
-          if ev.scheduled_at <> t then begin
-            ignore (heap_pop k);
-            next_time ()
-          end
-          else Some t
-    in
-    match next_time () with
-    | Some t when t <= ps ->
-        k.time_ps <- t;
-        loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
+    while k.heap_len > 0 && k.heap_ev.(0).scheduled_at <> k.heap_time.(0) do
+      heap_pop k
+    done;
+    if k.heap_len > 0 && k.heap_time.(0) <= ps then
+      k.time_ps <- k.heap_time.(0)
+    else continue := false
+  done;
   Amsvp_obs.Obs.Counter.add c_activations (k.activations - activations0);
   Amsvp_obs.Obs.Counter.add c_delta_cycles (k.delta_cycles - delta_cycles0);
   Amsvp_obs.Obs.Counter.add c_timed_notifications
@@ -244,17 +269,30 @@ module Signal = struct
     eq : 'a -> 'a -> bool;
     ev : Event.event;
     k : t;
+    update : unit -> unit;  (* the update phase of a pending write *)
   }
 
   let create k ~name ~eq init =
-    {
-      cur = init;
-      next = init;
-      update_pending = false;
-      eq;
-      ev = Event.create k (name ^ ".changed");
-      k;
-    }
+    let ev = Event.create k (name ^ ".changed") in
+    let rec s =
+      {
+        cur = init;
+        next = init;
+        update_pending = false;
+        eq;
+        ev;
+        k;
+        update =
+          (fun () ->
+            s.update_pending <- false;
+            k.signal_updates <- k.signal_updates + 1;
+            if not (eq s.cur s.next) then begin
+              s.cur <- s.next;
+              Event.notify_delta ev
+            end);
+      }
+    in
+    s
 
   let float_signal k ~name init =
     create k ~name ~eq:(fun (a : float) b -> a = b) init
@@ -270,15 +308,7 @@ module Signal = struct
     s.next <- v;
     if not s.update_pending then begin
       s.update_pending <- true;
-      s.k.updates <-
-        (fun () ->
-          s.update_pending <- false;
-          s.k.signal_updates <- s.k.signal_updates + 1;
-          if not (s.eq s.cur s.next) then begin
-            s.cur <- s.next;
-            Event.notify_delta s.ev
-          end)
-        :: s.k.updates
+      push s.k.updates s.update
     end
 
   let change_event s = s.ev

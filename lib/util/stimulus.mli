@@ -13,9 +13,9 @@ type t = float -> float
     positive. *)
 val square : period:float -> low:float -> high:float -> t
 
-(** [sine ~freq ~amplitude ?offset ?phase ()] is a sinusoid. *)
-val sine :
-  freq:float -> amplitude:float -> ?offset:float -> ?phase:float -> unit -> t
+(** [sine ~freq ~amplitude ?offset ()] is a sinusoid starting at zero
+    phase. *)
+val sine : freq:float -> amplitude:float -> ?offset:float -> unit -> t
 
 (** [step ~at ~low ~high] switches from [low] to [high] at time [at]. *)
 val step : at:float -> low:float -> high:float -> t

@@ -219,6 +219,22 @@ let test_dc_pwl_region_iteration () =
   (* divider 100/(1000+100) * 5 *)
   checkf 1e-6 "clamped node" (5.0 *. 100.0 /. 1100.0) (Dc.voltage op "a")
 
+let test_dc_pwl_no_fixed_point () =
+  (* A PWL divider with no consistent region: conducting, it pulls the
+     node below its threshold (5 V * 1/1001); blocking, the node rises
+     back above it (5 V * 1e6/(1e6+1e3)). The region search flips
+     forever and must end in the typed exception. *)
+  let c = Circuit.create () in
+  Circuit.add_vsource c ~name:"vs" ~pos:"in" ~neg:"gnd" (Component.Dc 5.0);
+  Circuit.add_resistor c ~name:"r1" ~pos:"in" ~neg:"a" 1.0e3;
+  Circuit.add_pwl_conductance c ~name:"d1" ~pos:"a" ~neg:"gnd" ~g_on:1.0
+    ~g_off:1e-6 ~threshold:1.0;
+  Alcotest.(check bool) "no fixed point" true
+    (try
+       ignore (Dc.operating_point c);
+       false
+     with Dc.No_fixed_point n -> n > 0)
+
 let test_dc_opamp_matches_transient () =
   let tc = Circuits.opamp () in
   let op = Dc.operating_point ~inputs:[ ("in", 1.0) ] tc.circuit in
@@ -422,25 +438,28 @@ let test_kirchhoff_consistency_at_dc () =
       (* Iterate to steady state with a large number of steps. *)
       let x = ref (Array.make n 0.0) in
       let rhs = Array.make n 0.0 in
-      let input name = List.assoc name dc_inputs 0.0 in
+      let inputs =
+        Array.map (fun name -> List.assoc name dc_inputs 0.0) (System.inputs sys)
+      in
       for _ = 1 to 5000 do
-        System.stamp_rhs sys ~h:1e-6 ~state:!x ~input ~rhs;
+        System.stamp_rhs sys ~h:1e-6 ~state:!x ~inputs ~rhs;
         x := Matrix.lu_solve lu rhs
       done;
       let state = !x in
+      let value v = System.read (System.locate sys v) state in
       (* Environment: potentials from node voltages, flows per device. *)
       let env (v : Expr.var) =
         match v.Expr.base with
-        | Expr.Potential _ -> System.output_value sys v state
+        | Expr.Potential _ -> value v
         | Expr.Flow (name, "") -> (
             match Circuit.find tc.circuit name with
             | Some { Component.kind = Component.Capacitor _; _ } ->
                 0.0 (* no current through capacitors at steady state *)
             | Some { Component.kind = Component.Vccs { gm; ctrl_pos; ctrl_neg }; _ } ->
                 gm
-                *. System.output_value sys (Expr.potential ctrl_pos ctrl_neg) state
+                *. value (Expr.potential ctrl_pos ctrl_neg)
             | Some { Component.kind = Component.Isource (Component.Dc j); _ } -> j
-            | Some _ -> System.output_value sys v state
+            | Some _ -> value v
             | None -> Alcotest.failf "unknown device %s" name)
         | Expr.Flow _ | Expr.Signal _ | Expr.Param _ ->
             Alcotest.failf "unexpected variable %s" (Expr.var_name v)
@@ -501,6 +520,8 @@ let () =
             test_dc_capacitor_open_inductor_short;
           Alcotest.test_case "PWL region iteration" `Quick
             test_dc_pwl_region_iteration;
+          Alcotest.test_case "PWL regions without a fixed point" `Quick
+            test_dc_pwl_no_fixed_point;
           Alcotest.test_case "opamp gain" `Quick test_dc_opamp_matches_transient;
           Alcotest.test_case "SPICE export" `Quick test_spice_export_shape;
         ] );
