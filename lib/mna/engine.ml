@@ -98,11 +98,14 @@ let slot_positions who sys names =
       find 0 names)
     (System.inputs sys)
 
-(* The stimuli of a whole run in slot order. *)
-let slot_stimuli who sys inputs =
-  Array.map
-    (fun i -> snd (List.nth inputs i))
-    (slot_positions who sys (List.map fst inputs))
+(* The input sampler of a whole run: fills [slots] with the [inputs]
+   stimuli at a time point, [positions] as from {!slot_positions}. *)
+let sampler inputs positions slots =
+  let stims = Array.map (fun i -> snd (List.nth inputs i)) positions in
+  fun t ->
+    for i = 0 to Array.length stims - 1 do
+      slots.(i) <- stims.(i) t
+    done
 
 (* Factor cache of the fast fidelity: the sparse symbolic factorisation
    is computed once per topology, and the numeric factors are reused
@@ -560,11 +563,10 @@ let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
         }
     else None
   in
-  let stims = slot_stimuli "Engine" st.sys inputs in
-  let sample t =
-    for i = 0 to Array.length stims - 1 do
-      st.inputs.(i) <- stims.(i) t
-    done
+  let sample =
+    sampler inputs
+      (slot_positions "Engine" st.sys (List.map fst inputs))
+      st.inputs
   in
   let out = System.locate st.sys output in
   let trace =
@@ -669,14 +671,12 @@ let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
   let st =
     Eln_stepper.create circuit ~inputs:(List.map fst inputs) ~output ~dt
   in
-  let stims = Array.map (fun i -> snd (List.nth inputs i)) st.positions in
+  let sample = sampler inputs st.positions st.inputs in
   let trace =
     drive ?observe ~dt ~nsteps ~read:(Eln_stepper.read st)
       ~output:(fun () -> System.read st.out_loc st.x)
       (fun t ->
-        for i = 0 to Array.length stims - 1 do
-          st.inputs.(i) <- stims.(i) t
-        done;
+        sample t;
         ignore (Eln_stepper.advance st))
   in
   let n = System.size st.sys in

@@ -4,9 +4,9 @@ type process = {
   mutable queued : bool;  (* already in the runnable queue of this delta *)
 }
 
-(* A growable array used as a FIFO that is drained all at once: [push]
-   appends; the kernel reads [items.(0 .. len - 1)] in order, then
-   empties it by setting [len] back to 0. *)
+(* A growable array used as a FIFO that is drained a batch at a time:
+   [push] appends; the kernel reads the [n] items queued when a phase
+   starts, in order, then [consume]s them. *)
 type 'a queue = { mutable items : 'a array; mutable len : int }
 
 let queue () = { items = [||]; len = 0 }
@@ -19,6 +19,12 @@ let push q x =
   end;
   q.items.(q.len) <- x;
   q.len <- q.len + 1
+
+(* Drop the first [n] items, keeping any pushed while they were read. *)
+let consume q n =
+  let rest = q.len - n in
+  if rest > 0 then Array.blit q.items n q.items 0 rest;
+  q.len <- rest
 
 type event = {
   ename : string;
@@ -35,16 +41,9 @@ and t = {
   mutable heap_time : int array;
   mutable heap_ev : event array;
   mutable heap_len : int;
-  (* The delta, runnable and update queues of the current delta cycle
-     and their spares: a cycle swaps each queue with its spare before
-     draining it, so what the drained items enqueue lands in the next
-     cycle. *)
-  mutable delta_queue : event queue;
-  mutable delta_spare : event queue;
-  mutable runnable : process queue;
-  mutable runnable_spare : process queue;
-  mutable updates : (unit -> unit) queue;
-  mutable updates_spare : (unit -> unit) queue;
+  delta_queue : event queue;  (* in notification order *)
+  runnable : process queue;  (* in activation order *)
+  updates : (unit -> unit) queue;  (* in write order *)
   mutable activations : int;
   mutable delta_cycles : int;
   mutable timed_notifications : int;
@@ -58,11 +57,8 @@ let create () =
     heap_ev = [||];
     heap_len = 0;
     delta_queue = queue ();
-    delta_spare = queue ();
     runnable = queue ();
-    runnable_spare = queue ();
     updates = queue ();
-    updates_spare = queue ();
     activations = 0;
     delta_cycles = 0;
     timed_notifications = 0;
@@ -156,50 +152,45 @@ module Event = struct
     end
 end
 
-let enqueue_subscribers k ev =
-  List.iter
-    (fun p ->
+(* Queue each not-yet-runnable process of [subscribers], in order. *)
+let rec enqueue k = function
+  | [] -> ()
+  | p :: rest ->
       if not p.queued then begin
         p.queued <- true;
         push k.runnable p
-      end)
-    ev.subscribers
+      end;
+      enqueue k rest
 
 (* One delta cycle: run every runnable process (evaluation phase), then
    apply the signal updates (update phase), which may prime the next
    delta cycle. *)
 let run_delta_cycle k =
   k.delta_cycles <- k.delta_cycles + 1;
-  let ps = k.runnable in
-  k.runnable <- k.runnable_spare;
-  k.runnable_spare <- ps;
-  for i = 0 to ps.len - 1 do
-    let p = ps.items.(i) in
+  let n = k.runnable.len in
+  for i = 0 to n - 1 do
+    let p = k.runnable.items.(i) in
     p.queued <- false;
     k.activations <- k.activations + 1;
     p.run ()
   done;
-  ps.len <- 0;
-  let ups = k.updates in
-  k.updates <- k.updates_spare;
-  k.updates_spare <- ups;
-  for i = 0 to ups.len - 1 do
-    ups.items.(i) ()
+  consume k.runnable n;
+  let n = k.updates.len in
+  for i = 0 to n - 1 do
+    k.updates.items.(i) ()
   done;
-  ups.len <- 0
+  consume k.updates n
 
 (* Process every delta cycle pending at the current instant. *)
 let drain_instant k =
   while k.delta_queue.len > 0 || k.runnable.len > 0 do
-    let fired = k.delta_queue in
-    k.delta_queue <- k.delta_spare;
-    k.delta_spare <- fired;
-    for i = 0 to fired.len - 1 do
-      let ev = fired.items.(i) in
+    let n = k.delta_queue.len in
+    for i = 0 to n - 1 do
+      let ev = k.delta_queue.items.(i) in
       ev.delta_pending <- false;
-      enqueue_subscribers k ev
+      enqueue k ev.subscribers
     done;
-    fired.len <- 0;
+    consume k.delta_queue n;
     run_delta_cycle k
   done
 
@@ -212,7 +203,7 @@ let fire_current_time k =
        skipped. *)
     if ev.scheduled_at = k.time_ps then begin
       ev.scheduled_at <- -1;
-      enqueue_subscribers k ev
+      enqueue k ev.subscribers
     end
   done
 

@@ -185,6 +185,45 @@ let test_bad_arguments () =
        false
      with Invalid_argument _ -> true)
 
+let test_stepper_inputs () =
+  (* Declared inputs map to the circuit's input slots at [create]: a
+     missing one is rejected there, the declared order is free, and
+     [step] checks the arity with the expected and actual counts. *)
+  let tc = Circuits.two_input () in
+  let raises_at_create f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "ELN: missing input rejected at create" true
+    (raises_at_create (fun () ->
+         Engine.Eln_stepper.create tc.circuit ~inputs:[ "in1" ]
+           ~output:tc.output ~dt:1e-6));
+  Alcotest.(check bool) "SPICE: missing input rejected at create" true
+    (raises_at_create (fun () ->
+         Engine.Spice_stepper.create tc.circuit ~inputs:[ "in2" ]
+           ~output:tc.output ~dt:1e-6));
+  let eln inputs values =
+    let st =
+      Engine.Eln_stepper.create tc.circuit ~inputs ~output:tc.output ~dt:1e-6
+    in
+    for _ = 1 to 9 do
+      ignore (Engine.Eln_stepper.step st ~input_values:values)
+    done;
+    Engine.Eln_stepper.step st ~input_values:values
+  in
+  Alcotest.(check (float 0.0)) "declared order is free"
+    (eln [ "in1"; "in2" ] [| 0.3; 0.7 |])
+    (eln [ "in2"; "unused"; "in1" ] [| 0.7; 5.0; 0.3 |]);
+  let st =
+    Engine.Spice_stepper.create tc.circuit ~inputs:[ "in1"; "in2" ]
+      ~output:tc.output ~dt:1e-6
+  in
+  Alcotest.check_raises "arity"
+    (Invalid_argument "Spice_stepper.step: expected 2 input(s), got 1")
+    (fun () -> ignore (Engine.Spice_stepper.step st ~input_values:[| 1.0 |]))
+
 (* DC operating point *)
 
 module Dc = Amsvp_mna.Dc
@@ -511,6 +550,7 @@ let () =
           Alcotest.test_case "spice vs eln" `Quick test_spice_matches_eln;
           Alcotest.test_case "engine stats" `Quick test_engine_stats;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
+          Alcotest.test_case "stepper inputs" `Quick test_stepper_inputs;
         ] );
       ( "op",
         [
