@@ -15,7 +15,8 @@ type t = {
   node_index : (string, int) Hashtbl.t;  (* non-ground nodes -> 0.. *)
   by_name : (string, device) Hashtbl.t;
   devices : device array;
-  pwl : device array;  (* the piecewise-linear devices, in stamp order *)
+  pwl : (device * float) array;
+      (* the piecewise-linear devices and their thresholds, in stamp order *)
   inputs : string array;  (* input signal of each slot *)
   size : int;
 }
@@ -70,9 +71,11 @@ let build circuit =
   Array.iter (fun d -> Hashtbl.add by_name d.component.name d) devices;
   let pwl =
     Array.of_list
-      (List.filter
+      (List.filter_map
          (fun d ->
-           match d.component.kind with Pwl_conductance _ -> true | _ -> false)
+           match d.component.kind with
+           | Pwl_conductance { threshold; _ } -> Some (d, threshold)
+           | _ -> None)
          (Array.to_list devices))
   in
   { node_index; by_name; devices; pwl; inputs; size = !next }
@@ -143,11 +146,7 @@ let stamp_into ?state s ~h ~add =
 
 let pwl_regions_into s state ~regions =
   Array.iteri
-    (fun i d ->
-      match d.component.kind with
-      | Pwl_conductance { threshold; _ } ->
-          regions.(i) <- branch_voltage state d >= threshold
-      | _ -> assert false)
+    (fun i (d, threshold) -> regions.(i) <- branch_voltage state d >= threshold)
     s.pwl
 
 let stamp_matrix ?state s ~h =

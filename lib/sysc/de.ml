@@ -257,7 +257,6 @@ module Signal = struct
     mutable cur : 'a;
     mutable next : 'a;
     mutable update_pending : bool;
-    eq : 'a -> 'a -> bool;
     ev : Event.event;
     k : t;
     update : unit -> unit;  (* the update phase of a pending write *)
@@ -270,7 +269,6 @@ module Signal = struct
         cur = init;
         next = init;
         update_pending = false;
-        eq;
         ev;
         k;
         update =

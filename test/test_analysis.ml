@@ -188,6 +188,24 @@ let test_golden_baselines () =
             vams expected report)
     golden_fixtures
 
+(* [lint --input-bound]: widening the input box widens the proven
+   output range the AMS063 message reports (the fixture's gain is 100). *)
+let test_input_bound_widens_ranges () =
+  let src = read_file (Filename.concat fixture_dir "absint_amplitude.vams") in
+  let message input_bound =
+    match
+      List.filter
+        (fun f -> f.Diag.code = "AMS063")
+        (Lint.lint ~amplitude_budget:5.0 ?input_bound ~file:"a.vams" src)
+    with
+    | [ f ] -> f.Diag.message
+    | fs -> Alcotest.failf "expected one AMS063, got %d" (List.length fs)
+  in
+  Alcotest.(check bool) "default box" true
+    (contains_substring (message None) "[-100, 100]");
+  Alcotest.(check bool) "inputs within +-10" true
+    (contains_substring (message (Some 10.0)) "[-1000, 1000]")
+
 (* The acceptance scenario: one model with a floating island, an
    under-determined sensed net and a zero-default divisor reports three
    distinct codes, each anchored at the right source position. *)
@@ -419,7 +437,10 @@ let () =
           Alcotest.test_case "stability warning" `Quick test_stability_warning;
         ] );
       ( "baselines",
-        [ Alcotest.test_case "fixture reports" `Quick test_golden_baselines ]
+        [
+          Alcotest.test_case "fixture reports" `Quick test_golden_baselines;
+          Alcotest.test_case "input bound" `Quick test_input_bound_widens_ranges;
+        ]
       );
       ( "acceptance",
         [
