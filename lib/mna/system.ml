@@ -145,9 +145,10 @@ let stamp_into ?state s ~h ~add =
     s.devices
 
 let pwl_regions_into s state ~regions =
-  Array.iteri
-    (fun i (d, threshold) -> regions.(i) <- branch_voltage state d >= threshold)
-    s.pwl
+  for i = 0 to Array.length s.pwl - 1 do
+    let d, threshold = s.pwl.(i) in
+    regions.(i) <- branch_voltage state d >= threshold
+  done
 
 let stamp_matrix ?state s ~h =
   let m = Matrix.create s.size in
@@ -163,27 +164,29 @@ let source_value inputs d = function
   | Component.Dc v -> v
   | Component.Input _ -> inputs.(d.slot)
 
+(* Runs once per step (per solver pass on the paper path): a plain
+   loop, so a call allocates nothing. *)
 let stamp_rhs s ~h ~state ~inputs ~rhs =
   Array.fill rhs 0 (Array.length rhs) 0.0;
-  Array.iter
-    (fun d ->
-      let a = d.pos and b = d.neg in
-      match d.component.kind with
-      | Resistor _ | Vccs _ | Pwl_conductance _ | Vcvs _ -> ()
-      | Capacitor c ->
-          (* History current of the backward-Euler companion model. *)
-          let ieq = c /. h *. branch_voltage state d in
-          if a >= 0 then rhs.(a) <- rhs.(a) +. ieq;
-          if b >= 0 then rhs.(b) <- rhs.(b) -. ieq
-      | Isource src ->
-          let j = source_value inputs d src in
-          if a >= 0 then rhs.(a) <- rhs.(a) -. j;
-          if b >= 0 then rhs.(b) <- rhs.(b) +. j
-      | Vsource src -> rhs.(d.branch) <- source_value inputs d src
-      | Inductor l ->
-          let k = d.branch in
-          rhs.(k) <- -.(l /. h) *. state.(k))
-    s.devices
+  for i = 0 to Array.length s.devices - 1 do
+    let d = s.devices.(i) in
+    let a = d.pos and b = d.neg in
+    match d.component.kind with
+    | Resistor _ | Vccs _ | Pwl_conductance _ | Vcvs _ -> ()
+    | Capacitor c ->
+        (* History current of the backward-Euler companion model. *)
+        let ieq = c /. h *. branch_voltage state d in
+        if a >= 0 then rhs.(a) <- rhs.(a) +. ieq;
+        if b >= 0 then rhs.(b) <- rhs.(b) -. ieq
+    | Isource src ->
+        let j = source_value inputs d src in
+        if a >= 0 then rhs.(a) <- rhs.(a) -. j;
+        if b >= 0 then rhs.(b) <- rhs.(b) +. j
+    | Vsource src -> rhs.(d.branch) <- source_value inputs d src
+    | Inductor l ->
+        let k = d.branch in
+        rhs.(k) <- -.(l /. h) *. state.(k)
+  done
 
 type locator =
   | Potential of int * int
