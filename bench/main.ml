@@ -826,11 +826,15 @@ let obs_serve_bench ~t_stop ~seed () =
   let ctx = Sweep_runner.prepare spec tc in
   let points = Sweep_runner.ctx_points ctx in
   let n_points = Array.length points in
+  (* A fresh pool per sample: workers take the journal switch they are
+     forked under, so each sample forks its own. *)
   let run_pool () =
-    ignore
-      (Procpool.run ~workers:2
-         (fun ~retry:_ p -> Sweep_runner.run_point ctx p)
-         points)
+    let pool =
+      Procpool.create ~workers:2 (fun ~retry:_ p -> Sweep_runner.run_point ctx p)
+    in
+    Fun.protect
+      ~finally:(fun () -> Procpool.close pool)
+      (fun () -> ignore (Procpool.run pool points))
   in
   let journal_was = Journal.enabled () in
   Journal.disable ();

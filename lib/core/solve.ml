@@ -271,7 +271,9 @@ let extract_ddts ~dt ~fresh e =
     | Expr.Sub (a, b) -> Expr.( - ) (go a) (go b)
     | Expr.Mul (a, b) -> Expr.( * ) (go a) (go b)
     | Expr.Div (a, b) -> Expr.( / ) (go a) (go b)
-    | Expr.Idt _ -> failwith "Solve: idt must be removed with extract_idt"
+    | Expr.Idt _ ->
+        raise
+          (Expr.Continuous_time "Solve: idt must be removed with extract_idt")
     | Expr.App (f, a) -> Expr.App (f, go a)
     | Expr.Cond (c, a, b) -> Expr.Cond (go_cond c, go a, go b)
     | Expr.Ddt a ->

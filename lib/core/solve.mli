@@ -92,6 +92,10 @@ val solve :
   dt:float ->
   Assemble.result ->
   Amsvp_sf.Sfprogram.t
+(** Discretise the assembled definitions under [integration] and solve
+    them into a signal-flow program.
+    @raise Expr.Continuous_time when a definition still holds an [idt]
+    node (the assembler's definitions never do). *)
 
 val solve_with_plan :
   ?mode:mode ->

@@ -207,7 +207,14 @@ let apply_fun fn x =
   | Abs -> abs_float x
   | Tanh -> tanh x
 
-let apply_cmp op a b =
+exception Continuous_time of string
+
+let () =
+  Printexc.register_printer (function
+    | Continuous_time m -> Some m
+    | _ -> None)
+
+let apply_cmp op (a : float) (b : float) =
   match op with Lt -> a < b | Le -> a <= b | Gt -> a > b | Ge -> a >= b
 
 let rec eval env = function
@@ -218,7 +225,8 @@ let rec eval env = function
   | Sub (a, b) -> eval env a -. eval env b
   | Mul (a, b) -> eval env a *. eval env b
   | Div (a, b) -> eval env a /. eval env b
-  | Ddt _ | Idt _ -> failwith "Expr.eval: ddt/idt cannot be evaluated pointwise"
+  | Ddt _ | Idt _ ->
+      raise (Continuous_time "Expr.eval: ddt/idt cannot be evaluated pointwise")
   | App (fn, e) -> apply_fun fn (eval env e)
   | Cond (c, a, b) -> if eval_cond env c then eval env a else eval env b
 
@@ -249,7 +257,8 @@ let rec compile slot e =
   | Div (x, y) ->
       let f = compile slot x and g = compile slot y in
       fun a -> f a /. g a
-  | Ddt _ | Idt _ -> failwith "Expr.compile: ddt/idt cannot be compiled"
+  | Ddt _ | Idt _ ->
+      raise (Continuous_time "Expr.compile: ddt/idt cannot be compiled")
   | App (fn, e) ->
       let f = compile slot e in
       fun a -> apply_fun fn (f a)
@@ -357,7 +366,9 @@ let rec discretize ~dt e =
   | Ddt a ->
       let a' = discretize ~dt a in
       div (sub a' (delay_expr 1 a')) (Const dt)
-  | Idt _ -> failwith "Expr.discretize: idt must be removed with extract_idt"
+  | Idt _ ->
+      raise
+        (Continuous_time "Expr.discretize: idt must be removed with extract_idt")
   | App (fn, a) -> App (fn, discretize ~dt a)
   | Cond (c, a, b) ->
       Cond (discretize_cond ~dt c, discretize ~dt a, discretize ~dt b)

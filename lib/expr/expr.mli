@@ -120,20 +120,26 @@ val apply_fun : unary_fun -> float -> float
     (interpreter, compiled closures, bytecode) must route through this
     single definition so their results stay bit-identical. *)
 
+exception Continuous_time of string
+(** A continuous-time operator ([Ddt] or [Idt]) reached a stage that
+    needs a discrete-time expression: {!eval}, {!compile},
+    {!discretize} (for [Idt]), or [Solve]'s trapezoidal rewrite (for
+    [Idt]). The message names the stage. *)
+
 val apply_cmp : cmp -> float -> float -> bool
 (** Pointwise semantics of the comparison operators (IEEE semantics:
     any comparison involving NaN is false). *)
 
 val eval : (var -> float) -> t -> float
 (** Evaluate under an environment.
-    @raise Failure on [Ddt]/[Idt] nodes — continuous-time operators
-    cannot be evaluated pointwise; discretise first. *)
+    @raise Continuous_time on [Ddt]/[Idt] nodes — continuous-time
+    operators cannot be evaluated pointwise; discretise first. *)
 
 val compile : (var -> int) -> t -> float array -> float
 (** [compile slot e] compiles [e] into a closure reading variable
     values from an array at the indices given by [slot]. The closure
     allocates nothing per call; this is the "plain C++" execution path.
-    @raise Failure on [Ddt]/[Idt] nodes. *)
+    @raise Continuous_time on [Ddt]/[Idt] nodes. *)
 
 (** {1 Algebra} *)
 
@@ -156,7 +162,7 @@ val discretize : dt:float -> t -> t
     [ddt(e)] becomes [(e - e@-1) / dt]. Nested derivatives yield
     second-order differences. [Idt] nodes must be removed with
     {!extract_idt} beforehand.
-    @raise Failure if an [Idt] node remains. *)
+    @raise Continuous_time if an [Idt] node remains. *)
 
 val extract_idt : fresh:(unit -> string) -> t -> t * (var * t) list
 (** [extract_idt ~fresh e] replaces each [idt(u)] node with a fresh

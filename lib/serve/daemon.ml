@@ -53,6 +53,12 @@ let g_in_flight =
   Obs.Gauge.make ~help:"points dispatched but not yet resolved"
     "amsvp_serve_in_flight"
 
+(* A warm prepared sweep and the worker pool that runs its points. The
+   pool's work function is fixed at creation, which is sound because
+   the per-point timeout is a function of the spec and the daemon
+   config, both fixed by the cache key. *)
+type warm = { ctx : Runner.ctx; pool : Procpool.t }
+
 (* Daemon state. One instance per [serve] call; the signal handlers
    write only the [draining] flag (the single async-signal-safe thing
    to do), the main loop polls it. *)
@@ -60,8 +66,8 @@ type state = {
   cfg : config;
   draining : bool ref;
   (* warm prepared sweeps, keyed by canonical spec text + circuit; LRU
-     by re-insertion order in [ctx_order] *)
-  ctxs : (string, Runner.ctx) Hashtbl.t;
+     by use order in [ctx_order], most recent first *)
+  ctxs : (string, warm) Hashtbl.t;
   mutable ctx_order : string list;
   mutable requests : int;
   mutable points_run : int;
@@ -115,14 +121,28 @@ let send conn resp =
 
 let ctx_key spec circuit = Spec.to_string spec ^ "@" ^ circuit
 
+let point_timeout st spec =
+  match spec.Spec.point_timeout with
+  | Some _ as t -> t
+  | None -> st.cfg.point_timeout_s
+
+(* Evicting a sweep closes its pool: EOF to its workers, then waitpid.
+   No run is in progress here, since requests are served one at a
+   time. *)
+let evict st key =
+  Option.iter (fun w -> Procpool.close w.pool) (Hashtbl.find_opt st.ctxs key);
+  Hashtbl.remove st.ctxs key;
+  st.ctx_order <- List.filter (( <> ) key) st.ctx_order
+
 let ctx_for ~id st spec (tc : Circuits.testcase) =
   let key = ctx_key spec tc.Circuits.label in
   match Hashtbl.find_opt st.ctxs key with
-  | Some ctx ->
+  | Some warm ->
       st.ctx_hits <- st.ctx_hits + 1;
       Obs.Counter.incr c_ctx_hits;
       jlog ~req:id st "ctx.hit" [ ("sweep", Journal.S spec.Spec.name) ];
-      ctx
+      st.ctx_order <- key :: List.filter (( <> ) key) st.ctx_order;
+      warm
   | None ->
       st.ctx_misses <- st.ctx_misses + 1;
       Obs.Counter.incr c_ctx_misses;
@@ -131,15 +151,22 @@ let ctx_for ~id st spec (tc : Circuits.testcase) =
         Obs.with_span ~cat:"serve" "serve.prepare" @@ fun () ->
         Runner.prepare spec tc
       in
-      Hashtbl.replace st.ctxs key ctx;
-      st.ctx_order <- key :: List.filter (( <> ) key) st.ctx_order;
-      (if List.length st.ctx_order > st.cfg.ctx_cache_max then
-         match List.rev st.ctx_order with
-         | oldest :: _ ->
-             Hashtbl.remove st.ctxs oldest;
-             st.ctx_order <- List.filter (( <> ) oldest) st.ctx_order
-         | [] -> ());
-      ctx
+      (* Make room first, so the sweep about to run is never the one
+         evicted (a cache of size 0 behaves as size 1). *)
+      (match List.rev st.ctx_order with
+      | oldest :: _
+        when List.length st.ctx_order >= max 1 st.cfg.ctx_cache_max ->
+          evict st oldest
+      | _ -> ());
+      let timeout_s = point_timeout st spec in
+      let pool =
+        Procpool.create ~workers:st.cfg.workers ?timeout_s
+          (fun ~retry:_ p -> Runner.run_point ?timeout_s ctx p)
+      in
+      let warm = { ctx; pool } in
+      Hashtbl.replace st.ctxs key warm;
+      st.ctx_order <- key :: st.ctx_order;
+      warm
 
 let checkpoint_path st spec ~circuit =
   Option.map
@@ -178,7 +205,7 @@ let handle_submit st conn ~id ~spec_text ~jobs =
           | exception e ->
               send conn
                 (Protocol.Failed { message = Printexc.to_string e })
-          | ctx
+          | { ctx; _ }
             when List.exists
                    (fun (f : Diag.finding) -> f.Diag.severity = Diag.Error)
                    (Runner.screen ~werror:st.cfg.werror ctx) ->
@@ -206,7 +233,7 @@ let handle_submit st conn ~id ~spec_text ~jobs =
                          errors;
                      findings;
                    })
-          | ctx ->
+          | { ctx; pool } ->
               Obs.with_span ~cat:"serve"
                 ~args:[ ("sweep", spec.Spec.name); ("id", string_of_int id) ]
                 "serve.request"
@@ -250,11 +277,6 @@ let handle_submit st conn ~id ~spec_text ~jobs =
                        not (Hashtbl.mem done_idx p.index))
                      (Array.to_list points))
               in
-              let timeout_s =
-                match spec.Spec.point_timeout with
-                | Some _ as t -> t
-                | None -> st.cfg.point_timeout_s
-              in
               let signal =
                 match spec.Spec.output with
                 | Some s -> s
@@ -265,8 +287,7 @@ let handle_submit st conn ~id ~spec_text ~jobs =
               st.in_flight <- Array.length pending;
               Obs.Gauge.set g_in_flight (float_of_int st.in_flight);
               let fresh =
-                Procpool.run ~workers:st.cfg.workers ?timeout_s
-                  ~retries:st.cfg.retries ~signal ~request_id:id
+                Procpool.run pool ~retries:st.cfg.retries ~signal ~request_id:id
                   ~tally:st.tally
                   ~on_result:(fun r ->
                     incr executed;
@@ -305,7 +326,6 @@ let handle_submit st conn ~id ~spec_text ~jobs =
                     tick_metrics st;
                     if !executed land 31 = 0 then Journal.flush ())
                   ~should_stop:(fun () -> !(st.draining))
-                  (fun ~retry:_ p -> Runner.run_point ?timeout_s ctx p)
                   pending
               in
               st.in_flight <- 0;
@@ -372,6 +392,9 @@ let stats_reply st =
     }
 
 let serve_client st fd =
+  (* A worker forked while this client is connected must not hold the
+     connection open after the daemon closes it. *)
+  Procpool.register_parent_fd fd;
   let conn = Lineio.make fd in
   let rec loop () =
     if !(st.draining) then ()
@@ -397,6 +420,7 @@ let serve_client st fd =
           loop ()
   in
   loop ();
+  Procpool.unregister_parent_fd fd;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let serve cfg =
@@ -429,8 +453,11 @@ let serve cfg =
   in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Procpool.register_parent_fd sock;
   Fun.protect
     ~finally:(fun () ->
+      List.iter (evict st) st.ctx_order;
+      Procpool.unregister_parent_fd sock;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Sys.remove cfg.socket_path with Sys_error _ -> ());
       Journal.flush ();

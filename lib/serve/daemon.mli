@@ -5,9 +5,11 @@
     invocation. The daemon pays it once: prepared sweeps
     ({!Amsvp_sweep.Runner.ctx}, which bundle the recorded plan and the
     compiled template) stay warm in an LRU cache keyed by the canonical
-    spec text, so a repeated request skips straight to point execution,
-    and the forked {!Procpool} workers inherit the warm cache
-    copy-on-write.
+    spec text, so a repeated request skips straight to point execution.
+    Each cached sweep owns a {!Procpool}: its workers are forked by the
+    first submit that runs the sweep, inherit the warm cache
+    copy-on-write, serve every later submit of the same spec, and are
+    closed when the sweep is evicted or the daemon shuts down.
 
     Requests are served one client at a time over the line-delimited
     JSON {!Protocol}; within a sweep, points are sharded across
@@ -25,9 +27,10 @@
     the [Stats] reply.
 
     SIGTERM / SIGINT (or a [Shutdown] request) drain gracefully: no new
-    point is dispatched, in-flight points finish and are checkpointed,
-    the client gets a [Done] with [complete = false], the journal sink
-    is flushed and the socket unlinked.
+    point is dispatched, points already handed to a worker (at most two
+    per worker) finish and are checkpointed, the client gets a [Done]
+    with [complete = false], every worker pool is closed, the journal
+    sink is flushed and the socket unlinked.
 
     The caller must keep the process single-domain: the point workers
     are forked, and fork and live domains do not mix. *)
@@ -39,7 +42,9 @@ type config = {
   point_timeout_s : float option;
       (** default per-point budget for specs that set none *)
   retries : int;  (** re-dispatches per crashed point *)
-  ctx_cache_max : int;  (** warm prepared sweeps kept *)
+  ctx_cache_max : int;
+      (** warm prepared sweeps kept, each with its live worker pool;
+          least recently used evicted first (at least one is kept) *)
   metrics_out : string option;
       (** Prometheus textfile the daemon rewrites atomically
           (write-to-temp + rename) every [metrics_every_s], on each

@@ -45,14 +45,20 @@ let make_tally () =
 
 (* ---- task codec (parent -> child), one line per dispatch ---- *)
 
-let encode_task (p : Sampler.point) ~retry =
+(* Workers outlive the request they were forked in, so the request id
+   travels with each task rather than being fixed in the child. *)
+let encode_task ?request_id (p : Sampler.point) ~retry =
   let open Json in
   print
     (Obj
-       [ ("index", Num (float_of_int p.Sampler.index));
-         ("label", Str p.Sampler.label);
-         ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
-         ("retry", Num (float_of_int retry)) ])
+       ([ ("index", Num (float_of_int p.Sampler.index));
+          ("label", Str p.Sampler.label);
+          ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
+          ("retry", Num (float_of_int retry)) ]
+       @
+       match request_id with
+       | Some id -> [ ("req", Num (float_of_int id)) ]
+       | None -> []))
 
 let decode_task line =
   match Json.parse line with
@@ -69,7 +75,8 @@ let decode_task line =
               (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v))
               fields
           in
-          Some ({ Sampler.index; label; overrides }, retry)
+          let request_id = Option.map int_of_float (Json.mem_float "req" j) in
+          Some ({ Sampler.index; label; overrides }, retry, request_id)
       | _ -> None)
   | exception Json.Parse_error _ -> None
 
@@ -82,21 +89,16 @@ let decode_task line =
    problem: after each task the child ships everything it produced
    since its previous ship — its own journal events (the origin filter
    in [events_after] keeps inherited parent events from being
-   re-shipped), newly completed spans, and positive counter deltas —
+   re-shipped), its completed spans, and its positive counter values —
    as telemetry lines on the result pipe, before the result line, in
-   one flush. *)
-
-let counter_lookup base (name, labels, _) =
-  match
-    List.find_opt (fun (n, ls, _) -> n = name && ls = labels) base
-  with
-  | Some (_, _, v) -> v
-  | None -> 0
+   one flush. The span buffer and counters are cleared at fork and
+   after every ship, so each ship carries exactly what is new and a
+   worker that lives as long as its pool does not accumulate what it
+   has already shipped. *)
 
 let make_shipper oc =
   let jmark = ref (Journal.next_seq ()) in
-  let smark = ref (Obs.span_count ()) in
-  let cbase = ref (Obs.counter_values ()) in
+  Obs.reset ();
   fun () ->
     let send t =
       output_string oc (Protocol.encode_telemetry t);
@@ -112,48 +114,36 @@ let make_shipper oc =
     end;
     if Obs.enabled () then begin
       let origin = Journal.origin () in
-      (match Obs.spans_from !smark with
+      (match Obs.spans () with
       | [] -> ()
-      | spans ->
-          smark := !smark + List.length spans;
-          send (Protocol.Tel_spans { origin; spans }));
-      let current = Obs.counter_values () in
-      let deltas =
-        List.filter_map
-          (fun ((name, labels, v) as c) ->
-            let d = v - counter_lookup !cbase c in
-            if d > 0 then Some (name, labels, d) else None)
-          current
-      in
-      cbase := current;
-      if deltas <> [] then
-        send (Protocol.Tel_counters { origin; counters = deltas })
+      | spans -> send (Protocol.Tel_spans { origin; spans }));
+      (match List.filter (fun (_, _, v) -> v > 0) (Obs.counter_values ()) with
+      | [] -> ()
+      | counters -> send (Protocol.Tel_counters { origin; counters }));
+      Obs.reset ()
     end
 
 (* The child is a line-driven slave: read one task, run it, write one
    result, repeat; EOF on the task pipe is the shutdown signal. All
    exits go through [Unix._exit] — the fork duplicated the parent's
    buffered channels and an [exit] would flush them a second time. *)
-let child_loop ~slot ?request_id f task_r res_w =
+let child_loop ~slot f task_r res_w =
   let ic = Unix.in_channel_of_descr task_r in
   let oc = Unix.out_channel_of_descr res_w in
   Journal.set_origin (Printf.sprintf "w%d:%d" slot (Unix.getpid ()));
   let ship = make_shipper oc in
-  let req_payload =
-    match request_id with
-    | Some id -> [ ("id", Journal.I id) ]
-    | None -> []
-  in
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> Unix._exit 0
     | line -> (
         match decode_task line with
         | None -> Unix._exit 3
-        | Some (point, retry) ->
+        | Some (point, retry, request_id) ->
             if Journal.enabled () then
               Journal.emit ~cat:"serve" "task.begin"
-                (req_payload
+                ((match request_id with
+                 | Some id -> [ ("id", Journal.I id) ]
+                 | None -> [])
                 @ [
                     ("point", Journal.S point.Sampler.label);
                     ("index", Journal.I point.Sampler.index);
@@ -189,48 +179,113 @@ let child_loop ~slot ?request_id f task_r res_w =
             flush oc;
             loop ())
   in
-  loop ()
+  (* A parent gone mid-write (EPIPE) must not unwind into [exit]. *)
+  try loop () with _ -> Unix._exit 2
 
 (* ---- parent side ---- *)
 
+(* Every descriptor a freshly forked worker must close first thing: the
+   parent-side pipe ends of every live worker in every pool, plus what
+   the embedding process registers (the daemon's listening socket and
+   client connection). One registry for the whole process, because a
+   child holding another worker's task-pipe write end would keep that
+   worker from seeing EOF when its pool is closed, and [close] would
+   hang in [waitpid]. *)
+let parent_fds : Unix.file_descr list ref = ref []
+
+let register_parent_fd fd = parent_fds := fd :: !parent_fds
+
+let unregister_parent_fd fd =
+  parent_fds := List.filter (fun f -> f <> fd) !parent_fds
+
+(* Tasks a worker holds at once: the head it is running and one queued
+   behind it in its task pipe, so its next task is already waiting when
+   the parent reads a result. *)
+let depth = 2
+
 type worker = {
   slot : int;  (* stable position in the pool; part of the origin tag *)
-  mutable pid : int;
-  mutable to_child : Unix.file_descr;
-  mutable from_child : Unix.file_descr;
-  mutable buf : Buffer.t;
-  mutable current : (int * float) option;  (* point slot, kill deadline *)
+  pid : int;
+  to_child : Unix.file_descr;
+  from_child : Unix.file_descr;
+  buf : Buffer.t;
+  tasks : int Queue.t;  (* point slots written to the child, head first *)
+  mutable head_started : float;
+  mutable head_deadline : float;  (* kill deadline of the head *)
   mutable alive : bool;
 }
 
-(* [sibling_fds] are the parent-side pipe ends of every other live
-   worker: a fork inherits them all, and a child holding a sibling's
-   task-pipe write end would keep that sibling alive past the parent's
-   close (no EOF), deadlocking shutdown — so each child closes them
-   first thing. *)
-let spawn ~slot ?request_id ~sibling_fds f =
+type t = {
+  work : retry:int -> Sampler.point -> Runner.point_result;
+  timeout_s : float option;
+  ws : worker option array;  (* [None]: not forked yet, or reaped *)
+  mutable closed : bool;
+}
+
+let create ~workers ?timeout_s work =
+  if workers < 1 then invalid_arg "Procpool.create: workers < 1";
+  { work; timeout_s; ws = Array.make workers None; closed = false }
+
+let spawn pool ~slot =
   let task_r, task_w = Unix.pipe ~cloexec:false () in
   let res_r, res_w = Unix.pipe ~cloexec:false () in
   match Unix.fork () with
   | 0 ->
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        sibling_fds;
+        !parent_fds;
       Unix.close task_w;
       Unix.close res_r;
-      child_loop ~slot ?request_id f task_r res_w
+      child_loop ~slot pool.work task_r res_w
   | pid ->
       Unix.close task_r;
       Unix.close res_w;
-      {
-        slot;
-        pid;
-        to_child = task_w;
-        from_child = res_r;
-        buf = Buffer.create 256;
-        current = None;
-        alive = true;
-      }
+      register_parent_fd task_w;
+      register_parent_fd res_r;
+      let w =
+        {
+          slot;
+          pid;
+          to_child = task_w;
+          from_child = res_r;
+          buf = Buffer.create 256;
+          tasks = Queue.create ();
+          head_started = 0.0;
+          head_deadline = infinity;
+          alive = true;
+        }
+      in
+      pool.ws.(slot) <- Some w;
+      w
+
+(* Close the task pipe first: an idle child is blocked on it and the
+   EOF is what lets it exit before the (blocking) waitpid. Dropping
+   the fds from the registry at close time keeps a later child from
+   closing an unrelated reuse of the number. *)
+let close_task_pipe w =
+  unregister_parent_fd w.to_child;
+  try Unix.close w.to_child with Unix.Unix_error _ -> ()
+
+let finish_reap pool w =
+  unregister_parent_fd w.from_child;
+  (try Unix.close w.from_child with Unix.Unix_error _ -> ());
+  (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
+  w.alive <- false;
+  pool.ws.(w.slot) <- None
+
+let reap pool w =
+  close_task_pipe w;
+  finish_reap pool w
+
+let close pool =
+  if not pool.closed then begin
+    pool.closed <- true;
+    let live = Array.to_list pool.ws |> List.filter_map Fun.id in
+    (* Every child sees its EOF before the first waitpid, so they exit
+       concurrently. *)
+    List.iter close_task_pipe live;
+    List.iter (finish_reap pool) live
+  end
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -299,10 +354,9 @@ let ingest_telemetry_line ?tally ?request_id line =
       true
   | `Not_telemetry -> false
 
-let run ~workers ?timeout_s ?(retries = 1) ?(signal = "") ?request_id ?tally
-    ?on_result ?(should_stop = fun () -> false) f
-    (points : Sampler.point array) =
-  if workers < 1 then invalid_arg "Procpool.run: workers < 1";
+let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
+    ?(should_stop = fun () -> false) (points : Sampler.point array) =
+  if pool.closed then invalid_arg "Procpool.run: pool closed";
   let n = Array.length points in
   let results : Runner.point_result option array = Array.make n None in
   if n = 0 then results
@@ -314,35 +368,22 @@ let run ~workers ?timeout_s ?(retries = 1) ?(signal = "") ?request_id ?tally
     let retry_count = Array.make n 0 in
     let requeue = Queue.create () in
     let next = ref 0 in
-    let done_count = ref 0 in
     let stop = ref false in
-    let live_fds = ref [] in
-    let spawn_tracked slot =
-      let w = spawn ~slot ?request_id ~sibling_fds:!live_fds f in
-      Obs.Counter.incr c_spawned;
-      (match tally with Some t -> t.t_spawned <- t.t_spawned + 1 | None -> ());
-      live_fds := w.to_child :: w.from_child :: !live_fds;
-      w
-    in
-    let forget_fds w =
-      live_fds :=
-        List.filter
-          (fun fd -> fd <> w.to_child && fd <> w.from_child)
-          !live_fds
-    in
-    let ws = Array.init (min workers n) (fun i -> spawn_tracked i) in
-    let dispatch_times = Array.make n 0.0 in
+    let count f = match tally with Some t -> f t | None -> () in
     (* The child runs the cooperative in-simulation timeout itself; the
        parent's kill deadline is the backstop for a worker that hangs
        outside the stepping loop, so it is deliberately slack. *)
     let kill_deadline now =
-      match timeout_s with
+      match pool.timeout_s with
       | Some t -> now +. (1.5 *. t) +. 0.5
       | None -> infinity
     in
+    let start_head w now =
+      w.head_started <- now;
+      w.head_deadline <- kill_deadline now
+    in
     let finish slot r =
       results.(slot) <- Some r;
-      incr done_count;
       match on_result with Some cb -> cb r | None -> ()
     in
     let pending_available () = (not (Queue.is_empty requeue)) || !next < n in
@@ -354,40 +395,21 @@ let run ~workers ?timeout_s ?(retries = 1) ?(signal = "") ?request_id ?tally
         s
       end
     in
-    let reap w =
-      (* Close the task pipe first: an idle child is blocked on it and
-         the EOF is what lets it exit before the (blocking) waitpid.
-         Dropping the fds from [live_fds] at close time also keeps a
-         later child from closing an unrelated reuse of the number. *)
-      forget_fds w;
-      (try Unix.close w.to_child with Unix.Unix_error _ -> ());
-      (try Unix.close w.from_child with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-      w.alive <- false
-    in
-    let respawn w =
-      let fresh = spawn_tracked w.slot in
-      w.pid <- fresh.pid;
-      w.to_child <- fresh.to_child;
-      w.from_child <- fresh.from_child;
-      w.buf <- Buffer.create 256;
-      w.current <- None;
-      w.alive <- true
-    in
-    (* A worker died (EOF / kill). Its in-flight point either gets
-       re-dispatched — bounded by [retries] — or a synthesised verdict
-       so the sweep can still complete. *)
+    let live () = Array.to_list pool.ws |> List.filter_map Fun.id in
+    let busy w = not (Queue.is_empty w.tasks) in
+    (* A worker died (EOF / kill). Only its head was running: it is
+       re-dispatched — bounded by [retries] — or gets a synthesised
+       verdict so the sweep can still complete. Tasks queued behind the
+       head never started and go back to pending uncharged. *)
     let handle_death ?(timed_out = false) w =
-      (match w.current with
+      (match Queue.take_opt w.tasks with
       | None -> ()
-      | Some (slot, _) ->
-          let wall_s = Unix.gettimeofday () -. dispatch_times.(slot) in
+      | Some slot ->
+          let wall_s = Unix.gettimeofday () -. w.head_started in
           let p = points.(slot) in
           if timed_out then begin
             Obs.Counter.incr c_kills;
-            (match tally with
-            | Some t -> t.t_timeouts <- t.t_timeouts + 1
-            | None -> ());
+            count (fun t -> t.t_timeouts <- t.t_timeouts + 1);
             jlog ?req:request_id "shard.kill"
               [
                 ("point", Journal.S p.Sampler.label);
@@ -398,9 +420,7 @@ let run ~workers ?timeout_s ?(retries = 1) ?(signal = "") ?request_id ?tally
           else if retry_count.(slot) < retries then begin
             retry_count.(slot) <- retry_count.(slot) + 1;
             Obs.Counter.incr c_redispatch;
-            (match tally with
-            | Some t -> t.t_redispatched <- t.t_redispatched + 1
-            | None -> ());
+            count (fun t -> t.t_redispatched <- t.t_redispatched + 1);
             jlog ?req:request_id "shard.redispatch"
               [
                 ("point", Journal.S p.Sampler.label);
@@ -410,30 +430,29 @@ let run ~workers ?timeout_s ?(retries = 1) ?(signal = "") ?request_id ?tally
           end
           else begin
             Obs.Counter.incr c_crashed;
-            (match tally with
-            | Some t -> t.t_crashed <- t.t_crashed + 1
-            | None -> ());
+            count (fun t -> t.t_crashed <- t.t_crashed + 1);
             jlog ?req:request_id "shard.crashed"
               [
                 ("point", Journal.S p.Sampler.label);
                 ("retries", Journal.I retry_count.(slot));
               ];
             finish slot (synth signal p Health.Crashed ~wall_s)
-          end;
-          w.current <- None);
-      reap w;
-      if (not !stop) && pending_available () then respawn w
+          end);
+      Queue.transfer w.tasks requeue;
+      reap pool w
     in
     let handle_line w line =
       if ingest_telemetry_line ?tally ?request_id line then ()
       else
         match Checkpoint.result_of_line line with
         | Ok r -> (
-            match w.current with
-            | Some (slot, _) ->
-                w.current <- None;
+            match Queue.take_opt w.tasks with
+            | Some slot ->
+                (* The queued task becomes the head now: its kill
+                   deadline starts here, not when it was written. *)
+                if busy w then start_head w (Unix.gettimeofday ());
                 finish slot r
-            | None -> () (* stray line after a re-dispatch; drop *))
+            | None -> () (* stray line; drop *))
         | Error _ ->
             (* A torn result is indistinguishable from a crash. *)
             (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -454,79 +473,94 @@ let run ~workers ?timeout_s ?(retries = 1) ?(signal = "") ?request_id ?tally
                 Buffer.add_string w.buf tail
             | line :: rest ->
                 handle_line w line;
-                go rest
+                if w.alive then go rest
           in
           go parts
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     in
+    let send w slot =
+      let line =
+        encode_task ?request_id points.(slot) ~retry:retry_count.(slot) ^ "\n"
+      in
+      match write_all w.to_child line with
+      | () ->
+          if not (busy w) then start_head w (Unix.gettimeofday ());
+          Queue.push slot w.tasks
+      | exception Unix.Unix_error _ ->
+          (* Pipe already broken: the EOF on the result pipe will reap
+             it; put the point back. *)
+          Queue.push slot requeue
+    in
+    (* Breadth first: every slot gets a head (forking the ones not
+       running) before any gets a queued task, so a short sweep still
+       spreads over the whole pool. *)
     let dispatch () =
-      Array.iter
-        (fun w ->
-          if w.alive && w.current = None && (not !stop) && pending_available ()
-          then begin
-            let slot = pop_pending () in
-            let now = Unix.gettimeofday () in
-            dispatch_times.(slot) <- now;
-            let line =
-              encode_task points.(slot) ~retry:retry_count.(slot) ^ "\n"
-            in
-            match write_all w.to_child line with
-            | () -> w.current <- Some (slot, kill_deadline now)
-            | exception Unix.Unix_error _ ->
-                (* Pipe already broken: the EOF on the result pipe will
-                   reap it; put the point back. *)
-                Queue.push slot requeue
-          end)
-        ws
+      for level = 1 to depth do
+        Array.iteri
+          (fun slot w ->
+            if (not !stop) && pending_available () then
+              match w with
+              | Some w when Queue.length w.tasks < level ->
+                  send w (pop_pending ())
+              | None when level = 1 ->
+                  let w = spawn pool ~slot in
+                  Obs.Counter.incr c_spawned;
+                  count (fun t -> t.t_spawned <- t.t_spawned + 1);
+                  send w (pop_pending ())
+              | _ -> ())
+          pool.ws
+      done
     in
     let rec loop () =
       if should_stop () then stop := true;
       dispatch ();
-      let in_flight = Array.exists (fun w -> w.current <> None) ws in
+      let ws = live () in
       if
-        (not in_flight)
-        && (!stop || !done_count = n || not (pending_available ()))
+        (not (List.exists busy ws))
+        && (!stop || not (pending_available ()))
       then ()
       else begin
         let now = Unix.gettimeofday () in
         let tick =
-          Array.fold_left
+          List.fold_left
             (fun acc w ->
-              match w.current with
-              | Some (_, dl) when dl < infinity ->
-                  Float.min acc (Float.max 0.01 (dl -. now))
-              | _ -> acc)
+              if busy w && w.head_deadline < infinity then
+                Float.min acc (Float.max 0.01 (w.head_deadline -. now))
+              else acc)
             0.25 ws
         in
-        let fds =
-          Array.to_list ws
-          |> List.filter_map (fun w ->
-                 if w.alive then Some w.from_child else None)
-        in
-        (match Unix.select fds [] [] tick with
+        (match Unix.select (List.map (fun w -> w.from_child) ws) [] [] tick with
         | readable, _, _ ->
-            Array.iter
+            List.iter
               (fun w ->
                 if w.alive && List.mem w.from_child readable then
                   handle_readable w)
               ws
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         (* Kill-deadline check: a worker stuck past the backstop is
-           SIGKILLed and its point reported as timed out. *)
+           SIGKILLed and its head reported as timed out. *)
         let now = Unix.gettimeofday () in
-        Array.iter
+        List.iter
           (fun w ->
-            match w.current with
-            | Some (_, dl) when w.alive && now > dl ->
-                (try Unix.kill w.pid Sys.sigkill
-                 with Unix.Unix_error _ -> ());
-                handle_death ~timed_out:true w
-            | _ -> ())
+            if w.alive && busy w && now > w.head_deadline then begin
+              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+              handle_death ~timed_out:true w
+            end)
           ws;
         loop ()
       end
     in
-    loop ();
-    Array.iter (fun w -> if w.alive then reap w) ws;
-    results
+    match loop () with
+    | () -> results
+    | exception e ->
+        (* Workers still holding tasks would answer them into the next
+           run: kill them, so the pool only ever keeps idle workers. *)
+        List.iter
+          (fun w ->
+            if busy w then begin
+              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+              reap pool w
+            end)
+          (live ());
+        raise e
   end

@@ -674,7 +674,17 @@ let exec t (regs : float array) =
     | Div (d, a, b) -> set d (get a /. get b)
     | App (f, d, a) -> set d (Expr.apply_fun f (get a))
     | Cmp (c, d, a, b) ->
-        set d (if Expr.apply_cmp c (get a) (get b) then 1.0 else 0.0)
+        (* Compared here rather than through [Expr.apply_cmp]: a call
+           across modules boxes both operands under [-opaque]. *)
+        let x = get a and y = get b in
+        let r =
+          match c with
+          | Expr.Lt -> x < y
+          | Expr.Le -> x <= y
+          | Expr.Gt -> x > y
+          | Expr.Ge -> x >= y
+        in
+        set d (if r then 1.0 else 0.0)
     | Andb (d, a, b) ->
         set d (if get a <> 0.0 && get b <> 0.0 then 1.0 else 0.0)
     | Orb (d, a, b) ->

@@ -443,6 +443,38 @@ let prop_paper_circuits_roundtrip =
       Trace.length tr = 2001
       && Float.is_finite (Trace.last_value tr))
 
+(* A definition that still holds an [idt] node — the assembler never
+   produces one — is refused with the typed error by both integration
+   rules: backward Euler in [Expr.discretize], trapezoidal in the
+   differentiator rewrite. *)
+let test_solve_idt_rejected () =
+  let x = Expr.signal "x" and y = Expr.signal "y" in
+  let asm =
+    {
+      Assemble.defs =
+        [
+          {
+            Assemble.var = y;
+            raw = Expr.Idt (Expr.var x);
+            via = 0;
+            integrates = false;
+            deriv = None;
+          };
+        ];
+      outputs = [ y ];
+      inputs = [ "x" ];
+    }
+  in
+  Alcotest.check_raises "backward Euler"
+    (Expr.Continuous_time
+       "Expr.discretize: idt must be removed with extract_idt")
+    (fun () -> ignore (Solve.solved_assignments ~dt:1e-6 asm));
+  Alcotest.check_raises "trapezoidal"
+    (Expr.Continuous_time "Solve: idt must be removed with extract_idt")
+    (fun () ->
+      ignore
+        (Solve.solved_assignments ~integration:`Trapezoidal ~dt:1e-6 asm))
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
@@ -467,6 +499,7 @@ let () =
           Alcotest.test_case "RC1 coefficients" `Quick test_solve_rc1_coefficients;
           Alcotest.test_case "modes agree" `Quick test_solve_modes_agree_when_fine;
           Alcotest.test_case "relaxed stability" `Quick test_relaxed_stable_long_run;
+          Alcotest.test_case "idt rejected" `Quick test_solve_idt_rejected;
         ] );
       ( "flow",
         [

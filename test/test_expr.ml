@@ -48,8 +48,21 @@ let test_eval_cond () =
 
 let test_eval_ddt_rejected () =
   Alcotest.check_raises "ddt rejected"
-    (Failure "Expr.eval: ddt/idt cannot be evaluated pointwise") (fun () ->
-      ignore (Expr.eval (fun _ -> 0.0) (Expr.Ddt vx)))
+    (Expr.Continuous_time "Expr.eval: ddt/idt cannot be evaluated pointwise")
+    (fun () -> ignore (Expr.eval (fun _ -> 0.0) (Expr.Ddt vx)))
+
+let test_compile_idt_rejected () =
+  Alcotest.check_raises "idt rejected"
+    (Expr.Continuous_time "Expr.compile: ddt/idt cannot be compiled")
+    (fun () ->
+      let (_ : float array -> float) = Expr.compile (fun _ -> 0) (Expr.Idt vx) in
+      ())
+
+let test_discretize_idt_rejected () =
+  Alcotest.check_raises "idt rejected"
+    (Expr.Continuous_time
+       "Expr.discretize: idt must be removed with extract_idt")
+    (fun () -> ignore (Expr.discretize ~dt:1e-6 (Expr.Ddt (Expr.Idt vx))))
 
 (* Simplification *)
 
@@ -301,6 +314,8 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_eval_arith;
           Alcotest.test_case "conditional" `Quick test_eval_cond;
           Alcotest.test_case "ddt rejected" `Quick test_eval_ddt_rejected;
+          Alcotest.test_case "compile rejects idt" `Quick
+            test_compile_idt_rejected;
         ] );
       ( "simplify",
         [
@@ -318,6 +333,8 @@ let () =
           Alcotest.test_case "first order" `Quick test_discretize_first_order;
           Alcotest.test_case "nested ddt" `Quick test_discretize_nested;
           Alcotest.test_case "idt extraction" `Quick test_extract_idt;
+          Alcotest.test_case "idt rejected" `Quick
+            test_discretize_idt_rejected;
         ] );
       ( "trees",
         [

@@ -570,10 +570,16 @@ let pool_points n =
   Array.init n (fun i ->
       { Sampler.index = i; label = Printf.sprintf "p%04d" i; overrides = [] })
 
+(* A one-shot pool: create, run, close. *)
+let with_pool ~workers ?timeout_s f k =
+  let pool = Procpool.create ~workers ?timeout_s f in
+  Fun.protect ~finally:(fun () -> Procpool.close pool) (fun () -> k pool)
+
 let test_pool_exactly_once () =
   let points = pool_points 9 in
   let results =
-    Procpool.run ~workers:3 (fun ~retry p -> mk ~retry p) points
+    with_pool ~workers:3 (fun ~retry p -> mk ~retry p) (fun pool ->
+        Procpool.run pool points)
   in
   Alcotest.(check int) "all slots" 9 (Array.length results);
   Array.iteri
@@ -590,10 +596,10 @@ let test_pool_crash_redispatch () =
   let points = pool_points 6 in
   let tally = Procpool.make_tally () in
   let results =
-    Procpool.run ~workers:2 ~retries:1 ~tally
+    with_pool ~workers:2
       (fun ~retry p ->
         if p.Sampler.index = 2 && retry = 0 then Unix._exit 9 else mk ~retry p)
-      points
+      (fun pool -> Procpool.run pool ~retries:1 ~tally points)
   in
   Alcotest.(check int) "one re-dispatch" 1 tally.Procpool.t_redispatched;
   Alcotest.(check int) "replacement spawned" 3 tally.Procpool.t_spawned;
@@ -613,11 +619,12 @@ let test_pool_crash_exhausted () =
   let points = pool_points 4 in
   let tally = Procpool.make_tally () in
   let results =
-    Procpool.run ~workers:2 ~retries:1 ~signal:"V(out,gnd)" ~tally
+    with_pool ~workers:2
       (fun ~retry p ->
         ignore retry;
         if p.Sampler.index = 1 then Unix._exit 9 else mk p)
-      points
+      (fun pool ->
+        Procpool.run pool ~retries:1 ~signal:"V(out,gnd)" ~tally points)
   in
   Alcotest.(check int) "retries exhausted once" 1 tally.Procpool.t_crashed;
   Alcotest.(check int) "one re-dispatch before giving up" 1
@@ -636,12 +643,12 @@ let test_pool_timeout_kill () =
   let points = pool_points 3 in
   let tally = Procpool.make_tally () in
   let results =
-    Procpool.run ~workers:2 ~timeout_s:0.05 ~tally
+    with_pool ~workers:2 ~timeout_s:0.05
       (fun ~retry p ->
         ignore retry;
         if p.Sampler.index = 0 then Unix.sleepf 30.0;
         mk p)
-      points
+      (fun pool -> Procpool.run pool ~tally points)
   in
   Alcotest.(check int) "kill counted" 1 tally.Procpool.t_timeouts;
   (match results.(0) with
@@ -653,75 +660,208 @@ let test_pool_timeout_kill () =
   | None -> Alcotest.fail "timed-out slot missing");
   (match results.(1) with
   | Some r -> Alcotest.(check bool) "others fine" true r.Runner.health.Health.v_healthy
-  | None -> Alcotest.fail "slot 1 missing")
+  | None -> Alcotest.fail "slot 1 missing");
+  (* Point 2 was queued behind the hung point 0 on its worker; it goes
+     back to pending when that worker is killed, and still runs. *)
+  match results.(2) with
+  | Some r -> Alcotest.(check bool) "queued point ran" true r.Runner.health.Health.v_healthy
+  | None -> Alcotest.fail "slot 2 missing"
 
-(* With the journal on, each child tags itself "w<slot>:<pid>" and
-   ships its events back over the result pipe — so after [run] the
-   parent's merged journal must contain events from every worker
-   process that handled a task. *)
-let test_pool_telemetry_ship () =
+(* The journal's ["task.begin"] events: one per task a worker started. *)
+let task_begins events =
+  List.filter (fun e -> e.Journal.name = "task.begin") events
+
+let payload_int key (e : Journal.event) =
+  match List.assoc_opt key e.Journal.payload with
+  | Some (Journal.I i) -> Some i
+  | _ -> None
+
+let with_journal k =
   Journal.enable ();
   Journal.reset ();
   Fun.protect
     ~finally:(fun () ->
       Journal.reset ();
       Journal.disable ())
-    (fun () ->
-      let tally = Procpool.make_tally () in
-      let points = pool_points 8 in
-      let results =
-        Procpool.run ~workers:2 ~request_id:7 ~tally
-          (fun ~retry p ->
-            ignore retry;
-            Unix.sleepf 0.01;
-            mk p)
-          points
-      in
+    k
+
+(* One worker: point 0 is its head and point 1 is queued behind it when
+   point 0 crashes. Only the head is charged a retry; point 1 never
+   started, so it runs exactly once, on its first attempt. *)
+let test_pool_queued_not_charged () =
+  with_journal @@ fun () ->
+  let points = pool_points 3 in
+  let tally = Procpool.make_tally () in
+  let delivered = Array.make 3 0 in
+  let results =
+    with_pool ~workers:1
+      (fun ~retry p ->
+        if p.Sampler.index = 0 && retry = 0 then Unix._exit 9
+        else mk ~retry p)
+      (fun pool ->
+        Procpool.run pool ~retries:1 ~tally
+          ~on_result:(fun r ->
+            let i = r.Runner.point.Sampler.index in
+            delivered.(i) <- delivered.(i) + 1)
+          points)
+  in
+  Alcotest.(check int) "one re-dispatch" 1 tally.Procpool.t_redispatched;
+  Alcotest.(check int) "no exhausted point" 0 tally.Procpool.t_crashed;
+  Alcotest.(check (array int)) "each delivered once" [| 1; 1; 1 |] delivered;
+  (match results.(0) with
+  | Some r -> Alcotest.(check (float 0.0)) "head ran on retry 1" 1.0 r.Runner.wall_s
+  | None -> Alcotest.fail "slot 0 missing");
+  (match results.(1) with
+  | Some r ->
+      Alcotest.(check (float 0.0)) "queued point on retry 0" 0.0 r.Runner.wall_s
+  | None -> Alcotest.fail "slot 1 missing");
+  let starts =
+    List.filter
+      (fun e -> payload_int "index" e = Some 1)
+      (task_begins (Journal.events ()))
+  in
+  Alcotest.(check int) "queued point started once" 1 (List.length starts);
+  Alcotest.(check (option int)) "with retry 0" (Some 0)
+    (payload_int "retry" (List.hd starts))
+
+(* The queued point's kill deadline starts when the head completes. Its
+   deadline is 1.5 * 0.2 + 0.5 = 0.8 s: point 1 ends 1.0 s after it was
+   written, but only 0.6 s after it became the head. *)
+let test_pool_queued_deadline () =
+  let points = pool_points 2 in
+  let tally = Procpool.make_tally () in
+  let results =
+    with_pool ~workers:1 ~timeout_s:0.2
+      (fun ~retry p ->
+        Unix.sleepf (if p.Sampler.index = 0 then 0.4 else 0.6);
+        mk ~retry p)
+      (fun pool -> Procpool.run pool ~tally points)
+  in
+  Alcotest.(check int) "no kill" 0 tally.Procpool.t_timeouts;
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (r : Runner.point_result) ->
+          Alcotest.(check bool) "healthy" true r.Runner.health.Health.v_healthy
+      | None -> Alcotest.failf "slot %d missing" i)
+    results
+
+(* With the journal on, each child tags itself "w<slot>:<pid>" and
+   ships its events back over the result pipe — so after [run] the
+   parent's merged journal must contain events from every worker
+   process that handled a task. A second run on the same pool forks
+   nothing and tags its tasks with its own request id. *)
+let c_pool_tasks = Obs.Counter.make "test_serve_pool_tasks_total"
+
+let test_pool_telemetry_ship () =
+  with_journal @@ fun () ->
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.reset ();
+      Obs.disable ())
+  @@ fun () ->
+  let tally = Procpool.make_tally () in
+  let points = pool_points 8 in
+  let work ~retry p =
+    ignore retry;
+    Obs.with_span "test.pool_task" @@ fun () ->
+    Unix.sleepf 0.01;
+    Obs.Counter.incr c_pool_tasks;
+    mk p
+  in
+  (* The parent's own count: a worker inherits it at fork and must not
+     ship it back. *)
+  Obs.Counter.add c_pool_tasks 100;
+  with_pool ~workers:2 work @@ fun pool ->
+  List.iter
+    (fun id ->
+      let results = Procpool.run pool ~request_id:id ~tally points in
       Array.iteri
         (fun i r -> if r = None then Alcotest.failf "slot %d missing" i)
-        results;
-      let events = Journal.events () in
-      let origins =
-        List.filter_map
-          (fun e ->
-            let o = e.Journal.origin in
-            if String.length o > 0 && o.[0] = 'w' then Some o else None)
-          events
-        |> List.sort_uniq Stdlib.compare
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "two worker origins (got %d)" (List.length origins))
-        true
-        (List.length origins >= 2);
-      let begins =
-        List.filter (fun e -> e.Journal.name = "task.begin") events
-      in
-      Alcotest.(check int) "every task journaled its begin" 8
-        (List.length begins);
-      List.iter
-        (fun e ->
-          match List.assoc_opt "id" e.Journal.payload with
-          | Some (Journal.I 7) -> ()
-          | _ -> Alcotest.fail "task.begin missing the request id")
-        begins;
-      Alcotest.(check int) "no torn frames" 0 tally.Procpool.t_torn;
-      Alcotest.(check int) "spawned" 2 tally.Procpool.t_spawned)
+        results)
+    [ 7; 8 ];
+  let events = Journal.events () in
+  let origins =
+    List.filter_map
+      (fun e ->
+        let o = e.Journal.origin in
+        if String.length o > 0 && o.[0] = 'w' then Some o else None)
+      events
+    |> List.sort_uniq Stdlib.compare
+  in
+  Alcotest.(check int) "two worker origins" 2 (List.length origins);
+  let begins = task_begins events in
+  Alcotest.(check int) "every task journaled its begin" 16
+    (List.length begins);
+  List.iter
+    (fun id ->
+      Alcotest.(check int)
+        (Printf.sprintf "task.begin events of request %d" id)
+        8
+        (List.length (List.filter (fun e -> payload_int "id" e = Some id) begins)))
+    [ 7; 8 ];
+  Alcotest.(check int) "no torn frames" 0 tally.Procpool.t_torn;
+  Alcotest.(check int) "spawned once for both runs" 2 tally.Procpool.t_spawned;
+  (* Long-lived workers ship each span and each counter increment
+     exactly once across both runs. *)
+  Alcotest.(check int) "one worker span per task" 16
+    (List.length
+       (List.filter
+          (fun (sp : Obs.span) ->
+            sp.Obs.name = "test.pool_task" && String.length sp.Obs.proc > 0
+            && sp.Obs.proc.[0] = 'w')
+          (Obs.spans ())));
+  Alcotest.(check int) "counter deltas summed once" 116
+    (Obs.Counter.value c_pool_tasks)
 
+(* One worker holds the head and one queued point when [should_stop]
+   turns true, so at most one point past the stopping one is delivered,
+   and every delivered point went through [on_result]. *)
 let test_pool_drain () =
   let points = pool_points 8 in
-  let served = ref 0 in
+  let served = ref [] in
   let results =
-    Procpool.run ~workers:1
-      ~on_result:(fun _ -> incr served)
-      ~should_stop:(fun () -> !served >= 2)
+    with_pool ~workers:1
       (fun ~retry p ->
         ignore retry;
         mk p)
-      points
+      (fun pool ->
+        Procpool.run pool
+          ~on_result:(fun r ->
+            served := r.Runner.point.Sampler.index :: !served)
+          ~should_stop:(fun () -> List.length !served >= 2)
+          points)
   in
-  let some = Array.to_list results |> List.filter_map Fun.id in
-  Alcotest.(check bool) "stopped early" true (List.length some < 8);
-  Alcotest.(check bool) "served at least 2" true (List.length some >= 2)
+  let some =
+    Array.to_list results
+    |> List.filter_map (Option.map (fun (r : Runner.point_result) ->
+           r.Runner.point.Sampler.index))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "2 or 3 delivered (got %d)" (List.length some))
+    true
+    (List.length some >= 2 && List.length some <= 3);
+  Alcotest.(check (list int)) "every delivered point passed on_result" some
+    (List.sort compare !served);
+  (* Stopping right after the first dispatch: the worker already holds
+     its head and one queued point, and both are delivered. *)
+  let polls = ref 0 in
+  let results =
+    with_pool ~workers:1
+      (fun ~retry p ->
+        ignore retry;
+        mk p)
+      (fun pool ->
+        Procpool.run pool
+          ~should_stop:(fun () ->
+            incr polls;
+            !polls > 1)
+          points)
+  in
+  Alcotest.(check (list bool)) "head and queued point delivered"
+    [ true; true; false; false; false; false; false; false ]
+    (Array.to_list (Array.map Option.is_some results))
 
 (* ---- end-to-end daemon session ---- *)
 
@@ -736,12 +876,93 @@ let wait_for_socket path =
   in
   go 100
 
+(* The pids of the workers that started tasks of request [id], from the
+   daemon's journal sink: the origin of a worker event is
+   "w<slot>:<pid>". *)
+let worker_pids journal ~id =
+  let ic = open_in_bin journal in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        acc
+  in
+  List.filter_map
+    (fun line ->
+      let j = Json.parse line in
+      let req =
+        Option.bind (Json.member "data" j) (Json.mem_float "id")
+      in
+      match (Json.mem_string "name" j, Json.mem_string "origin" j, req) with
+      | Some "task.begin", Some origin, Some r when int_of_float r = id -> (
+          match String.index_opt origin ':' with
+          | Some i ->
+              int_of_string_opt
+                (String.sub origin (i + 1) (String.length origin - i - 1))
+          | None -> None)
+      | _ -> None)
+    (lines [])
+  |> List.sort_uniq compare
+
+let check_gone what pids =
+  List.iter
+    (fun pid ->
+      match Unix.kill pid 0 with
+      | () -> Alcotest.failf "%s: worker %d still exists" what pid
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+    pids
+
+(* Submit and collect the streamed results by point index, plus the
+   request id from the [Accepted] frame. *)
+let submit_collect c spec =
+  let n = Spec.point_count spec in
+  let got = Array.make n None in
+  let id = ref (-1) in
+  match
+    Client.submit c ~spec_text:(Spec.to_string spec)
+      ~on_event:(function
+        | Protocol.Accepted { id = i; _ } -> id := i
+        | Protocol.Point { result; _ } ->
+            got.(result.Runner.point.Sampler.index) <- Some result
+        | _ -> ())
+      ()
+  with
+  | Ok (Protocol.Done { points; complete = true; _ }) when points = n ->
+      (!id, Array.map Option.get got)
+  | Ok r ->
+      Alcotest.failf "unexpected final frame %s" (Protocol.encode_response r)
+  | Error m -> Alcotest.failf "submit: %s" m
+
+let stats c =
+  Client.send c Protocol.Stats;
+  match Client.recv c with
+  | Ok (Protocol.Stats_reply st) -> st
+  | _ -> Alcotest.fail "expected stats"
+
+let bits (r : Runner.point_result) =
+  List.map Int64.bits_of_float
+    (r.Runner.out_final :: r.Runner.out_rms
+    :: Option.to_list r.Runner.nrmse)
+
+(* Run [k] against the forked daemon [pid]. A failing check must not
+   leave the daemon and its workers running: they hold the test
+   binary's output pipe open. *)
+let guard_daemon pid k =
+  match k () with
+  | v -> v
+  | exception e ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      raise e
+
 let test_daemon_session () =
   let sock = tmp (Printf.sprintf "amsvp_serve_%d.sock" (Unix.getpid ())) in
   let metrics = tmp (Printf.sprintf "amsvp_serve_%d.prom" (Unix.getpid ())) in
   let trace = tmp (Printf.sprintf "amsvp_serve_%d.trace" (Unix.getpid ())) in
+  let journal = tmp (Printf.sprintf "amsvp_serve_%d.jsonl" (Unix.getpid ())) in
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ sock; metrics; trace ];
+    [ sock; metrics; trace; journal ];
   match Unix.fork () with
   | 0 ->
       (* Daemon process; _exit so the test runner's state is not
@@ -749,6 +970,7 @@ let test_daemon_session () =
       (try
          Obs.enable ();
          Journal.enable ();
+         Journal.attach_sink journal;
          Daemon.serve
            {
              (Daemon.default_config ~socket_path:sock) with
@@ -759,6 +981,7 @@ let test_daemon_session () =
        with _ -> Unix._exit 1);
       Unix._exit 0
   | pid ->
+      guard_daemon pid @@ fun () ->
       wait_for_socket sock;
       let c = Client.connect sock in
       Client.send c Protocol.Ping;
@@ -799,6 +1022,20 @@ let test_daemon_session () =
             (match other with
             | Ok r -> Protocol.encode_response r
             | Error m -> m));
+      (* The same spec twice: the second submit runs on the warm pool
+         (no fork) and streams the same values, bit for bit. *)
+      let id1, first = submit_collect c small_spec in
+      let spawned = (stats c).st_spawned in
+      let id2, second = submit_collect c small_spec in
+      let st = stats c in
+      Alcotest.(check int) "warm submit spawns no worker" spawned
+        st.st_spawned;
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check (list int64))
+            (Printf.sprintf "point %d bit-identical" i)
+            (bits first.(i)) (bits r))
+        second;
       Client.send c Protocol.Shutdown;
       (match Client.recv c with
       | Ok Protocol.Bye -> ()
@@ -809,6 +1046,13 @@ let test_daemon_session () =
       | Unix.WEXITED 0 -> ()
       | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
       | _ -> Alcotest.fail "daemon killed");
+      (* Shutdown closes the pool and reaps its workers before the
+         daemon exits. *)
+      let pids = worker_pids journal ~id:id1 in
+      Alcotest.(check bool) "workers journaled their pids" true (pids <> []);
+      Alcotest.(check (list int)) "the warm submit used the same workers"
+        pids (worker_pids journal ~id:id2);
+      check_gone "after shutdown" pids;
       Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock);
       (* The shutdown path must leave a parseable metrics textfile and
          a trace document behind. *)
@@ -834,7 +1078,90 @@ let test_daemon_session () =
       let tr = slurp trace in
       Alcotest.(check bool) "trace is a trace document" true
         (contains tr "\"traceEvents\"");
-      List.iter Sys.remove [ metrics; trace ]
+      List.iter Sys.remove [ metrics; trace; journal ]
+
+(* Submit [specs] in order to a daemon whose cache keeps [cache_max]
+   sweeps. All specs are distinct, so every submit misses, forks one
+   worker and evicts the sweep submitted [cache_max] requests earlier,
+   whose pool must be closed (its worker reaped) without hanging the
+   daemon; the sweeps still cached keep their workers alive. *)
+let eviction_session ~tag ~cache_max specs =
+  let sock =
+    tmp (Printf.sprintf "amsvp_serve_%s_%d.sock" tag (Unix.getpid ()))
+  in
+  let journal =
+    tmp (Printf.sprintf "amsvp_serve_%s_%d.jsonl" tag (Unix.getpid ()))
+  in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ sock; journal ];
+  match Unix.fork () with
+  | 0 ->
+      (try
+         Journal.enable ();
+         Journal.attach_sink journal;
+         Daemon.serve
+           {
+             (Daemon.default_config ~socket_path:sock) with
+             workers = 1;
+             ctx_cache_max = cache_max;
+           }
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      guard_daemon pid @@ fun () ->
+      wait_for_socket sock;
+      let c = Client.connect sock in
+      let pools = ref [] (* worker pids per submit, most recent first *) in
+      List.iteri
+        (fun k spec ->
+          let id, _ = submit_collect c spec in
+          (* The stats round trip also waits for the request's journal
+             flush. *)
+          let st = stats c in
+          Alcotest.(check int) "every submit misses" (k + 1) st.st_ctx_misses;
+          Alcotest.(check int) "one fork per submit" (k + 1) st.st_spawned;
+          let pids = worker_pids journal ~id in
+          Alcotest.(check int) "one worker per pool" 1 (List.length pids);
+          pools := pids :: !pools;
+          List.iteri
+            (fun age pids ->
+              if age < cache_max then
+                List.iter
+                  (fun p ->
+                    match Unix.kill p 0 with
+                    | () -> ()
+                    | exception Unix.Unix_error _ ->
+                        Alcotest.failf "cached sweep's worker %d is gone" p)
+                  pids
+              else
+                check_gone (Printf.sprintf "after submit %d" (k + 1)) pids)
+            !pools)
+        specs;
+      Client.send c Protocol.Shutdown;
+      (match Client.recv c with
+      | Ok Protocol.Bye -> ()
+      | _ -> Alcotest.fail "expected bye");
+      Client.close c;
+      let _, status = Unix.waitpid [] pid in
+      (match status with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
+      | _ -> Alcotest.fail "daemon killed");
+      check_gone "after shutdown" (List.concat !pools);
+      Sys.remove journal
+
+let spec_b = { small_spec with Spec.name = "srv_b"; seed = 12 }
+let spec_c = { small_spec with Spec.name = "srv_c"; seed = 13 }
+
+(* Two alternating specs through a one-sweep cache. *)
+let test_daemon_eviction () =
+  eviction_session ~tag:"ev1" ~cache_max:1
+    [ small_spec; spec_b; small_spec; spec_b ]
+
+(* A pool evicted while a younger pool is live: the younger pool's
+   worker was forked holding the older pool's pipe ends unless it closed
+   them, and would then keep the evicted worker from seeing EOF. *)
+let test_daemon_eviction_younger_pool () =
+  eviction_session ~tag:"ev2" ~cache_max:2 [ small_spec; spec_b; spec_c ]
 
 (* Induce per-point timeouts with a microscopic default budget: every
    point must come back with a Timeout verdict and the stats reply must
@@ -994,12 +1321,20 @@ let () =
           Alcotest.test_case "crash exhausted" `Quick test_pool_crash_exhausted;
           Alcotest.test_case "timeout kill" `Quick test_pool_timeout_kill;
           Alcotest.test_case "drain stops dispatch" `Quick test_pool_drain;
+          Alcotest.test_case "queued point not charged" `Quick
+            test_pool_queued_not_charged;
+          Alcotest.test_case "queued deadline starts at head" `Quick
+            test_pool_queued_deadline;
           Alcotest.test_case "workers ship telemetry" `Quick
             test_pool_telemetry_ship;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "end-to-end session" `Quick test_daemon_session;
+          Alcotest.test_case "eviction closes the pool" `Quick
+            test_daemon_eviction;
+          Alcotest.test_case "eviction beside a younger pool" `Quick
+            test_daemon_eviction_younger_pool;
           Alcotest.test_case "timeout counters surfaced" `Quick
             test_daemon_timeout_counters;
           Alcotest.test_case "werror rejection is structured, daemon survives"
