@@ -525,6 +525,63 @@ let test_eln_wrapper_matches_engine () =
   in
   Alcotest.(check bool) "identical dynamics" true (err < 1e-12)
 
+(* Bit-identity pin of the testbench bindings: RC20, 2IN and RECT for
+   0.05 ms at dt = 50 ns under the DE, TDF and (linear cases only) ELN
+   wrappers, each with the test case's own stimuli. The digest covers
+   every trace sample bit for bit ([%h]); the kernel counts are
+   (activations, delta cycles, timed notifications, signal updates). *)
+let trace_digest tr =
+  let b = Buffer.create 4096 in
+  for i = 0 to Trace.length tr - 1 do
+    Printf.bprintf b "%h %h\n" (Trace.time tr i) (Trace.value tr i)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_wrappers_pinned () =
+  let dt = 50e-9 and t_stop = 0.05e-3 in
+  let stats (r : Wrap.result) =
+    Option.map
+      (fun (s : De.stats) ->
+        ((s.activations, s.delta_cycles), (s.timed_notifications, s.signal_updates)))
+      r.Wrap.de_stats
+  in
+  let check label digest counts (r : Wrap.result) =
+    Alcotest.(check string) (label ^ " trace digest") digest
+      (trace_digest r.Wrap.trace);
+    Alcotest.(check (option (pair (pair int int) (pair int int))))
+      (label ^ " DE stats") (Some counts) (stats r)
+  in
+  List.iter
+    (fun (tc, de, tdf, eln, counts) ->
+      let p = (Flow.abstract_testcase tc ~dt).Flow.program in
+      let stimuli = tc.Circuits.stimuli in
+      let label = tc.Circuits.label in
+      check (label ^ " run_de") de counts (Wrap.run_de p ~stimuli ~t_stop);
+      check (label ^ " run_tdf") tdf counts (Wrap.run_tdf p ~stimuli ~t_stop);
+      Option.iter
+        (fun digest ->
+          check (label ^ " run_eln") digest counts
+            (Wrap.run_eln tc.Circuits.circuit ~inputs:stimuli
+               ~output:tc.Circuits.output ~dt ~t_stop))
+        eln)
+    [
+      ( Circuits.rc_ladder 20,
+        "ad872a9e53307f85838f3bec4229263d",
+        "b272a65a0a9268b72906463e510f1128",
+        Some "30e0148cfec42e0791941da8751c078b",
+        ((1000, 2000), (1000, 1000)) );
+      ( Circuits.two_input (),
+        "1cb089c718f9f7797db61e32d71f301f",
+        "5852de7737e49c33cad77aa3ce2d99f3",
+        Some "1d3ca2d6ee2cee2fae3eecf04b25ea1f",
+        ((1000, 1001), (1000, 1000)) );
+      ( Circuits.rectifier (),
+        "41371be931b166a99b00caf5d25e14e6",
+        "2927902f2f59c26c527769ec531af9de",
+        None,
+        ((1000, 2000), (1000, 1000)) );
+    ]
+
 let () =
   Alcotest.run "sysc"
     [
@@ -574,5 +631,6 @@ let () =
           Alcotest.test_case "MoCs agree on the model" `Quick test_wrappers_agree;
           Alcotest.test_case "ELN wrapper vs engine" `Quick
             test_eln_wrapper_matches_engine;
+          Alcotest.test_case "bindings pinned" `Quick test_wrappers_pinned;
         ] );
     ]
