@@ -553,7 +553,7 @@ let ablation_integration ~t_stop () =
      smooth stimulus, error vs fine conservative reference)";
   Printf.printf "%-6s %10s | %14s %14s | %8s\n" "Comp." "dt" "BE NRMSE"
     "Trap NRMSE" "gain";
-  let sine = Amsvp_util.Stimulus.sine ~freq:1e3 ~amplitude:1.0 () in
+  let sine = Amsvp_util.Stimulus.sine ~freq:1e3 ~amplitude:1.0 in
   List.iter
     (fun (label, coarse) ->
       let tc = Option.get (Circuits.by_name label) in

@@ -20,7 +20,7 @@ let time f =
 (* Steady-state amplitude of the filter response to a sinusoid, from
    the last few periods of a transient run. *)
 let gain_at runner ~inputs_order ~freq ~dt =
-  let stim = Stimulus.sine ~freq ~amplitude:1.0 () in
+  let stim = Stimulus.sine ~freq ~amplitude:1.0 in
   let stimuli = Array.map (fun _ -> stim) inputs_order in
   let periods = 12.0 in
   let t_stop = periods /. freq in

@@ -33,7 +33,7 @@ let () =
   print_string (Codegen.emit Codegen.Cpp rep.program);
   print_newline ();
 
-  let sine = Stimulus.sine ~freq:1e3 ~amplitude:1.0 () in
+  let sine = Stimulus.sine ~freq:1e3 ~amplitude:1.0 in
   let runner = Sfprogram.Runner.create rep.program in
   let mine = Sfprogram.Runner.run runner ~stimuli:[| sine |] ~t_stop () in
   let reference =

@@ -99,7 +99,7 @@ let rectifier ?(r = 1.0e3) ?(g_on = 1.0 /. 100.0) ?(g_off = 1e-6) () =
     label = "RECT";
     circuit = ckt;
     output = Expr.potential "out" "gnd";
-    stimuli = [ ("in", Stimulus.sine ~freq:1e3 ~amplitude:1.0 ()) ];
+    stimuli = [ ("in", Stimulus.sine ~freq:1e3 ~amplitude:1.0) ];
   }
 
 let by_name label =

@@ -108,7 +108,7 @@ let csv ?(timings = true) (s : Runner.summary) =
     s.points;
   Buffer.contents b
 
-let write ?timings ~basename s =
+let write ~basename s =
   let out path contents =
     let oc = open_out path in
     output_string oc contents;
@@ -116,6 +116,6 @@ let write ?timings ~basename s =
     path
   in
   [
-    out (basename ^ ".json") (json ?timings s ^ "\n");
-    out (basename ^ ".csv") (csv ?timings s);
+    out (basename ^ ".json") (json s ^ "\n");
+    out (basename ^ ".csv") (csv s);
   ]

@@ -17,6 +17,7 @@
 val json : ?timings:bool -> Runner.summary -> string
 val csv : ?timings:bool -> Runner.summary -> string
 
-val write : ?timings:bool -> basename:string -> Runner.summary -> string list
+val write : basename:string -> Runner.summary -> string list
 (** [write ~basename summary] writes [basename ^ ".json"] and
-    [basename ^ ".csv"]; returns the paths written. *)
+    [basename ^ ".csv"], timings included; returns the paths
+    written. *)

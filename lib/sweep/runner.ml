@@ -89,7 +89,7 @@ let resolve (spec : Spec.t) =
 
 let stimulus_fn = function
   | Spec.Square { period; low; high } -> Stimulus.square ~period ~low ~high
-  | Spec.Sine { freq; amplitude } -> Stimulus.sine ~freq ~amplitude ()
+  | Spec.Sine { freq; amplitude } -> Stimulus.sine ~freq ~amplitude
 
 (* A prepared sweep: everything shared by every point — the probed
    circuit, stimuli, the recorded abstraction plan and its compiled

@@ -9,15 +9,22 @@
       the component under test, §V-A), stepping the model and driving
       an output signal through the kernel's request/update machinery.
     - {!run_tdf}: the generated model inside a TDF cluster — source,
-      model and sink modules run by the static schedule, with
-      per-sample time annotation, the cluster being re-activated
-      through the DE kernel every timestep ("SC-AMS/TDF").
+      model and sink modules run by the static schedule, the cluster
+      being re-activated through the DE kernel every timestep
+      ("SC-AMS/TDF").
     - {!run_eln}: the conservative network solved by the fixed-step
       linear engine embedded in the kernel ("SC-AMS/ELN").
 
     Every runner returns the recorded output trace plus kernel
     statistics, so benches can report both wall-clock time and the
-    mechanical work (activations, delta cycles) that explains it. *)
+    mechanical work (activations, delta cycles) that explains it.
+
+    The kernel-attached pieces these runners are built from
+    ({!clocked}, {!tdf_chain} and the step closures {!model_step},
+    {!eln_step}) are shared with the Table III virtual platform
+    ([Amsvp_vp.Platform]), which binds the same model to its own
+    kernel next to the digital side: each binding mechanism exists
+    once. *)
 
 type result = {
   trace : Amsvp_util.Trace.t;
@@ -80,3 +87,52 @@ val stimuli_for :
   Amsvp_util.Stimulus.t array
 (** Order the stimuli as the program's input list.
     @raise Invalid_argument on a missing binding. *)
+
+(** {1 Kernel-attached bindings}
+
+    The pieces each runner above attaches to its kernel, for callers
+    that own a kernel with other processes on it. *)
+
+val clocked :
+  De.t -> name:string -> dt:float -> until_ps:int -> (float -> unit) -> unit
+(** [clocked kernel ~name ~dt ~until_ps body] registers the
+    self-clocked analog process [name] (an SC_METHOD sensitive to its
+    own [name ^ ".tick"] event): its [k]-th activation, at [k * dt],
+    runs [body (float k *. dt)] — the exact step multiple, not the
+    kernel clock, so stimulus edges land on the same instants as in
+    the fixed-step engines — and re-notifies itself while
+    [now + dt <= until_ps]. The first activation is scheduled at [dt];
+    the caller runs the kernel. *)
+
+val tdf_chain :
+  De.t ->
+  dt:float ->
+  until_ps:int ->
+  Amsvp_sf.Sfprogram.Runner.t ->
+  Amsvp_util.Stimulus.t array ->
+  (float -> float -> unit) ->
+  unit
+(** [tdf_chain kernel ~dt ~until_ps runner stims sink] builds and
+    starts the TDF cluster ["analog"] with timestep [dt]: a source
+    module sampling [stims] at exact step multiples into one port per
+    program input, a model module stepping [runner] on them, and a
+    sink module calling [sink time output] with the kernel time of the
+    activation. The output port is also exported to the DE signal
+    ["y2de"]. The caller runs the kernel. *)
+
+val sampler : Amsvp_util.Stimulus.t array -> float -> float array
+(** [sampler stims t] samples every stimulus at [t] into one buffer
+    owned by the sampler (overwritten by the next call). *)
+
+val model_step :
+  Amsvp_sf.Sfprogram.Runner.t -> Amsvp_util.Stimulus.t array -> float -> float
+(** [model_step runner stims t] samples [stims] at [t], steps the
+    signal-flow [runner] and returns its output 0. *)
+
+val eln_step :
+  Amsvp_mna.Engine.Eln_stepper.t ->
+  Amsvp_util.Stimulus.t array ->
+  float ->
+  float
+(** [eln_step stepper stims t]: the same for the linear network
+    stepper; [stims] are in the stepper's input order. *)

@@ -7,9 +7,9 @@ let square ~period ~low ~high =
     let phase = if phase < 0.0 then phase +. period else phase in
     if phase < period /. 2.0 then high else low
 
-let sine ~freq ~amplitude ?(offset = 0.0) () =
+let sine ~freq ~amplitude =
   let w = 2.0 *. Float.pi *. freq in
-  fun t -> offset +. (amplitude *. sin (w *. t))
+  fun t -> amplitude *. sin (w *. t)
 
 let step ~at ~low ~high = fun t -> if t < at then low else high
 

@@ -13,9 +13,8 @@ type t = float -> float
     positive. *)
 val square : period:float -> low:float -> high:float -> t
 
-(** [sine ~freq ~amplitude ?offset ()] is a sinusoid starting at zero
-    phase. *)
-val sine : freq:float -> amplitude:float -> ?offset:float -> unit -> t
+(** [sine ~freq ~amplitude] is a sinusoid starting at zero phase. *)
+val sine : freq:float -> amplitude:float -> t
 
 (** [step ~at ~low ~high] switches from [low] to [high] at time [at]. *)
 val step : at:float -> low:float -> high:float -> t

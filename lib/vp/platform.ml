@@ -1,5 +1,5 @@
 module De = Amsvp_sysc.De
-module Tdf_moc = Amsvp_sysc.Tdf
+module Wrap = Amsvp_sysc.Wrap
 module Engine = Amsvp_mna.Engine
 module Circuits = Amsvp_netlist.Circuits
 module Sfprogram = Amsvp_sf.Sfprogram
@@ -103,25 +103,13 @@ let make_digital asm_src =
    between the firmware's reporting instants). *)
 let uart_bit_ps = 1_000_000
 
-let stimuli_values stims t dst =
-  for i = 0 to Array.length stims - 1 do
-    dst.(i) <- stims.(i) t
-  done
-
 (* The co-simulation boundary: values cross between the two simulators
    through explicit serialisation, as over the Questa-ADMS lock-step
-   channel. *)
-module Channel = struct
-  type t = { mutable syncs : int }
-
-  let create () = { syncs = 0 }
-
-  let exchange ch (time : float) (values : float array) : float array =
-    ch.syncs <- ch.syncs + 1;
-    let packet = Marshal.to_string (time, values) [] in
-    let _, decoded = (Marshal.from_string packet 0 : float * float array) in
-    decoded
-end
+   channel; every crossing counts one synchronisation. *)
+let exchange syncs (time : float) (values : float array) : float array =
+  incr syncs;
+  let packet = Marshal.to_string (time, values) [] in
+  snd (Marshal.from_string packet 0 : float * float array)
 
 let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program) ?engine
     ~(testcase : Circuits.testcase) ~program ~binding ~dt ~t_stop () =
@@ -135,13 +123,29 @@ let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program) ?engine
     "vp.run"
   @@ fun () ->
   let bus, adc, cpu = make_digital asm_src in
+  let kernel = De.create () in
+  let until_ps = De.ps_of_seconds t_stop in
   let nsteps = int_of_float (Float.round (t_stop /. dt)) in
   let trace = Trace.create ~capacity:(nsteps + 1) () in
   let stims = Array.of_list (List.map snd testcase.Circuits.stimuli) in
   let input_names = List.map fst testcase.Circuits.stimuli in
-  let inputs = Array.make (Array.length stims) 0.0 in
   let cosim_syncs = ref 0 in
-  let finish ?de_stats ~uart_output () =
+  let rtl_grain =
+    match binding with Cosim { rtl_grain; _ } -> rtl_grain | _ -> false
+  in
+  (* UART flavour: the Verilog-grain platform transmits real 8N1
+     frames over a serial line (bit-accurate RTL model); the other
+     platforms use the transaction-level UART. *)
+  let uart_output =
+    if rtl_grain then
+      let u = Uart_rtl.attach kernel bus ~base:uart_base ~bit_ps:uart_bit_ps in
+      fun () -> Uart_rtl.decoded u
+    else
+      let u = Bus.Uart.attach bus ~base:uart_base in
+      fun () -> Bus.Uart.output u
+  in
+  let finish de_stats =
+    let uart_output = uart_output () in
     Obs.Counter.add c_instructions (Iss.instructions_retired cpu);
     Obs.Counter.add c_interrupts (Iss.interrupts_taken cpu);
     Obs.Counter.add c_bus_transfers (Bus.transfers bus);
@@ -159,65 +163,42 @@ let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program) ?engine
       de_stats;
     }
   in
-  let require_program () =
+  (* The abstracted program's runner and its stimuli in input order. *)
+  let model () =
     match program with
-    | Some p -> p
+    | Some p ->
+        ( Sfprogram.Runner.create ?engine p,
+          Wrap.stimuli_for p testcase.Circuits.stimuli )
     | None -> invalid_arg "Platform.run: this binding needs an abstracted program"
   in
-  let tlm_uart = ref None in
-  let attach_tlm_uart () = tlm_uart := Some (Bus.Uart.attach bus ~base:uart_base) in
+  (* Every binding hands its output to the ADC bridge and the trace. *)
+  let adc_sink t out =
+    Bus.Adc.set_sample adc ~volts:out;
+    Trace.add trace ~time:t ~value:out
+  in
+  Trace.add trace ~time:0.0 ~value:0.0;
   match binding with
   | Cpp ->
-      (* Whole platform as one compiled loop: no simulation kernel. *)
-      attach_tlm_uart ();
-      let p = require_program () in
-      let order =
-        Array.of_list
-          (List.map
-             (fun n -> List.assoc n testcase.Circuits.stimuli)
-             p.Sfprogram.inputs)
-      in
-      let runner = Sfprogram.Runner.create ?engine p in
+      (* Whole platform as one compiled loop: the kernel never runs. *)
+      let runner, order = model () in
+      let step = Wrap.model_step runner order in
       let instr_per_step =
         max 1 (int_of_float (Float.round (cpu_hz *. dt)))
       in
-      Trace.add trace ~time:0.0 ~value:0.0;
-      for step = 1 to nsteps do
-        let t = float_of_int step *. dt in
-        stimuli_values order t inputs;
-        Sfprogram.Runner.step runner ~inputs;
-        let out = Sfprogram.Runner.output runner 0 in
-        Bus.Adc.set_sample adc ~volts:out;
-        Trace.add trace ~time:t ~value:out;
+      for k = 1 to nsteps do
+        let t = float_of_int k *. dt in
+        adc_sink t (step t);
         for _ = 1 to instr_per_step do
           Iss.set_irq cpu (Bus.Adc.irq_pending adc);
           Iss.step cpu
         done
       done;
-      let uart = Option.get !tlm_uart in
-      finish ~uart_output:(Bus.Uart.output uart) ()
+      finish None
   | Eln | Tdf | De_model | Cosim _ ->
-      let kernel = De.create () in
-      let dt_ps = De.ps_of_seconds dt in
-      let until_ps = De.ps_of_seconds t_stop in
       let cycle_ps =
         max 1 (int_of_float (Float.round (1e12 /. cpu_hz)))
       in
       (* Digital side. *)
-      let rtl_grain =
-        match binding with Cosim { rtl_grain; _ } -> rtl_grain | _ -> false
-      in
-      (* UART flavour: the Verilog-grain platform transmits real 8N1
-         frames over a serial line (bit-accurate RTL model); the
-         SystemC-grain platforms use the transaction-level UART. *)
-      let rtl_uart =
-        if rtl_grain then
-          Some (Uart_rtl.attach kernel bus ~base:uart_base ~bit_ps:uart_bit_ps)
-        else begin
-          attach_tlm_uart ();
-          None
-        end
-      in
       (if rtl_grain then begin
          (* RTL grain: an explicit clock signal toggles through the
             kernel's request/update machinery; the CPU and a bus
@@ -259,8 +240,10 @@ let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program) ?engine
          De.Event.sensitize cpu_proc cpu_ev;
          De.Event.notify_delayed cpu_ev ~delay_ps:cycle_ps
        end);
-      (* Analog side. *)
-      Trace.add trace ~time:0.0 ~value:0.0;
+      (* Analog side: Wrap's bindings, sinking into the ADC bridge. *)
+      let clocked name step =
+        Wrap.clocked kernel ~name ~dt ~until_ps (fun t -> adc_sink t (step t))
+      in
       (match binding with
       | Cosim { substeps; iterations; fidelity; _ } ->
           let stepper =
@@ -268,129 +251,31 @@ let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program) ?engine
               testcase.Circuits.circuit ~inputs:input_names
               ~output:testcase.Circuits.output ~dt
           in
-          let channel = Channel.create () in
-          let tick = De.Event.create kernel "cosim.tick" in
-          (* Stimuli sampled at exact step multiples; see Wrap. *)
-          let step_index = ref 0 in
-          let proc =
-            De.spawn kernel ~name:"cosim" (fun () ->
-                incr step_index;
-                let t = float_of_int !step_index *. dt in
-                stimuli_values stims t inputs;
-                (* Digital -> analog hand-off. *)
-                let remote_inputs = Channel.exchange channel t inputs in
-                let out = Engine.Spice_stepper.step stepper ~input_values:remote_inputs in
-                (* Analog -> digital hand-off. *)
-                let back = Channel.exchange channel t [| out |] in
-                Bus.Adc.set_sample adc ~volts:back.(0);
-                Trace.add trace ~time:t ~value:back.(0);
-                if De.now_ps kernel + dt_ps <= until_ps then
-                  De.Event.notify_delayed tick ~delay_ps:dt_ps)
-          in
-          De.Event.sensitize proc tick;
-          De.Event.notify_delayed tick ~delay_ps:dt_ps;
-          De.run_until kernel ~ps:until_ps;
-          cosim_syncs := channel.Channel.syncs
+          let sample = Wrap.sampler stims in
+          clocked "cosim" (fun t ->
+              (* Digital -> analog hand-off, solve, and back. *)
+              let remote_inputs = exchange cosim_syncs t (sample t) in
+              let out =
+                Engine.Spice_stepper.step stepper ~input_values:remote_inputs
+              in
+              (exchange cosim_syncs t [| out |]).(0))
       | Eln ->
-          let stepper =
-            Engine.Eln_stepper.create testcase.Circuits.circuit
-              ~inputs:input_names ~output:testcase.Circuits.output ~dt
-          in
-          let tick = De.Event.create kernel "eln.tick" in
-          let step_index = ref 0 in
-          let proc =
-            De.spawn kernel ~name:"eln" (fun () ->
-                incr step_index;
-                let t = float_of_int !step_index *. dt in
-                stimuli_values stims t inputs;
-                let out = Engine.Eln_stepper.step stepper ~input_values:inputs in
-                Bus.Adc.set_sample adc ~volts:out;
-                Trace.add trace ~time:t ~value:out;
-                if De.now_ps kernel + dt_ps <= until_ps then
-                  De.Event.notify_delayed tick ~delay_ps:dt_ps)
-          in
-          De.Event.sensitize proc tick;
-          De.Event.notify_delayed tick ~delay_ps:dt_ps;
-          De.run_until kernel ~ps:until_ps
+          clocked "eln"
+            (Wrap.eln_step
+               (Engine.Eln_stepper.create testcase.Circuits.circuit
+                  ~inputs:input_names ~output:testcase.Circuits.output ~dt)
+               stims)
       | De_model ->
-          let p = require_program () in
-          let order =
-            Array.of_list
-              (List.map
-                 (fun n -> List.assoc n testcase.Circuits.stimuli)
-                 p.Sfprogram.inputs)
-          in
-          let runner = Sfprogram.Runner.create ?engine p in
+          let runner, order = model () in
+          let step = Wrap.model_step runner order in
           let out_sig = De.Signal.float_signal kernel ~name:"analog.out" 0.0 in
-          let tick = De.Event.create kernel "model.tick" in
-          let step_index = ref 0 in
-          let proc =
-            De.spawn kernel ~name:"analog" (fun () ->
-                incr step_index;
-                let t = float_of_int !step_index *. dt in
-                stimuli_values order t inputs;
-                Sfprogram.Runner.step runner ~inputs;
-                let out = Sfprogram.Runner.output runner 0 in
-                De.Signal.write out_sig out;
-                Bus.Adc.set_sample adc ~volts:out;
-                Trace.add trace ~time:t ~value:out;
-                if De.now_ps kernel + dt_ps <= until_ps then
-                  De.Event.notify_delayed tick ~delay_ps:dt_ps)
-          in
-          De.Event.sensitize proc tick;
-          De.Event.notify_delayed tick ~delay_ps:dt_ps;
-          De.run_until kernel ~ps:until_ps
+          clocked "analog" (fun t ->
+              let out = step t in
+              De.Signal.write out_sig out;
+              out)
       | Tdf ->
-          let p = require_program () in
-          let order =
-            Array.of_list
-              (List.map
-                 (fun n -> List.assoc n testcase.Circuits.stimuli)
-                 p.Sfprogram.inputs)
-          in
-          let runner = Sfprogram.Runner.create ?engine p in
-          let cluster =
-            Tdf_moc.create_cluster kernel ~name:"analog" ~timestep_ps:dt_ps
-          in
-          let n_in = Array.length order in
-          let in_ports =
-            Array.init n_in (fun i ->
-                Tdf_moc.port cluster (Printf.sprintf "u%d" i) ~rate:1)
-          in
-          let out_port = Tdf_moc.port cluster "y" ~rate:1 in
-          let step_index = ref 0 in
-          let _src =
-            Tdf_moc.add_module cluster ~name:"source" ~reads:[]
-              ~writes:(Array.to_list in_ports) (fun () ->
-                incr step_index;
-                let t = float_of_int !step_index *. dt in
-                for i = 0 to n_in - 1 do
-                  Tdf_moc.write in_ports.(i) 0 (order.(i) t)
-                done)
-          in
-          let _model =
-            Tdf_moc.add_module cluster ~name:"model"
-              ~reads:(Array.to_list in_ports) ~writes:[ out_port ] (fun () ->
-                for i = 0 to n_in - 1 do
-                  inputs.(i) <- Tdf_moc.read in_ports.(i) 0
-                done;
-                Sfprogram.Runner.step runner ~inputs;
-                Tdf_moc.write out_port 0 (Sfprogram.Runner.output runner 0))
-          in
-          let _sink =
-            Tdf_moc.add_module cluster ~name:"adc_bridge" ~reads:[ out_port ]
-              ~writes:[] (fun () ->
-                let out = Tdf_moc.read out_port 0 in
-                Bus.Adc.set_sample adc ~volts:out;
-                Trace.add trace ~time:(De.now kernel) ~value:out)
-          in
-          let _out_sig = Tdf_moc.to_de cluster ~name:"y2de" out_port in
-          Tdf_moc.start cluster ~until_ps;
-          De.run_until kernel ~ps:until_ps
+          let runner, order = model () in
+          Wrap.tdf_chain kernel ~dt ~until_ps runner order adc_sink
       | Cpp -> assert false);
-      let uart_output =
-        match rtl_uart with
-        | Some u -> Uart_rtl.decoded u
-        | None -> Bus.Uart.output (Option.get !tlm_uart)
-      in
-      finish ~de_stats:(De.stats kernel) ~uart_output ()
+      De.run_until kernel ~ps:until_ps;
+      finish (Some (De.stats kernel))

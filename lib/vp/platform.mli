@@ -17,7 +17,15 @@
     - [Eln] — the linear network solved in-kernel (SystemC-AMS/ELN).
     - [Tdf] — the abstracted model in a TDF cluster (SystemC-AMS/TDF).
     - [De_model] — the abstracted model as a DE process (SystemC-DE).
-    - [Cpp] — the whole platform as a plain loop, no kernel ("C++"). *)
+    - [Cpp] — the whole platform as a plain loop, no kernel ("C++").
+
+    The analog side of every kernel row runs the binding of
+    [Amsvp_sysc.Wrap] for the same model of computation as Tables I–II
+    ([Wrap.clocked] for the ELN, DE and co-simulation processes,
+    [Wrap.tdf_chain] for TDF, [Wrap.model_step]/[Wrap.eln_step] for the
+    model step), attached to the platform's kernel with the ADC bridge
+    as sink; the co-simulation step adds the lock-step value exchange.
+    The C++ row steps the model with [Wrap.model_step] in its loop. *)
 
 type analog_binding =
   | Cosim of {
@@ -64,4 +72,5 @@ val run :
     (the abstracted model); [Cosim]/[Eln] simulate the conservative
     circuit directly. [engine] selects the signal-flow execution
     engine for those bindings (default: register bytecode).
-    @raise Invalid_argument on a missing program or bad parameters. *)
+    @raise Invalid_argument on a missing program, a program input with
+    no stimulus in [testcase], or bad parameters. *)

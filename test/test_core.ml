@@ -281,7 +281,7 @@ let test_trapezoidal_accuracy () =
   let tc = Circuits.rc_ladder 1 in
   let coarse = 5e-6 in
   let t_stop = 2e-3 in
-  let sine = Stimulus.sine ~freq:1e3 ~amplitude:1.0 () in
+  let sine = Stimulus.sine ~freq:1e3 ~amplitude:1.0 in
   let reference =
     Engine.spice_like ~substeps:64 ~iterations:1 tc.Circuits.circuit
       ~inputs:[ ("in", sine) ] ~output:tc.Circuits.output ~dt:coarse ~t_stop
@@ -304,7 +304,7 @@ let test_trapezoidal_rlc () =
   let tc = Circuits.rlc_series () in
   let step = 2e-6 in
   let t_stop = 5e-3 in
-  let sine = Stimulus.sine ~freq:800.0 ~amplitude:1.0 () in
+  let sine = Stimulus.sine ~freq:800.0 ~amplitude:1.0 in
   let rep =
     Flow.abstract_testcase ~mode:`Exact ~integration:`Trapezoidal tc ~dt:step
   in
@@ -335,7 +335,7 @@ let test_pwl_half_wave () =
   let step = 1e-7 in
   let rep = Flow.abstract_circuit ~mode:`Exact ckt ~outputs:[ out ] ~dt:step in
   let runner = Sfprogram.Runner.create rep.Flow.program in
-  let sine = Stimulus.sine ~freq:1e3 ~amplitude:1.0 () in
+  let sine = Stimulus.sine ~freq:1e3 ~amplitude:1.0 in
   let t_stop = 2e-3 in
   let mine = Sfprogram.Runner.run runner ~stimuli:[| sine |] ~t_stop () in
   let reference =

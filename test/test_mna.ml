@@ -431,7 +431,7 @@ let test_ac_matches_abstracted_gain () =
   let freq = 2.0e3 in
   let measure_gain () =
     let runner = Amsvp_sf.Sfprogram.Runner.create rep.Amsvp_core.Flow.program in
-    let stim = Stimulus.sine ~freq ~amplitude:1.0 () in
+    let stim = Stimulus.sine ~freq ~amplitude:1.0 in
     let t_stop = 10.0 /. freq in
     let tr = Amsvp_sf.Sfprogram.Runner.run runner ~stimuli:[| stim |] ~t_stop () in
     let n = Trace.length tr in

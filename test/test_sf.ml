@@ -264,7 +264,7 @@ let test_serialize_pwl_program () =
       .Flow.program
   in
   roundtrip_equal_traces p
-    [| Stimulus.sine ~freq:1e3 ~amplitude:1.0 () |]
+    [| Stimulus.sine ~freq:1e3 ~amplitude:1.0 |]
     2e-3
 
 let test_serialize_header_roundtrip () =

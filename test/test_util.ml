@@ -115,9 +115,10 @@ let test_step_and_sine () =
   let st = Stimulus.step ~at:1.0 ~low:0.0 ~high:5.0 in
   checkf 0.0 "before" 0.0 (st 0.99);
   checkf 0.0 "after" 5.0 (st 1.0);
-  let s = Stimulus.sine ~freq:1.0 ~amplitude:2.0 ~offset:1.0 () in
-  checkf 1e-12 "sine at 0" 1.0 (s 0.0);
-  checkf 1e-9 "sine peak" 3.0 (s 0.25)
+  let s = Stimulus.sine ~freq:1.0 ~amplitude:2.0 in
+  checkf 1e-12 "sine at 0" 0.0 (s 0.0);
+  checkf 1e-9 "sine peak" 2.0 (s 0.25);
+  checkf 1e-9 "sine trough" (-2.0) (s 0.75)
 
 (* VCD *)
 

@@ -521,6 +521,25 @@ let test_platform_requires_program () =
        false
      with Invalid_argument _ -> true)
 
+(* A program input with no stimulus is a caller error under every
+   binding that runs the abstracted program, reported as
+   [Invalid_argument] rather than a raw [Not_found]. *)
+let test_platform_missing_stimulus () =
+  let tc, program = rc1_setup () in
+  let tc = { tc with Circuits.stimuli = [] } in
+  List.iter
+    (fun binding ->
+      Alcotest.(check bool)
+        (Platform.binding_label binding ^ " missing stimulus")
+        true
+        (try
+           ignore
+             (Platform.run ~testcase:tc ~program ~binding ~dt:1e-6
+                ~t_stop:1e-4 ());
+           false
+         with Invalid_argument _ -> true))
+    [ Platform.Cpp; Platform.De_model; Platform.Tdf ]
+
 let () =
   Alcotest.run "vp"
     [
@@ -570,6 +589,8 @@ let () =
           Alcotest.test_case "interrupt-driven firmware" `Quick
             test_platform_interrupt_driven;
           Alcotest.test_case "missing program" `Quick test_platform_requires_program;
+          Alcotest.test_case "missing stimulus" `Quick
+            test_platform_missing_stimulus;
           Alcotest.test_case "RC20 bindings pinned" `Quick
             test_platform_rc20_pinned;
         ] );
