@@ -98,19 +98,19 @@ let row_json r =
    section remembers the [Obs.span_count] interval it produced. Self
    time is a span's duration minus the total duration of its direct
    children, computed over the completion-ordered span list with a
-   per-(domain, depth) pending table -- a child always completes
-   before its parent, and depth only nests within one domain. *)
+   per-(process, depth) pending table -- a child always completes
+   before its parent, and depth only nests within one process. *)
 let section_spans : (string * int * int) list ref = ref []
 
 let self_times (spans : Obs.span array) =
-  let pending : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
+  let pending : (string * int, int) Hashtbl.t = Hashtbl.create 32 in
   let get k = Option.value ~default:0 (Hashtbl.find_opt pending k) in
   Array.map
     (fun (s : Obs.span) ->
-      let child = (s.Obs.dom, s.Obs.depth + 1) in
+      let child = (s.Obs.proc, s.Obs.depth + 1) in
       let self = s.Obs.dur_ns - get child in
       Hashtbl.remove pending child;
-      let mine = (s.Obs.dom, s.Obs.depth) in
+      let mine = (s.Obs.proc, s.Obs.depth) in
       Hashtbl.replace pending mine (get mine + s.Obs.dur_ns);
       self)
     spans
@@ -669,7 +669,7 @@ let figures () =
 
 module Spec = Amsvp_sweep.Spec
 module Sweep_runner = Amsvp_sweep.Runner
-module Procpool = Amsvp_serve.Procpool
+module Pool = Amsvp_sweep.Pool
 module Sweep_stats = Amsvp_sweep.Stats
 
 let sweep_bench ~t_stop ~seed ~jobs () =
@@ -681,7 +681,7 @@ let sweep_bench ~t_stop ~seed ~jobs () =
   header
     (Printf.sprintf
        "SWEEP -- 64-point Monte Carlo tolerance sweep of the rectifier \
-        (seed %d): domain-pool scaling, 1 vs %d workers, plan-replay \
+        (seed %d): worker-process scaling, 1 vs %d workers, plan-replay \
         abstraction cache"
        seed max_jobs);
   let spec =
@@ -830,11 +830,11 @@ let obs_serve_bench ~t_stop ~seed () =
      forked under, so each sample forks its own. *)
   let run_pool () =
     let pool =
-      Procpool.create ~workers:2 (fun ~retry:_ p -> Sweep_runner.run_point ctx p)
+      Pool.create ~workers:2 (fun ~retry:_ p -> Sweep_runner.run_point ctx p)
     in
     Fun.protect
-      ~finally:(fun () -> Procpool.close pool)
-      (fun () -> ignore (Procpool.run pool points))
+      ~finally:(fun () -> Pool.close pool)
+      (fun () -> ignore (Pool.run pool points))
   in
   let journal_was = Journal.enabled () in
   Journal.disable ();
@@ -1291,8 +1291,7 @@ let () =
   (* Fixed simulated time: the telemetry cost per task is fixed (a few
      frames), so the budget is judged against a realistically sized
      point (the sweep section's t_stop), not against fork overhead on a
-     toy point. Before "sweep": the pool forks, and OCaml 5 forbids
-     [Unix.fork] once the sweep's worker domains have been spawned. *)
+     toy point. *)
   section "obs_serve" (fun () ->
       obs_serve_bench ~t_stop:2e-3 ~seed:cli.seed ());
   section "sweep" (fun () ->

@@ -108,22 +108,10 @@ let with_obs (obs, trace_out, metrics_out, journal_out) f =
   if !write_failed then exit 1;
   result
 
-(* "V(out,gnd)" / "V(out)" -> potential variable *)
-let parse_output s =
-  let s = String.trim s in
-  let fail () = Error (`Msg (Printf.sprintf "cannot parse output %S" s)) in
-  if String.length s > 3 && String.sub s 0 2 = "V(" && s.[String.length s - 1] = ')'
-  then begin
-    let body = String.sub s 2 (String.length s - 3) in
-    match String.split_on_char ',' body with
-    | [ a ] -> Ok (Expr.potential (String.trim a) "gnd")
-    | [ a; b ] -> Ok (Expr.potential (String.trim a) (String.trim b))
-    | _ -> fail ()
-  end
-  else fail ()
-
 let output_conv =
-  Arg.conv (parse_output, fun ppf v -> Format.pp_print_string ppf (Expr.var_name v))
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Expr.access_of_string s)),
+      fun ppf v -> Format.pp_print_string ppf (Expr.var_name v) )
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -195,7 +183,7 @@ let with_frontend_errors ?file f =
     ->
       fatal_finding (Diag.error ~span:(span line col) "AMS002" msg)
   | Elaborate.Elab_error (msg, sp) | Velaborate.Elab_error (msg, sp) ->
-      fatal_finding (Diag.finding ?span:sp Diag.Error "AMS003" msg)
+      fatal_finding (Diag.error ?span:sp "AMS003" msg)
   | Amsvp_core.Assemble.No_definition v ->
       fatal_finding
         (Diag.error "AMS030"
@@ -239,7 +227,6 @@ let abstract_model file top output dt mode integration lang inputs =
             nodes = List.length flat.Elaborate.nets;
             branches = List.length flat.Elaborate.contributions;
             classes = 0;
-            fidelity = `Paper;
             variants = 0;
             definitions = List.length contributions;
             explain = Explain.of_signal_flow program;
@@ -355,7 +342,7 @@ let probe_set (sigs, vcd_out, wave_out, every) ~default =
     let sigs = if sigs = [] then [ default ] else sigs in
     List.iter
       (fun s ->
-        match Amsvp_sweep.Runner.output_of_string s with
+        match Expr.access_of_string s with
         | Ok v -> ignore (Probe.tap set v)
         | Error m ->
             Printf.eprintf "error: %s\n" m;
@@ -801,7 +788,7 @@ let sweep_cmd =
           let output =
             match spec.Spec.output with
             | Some s -> (
-                match Sweep_runner.output_of_string s with
+                match Expr.access_of_string s with
                 | Ok v -> v
                 | Error m ->
                     Printf.eprintf "error: %s\n" m;
@@ -925,7 +912,8 @@ let sweep_cmd =
   in
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains executing the points.")
+         ~doc:"Worker processes executing the points; 1 (the default) \
+               runs them in-process, without forking.")
   in
   let t_stop_opt =
     Arg.(value & opt (some float) None & info [ "t-stop" ] ~docv:"SECONDS"
@@ -1005,7 +993,7 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Run a parameter sweep (grid, Monte Carlo, corners) over a \
-             circuit across worker domains.")
+             circuit across worker processes.")
     Term.(const run $ obs_flags $ spec_file_arg $ circuit_arg $ sweep_file_arg
           $ sweep_top_arg $ lang_arg $ inputs_arg $ sweep_out_arg $ params_arg
           $ samples_arg $ seed_arg $ jobs_arg $ t_stop_opt $ dt_opt
@@ -1164,7 +1152,7 @@ let submit_cmd =
       s.Serve_protocol.st_journal_dropped
       (float_of_int s.Serve_protocol.st_heap_words *. 8.0 /. 1048576.0)
   in
-  let run socket spec_file jobs ping stats shutdown watch every quiet =
+  let run socket spec_file ping stats shutdown watch every quiet =
     let connect () =
       try Some (Serve_client.connect socket) with Unix.Unix_error _ -> None
     in
@@ -1263,9 +1251,7 @@ let submit_cmd =
           show resp;
           progress resp
         in
-        match
-          Serve_client.submit client ?jobs ~spec_text ~on_event ()
-        with
+        match Serve_client.submit client ~spec_text ~on_event () with
         | Ok (Serve_protocol.Done { complete; points; unhealthy; _ }) ->
             if quiet then
               Printf.printf "done: %d point(s), %d unhealthy%s\n" points
@@ -1302,10 +1288,6 @@ let submit_cmd =
          ~doc:"Sweep specification to submit; every streamed frame is \
                printed as one JSON line.")
   in
-  let jobs_arg =
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Override the spec's $(b,jobs) directive.")
-  in
   let ping_arg =
     Arg.(value & flag & info [ "ping" ] ~doc:"Health-check the daemon.")
   in
@@ -1340,7 +1322,7 @@ let submit_cmd =
     (Cmd.info "submit"
        ~doc:"Submit a sweep to a running $(b,amsvp serve) daemon and stream \
              its per-point results.")
-    Term.(const run $ socket_arg $ spec_arg $ jobs_arg $ ping_arg $ stats_arg
+    Term.(const run $ socket_arg $ spec_arg $ ping_arg $ stats_arg
           $ shutdown_arg $ watch_arg $ every_arg $ quiet_arg)
 
 (* lint *)

@@ -420,31 +420,18 @@ let widen old nw =
 
 (* ---- abstract evaluation of expression trees ----
 
-   [pool], when given, overrides literal constants positionally in the
-   left-to-right traversal order of [Compile.collect_consts] over every
-   assignment — the layout of a [`Template] constant pool of the whole
-   program — so one abstract run can cover a whole family of rebound
-   programs at once. Both arms of a
-   conditional are always walked (positions must stay aligned, and it
-   matches the bytecode's eager [Sel]). *)
+   Both arms of a conditional are always walked, as the bytecode's
+   eager [Sel] computes both. *)
 
 type eval_ctx = {
   env : itv array;
   e_slot : Expr.var -> int;
-  pool : itv array option;
-  mutable cpos : int;
   mutable on_div : itv -> unit;
 }
 
 let rec eval_expr ctx e =
   match e with
-  | Expr.Const c -> (
-      match ctx.pool with
-      | Some pool ->
-          let i = ctx.cpos in
-          ctx.cpos <- i + 1;
-          pool.(i)
-      | None -> const c)
+  | Expr.Const c -> const c
   | Expr.Var x -> ctx.env.(ctx.e_slot x)
   | Expr.Neg a -> neg (eval_expr ctx a)
   | Expr.Add (x, y) ->
@@ -454,10 +441,8 @@ let rec eval_expr ctx e =
   | Expr.Sub (x, y) ->
       let vx = eval_expr ctx x in
       let vy = eval_expr ctx y in
-      (* cancellation: e - e is +0 for every finite value of e (only
-         valid without a positional pool — overridden constants may
-         differ between the two occurrences) *)
-      if ctx.pool = None && Stdlib.compare x y = 0 then
+      (* cancellation: e - e is +0 for every finite value of e *)
+      if Stdlib.compare x y = 0 then
         let z = if has_finite vx then const 0.0 else bot in
         if has_flag vx then join z { bot with nan = true } else z
       else sub vx vy
@@ -515,8 +500,6 @@ let eval env e =
     {
       env = Array.of_list (List.rev !vals);
       e_slot = (fun v -> Hashtbl.find tbl v);
-      pool = None;
-      cpos = 0;
       on_div = ignore;
     }
   in
@@ -546,17 +529,12 @@ let prog_of p =
 
 (* One abstract step over a slot-state: inputs, assignments in source
    order, then the history rotations — exactly the runner's step. *)
-let abstract_step pr ?pool ?(on_div = fun _ _ -> ()) ?(on_assign = fun _ _ -> ())
+let abstract_step pr ?(on_div = fun _ _ -> ()) ?(on_assign = fun _ _ -> ())
     ~inputs (st : itv array) =
   Array.iteri (fun i s -> st.(s) <- inputs.(i)) pr.input_slots;
   let ctx =
-    {
-      env = st;
-      e_slot = (fun v -> Sfprogram.layout_slot pr.lay v);
-      pool;
-      cpos = 0;
-      on_div = ignore;
-    }
+    { env = st; e_slot = (fun v -> Sfprogram.layout_slot pr.lay v);
+      on_div = ignore }
   in
   List.iter
     (fun (tslot, e) ->
@@ -585,7 +563,8 @@ type analysis = {
 
 let default_input_box = fin (-1.0) 1.0
 
-let analyze ?(max_steps = 64) ?(inputs = []) p =
+let analyze ?(inputs = []) p =
+  let max_steps = 64 in
   let pr = prog_of p in
   let input_box =
     List.map
@@ -715,16 +694,15 @@ let check_bad ?amplitude ~dt ~step out =
       Some { b_kind = k; b_step = step; b_time = float_of_int step *. dt }
   | None -> None
 
-let prove_unhealthy ?(max_steps = 256) ?amplitude ?pool ?(output = 0) ~inputs p
-    =
+let prove_unhealthy ?(max_steps = 256) ?amplitude ~inputs p =
   let pr = prog_of p in
-  let out_slot = (Sfprogram.layout_output_slots pr.lay).(output) in
+  let out_slot = (Sfprogram.layout_output_slots pr.lay).(0) in
   let st = Array.make (max 1 pr.n) (const 0.0) in
   let dt = p.Sfprogram.dt in
   let found = ref None in
   (try
      for k = 1 to max_steps do
-       abstract_step pr ?pool ~inputs:(inputs k) st;
+       abstract_step pr ~inputs:(inputs k) st;
        match check_bad ?amplitude ~dt ~step:k st.(out_slot) with
        | Some b ->
            found := Some b;
@@ -785,10 +763,10 @@ let interp : itv Compile.interp =
           join (if truthy c then a else bot) (if falsy c then b else bot));
   }
 
-let prove_unhealthy_compiled ?(max_steps = 256) ?amplitude ?pool ?(output = 0)
-    ~inputs p artifact =
+let prove_unhealthy_compiled ?(max_steps = 256) ?amplitude ?pool ~inputs p
+    artifact =
   let pr = prog_of p in
-  let out_slot = (Sfprogram.layout_output_slots pr.lay).(output) in
+  let out_slot = (Sfprogram.layout_output_slots pr.lay).(0) in
   let n_regs = Compile.n_regs artifact in
   let n_slots = Compile.n_slots artifact in
   if n_slots <> pr.n then

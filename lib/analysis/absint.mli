@@ -112,10 +112,9 @@ type analysis = {
   a_widened : bool;  (** widening (or the top fallback) was needed *)
 }
 
-val analyze :
-  ?max_steps:int -> ?inputs:(string * itv) list -> Sfprogram.t -> analysis
+val analyze : ?inputs:(string * itv) list -> Sfprogram.t -> analysis
 (** Fixpoint analysis: exact abstract steps while new states appear
-    (at most [max_steps], default 64), then widening iterations until
+    (at most 64), then widening iterations until
     the accumulated state is inductive. Inputs default to
     the unit box [[-1, 1]] per input signal not named in [inputs]. *)
 
@@ -137,27 +136,23 @@ type bad = {
 val prove_unhealthy :
   ?max_steps:int ->
   ?amplitude:float ->
-  ?pool:itv array ->
-  ?output:int ->
   inputs:(int -> itv array) ->
   Sfprogram.t ->
   bad option
 (** Follow the exact abstract step sequence (no joins across steps,
     at most [max_steps], default 256) and return the first step at
-    which output [output] (default 0) is {!definitely_unhealthy}.
+    which the first output is {!definitely_unhealthy}.
     [inputs k] gives the abstract inputs of step [k] (1-based) —
-    exact singletons when the stimulus is known. [pool] positionally
-    overrides the literal constants of every assignment, left to
-    right, letting one run cover a whole family of rebound programs.
-    (A [`Template] artifact's pool holds the live assignments'
-    literals only; hull those with {!prove_unhealthy_compiled}.) [Some _] is a proof that {e every} concrete
-    run in the box is reported unhealthy; [None] proves nothing. *)
+    exact singletons when the stimulus is known. To cover a whole
+    family of rebound programs in one run, hull their constant pools
+    and use {!prove_unhealthy_compiled}. [Some _] is a proof that
+    {e every} concrete run in the box is reported unhealthy; [None]
+    proves nothing. *)
 
 val prove_unhealthy_compiled :
   ?max_steps:int ->
   ?amplitude:float ->
   ?pool:itv array ->
-  ?output:int ->
   inputs:(int -> itv array) ->
   Sfprogram.t ->
   Compile.t ->

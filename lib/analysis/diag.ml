@@ -143,7 +143,7 @@ let error ?span ?subject code message =
 let warning ?span ?subject code message =
   finding ?span ?subject Warning code message
 
-let info ?span ?subject code message = finding ?span ?subject Info code message
+let info ?subject code message = finding ?subject Info code message
 
 let with_span f s = match f.span with Some _ -> f | None -> { f with span = Some s }
 

@@ -30,14 +30,13 @@ exception Rejected of finding
 (** Raised by pre-flight gates (e.g. {!val:Amsvp_core.Flow} via its
     checks) instead of a deep solver exception. *)
 
-val finding :
-  ?span:span -> ?subject:string -> severity -> string -> string -> finding
-(** [finding sev code message]. @raise Invalid_argument on an unknown
-    code (codes must be registered in {!codes}). *)
-
 val error : ?span:span -> ?subject:string -> string -> string -> finding
+(** [error code message]. @raise Invalid_argument on an unknown code
+    (codes must be registered in {!codes}); so do {!warning} and
+    {!info}. *)
+
 val warning : ?span:span -> ?subject:string -> string -> string -> finding
-val info : ?span:span -> ?subject:string -> string -> string -> finding
+val info : ?subject:string -> string -> string -> finding
 
 val with_span : finding -> span -> finding
 (** Attach a span to a finding that lacks one (no-op when present). *)

@@ -329,7 +329,7 @@ let sanitize =
 
 let has_error fs = List.exists (fun f -> f.Diag.severity = Diag.Error) fs
 
-let ams003 (msg, sp) = Diag.finding ?span:sp Diag.Error "AMS003" msg
+let ams003 (msg, sp) = Diag.error ?span:sp "AMS003" msg
 
 (* ------------------------------------------------------------------ *)
 (* Semantic value-range passes (abstract interpretation)               *)
@@ -483,7 +483,7 @@ let grounded_subcircuit circuit =
     c
   end
 
-let conservative_findings ?amplitude_budget ~input_bound ~outputs ~dt
+let conservative_findings ?amplitude_budget ~input_bound ~dt
     (flat : Elaborate.flat) =
   match Elaborate.to_circuit flat with
   | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
@@ -555,34 +555,31 @@ let conservative_findings ?amplitude_budget ~input_bound ~outputs ~dt
       if blocking || Circuit.device_count circuit = 0 then topo
       else begin
         match
-          let probed = Flow.insert_probes circuit ~outputs in
+          let probed = Flow.insert_probes circuit ~outputs:[] in
           let acq = Acquisition.of_circuit probed in
           let map, _stats = Enrich.enrich acq in
-          let solv = Check.solvability ~span_of:span_of_var map ~outputs in
+          let solv = Check.solvability ~span_of:span_of_var map ~outputs:[] in
           if has_error solv then solv
           else begin
             let asm_outputs =
-              (* Default to the ground-referenced node voltages: asking
-                 for every branch potential forces Assemble to define
-                 the floating ones algebraically, which hides the state
-                 form (and its time constants) from the safety pass. *)
-              if outputs <> [] then outputs
-              else begin
-                let g = Circuit.ground probed in
-                let all =
-                  List.map Component.potential_var (Circuit.devices probed)
-                  |> List.sort_uniq Expr.compare_var
-                in
-                let grounded =
-                  List.filter
-                    (fun (v : Expr.var) ->
-                      match v.Expr.base with
-                      | Expr.Potential (_, b) -> b = g
-                      | _ -> false)
-                    all
-                in
-                if grounded <> [] then grounded else all
-              end
+              (* The ground-referenced node voltages: asking for every
+                 branch potential forces Assemble to define the floating
+                 ones algebraically, which hides the state form (and its
+                 time constants) from the safety pass. *)
+              let g = Circuit.ground probed in
+              let all =
+                List.map Component.potential_var (Circuit.devices probed)
+                |> List.sort_uniq Expr.compare_var
+              in
+              let grounded =
+                List.filter
+                  (fun (v : Expr.var) ->
+                    match v.Expr.base with
+                    | Expr.Potential (_, b) -> b = g
+                    | _ -> false)
+                  all
+              in
+              if grounded <> [] then grounded else all
             in
             let inputs = Circuit.input_signals probed in
             match Assemble.assemble map ~inputs ~outputs:asm_outputs with
@@ -651,7 +648,7 @@ let conservative_findings ?amplitude_budget ~input_bound ~outputs ~dt
         | exception Invalid_argument msg -> topo @ [ Diag.error "AMS030" msg ]
       end
 
-let signal_flow_findings ?amplitude_budget ~input_bound ~outputs ~dt top
+let signal_flow_findings ?amplitude_budget ~input_bound ~dt top
     (flat : Elaborate.flat) =
   match Elaborate.signal_flow_assignments flat with
   | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
@@ -692,10 +689,10 @@ let signal_flow_findings ?amplitude_budget ~input_bound ~outputs ~dt top
       in
       if undefined <> [] then undefined
       else begin
-        (* Outputs of the converted program: the caller's choice, else
-           the targets driving declared output ports, else everything —
-           the narrower the output set, the more the value-range passes
-           can say about interior quantities (constants, dead code). *)
+        (* Outputs of the converted program: the targets driving
+           declared output ports, else everything — the narrower the
+           output set, the more the value-range passes can say about
+           interior quantities (constants, dead code). *)
         let drives_port (v : Expr.var) =
           let port n = List.mem n flat.Elaborate.output_ports in
           match v.Expr.base with
@@ -708,11 +705,7 @@ let signal_flow_findings ?amplitude_budget ~input_bound ~outputs ~dt top
             (fun ((t : Expr.var), _) -> if drives_port t then Some t else None)
             assigns
         in
-        let outs =
-          if outputs <> [] then outputs
-          else if port_outs <> [] then port_outs
-          else List.map fst assigns
-        in
+        let outs = if port_outs <> [] then port_outs else List.map fst assigns in
         match
           Flow.convert_signal_flow ~name:top ~inputs ~outputs:outs
             ~contributions:assigns ~dt
@@ -750,20 +743,18 @@ let signal_flow_findings ?amplitude_budget ~input_bound ~outputs ~dt top
             [ Diag.error code msg ]
       end
 
-let flat_findings ?amplitude_budget ~input_bound ~outputs ~dt top
+let flat_findings ?amplitude_budget ~input_bound ~dt top
     (flat : Elaborate.flat) =
   match Elaborate.classify flat with
-  | `Conservative ->
-      conservative_findings ?amplitude_budget ~input_bound ~outputs ~dt flat
+  | `Conservative -> conservative_findings ?amplitude_budget ~input_bound ~dt flat
   | `Signal_flow ->
-      signal_flow_findings ?amplitude_budget ~input_bound ~outputs ~dt top flat
+      signal_flow_findings ?amplitude_budget ~input_bound ~dt top flat
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(outputs = [])
-    ?(dt = 50e-9) ?amplitude_budget ?(input_bound = default_input_bound) ~file
+let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(dt = 50e-9) ?amplitude_budget ?(input_bound = default_input_bound) ~file
     src =
   match lang with
   | `Verilog_ams -> (
@@ -784,8 +775,7 @@ let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(outputs = [])
             match Elaborate.flatten design ~top with
             | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
             | flat ->
-                flat_findings ?amplitude_budget ~input_bound ~outputs ~dt top
-                  flat
+                flat_findings ?amplitude_budget ~input_bound ~dt top flat
           in
           ast @ deep)
   | `Vhdl_ams -> (
@@ -811,5 +801,4 @@ let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(outputs = [])
               | exception Velaborate.Elab_error (msg, sp) ->
                   [ ams003 (msg, sp) ]
               | flat ->
-                  flat_findings ?amplitude_budget ~input_bound ~outputs ~dt
-                    top flat)))
+                  flat_findings ?amplitude_budget ~input_bound ~dt top flat)))

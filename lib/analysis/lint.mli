@@ -58,7 +58,6 @@ val lint :
   ?lang:lang ->
   ?top:string ->
   ?inputs:string list ->
-  ?outputs:Expr.var list ->
   ?dt:float ->
   ?amplitude_budget:float ->
   ?input_bound:float ->
@@ -67,8 +66,10 @@ val lint :
   Amsvp_diag.Diag.finding list
 (** [lint ~file src] analyses the source text. [lang] defaults to
     [`Verilog_ams]; [top] to the last module (entity) of the design;
-    [inputs] (VHDL-AMS only) to []]; [outputs] to every branch
-    potential of the recognised network; [dt] to [50e-9].
+    [inputs] (VHDL-AMS only) to []]; [dt] to [50e-9]. The outputs
+    analysed are the ground-referenced node voltages of a conservative
+    network, and the targets driving output ports of a signal-flow
+    model.
     [amplitude_budget] declares the |output| budget [AMS063] checks
     (absent: the pass is off); [input_bound] confines every input
     signal to [±input_bound] for the value-range passes (default 1).

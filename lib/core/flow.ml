@@ -16,7 +16,6 @@ type report = {
   classes : int;
   variants : int;
   definitions : int;
-  fidelity : Solve.fidelity;
   explain : Explain.t;
   acquisition_s : float;
   enrichment_s : float;
@@ -90,8 +89,7 @@ let with_probes circuit outputs =
 let insert_probes circuit ~outputs = with_probes circuit outputs
 
 let abstract_circuit ?(name = "abstracted") ?(mode = `Auto)
-    ?(integration = `Backward_euler) ?(fidelity = `Paper) circuit ~outputs ~dt
-    =
+    ?(integration = `Backward_euler) circuit ~outputs ~dt =
   if outputs = [] then invalid_arg "Flow: no outputs of interest";
   Obs.with_span ~cat:"flow" ~args:[ ("model", name) ] "flow.abstract"
   @@ fun () ->
@@ -149,7 +147,6 @@ let abstract_circuit ?(name = "abstracted") ?(mode = `Auto)
     classes = Eqmap.class_count map;
     variants = stats.Enrich.variants;
     definitions = List.length asm.Assemble.defs;
-    fidelity;
     explain;
     acquisition_s;
     enrichment_s;
@@ -158,8 +155,8 @@ let abstract_circuit ?(name = "abstracted") ?(mode = `Auto)
   }
 
 let abstract_testcase ?(mode = `Auto) ?(integration = `Backward_euler)
-    ?fidelity (tc : Circuits.testcase) ~dt =
-  abstract_circuit ~name:tc.Circuits.label ~mode ~integration ?fidelity
+    (tc : Circuits.testcase) ~dt =
+  abstract_circuit ~name:tc.Circuits.label ~mode ~integration
     tc.Circuits.circuit ~outputs:[ tc.Circuits.output ] ~dt
 
 (* A discretised contribution may mention its own target at the current
@@ -221,9 +218,8 @@ let convert_signal_flow ~name ~inputs ~outputs ~contributions ~dt =
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>abstraction report: %d nodes, %d branches, %d classes, %d \
-     variants, %d definitions, %s reference@,timings: acquisition %.3fms, \
+     variants, %d definitions@,timings: acquisition %.3fms, \
      enrichment %.3fms, assemble %.3fms, solve %.3fms@,%a@]"
     r.nodes r.branches r.classes r.variants r.definitions
-    (Solve.fidelity_to_string r.fidelity)
     (r.acquisition_s *. 1e3) (r.enrichment_s *. 1e3) (r.assemble_s *. 1e3)
     (r.solve_s *. 1e3) Sfprogram.pp r.program

@@ -10,9 +10,6 @@ type report = {
   classes : int;  (** equation classes after enrichment *)
   variants : int;  (** solved variants in the multimap *)
   definitions : int;  (** quantities in the cone of influence *)
-  fidelity : Solve.fidelity;
-      (** reference-engine cost model the abstraction is meant to be
-          validated against downstream (default [`Paper]) *)
   explain : Explain.t;
       (** the structured plan account ([amsvp explain]) *)
   acquisition_s : float;
@@ -36,7 +33,6 @@ val abstract_circuit :
   ?name:string ->
   ?mode:Solve.mode ->
   ?integration:Solve.integration ->
-  ?fidelity:Solve.fidelity ->
   Amsvp_netlist.Circuit.t ->
   outputs:Expr.var list ->
   dt:float ->
@@ -52,7 +48,6 @@ val abstract_circuit :
 val abstract_testcase :
   ?mode:Solve.mode ->
   ?integration:Solve.integration ->
-  ?fidelity:Solve.fidelity ->
   Amsvp_netlist.Circuits.testcase ->
   dt:float ->
   report

@@ -477,8 +477,8 @@ let solved_assignments_plan ?(mode = `Auto) ?(integration = `Backward_euler)
     finish assignments ~regions:(1 lsl k)
   end
 
-let solved_assignments ?mode ?integration ~dt r =
-  fst (solved_assignments_plan ?mode ?integration ~dt r)
+let solved_assignments ?integration ~dt r =
+  fst (solved_assignments_plan ?integration ~dt r)
 
 let solve_with_plan ?mode ?integration ~name ~dt (r : Assemble.result) =
   let solved, plan = solved_assignments_plan ?mode ?integration ~dt r in

@@ -107,7 +107,6 @@ val solve_with_plan :
 (** [solve] plus the decision record. *)
 
 val solved_assignments :
-  ?mode:mode ->
   ?integration:integration ->
   dt:float ->
   Assemble.result ->

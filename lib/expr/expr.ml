@@ -50,6 +50,28 @@ let var_name x =
   if x.delay = 0 then base_name x.base
   else Printf.sprintf "%s@-%d" (base_name x.base) x.delay
 
+let access_of_string s =
+  let s = String.trim s in
+  let n = String.length s in
+  let bad () =
+    Error
+      (Printf.sprintf
+         "bad access %S (want V(a,b), V(a), I(a,b), I(a) or a signal name)" s)
+  in
+  let names body = List.map String.trim (String.split_on_char ',' body) in
+  if n >= 2 && (s.[0] = 'V' || s.[0] = 'I') && s.[1] = '(' then
+    if s.[n - 1] <> ')' then bad ()
+    else
+      match (s.[0], names (String.sub s 2 (n - 3))) with
+      | _, l when List.mem "" l -> bad ()
+      | 'V', [ a ] -> Ok (potential a "gnd")
+      | 'V', [ a; b ] -> Ok (potential a b)
+      | 'I', [ a ] -> Ok (flow a "")
+      | 'I', [ a; b ] -> Ok (flow a b)
+      | _ -> bad ()
+  else if n > 0 then Ok (signal s)
+  else bad ()
+
 let sanitize s =
   String.map (fun c -> if c = '(' || c = ')' || c = ',' || c = '.' then '_' else c) s
 

@@ -43,6 +43,14 @@ val var_name : var -> string
 (** Verilog-AMS-style rendering, e.g. ["V(out,gnd)"], with ["@-k"]
     appended for delayed samples. *)
 
+val access_of_string : string -> (var, string) result
+(** Parse an access the way a user writes it: ["V(a,b)"], ["V(a)"]
+    (the potential of [a] against ["gnd"]), ["I(a,b)"], ["I(a)"] (the
+    flow of the branch named [a]) or a bare signal name. Blanks around
+    the whole and around each name are ignored; an empty name is an
+    error. The one parser behind every [--out]/[--probe] option, the
+    sweep spec's [output] and signal-flow program files. *)
+
 val var_c_name : var -> string
 (** A C identifier for the variable, e.g. ["V_out_gnd"] or
     ["V_out_gnd_m1"] for one step in the past. *)

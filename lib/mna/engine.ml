@@ -665,7 +665,7 @@ module Eln_stepper = struct
     st.out <- 0.0
 end
 
-let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
+let eln_like circuit ~inputs ~output ~dt ~t_stop =
   let nsteps = reporting_steps ~dt ~t_stop in
   Obs.with_span ~cat:"mna" "mna.eln_like" @@ fun () ->
   let st =
@@ -673,7 +673,7 @@ let eln_like ?observe circuit ~inputs ~output ~dt ~t_stop =
   in
   let sample = sampler inputs st.positions st.inputs in
   let trace =
-    drive ?observe ~dt ~nsteps ~read:(Eln_stepper.read st)
+    drive ~dt ~nsteps ~read:(Eln_stepper.read st)
       ~output:(fun () -> System.read st.out_loc st.x)
       (fun t ->
         sample t;

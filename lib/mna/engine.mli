@@ -105,7 +105,6 @@ val spice_like :
     @raise Invalid_argument on a missing input signal or bad step. *)
 
 val eln_like :
-  ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_netlist.Circuit.t ->
   inputs:(string * Amsvp_util.Stimulus.t) list ->
   output:Expr.var ->
@@ -113,8 +112,7 @@ val eln_like :
   t_stop:float ->
   result
 (** Fixed-step linear-network engine: an {!Eln_stepper} driven over
-    the run. [observe] is the probe attachment point, as in
-    {!spice_like}.
+    the run.
     @raise Invalid_argument on piecewise-linear devices, a missing
     input signal or a bad step. *)
 

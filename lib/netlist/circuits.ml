@@ -74,13 +74,13 @@ let opamp () =
     stimuli = [ ("in", square_1ms) ];
   }
 
-let rlc_series ?(r = 100.0) ?(l = 10.0e-3) ?(c = 1.0e-6) () =
+let rlc_series ?(r = 100.0) ?(l = 10.0e-3) () =
   let ckt = Circuit.create () in
   Circuit.add_vsource ckt ~name:"vin" ~pos:"in" ~neg:"gnd"
     (Component.Input "in");
   Circuit.add_resistor ckt ~name:"r1" ~pos:"in" ~neg:"n1" r;
   Circuit.add_inductor ckt ~name:"l1" ~pos:"n1" ~neg:"out" l;
-  Circuit.add_capacitor ckt ~name:"c1" ~pos:"out" ~neg:"gnd" c;
+  Circuit.add_capacitor ckt ~name:"c1" ~pos:"out" ~neg:"gnd" 1.0e-6;
   {
     label = "RLC";
     circuit = ckt;
@@ -88,13 +88,13 @@ let rlc_series ?(r = 100.0) ?(l = 10.0e-3) ?(c = 1.0e-6) () =
     stimuli = [ ("in", square_1ms) ];
   }
 
-let rectifier ?(r = 1.0e3) ?(g_on = 1.0 /. 100.0) ?(g_off = 1e-6) () =
+let rectifier ?(r = 1.0e3) ?(g_on = 1.0 /. 100.0) () =
   let ckt = Circuit.create () in
   Circuit.add_vsource ckt ~name:"vin" ~pos:"in" ~neg:"gnd"
     (Component.Input "in");
   Circuit.add_resistor ckt ~name:"r1" ~pos:"in" ~neg:"out" r;
-  Circuit.add_pwl_conductance ckt ~name:"d1" ~pos:"out" ~neg:"gnd" ~g_on ~g_off
-    ~threshold:0.0;
+  Circuit.add_pwl_conductance ckt ~name:"d1" ~pos:"out" ~neg:"gnd" ~g_on
+    ~g_off:1e-6 ~threshold:0.0;
   {
     label = "RECT";
     circuit = ckt;

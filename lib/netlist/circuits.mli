@@ -29,16 +29,17 @@ val two_input : unit -> testcase
 val opamp : unit -> testcase
 (** The OA active filter stage. *)
 
-val rlc_series : ?r:float -> ?l:float -> ?c:float -> unit -> testcase
+val rlc_series : ?r:float -> ?l:float -> unit -> testcase
 (** A series RLC resonator (not in the paper's table, used to exercise
-    the inductor path of every back-end): R = 100 Ω, L = 10 mH,
-    C = 1 µF by default (f0 ≈ 1.6 kHz, damping ratio 0.5), driven by a
+    the inductor path of every back-end): R = 100 Ω, L = 10 mH by
+    default and C = 1 µF (f0 ≈ 1.6 kHz, damping ratio 0.5), driven by a
     1 ms square wave, output [V(out,gnd)] across the capacitor. *)
 
-val rectifier : ?r:float -> ?g_on:float -> ?g_off:float -> unit -> testcase
+val rectifier : ?r:float -> ?g_on:float -> unit -> testcase
 (** The half-wave rectifier of the piecewise-linear extension (§III-C,
     and [examples/rectifier.ml]): a 1 kHz sine through a series
-    resistor (1 kΩ) into a two-segment PWL diode clamp, output
+    resistor (1 kΩ) into a two-segment PWL diode clamp (on 10 mS, off
+    1 µS), output
     [V(out,gnd)] across the diode. The tolerance-sweep workhorse of
     the sweep engine. *)
 

@@ -1,11 +1,10 @@
 (* CLOCK_MONOTONIC via the bechamel stub, rebased to the first read.
-   The origin is installed with a CAS so concurrent first reads from
-   several domains agree on a single rebasing point. *)
+   Forked workers inherit the origin, so their timestamps share the
+   parent's timeline. *)
 
-let origin = Atomic.make Int64.min_int
+let origin = ref Int64.min_int
 
 let now_ns () =
   let t = Monotonic_clock.now () in
-  if Atomic.get origin = Int64.min_int then
-    ignore (Atomic.compare_and_set origin Int64.min_int t);
-  Int64.to_int (Int64.sub t (Atomic.get origin))
+  if !origin = Int64.min_int then origin := t;
+  Int64.to_int (Int64.sub t !origin)

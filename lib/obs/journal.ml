@@ -1,13 +1,10 @@
-(* Bounded, domain-safe structured event journal. See journal.mli for
-   the cost model.
+(* Bounded structured event journal. See journal.mli for the cost
+   model.
 
-   Each domain owns one ring buffer, created through DLS on first emit
-   and registered in a global table so the merge can reach buffers of
-   domains that have since terminated. The emit path takes only the
-   owning domain's mutex — never contended except against a concurrent
-   [events]/[reset], both rare — and one global atomic fetch-and-add
-   for the sequence number, which is what makes the merged order a
-   total order consistent with every domain's program order. *)
+   Two rings: this process's own events, and the events ingested from
+   other processes. Both are created on first use, with the capacity in
+   force at that moment. The sequence counter is process-wide, so the
+   own ring's insertion order is seq order. *)
 
 module Json = Amsvp_util.Json
 
@@ -24,7 +21,6 @@ type value = F of float | I of int | S of string | B of bool
 type event = {
   seq : int;
   origin : string;
-  dom : int;
   cat : string;
   name : string;
   severity : severity;
@@ -38,31 +34,30 @@ type event = {
    anonymous single-process default; the daemon sets "daemon" and each
    forked point-worker sets "w<slot>:<pid>" right after the fork, so a
    merged multi-process journal attributes every event. *)
-let origin_cell = Atomic.make ""
-let origin () = Atomic.get origin_cell
-let set_origin o = Atomic.set origin_cell o
+let origin_cell = ref ""
+let origin () = !origin_cell
+let set_origin o = origin_cell := o
 
-let on = Atomic.make false
-let enabled () = Atomic.get on
-let set_enabled b = Atomic.set on b
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
+let on = ref false
+let enabled () = !on
+let set_enabled b = on := b
+let enable () = on := true
+let disable () = on := false
 
 let default_capacity = 65536
-let cap_cell = Atomic.make default_capacity
-let capacity () = Atomic.get cap_cell
+let cap_cell = ref default_capacity
+let capacity () = !cap_cell
 
 let set_capacity n =
   if n < 1 then invalid_arg "Journal.set_capacity: capacity must be positive";
-  Atomic.set cap_cell n
+  cap_cell := n
 
-let seq_counter = Atomic.make 0
+let seq_counter = ref 0
 
 let dummy_event =
   {
     seq = 0;
     origin = "";
-    dom = 0;
     cat = "";
     name = "";
     severity = Info;
@@ -75,64 +70,52 @@ let dummy_event =
 type buffer = {
   cap : int;
   arr : event array;
-  lock : Mutex.t;
   mutable start : int;  (* index of the oldest event *)
   mutable len : int;
   mutable b_dropped : int;
 }
 
-let reg_mutex = Mutex.create ()
-let buffers : buffer list ref = ref []
-
-let with_lock m f =
-  Mutex.lock m;
-  match f () with
-  | y ->
-      Mutex.unlock m;
-      y
-  | exception e ->
-      Mutex.unlock m;
-      raise e
-
 let make_buffer () =
   let cap = capacity () in
-  let b =
-    {
-      cap;
-      arr = Array.make cap dummy_event;
-      lock = Mutex.create ();
-      start = 0;
-      len = 0;
-      b_dropped = 0;
-    }
-  in
-  with_lock reg_mutex (fun () -> buffers := b :: !buffers);
-  b
+  { cap; arr = Array.make cap dummy_event; start = 0; len = 0; b_dropped = 0 }
 
-let buffer_key = Domain.DLS.new_key make_buffer
+(* [None] until the first event: a ring is sized when it is created. *)
+let own : buffer option ref = ref None
+
+(* Events ingested from other processes go into a dedicated ring so a
+   foreign burst cannot evict this process's own events, and so their
+   seq numbers (from the sender's counter) never touch ours. *)
+let foreign : buffer option ref = ref None
+
+let ring cell =
+  match !cell with
+  | Some b -> b
+  | None ->
+      let b = make_buffer () in
+      cell := Some b;
+      b
 
 let push b e =
-  with_lock b.lock (fun () ->
-      if b.len = b.cap then begin
-        (* Ring full: overwrite the oldest (recent telemetry is worth
-           more than start-up noise) and account for the loss. *)
-        b.arr.(b.start) <- e;
-        b.start <- (b.start + 1) mod b.cap;
-        b.b_dropped <- b.b_dropped + 1
-      end
-      else begin
-        b.arr.((b.start + b.len) mod b.cap) <- e;
-        b.len <- b.len + 1
-      end)
+  if b.len = b.cap then begin
+    (* Ring full: overwrite the oldest (recent telemetry is worth more
+       than start-up noise) and account for the loss. *)
+    b.arr.(b.start) <- e;
+    b.start <- (b.start + 1) mod b.cap;
+    b.b_dropped <- b.b_dropped + 1
+  end
+  else begin
+    b.arr.((b.start + b.len) mod b.cap) <- e;
+    b.len <- b.len + 1
+  end
 
 let emit ?(severity = Info) ?(step = -1) ?(time = nan) ~cat name payload =
-  if Atomic.get on then begin
-    let seq = Atomic.fetch_and_add seq_counter 1 in
-    let e =
+  if !on then begin
+    let seq = !seq_counter in
+    seq_counter := seq + 1;
+    push (ring own)
       {
         seq;
-        origin = Atomic.get origin_cell;
-        dom = (Domain.self () :> int);
+        origin = !origin_cell;
         cat;
         name;
         severity;
@@ -141,51 +124,16 @@ let emit ?(severity = Info) ?(step = -1) ?(time = nan) ~cat name payload =
         wall_ns = Clock.now_ns ();
         payload;
       }
-    in
-    push (Domain.DLS.get buffer_key) e
   end
 
-let next_seq () = Atomic.get seq_counter
+let next_seq () = !seq_counter
 
-(* Events ingested from other processes go into a dedicated ring so a
-   foreign burst cannot evict this process's own events, and so their
-   seq numbers (from the sender's counter) never touch ours. *)
-let foreign_lock = Mutex.create ()
-let foreign : buffer option ref = ref None
+let ingest evs = if !on && evs <> [] then List.iter (push (ring foreign)) evs
 
-let foreign_buffer () =
-  with_lock foreign_lock (fun () ->
-      match !foreign with
-      | Some b -> b
-      | None ->
-          let b = make_buffer () in
-          foreign := Some b;
-          b)
-
-let ingest evs =
-  if Atomic.get on && evs <> [] then begin
-    let b = foreign_buffer () in
-    List.iter (push b) evs
-  end
-
-let snapshot_buffers () = with_lock reg_mutex (fun () -> !buffers)
-
-let count () =
-  List.fold_left
-    (fun n b -> n + with_lock b.lock (fun () -> b.len))
-    0 (snapshot_buffers ())
-
-let dropped () =
-  List.fold_left
-    (fun n b -> n + with_lock b.lock (fun () -> b.b_dropped))
-    0 (snapshot_buffers ())
-
-let raw_events () =
-  let per_buffer b =
-    with_lock b.lock (fun () ->
-        List.init b.len (fun i -> b.arr.((b.start + i) mod b.cap)))
-  in
-  List.concat_map per_buffer (snapshot_buffers ())
+let buffers () = List.filter_map ( ! ) [ own; foreign ]
+let count () = List.fold_left (fun n b -> n + b.len) 0 (buffers ())
+let dropped () = List.fold_left (fun n b -> n + b.b_dropped) 0 (buffers ())
+let event_at b i = b.arr.((b.start + i) mod b.cap)
 
 (* Merged order: wall-clock first so a multi-process merge reads as a
    timeline, then (origin, seq) so identical timestamps — common when
@@ -196,50 +144,35 @@ let raw_events () =
 let event_order a b =
   compare (a.wall_ns, a.origin, a.seq) (b.wall_ns, b.origin, b.seq)
 
-let events () = List.sort event_order (raw_events ())
+let events () =
+  List.concat_map (fun b -> List.init b.len (event_at b)) (buffers ())
+  |> List.sort event_order
 
+(* Only the own ring can hold events of this origin with our seq
+   numbers. Its insertion order is seq order, so walking back from the
+   newest entry and stopping at the first seq below [n] costs
+   O(matches), not O(ring) — which matters when a worker drains after
+   every task from a ring it inherited nearly full from a long-lived
+   parent. Inherited events carry the parent's origin and are skipped. *)
 let events_after n =
-  let me = Atomic.get origin_cell in
-  (* Only locally emitted events can match: the foreign ring holds other
-     processes' seq numbers, so it is skipped wholesale. Within each
-     local ring insertion order is seq order (every [emit] draws a fresh
-     global seq before pushing), so walking back from the newest entry
-     and stopping at the first seq below [n] costs O(matches), not
-     O(ring) — which matters when a worker drains after every task from
-     a ring it inherited nearly full from a long-lived parent. *)
-  let is_foreign =
-    match with_lock foreign_lock (fun () -> !foreign) with
-    | Some fb -> fun b -> b == fb
-    | None -> fun _ -> false
-  in
-  let per_buffer b =
-    if is_foreign b then []
-    else
-      with_lock b.lock (fun () ->
-          let acc = ref [] in
-          let i = ref (b.len - 1) in
-          let scanning = ref true in
-          while !scanning && !i >= 0 do
-            let e = b.arr.((b.start + !i) mod b.cap) in
-            if e.seq >= n then begin
-              if String.equal e.origin me then acc := e :: !acc;
-              decr i
-            end
-            else scanning := false
-          done;
-          !acc)
-  in
-  List.concat_map per_buffer (snapshot_buffers ())
-  |> List.sort (fun a b -> compare a.seq b.seq)
+  match !own with
+  | None -> []
+  | Some b ->
+      let me = !origin_cell in
+      let rec back i acc =
+        if i < 0 then acc
+        else
+          let e = event_at b i in
+          if e.seq < n then acc
+          else back (i - 1) (if String.equal e.origin me then e :: acc else acc)
+      in
+      back (b.len - 1) []
 
+(* Dropping the rings (rather than emptying them) lets a new capacity
+   take effect. *)
 let reset () =
-  List.iter
-    (fun b ->
-      with_lock b.lock (fun () ->
-          b.start <- 0;
-          b.len <- 0;
-          b.b_dropped <- 0))
-    (snapshot_buffers ())
+  own := None;
+  foreign := None
 
 (* ---- JSONL sink ---- *)
 
@@ -256,7 +189,7 @@ let event_json e =
     | B b -> Bool b
   in
   Obj
-    ([ ("seq", int e.seq); ("dom", int e.dom); ("cat", Str e.cat);
+    ([ ("seq", int e.seq); ("cat", Str e.cat);
        ("name", Str e.name); ("sev", Str (severity_label e.severity)) ]
     @ (if e.origin <> "" then [ ("origin", Str e.origin) ] else [])
     @ (if e.step >= 0 then [ ("step", int e.step) ] else [])
@@ -297,7 +230,6 @@ type sink = {
   mutable s_bytes : int;  (* bytes written to the live file *)
 }
 
-let sink_lock = Mutex.create ()
 let sink : sink option ref = ref None
 
 let rotated path i = Printf.sprintf "%s.%d" path i
@@ -313,40 +245,37 @@ let rotate s =
   s.s_bytes <- 0
 
 let flush () =
-  with_lock sink_lock (fun () ->
-      match !sink with
-      | None -> ()
-      | Some s ->
-          (* Seq counters are per-process, so the "already flushed"
-             watermark is kept per origin: a worker's seq 3 arriving
-             after the daemon's seq 900 is still fresh. *)
-          let mark origin =
-            Option.value ~default:(-1) (Hashtbl.find_opt s.s_marks origin)
-          in
-          let fresh =
-            List.filter (fun e -> e.seq > mark e.origin) (events ())
-          in
-          if fresh <> [] then begin
-            let oc =
-              open_out_gen
-                [ Open_append; Open_creat; Open_wronly; Open_binary ]
-                0o644 s.s_path
-            in
-            let b = Buffer.create 4096 in
-            List.iter
-              (fun e ->
-                Buffer.add_string b (event_to_json e);
-                Buffer.add_char b '\n';
-                if e.seq > mark e.origin then
-                  Hashtbl.replace s.s_marks e.origin e.seq)
-              fresh;
-            output_string oc (Buffer.contents b);
-            close_out oc;
-            s.s_bytes <- s.s_bytes + Buffer.length b;
-            match s.s_max_bytes with
-            | Some limit when s.s_bytes >= limit -> rotate s
-            | _ -> ()
-          end)
+  match !sink with
+  | None -> ()
+  | Some s ->
+      (* Seq counters are per-process, so the "already flushed"
+         watermark is kept per origin: a worker's seq 3 arriving after
+         the daemon's seq 900 is still fresh. *)
+      let mark origin =
+        Option.value ~default:(-1) (Hashtbl.find_opt s.s_marks origin)
+      in
+      let fresh = List.filter (fun e -> e.seq > mark e.origin) (events ()) in
+      if fresh <> [] then begin
+        let oc =
+          open_out_gen
+            [ Open_append; Open_creat; Open_wronly; Open_binary ]
+            0o644 s.s_path
+        in
+        let b = Buffer.create 4096 in
+        List.iter
+          (fun e ->
+            Buffer.add_string b (event_to_json e);
+            Buffer.add_char b '\n';
+            if e.seq > mark e.origin then
+              Hashtbl.replace s.s_marks e.origin e.seq)
+          fresh;
+        output_string oc (Buffer.contents b);
+        close_out oc;
+        s.s_bytes <- s.s_bytes + Buffer.length b;
+        match s.s_max_bytes with
+        | Some limit when s.s_bytes >= limit -> rotate s
+        | _ -> ()
+      end
 
 let attach_sink ?max_bytes ?(keep = 3) path =
   (match max_bytes with
@@ -354,15 +283,14 @@ let attach_sink ?max_bytes ?(keep = 3) path =
       invalid_arg "Journal.attach_sink: max_bytes must be positive"
   | _ -> ());
   if keep < 0 then invalid_arg "Journal.attach_sink: keep must be >= 0";
-  with_lock sink_lock (fun () ->
-      (* Attaching starts a fresh live file: a previous run's log is not
-         silently extended. *)
-      if Sys.file_exists path then Sys.remove path;
-      sink :=
-        Some
-          { s_path = path; s_max_bytes = max_bytes; s_keep = keep;
-            s_marks = Hashtbl.create 7; s_bytes = 0 })
+  (* Attaching starts a fresh live file: a previous run's log is not
+     silently extended. *)
+  if Sys.file_exists path then Sys.remove path;
+  sink :=
+    Some
+      { s_path = path; s_max_bytes = max_bytes; s_keep = keep;
+        s_marks = Hashtbl.create 7; s_bytes = 0 }
 
 let detach_sink () =
   flush ();
-  with_lock sink_lock (fun () -> sink := None)
+  sink := None

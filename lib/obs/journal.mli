@@ -1,5 +1,4 @@
-(** Structured run journal: a bounded, domain-safe buffer of typed
-    events, the third leg of the observability layer next to spans
+(** Structured run journal: a bounded buffer of typed events, the third leg of the observability layer next to spans
     (wall-clock intervals) and metrics (monotone aggregates).
 
     A journal {e event} records something the solver decided or
@@ -10,24 +9,20 @@
 
     Cost model, mirroring {!Obs}:
 
-    - Disabled (the default), {!emit} is one atomic load and a branch;
-      no payload should even be built (guard call sites with
-      {!enabled} when assembling the payload costs anything).
-    - Enabled, an event is one atomic fetch-and-add (the global
-      sequence number) plus stores into a {e domain-local} buffer
-      under that buffer's own mutex — only ever contended against a
-      concurrent {!events}/{!reset}, so worker domains never slow each
-      other down.
+    - Disabled (the default), {!emit} is one load and a branch; no
+      payload should even be built (guard call sites with {!enabled}
+      when assembling the payload costs anything).
+    - Enabled, an event takes the next sequence number and is stored
+      into a ring.
 
-    Each domain journals into its own bounded buffer (a ring keeping
-    the most recent [capacity] events; overwritten events are counted
-    in {!dropped}). Buffers register themselves in a global table on
-    first use and survive domain termination, so {!events} — typically
-    called after a {!Amsvp_sweep} pool join — merges every domain's
-    buffer. The merge is deterministic: events are ordered by wall
-    clock with [(origin, seq)] breaking ties, a total order that is
-    stable across processes and consistent with each process's own
-    program order. *)
+    The process keeps two rings, each holding the most recent
+    [capacity] events (overwritten events are counted in {!dropped}):
+    one for the events it emits, and one for the events it {!ingest}s
+    from forked workers. The journal is not synchronised: the program
+    runs one domain, and workers are processes with their own copy.
+    {!events} merges both rings deterministically: by wall clock with
+    [(origin, seq)] breaking ties, a total order that is stable across
+    processes and consistent with each process's own program order. *)
 
 (** {1 Enable flag and bounds} *)
 
@@ -39,8 +34,9 @@ val disable : unit -> unit
 val capacity : unit -> int
 
 val set_capacity : int -> unit
-(** Per-domain ring size (default 65536). Applies to buffers created
-    after the call; raise it before enabling on a long run.
+(** Ring size (default 65536). A ring is sized when it is created, at
+    its first event after start-up or after a {!reset}; raise it
+    before enabling on a long run.
     @raise Invalid_argument on a non-positive capacity. *)
 
 (** {1 Events} *)
@@ -56,7 +52,6 @@ type event = {
   origin : string;
       (** emitting process tag (see {!set_origin}); [""] for the
           anonymous single-process default *)
-  dom : int;  (** recording domain ([Domain.self] as an int) *)
   cat : string;  (** subsystem: ["mna"], ["sf"], ["sweep"], ["health"]... *)
   name : string;  (** event kind within the category, e.g. ["newton.step"] *)
   severity : severity;
@@ -80,24 +75,21 @@ val emit :
 (** {1 Reading back} *)
 
 val count : unit -> int
-(** Events currently buffered, across every domain. *)
+(** Events currently buffered, own and ingested. *)
 
 val dropped : unit -> int
-(** Events overwritten because a domain's ring was full. *)
+(** Events overwritten because a ring was full. *)
 
 val events : unit -> event list
-(** Every buffered event from every domain that has journaled —
-    including events {!ingest}ed from other processes — merged into
-    one deterministic order: [wall_ns] first, ties broken by
+(** Every buffered event — this process's own and those {!ingest}ed
+    from other processes — merged into one deterministic order: [wall_ns] first, ties broken by
     [(origin, seq)]. Within a single origin this is consistent with
     program order (both keys are nondecreasing per process), and the
-    tie-break makes the merge independent of arrival order. Safe to
-    call while other domains are still emitting (a consistent
-    snapshot per buffer). *)
+    tie-break makes the merge independent of arrival order. *)
 
 (** {1 Cross-process telemetry}
 
-    A forked worker journals into its own copy of these buffers; the
+    A forked worker journals into its own copy of these rings; the
     serve layer drains them with {!events_after}, ships them over the
     worker pipe, and the parent {!ingest}s them so {!events} and the
     sink see one whole-service journal. *)
@@ -121,12 +113,13 @@ val events_after : int -> event list
 val ingest : event list -> unit
 (** Push events received from another process into a dedicated
     foreign ring (so a burst cannot evict local events), preserving
-    their [seq]/[origin]/[dom]. No-op when disabled. Overflow counts
+    their [seq]/[origin]. No-op when disabled. Overflow counts
     toward {!dropped}. *)
 
 val reset : unit -> unit
-(** Clear all buffers and the dropped counter (the enable flag and
-    capacity are untouched). The global sequence keeps counting, so
+(** Clear both rings and the dropped counter (the enable flag and
+    capacity are untouched; the next events get rings of the current
+    capacity). The global sequence keeps counting, so
     events recorded after a reset still sort after everything that
     came before. *)
 
@@ -134,7 +127,7 @@ val reset : unit -> unit
 
 val event_json : event -> Amsvp_util.Json.t
 (** One event as a JSON object:
-    [{"seq":..,"dom":..,"cat":..,"name":..,"sev":..,"origin":..,
+    [{"seq":..,"cat":..,"name":..,"sev":..,"origin":..,
       "step":..,"time":..,"wall_ns":..,"data":{...}}]. [sev] is
     ["debug"], ["info"], ["warn"] or ["error"]. [origin] is omitted
     when [""] (so single-process output is unchanged), [step] when
@@ -171,8 +164,7 @@ val attach_sink : ?max_bytes:int -> ?keep:int -> string -> unit
 
 val flush : unit -> unit
 (** Append every event not yet written to the attached sink, then
-    rotate if over the size limit. No-op without a sink. Serialised
-    internally — callable from any domain. *)
+    rotate if over the size limit. No-op without a sink. *)
 
 val detach_sink : unit -> unit
 (** Final {!flush}, then forget the sink. *)

@@ -1,14 +1,10 @@
 (* Span recorder + metrics registry + sinks. See obs.mli for the cost
    model: spans are gated by [on], metrics are always live.
 
-   Domain safety: the sweep engine runs flows on a pool of OCaml 5
-   domains, so every mutable cell here must tolerate concurrent use.
-   Metrics are plain [Atomic.t] cells (an increment stays a single
-   atomic RMW — no locks on the hot path); the span buffer is guarded
-   by a mutex taken only when a span {e completes} (spans are orders of
-   magnitude rarer than metric increments); span nesting depth is
-   domain-local state, since interleaving unrelated domains' depths
-   would be meaningless. *)
+   The process runs one domain; parallel work runs in forked worker
+   processes, each with its own copy of this state, which ship what
+   they record back to the parent (see {!Amsvp_sweep.Pool}). So every
+   cell here is a plain mutable field. *)
 
 module Json = Amsvp_util.Json
 
@@ -18,159 +14,94 @@ type span = {
   start_ns : int;
   dur_ns : int;
   depth : int;
-  dom : int;
   proc : string;  (* "" = recorded in this process; else the origin tag *)
   args : (string * string) list;
 }
 
 (* ---- enable flag ---- *)
 
-let on = Atomic.make false
-let enabled () = Atomic.get on
-let set_enabled b = Atomic.set on b
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
+let on = ref false
+let enabled () = !on
+let set_enabled b = on := b
+let enable () = on := true
+let disable () = on := false
 let now_ns = Clock.now_ns
 
 (* ---- span storage: a growable buffer of completed spans ---- *)
 
 let dummy_span =
-  { name = ""; cat = ""; start_ns = 0; dur_ns = 0; depth = 0; dom = 0;
-    proc = ""; args = [] }
+  { name = ""; cat = ""; start_ns = 0; dur_ns = 0; depth = 0; proc = "";
+    args = [] }
 
-let self_dom () = (Domain.self () :> int)
-
-let buf_mutex = Mutex.create ()
 let buf = ref (Array.make 1024 dummy_span)
 let len = ref 0
 
-(* Nesting depth is tracked per domain: spans opened on one domain are
-   unrelated to spans running concurrently on another. *)
-let depth_key = Domain.DLS.new_key (fun () -> ref 0)
-let depth () = Domain.DLS.get depth_key
-
-let locked f =
-  Mutex.lock buf_mutex;
-  match f () with
-  | y ->
-      Mutex.unlock buf_mutex;
-      y
-  | exception e ->
-      Mutex.unlock buf_mutex;
-      raise e
+(* Nesting depth of the spans open right now. *)
+let depth = ref 0
 
 let push s =
-  locked (fun () ->
-      if !len = Array.length !buf then begin
-        let bigger = Array.make (2 * !len) dummy_span in
-        Array.blit !buf 0 bigger 0 !len;
-        buf := bigger
-      end;
-      !buf.(!len) <- s;
-      incr len)
+  if !len = Array.length !buf then begin
+    let bigger = Array.make (2 * !len) dummy_span in
+    Array.blit !buf 0 bigger 0 !len;
+    buf := bigger
+  end;
+  !buf.(!len) <- s;
+  incr len
 
-let span_count () = locked (fun () -> !len)
-let spans () = locked (fun () -> Array.to_list (Array.sub !buf 0 !len))
+let span_count () = !len
+let spans () = Array.to_list (Array.sub !buf 0 !len)
 
 let spans_from n =
-  locked (fun () ->
-      if n >= !len then []
-      else Array.to_list (Array.sub !buf n (!len - n)))
+  if n >= !len then [] else Array.to_list (Array.sub !buf n (!len - n))
 
 let ingest_spans ~proc spans =
-  if Atomic.get on then
+  if !on then
     List.iter
       (fun s -> push (if s.proc = "" then { s with proc } else s))
       spans
 
-(* A consistent snapshot for the sinks (they iterate while other
-   domains may still be recording). *)
-let span_snapshot () = locked (fun () -> Array.sub !buf 0 !len)
+let span_snapshot () = Array.sub !buf 0 !len
 
+(* Close the innermost open span, opened at [t0]. *)
 let close ~cat ~args name t0 =
   let t1 = now_ns () in
-  let d = depth () in
-  decr d;
+  decr depth;
   push
-    {
-      name;
-      cat;
-      start_ns = t0;
-      dur_ns = t1 - t0;
-      depth = !d;
-      dom = self_dom ();
-      proc = "";
-      args;
-    }
+    { name; cat; start_ns = t0; dur_ns = t1 - t0; depth = !depth; proc = "";
+      args };
+  t1
 
 let with_span ?(cat = "") ?(args = []) name f =
-  if not (Atomic.get on) then f ()
+  if not !on then f ()
   else begin
-    incr (depth ());
+    incr depth;
     let t0 = now_ns () in
     match f () with
     | y ->
-        close ~cat ~args name t0;
+        ignore (close ~cat ~args name t0);
         y
     | exception e ->
-        close ~cat ~args name t0;
+        ignore (close ~cat ~args name t0);
         raise e
   end
 
 let timed ?(cat = "") name f =
-  let recording = Atomic.get on in
-  if recording then incr (depth ());
+  let recording = !on in
+  if recording then incr depth;
   let t0 = now_ns () in
   match f () with
   | y ->
-      let t1 = now_ns () in
-      if recording then begin
-        let d = depth () in
-        decr d;
-        push
-          {
-            name;
-            cat;
-            start_ns = t0;
-            dur_ns = t1 - t0;
-            depth = !d;
-            dom = self_dom ();
-            proc = "";
-            args = [];
-          }
-      end;
+      let t1 = if recording then close ~cat ~args:[] name t0 else now_ns () in
       (y, float_of_int (t1 - t0) *. 1e-9)
   | exception e ->
-      if recording then begin
-        let d = depth () in
-        decr d;
-        push
-          {
-            name;
-            cat;
-            start_ns = t0;
-            dur_ns = now_ns () - t0;
-            depth = !d;
-            dom = self_dom ();
-            proc = "";
-            args = [];
-          }
-      end;
+      if recording then ignore (close ~cat ~args:[] name t0);
       raise e
 
 let instant ?(cat = "") ?(args = []) name =
-  if Atomic.get on then
+  if !on then
     push
-      {
-        name;
-        cat;
-        start_ns = now_ns ();
-        dur_ns = 0;
-        depth = !(depth ());
-        dom = self_dom ();
-        proc = "";
-        args;
-      }
+      { name; cat; start_ns = now_ns (); dur_ns = 0; depth = !depth; proc = "";
+        args }
 
 (* ---- metrics registry ---- *)
 
@@ -178,47 +109,29 @@ type counter = {
   c_name : string;
   c_help : string;
   c_labels : (string * string) list;
-  c_value : int Atomic.t;
+  mutable c_value : int;
 }
 
 type gauge = {
   g_name : string;
   g_help : string;
   g_labels : (string * string) list;
-  g_value : float Atomic.t;
+  mutable g_value : float;
 }
 
 type histogram = {
   h_name : string;
   h_help : string;
-  h_labels : (string * string) list;
   bounds : float array;  (* ascending upper bounds; +Inf is implicit *)
-  counts : int Atomic.t array;  (* length = Array.length bounds + 1 *)
-  h_sum : float Atomic.t;
-  h_count : int Atomic.t;
+  counts : int array;  (* length = Array.length bounds + 1 *)
+  mutable h_sum : float;
+  mutable h_count : int;
 }
-
-(* Lock-free accumulation for the float sum: CAS on the boxed value we
-   read, retrying on contention. *)
-let rec atomic_add_float a x =
-  let cur = Atomic.get a in
-  if not (Atomic.compare_and_set a cur (cur +. x)) then atomic_add_float a x
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
-let reg_mutex = Mutex.create ()
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let reg_order : string list ref = ref [] (* reverse registration order *)
-
-let reg_locked f =
-  Mutex.lock reg_mutex;
-  match f () with
-  | y ->
-      Mutex.unlock reg_mutex;
-      y
-  | exception e ->
-      Mutex.unlock reg_mutex;
-      raise e
 
 let register name m =
   Hashtbl.replace registry name m;
@@ -262,20 +175,18 @@ let label_suffix = function
       Buffer.add_char b '}';
       Buffer.contents b
 
-(* Find-or-create under the registry lock, so two domains racing on the
-   same name share one instance. Labelled series of one metric name are
-   distinct instances, keyed by name plus rendered labels. *)
+(* Find-or-create: a second [make] of a series returns the first
+   instance. Labelled series of one metric name are distinct instances,
+   keyed by name plus rendered labels. *)
 let series_key name labels = name ^ label_suffix labels
 
 let make_metric name ~fresh ~recover =
-  reg_locked (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some m -> (
-          match recover m with Some x -> x | None -> kind_clash name)
-      | None ->
-          let x, m = fresh () in
-          register name m;
-          x)
+  match Hashtbl.find_opt registry name with
+  | Some m -> ( match recover m with Some x -> x | None -> kind_clash name)
+  | None ->
+      let x, m = fresh () in
+      register name m;
+      x
 
 module Counter = struct
   type t = counter
@@ -285,18 +196,18 @@ module Counter = struct
       ~fresh:(fun () ->
         let c =
           { c_name = name; c_help = help; c_labels = labels;
-            c_value = Atomic.make 0 }
+            c_value = 0 }
         in
         (c, Counter c))
       ~recover:(function Counter c -> Some c | _ -> None)
 
-  let incr c = Atomic.incr c.c_value
+  let incr c = c.c_value <- c.c_value + 1
 
   let add c n =
     if n < 0 then invalid_arg "Obs.Counter.add: negative increment";
-    ignore (Atomic.fetch_and_add c.c_value n)
+    c.c_value <- c.c_value + n
 
-  let value c = Atomic.get c.c_value
+  let value c = c.c_value
   let name c = c.c_name
 end
 
@@ -308,13 +219,13 @@ module Gauge = struct
       ~fresh:(fun () ->
         let g =
           { g_name = name; g_help = help; g_labels = labels;
-            g_value = Atomic.make 0.0 }
+            g_value = 0.0 }
         in
         (g, Gauge g))
       ~recover:(function Gauge g -> Some g | _ -> None)
 
-  let set g v = Atomic.set g.g_value v
-  let value g = Atomic.get g.g_value
+  let set g v = g.g_value <- v
+  let value g = g.g_value
   let name g = g.g_name
 end
 
@@ -324,7 +235,7 @@ module Histogram = struct
   let default_buckets =
     [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 2e3; 5e3; 1e4; 1e5; 1e6 |]
 
-  let make ?(help = "") ?(labels = []) ?(buckets = default_buckets) name =
+  let make ?(help = "") ?(buckets = default_buckets) name =
     if Array.length buckets = 0 then
       invalid_arg "Obs.Histogram.make: empty bucket list";
     Array.iteri
@@ -332,17 +243,16 @@ module Histogram = struct
         if i > 0 && b <= buckets.(i - 1) then
           invalid_arg "Obs.Histogram.make: buckets must be ascending")
       buckets;
-    make_metric (series_key name labels)
+    make_metric name
       ~fresh:(fun () ->
         let h =
           {
             h_name = name;
             h_help = help;
-            h_labels = labels;
             bounds = Array.copy buckets;
-            counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-            h_sum = Atomic.make 0.0;
-            h_count = Atomic.make 0;
+            counts = Array.make (Array.length buckets + 1) 0;
+            h_sum = 0.0;
+            h_count = 0;
           }
         in
         (h, Histogram h))
@@ -356,12 +266,12 @@ module Histogram = struct
     while !i < n && not (v <= h.bounds.(!i)) do
       incr i
     done;
-    Atomic.incr h.counts.(!i);
-    atomic_add_float h.h_sum v;
-    Atomic.incr h.h_count
+    h.counts.(!i) <- h.counts.(!i) + 1;
+    h.h_sum <- h.h_sum +. v;
+    h.h_count <- h.h_count + 1
 
-  let count h = Atomic.get h.h_count
-  let sum h = Atomic.get h.h_sum
+  let count h = h.h_count
+  let sum h = h.h_sum
 
   let bucket_counts h =
     let acc = ref 0 in
@@ -369,11 +279,11 @@ module Histogram = struct
       Array.to_list
         (Array.mapi
            (fun i b ->
-             acc := !acc + Atomic.get h.counts.(i);
+             acc := !acc + h.counts.(i);
              (b, !acc))
            h.bounds)
     in
-    cumulative @ [ (infinity, Atomic.get h.h_count) ]
+    cumulative @ [ (infinity, h.h_count) ]
 
   let name h = h.h_name
 end
@@ -381,30 +291,26 @@ end
 (* Every registered counter as (name, labels, value) — the worker-side
    snapshot/delta basis for shipping counter increments to the daemon. *)
 let counter_values () =
-  reg_locked (fun () ->
-      List.rev
-        (List.filter_map
-           (fun key ->
-             match Hashtbl.find_opt registry key with
-             | Some (Counter c) ->
-                 Some (c.c_name, c.c_labels, Atomic.get c.c_value)
-             | _ -> None)
-           !reg_order))
+  List.rev
+    (List.filter_map
+       (fun key ->
+         match Hashtbl.find_opt registry key with
+         | Some (Counter c) -> Some (c.c_name, c.c_labels, c.c_value)
+         | _ -> None)
+       !reg_order)
 
 let reset () =
-  locked (fun () ->
-      len := 0;
-      Domain.DLS.get depth_key := 0);
-  reg_locked (fun () ->
-      Hashtbl.iter
-        (fun _ -> function
-          | Counter c -> Atomic.set c.c_value 0
-          | Gauge g -> Atomic.set g.g_value 0.0
-          | Histogram h ->
-              Array.iter (fun a -> Atomic.set a 0) h.counts;
-              Atomic.set h.h_sum 0.0;
-              Atomic.set h.h_count 0)
-        registry)
+  len := 0;
+  depth := 0;
+  Hashtbl.iter
+    (fun _ -> function
+      | Counter c -> c.c_value <- 0
+      | Gauge g -> g.g_value <- 0.0
+      | Histogram h ->
+          Array.fill h.counts 0 (Array.length h.counts) 0;
+          h.h_sum <- 0.0;
+          h.h_count <- 0)
+    registry
 
 (* ---- span aggregation (shared by the prometheus/summary sinks) ---- *)
 
@@ -462,7 +368,7 @@ let chrome_trace () =
       @ (if s.dur_ns = 0 then
            [ ("ph", Str "i"); ("s", Str "t"); ("ts", us s.start_ns) ]
          else [ ("ph", Str "X"); ("ts", us s.start_ns); ("dur", us s.dur_ns) ])
-      @ [ ("pid", int (pid_of s.proc)); ("tid", int (s.dom + 1)) ]
+      @ [ ("pid", int (pid_of s.proc)); ("tid", int 1) ]
       @
       if s.args = [] then []
       else [ ("args", Obj (List.map (fun (k, v) -> (k, Str v)) s.args)) ])
@@ -487,10 +393,7 @@ let prom_name s =
     s
 
 let registered_in_order () =
-  reg_locked (fun () ->
-      List.rev_map
-        (fun name -> (name, Hashtbl.find_opt registry name))
-        !reg_order)
+  List.rev_map (fun name -> (name, Hashtbl.find_opt registry name)) !reg_order
 
 let prometheus () =
   let b = Buffer.create 4096 in
@@ -515,13 +418,13 @@ let prometheus () =
           header n c.c_help "counter";
           Printf.bprintf b "%s%s %d\n" n
             (label_suffix c.c_labels)
-            (Atomic.get c.c_value)
+            (c.c_value)
       | Some (Gauge g) ->
           let n = prom_name g.g_name in
           header n g.g_help "gauge";
           Printf.bprintf b "%s%s %.9g\n" n
             (label_suffix g.g_labels)
-            (Atomic.get g.g_value)
+            (g.g_value)
       | Some (Histogram h) ->
           let n = prom_name h.h_name in
           header n h.h_help "histogram";
@@ -531,15 +434,11 @@ let prometheus () =
                 if le = infinity then "+Inf" else Printf.sprintf "%.9g" le
               in
               Printf.bprintf b "%s_bucket%s %d\n" n
-                (label_suffix (h.h_labels @ [ ("le", le_s) ]))
+                (label_suffix [ ("le", le_s) ])
                 count)
             (Histogram.bucket_counts h);
-          Printf.bprintf b "%s_sum%s %.9g\n" n
-            (label_suffix h.h_labels)
-            (Atomic.get h.h_sum);
-          Printf.bprintf b "%s_count%s %d\n" n
-            (label_suffix h.h_labels)
-            (Atomic.get h.h_count))
+          Printf.bprintf b "%s_sum %.9g\n" n h.h_sum;
+          Printf.bprintf b "%s_count %d\n" n h.h_count)
     (registered_in_order ());
   (* Per-span-name aggregates, so flow-stage and kernel spans show up in
      the same scrape as the counters. *)
@@ -581,7 +480,7 @@ let summary () =
       (fun (c : counter) ->
         Printf.bprintf b "  %-40s %12d\n"
           (c.c_name ^ label_suffix c.c_labels)
-          (Atomic.get c.c_value))
+          (c.c_value))
       (List.rev !counters)
   end;
   if !gauges <> [] then begin
@@ -590,16 +489,16 @@ let summary () =
       (fun (g : gauge) ->
         Printf.bprintf b "  %-40s %12.6g\n"
           (g.g_name ^ label_suffix g.g_labels)
-          (Atomic.get g.g_value))
+          (g.g_value))
       (List.rev !gauges)
   end;
   if !histos <> [] then begin
     Buffer.add_string b "histograms:\n";
     List.iter
       (fun (h : histogram) ->
-        let count = Atomic.get h.h_count and sum = Atomic.get h.h_sum in
+        let count = h.h_count and sum = h.h_sum in
         Printf.bprintf b "  %-40s count %d sum %.6g mean %.6g\n"
-          (h.h_name ^ label_suffix h.h_labels)
+          h.h_name
           count
           sum
           (if count = 0 then 0.0 else sum /. float_of_int count))

@@ -15,11 +15,11 @@
     JSON loadable in Perfetto / chrome://tracing), {!prometheus}
     (text exposition format) and {!summary} (human-readable).
 
-    Every operation is safe under concurrent use from several OCaml 5
-    domains: metric updates are single atomic read-modify-writes, span
-    completion takes a short lock, and span nesting depth is tracked
-    per domain (spans from different domains never nest into each
-    other). *)
+    The state is process-wide and unsynchronised: the program runs one
+    domain, and parallel sweep points run in forked worker processes
+    ({!Amsvp_sweep.Pool}), each recording into its own copy. A worker
+    ships its completed spans and counter deltas to the parent, which
+    merges them with {!ingest_spans} and {!Counter.add}. *)
 
 (** {1 Enable flag} *)
 
@@ -38,12 +38,9 @@ type span = {
   cat : string;  (** Chrome trace-event category ("" shows as "amsvp") *)
   start_ns : int;
   dur_ns : int;  (** 0 for instant events *)
-  depth : int;  (** nesting depth at entry, outermost = 0 *)
-  dom : int;
-      (** id of the domain that recorded the span ([Domain.self] as an
-          int). [depth] is only meaningful between spans with the same
-          [dom]; the Chrome sink maps [dom] to the trace [tid] so each
-          worker domain gets its own row. *)
+  depth : int;
+      (** nesting depth at entry, outermost = 0; only meaningful
+          between spans with the same [proc] *)
   proc : string;
       (** [""] for spans recorded in this process; spans received from
           another process via {!ingest_spans} carry that process's
@@ -124,7 +121,6 @@ module Histogram : sig
 
   val make :
     ?help:string ->
-    ?labels:(string * string) list ->
     ?buckets:float array ->
     string ->
     t

@@ -70,15 +70,12 @@ let create ?(capacity = 65536) ?(every = 1) () =
   if every < 1 then invalid_arg "Probe.create: every must be >= 1";
   { capacity; every; taps = []; mons = [] }
 
-let tap set ?name ?capacity ?every var =
-  let name = match name with Some n -> n | None -> Expr.var_name var in
-  let capacity = Option.value capacity ~default:set.capacity in
-  let every = Option.value every ~default:set.every in
-  if capacity < 1 then invalid_arg "Probe.tap: capacity must be >= 1";
+let tap set ?(every = set.every) var =
+  let name = Expr.var_name var in
   if every < 1 then invalid_arg "Probe.tap: every must be >= 1";
   if List.exists (fun t -> Tap.name t = name) set.taps then
     invalid_arg ("Probe.tap: duplicate tap name " ^ name);
-  let t = Tap.make ~name ~var ~capacity ~every in
+  let t = Tap.make ~name ~var ~capacity:set.capacity ~every in
   set.taps <- t :: set.taps;
   t
 
@@ -99,13 +96,13 @@ let sample set ~time read =
 let observer set time read = sample set ~time read
 let traces set = List.map (fun t -> (Tap.name t, Tap.to_trace t)) (taps set)
 
-let to_vcd ?timescale_ps set =
+let to_vcd set =
   if set.taps = [] then invalid_arg "Probe.to_vcd: no taps";
-  Vcd.to_string ?timescale_ps (traces set)
+  Vcd.to_string (traces set)
 
-let write_vcd ?timescale_ps set path =
+let write_vcd set path =
   let oc = open_out path in
-  output_string oc (to_vcd ?timescale_ps set);
+  output_string oc (to_vcd set);
   close_out oc
 
 let to_csv set =

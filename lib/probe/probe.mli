@@ -39,10 +39,11 @@ val create : ?capacity:int -> ?every:int -> unit -> t
     [capacity = 65536] retained samples, [every = 1] (no decimation).
     @raise Invalid_argument on [capacity < 1] or [every < 1]. *)
 
-val tap : t -> ?name:string -> ?capacity:int -> ?every:int -> Expr.var -> Tap.t
-(** Attach a tap for a variable. [name] defaults to [Expr.var_name];
-    [every = k] retains one sample out of every [k] offered.
-    @raise Invalid_argument on a duplicate tap name. *)
+val tap : t -> ?every:int -> Expr.var -> Tap.t
+(** Attach a tap for a variable, named by [Expr.var_name], with the
+    set's capacity; [every = k] retains one sample out of every [k]
+    offered (default: the set's).
+    @raise Invalid_argument on a variable tapped twice. *)
 
 val watch : t -> ?config:Health.config -> Expr.var -> Health.t
 (** Attach a health monitor fed by the same observe hook as the taps.
@@ -72,11 +73,11 @@ val observer : t -> float -> (Expr.var -> float) -> unit
 
 val traces : t -> (string * Amsvp_util.Trace.t) list
 
-val to_vcd : ?timescale_ps:int -> t -> string
-(** All taps as a VCD document ({!Amsvp_util.Vcd}).
+val to_vcd : t -> string
+(** All taps as a VCD document ({!Amsvp_util.Vcd}, 1 ns ticks).
     @raise Invalid_argument on an empty set. *)
 
-val write_vcd : ?timescale_ps:int -> t -> string -> unit
+val write_vcd : t -> string -> unit
 
 val to_csv : t -> string
 (** Long-format CSV, one row per retained sample:

@@ -19,9 +19,8 @@ let rec recv t =
   | `Eof -> Error "connection closed"
   | `Eof_partial -> Error "connection closed mid-frame (truncated frame)"
 
-let submit t ?jobs ~spec_text ?(on_event = fun (_ : Protocol.response) -> ())
-    () =
-  send t (Protocol.Submit { spec_text; jobs });
+let submit t ~spec_text ?(on_event = fun (_ : Protocol.response) -> ()) () =
+  send t (Protocol.Submit { spec_text });
   let rec drain () =
     match recv t with
     | Error _ as e -> e

@@ -15,7 +15,6 @@ val recv : t -> (Protocol.response, string) result
 
 val submit :
   t ->
-  ?jobs:int ->
   spec_text:string ->
   ?on_event:(Protocol.response -> unit) ->
   unit ->

@@ -2,6 +2,7 @@ module Spec = Amsvp_sweep.Spec
 module Runner = Amsvp_sweep.Runner
 module Diag = Amsvp_diag.Diag
 module Checkpoint = Amsvp_sweep.Checkpoint
+module Pool = Amsvp_sweep.Pool
 module Circuits = Amsvp_netlist.Circuits
 module Obs = Amsvp_obs.Obs
 module Journal = Amsvp_obs.Journal
@@ -57,7 +58,7 @@ let g_in_flight =
    pool's work function is fixed at creation, which is sound because
    the per-point timeout is a function of the spec and the daemon
    config, both fixed by the cache key. *)
-type warm = { ctx : Runner.ctx; pool : Procpool.t }
+type warm = { ctx : Runner.ctx; pool : Pool.t }
 
 (* Daemon state. One instance per [serve] call; the signal handlers
    write only the [draining] flag (the single async-signal-safe thing
@@ -78,7 +79,7 @@ type state = {
   mutable crashed : int;
   mutable timeouts : int;
   mutable in_flight : int;
-  tally : Procpool.tally;
+  tally : Pool.tally;
   mutable metrics_last_ns : int;
   started_ns : int;
 }
@@ -130,7 +131,7 @@ let point_timeout st spec =
    No run is in progress here, since requests are served one at a
    time. *)
 let evict st key =
-  Option.iter (fun w -> Procpool.close w.pool) (Hashtbl.find_opt st.ctxs key);
+  Option.iter (fun w -> Pool.close w.pool) (Hashtbl.find_opt st.ctxs key);
   Hashtbl.remove st.ctxs key;
   st.ctx_order <- List.filter (( <> ) key) st.ctx_order
 
@@ -160,7 +161,7 @@ let ctx_for ~id st spec (tc : Circuits.testcase) =
       | _ -> ());
       let timeout_s = point_timeout st spec in
       let pool =
-        Procpool.create ~workers:st.cfg.workers ?timeout_s
+        Pool.create ~workers:st.cfg.workers ?timeout_s
           (fun ~retry:_ p -> Runner.run_point ?timeout_s ctx p)
       in
       let warm = { ctx; pool } in
@@ -176,13 +177,14 @@ let checkpoint_path st spec ~circuit =
            (Checkpoint.digest spec ~circuit)))
     st.cfg.checkpoint_dir
 
-let handle_submit st conn ~id ~spec_text ~jobs =
+let handle_submit st conn ~id ~spec_text =
   match Spec.of_string spec_text with
   | Error m -> send conn (Protocol.Failed { message = "bad spec: " ^ m })
   | Ok spec -> (
-      let spec =
-        match jobs with Some j -> { spec with Spec.jobs = Some j } | None -> spec
-      in
+      (* Points run on the daemon's [workers] processes whatever the
+         spec says, so a [jobs] directive must not split the warm-sweep
+         cache or the checkpoint identity. *)
+      let spec = { spec with Spec.jobs = None } in
       let spec =
         (* The daemon default applies only when the spec itself does not
            pin a fidelity, so submitted spec texts stay authoritative. *)
@@ -251,126 +253,114 @@ let handle_submit st conn ~id ~spec_text ~jobs =
                     in
                     (completed, Some w)
               in
-              send conn
-                (Protocol.Accepted
-                   {
-                     id;
-                     sweep = spec.Spec.name;
-                     circuit;
-                     points = total;
-                     resumed = List.length completed;
-                   });
-              (* Recovered points stream first, so the client always
-                 sees the full result set in one session. *)
-              List.iter
-                (fun r -> send conn (Protocol.Point { id; result = r }))
-                completed;
-              let done_idx = Hashtbl.create 16 in
-              List.iter
-                (fun (r : Runner.point_result) ->
-                  Hashtbl.replace done_idx r.Runner.point.index r)
-                completed;
-              let pending =
-                Array.of_list
-                  (List.filter
-                     (fun (p : Amsvp_sweep.Sampler.point) ->
-                       not (Hashtbl.mem done_idx p.index))
-                     (Array.to_list points))
-              in
-              let signal =
-                match spec.Spec.output with
-                | Some s -> s
-                | None -> Expr.var_name tc.Circuits.output
-              in
-              let executed = ref 0 in
-              let t0 = Obs.now_ns () in
-              st.in_flight <- Array.length pending;
-              Obs.Gauge.set g_in_flight (float_of_int st.in_flight);
-              let fresh =
-                Procpool.run pool ~retries:st.cfg.retries ~signal ~request_id:id
-                  ~tally:st.tally
-                  ~on_result:(fun r ->
-                    incr executed;
-                    st.points_run <- st.points_run + 1;
-                    st.in_flight <- st.in_flight - 1;
-                    Obs.Gauge.set g_in_flight (float_of_int st.in_flight);
-                    let issues =
-                      r.Runner.health.Amsvp_probe.Health.v_issues
-                    in
-                    let has k =
-                      List.exists
-                        (fun i -> i.Amsvp_probe.Health.kind = k)
-                        issues
-                    in
-                    if has Amsvp_probe.Health.Timeout then
-                      st.timeouts <- st.timeouts + 1
-                    else if has Amsvp_probe.Health.Crashed then
-                      st.crashed <- st.crashed + 1;
-                    (match writer with
-                    | Some w -> Checkpoint.append w r
-                    | None -> ());
-                    send conn (Protocol.Point { id; result = r });
-                    (* The worker streams its own journal through the
-                       telemetry frames; this parent-side record is the
-                       dispatch bookkeeping view of the same point. *)
-                    jlog ~req:id st "shard.result"
-                      [
-                        ("point",
-                         Journal.S r.Runner.point.Amsvp_sweep.Sampler.label);
-                        ("cached", Journal.B r.Runner.cached);
-                        ("healthy",
-                         Journal.B
-                           r.Runner.health.Amsvp_probe.Health.v_healthy);
-                        ("wall_s", Journal.F r.Runner.wall_s);
-                      ];
-                    tick_metrics st;
-                    if !executed land 31 = 0 then Journal.flush ())
-                  ~should_stop:(fun () -> !(st.draining))
-                  pending
-              in
-              st.in_flight <- 0;
-              Obs.Gauge.set g_in_flight 0.0;
-              let total_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
-              Option.iter Checkpoint.close writer;
-              let delivered =
-                completed
-                @ List.filter_map Fun.id (Array.to_list fresh)
-              in
-              let n_delivered = List.length delivered in
-              let complete = n_delivered = total in
-              (* A finished sweep's checkpoint has served its purpose;
-                 dropping it keeps a resubmit a fresh (warm-ctx) run
-                 rather than an instant replay of stale results. *)
-              (match ckpt with
-              | Some path when complete && Sys.file_exists path ->
-                  Sys.remove path
-              | _ -> ());
-              let count f = List.length (List.filter f delivered) in
-              send conn
-                (Protocol.Done
-                   {
-                     id;
-                     points = n_delivered;
-                     unhealthy =
-                       count (fun (r : Runner.point_result) ->
-                           not r.Runner.health.Amsvp_probe.Health.v_healthy);
-                     cache_hits =
-                       count (fun (r : Runner.point_result) -> r.Runner.cached);
-                     cache_misses =
-                       count (fun (r : Runner.point_result) ->
-                           not r.Runner.cached);
-                     total_s;
-                     complete;
-                   });
-              jlog ~req:id st "request.done"
-                [
-                  ("sweep", Journal.S spec.Spec.name);
-                  ("points", Journal.I n_delivered);
-                  ("complete", Journal.B complete);
-                  ("total_s", Journal.F total_s);
-                ];
-              Journal.flush ();
-              tick_metrics ~force:true st))
+              match Runner.split ctx completed with
+              | exception Invalid_argument message ->
+                  Option.iter Checkpoint.close writer;
+                  send conn (Protocol.Failed { message })
+              | _, pending ->
+                  send conn
+                    (Protocol.Accepted
+                       {
+                         id;
+                         sweep = spec.Spec.name;
+                         circuit;
+                         points = total;
+                         resumed = List.length completed;
+                       });
+                  (* Recovered points stream first, so the client always
+                     sees the full result set in one session. *)
+                  List.iter
+                    (fun r -> send conn (Protocol.Point { id; result = r }))
+                    completed;
+                  let signal =
+                    match spec.Spec.output with
+                    | Some s -> s
+                    | None -> Expr.var_name tc.Circuits.output
+                  in
+                  let executed = ref 0 in
+                  let t0 = Obs.now_ns () in
+                  st.in_flight <- Array.length pending;
+                  Obs.Gauge.set g_in_flight (float_of_int st.in_flight);
+                  let fresh =
+                    Pool.run pool ~retries:st.cfg.retries ~signal ~request_id:id
+                      ~tally:st.tally
+                      ~on_result:(fun r ->
+                        incr executed;
+                        st.points_run <- st.points_run + 1;
+                        st.in_flight <- st.in_flight - 1;
+                        Obs.Gauge.set g_in_flight (float_of_int st.in_flight);
+                        let issues =
+                          r.Runner.health.Amsvp_probe.Health.v_issues
+                        in
+                        let has k =
+                          List.exists
+                            (fun i -> i.Amsvp_probe.Health.kind = k)
+                            issues
+                        in
+                        if has Amsvp_probe.Health.Timeout then
+                          st.timeouts <- st.timeouts + 1
+                        else if has Amsvp_probe.Health.Crashed then
+                          st.crashed <- st.crashed + 1;
+                        (match writer with
+                        | Some w -> Checkpoint.append w r
+                        | None -> ());
+                        send conn (Protocol.Point { id; result = r });
+                        (* The worker streams its own journal through the
+                           telemetry frames; this parent-side record is the
+                           dispatch bookkeeping view of the same point. *)
+                        jlog ~req:id st "shard.result"
+                          [
+                            ("point",
+                             Journal.S r.Runner.point.Amsvp_sweep.Sampler.label);
+                            ("cached", Journal.B r.Runner.cached);
+                            ("healthy",
+                             Journal.B
+                               r.Runner.health.Amsvp_probe.Health.v_healthy);
+                            ("wall_s", Journal.F r.Runner.wall_s);
+                          ];
+                        tick_metrics st;
+                        if !executed land 31 = 0 then Journal.flush ())
+                      ~should_stop:(fun () -> !(st.draining))
+                      pending
+                  in
+                  st.in_flight <- 0;
+                  Obs.Gauge.set g_in_flight 0.0;
+                  let total_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
+                  Option.iter Checkpoint.close writer;
+                  let delivered =
+                    Array.of_list
+                      (completed @ List.filter_map Fun.id (Array.to_list fresh))
+                  in
+                  let n_delivered = Array.length delivered in
+                  let complete = n_delivered = total in
+                  (* A finished sweep's checkpoint has served its purpose;
+                     dropping it keeps a resubmit a fresh (warm-ctx) run
+                     rather than an instant replay of stale results. *)
+                  (match ckpt with
+                  | Some path when complete && Sys.file_exists path ->
+                      Sys.remove path
+                  | _ -> ());
+                  let s = Runner.summarize ctx delivered ~total_s in
+                  send conn
+                    (Protocol.Done
+                       {
+                         id;
+                         points = n_delivered;
+                         unhealthy = s.Runner.unhealthy;
+                         cache_hits = s.Runner.cache_hits;
+                         cache_misses = s.Runner.cache_misses;
+                         total_s;
+                         complete;
+                       });
+                  jlog ~req:id st "request.done"
+                    [
+                      ("sweep", Journal.S spec.Spec.name);
+                      ("points", Journal.I n_delivered);
+                      ("complete", Journal.B complete);
+                      ("total_s", Journal.F total_s);
+                    ];
+                  Journal.flush ();
+                  tick_metrics ~force:true st))
 
 let stats_reply st =
   Protocol.Stats_reply
@@ -382,11 +372,11 @@ let stats_reply st =
       st_uptime_s = float_of_int (Obs.now_ns () - st.started_ns) *. 1e-9;
       st_in_flight = st.in_flight;
       st_workers = st.cfg.workers;
-      st_spawned = st.tally.Procpool.t_spawned;
+      st_spawned = st.tally.Pool.t_spawned;
       st_crashed = st.crashed;
       st_timeouts = st.timeouts;
-      st_redispatched = st.tally.Procpool.t_redispatched;
-      st_telemetry_torn = st.tally.Procpool.t_torn;
+      st_redispatched = st.tally.Pool.t_redispatched;
+      st_telemetry_torn = st.tally.Pool.t_torn;
       st_journal_dropped = Journal.dropped ();
       st_heap_words = (Gc.quick_stat ()).Gc.heap_words;
     }
@@ -394,7 +384,7 @@ let stats_reply st =
 let serve_client st fd =
   (* A worker forked while this client is connected must not hold the
      connection open after the daemon closes it. *)
-  Procpool.register_parent_fd fd;
+  Pool.register_parent_fd fd;
   let conn = Lineio.make fd in
   let rec loop () =
     if !(st.draining) then ()
@@ -414,13 +404,13 @@ let serve_client st fd =
           | Ok Protocol.Shutdown ->
               send conn Protocol.Bye;
               st.draining := true
-          | Ok (Protocol.Submit { spec_text; jobs }) ->
+          | Ok (Protocol.Submit { spec_text }) ->
               let id = st.requests in
-              handle_submit st conn ~id ~spec_text ~jobs);
+              handle_submit st conn ~id ~spec_text);
           loop ()
   in
   loop ();
-  Procpool.unregister_parent_fd fd;
+  Pool.unregister_parent_fd fd;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let serve cfg =
@@ -440,7 +430,7 @@ let serve cfg =
       crashed = 0;
       timeouts = 0;
       in_flight = 0;
-      tally = Procpool.make_tally ();
+      tally = Pool.make_tally ();
       metrics_last_ns = 0;
       started_ns = Obs.now_ns ();
     }
@@ -453,11 +443,11 @@ let serve cfg =
   in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Procpool.register_parent_fd sock;
+  Pool.register_parent_fd sock;
   Fun.protect
     ~finally:(fun () ->
       List.iter (evict st) st.ctx_order;
-      Procpool.unregister_parent_fd sock;
+      Pool.unregister_parent_fd sock;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Sys.remove cfg.socket_path with Sys_error _ -> ());
       Journal.flush ();

@@ -6,21 +6,24 @@
     ({!Amsvp_sweep.Runner.ctx}, which bundle the recorded plan and the
     compiled template) stay warm in an LRU cache keyed by the canonical
     spec text, so a repeated request skips straight to point execution.
-    Each cached sweep owns a {!Procpool}: its workers are forked by the
+    Each cached sweep owns a {!Amsvp_sweep.Pool}, the executor
+    [amsvp sweep --jobs N] uses too: its workers are forked by the
     first submit that runs the sweep, inherit the warm cache
     copy-on-write, serve every later submit of the same spec, and are
     closed when the sweep is evicted or the daemon shuts down.
 
     Requests are served one client at a time over the line-delimited
     JSON {!Protocol}; within a sweep, points are sharded across
-    [workers] processes. With [checkpoint_dir] set, every completed
+    [workers] processes, whatever the spec's [jobs] directive says (the
+    directive is cleared, so it splits neither the cache nor the
+    checkpoint identity). With [checkpoint_dir] set, every completed
     point is appended to a per-sweep checkpoint file, so a daemon
     killed mid-sweep resumes on resubmit, streaming recovered points
     first and executing only the remainder.
 
     The daemon journals under origin ["daemon"] and ingests each
     worker's journal events, spans, and counter deltas shipped over
-    the {!Protocol} telemetry frames, so the attached journal sink
+    the pool's telemetry frames, so the attached journal sink
     and the shutdown trace cover the whole service; worker outcome
     counters (spawned/crashed/timeouts/re-dispatches/torn telemetry),
     in-flight points, journal drops, and GC heap words are surfaced in
@@ -32,8 +35,8 @@
     with [complete = false], every worker pool is closed, the journal
     sink is flushed and the socket unlinked.
 
-    The caller must keep the process single-domain: the point workers
-    are forked, and fork and live domains do not mix. *)
+    The point workers are forked, so the caller must not run other
+    domains. *)
 
 type config = {
   socket_path : string;

@@ -1,13 +1,10 @@
 module Json = Amsvp_util.Json
-module Checkpoint = Amsvp_sweep.Checkpoint
-module Runner = Amsvp_sweep.Runner
-module Journal = Amsvp_obs.Journal
-module Obs = Amsvp_obs.Obs
+module Point_result = Amsvp_sweep.Point_result
 
 let version = 1
 
 type request =
-  | Submit of { spec_text : string; jobs : int option }
+  | Submit of { spec_text : string }
   | Ping
   | Stats
   | Shutdown
@@ -37,7 +34,7 @@ type response =
       points : int;
       resumed : int;
     }
-  | Point of { id : int; result : Runner.point_result }
+  | Point of { id : int; result : Point_result.t }
   | Done of {
       id : int;
       points : int;
@@ -64,10 +61,8 @@ let int i = Json.Num (float_of_int i)
 let frame fields = Json.print (Json.Obj (("v", int version) :: fields))
 
 let encode_request = function
-  | Submit { spec_text; jobs } ->
-      frame
-        ([ ("req", Json.Str "submit"); ("spec", Json.Str spec_text) ]
-        @ match jobs with Some j -> [ ("jobs", int j) ] | None -> [])
+  | Submit { spec_text } ->
+      frame [ ("req", Json.Str "submit"); ("spec", Json.Str spec_text) ]
   | Ping -> frame [ ("req", Json.Str "ping") ]
   | Stats -> frame [ ("req", Json.Str "stats") ]
   | Shutdown -> frame [ ("req", Json.Str "shutdown") ]
@@ -81,7 +76,7 @@ let encode_response r =
         [ ("id", int id); ("sweep", Str sweep); ("circuit", Str circuit);
           ("points", int points); ("resumed", int resumed) ]
   | Point { id; result } ->
-      ev "point" [ ("id", int id); ("result", Checkpoint.result_json result) ]
+      ev "point" [ ("id", int id); ("result", Point_result.json result) ]
   | Done { id; points; unhealthy; cache_hits; cache_misses; total_s; complete }
     ->
       ev "done"
@@ -129,9 +124,7 @@ let decode_request line =
       match Json.mem_string "req" j with
       | Some "submit" -> (
           match Json.mem_string "spec" j with
-          | Some spec_text ->
-              let jobs = Option.map int_of_float (Json.mem_float "jobs" j) in
-              Ok (Submit { spec_text; jobs })
+          | Some spec_text -> Ok (Submit { spec_text })
           | None -> Error "submit frame has no \"spec\" field")
       | Some "ping" -> Ok Ping
       | Some "stats" -> Ok Stats
@@ -158,7 +151,7 @@ let decode_response line =
       | Some "point" -> (
           let* id = int "id" j in
           let* rj = Json.member "result" j in
-          match Checkpoint.result_of_json rj with
+          match Point_result.of_json rj with
           | Ok result -> Ok (Point { id; result })
           | Error _ as e -> e)
       | Some "done" ->
@@ -221,200 +214,3 @@ let decode_response line =
       | Some "bye" -> Ok Bye
       | Some other -> Error (Printf.sprintf "unknown event %S" other)
       | None -> Error "frame has no \"ev\" field")
-
-(* ---- telemetry frames (worker -> parent, on the result pipe) ----
-
-   A worker interleaves telemetry lines with result lines on its one
-   pipe. Telemetry is advisory: the parent must be able to tell "this
-   is telemetry, possibly torn" from "this is (supposed to be) a
-   result line", because a torn result still means the worker died
-   mid-write whereas a torn telemetry frame must never cost a point.
-   The discriminator is the frame prefix [telemetry_prefix]: the
-   encoders below always start a telemetry line with it, and the task
-   codec / checkpoint result codec never emit a "tel" key. *)
-
-type telemetry =
-  | Tel_journal of Journal.event list
-  | Tel_spans of { origin : string; spans : Obs.span list }
-  | Tel_counters of {
-      origin : string;
-      counters : (string * (string * string) list * int) list;
-    }
-
-(* Pinned by a test to the bytes {!encode_telemetry}'s frames open with. *)
-let telemetry_prefix = Printf.sprintf "{\"v\":%d,\"tel\":\"" version
-
-let string_pairs_json pairs =
-  Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) pairs)
-
-let span_json (s : Obs.span) =
-  let open Json in
-  Obj
-    ([ ("name", Str s.Obs.name); ("cat", Str s.Obs.cat);
-       ("start_ns", int s.Obs.start_ns); ("dur_ns", int s.Obs.dur_ns);
-       ("depth", int s.Obs.depth); ("dom", int s.Obs.dom) ]
-    @ (if s.Obs.proc <> "" then [ ("proc", Str s.Obs.proc) ] else [])
-    @ if s.Obs.args <> [] then [ ("args", string_pairs_json s.Obs.args) ]
-      else [])
-
-let counter_json (name, labels, value) =
-  Json.Obj
-    ([ ("name", Json.Str name) ]
-    @ (if labels <> [] then [ ("labels", string_pairs_json labels) ] else [])
-    @ [ ("value", int value) ])
-
-let encode_telemetry t =
-  let open Json in
-  let tel kind fields = frame (("tel", Str kind) :: fields) in
-  match t with
-  | Tel_journal events ->
-      tel "journal" [ ("events", Arr (List.map Journal.event_json events)) ]
-  | Tel_spans { origin; spans } ->
-      tel "spans"
-        [ ("origin", Str origin); ("spans", Arr (List.map span_json spans)) ]
-  | Tel_counters { origin; counters } ->
-      tel "counters"
-        [ ("origin", Str origin);
-          ("counters", Arr (List.map counter_json counters)) ]
-
-(* Decoding back into journal values. Numbers decode to [I] when they
-   are integral and inside the range the [I] encoder can have produced
-   (so the round-trip is canonical: what re-encodes identically);
-   everything else stays [F]. The journal's non-finite string encoding
-   maps back to the floats it names — a payload [S "NaN"] encodes to
-   the same bytes as [F nan], so decoding either spelling to [F nan]
-   keeps re-encoding stable. *)
-let value_of_json = function
-  | Json.Bool b -> Some (Journal.B b)
-  | Json.Num v ->
-      if
-        Float.is_integer v
-        && Float.abs v <= 1e15
-        && not (v = 0.0 && 1.0 /. v < 0.0) (* -0. must stay a float *)
-      then Some (Journal.I (int_of_float v))
-      else Some (Journal.F v)
-  | Json.Str "NaN" -> Some (Journal.F nan)
-  | Json.Str "Infinity" -> Some (Journal.F infinity)
-  | Json.Str "-Infinity" -> Some (Journal.F neg_infinity)
-  | Json.Str s -> Some (Journal.S s)
-  | _ -> None
-
-let severity_of_label = function
-  | "debug" -> Some Journal.Debug
-  | "info" -> Some Journal.Info
-  | "warn" -> Some Journal.Warn
-  | "error" -> Some Journal.Error
-  | _ -> None
-
-let opt_all f l =
-  List.fold_right
-    (fun x acc ->
-      match (f x, acc) with Some y, Some tl -> Some (y :: tl) | _ -> None)
-    l (Some [])
-
-let string_pairs = function
-  | Json.Obj fields ->
-      opt_all
-        (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_string v))
-        fields
-  | _ -> None
-
-let event_of_json j =
-  let ( let* ) = Option.bind in
-  let int k = Option.map int_of_float (Json.mem_float k j) in
-  let* seq = int "seq" in
-  let* dom = int "dom" in
-  let* cat = Json.mem_string "cat" j in
-  let* name = Json.mem_string "name" j in
-  let* severity = Option.bind (Json.mem_string "sev" j) severity_of_label in
-  let* wall_ns = int "wall_ns" in
-  let origin = Option.value ~default:"" (Json.mem_string "origin" j) in
-  let step = Option.value ~default:(-1) (int "step") in
-  let time = Option.value ~default:nan (Json.mem_float "time" j) in
-  let* payload =
-    match Json.member "data" j with
-    | Some (Json.Obj fields) ->
-        opt_all
-          (fun (k, v) -> Option.map (fun x -> (k, x)) (value_of_json v))
-          fields
-    | _ -> None
-  in
-  Some
-    { Journal.seq; origin; dom; cat; name; severity; step; time; wall_ns;
-      payload }
-
-let span_of_json j =
-  let ( let* ) = Option.bind in
-  let int k = Option.map int_of_float (Json.mem_float k j) in
-  let* name = Json.mem_string "name" j in
-  let* cat = Json.mem_string "cat" j in
-  let* start_ns = int "start_ns" in
-  let* dur_ns = int "dur_ns" in
-  let* depth = int "depth" in
-  let* dom = int "dom" in
-  let proc = Option.value ~default:"" (Json.mem_string "proc" j) in
-  let* args =
-    match Json.member "args" j with
-    | None -> Some []
-    | Some o -> string_pairs o
-  in
-  Some { Obs.name; cat; start_ns; dur_ns; depth; dom; proc; args }
-
-let counter_of_json j =
-  let ( let* ) = Option.bind in
-  let* name = Json.mem_string "name" j in
-  let* value = Option.map int_of_float (Json.mem_float "value" j) in
-  let* labels =
-    match Json.member "labels" j with
-    | None -> Some []
-    | Some o -> string_pairs o
-  in
-  Some (name, labels, value)
-
-let is_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let decode_telemetry line =
-  if is_prefix ~prefix:telemetry_prefix line then begin
-    let torn reason = `Torn reason in
-    match Json.parse line with
-    | exception Json.Parse_error (m, off) ->
-        torn (Printf.sprintf "torn telemetry frame at offset %d: %s" off m)
-    | j -> (
-        let decoded =
-          let ( let* ) = Option.bind in
-          let* kind = Json.mem_string "tel" j in
-          match kind with
-          | "journal" ->
-              let* events =
-                opt_all event_of_json (Json.mem_list "events" j)
-              in
-              Some (Tel_journal events)
-          | "spans" ->
-              let* origin = Json.mem_string "origin" j in
-              let* spans = opt_all span_of_json (Json.mem_list "spans" j) in
-              Some (Tel_spans { origin; spans })
-          | "counters" ->
-              let* origin = Json.mem_string "origin" j in
-              let* counters =
-                opt_all counter_of_json (Json.mem_list "counters" j)
-              in
-              Some (Tel_counters { origin; counters })
-          | _ -> None
-        in
-        match decoded with
-        | Some t -> `Telemetry t
-        | None -> torn "malformed telemetry frame")
-  end
-  else if
-    line <> ""
-    && String.length line < String.length telemetry_prefix
-    && is_prefix ~prefix:line telemetry_prefix
-  then
-    (* The line is a proper prefix of the telemetry prefix itself: a
-       telemetry frame cut off before it even finished announcing — a
-       truncated result line can never look like this because result
-       lines never start with the prefix. *)
-    `Torn "truncated telemetry frame"
-  else `Not_telemetry

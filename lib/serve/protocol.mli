@@ -2,10 +2,10 @@
 
     Every frame is one JSON object on one line, carrying [{"v":1}].
     Requests name an operation in ["req"]; responses name an event in
-    ["ev"]. Point results reuse the checkpoint codec
-    ({!Amsvp_sweep.Checkpoint.result_json}) verbatim as the
-    ["result"] payload, so a client that can read a checkpoint file can
-    read the stream. Every frame is printed by
+    ["ev"]. Point results reuse the point-result codec
+    ({!Amsvp_sweep.Point_result.json}) verbatim as the ["result"]
+    payload, so a client that can read a checkpoint file can read the
+    stream. Every frame is printed by
     {!Amsvp_util.Json.print}.
 
     Decoders are total: a malformed, truncated or wrong-version frame
@@ -16,8 +16,10 @@ val version : int
 (** Current protocol version, [1]. *)
 
 type request =
-  | Submit of { spec_text : string; jobs : int option }
-      (** run a sweep; [spec_text] is the {!Amsvp_sweep.Spec} text form *)
+  | Submit of { spec_text : string }
+      (** run a sweep; [spec_text] is the {!Amsvp_sweep.Spec} text form.
+          Its points run on the daemon's [--workers] processes; a [jobs]
+          directive in it changes nothing. *)
   | Ping
   | Stats
   | Shutdown  (** answer [Bye], then drain and exit *)
@@ -47,7 +49,7 @@ type response =
       points : int;  (** full expansion size *)
       resumed : int;  (** recovered from the checkpoint, streamed first *)
     }
-  | Point of { id : int; result : Amsvp_sweep.Runner.point_result }
+  | Point of { id : int; result : Amsvp_sweep.Point_result.t }
   | Done of {
       id : int;
       points : int;  (** results delivered (= expansion when complete) *)
@@ -77,41 +79,3 @@ val encode_response : response -> string
 
 val decode_request : string -> (request, string) result
 val decode_response : string -> (response, string) result
-
-(** {1 Telemetry frames}
-
-    Point-workers interleave telemetry lines with result lines on
-    their pipe back to the daemon: drained journal events, completed
-    spans, and counter deltas, each tagged with the worker's origin.
-    The frames are self-announcing — every telemetry line starts with
-    {!telemetry_prefix}, which no task or result line can produce — so
-    the pool can classify a line {e before} parsing it and a torn
-    telemetry frame is dropped (and counted) without costing the
-    worker its connection, while a torn result line still means the
-    worker died mid-write. *)
-
-type telemetry =
-  | Tel_journal of Amsvp_obs.Journal.event list
-      (** events carry their own [origin]/[seq] *)
-  | Tel_spans of { origin : string; spans : Amsvp_obs.Obs.span list }
-  | Tel_counters of {
-      origin : string;
-      counters : (string * (string * string) list * int) list;
-          (** [(name, labels, delta)] — positive increments since the
-              worker's previous ship *)
-    }
-
-val telemetry_prefix : string
-(** The byte prefix every encoded telemetry line starts with. *)
-
-val encode_telemetry : telemetry -> string
-(** One line, no trailing newline; starts with {!telemetry_prefix}. *)
-
-val decode_telemetry :
-  string -> [ `Telemetry of telemetry | `Torn of string | `Not_telemetry ]
-(** Total classifier for one pipe line. [`Telemetry] — a well-formed
-    frame. [`Torn] — the line announces itself as telemetry (it starts
-    with {!telemetry_prefix}, or is a nonempty prefix of it) but does
-    not decode; the connection is still healthy, drop and count it.
-    [`Not_telemetry] — not a telemetry line at all (e.g. a result
-    line); hand it to the next codec. *)

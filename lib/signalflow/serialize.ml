@@ -116,26 +116,17 @@ let lex_expr line s =
     let c = s.[!i] in
     if c = ' ' || c = '\t' then incr i
     else if (c = 'V' || c = 'I') && peek 1 = Some '(' then begin
-      (* access: V(a,b) | V(a) | I(x) | I(a,b) *)
-      let kind = c in
-      i := !i + 2;
       let start = !i in
       while !i < n && s.[!i] <> ')' do
         incr i
       done;
       if !i >= n then fail line "unterminated access";
-      let body = String.sub s start (!i - start) in
       incr i;
+      let access = String.sub s start (!i - start) in
       let d = delay_suffix () in
-      let base =
-        match (kind, String.split_on_char ',' body) with
-        | 'V', [ a; b ] -> Expr.Potential (String.trim a, String.trim b)
-        | 'V', [ a ] -> Expr.Potential (String.trim a, "gnd")
-        | 'I', [ a ] -> Expr.Flow (String.trim a, "")
-        | 'I', [ a; b ] -> Expr.Flow (String.trim a, String.trim b)
-        | _ -> fail line "malformed access %c(%s)" kind body
-      in
-      out := Tvar { Expr.base; delay = d } :: !out
+      match Expr.access_of_string access with
+      | Ok v -> out := Tvar (Expr.delayed v d) :: !out
+      | Error m -> fail line "%s" m
     end
     else if is_digit c || (c = '.' && match peek 1 with Some d -> is_digit d | None -> false)
     then begin

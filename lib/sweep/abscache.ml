@@ -135,8 +135,8 @@ let build ?mode ?integration ~name ~dt circuit ~outputs =
   let t = record_plan ?mode ?integration ~name ~dt circuit ~outputs in
   (* Solve the representative once so the plan also carries a compiled
      template: rebound points share its schedule and registers and only
-     patch the constant pool. Computed here, before any worker domain
-     starts, so the cache stays immutable afterwards. *)
+     patch the constant pool. Computed here, before any worker is
+     forked, so the cache stays immutable afterwards. *)
   let template =
     match rebind t circuit with
     | Some p -> Some (Sfprogram.compile ~mode:`Template p)

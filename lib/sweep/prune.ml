@@ -72,7 +72,7 @@ let bisect axis members =
   in
   take (n / 2) sorted
 
-let plan ~cache ~probed ~stimuli ~t_stop ?amplitude ?max_steps
+let plan ~cache ~probed ~stimuli ~t_stop ?amplitude
     (points : Sampler.point array) =
   Obs.with_span ~cat:"sweep" "sweep.prune" @@ fun () ->
   let cands =
@@ -99,11 +99,10 @@ let plan ~cache ~probed ~stimuli ~t_stop ?amplitude ?max_steps
       let program = witness.c_program in
       let dt = program.Sfprogram.dt in
       let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-      (* Default to the sweep's own horizon: a proof stops at its first
-         bad step, so the full bound only costs when nothing is
-         provable — and an abstract step is within a small factor of a
-         concrete one. *)
-      let max_steps = min (Option.value max_steps ~default:nsteps) nsteps in
+      (* The sweep's own horizon: a proof stops at its first bad step,
+         so the full bound only costs when nothing is provable — and an
+         abstract step is within a small factor of a concrete one. *)
+      let max_steps = nsteps in
       let stims =
         Array.of_list
           (List.map

@@ -31,11 +31,9 @@ val plan :
   stimuli:(string * Amsvp_util.Stimulus.t) list ->
   t_stop:float ->
   ?amplitude:float ->
-  ?max_steps:int ->
   Sampler.point array ->
   decision list
 (** [plan ~cache ~probed ~stimuli ~t_stop points] returns the points
     proven unhealthy, in no particular order.  [amplitude] is the
     watchdog budget ([AMS063]-style proofs need it; non-finite proofs
-    do not); [max_steps] bounds the abstract step sequence (default:
-    the sweep's own step count, to which it is always clamped). *)
+    do not). The proofs follow the sweep's own step count. *)

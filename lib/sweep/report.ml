@@ -16,10 +16,10 @@ let json ?(timings = true) (s : Runner.summary) =
     else
       Obj
         [ ("signal", Str v.Health.v_signal);
-          ("issues", Arr (List.map Checkpoint.issue_json v.Health.v_issues)) ]
+          ("issues", Arr (List.map Point_result.issue_json v.Health.v_issues)) ]
   in
   let result (r : Runner.point_result) =
-    Checkpoint.point_json r
+    Point_result.row r
       [ ("health", health r.health); ("cached", Bool r.cached);
         ("wall_s", timed r.wall_s) ]
   in

@@ -11,7 +11,7 @@ module Obs = Amsvp_obs.Obs
 module Journal = Amsvp_obs.Journal
 module Health = Amsvp_probe.Health
 
-type point_result = {
+type point_result = Point_result.t = {
   point : Sampler.point;
   out_final : float;
   out_rms : float;
@@ -63,24 +63,6 @@ let h_point_seconds =
     ~buckets:[| 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 |]
     "amsvp_sweep_point_seconds"
 
-let output_of_string s =
-  let pair body =
-    match String.index_opt body ',' with
-    | Some i ->
-        Some
-          ( String.sub body 0 i,
-            String.sub body (i + 1) (String.length body - i - 1) )
-    | None -> None
-  in
-  let n = String.length s in
-  if n >= 4 && s.[1] = '(' && s.[n - 1] = ')' then
-    match (s.[0], pair (String.sub s 2 (n - 3))) with
-    | 'V', Some (a, b) -> Ok (Expr.potential a b)
-    | 'I', Some (a, b) -> Ok (Expr.flow a b)
-    | _ -> Error (Printf.sprintf "bad output %S (want V(a,b), I(a,b))" s)
-  else if n > 0 then Ok (Expr.signal s)
-  else Error "empty output"
-
 let resolve (spec : Spec.t) =
   let label = Option.value spec.circuit ~default:"RECT" in
   match Circuits.by_name label with
@@ -126,7 +108,7 @@ let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =
     match spec.output with
     | None -> tc.Circuits.output
     | Some s -> (
-        match output_of_string s with
+        match Expr.access_of_string s with
         | Ok v -> v
         | Error m -> invalid_arg ("Sweep: " ^ m))
   in
@@ -149,11 +131,9 @@ let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =
         | None -> Stimulus.constant 0.0)
   in
   let stim_assoc = List.map (fun n -> (n, stim_of n)) input_names in
-  (* The plan is recorded once, on this domain, before any worker
-     starts: the cache is immutable afterwards, so replaying it from
-     several domains (or forked worker processes) needs no
-     synchronisation and every point sees the same plan no matter the
-     schedule. *)
+  (* The plan is recorded once, before any worker is forked: the cache
+     is immutable afterwards, so every point sees the same plan, inline
+     or in any worker process, no matter the schedule. *)
   let cache =
     Abscache.build ~mode:spec.mode ~integration:spec.integration
       ~name:(tc.Circuits.label ^ "_sweep") ~dt probed ~outputs:[ output ]
@@ -196,19 +176,10 @@ let timeout_result ctx (p : Sampler.point) ~cached ~sim_time ~wall_s =
         ("sim_time", Journal.F sim_time);
       ];
   {
-    point = p;
-    out_final = nan;
-    out_rms = nan;
-    nrmse = None;
-    health =
-      {
-        Health.v_signal = Expr.var_name ctx.c_output;
-        v_healthy = false;
-        v_issues =
-          [ { Health.kind = Health.Timeout; time = sim_time; value = wall_s } ];
-      };
+    (Point_result.failed ~signal:(Expr.var_name ctx.c_output) p Health.Timeout
+       ~time:sim_time ~value:wall_s ~wall_s)
+    with
     cached;
-    wall_s;
   }
 
 let pruned_result ctx (p : Sampler.point) (bad : Amsvp_analysis.Absint.bad) =
@@ -233,25 +204,10 @@ let pruned_result ctx (p : Sampler.point) (bad : Amsvp_analysis.Absint.bad) =
         ("sim_time", Journal.F bad.Amsvp_analysis.Absint.b_time);
       ];
   {
-    point = p;
-    out_final = nan;
-    out_rms = nan;
-    nrmse = None;
-    health =
-      {
-        Health.v_signal = Expr.var_name ctx.c_output;
-        v_healthy = false;
-        v_issues =
-          [
-            {
-              Health.kind = Health.Pruned;
-              time = bad.Amsvp_analysis.Absint.b_time;
-              value;
-            };
-          ];
-      };
+    (Point_result.failed ~signal:(Expr.var_name ctx.c_output) p Health.Pruned
+       ~time:bad.Amsvp_analysis.Absint.b_time ~value ~wall_s:0.0)
+    with
     cached = true;
-    wall_s = 0.0;
   }
 
 (* Static screen of a prepared sweep: the absint value-range pass over
@@ -285,10 +241,10 @@ let screen ?(werror = false) ctx =
         program
       |> Diag.apply { Diag.werror; suppress = [] }
 
-let prune_static ?max_steps ctx points =
+let prune_static ctx points =
   Prune.plan ~cache:ctx.c_cache ~probed:ctx.c_probed
     ~stimuli:ctx.c_stim_assoc ~t_stop:ctx.c_t_stop
-    ?amplitude:ctx.c_spec.Spec.amplitude_limit ?max_steps points
+    ?amplitude:ctx.c_spec.Spec.amplitude_limit points
 
 let run_point ?timeout_s ctx (p : Sampler.point) =
   Obs.with_span ~cat:"sweep" ~args:[ ("point", p.Sampler.label) ] "sweep.point"
@@ -408,9 +364,8 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
       Obs.Counter.incr c_points;
       Obs.Histogram.observe h_point_seconds wall_s;
       if Journal.enabled () then
-        (* One event per dispatched point, recorded on the worker domain
-           that ran it — the journal's per-domain buffers make this safe
-           and the merge at collection keeps dispatch order readable. *)
+        (* One event per executed point, recorded by the process that
+           ran it; a worker ships it to the parent's journal. *)
         Journal.emit ~cat:"sweep" "point"
           [
             ("point", Journal.S p.Sampler.label);
@@ -457,28 +412,54 @@ let summarize ctx (results : point_result array) ~total_s =
     total_s;
   }
 
-let run ?jobs ?timeout_s ?(prune = false) ?on_point ?(completed = [])
-    (spec : Spec.t) (tc : Circuits.testcase) =
-  let ctx = prepare ?jobs spec tc in
-  let total = Array.length ctx.c_points in
-  (* Checkpointed results replace execution for their points: the merge
-     below reassembles expansion order, so a resumed sweep reports
-     exactly as an uninterrupted one (modulo wall clocks). *)
-  let prior : (int, point_result) Hashtbl.t = Hashtbl.create 16 in
+let split ctx completed =
+  let slots = Array.make (Array.length ctx.c_points) None in
   List.iter
     (fun (r : point_result) ->
       let i = r.point.Sampler.index in
-      if i < 0 || i >= total then
+      if i < 0 || i >= Array.length slots then
         invalid_arg
           (Printf.sprintf "Sweep: completed point index %d outside 0..%d" i
-             (total - 1));
-      Hashtbl.replace prior i r)
+             (Array.length slots - 1));
+      slots.(i) <- Some r)
     completed;
   let pending =
-    Array.of_list
-      (List.filter
-         (fun (p : Sampler.point) -> not (Hashtbl.mem prior p.Sampler.index))
-         (Array.to_list ctx.c_points))
+    List.filter
+      (fun (p : Sampler.point) -> Option.is_none slots.(p.Sampler.index))
+      (Array.to_list ctx.c_points)
+  in
+  (slots, Array.of_list pending)
+
+(* Run [pending] and hand each result to [on_result] in this process:
+   inline when [jobs] is 1, else on a pool of [jobs] worker processes
+   forked for this call and closed when it returns. *)
+let execute ctx ~on_result pending =
+  let work p = run_point ctx p in
+  if ctx.c_jobs = 1 then
+    Array.iter (fun p -> on_result (Pool.guard work p)) pending
+  else begin
+    let pool =
+      Pool.create ~workers:ctx.c_jobs ?timeout_s:ctx.c_spec.Spec.point_timeout
+        (fun ~retry:_ p -> work p)
+    in
+    Fun.protect
+      ~finally:(fun () -> Pool.close pool)
+      (fun () ->
+        ignore
+          (Pool.run pool ~signal:(Expr.var_name ctx.c_output) ~on_result
+             pending))
+  end
+
+let run ?jobs ?(prune = false) ?on_point ?(completed = [])
+    (spec : Spec.t) (tc : Circuits.testcase) =
+  let ctx = prepare ?jobs spec tc in
+  (* Checkpointed results fill their slots instead of running, so a
+     resumed sweep reports exactly as an uninterrupted one (modulo wall
+     clocks). *)
+  let slots, pending = split ctx completed in
+  let finish (r : point_result) =
+    slots.(r.point.Sampler.index) <- Some r;
+    Option.iter (fun f -> f r) on_point
   in
   (* Pre-flight static pruning: points the abstract interpreter proves
      unhealthy are answered without simulation (their [Pruned] results
@@ -487,36 +468,17 @@ let run ?jobs ?timeout_s ?(prune = false) ?on_point ?(completed = [])
   let pending =
     if not prune then pending
     else begin
-      let decisions = prune_static ctx pending in
-      let skip = Hashtbl.create 16 in
       List.iter
         (fun (d : Prune.decision) ->
-          let r = pruned_result ctx d.Prune.d_point d.Prune.d_bad in
-          Hashtbl.replace skip d.Prune.d_point.Sampler.index ();
-          Hashtbl.replace prior r.point.Sampler.index r;
-          match on_point with Some f -> f r | None -> ())
-        decisions;
+          finish (pruned_result ctx d.Prune.d_point d.Prune.d_bad))
+        (prune_static ctx pending);
       Array.of_list
         (List.filter
-           (fun (p : Sampler.point) -> not (Hashtbl.mem skip p.Sampler.index))
+           (fun (p : Sampler.point) -> Option.is_none slots.(p.Sampler.index))
            (Array.to_list pending))
     end
   in
-  let exec p =
-    let r = run_point ?timeout_s ctx p in
-    (match on_point with Some f -> f r | None -> ());
-    r
-  in
   let t0 = Obs.now_ns () in
-  let fresh = Pool.run ~jobs:ctx.c_jobs exec pending in
+  execute ctx ~on_result:finish pending;
   let total_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
-  let merged =
-    if Hashtbl.length prior = 0 then fresh
-    else begin
-      Array.iter (fun r -> Hashtbl.replace prior r.point.Sampler.index r) fresh;
-      Array.map
-        (fun (p : Sampler.point) -> Hashtbl.find prior p.Sampler.index)
-        ctx.c_points
-    end
-  in
-  summarize ctx merged ~total_s
+  summarize ctx (Array.map Option.get slots) ~total_s

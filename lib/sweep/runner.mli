@@ -7,32 +7,30 @@
     Newton-based MNA reference to report the NRMSE, as in the paper's
     Tables I–III but over a population of parameter variations.
 
-    Points are executed by a {!Pool} of worker domains.  All inputs to
-    a point (its overrides, the shared plan, the stimuli) are computed
-    upfront on the calling domain, so the per-point value results are a
-    pure function of the spec: identical for any [jobs].
+    With [jobs = 1] the points run inline, in this process; with
+    [jobs > 1] they run on a {!Pool} of that many forked worker
+    processes, the executor the serve daemon uses too. All inputs to a
+    point (its overrides, the shared plan, the stimuli) are computed
+    before the fork, a raising point gets the same [Crashed] verdict
+    on either path ({!Pool.guard}), and results cross the pipe in a
+    byte-exact codec, so the per-point value results are a pure
+    function of the spec: identical for any [jobs].
 
     The per-point machinery is also exposed piecewise — {!prepare} once,
     {!run_point} many — so a long-running service can keep the prepared
     sweep (probed circuit, recorded plan, compiled bytecode template)
     warm across requests and dispatch points from its own scheduler. *)
 
-type point_result = {
+type point_result = Point_result.t = {
   point : Sampler.point;
-  out_final : float;  (** output value at [t_stop] *)
-  out_rms : float;  (** RMS of the output trace *)
-  nrmse : float option;  (** vs the MNA reference; [None] when off *)
+  out_final : float;
+  out_rms : float;
+  nrmse : float option;
   health : Amsvp_probe.Health.verdict;
-      (** per-point watchdog verdict over the output trace: NaN/Inf,
-          amplitude and stuck-at detection always run; the NRMSE-budget
-          watchdog additionally runs when the spec enables the reference
-          and sets [nrmse_budget].  A single bad Monte-Carlo point is
-          identifiable from the report without rerunning.  A point
-          aborted by the wall-clock budget carries a single [Timeout]
-          issue (and NaN values) instead. *)
-  cached : bool;  (** program obtained by cache replay *)
-  wall_s : float;  (** wall-clock seconds for this point *)
+  cached : bool;
+  wall_s : float;
 }
+(** See {!Point_result.t}. *)
 
 type summary = {
   spec : Spec.t;
@@ -54,9 +52,6 @@ type summary = {
 val default_dt : float
 val default_t_stop : float
 
-val output_of_string : string -> (Expr.var, string) result
-(** Parse ["V(a,b)"] / ["I(a,b)"] / a bare signal name. *)
-
 val resolve : Spec.t -> (Amsvp_netlist.Circuits.testcase, string) result
 (** The built-in test case named by the spec ([circuit] directive,
     default ["RECT"]). *)
@@ -67,8 +62,8 @@ type ctx
 (** A validated, fully prepared sweep over one test case: the probed
     circuit, resolved stimuli, the recorded abstraction plan with its
     compiled bytecode template, and the materialised point list.
-    Immutable once built — safe to share across domains and inherited
-    for free by forked worker processes. *)
+    Immutable once built, and inherited for free by forked worker
+    processes. *)
 
 val prepare : ?jobs:int -> Spec.t -> Amsvp_netlist.Circuits.testcase -> ctx
 (** Validate the spec, lint the circuit once, record the abstraction
@@ -88,15 +83,6 @@ val screen : ?werror:bool -> ctx -> Amsvp_diag.Diag.finding list
     [Diag.apply { werror; suppress = [] }].  The serve daemon rejects
     a submit whose screen contains errors. *)
 
-val prune_static :
-  ?max_steps:int -> ctx -> Sampler.point array -> Prune.decision list
-(** Run the {!Prune} pre-flight over the given points (normally a
-    subset of {!ctx_points}): the abstract interpreter proves
-    sub-regions of parameter space unhealthy against the spec's
-    [amplitude_limit] and the structural non-finite hazard.  Returns
-    the provably-unhealthy points; the caller decides whether to skip
-    them ({!run} with [~prune:true] does). *)
-
 val run_point : ?timeout_s:float -> ctx -> Sampler.point -> point_result
 (** Execute one point.  [timeout_s] (defaulting to the spec's
     [point_timeout]) bounds the point's wall clock: the simulation
@@ -104,34 +90,46 @@ val run_point : ?timeout_s:float -> ctx -> Sampler.point -> point_result
     carries a [Timeout] health issue with NaN values instead of
     stalling the caller. *)
 
+val split :
+  ctx -> point_result list -> point_result option array * Sampler.point array
+(** [split ctx completed] sorts the sweep's points by what a checkpoint
+    recovered: slot [i] of the array holds the recovered result of
+    point [i] ([None] when there is none), and the points without one
+    come second, in expansion order — the points still to run.
+    @raise Invalid_argument on a completed point index outside the
+    expansion. *)
+
 val summarize : ctx -> point_result array -> total_s:float -> summary
-(** Aggregate per-point results (expected in expansion order) into the
-    report-ready summary. *)
+(** Aggregate per-point results into the report-ready summary: counts
+    and statistics over whatever results are given (a drained serve
+    request summarises the points it delivered); [points] keeps their
+    order, which is expansion order for {!run}. *)
 
 val run :
   ?jobs:int ->
-  ?timeout_s:float ->
   ?prune:bool ->
   ?on_point:(point_result -> unit) ->
   ?completed:point_result list ->
   Spec.t ->
   Amsvp_netlist.Circuits.testcase ->
   summary
-(** Execute the sweep over the given test case: {!prepare}, a {!Pool}
-    dispatch of {!run_point} over every pending point, {!summarize}.
+(** Execute the sweep over the given test case: {!prepare}, {!split},
+    {!run_point} over every pending point (inline for [jobs = 1], on a
+    {!Pool} of [jobs] worker processes otherwise, closed before [run]
+    returns), {!summarize}.
 
-    [prune] (default false) runs {!prune_static} first: provably
-    unhealthy points are answered with a pruned result (NaN values,
-    one [Pruned] health issue, zero wall clock) instead of being
-    simulated, leaving every surviving point's result untouched
-    (the proof is a MUST analysis, so nothing healthy is ever
-    skipped).  [completed] injects results recovered from a
+    [prune] (default false) runs the {!Prune} pre-flight first: the
+    abstract interpreter proves sub-regions of parameter space
+    unhealthy against the spec's [amplitude_limit] and the structural
+    non-finite hazard, and those points are answered with a pruned
+    result (NaN values, one [Pruned] health issue, zero wall clock)
+    instead of being simulated, leaving every surviving point's result
+    untouched (the proof is a MUST analysis, so nothing healthy is
+    ever skipped).  [completed] injects results recovered from a
     checkpoint: their points are skipped and the recovered results
     merged back in expansion order, so a resumed sweep summarises
     exactly like an uninterrupted one (wall clocks aside).  [on_point]
-    is invoked once per freshly executed (or pruned) point as it
-    finishes — on the worker domain that ran it, so the callback must
-    be domain-safe; checkpoint appends and service streaming hang off
-    it.
+    is invoked in this process once per freshly executed (or pruned)
+    point as it finishes; checkpoint appends hang off it.
     @raise Invalid_argument on an invalid spec or output, or on a
     [completed] point index outside the expansion. *)

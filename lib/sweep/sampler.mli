@@ -1,10 +1,10 @@
 (** Expansion of a {!Spec.t} into concrete scenario points.
 
-    All points are materialised upfront on the calling domain, with
+    All points are materialised upfront in the calling process, with
     Monte Carlo draws taken from per-point substreams of the spec seed
     ({!Amsvp_util.Rng.derive}).  The expansion is therefore a pure
     function of the spec: identical specs give byte-identical points no
-    matter how many worker domains later execute them, or in which
+    matter how many worker processes later execute them, or in which
     order. *)
 
 type point = {

@@ -40,7 +40,9 @@ type t = {
   integration : [ `Backward_euler | `Trapezoidal ];
   samples : int;  (** Monte Carlo draws per grid point *)
   seed : int;
-  jobs : int option;  (** worker domains; CLI/runner may override *)
+  jobs : int option;
+      (** worker processes for [amsvp sweep] (1 runs in-process); the
+          CLI may override it, and the serve daemon ignores it *)
   reference : bool;  (** run the MNA reference and report NRMSE *)
   fidelity : Amsvp_core.Solve.fidelity option;
       (** reference-engine cost model ([fidelity paper|fast]): [`Fast]

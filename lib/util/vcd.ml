@@ -69,7 +69,7 @@ let to_string ?(timescale_ps = 1000) signals =
   emit ();
   Buffer.contents buf
 
-let write_file path ?timescale_ps signals =
+let write_file path signals =
   let oc = open_out path in
-  output_string oc (to_string ?timescale_ps signals);
+  output_string oc (to_string signals);
   close_out oc

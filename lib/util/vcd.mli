@@ -13,5 +13,5 @@ val to_string : ?timescale_ps:int -> (string * Trace.t) list -> string
     @raise Invalid_argument on an empty signal list or duplicate
     names. *)
 
-val write_file : string -> ?timescale_ps:int -> (string * Trace.t) list -> unit
+val write_file : string -> (string * Trace.t) list -> unit
 (** Write {!to_string} output to a file. *)

@@ -574,7 +574,6 @@ let parse_and_abstract src ~top ~outputs ~dt =
         nodes = List.length flat.nets;
         branches = List.length flat.contributions;
         classes = 0;
-        fidelity = `Paper;
         variants = 0;
         definitions = List.length contributions;
         explain = Amsvp_core.Explain.of_signal_flow program;

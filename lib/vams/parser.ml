@@ -371,8 +371,8 @@ let parse ?file src =
   in
   go []
 
-let parse_expr_string ?file src =
-  let st = state_of ?file src in
+let parse_expr_string src =
+  let st = state_of src in
   let e = parse_ternary st in
   (match peek st with
   | Lexer.Eof -> ()

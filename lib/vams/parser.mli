@@ -13,5 +13,5 @@ val parse : ?file:string -> string -> Ast.design
 (** Parse source text.
     @raise Parse_error or {!Lexer.Lex_error} on malformed input. *)
 
-val parse_expr_string : ?file:string -> string -> Ast.expr
+val parse_expr_string : string -> Ast.expr
 (** Parse a single expression (used by tests). *)

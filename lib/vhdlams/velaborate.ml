@@ -307,7 +307,6 @@ let parse_and_abstract src ~top ~inputs ~outputs ~dt =
         nodes = List.length flat.E.nets;
         branches = List.length flat.E.contributions;
         classes = 0;
-        fidelity = `Paper;
         variants = 0;
         definitions = List.length contributions;
         explain = Amsvp_core.Explain.of_signal_flow program;

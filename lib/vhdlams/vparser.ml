@@ -463,8 +463,8 @@ let parse ?file src =
   go ();
   List.rev !units
 
-let parse_expr_string ?file src =
-  let st = state_of ?file src in
+let parse_expr_string src =
+  let st = state_of src in
   let e = parse_or st in
   (match peek st with Eof -> () | _ -> fail st "trailing tokens");
   e

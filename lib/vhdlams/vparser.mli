@@ -11,5 +11,5 @@ val parse : ?file:string -> string -> Vast.design
 (** @raise Parse_error on malformed input. [file] (default
     ["<input>"]) names the source in AST spans. *)
 
-val parse_expr_string : ?file:string -> string -> Vast.expr
+val parse_expr_string : string -> Vast.expr
 (** Parse a single expression (for tests). *)

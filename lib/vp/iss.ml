@@ -41,17 +41,6 @@ let create ?(pc = 0) bus =
     taken = 0;
   }
 
-let reset ?(pc = 0) cpu =
-  Array.fill cpu.regs 0 32 0;
-  cpu.pc <- pc;
-  cpu.retired <- 0;
-  cpu.hi <- 0;
-  cpu.lo <- 0;
-  cpu.irq <- false;
-  cpu.ie <- false;
-  cpu.epc <- 0;
-  cpu.taken <- 0
-
 let set_irq cpu level = cpu.irq <- level
 let interrupts_enabled cpu = cpu.ie
 let interrupts_taken cpu = cpu.taken

@@ -20,7 +20,6 @@ exception Decode_error of int * int
 (** opcode word, pc *)
 
 val create : ?pc:int -> bus -> t
-val reset : ?pc:int -> t -> unit
 
 val step : t -> unit
 (** Fetch, decode and execute one instruction. A pending interrupt is

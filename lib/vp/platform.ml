@@ -111,7 +111,7 @@ let exchange syncs (time : float) (values : float array) : float array =
   let packet = Marshal.to_string (time, values) [] in
   snd (Marshal.from_string packet 0 : float * float array)
 
-let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program) ?engine
+let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program)
     ~(testcase : Circuits.testcase) ~program ~binding ~dt ~t_stop () =
   if dt <= 0.0 || t_stop < dt then invalid_arg "Platform.run: bad timing";
   Obs.with_span ~cat:"vp"
@@ -167,7 +167,7 @@ let run ?(cpu_hz = 20.0e6) ?(asm_src = default_program) ?engine
   let model () =
     match program with
     | Some p ->
-        ( Sfprogram.Runner.create ?engine p,
+        ( Sfprogram.Runner.create p,
           Wrap.stimuli_for p testcase.Circuits.stimuli )
     | None -> invalid_arg "Platform.run: this binding needs an abstracted program"
   in

@@ -60,7 +60,6 @@ type result = {
 val run :
   ?cpu_hz:float ->
   ?asm_src:string ->
-  ?engine:Amsvp_sf.Sfprogram.Runner.engine ->
   testcase:Amsvp_netlist.Circuits.testcase ->
   program:Amsvp_sf.Sfprogram.t option ->
   binding:analog_binding ->
@@ -70,7 +69,7 @@ val run :
   result
 (** [program] is required for the [Tdf], [De_model] and [Cpp] bindings
     (the abstracted model); [Cosim]/[Eln] simulate the conservative
-    circuit directly. [engine] selects the signal-flow execution
-    engine for those bindings (default: register bytecode).
+    circuit directly. The abstracted model runs on the register
+    bytecode.
     @raise Invalid_argument on a missing program, a program input with
     no stimulus in [testcase], or bad parameters. *)

@@ -23,6 +23,27 @@ let test_var_names () =
   Alcotest.(check string) "c name" "V_out_gnd_m2"
     (Expr.var_c_name (Expr.delayed (Expr.potential "out" "gnd") 2))
 
+(* Every form of the one access parser behind --out, --probe, the sweep
+   spec's output and signal-flow program files. *)
+let test_access_forms () =
+  let ok s expected =
+    match Expr.access_of_string s with
+    | Ok v -> Alcotest.(check string) s (Expr.var_name expected) (Expr.var_name v)
+    | Error m -> Alcotest.failf "%S rejected: %s" s m
+  in
+  ok "V(out,gnd)" (Expr.potential "out" "gnd");
+  ok " V( a , b ) " (Expr.potential "a" "b");
+  ok "V(out)" (Expr.potential "out" "gnd");
+  ok "I(r1,out)" (Expr.flow "r1" "out");
+  ok "I(r1)" (Expr.flow "r1" "");
+  ok "vout" (Expr.signal "vout");
+  List.iter
+    (fun s ->
+      match Expr.access_of_string s with
+      | Ok v -> Alcotest.failf "%S accepted as %s" s (Expr.var_name v)
+      | Error _ -> ())
+    [ ""; "  "; "V()"; "V(a,)"; "I(,b)"; "V(a,b,c)"; "V(a"; "I(a" ]
+
 let test_pp_precedence () =
   let e = Expr.Mul (Expr.Add (vx, vy), Expr.const 2.0) in
   Alcotest.(check string) "parens kept" "(x + y) * 2" (Expr.to_string e);
@@ -306,6 +327,7 @@ let () =
       ( "vars",
         [
           Alcotest.test_case "names" `Quick test_var_names;
+          Alcotest.test_case "access forms" `Quick test_access_forms;
           Alcotest.test_case "precedence printing" `Quick test_pp_precedence;
           Alcotest.test_case "C printing" `Quick test_c_printing;
         ] );

@@ -1,10 +1,9 @@
-(* Journal: bounded, domain-safe structured event ring.
+(* Journal: bounded structured event rings.
 
-   The concurrency tests pin down the merge contract the sweep pool
-   relies on: events emitted from N domains are all retained (within
-   capacity), merge into one total order consistent with every
-   domain's program order, and the merged order is deterministic —
-   reading twice gives the same sequence. *)
+   The telemetry tests pin down the merge contract the worker pool
+   relies on: events ingested from several processes merge into one
+   total order consistent with every process's program order, and the
+   merged order does not depend on arrival order. *)
 
 module Journal = Amsvp_obs.Journal
 
@@ -68,23 +67,18 @@ let test_emit_fields () =
   teardown ()
 
 let test_ring_overwrites_oldest () =
-  fresh ();
-  (* Capacity is fixed when a domain's buffer is first created, so the
-     bounded behaviour is exercised in a fresh domain. *)
+  (* A ring is sized when it is created, so the new capacity takes
+     effect at the reset. *)
   let old_cap = Journal.capacity () in
   Journal.set_capacity 8;
-  let dropped0 = Journal.dropped () in
-  let d =
-    Domain.spawn (fun () ->
-        for i = 1 to 20 do
-          Journal.emit ~cat:"jt.ring" "e" [ ("i", Journal.I i) ]
-        done)
-  in
-  Domain.join d;
+  fresh ();
+  for i = 1 to 20 do
+    Journal.emit ~cat:"jt.ring" "e" [ ("i", Journal.I i) ]
+  done;
   Journal.set_capacity old_cap;
   let es = mine "jt.ring" in
   Alcotest.(check int) "capacity retained" 8 (List.length es);
-  Alcotest.(check int) "losses accounted" 12 (Journal.dropped () - dropped0);
+  Alcotest.(check int) "losses accounted" 12 (Journal.dropped ());
   (* Oldest overwritten: the survivors are exactly the last 8 emits. *)
   let is' =
     List.map
@@ -97,95 +91,12 @@ let test_ring_overwrites_oldest () =
   Alcotest.(check (list int)) "last events retained" [ 13; 14; 15; 16; 17; 18; 19; 20 ] is';
   teardown ()
 
-(* The tentpole concurrency contract, as a deterministic stress test:
-   4 domains x 500 events, no losses, one total order, program order
-   preserved per domain, merge stable across reads. *)
-let test_concurrent_merge () =
-  fresh ();
-  let n_dom = 4 and per_dom = 500 in
-  let dropped0 = Journal.dropped () in
-  let doms =
-    List.init n_dom (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_dom do
-              Journal.emit ~cat:"jt.conc" "e"
-                [ ("d", Journal.I d); ("i", Journal.I i) ]
-            done))
-  in
-  List.iter Domain.join doms;
-  let es = mine "jt.conc" in
-  Alcotest.(check int) "no event lost" (n_dom * per_dom) (List.length es);
-  Alcotest.(check int) "no drops" 0 (Journal.dropped () - dropped0);
-  (* The merge key is (wall_ns, origin, seq): two domains can draw
-     their seq before reading the clock, so cross-domain seq order may
-     legitimately invert — but every event keeps its distinct seq. *)
-  let seqs = List.map (fun e -> e.Journal.seq) es in
-  Alcotest.(check int) "seqs all distinct" (List.length seqs)
-    (List.length (List.sort_uniq Stdlib.compare seqs));
-  (* Per-domain subsequences keep each domain's program order. *)
-  let last = Array.make n_dom 0 in
-  List.iter
-    (fun e ->
-      match e.Journal.payload with
-      | [ ("d", Journal.I d); ("i", Journal.I i) ] ->
-          Alcotest.(check bool) "program order preserved" true (i > last.(d));
-          last.(d) <- i
-      | _ -> Alcotest.fail "payload shape")
-    es;
-  Array.iteri
-    (fun d n -> Alcotest.(check int) (Printf.sprintf "domain %d complete" d) per_dom n)
-    last;
-  (* Deterministic merge: a second read yields the same sequence. *)
-  let seqs' = List.map (fun e -> e.Journal.seq) (mine "jt.conc") in
-  Alcotest.(check (list int)) "merge is stable" seqs seqs';
-  teardown ()
-
-(* Randomised version of the same property: arbitrary per-domain event
-   counts, same three invariants. *)
-let prop_concurrent_counts =
-  QCheck.Test.make ~count:25 ~name:"journal: concurrent emits merge losslessly"
-    QCheck.(list_of_size (Gen.int_range 1 4) (int_range 0 50))
-    (fun counts ->
-      fresh ();
-      let cat = "jt.prop" in
-      let doms =
-        List.mapi
-          (fun d k ->
-            Domain.spawn (fun () ->
-                for i = 1 to k do
-                  Journal.emit ~cat "e" [ ("d", Journal.I d); ("i", Journal.I i) ]
-                done))
-          counts
-      in
-      List.iter Domain.join doms;
-      let es = mine cat in
-      teardown ();
-      let total = List.fold_left ( + ) 0 counts in
-      let seqs = List.map (fun e -> e.Journal.seq) es in
-      let seqs_distinct =
-        List.length seqs = List.length (List.sort_uniq Stdlib.compare seqs)
-      in
-      let order_kept =
-        let last = Array.make (List.length counts) 0 in
-        List.for_all
-          (fun e ->
-            match e.Journal.payload with
-            | [ ("d", Journal.I d); ("i", Journal.I i) ] ->
-                let ok = i > last.(d) in
-                last.(d) <- i;
-                ok
-            | _ -> false)
-          es
-      in
-      List.length es = total && seqs_distinct && order_kept)
-
 (* ---- cross-process telemetry ---- *)
 
 let mk_event ~seq ~origin ~wall_ns ?(cat = "jt.xp") name =
   {
     Journal.seq;
     origin;
-    dom = 0;
     cat;
     name;
     severity = Journal.Info;
@@ -396,11 +307,6 @@ let () =
           Alcotest.test_case "emit fields and json" `Quick test_emit_fields;
           Alcotest.test_case "ring overwrites oldest" `Quick
             test_ring_overwrites_oldest;
-        ] );
-      ( "concurrency",
-        [
-          Alcotest.test_case "4-domain merge" `Quick test_concurrent_merge;
-          QCheck_alcotest.to_alcotest prop_concurrent_counts;
         ] );
       ( "telemetry",
         [

@@ -1,7 +1,7 @@
-(* Tests for the sweep service: protocol codec round-trips and
-   malformed-frame rejection, checkpoint recovery and resume
-   determinism, the forked worker pool's crash re-dispatch and timeout
-   kill paths, and a fork-the-daemon end-to-end session. *)
+(* Tests for the sweep service: protocol and telemetry codec
+   round-trips and malformed-frame rejection, checkpoint recovery and
+   resume determinism, and fork-the-daemon end-to-end sessions. The
+   worker pool itself is tested in test_sweep.ml. *)
 
 module Spec = Amsvp_sweep.Spec
 module Sampler = Amsvp_sweep.Sampler
@@ -9,7 +9,8 @@ module Runner = Amsvp_sweep.Runner
 module Report = Amsvp_sweep.Report
 module Checkpoint = Amsvp_sweep.Checkpoint
 module Protocol = Amsvp_serve.Protocol
-module Procpool = Amsvp_serve.Procpool
+module Pool = Amsvp_sweep.Pool
+module Point_result = Amsvp_sweep.Point_result
 module Daemon = Amsvp_serve.Daemon
 module Client = Amsvp_serve.Client
 module Health = Amsvp_probe.Health
@@ -98,7 +99,7 @@ let reencodes_to_same to_json of_json r =
 let prop_result_roundtrip =
   QCheck.Test.make ~name:"point-result codec round-trips" ~count:300
     (QCheck.make gen_result)
-    (reencodes_to_same Checkpoint.result_to_json Checkpoint.result_of_line)
+    (reencodes_to_same Point_result.to_line Point_result.of_line)
 
 let prop_point_frame_roundtrip =
   QCheck.Test.make ~name:"point frames round-trip" ~count:200
@@ -116,12 +117,11 @@ let prop_point_frame_roundtrip =
 
 let prop_submit_roundtrip =
   QCheck.Test.make ~name:"submit frames round-trip" ~count:200
-    (QCheck.make QCheck.Gen.(pair gen_string (opt (int_bound 64))))
-    (fun (spec_text, jobs) ->
-      let req = Protocol.Submit { spec_text; jobs } in
+    (QCheck.make gen_string)
+    (fun spec_text ->
+      let req = Protocol.Submit { spec_text } in
       match Protocol.decode_request (Protocol.encode_request req) with
-      | Ok (Protocol.Submit { spec_text = st; jobs = j }) ->
-          st = spec_text && j = jobs
+      | Ok (Protocol.Submit { spec_text = st }) -> st = spec_text
       | _ -> false)
 
 let test_simple_frames_roundtrip () =
@@ -265,7 +265,6 @@ let gen_event =
   let open QCheck.Gen in
   nat >>= fun seq ->
   gen_string >>= fun origin ->
-  int_bound 8 >>= fun dom ->
   gen_string >>= fun cat ->
   gen_string >>= fun name ->
   oneofl [ Journal.Debug; Journal.Info; Journal.Warn; Journal.Error ]
@@ -277,7 +276,6 @@ let gen_event =
   {
     Journal.seq;
     origin;
-    dom;
     cat;
     name;
     severity;
@@ -294,10 +292,9 @@ let gen_span =
   nat >>= fun start_ns ->
   nat >>= fun dur_ns ->
   int_bound 4 >>= fun depth ->
-  int_bound 8 >>= fun dom ->
   gen_string >>= fun proc ->
   list_size (int_bound 3) (pair gen_string gen_string) >|= fun args ->
-  { Obs.name; cat; start_ns; dur_ns; depth; dom; proc;
+  { Obs.name; cat; start_ns; dur_ns; depth; proc;
     args = dedupe_keys args }
 
 let gen_counter_row =
@@ -312,16 +309,16 @@ let gen_telemetry =
   QCheck.Gen.(
     frequency
       [
-        (3, map (fun evs -> Protocol.Tel_journal evs)
+        (3, map (fun evs -> Pool.Tel_journal evs)
              (list_size (int_bound 5) gen_event));
         ( 2,
           map2
-            (fun origin spans -> Protocol.Tel_spans { origin; spans })
+            (fun origin spans -> Pool.Tel_spans { origin; spans })
             gen_string
             (list_size (int_bound 5) gen_span) );
         ( 2,
           map2
-            (fun origin counters -> Protocol.Tel_counters { origin; counters })
+            (fun origin counters -> Pool.Tel_counters { origin; counters })
             gen_string
             (list_size (int_bound 4) gen_counter_row) );
       ])
@@ -329,8 +326,8 @@ let gen_telemetry =
 let prop_telemetry_roundtrip =
   QCheck.Test.make ~name:"telemetry frames round-trip" ~count:300
     (QCheck.make gen_telemetry)
-    (reencodes_to_same Protocol.encode_telemetry (fun line ->
-         match Protocol.decode_telemetry line with
+    (reencodes_to_same Pool.encode_telemetry (fun line ->
+         match Pool.decode_telemetry line with
          | `Telemetry t -> Ok t
          | `Torn m -> Error ("torn: " ^ m)
          | `Not_telemetry -> Error "not telemetry"))
@@ -340,7 +337,6 @@ let test_telemetry_truncation () =
     {
       Journal.seq = 3;
       origin = "w1:4242";
-      dom = 0;
       cat = "serve";
       name = "task.begin";
       severity = Journal.Info;
@@ -350,15 +346,15 @@ let test_telemetry_truncation () =
       payload = [ ("id", Journal.I 7); ("label", Journal.S "p0001") ];
     }
   in
-  let whole = Protocol.encode_telemetry (Protocol.Tel_journal [ ev ]) in
-  (match Protocol.decode_telemetry whole with
+  let whole = Pool.encode_telemetry (Pool.Tel_journal [ ev ]) in
+  (match Pool.decode_telemetry whole with
   | `Telemetry _ -> ()
   | `Torn m -> Alcotest.failf "whole frame torn: %s" m
   | `Not_telemetry -> Alcotest.fail "whole frame not recognised");
   (* Every proper truncation must classify as torn (never raise, never
      parse) — except the empty line, which is simply not telemetry. *)
   for n = 0 to String.length whole - 1 do
-    match Protocol.decode_telemetry (String.sub whole 0 n) with
+    match Pool.decode_telemetry (String.sub whole 0 n) with
     | `Torn _ when n > 0 -> ()
     | `Not_telemetry when n = 0 -> ()
     | `Telemetry _ -> Alcotest.failf "truncation at %d parsed" n
@@ -368,7 +364,7 @@ let test_telemetry_truncation () =
   (* Result and task lines must fall through untouched. *)
   List.iter
     (fun line ->
-      match Protocol.decode_telemetry line with
+      match Pool.decode_telemetry line with
       | `Not_telemetry -> ()
       | _ -> Alcotest.failf "misclassified line: %s" line)
     [
@@ -389,16 +385,16 @@ let test_telemetry_prefix_pinned () =
   in
   Alcotest.(check string) "prefix is the printer's frame opening"
     (String.sub opening 0 (String.length opening - 2))
-    Protocol.telemetry_prefix;
+    Pool.telemetry_prefix;
   List.iter
     (fun t ->
-      let line = Protocol.encode_telemetry t in
+      let line = Pool.encode_telemetry t in
       Alcotest.(check bool) ("frame starts with the prefix: " ^ line) true
-        (String.starts_with ~prefix:Protocol.telemetry_prefix line))
+        (String.starts_with ~prefix:Pool.telemetry_prefix line))
     [
-      Protocol.Tel_journal [];
-      Protocol.Tel_spans { origin = "w0:1"; spans = [] };
-      Protocol.Tel_counters { origin = "w0:1"; counters = [ ("c", [], 1) ] };
+      Pool.Tel_journal [];
+      Pool.Tel_spans { origin = "w0:1"; spans = [] };
+      Pool.Tel_counters { origin = "w0:1"; counters = [ ("c", [], 1) ] };
     ]
 
 let test_ingest_telemetry_line () =
@@ -409,12 +405,11 @@ let test_ingest_telemetry_line () =
       Journal.reset ();
       Journal.disable ())
     (fun () ->
-      let tally = Procpool.make_tally () in
+      let tally = Pool.make_tally () in
       let ev =
         {
           Journal.seq = 9;
           origin = "w0:777";
-          dom = 2;
           cat = "mna";
           name = "newton.run";
           severity = Journal.Info;
@@ -424,9 +419,9 @@ let test_ingest_telemetry_line () =
           payload = [ ("total_iters", Journal.I 12) ];
         }
       in
-      let line = Protocol.encode_telemetry (Protocol.Tel_journal [ ev ]) in
+      let line = Pool.encode_telemetry (Pool.Tel_journal [ ev ]) in
       Alcotest.(check bool) "valid frame absorbed" true
-        (Procpool.ingest_telemetry_line ~tally line);
+        (Pool.ingest_telemetry_line ~tally line);
       let got =
         List.filter
           (fun e -> e.Journal.origin = "w0:777")
@@ -436,12 +431,21 @@ let test_ingest_telemetry_line () =
       Alcotest.(check int) "seq preserved" 9 (List.hd got).Journal.seq;
       (* A torn frame is absorbed (true) but only counted, never fatal. *)
       Alcotest.(check bool) "torn frame absorbed" true
-        (Procpool.ingest_telemetry_line ~tally
-           (Protocol.telemetry_prefix ^ "journal\",\"events\":[{boom"));
-      Alcotest.(check int) "torn counted" 1 tally.Procpool.t_torn;
+        (Pool.ingest_telemetry_line ~tally ~request_id:5
+           (Pool.telemetry_prefix ^ "journal\",\"events\":[{boom"));
+      Alcotest.(check int) "torn counted" 1 tally.Pool.t_torn;
+      (match
+         List.filter
+           (fun e -> e.Journal.name = "telemetry.torn")
+           (Journal.events ())
+       with
+      | [ e ] ->
+          Alcotest.(check bool) "torn event names the request" true
+            (List.assoc_opt "id" e.Journal.payload = Some (Journal.I 5))
+      | es -> Alcotest.failf "%d telemetry.torn events" (List.length es));
       (* A result line is not telemetry. *)
       Alcotest.(check bool) "result line falls through" false
-        (Procpool.ingest_telemetry_line ~tally "{\"index\":0}"))
+        (Pool.ingest_telemetry_line ~tally "{\"index\":0}"))
 
 (* ---- checkpoint files ---- *)
 
@@ -485,8 +489,8 @@ let test_checkpoint_roundtrip () =
           let orig = summary.Runner.points.(i) in
           Alcotest.(check string)
             "identical line"
-            (Checkpoint.result_to_json orig)
-            (Checkpoint.result_to_json r))
+            (Point_result.to_line orig)
+            (Point_result.to_line r))
         rs);
   Sys.remove path
 
@@ -550,318 +554,6 @@ let test_resume_determinism () =
   let report_b = Report.json ~timings:false resumed in
   Alcotest.(check string) "byte-identical reports" report_a report_b;
   Sys.remove path
-
-(* ---- forked worker pool ---- *)
-
-(* A synthetic work function: no simulation, so pool mechanics are the
-   only thing under test. [wall_s] smuggles the retry count out. *)
-let mk ?(retry = 0) (p : Sampler.point) =
-  {
-    Runner.point = p;
-    out_final = float_of_int p.Sampler.index;
-    out_rms = 0.0;
-    nrmse = None;
-    health = { Health.v_signal = "t"; v_healthy = true; v_issues = [] };
-    cached = true;
-    wall_s = float_of_int retry;
-  }
-
-let pool_points n =
-  Array.init n (fun i ->
-      { Sampler.index = i; label = Printf.sprintf "p%04d" i; overrides = [] })
-
-(* A one-shot pool: create, run, close. *)
-let with_pool ~workers ?timeout_s f k =
-  let pool = Procpool.create ~workers ?timeout_s f in
-  Fun.protect ~finally:(fun () -> Procpool.close pool) (fun () -> k pool)
-
-let test_pool_exactly_once () =
-  let points = pool_points 9 in
-  let results =
-    with_pool ~workers:3 (fun ~retry p -> mk ~retry p) (fun pool ->
-        Procpool.run pool points)
-  in
-  Alcotest.(check int) "all slots" 9 (Array.length results);
-  Array.iteri
-    (fun i r ->
-      match r with
-      | None -> Alcotest.failf "slot %d missing" i
-      | Some (r : Runner.point_result) ->
-          Alcotest.(check int) "slot order" i r.Runner.point.Sampler.index;
-          Alcotest.(check (float 0.0)) "value" (float_of_int i)
-            r.Runner.out_final)
-    results
-
-let test_pool_crash_redispatch () =
-  let points = pool_points 6 in
-  let tally = Procpool.make_tally () in
-  let results =
-    with_pool ~workers:2
-      (fun ~retry p ->
-        if p.Sampler.index = 2 && retry = 0 then Unix._exit 9 else mk ~retry p)
-      (fun pool -> Procpool.run pool ~retries:1 ~tally points)
-  in
-  Alcotest.(check int) "one re-dispatch" 1 tally.Procpool.t_redispatched;
-  Alcotest.(check int) "replacement spawned" 3 tally.Procpool.t_spawned;
-  Alcotest.(check int) "no exhausted point" 0 tally.Procpool.t_crashed;
-  Array.iteri
-    (fun i r ->
-      match r with
-      | None -> Alcotest.failf "slot %d missing" i
-      | Some (r : Runner.point_result) ->
-          Alcotest.(check bool) "healthy" true
-            r.Runner.health.Health.v_healthy;
-          if i = 2 then
-            Alcotest.(check (float 0.0)) "ran on retry 1" 1.0 r.Runner.wall_s)
-    results
-
-let test_pool_crash_exhausted () =
-  let points = pool_points 4 in
-  let tally = Procpool.make_tally () in
-  let results =
-    with_pool ~workers:2
-      (fun ~retry p ->
-        ignore retry;
-        if p.Sampler.index = 1 then Unix._exit 9 else mk p)
-      (fun pool ->
-        Procpool.run pool ~retries:1 ~signal:"V(out,gnd)" ~tally points)
-  in
-  Alcotest.(check int) "retries exhausted once" 1 tally.Procpool.t_crashed;
-  Alcotest.(check int) "one re-dispatch before giving up" 1
-    tally.Procpool.t_redispatched;
-  match results.(1) with
-  | None -> Alcotest.fail "crashed slot missing"
-  | Some r -> (
-      Alcotest.(check bool) "unhealthy" false r.Runner.health.Health.v_healthy;
-      Alcotest.(check string) "signal" "V(out,gnd)"
-        r.Runner.health.Health.v_signal;
-      match r.Runner.health.Health.v_issues with
-      | [ { Health.kind = Health.Crashed; _ } ] -> ()
-      | _ -> Alcotest.fail "expected a crashed verdict")
-
-let test_pool_timeout_kill () =
-  let points = pool_points 3 in
-  let tally = Procpool.make_tally () in
-  let results =
-    with_pool ~workers:2 ~timeout_s:0.05
-      (fun ~retry p ->
-        ignore retry;
-        if p.Sampler.index = 0 then Unix.sleepf 30.0;
-        mk p)
-      (fun pool -> Procpool.run pool ~tally points)
-  in
-  Alcotest.(check int) "kill counted" 1 tally.Procpool.t_timeouts;
-  (match results.(0) with
-  | Some r -> (
-      Alcotest.(check bool) "unhealthy" false r.Runner.health.Health.v_healthy;
-      match r.Runner.health.Health.v_issues with
-      | [ { Health.kind = Health.Timeout; _ } ] -> ()
-      | _ -> Alcotest.fail "expected a timeout verdict")
-  | None -> Alcotest.fail "timed-out slot missing");
-  (match results.(1) with
-  | Some r -> Alcotest.(check bool) "others fine" true r.Runner.health.Health.v_healthy
-  | None -> Alcotest.fail "slot 1 missing");
-  (* Point 2 was queued behind the hung point 0 on its worker; it goes
-     back to pending when that worker is killed, and still runs. *)
-  match results.(2) with
-  | Some r -> Alcotest.(check bool) "queued point ran" true r.Runner.health.Health.v_healthy
-  | None -> Alcotest.fail "slot 2 missing"
-
-(* The journal's ["task.begin"] events: one per task a worker started. *)
-let task_begins events =
-  List.filter (fun e -> e.Journal.name = "task.begin") events
-
-let payload_int key (e : Journal.event) =
-  match List.assoc_opt key e.Journal.payload with
-  | Some (Journal.I i) -> Some i
-  | _ -> None
-
-let with_journal k =
-  Journal.enable ();
-  Journal.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Journal.reset ();
-      Journal.disable ())
-    k
-
-(* One worker: point 0 is its head and point 1 is queued behind it when
-   point 0 crashes. Only the head is charged a retry; point 1 never
-   started, so it runs exactly once, on its first attempt. *)
-let test_pool_queued_not_charged () =
-  with_journal @@ fun () ->
-  let points = pool_points 3 in
-  let tally = Procpool.make_tally () in
-  let delivered = Array.make 3 0 in
-  let results =
-    with_pool ~workers:1
-      (fun ~retry p ->
-        if p.Sampler.index = 0 && retry = 0 then Unix._exit 9
-        else mk ~retry p)
-      (fun pool ->
-        Procpool.run pool ~retries:1 ~tally
-          ~on_result:(fun r ->
-            let i = r.Runner.point.Sampler.index in
-            delivered.(i) <- delivered.(i) + 1)
-          points)
-  in
-  Alcotest.(check int) "one re-dispatch" 1 tally.Procpool.t_redispatched;
-  Alcotest.(check int) "no exhausted point" 0 tally.Procpool.t_crashed;
-  Alcotest.(check (array int)) "each delivered once" [| 1; 1; 1 |] delivered;
-  (match results.(0) with
-  | Some r -> Alcotest.(check (float 0.0)) "head ran on retry 1" 1.0 r.Runner.wall_s
-  | None -> Alcotest.fail "slot 0 missing");
-  (match results.(1) with
-  | Some r ->
-      Alcotest.(check (float 0.0)) "queued point on retry 0" 0.0 r.Runner.wall_s
-  | None -> Alcotest.fail "slot 1 missing");
-  let starts =
-    List.filter
-      (fun e -> payload_int "index" e = Some 1)
-      (task_begins (Journal.events ()))
-  in
-  Alcotest.(check int) "queued point started once" 1 (List.length starts);
-  Alcotest.(check (option int)) "with retry 0" (Some 0)
-    (payload_int "retry" (List.hd starts))
-
-(* The queued point's kill deadline starts when the head completes. Its
-   deadline is 1.5 * 0.2 + 0.5 = 0.8 s: point 1 ends 1.0 s after it was
-   written, but only 0.6 s after it became the head. *)
-let test_pool_queued_deadline () =
-  let points = pool_points 2 in
-  let tally = Procpool.make_tally () in
-  let results =
-    with_pool ~workers:1 ~timeout_s:0.2
-      (fun ~retry p ->
-        Unix.sleepf (if p.Sampler.index = 0 then 0.4 else 0.6);
-        mk ~retry p)
-      (fun pool -> Procpool.run pool ~tally points)
-  in
-  Alcotest.(check int) "no kill" 0 tally.Procpool.t_timeouts;
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Some (r : Runner.point_result) ->
-          Alcotest.(check bool) "healthy" true r.Runner.health.Health.v_healthy
-      | None -> Alcotest.failf "slot %d missing" i)
-    results
-
-(* With the journal on, each child tags itself "w<slot>:<pid>" and
-   ships its events back over the result pipe — so after [run] the
-   parent's merged journal must contain events from every worker
-   process that handled a task. A second run on the same pool forks
-   nothing and tags its tasks with its own request id. *)
-let c_pool_tasks = Obs.Counter.make "test_serve_pool_tasks_total"
-
-let test_pool_telemetry_ship () =
-  with_journal @@ fun () ->
-  Obs.enable ();
-  Obs.reset ();
-  Fun.protect ~finally:(fun () ->
-      Obs.reset ();
-      Obs.disable ())
-  @@ fun () ->
-  let tally = Procpool.make_tally () in
-  let points = pool_points 8 in
-  let work ~retry p =
-    ignore retry;
-    Obs.with_span "test.pool_task" @@ fun () ->
-    Unix.sleepf 0.01;
-    Obs.Counter.incr c_pool_tasks;
-    mk p
-  in
-  (* The parent's own count: a worker inherits it at fork and must not
-     ship it back. *)
-  Obs.Counter.add c_pool_tasks 100;
-  with_pool ~workers:2 work @@ fun pool ->
-  List.iter
-    (fun id ->
-      let results = Procpool.run pool ~request_id:id ~tally points in
-      Array.iteri
-        (fun i r -> if r = None then Alcotest.failf "slot %d missing" i)
-        results)
-    [ 7; 8 ];
-  let events = Journal.events () in
-  let origins =
-    List.filter_map
-      (fun e ->
-        let o = e.Journal.origin in
-        if String.length o > 0 && o.[0] = 'w' then Some o else None)
-      events
-    |> List.sort_uniq Stdlib.compare
-  in
-  Alcotest.(check int) "two worker origins" 2 (List.length origins);
-  let begins = task_begins events in
-  Alcotest.(check int) "every task journaled its begin" 16
-    (List.length begins);
-  List.iter
-    (fun id ->
-      Alcotest.(check int)
-        (Printf.sprintf "task.begin events of request %d" id)
-        8
-        (List.length (List.filter (fun e -> payload_int "id" e = Some id) begins)))
-    [ 7; 8 ];
-  Alcotest.(check int) "no torn frames" 0 tally.Procpool.t_torn;
-  Alcotest.(check int) "spawned once for both runs" 2 tally.Procpool.t_spawned;
-  (* Long-lived workers ship each span and each counter increment
-     exactly once across both runs. *)
-  Alcotest.(check int) "one worker span per task" 16
-    (List.length
-       (List.filter
-          (fun (sp : Obs.span) ->
-            sp.Obs.name = "test.pool_task" && String.length sp.Obs.proc > 0
-            && sp.Obs.proc.[0] = 'w')
-          (Obs.spans ())));
-  Alcotest.(check int) "counter deltas summed once" 116
-    (Obs.Counter.value c_pool_tasks)
-
-(* One worker holds the head and one queued point when [should_stop]
-   turns true, so at most one point past the stopping one is delivered,
-   and every delivered point went through [on_result]. *)
-let test_pool_drain () =
-  let points = pool_points 8 in
-  let served = ref [] in
-  let results =
-    with_pool ~workers:1
-      (fun ~retry p ->
-        ignore retry;
-        mk p)
-      (fun pool ->
-        Procpool.run pool
-          ~on_result:(fun r ->
-            served := r.Runner.point.Sampler.index :: !served)
-          ~should_stop:(fun () -> List.length !served >= 2)
-          points)
-  in
-  let some =
-    Array.to_list results
-    |> List.filter_map (Option.map (fun (r : Runner.point_result) ->
-           r.Runner.point.Sampler.index))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "2 or 3 delivered (got %d)" (List.length some))
-    true
-    (List.length some >= 2 && List.length some <= 3);
-  Alcotest.(check (list int)) "every delivered point passed on_result" some
-    (List.sort compare !served);
-  (* Stopping right after the first dispatch: the worker already holds
-     its head and one queued point, and both are delivered. *)
-  let polls = ref 0 in
-  let results =
-    with_pool ~workers:1
-      (fun ~retry p ->
-        ignore retry;
-        mk p)
-      (fun pool ->
-        Procpool.run pool
-          ~should_stop:(fun () ->
-            incr polls;
-            !polls > 1)
-          points)
-  in
-  Alcotest.(check (list bool)) "head and queued point delivered"
-    [ true; true; false; false; false; false; false; false ]
-    (Array.to_list (Array.map Option.is_some results))
 
 (* ---- end-to-end daemon session ---- *)
 
@@ -1163,6 +855,47 @@ let test_daemon_eviction () =
 let test_daemon_eviction_younger_pool () =
   eviction_session ~tag:"ev2" ~cache_max:2 [ small_spec; spec_b; spec_c ]
 
+(* The daemon runs points on its own [workers] processes whatever the
+   spec's [jobs] directive says, so two submits that differ only in it
+   share one warm sweep: one ctx miss, and the second submit forks no
+   worker. *)
+let test_daemon_jobs_directive_shares_ctx () =
+  let sock = tmp (Printf.sprintf "amsvp_serve_jd_%d.sock" (Unix.getpid ())) in
+  if Sys.file_exists sock then Sys.remove sock;
+  match Unix.fork () with
+  | 0 ->
+      (try
+         Daemon.serve
+           { (Daemon.default_config ~socket_path:sock) with workers = 1 }
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      guard_daemon pid @@ fun () ->
+      wait_for_socket sock;
+      let c = Client.connect sock in
+      let _, first = submit_collect c { small_spec with Spec.jobs = Some 1 } in
+      let st1 = stats c in
+      let _, second = submit_collect c { small_spec with Spec.jobs = Some 3 } in
+      let st2 = stats c in
+      Alcotest.(check int) "one ctx miss" 1 st2.st_ctx_misses;
+      Alcotest.(check int) "second submit hit" 1 st2.st_ctx_hits;
+      Alcotest.(check int) "no fork on the second submit" st1.st_spawned
+        st2.st_spawned;
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check (list int64)) "same values" (bits r) (bits second.(i)))
+        first;
+      Client.send c Protocol.Shutdown;
+      (match Client.recv c with
+      | Ok Protocol.Bye -> ()
+      | _ -> Alcotest.fail "expected bye");
+      Client.close c;
+      let _, status = Unix.waitpid [] pid in
+      match status with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
+      | _ -> Alcotest.fail "daemon killed"
+
 (* Induce per-point timeouts with a microscopic default budget: every
    point must come back with a Timeout verdict and the stats reply must
    surface the count. *)
@@ -1313,21 +1046,6 @@ let () =
           Alcotest.test_case "resume determinism" `Quick
             test_resume_determinism;
         ] );
-      ( "procpool",
-        [
-          Alcotest.test_case "exactly once" `Quick test_pool_exactly_once;
-          Alcotest.test_case "crash re-dispatch" `Quick
-            test_pool_crash_redispatch;
-          Alcotest.test_case "crash exhausted" `Quick test_pool_crash_exhausted;
-          Alcotest.test_case "timeout kill" `Quick test_pool_timeout_kill;
-          Alcotest.test_case "drain stops dispatch" `Quick test_pool_drain;
-          Alcotest.test_case "queued point not charged" `Quick
-            test_pool_queued_not_charged;
-          Alcotest.test_case "queued deadline starts at head" `Quick
-            test_pool_queued_deadline;
-          Alcotest.test_case "workers ship telemetry" `Quick
-            test_pool_telemetry_ship;
-        ] );
       ( "daemon",
         [
           Alcotest.test_case "end-to-end session" `Quick test_daemon_session;
@@ -1335,6 +1053,8 @@ let () =
             test_daemon_eviction;
           Alcotest.test_case "eviction beside a younger pool" `Quick
             test_daemon_eviction_younger_pool;
+          Alcotest.test_case "jobs directive shares the warm sweep" `Quick
+            test_daemon_jobs_directive_shares_ctx;
           Alcotest.test_case "timeout counters surfaced" `Quick
             test_daemon_timeout_counters;
           Alcotest.test_case "werror rejection is structured, daemon survives"

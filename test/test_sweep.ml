@@ -1,6 +1,7 @@
 (* Tests for the sweep engine: spec round-trip, deterministic sampling,
-   the domain worker pool, summary statistics, the plan-replay
-   abstraction cache and end-to-end sweep determinism. *)
+   the worker-process pool (crash re-dispatch, kill deadlines,
+   telemetry), summary statistics, the plan-replay abstraction cache and
+   end-to-end sweep determinism. *)
 
 module Circuits = Amsvp_netlist.Circuits
 module Circuit = Amsvp_netlist.Circuit
@@ -9,6 +10,8 @@ module Sfprogram = Amsvp_sf.Sfprogram
 module Spec = Amsvp_sweep.Spec
 module Sampler = Amsvp_sweep.Sampler
 module Pool = Amsvp_sweep.Pool
+module Point_result = Amsvp_sweep.Point_result
+module Journal = Amsvp_obs.Journal
 module Stats = Amsvp_sweep.Stats
 module Abscache = Amsvp_sweep.Abscache
 module Runner = Amsvp_sweep.Runner
@@ -182,55 +185,371 @@ let test_sampler_expansion () =
       Alcotest.(check bool) "in range" true (v >= 2.0 && v < 3.0))
     (Sampler.points mc)
 
-(* Pool *)
+(* Pool: the worker-process executor behind [sweep --jobs N] and the
+   serve daemon. *)
+
+(* A synthetic work function: no simulation, so pool mechanics are the
+   only thing under test. [wall_s] smuggles the retry count out. *)
+let mk ?(retry = 0) (p : Sampler.point) =
+  {
+    Runner.point = p;
+    out_final = float_of_int p.Sampler.index;
+    out_rms = 0.0;
+    nrmse = None;
+    health = { Health.v_signal = "t"; v_healthy = true; v_issues = [] };
+    cached = true;
+    wall_s = float_of_int retry;
+  }
+
+let pool_points n =
+  Array.init n (fun i ->
+      { Sampler.index = i; label = Printf.sprintf "p%04d" i; overrides = [] })
+
+(* A one-shot pool: create, run, close. *)
+let with_pool ~workers ?timeout_s f k =
+  let pool = Pool.create ~workers ?timeout_s f in
+  Fun.protect ~finally:(fun () -> Pool.close pool) (fun () -> k pool)
 
 let test_pool_exactly_once () =
-  let n = 1000 in
-  let hits = Array.init n (fun _ -> Atomic.make 0) in
-  let items = Array.init n (fun i -> i) in
+  let points = pool_points 9 in
   let results =
-    Pool.run ~jobs:4
-      (fun i ->
-        Atomic.incr hits.(i);
-        i * i)
-      items
+    with_pool ~workers:3 (fun ~retry p -> mk ~retry p) (fun pool ->
+        Pool.run pool points)
   in
-  Alcotest.(check int) "all results" n (Array.length results);
+  Alcotest.(check int) "all slots" 9 (Array.length results);
   Array.iteri
-    (fun i r -> Alcotest.(check int) "in order" (i * i) r)
-    results;
+    (fun i r ->
+      match r with
+      | None -> Alcotest.failf "slot %d missing" i
+      | Some (r : Runner.point_result) ->
+          Alcotest.(check int) "slot order" i r.Runner.point.Sampler.index;
+          Alcotest.(check (float 0.0)) "value" (float_of_int i)
+            r.Runner.out_final)
+    results
+
+let test_pool_crash_redispatch () =
+  let points = pool_points 6 in
+  let tally = Pool.make_tally () in
+  let results =
+    with_pool ~workers:2
+      (fun ~retry p ->
+        if p.Sampler.index = 2 && retry = 0 then Unix._exit 9 else mk ~retry p)
+      (fun pool -> Pool.run pool ~retries:1 ~tally points)
+  in
+  Alcotest.(check int) "one re-dispatch" 1 tally.Pool.t_redispatched;
+  Alcotest.(check int) "replacement spawned" 3 tally.Pool.t_spawned;
+  Alcotest.(check int) "no exhausted point" 0 tally.Pool.t_crashed;
   Array.iteri
-    (fun i c -> Alcotest.(check int) (Printf.sprintf "hit %d" i) 1 (Atomic.get c))
-    hits
+    (fun i r ->
+      match r with
+      | None -> Alcotest.failf "slot %d missing" i
+      | Some (r : Runner.point_result) ->
+          Alcotest.(check bool) "healthy" true
+            r.Runner.health.Health.v_healthy;
+          if i = 2 then
+            Alcotest.(check (float 0.0)) "ran on retry 1" 1.0 r.Runner.wall_s)
+    results
 
-let test_pool_single_job_inline () =
-  let results = Pool.run ~jobs:1 (fun i -> i + 1) (Array.init 10 Fun.id) in
-  Alcotest.(check (array int)) "inline" (Array.init 10 (fun i -> i + 1)) results
+let test_pool_crash_exhausted () =
+  let points = pool_points 4 in
+  let tally = Pool.make_tally () in
+  let results =
+    with_pool ~workers:2
+      (fun ~retry p ->
+        ignore retry;
+        if p.Sampler.index = 1 then Unix._exit 9 else mk p)
+      (fun pool ->
+        Pool.run pool ~retries:1 ~signal:"V(out,gnd)" ~tally points)
+  in
+  Alcotest.(check int) "retries exhausted once" 1 tally.Pool.t_crashed;
+  Alcotest.(check int) "one re-dispatch before giving up" 1
+    tally.Pool.t_redispatched;
+  match results.(1) with
+  | None -> Alcotest.fail "crashed slot missing"
+  | Some r -> (
+      Alcotest.(check bool) "unhealthy" false r.Runner.health.Health.v_healthy;
+      Alcotest.(check string) "signal" "V(out,gnd)"
+        r.Runner.health.Health.v_signal;
+      match r.Runner.health.Health.v_issues with
+      | [ { Health.kind = Health.Crashed; _ } ] -> ()
+      | _ -> Alcotest.fail "expected a crashed verdict")
 
+let test_pool_timeout_kill () =
+  let points = pool_points 3 in
+  let tally = Pool.make_tally () in
+  let results =
+    with_pool ~workers:2 ~timeout_s:0.05
+      (fun ~retry p ->
+        ignore retry;
+        if p.Sampler.index = 0 then Unix.sleepf 30.0;
+        mk p)
+      (fun pool -> Pool.run pool ~tally points)
+  in
+  Alcotest.(check int) "kill counted" 1 tally.Pool.t_timeouts;
+  (match results.(0) with
+  | Some r -> (
+      Alcotest.(check bool) "unhealthy" false r.Runner.health.Health.v_healthy;
+      match r.Runner.health.Health.v_issues with
+      | [ { Health.kind = Health.Timeout; _ } ] -> ()
+      | _ -> Alcotest.fail "expected a timeout verdict")
+  | None -> Alcotest.fail "timed-out slot missing");
+  (match results.(1) with
+  | Some r -> Alcotest.(check bool) "others fine" true r.Runner.health.Health.v_healthy
+  | None -> Alcotest.fail "slot 1 missing");
+  (* Point 2 was queued behind the hung point 0 on its worker; it goes
+     back to pending when that worker is killed, and still runs. *)
+  match results.(2) with
+  | Some r -> Alcotest.(check bool) "queued point ran" true r.Runner.health.Health.v_healthy
+  | None -> Alcotest.fail "slot 2 missing"
+
+(* The journal's ["task.begin"] events: one per task a worker started. *)
+let task_begins events =
+  List.filter (fun e -> e.Journal.name = "task.begin") events
+
+let payload_int key (e : Journal.event) =
+  match List.assoc_opt key e.Journal.payload with
+  | Some (Journal.I i) -> Some i
+  | _ -> None
+
+let with_journal k =
+  Journal.enable ();
+  Journal.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Journal.reset ();
+      Journal.disable ())
+    k
+
+(* One worker: point 0 is its head and point 1 is queued behind it when
+   point 0 crashes. Only the head is charged a retry; point 1 never
+   started, so it runs exactly once, on its first attempt. *)
+let test_pool_queued_not_charged () =
+  with_journal @@ fun () ->
+  let points = pool_points 3 in
+  let tally = Pool.make_tally () in
+  let delivered = Array.make 3 0 in
+  let results =
+    with_pool ~workers:1
+      (fun ~retry p ->
+        if p.Sampler.index = 0 && retry = 0 then Unix._exit 9
+        else mk ~retry p)
+      (fun pool ->
+        Pool.run pool ~retries:1 ~tally
+          ~on_result:(fun r ->
+            let i = r.Runner.point.Sampler.index in
+            delivered.(i) <- delivered.(i) + 1)
+          points)
+  in
+  Alcotest.(check int) "one re-dispatch" 1 tally.Pool.t_redispatched;
+  Alcotest.(check int) "no exhausted point" 0 tally.Pool.t_crashed;
+  Alcotest.(check (array int)) "each delivered once" [| 1; 1; 1 |] delivered;
+  (match results.(0) with
+  | Some r -> Alcotest.(check (float 0.0)) "head ran on retry 1" 1.0 r.Runner.wall_s
+  | None -> Alcotest.fail "slot 0 missing");
+  (match results.(1) with
+  | Some r ->
+      Alcotest.(check (float 0.0)) "queued point on retry 0" 0.0 r.Runner.wall_s
+  | None -> Alcotest.fail "slot 1 missing");
+  let starts =
+    List.filter
+      (fun e -> payload_int "index" e = Some 1)
+      (task_begins (Journal.events ()))
+  in
+  Alcotest.(check int) "queued point started once" 1 (List.length starts);
+  Alcotest.(check (option int)) "with retry 0" (Some 0)
+    (payload_int "retry" (List.hd starts))
+
+(* The queued point's kill deadline starts when the head completes. Its
+   deadline is 1.5 * 0.2 + 0.5 = 0.8 s: point 1 ends 1.0 s after it was
+   written, but only 0.6 s after it became the head. *)
+let test_pool_queued_deadline () =
+  let points = pool_points 2 in
+  let tally = Pool.make_tally () in
+  let results =
+    with_pool ~workers:1 ~timeout_s:0.2
+      (fun ~retry p ->
+        Unix.sleepf (if p.Sampler.index = 0 then 0.4 else 0.6);
+        mk ~retry p)
+      (fun pool -> Pool.run pool ~tally points)
+  in
+  Alcotest.(check int) "no kill" 0 tally.Pool.t_timeouts;
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (r : Runner.point_result) ->
+          Alcotest.(check bool) "healthy" true r.Runner.health.Health.v_healthy
+      | None -> Alcotest.failf "slot %d missing" i)
+    results
+
+(* With the journal on, each child tags itself "w<slot>:<pid>" and
+   ships its events back over the result pipe — so after [run] the
+   parent's merged journal must contain events from every worker
+   process that handled a task. A second run on the same pool forks
+   nothing and tags its tasks with its own request id. *)
+let c_pool_tasks = Obs.Counter.make "test_serve_pool_tasks_total"
+
+let test_pool_telemetry_ship () =
+  with_journal @@ fun () ->
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.reset ();
+      Obs.disable ())
+  @@ fun () ->
+  let tally = Pool.make_tally () in
+  let points = pool_points 8 in
+  let work ~retry p =
+    ignore retry;
+    Obs.with_span "test.pool_task" @@ fun () ->
+    Unix.sleepf 0.01;
+    Obs.Counter.incr c_pool_tasks;
+    mk p
+  in
+  (* The parent's own count: a worker inherits it at fork and must not
+     ship it back. *)
+  Obs.Counter.add c_pool_tasks 100;
+  with_pool ~workers:2 work @@ fun pool ->
+  List.iter
+    (fun id ->
+      let results = Pool.run pool ~request_id:id ~tally points in
+      Array.iteri
+        (fun i r -> if r = None then Alcotest.failf "slot %d missing" i)
+        results)
+    [ 7; 8 ];
+  let events = Journal.events () in
+  let origins =
+    List.filter_map
+      (fun e ->
+        let o = e.Journal.origin in
+        if String.length o > 0 && o.[0] = 'w' then Some o else None)
+      events
+    |> List.sort_uniq Stdlib.compare
+  in
+  Alcotest.(check int) "two worker origins" 2 (List.length origins);
+  let begins = task_begins events in
+  Alcotest.(check int) "every task journaled its begin" 16
+    (List.length begins);
+  List.iter
+    (fun id ->
+      Alcotest.(check int)
+        (Printf.sprintf "task.begin events of request %d" id)
+        8
+        (List.length (List.filter (fun e -> payload_int "id" e = Some id) begins)))
+    [ 7; 8 ];
+  Alcotest.(check int) "no torn frames" 0 tally.Pool.t_torn;
+  Alcotest.(check int) "spawned once for both runs" 2 tally.Pool.t_spawned;
+  (* Long-lived workers ship each span and each counter increment
+     exactly once across both runs. *)
+  Alcotest.(check int) "one worker span per task" 16
+    (List.length
+       (List.filter
+          (fun (sp : Obs.span) ->
+            sp.Obs.name = "test.pool_task" && String.length sp.Obs.proc > 0
+            && sp.Obs.proc.[0] = 'w')
+          (Obs.spans ())));
+  Alcotest.(check int) "counter deltas summed once" 116
+    (Obs.Counter.value c_pool_tasks)
+
+(* One worker holds the head and one queued point when [should_stop]
+   turns true, so at most one point past the stopping one is delivered,
+   and every delivered point went through [on_result]. *)
+let test_pool_drain () =
+  let points = pool_points 8 in
+  let served = ref [] in
+  let results =
+    with_pool ~workers:1
+      (fun ~retry p ->
+        ignore retry;
+        mk p)
+      (fun pool ->
+        Pool.run pool
+          ~on_result:(fun r ->
+            served := r.Runner.point.Sampler.index :: !served)
+          ~should_stop:(fun () -> List.length !served >= 2)
+          points)
+  in
+  let some =
+    Array.to_list results
+    |> List.filter_map (Option.map (fun (r : Runner.point_result) ->
+           r.Runner.point.Sampler.index))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "2 or 3 delivered (got %d)" (List.length some))
+    true
+    (List.length some >= 2 && List.length some <= 3);
+  Alcotest.(check (list int)) "every delivered point passed on_result" some
+    (List.sort compare !served);
+  (* Stopping right after the first dispatch: the worker already holds
+     its head and one queued point, and both are delivered. *)
+  let polls = ref 0 in
+  let results =
+    with_pool ~workers:1
+      (fun ~retry p ->
+        ignore retry;
+        mk p)
+      (fun pool ->
+        Pool.run pool
+          ~should_stop:(fun () ->
+            incr polls;
+            !polls > 1)
+          points)
+  in
+  Alcotest.(check (list bool)) "head and queued point delivered"
+    [ true; true; false; false; false; false; false; false ]
+    (Array.to_list (Array.map Option.is_some results))
+
+
+(* A raising work function gets the same crashed verdict inline
+   ([Pool.guard], as [Runner.run ~jobs:1] runs it) and in a worker. *)
 let test_pool_exception () =
-  (match Pool.run ~jobs:4 (fun i -> if i = 17 then failwith "boom" else i)
-           (Array.init 100 Fun.id)
-   with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure m -> Alcotest.(check string) "message" "boom" m);
-  match Pool.run ~jobs:0 Fun.id [| 1 |] with
+  let work (p : Sampler.point) =
+    if p.Sampler.index = 1 then failwith "boom" else mk p
+  in
+  let points = pool_points 3 in
+  let inline = Array.map (Pool.guard work) points in
+  let forked =
+    with_pool ~workers:2 (fun ~retry:_ p -> work p) (fun pool ->
+        Pool.run pool points)
+  in
+  Array.iteri
+    (fun i r ->
+      match forked.(i) with
+      | Some f ->
+          Alcotest.(check string) "same result inline and forked"
+            (Point_result.to_line r) (Point_result.to_line f)
+      | None -> Alcotest.failf "slot %d missing" i)
+    inline;
+  (match inline.(1).Runner.health.Health.v_issues with
+  | [ { Health.kind = Health.Crashed; _ } ] -> ()
+  | _ -> Alcotest.fail "expected a crashed verdict");
+  Alcotest.(check string) "signal names the exception"
+    (Printexc.to_string (Failure "boom"))
+    inline.(1).Runner.health.Health.v_signal;
+  match Pool.create ~workers:0 (fun ~retry:_ p -> mk p) with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* Counter increments made in two workers at once reach the parent's
+   registry exactly, once each. *)
+let c_contention = Obs.Counter.make "test_sweep_contention_total"
+
 let test_pool_counters_under_contention () =
-  (* Satellite check: Obs counters accumulate exactly under domain
-     contention (they are single atomic RMWs). *)
-  let c = Obs.Counter.make "test_sweep_contention_total" in
-  let before = Obs.Counter.value c in
-  let _ =
-    Pool.run ~jobs:4
-      (fun _ ->
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let before = Obs.Counter.value c_contention in
+  let results =
+    with_pool ~workers:2
+      (fun ~retry:_ p ->
         for _ = 1 to 1000 do
-          Obs.Counter.incr c
-        done)
-      (Array.make 8 ())
+          Obs.Counter.incr c_contention
+        done;
+        mk p)
+      (fun pool -> Pool.run pool (pool_points 8))
   in
-  Alcotest.(check int) "8000 increments" (before + 8000) (Obs.Counter.value c)
+  Alcotest.(check int) "all slots" 8
+    (Array.length (Array.of_list (List.filter_map Fun.id (Array.to_list results))));
+  Alcotest.(check int) "8000 increments" (before + 8000)
+    (Obs.Counter.value c_contention)
 
 (* Stats *)
 
@@ -353,6 +672,20 @@ let test_runner_jobs_invariant () =
          sample around each diode transition; anything beyond ~1e-2
          would mean a genuinely wrong waveform. *)
       Alcotest.(check bool) "nrmse small" true (st.Stats.max < 1e-2)
+
+(* [Runner.run ~jobs:1] runs every point in this process: no worker is
+   forked, and [on_point] sees each point as it finishes. *)
+let test_pool_single_job_inline () =
+  let spawned = Obs.Counter.make "amsvp_pool_spawned_total" in
+  let before = Obs.Counter.value spawned in
+  let seen = ref 0 in
+  let s =
+    Runner.run ~jobs:1 ~on_point:(fun _ -> incr seen) (small_spec 1)
+      (Option.get (Circuits.by_name "RECT"))
+  in
+  Alcotest.(check int) "every point ran" 7 (Array.length s.Runner.points);
+  Alcotest.(check int) "on_point once per point" 7 !seen;
+  Alcotest.(check int) "nothing forked" before (Obs.Counter.value spawned)
 
 let test_report_outputs () =
   let s = run_small 1 in
@@ -616,6 +949,17 @@ let () =
           Alcotest.test_case "exception" `Quick test_pool_exception;
           Alcotest.test_case "counters under contention" `Quick
             test_pool_counters_under_contention;
+          Alcotest.test_case "crash re-dispatch" `Quick
+            test_pool_crash_redispatch;
+          Alcotest.test_case "crash exhausted" `Quick test_pool_crash_exhausted;
+          Alcotest.test_case "timeout kill" `Quick test_pool_timeout_kill;
+          Alcotest.test_case "drain stops dispatch" `Quick test_pool_drain;
+          Alcotest.test_case "queued point not charged" `Quick
+            test_pool_queued_not_charged;
+          Alcotest.test_case "queued deadline starts at head" `Quick
+            test_pool_queued_deadline;
+          Alcotest.test_case "workers ship telemetry" `Quick
+            test_pool_telemetry_ship;
         ] );
       ( "stats",
         [
