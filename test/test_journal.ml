@@ -168,6 +168,131 @@ let test_merge_determinism_across_arrival_orders () =
   Alcotest.(check string) "byte-identical merge" ab ba;
   Alcotest.(check bool) "merge nonempty" true (String.length ab > 0)
 
+(* The concurrency contract across processes, as a deterministic
+   stress test: 4 forked emitters x 500 events, each shipping its drain
+   in telemetry frames after every batch of 50, read back in whatever
+   order the pipes deliver. No event is lost, each origin keeps its
+   program order, and the merge matches the one built from the
+   opposite arrival order byte for byte. *)
+let test_process_merge () =
+  let n_proc = 4 and per_proc = 500 and batch = 50 in
+  let spawn d =
+    let rd, wr = Unix.pipe ~cloexec:true () in
+    match Unix.fork () with
+    | 0 ->
+        Unix.close rd;
+        let oc = Unix.out_channel_of_descr wr in
+        Journal.set_origin (Printf.sprintf "c%d:%d" d (Unix.getpid ()));
+        let mark = ref (Journal.next_seq ()) in
+        for i = 1 to per_proc do
+          Journal.emit ~cat:"jt.proc" "e"
+            [ ("d", Journal.I d); ("i", Journal.I i) ];
+          if i mod batch = 0 then begin
+            let evs = Journal.events_after !mark in
+            mark := Journal.next_seq ();
+            output_string oc
+              (Amsvp_sweep.Pool.encode_telemetry
+                 (Amsvp_sweep.Pool.Tel_journal evs));
+            output_char oc '\n';
+            flush oc
+          end
+        done;
+        Unix._exit 0
+    | pid ->
+        Unix.close wr;
+        (pid, rd)
+  in
+  fresh ();
+  let children = List.init n_proc spawn in
+  (* Collect frames in arrival order, multiplexing the live pipes. *)
+  let arrived = ref [] in
+  let bufs = Hashtbl.create n_proc in
+  let chunk = Bytes.create 65536 in
+  let rec pump live =
+    if live <> [] then begin
+      let ready, _, _ = Unix.select live [] [] (-1.0) in
+      let live =
+        List.fold_left
+          (fun live fd ->
+            let buf =
+              match Hashtbl.find_opt bufs fd with
+              | Some b -> b
+              | None ->
+                  let b = Buffer.create 4096 in
+                  Hashtbl.replace bufs fd b;
+                  b
+            in
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 ->
+                Unix.close fd;
+                List.filter (( <> ) fd) live
+            | n ->
+                Buffer.add_subbytes buf chunk 0 n;
+                let s = Buffer.contents buf in
+                let lines = String.split_on_char '\n' s in
+                let rec take = function
+                  | [ partial ] ->
+                      Buffer.clear buf;
+                      Buffer.add_string buf partial
+                  | line :: rest ->
+                      arrived := line :: !arrived;
+                      take rest
+                  | [] -> ()
+                in
+                take lines;
+                live)
+          live ready
+      in
+      pump live
+    end
+  in
+  pump (List.map snd children);
+  List.iter
+    (fun (pid, _) ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "emitter process failed")
+    children;
+  let frames =
+    List.rev_map
+      (fun line ->
+        match Amsvp_sweep.Pool.decode_telemetry line with
+        | `Telemetry (Amsvp_sweep.Pool.Tel_journal evs) -> evs
+        | _ -> Alcotest.failf "not a journal frame: %s" line)
+      !arrived
+  in
+  Alcotest.(check int) "every batch arrived" (n_proc * per_proc / batch)
+    (List.length frames);
+  let merged order =
+    Journal.reset ();
+    List.iter Journal.ingest order;
+    let es = mine "jt.proc" in
+    (es, Journal.to_jsonl ())
+  in
+  let es, jsonl = merged frames in
+  Alcotest.(check int) "no event lost" (n_proc * per_proc) (List.length es);
+  Alcotest.(check int) "no drops" 0 (Journal.dropped ());
+  Alcotest.(check int) "one origin per process" n_proc
+    (List.length
+       (List.sort_uniq String.compare (List.map (fun e -> e.Journal.origin) es)));
+  (* Per-process subsequences keep each process's program order. *)
+  let last = Array.make n_proc 0 in
+  List.iter
+    (fun e ->
+      match e.Journal.payload with
+      | [ ("d", Journal.I d); ("i", Journal.I i) ] ->
+          Alcotest.(check bool) "program order preserved" true (i > last.(d));
+          last.(d) <- i
+      | _ -> Alcotest.fail "payload shape")
+    es;
+  Array.iteri
+    (fun d n ->
+      Alcotest.(check int) (Printf.sprintf "process %d complete" d) per_proc n)
+    last;
+  let _, jsonl' = merged (List.rev frames) in
+  teardown ();
+  Alcotest.(check string) "merge independent of arrival order" jsonl jsonl'
+
 let test_events_after_drains_own_origin_only () =
   fresh ();
   Fun.protect
@@ -308,6 +433,8 @@ let () =
           Alcotest.test_case "ring overwrites oldest" `Quick
             test_ring_overwrites_oldest;
         ] );
+      ( "concurrency",
+        [ Alcotest.test_case "4-process merge" `Quick test_process_merge ] );
       ( "telemetry",
         [
           Alcotest.test_case "origin tagging" `Quick test_origin_tagging;

@@ -210,7 +210,46 @@ let with_pool ~workers ?timeout_s f k =
   let pool = Pool.create ~workers ?timeout_s f in
   Fun.protect ~finally:(fun () -> Pool.close pool) (fun () -> k pool)
 
+(* Every point of a run larger than the pool executes exactly once:
+   each execution appends its index to a shared file, which the
+   workers inherit opened for appending, so a lost or duplicated
+   dispatch shows as a wrong count. *)
 let test_pool_exactly_once () =
+  let n = 400 in
+  let path = Filename.temp_file "amsvp_pool_hits" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o600 in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        with_pool ~workers:4
+          (fun ~retry p ->
+            let line = Printf.sprintf "%d\n" p.Sampler.index in
+            ignore (Unix.write_substring fd line 0 (String.length line));
+            mk ~retry p)
+          (fun pool -> Pool.run pool (pool_points n)))
+  in
+  let hits = Array.make n 0 in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.iter (fun l ->
+         if l <> "" then
+           let i = int_of_string l in
+           hits.(i) <- hits.(i) + 1);
+  Sys.remove path;
+  Array.iteri
+    (fun i c -> Alcotest.(check int) (Printf.sprintf "hit %d" i) 1 c)
+    hits;
+  Alcotest.(check int) "all results" n (Array.length results);
+  Array.iteri
+    (fun i r ->
+      match r with
+      | None -> Alcotest.failf "slot %d missing" i
+      | Some (r : Runner.point_result) ->
+          Alcotest.(check int) "in order" i r.Runner.point.Sampler.index)
+    results
+
+let test_pool_slot_order () =
   let points = pool_points 9 in
   let results =
     with_pool ~workers:3 (fun ~retry p -> mk ~retry p) (fun pool ->
@@ -944,6 +983,8 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "exactly once" `Quick test_pool_exactly_once;
+          Alcotest.test_case "every slot filled in order" `Quick
+            test_pool_slot_order;
           Alcotest.test_case "single job inline" `Quick
             test_pool_single_job_inline;
           Alcotest.test_case "exception" `Quick test_pool_exception;
