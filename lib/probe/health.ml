@@ -45,24 +45,31 @@ let default_config =
     nrmse_warmup = 8;
   }
 
-type t = {
-  signal : string;
-  config : config;
+(* The float accumulators live in an all-float record, stored flat:
+   updating one writes the float in place instead of allocating a box,
+   as a float field of the mixed record [t] would. *)
+type acc = {
   (* streaming statistics over finite samples *)
-  mutable n_total : int;
-  mutable n_finite : int;
   mutable v_min : float;
   mutable v_max : float;
   mutable mean : float;
   mutable m2 : float;  (* Welford sum of squared deviations *)
   mutable sum_sq : float;  (* for RMS *)
   (* streaming NRMSE against a reference *)
-  mutable n_ref : int;
   mutable err_sq : float;
   mutable ref_min : float;
   mutable ref_max : float;
   (* stuck-at run tracking *)
   mutable last : float;
+}
+
+type t = {
+  signal : string;
+  config : config;
+  acc : acc;
+  mutable n_total : int;
+  mutable n_finite : int;
+  mutable n_ref : int;
   mutable run : int;
   (* fired watchdogs, newest first *)
   mutable fired : issue list;
@@ -83,18 +90,21 @@ let create ?(config = default_config) signal =
   {
     signal;
     config;
+    acc =
+      {
+        v_min = infinity;
+        v_max = neg_infinity;
+        mean = 0.0;
+        m2 = 0.0;
+        sum_sq = 0.0;
+        err_sq = 0.0;
+        ref_min = infinity;
+        ref_max = neg_infinity;
+        last = nan;
+      };
     n_total = 0;
     n_finite = 0;
-    v_min = infinity;
-    v_max = neg_infinity;
-    mean = 0.0;
-    m2 = 0.0;
-    sum_sq = 0.0;
     n_ref = 0;
-    err_sq = 0.0;
-    ref_min = infinity;
-    ref_max = neg_infinity;
-    last = nan;
     run = 0;
     fired = [];
   }
@@ -126,48 +136,54 @@ let fire m kind ~time ~value =
 let nrmse m =
   if m.n_ref = 0 then None
   else
-    let range = m.ref_max -. m.ref_min in
-    if range > 0.0 then Some (sqrt (m.err_sq /. float_of_int m.n_ref) /. range)
+    let range = m.acc.ref_max -. m.acc.ref_min in
+    if range > 0.0 then
+      Some (sqrt (m.acc.err_sq /. float_of_int m.n_ref) /. range)
     else None
 
-let observe m ~time v =
+(* [observe] and [observe_ref] are inlined into the {!replay} loops:
+   there the sample is read straight from its array and stays unboxed,
+   and only a firing watchdog boxes it. *)
+let[@inline] observe m ~time v =
+  let a = m.acc in
   m.n_total <- m.n_total + 1;
   if Float.is_finite v then begin
     m.n_finite <- m.n_finite + 1;
-    if v < m.v_min then m.v_min <- v;
-    if v > m.v_max then m.v_max <- v;
-    let d = v -. m.mean in
-    m.mean <- m.mean +. (d /. float_of_int m.n_finite);
-    m.m2 <- m.m2 +. (d *. (v -. m.mean));
-    m.sum_sq <- m.sum_sq +. (v *. v);
+    if v < a.v_min then a.v_min <- v;
+    if v > a.v_max then a.v_max <- v;
+    let d = v -. a.mean in
+    a.mean <- a.mean +. (d /. float_of_int m.n_finite);
+    a.m2 <- a.m2 +. (d *. (v -. a.mean));
+    a.sum_sq <- a.sum_sq +. (v *. v);
     (match m.config.amplitude_limit with
     | Some limit when abs_float v > limit -> fire m Amplitude ~time ~value:v
     | _ -> ());
     match m.config.stuck_after with
     | None -> ()
     | Some k ->
-        if v = m.last then begin
+        if v = a.last then begin
           m.run <- m.run + 1;
           if m.run >= k then fire m Stuck ~time ~value:v
         end
         else begin
-          m.last <- v;
+          a.last <- v;
           m.run <- 1
         end
   end
   else fire m Nan_or_inf ~time ~value:v
 
-let observe_ref m ~time ~value ~reference =
+let[@inline] observe_ref m ~time ~value ~reference =
   observe m ~time value;
   if Float.is_finite reference then begin
-    if reference < m.ref_min then m.ref_min <- reference;
-    if reference > m.ref_max then m.ref_max <- reference;
+    let a = m.acc in
+    if reference < a.ref_min then a.ref_min <- reference;
+    if reference > a.ref_max then a.ref_max <- reference;
     m.n_ref <- m.n_ref + 1;
     let e = value -. reference in
     (* A non-finite sample would make every later NRMSE reading NaN;
        the NaN watchdog already reports it, so keep the error stream
        clean by clamping the contribution. *)
-    if Float.is_finite e then m.err_sq <- m.err_sq +. (e *. e);
+    if Float.is_finite e then a.err_sq <- a.err_sq +. (e *. e);
     match m.config.nrmse_budget with
     | Some budget when m.n_ref >= m.config.nrmse_warmup -> (
         match nrmse m with
@@ -176,18 +192,39 @@ let observe_ref m ~time ~value ~reference =
     | _ -> ()
   end
 
+let replay m ~times ~values ?reference n =
+  let short what a =
+    if Array.length a < n then
+      invalid_arg
+        (Printf.sprintf "Health.replay: %d %s for %d samples" (Array.length a)
+           what n)
+  in
+  short "times" times;
+  short "values" values;
+  match reference with
+  | None ->
+      for i = 0 to n - 1 do
+        observe m ~time:times.(i) values.(i)
+      done
+  | Some refs ->
+      short "reference values" refs;
+      for i = 0 to n - 1 do
+        observe_ref m ~time:times.(i) ~value:values.(i) ~reference:refs.(i)
+      done
+
 let samples m = m.n_total
-let min_value m = if m.n_finite = 0 then nan else m.v_min
-let max_value m = if m.n_finite = 0 then nan else m.v_max
-let mean m = if m.n_finite = 0 then nan else m.mean
+let min_value m = if m.n_finite = 0 then nan else m.acc.v_min
+let max_value m = if m.n_finite = 0 then nan else m.acc.v_max
+let mean m = if m.n_finite = 0 then nan else m.acc.mean
 
 let variance m =
-  if m.n_finite = 0 then nan else m.m2 /. float_of_int m.n_finite
+  if m.n_finite = 0 then nan else m.acc.m2 /. float_of_int m.n_finite
 
 let stddev m = sqrt (variance m)
 
 let rms m =
-  if m.n_finite = 0 then nan else sqrt (m.sum_sq /. float_of_int m.n_finite)
+  if m.n_finite = 0 then nan
+  else sqrt (m.acc.sum_sq /. float_of_int m.n_finite)
 
 let issues m = List.rev m.fired
 let healthy m = m.fired = []

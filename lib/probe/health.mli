@@ -82,6 +82,21 @@ val observe_ref : t -> time:float -> value:float -> reference:float -> unit
     same instant; updates the streaming NRMSE in addition to everything
     {!observe} does. *)
 
+val replay :
+  t ->
+  times:float array ->
+  values:float array ->
+  ?reference:float array ->
+  int ->
+  unit
+(** [replay m ~times ~values n] feeds samples [0 .. n-1] of a recorded
+    trace: the same as {!observe} on each in turn (with [reference],
+    {!observe_ref}), so the statistics and every fired issue — kind,
+    time, value, order — are identical, but nothing is allocated per
+    sample.
+    @raise Invalid_argument when an array holds fewer than [n]
+    samples. *)
+
 (** {1 Streaming statistics}
 
     All statistics are over the {e finite} samples seen so far (a NaN

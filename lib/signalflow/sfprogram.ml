@@ -345,17 +345,9 @@ module Runner = struct
      temporaries are dead between steps by construction. *)
   let reset r = Array.fill r.slots 0 r.n_state 0.0
 
-  let step r ~inputs =
-    if Array.length inputs <> Array.length r.input_slots then
-      invalid_arg
-        (Printf.sprintf
-           "Sfprogram.Runner.step(%s): expected %d input(s), got %d"
-           r.program.name
-           (Array.length r.input_slots)
-           (Array.length inputs));
-    for i = 0 to Array.length inputs - 1 do
-      r.slots.(r.input_slots.(i)) <- inputs.(i)
-    done;
+  (* One step over inputs already in their slots: the assignments,
+     then the history rotations. *)
+  let advance r =
     (match r.impl with
     | Tree_steps steps ->
         for i = 0 to Array.length steps - 1 do
@@ -366,7 +358,22 @@ module Runner = struct
     for i = 0 to Array.length r.rotations - 1 do
       let dst, src = r.rotations.(i) in
       r.slots.(dst) <- r.slots.(src)
+    done
+
+  let check_arity r what n =
+    if n <> Array.length r.input_slots then
+      invalid_arg
+        (Printf.sprintf "Sfprogram.Runner.%s(%s): expected %d input(s), got %d"
+           what r.program.name
+           (Array.length r.input_slots)
+           n)
+
+  let step r ~inputs =
+    check_arity r "step" (Array.length inputs);
+    for i = 0 to Array.length inputs - 1 do
+      r.slots.(r.input_slots.(i)) <- inputs.(i)
     done;
+    advance r;
     Obs.Counter.incr c_ticks;
     Obs.Counter.add c_ops r.n_assign
 
@@ -381,28 +388,58 @@ module Runner = struct
            r.program.name (Expr.var_name v));
     r.slots.(s)
 
-  let run r ~stimuli ~t_stop ?observe () =
+  type source = Fn of (float -> float) | Table of float array
+
+  let run_into r ~sources ~t_stop ?observe trace =
     Obs.with_span ~cat:"sf" ~args:[ ("program", r.program.name) ] "sf.run"
     @@ fun () ->
-    reset r;
+    check_arity r "run" (Array.length sources);
     let dt = r.program.dt in
     let nsteps = int_of_float (Float.round (t_stop /. dt)) in
-    let trace = Trace.create ~capacity:(nsteps + 1) () in
-    let inputs = Array.make (Array.length stimuli) 0.0 in
+    Array.iter
+      (function
+        | Table a when Array.length a <= nsteps ->
+            invalid_arg
+              (Printf.sprintf
+                 "Sfprogram.Runner.run(%s): input table of %d sample(s), \
+                  %d steps need %d"
+                 r.program.name (Array.length a) nsteps (nsteps + 1))
+        | Table _ | Fn _ -> ())
+      sources;
+    reset r;
+    Trace.reserve trace (nsteps + 1);
+    let times, values = Trace.buffers trace in
+    let slots = r.slots and out = r.output_slots.(0) in
     (* The reader closure is built once, outside the loop; when no
        observer is attached the per-step cost is a single branch. *)
     let reader = read r in
-    Trace.add trace ~time:0.0 ~value:(output r 0);
-    (match observe with None -> () | Some f -> f 0.0 reader);
-    for i = 1 to nsteps do
-      let t = float_of_int i *. dt in
-      for k = 0 to Array.length stimuli - 1 do
-        inputs.(k) <- stimuli.(k) t
-      done;
-      step r ~inputs;
-      Trace.add trace ~time:t ~value:(output r 0);
-      match observe with None -> () | Some f -> f t reader
-    done;
+    let taken = ref 0 in
+    (* Samples and counters are published once per run, also when
+       [observe] aborts it: both then cover the steps actually taken. *)
+    let publish () =
+      Trace.set_length trace (!taken + 1);
+      Obs.Counter.add c_ticks !taken;
+      Obs.Counter.add c_ops (!taken * r.n_assign)
+    in
+    Fun.protect ~finally:publish (fun () ->
+        times.(0) <- 0.0;
+        values.(0) <- slots.(out);
+        (match observe with None -> () | Some f -> f 0.0 reader);
+        for i = 1 to nsteps do
+          let t = float_of_int i *. dt in
+          for k = 0 to Array.length sources - 1 do
+            (* A store per branch: a shared one would box the table's
+               float to match the function's boxed result. *)
+            match sources.(k) with
+            | Table a -> slots.(r.input_slots.(k)) <- a.(i)
+            | Fn f -> slots.(r.input_slots.(k)) <- f t
+          done;
+          advance r;
+          times.(i) <- t;
+          values.(i) <- slots.(out);
+          taken := i;
+          match observe with None -> () | Some f -> f t reader
+        done);
     if Journal.enabled () then begin
       (* Per-step traffic is a static property of the artifact; the
          journal records it once per run, scaled by the tick count. *)
@@ -432,6 +469,11 @@ module Runner = struct
                 tr.Compile.t_opcode_mix
       in
       Journal.emit ~time:t_stop ~cat:"sf" "run" payload
-    end;
+    end
+
+  let run r ~stimuli ~t_stop ?observe () =
+    let trace = Trace.create ~capacity:1 () in
+    run_into r ~sources:(Array.map (fun f -> Fn f) stimuli) ~t_stop ?observe
+      trace;
     trace
 end

@@ -163,16 +163,30 @@ module Runner : sig
       or on one outside the live set (it would silently read 0); the
       message names the variable. *)
 
-  val run :
+  type source =
+    | Fn of (float -> float)  (** a stimulus, sampled at each step time *)
+    | Table of float array
+        (** entry [i] is the input at step [i] (time [i *. dt]), as
+            {!Amsvp_util.Stimulus.sample} computes it; at least
+            [nsteps + 1] entries *)
+  (** Where {!run_into} takes an input's value at each step. A table
+      costs no call per step; sweeps share one across every point of
+      the same run length. *)
+
+  val run_into :
     t ->
-    stimuli:(float -> float) array ->
+    sources:source array ->
     t_stop:float ->
     ?observe:(float -> (Expr.var -> float) -> unit) ->
-    unit ->
-    Amsvp_util.Trace.t
-  (** Run from time 0 to [t_stop], sampling the stimuli at each step
-      and recording the first output. The runner is reset
-      first. This tight loop is the "plain C++" execution model.
+    Amsvp_util.Trace.t ->
+    unit
+  (** Run from time 0 to [t_stop] (nsteps [= round (t_stop /. dt)]
+      steps), taking the inputs from [sources] (ordered like
+      [program.inputs]) and recording the first output into the trace
+      given last, whose previous contents are dropped and whose storage is
+      reused. The runner is reset first. This tight loop is the
+      "plain C++" execution model; the tick and op counters are added
+      once per run, for the steps taken.
 
       [observe] is called once per step (including the initial state at
       t = 0) with the current time and a reader over the runner's
@@ -181,5 +195,18 @@ module Runner : sig
       one branch. The reader is {!read}: it raises [Invalid_argument]
       on variables the program does not compute and on those outside
       the live set, so a probe must declare its variables in
-      [create ~reads]. *)
+      [create ~reads]. An exception from [observe] aborts the run and
+      propagates; the trace then holds the samples up to that step.
+      @raise Invalid_argument on an input arity mismatch or a table
+      shorter than [nsteps + 1]. *)
+
+  val run :
+    t ->
+    stimuli:(float -> float) array ->
+    t_stop:float ->
+    ?observe:(float -> (Expr.var -> float) -> unit) ->
+    unit ->
+    Amsvp_util.Trace.t
+  (** {!run_into} a fresh trace, each input sampled from its stimulus
+      function at each step. *)
 end

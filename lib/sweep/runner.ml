@@ -73,6 +73,14 @@ let stimulus_fn = function
   | Spec.Square { period; low; high } -> Stimulus.square ~period ~low ~high
   | Spec.Sine { freq; amplitude } -> Stimulus.sine ~freq ~amplitude
 
+(* What every point of a prepared sweep records into: each input's
+   samples at the run's step times, and one trace of the run's length
+   that each point overwrites. *)
+type scratch = {
+  s_tables : (string * float array) list;
+  s_trace : Trace.t;
+}
+
 (* A prepared sweep: everything shared by every point — the probed
    circuit, stimuli, the recorded abstraction plan and its compiled
    bytecode template — computed once.  The one-shot [run] builds one
@@ -89,6 +97,9 @@ type ctx = {
   c_stim_assoc : (string * Stimulus.t) list;
   c_cache : Abscache.t;
   c_points : Sampler.point array;
+  c_scratch : scratch Lazy.t;
+      (** built by the first point a process runs, so the serve daemon,
+          which only forwards points to its workers, never holds it *)
 }
 
 let ctx_points c = c.c_points
@@ -139,6 +150,15 @@ let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =
       ~name:(tc.Circuits.label ^ "_sweep") ~dt probed ~outputs:[ output ]
   in
   let points = Array.of_list (Sampler.points spec) in
+  let scratch =
+    lazy
+      (let n = int_of_float (Float.round (t_stop /. dt)) + 1 in
+       {
+         s_tables =
+           List.map (fun (name, f) -> (name, Stimulus.sample f ~dt ~n)) stim_assoc;
+         s_trace = Trace.create ~capacity:n ();
+       })
+  in
   {
     c_spec = spec;
     c_tc = tc;
@@ -150,6 +170,7 @@ let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =
     c_stim_assoc = stim_assoc;
     c_cache = cache;
     c_points = points;
+    c_scratch = scratch;
   }
 
 (* Cooperative per-point timeout: the runners' [?observe] hook fires
@@ -284,15 +305,16 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
       in
       Sfprogram.Runner.create ?compiled program
     in
-    let stimuli =
+    let scratch = Lazy.force ctx.c_scratch in
+    let sources =
       Array.of_list
         (List.map
-           (fun n -> List.assoc n ctx.c_stim_assoc)
+           (fun n -> Sfprogram.Runner.Table (List.assoc n scratch.s_tables))
            program.Sfprogram.inputs)
     in
-    let trace =
-      Sfprogram.Runner.run runner ~stimuli ~t_stop:ctx.c_t_stop ?observe ()
-    in
+    let trace = scratch.s_trace in
+    Sfprogram.Runner.run_into runner ~sources ~t_stop:ctx.c_t_stop ?observe
+      trace;
     let reference =
       if not spec.reference then None
       else
@@ -313,15 +335,19 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
       timeout_result ctx p ~cached ~sim_time ~wall_s
   | trace, reference ->
       let t_stop = ctx.c_t_stop in
-      let values = Trace.values trace in
-      let n = Array.length values in
+      (* The trace is the shared scratch one: everything is read from
+         it before this point returns. *)
+      let times, values = Trace.buffers trace and n = Trace.length trace in
       let out_final = if n = 0 then 0.0 else values.(n - 1) in
       let out_rms =
         if n = 0 then 0.0
-        else
-          sqrt
-            (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 values
-            /. float_of_int n)
+        else begin
+          let sum_sq = ref 0.0 in
+          for i = 0 to n - 1 do
+            sum_sq := !sum_sq +. (values.(i) *. values.(i))
+          done;
+          sqrt (!sum_sq /. float_of_int n)
+        end
       in
       let nrmse =
         match reference with
@@ -345,19 +371,13 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
           }
         in
         let mon = Health.create ~config (Expr.var_name ctx.c_output) in
-        let n = Trace.length trace in
-        (match reference with
-        | None ->
-            for i = 0 to n - 1 do
-              Health.observe mon ~time:(Trace.time trace i)
-                (Trace.value trace i)
-            done
-        | Some r ->
-            for i = 0 to n - 1 do
-              let t = Trace.time trace i in
-              Health.observe_ref mon ~time:t ~value:(Trace.value trace i)
-                ~reference:(Trace.sample_at r.Engine.trace t)
-            done);
+        let reference =
+          Option.map
+            (fun r ->
+              Array.init n (fun i -> Trace.sample_at r.Engine.trace times.(i)))
+            reference
+        in
+        Health.replay mon ~times ~values ?reference n;
         Health.verdict mon
       in
       let wall_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in

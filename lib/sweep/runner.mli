@@ -62,8 +62,11 @@ type ctx
 (** A validated, fully prepared sweep over one test case: the probed
     circuit, resolved stimuli, the recorded abstraction plan with its
     compiled bytecode template, and the materialised point list.
-    Immutable once built, and inherited for free by forked worker
-    processes. *)
+    Inherited for free by forked worker processes. The only mutable
+    part is per process: the first {!run_point} a process runs samples
+    the stimuli at the run's step times and allocates one trace that
+    every later point of this ctx records into, so a process runs the
+    points of one ctx one at a time. *)
 
 val prepare : ?jobs:int -> Spec.t -> Amsvp_netlist.Circuits.testcase -> ctx
 (** Validate the spec, lint the circuit once, record the abstraction

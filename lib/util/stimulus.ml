@@ -43,3 +43,5 @@ let pwl points =
         end
 
 let constant v = fun _ -> v
+
+let sample f ~dt ~n = Array.init n (fun i -> f (float_of_int i *. dt))

@@ -27,3 +27,8 @@ val pwl : (float * float) list -> t
 
 (** [constant v] is the constant waveform [v]. *)
 val constant : float -> t
+
+(** [sample f ~dt ~n] is [f (float_of_int i *. dt)] for [i = 0 .. n-1]:
+    the waveform at the instants a fixed-step run of step [dt] visits,
+    computed exactly as such a run computes them. *)
+val sample : t -> dt:float -> n:int -> float array

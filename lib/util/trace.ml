@@ -28,6 +28,20 @@ let add tr ~time ~value =
 
 let length tr = tr.len
 
+let reserve tr n =
+  if Array.length tr.times < n then begin
+    tr.times <- Array.make n 0.0;
+    tr.values <- Array.make n 0.0
+  end;
+  tr.len <- 0
+
+let buffers tr = (tr.times, tr.values)
+
+let set_length tr n =
+  if n < 0 || n > Array.length tr.times then
+    invalid_arg "Trace.set_length: outside the storage";
+  tr.len <- n
+
 let check_index tr i =
   if i < 0 || i >= tr.len then invalid_arg "Trace: index out of bounds"
 

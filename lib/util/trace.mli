@@ -19,6 +19,28 @@ val add : t -> time:float -> value:float -> unit
 (** Number of samples recorded so far. *)
 val length : t -> int
 
+(** {2 In-place recording}
+
+    A stepping loop that must not pay a call per sample writes into
+    the trace's storage directly: [reserve tr n], fill samples
+    [0 .. k-1] of the arrays {!buffers} returns, in non-decreasing
+    time order (nothing checks it), then [set_length tr k]. *)
+
+(** [reserve trace n] empties [trace] and makes room for [n] samples;
+    the storage is reused when it is already large enough. *)
+val reserve : t -> int -> unit
+
+(** [buffers trace] is the trace's storage [(times, values)], valid
+    until the next {!add} or {!reserve}. Only the first {!length}
+    samples are recorded; readers must not write. *)
+val buffers : t -> float array * float array
+
+(** [set_length trace n] makes the first [n] stored samples the
+    trace's contents.
+    @raise Invalid_argument when [n] is negative or exceeds the
+    storage. *)
+val set_length : t -> int -> unit
+
 (** [time trace i] and [value trace i] read sample [i] (0-based).
     @raise Invalid_argument if [i] is out of bounds. *)
 val time : t -> int -> float

@@ -237,6 +237,93 @@ let test_health_config_validation () =
         ~config:{ Health.default_config with amplitude_limit = Some (-1.0) }
         "s")
 
+(* [replay] over recorded arrays must be indistinguishable from feeding
+   the same samples one by one through [observe] / [observe_ref]: same
+   issues (kind, time, value, order) and bit-identical statistics, on
+   traces mixing ordinary values, amplitude excursions, NaN/±inf,
+   stuck runs, with each watchdog on or off. *)
+let gen_replay_case =
+  let open QCheck.Gen in
+  let sample =
+    frequency
+      [
+        (6, float_range (-2.0) 2.0);
+        (2, float_range (-1e3) 1e3);
+        (1, oneofl [ nan; infinity; neg_infinity ]);
+        (1, return 0.0);
+      ]
+  in
+  (* Runs of repeated samples exercise the stuck-at watchdog. *)
+  let run = pair sample (frequency [ (3, return 1); (1, int_range 2 8) ]) in
+  let* runs = list_size (int_range 0 40) run in
+  let values =
+    Array.of_list (List.concat_map (fun (v, k) -> List.init k (fun _ -> v)) runs)
+  in
+  let n = Array.length values in
+  let* steps = array_repeat n (oneofl [ 0.0; 1e-6; 2.5e-6 ]) in
+  let times = Array.make n 0.0 in
+  for i = 1 to n - 1 do
+    times.(i) <- times.(i - 1) +. steps.(i)
+  done;
+  let* reference = opt (array_repeat n sample) in
+  let* amplitude_limit = opt (float_range 0.5 5.0) in
+  let* stuck_after = opt (int_range 2 6) in
+  let* nrmse_budget = opt (float_range 1e-3 1.0) in
+  let* nrmse_warmup = int_range 0 10 in
+  let config =
+    { Health.amplitude_limit; stuck_after; nrmse_budget; nrmse_warmup }
+  in
+  return (config, times, values, reference)
+
+let print_replay_case (c, times, values, reference) =
+  let arr a =
+    String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+  in
+  let opt f = function None -> "-" | Some v -> f v in
+  Printf.sprintf
+    "amplitude %s stuck %s budget %s warmup %d\ntimes %s\nvalues %s\nref %s"
+    (opt (Printf.sprintf "%h") c.Health.amplitude_limit)
+    (opt string_of_int c.Health.stuck_after)
+    (opt (Printf.sprintf "%h") c.Health.nrmse_budget)
+    c.Health.nrmse_warmup (arr times) (arr values) (opt arr reference)
+
+let prop_replay_matches_observe =
+  QCheck.Test.make ~name:"replay matches per-sample observe" ~count:500
+    (QCheck.make ~print:print_replay_case gen_replay_case)
+    (fun (config, times, values, reference) ->
+      let n = Array.length values in
+      let live = Health.create ~config "sig" in
+      for i = 0 to n - 1 do
+        match reference with
+        | None -> Health.observe live ~time:times.(i) values.(i)
+        | Some r ->
+            Health.observe_ref live ~time:times.(i) ~value:values.(i)
+              ~reference:r.(i)
+      done;
+      let replayed = Health.create ~config "sig" in
+      Health.replay replayed ~times ~values ?reference n;
+      let bits = Int64.bits_of_float in
+      let issue (i : Health.issue) =
+        (Health.kind_label i.Health.kind, bits i.Health.time, bits i.Health.value)
+      in
+      let state m =
+        ( Health.samples m,
+          List.map issue (Health.issues m),
+          List.map bits
+            [ Health.min_value m; Health.max_value m; Health.mean m;
+              Health.variance m; Health.rms m ],
+          Option.map bits (Health.nrmse m) )
+      in
+      state live = state replayed)
+
+let test_health_replay_short_arrays () =
+  let m = Health.create "s" in
+  expect_invalid "values shorter than n" (fun () ->
+      Health.replay m ~times:[| 0.0; 1.0 |] ~values:[| 1.0 |] 2);
+  expect_invalid "reference shorter than n" (fun () ->
+      Health.replay m ~times:[| 0.0; 1.0 |] ~values:[| 1.0; 2.0 |]
+        ~reference:[| 1.0 |] 2)
+
 (* ---- Observe hook on the runners ---- *)
 
 let test_observe_through_runner () =
@@ -359,6 +446,9 @@ let () =
           Alcotest.test_case "nrmse budget" `Quick test_health_nrmse_budget;
           Alcotest.test_case "config validation" `Quick
             test_health_config_validation;
+          Alcotest.test_case "replay rejects short arrays" `Quick
+            test_health_replay_short_arrays;
+          QCheck_alcotest.to_alcotest prop_replay_matches_observe;
         ] );
       ( "observe hook",
         [

@@ -205,6 +205,91 @@ let test_run_records_trace () =
   Alcotest.(check int) "samples" 6 (Trace.length tr);
   Alcotest.(check (float 1e-12)) "identity at t=3" 3.0 (Trace.sample_at tr 3.0)
 
+(* The run loop adds its tick and op counters once per run; the totals
+   must still be exact: one tick per step, one op per live assignment
+   evaluated, and after an aborted run the steps actually taken. *)
+module Obs = Amsvp_obs.Obs
+
+let c_ticks = Obs.Counter.make "amsvp_sf_ticks_total"
+let c_ops = Obs.Counter.make "amsvp_sf_ops_total"
+
+let counted f =
+  let t0 = Obs.Counter.value c_ticks and o0 = Obs.Counter.value c_ops in
+  let x = f () in
+  (x, Obs.Counter.value c_ticks - t0, Obs.Counter.value c_ops - o0)
+
+exception Stop
+
+let test_run_counters_exact () =
+  (* y and w are live, z reaches no output: two ops per step. *)
+  let w = Expr.signal "w" in
+  let p =
+    mk
+      [
+        asg w Expr.(var input + var (Expr.delayed w 1));
+        asg z Expr.(scale 3.0 (var input));
+        asg y Expr.(var w - Expr.one);
+      ]
+  in
+  List.iter
+    (fun (name, engine) ->
+      let r = Sfprogram.Runner.create ~engine p in
+      let tr, ticks, ops =
+        counted (fun () ->
+            Sfprogram.Runner.run r ~stimuli:[| (fun t -> t) |] ~t_stop:40.0 ())
+      in
+      Alcotest.(check int) (name ^ ": samples") 41 (Trace.length tr);
+      Alcotest.(check int) (name ^ ": ticks = nsteps") 40 ticks;
+      Alcotest.(check int) (name ^ ": ops = nsteps x live") 80 ops;
+      (* [observe] aborts the run right after step 17. *)
+      let stop_at_17 time _ = if time = 17.0 then raise Stop in
+      let into = Trace.create () in
+      let aborted, ticks, ops =
+        counted (fun () ->
+            match
+              Sfprogram.Runner.run_into r
+                ~sources:[| Sfprogram.Runner.Fn (fun t -> t) |]
+                ~t_stop:40.0 ~observe:stop_at_17 into
+            with
+            | () -> false
+            | exception Stop -> true)
+      in
+      Alcotest.(check bool) (name ^ ": aborted") true aborted;
+      Alcotest.(check int) (name ^ ": ticks = steps taken") 17 ticks;
+      Alcotest.(check int) (name ^ ": ops = steps taken x live") 34 ops;
+      Alcotest.(check int) (name ^ ": samples up to the abort") 18
+        (Trace.length into);
+      (* w at step 17 is 1 + 2 + ... + 17 = 153 *)
+      Alcotest.(check (float 0.0)) (name ^ ": last sample") 152.0
+        (Trace.last_value into))
+    both_engines
+
+let test_run_into_tables () =
+  (* A sampled table drives the loop exactly as the function it was
+     sampled from, and a reused trace takes the new run's length. *)
+  let p = mk [ asg y Expr.(var input + scale 0.5 (var (Expr.delayed y 1))) ] in
+  let r = Sfprogram.Runner.create p in
+  let f = Stimulus.sine ~freq:0.013 ~amplitude:2.0 in
+  let reference = Sfprogram.Runner.run r ~stimuli:[| f |] ~t_stop:50.0 () in
+  let tr = Trace.create () in
+  let table = Stimulus.sample f ~dt:1.0 ~n:51 in
+  Sfprogram.Runner.run_into r ~sources:[| Sfprogram.Runner.Table table |]
+    ~t_stop:50.0 tr;
+  Alcotest.(check (array (float 0.0))) "values" (Trace.values reference)
+    (Trace.values tr);
+  Alcotest.(check (array (float 0.0))) "times" (Trace.times reference)
+    (Trace.times tr);
+  Sfprogram.Runner.run_into r ~sources:[| Sfprogram.Runner.Table table |]
+    ~t_stop:10.0 tr;
+  Alcotest.(check int) "shorter rerun" 11 (Trace.length tr);
+  Alcotest.(check (float 0.0)) "rerun from reset state"
+    (Trace.value reference 10) (Trace.last_value tr);
+  expect_invalid "table shorter than the run" (fun () ->
+      Sfprogram.Runner.run_into r ~sources:[| Sfprogram.Runner.Table table |]
+        ~t_stop:51.0 tr);
+  expect_invalid "source arity" (fun () ->
+      Sfprogram.Runner.run_into r ~sources:[||] ~t_stop:5.0 tr)
+
 (* Serialisation *)
 
 module Serialize = Amsvp_sf.Serialize
@@ -354,6 +439,10 @@ let () =
             test_compiled_live_set_checked;
           Alcotest.test_case "RC20 live and fused counts" `Quick
             test_rc20_counts;
+          Alcotest.test_case "counters exact, also after an abort" `Quick
+            test_run_counters_exact;
+          Alcotest.test_case "table sources and trace reuse" `Quick
+            test_run_into_tables;
         ] );
       ( "serialize",
         [

@@ -872,6 +872,98 @@ let test_nrmse_budget_watchdog () =
   let loose = run 0.5 in
   Alcotest.(check int) "loose budget is quiet" 0 loose.Runner.unhealthy
 
+(* Golden per-point results of examples/rect_tolerance.sweep, with the
+   reference on and off: every value field, printed %.17g, must match
+   the recorded fixture at --jobs 1 and --jobs 2. *)
+let golden_line (r : Runner.point_result) =
+  let num = Printf.sprintf "%.17g" in
+  let health =
+    if r.Runner.health.Health.v_healthy then "ok"
+    else
+      String.concat ";"
+        (List.map
+           (fun (i : Health.issue) ->
+             Printf.sprintf "%s@%s=%s"
+               (Health.kind_label i.Health.kind)
+               (num i.Health.time) (num i.Health.value))
+           r.Runner.health.Health.v_issues)
+  in
+  Printf.sprintf "%d %s %s %s %s" r.Runner.point.Sampler.index
+    (num r.Runner.out_final) (num r.Runner.out_rms)
+    (match r.Runner.nrmse with Some e -> num e | None -> "-")
+    health
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+let test_golden_rect_tolerance ~reference () =
+  let spec =
+    match
+      Spec.of_string
+        (In_channel.with_open_text "../examples/rect_tolerance.sweep"
+           In_channel.input_all)
+    with
+    | Ok s -> { s with Spec.reference }
+    | Error m -> Alcotest.failf "example spec: %s" m
+  in
+  let tc = Option.get (Circuits.by_name "RECT") in
+  let expected =
+    read_lines
+      (Printf.sprintf "fixtures/rect_tolerance_ref_%s.golden"
+         (if reference then "on" else "off"))
+  in
+  List.iter
+    (fun jobs ->
+      let s = Runner.run ~jobs spec tc in
+      Alcotest.(check (list string))
+        (Printf.sprintf "--jobs %d matches the fixture" jobs)
+        expected
+        (Array.to_list (Array.map golden_line s.Runner.points)))
+    [ 1; 2 ]
+
+(* A point aborted by [point_timeout] leaves the signal-flow counters at
+   the steps it took: the deadline is checked on every 64th observe
+   call, the first at t = 0, so an already-expired budget stops the run
+   after step 63. *)
+let test_timeout_counts_steps_taken () =
+  let spec = { (small_spec 1) with Spec.reference = false } in
+  let tc = Option.get (Circuits.by_name "RECT") in
+  let ctx = Runner.prepare spec tc in
+  let p = (Runner.ctx_points ctx).(0) in
+  let ticks = Obs.Counter.make "amsvp_sf_ticks_total"
+  and ops = Obs.Counter.make "amsvp_sf_ops_total" in
+  let counted f =
+    let t0 = Obs.Counter.value ticks and o0 = Obs.Counter.value ops in
+    let r = f () in
+    (r, Obs.Counter.value ticks - t0, Obs.Counter.value ops - o0)
+  in
+  let full, full_ticks, full_ops = counted (fun () -> Runner.run_point ctx p) in
+  Alcotest.(check bool) "full run healthy" true full.Runner.health.Health.v_healthy;
+  let nsteps =
+    int_of_float
+      (Float.round
+         (Option.get spec.Spec.t_stop
+         /. Option.value spec.Spec.dt ~default:Runner.default_dt))
+  in
+  Alcotest.(check int) "ticks = nsteps" nsteps full_ticks;
+  Alcotest.(check int) "ops a whole number per tick" 0 (full_ops mod full_ticks);
+  let live = full_ops / full_ticks in
+  let aborted, ticks, ops =
+    counted (fun () -> Runner.run_point ~timeout_s:1e-9 ctx p)
+  in
+  (match aborted.Runner.health.Health.v_issues with
+  | [ { Health.kind = Health.Timeout; _ } ] -> ()
+  | _ -> Alcotest.fail "expected a timeout verdict");
+  Alcotest.(check int) "ticks = steps taken" 63 ticks;
+  Alcotest.(check int) "ops = steps taken x live" (63 * live) ops;
+  (* The next point records into the same scratch trace from scratch. *)
+  let again = Runner.run_point ctx p in
+  Alcotest.(check bool) "rerun bit-identical" true
+    (Float.equal full.Runner.out_final again.Runner.out_final
+    && Float.equal full.Runner.out_rms again.Runner.out_rms)
+
 (* Static pruning: on an RC low-pass swept across a resistance decade,
    a 0.5 V amplitude limit is provably breached at the low-R end. The
    pruned run must (a) skip exactly the points the unpruned run flags
@@ -1020,6 +1112,12 @@ let () =
           Alcotest.test_case "report outputs" `Quick test_report_outputs;
           Alcotest.test_case "fast-fail on bad model" `Quick
             test_fast_fail_diagnoses_once;
+          Alcotest.test_case "golden reference on" `Quick
+            (test_golden_rect_tolerance ~reference:true);
+          Alcotest.test_case "golden reference off" `Quick
+            (test_golden_rect_tolerance ~reference:false);
+          Alcotest.test_case "timeout counts steps taken" `Quick
+            test_timeout_counts_steps_taken;
           Alcotest.test_case "static pruning sound and deterministic" `Quick
             test_prune_static_sound_and_deterministic;
         ] );
