@@ -417,9 +417,9 @@ module Runner = struct
     (* Samples and counters are published once per run, also when
        [observe] aborts it: both then cover the steps actually taken. *)
     let publish () =
-      Trace.set_length trace (!taken + 1);
       Obs.Counter.add c_ticks !taken;
-      Obs.Counter.add c_ops (!taken * r.n_assign)
+      Obs.Counter.add c_ops (!taken * r.n_assign);
+      Trace.set_length trace (!taken + 1)
     in
     Fun.protect ~finally:publish (fun () ->
         times.(0) <- 0.0;

@@ -40,6 +40,12 @@ let buffers tr = (tr.times, tr.values)
 let set_length tr n =
   if n < 0 || n > Array.length tr.times then
     invalid_arg "Trace.set_length: outside the storage";
+  (* The same guard as [add], once over the written samples. *)
+  let times = tr.times in
+  for i = 1 to n - 1 do
+    if times.(i) < times.(i - 1) then
+      invalid_arg "Trace.set_length: non-monotonic time"
+  done;
   tr.len <- n
 
 let check_index tr i =

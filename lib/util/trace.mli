@@ -24,7 +24,7 @@ val length : t -> int
     A stepping loop that must not pay a call per sample writes into
     the trace's storage directly: [reserve tr n], fill samples
     [0 .. k-1] of the arrays {!buffers} returns, in non-decreasing
-    time order (nothing checks it), then [set_length tr k]. *)
+    time order, then [set_length tr k], which checks that order. *)
 
 (** [reserve trace n] empties [trace] and makes room for [n] samples;
     the storage is reused when it is already large enough. *)
@@ -36,9 +36,10 @@ val reserve : t -> int -> unit
 val buffers : t -> float array * float array
 
 (** [set_length trace n] makes the first [n] stored samples the
-    trace's contents.
+    trace's contents. Their times must not decrease, as for {!add}.
     @raise Invalid_argument when [n] is negative or exceeds the
-    storage. *)
+    storage, or when a stored time precedes the one before it; the
+    trace is then left unchanged. *)
 val set_length : t -> int -> unit
 
 (** [time trace i] and [value trace i] read sample [i] (0-based).

@@ -68,6 +68,26 @@ let test_trace_monotonic_time () =
   Trace.add tr ~time:2.0 ~value:4.0;
   Alcotest.(check int) "usable after rejection" 3 (Trace.length tr)
 
+let test_trace_in_place () =
+  let tr = Trace.create ~capacity:2 () in
+  Trace.add tr ~time:0.0 ~value:9.0;
+  Trace.reserve tr 4;
+  Alcotest.(check int) "reserve empties" 0 (Trace.length tr);
+  let times, values = Trace.buffers tr in
+  Array.iteri (fun i t -> times.(i) <- t; values.(i) <- 10.0 *. t)
+    [| 0.0; 1.0; 1.0; 2.0 |];
+  Trace.set_length tr 3;
+  Alcotest.(check int) "length" 3 (Trace.length tr);
+  checkf 0.0 "last" 10.0 (Trace.last_value tr);
+  times.(2) <- 0.5;
+  Alcotest.check_raises "set_length checks time order"
+    (Invalid_argument "Trace.set_length: non-monotonic time") (fun () ->
+      Trace.set_length tr 4);
+  Alcotest.(check int) "rejected length not taken" 3 (Trace.length tr);
+  Alcotest.check_raises "set_length past the storage"
+    (Invalid_argument "Trace.set_length: outside the storage") (fun () ->
+      Trace.set_length tr 5)
+
 (* Metrics *)
 
 let test_metrics_rmse () =
@@ -293,6 +313,7 @@ let () =
           Alcotest.test_case "resample" `Quick test_trace_resample;
           Alcotest.test_case "bounds" `Quick test_trace_bounds_checked;
           Alcotest.test_case "monotonic time" `Quick test_trace_monotonic_time;
+          Alcotest.test_case "in-place recording" `Quick test_trace_in_place;
         ] );
       ( "metrics",
         [
