@@ -200,8 +200,12 @@ type state = {
   cache : Fast_cache.t option;  (* [None] = paper fidelity *)
   inputs : float array;  (* input values by slot, for the current substep *)
   rhs : float array;
-  mutable x : float array;
-  mutable xm1 : float array;  (* one substep back, for the LTE proxy *)
+  x : float array;  (* the last accepted substep's solution *)
+  xm1 : float array;  (* one substep back, for the LTE proxy *)
+  xa : float array;  (* the fast path's Newton iterates alternate here *)
+  xb : float array;
+  x_save : float array;  (* [x] and [xm1] at the start of a step that *)
+  xm1_save : float array;  (* may be redone with more substeps *)
   mutable nsub : int;  (* substeps per reporting step (adaptive if fast) *)
   mutable step : int;  (* reporting steps taken *)
   sc : scan;
@@ -243,6 +247,10 @@ let create_state ~substeps ~iterations ~fidelity circuit ~dt =
     rhs = Array.make n 0.0;
     x = Array.make n 0.0;
     xm1 = Array.make n 0.0;
+    xa = Array.make n 0.0;
+    xb = Array.make n 0.0;
+    x_save = Array.make n 0.0;
+    xm1_save = Array.make n 0.0;
     nsub = substeps;
     step = 0;
     sc = { delta = 0.0; stress = 0.0; step_stress = 0.0; step_lte = 0.0 };
@@ -274,7 +282,8 @@ let record_pivots tl (mn, mx) =
 
 (* One solver pass from iterate [prev]: the paper path re-stamps the
    dense system (and its RHS) and re-factors it — the SPICE cost model;
-   the fast path reuses the cached sparse factors. *)
+   the fast path reuses the cached sparse factors and solves into
+   whichever of [xa]/[xb] is not [prev]. *)
 let solve_pass st tel ~h ~t ~last prev =
   try
     match st.cache with
@@ -304,7 +313,9 @@ let solve_pass st tel ~h ~t ~last prev =
         (match tel with
         | Some tl -> record_pivots tl (Sparse.pivot_range lu)
         | None -> ());
-        Sparse.lu_solve lu st.rhs
+        let x = if prev == st.xa then st.xb else st.xa in
+        Sparse.lu_solve_into lu ~b:st.rhs ~x;
+        x
   with Matrix.Singular k ->
     (match tel with
     | Some tl when tl.journal ->
@@ -407,7 +418,12 @@ let advance st tel ~sample =
   st.step <- st.step + 1;
   let t_end = float_of_int st.step *. st.dt in
   let t_base = float_of_int (st.step - 1) *. st.dt in
-  let x_save = st.x and xm1_save = st.xm1 in
+  let n = Array.length st.x in
+  (* Only a step started below the substep ceiling can be redone. *)
+  if fast && st.nsub < st.substeps then begin
+    Array.blit st.x 0 st.x_save 0 n;
+    Array.blit st.xm1 0 st.xm1_save 0 n
+  end;
   let retry = ref true in
   while !retry do
     retry := false;
@@ -438,14 +454,14 @@ let advance st tel ~sample =
             if st.sc.stress > stress_threshold then
               tl.stressed_substeps <- tl.stressed_substeps + 1
         | None -> ());
-        st.xm1 <- st.x;
-        st.x <- x_next;
+        Array.blit st.x 0 st.xm1 0 n;
+        Array.blit x_next 0 st.x 0 n;
         incr sub
       end
     done;
     if !aborted then begin
-      st.x <- x_save;
-      st.xm1 <- xm1_save;
+      Array.blit st.x_save 0 st.x 0 n;
+      Array.blit st.xm1_save 0 st.xm1 0 n;
       st.nsub <- min st.substeps (ns * 2);
       retry := true
     end
@@ -603,7 +619,7 @@ let hold who ~declared ~positions ~slots values =
 module Eln_stepper = struct
   type t = {
     sys : System.t;
-    lu : Matrix.lu;
+    lu : Sparse.lu;  (* the dense factor's nonzeros *)
     dt : float;
     declared : int;  (* number of declared inputs *)
     positions : int array;  (* declared position of each slot's input *)
@@ -623,8 +639,12 @@ module Eln_stepper = struct
     let n = System.size sys in
     let positions = slot_positions "Eln_stepper" sys inputs in
     let out_loc = System.locate sys output in
-    (* Linear fixed-step network: assemble and factor exactly once. *)
-    let lu = Matrix.lu_factor (System.stamp_matrix sys ~h:dt) in
+    (* Linear fixed-step network: assemble and factor exactly once, with
+       dense partial pivoting; each step then substitutes over the
+       factor's nonzero entries only. *)
+    let lu =
+      Sparse.of_dense (Matrix.lu_factor (System.stamp_matrix sys ~h:dt))
+    in
     Obs.Counter.incr c_device_evals;
     Obs.Counter.incr c_factorizations;
     {
@@ -645,7 +665,7 @@ module Eln_stepper = struct
     System.stamp_rhs st.sys ~h:st.dt ~state:st.x ~inputs:st.inputs ~rhs:st.rhs;
     (* Solving in place is safe: the RHS already carries all the solve
        needs of the old state. *)
-    Matrix.lu_solve_into st.lu ~b:st.rhs ~x:st.x;
+    Sparse.lu_solve_into st.lu ~b:st.rhs ~x:st.x;
     Obs.Counter.incr c_steps;
     Obs.Counter.incr c_solves;
     Obs.Counter.incr c_rhs_builds;
@@ -682,7 +702,7 @@ let eln_like circuit ~inputs ~output ~dt ~t_stop =
   let n = System.size st.sys in
   Obs.Gauge.set g_matrix_dim (float_of_int n);
   if Journal.enabled () then begin
-    let mn, mx = Matrix.pivot_range st.lu in
+    let mn, mx = Sparse.pivot_range st.lu in
     Journal.emit ~cat:"mna" "eln.run"
       [
         ("steps", Journal.I nsteps);
@@ -738,9 +758,8 @@ module Spice_stepper = struct
     output s
 
   let reset s =
-    let n = Array.length s.st.x in
-    s.st.x <- Array.make n 0.0;
-    s.st.xm1 <- Array.make n 0.0;
+    Array.fill s.st.x 0 (Array.length s.st.x) 0.0;
+    Array.fill s.st.xm1 0 (Array.length s.st.xm1) 0.0;
     s.st.nsub <- s.st.substeps;
     s.st.step <- 0
 end

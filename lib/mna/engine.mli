@@ -118,8 +118,9 @@ val eln_like :
 
 (** Step-wise interface to the ELN engine, for embedding the linear
     network inside a discrete-event kernel (the SystemC-AMS use case):
-    the matrix is factored at creation, each [step] performs one RHS
-    build and one triangular solve. *)
+    the matrix is factored at creation (dense, partial pivoting), each
+    [step] performs one RHS build and one triangular solve over the
+    factor's nonzero entries ({!Sparse.of_dense}). *)
 module Eln_stepper : sig
   type t
 

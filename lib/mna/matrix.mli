@@ -21,7 +21,13 @@ val add_to : t -> int -> int -> float -> unit
 
 val copy : t -> t
 
-type lu
+type lu = private {
+  ln : int;  (** dimension *)
+  lu : float array;
+      (** packed row-major: L's multipliers below the diagonal (its
+          unit diagonal implied), U on and above it *)
+  perm : int array;  (** factored row [i] is original row [perm.(i)] *)
+}
 (** An LU factorisation with partial pivoting. *)
 
 exception Singular of int

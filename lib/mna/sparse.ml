@@ -1,13 +1,41 @@
 type triplet = int * int * float
 
+(* L and U in compressed sparse rows: row [i]'s entries are
+   [ptr.(i) .. ptr.(i+1) - 1] of [col]/[value], by ascending column.
+   Flat arrays, so a solve walks three arrays instead of boxed
+   pairs. *)
+type csr = { ptr : int array; col : int array; value : float array }
+
 type lu = {
   n : int;
   perm : int array;  (* permuted row i came from original row perm.(i) *)
-  lrows : (int * float) array array;  (* strictly lower, sorted by column *)
-  urows : (int * float) array array;  (* strictly upper, sorted by column *)
+  l : csr;  (* strictly lower *)
+  u : csr;  (* strictly upper *)
   diag : float array;
   nnz : int;
 }
+
+let csr_nnz m = m.ptr.(Array.length m.ptr - 1)
+
+let make_lu ~perm l u diag =
+  let n = Array.length diag in
+  { n; perm; l; u; diag; nnz = n + csr_nnz l + csr_nnz u }
+
+(* The CSR form of per-row [(column, value)] arrays sorted by column. *)
+let csr_of_rows rows =
+  let n = Array.length rows in
+  let ptr = Array.make (n + 1) 0 in
+  Array.iteri (fun i r -> ptr.(i + 1) <- ptr.(i) + Array.length r) rows;
+  let col = Array.make ptr.(n) 0 and value = Array.make ptr.(n) 0.0 in
+  Array.iteri
+    (fun i r ->
+      Array.iteri
+        (fun e (j, v) ->
+          col.(ptr.(i) + e) <- j;
+          value.(ptr.(i) + e) <- v)
+        r)
+    rows;
+  { ptr; col; value }
 
 exception Singular of int
 
@@ -102,36 +130,58 @@ let lu_factor ~n triplets =
         Array.sort (fun (a, _) (b, _) -> compare a b) arr;
         arr)
   in
-  let lrows = Array.map compress_l lrows in
-  let nnz =
-    n
-    + Array.fold_left (fun acc r -> acc + Array.length r) 0 lrows
-    + Array.fold_left (fun acc r -> acc + Array.length r) 0 urows
-  in
-  { n; perm; lrows; urows; diag; nnz }
+  make_lu ~perm (csr_of_rows (Array.map compress_l lrows)) (csr_of_rows urows)
+    diag
 
+(* The dense factor's nonzero entries, row by row in column order: the
+   substitution below then does the dense loops' operations minus the
+   terms whose factor entry is exactly zero. *)
+let of_dense (f : Matrix.lu) =
+  let n = f.ln in
+  let rows keep =
+    Array.init n (fun i ->
+        let row = ref [] in
+        for j = n - 1 downto 0 do
+          let v = f.lu.((i * n) + j) in
+          if keep i j && v <> 0.0 then row := (j, v) :: !row
+        done;
+        Array.of_list !row)
+  in
+  let l = csr_of_rows (rows (fun i j -> j < i))
+  and u = csr_of_rows (rows (fun i j -> j > i)) in
+  make_lu ~perm:(Array.copy f.perm) l u
+    (Array.init n (fun i -> f.lu.((i * n) + i)))
+
+(* Every index a factor holds was produced by this module (columns in
+   [0, n), row pointers within the value arrays, [perm] a permutation)
+   and [b] and [x] are checked to have length [n], so the loops read
+   and write unchecked: about a quarter of a 22-unknown solve was
+   bounds checks. *)
 let lu_solve_into f ~b ~x =
-  if Array.length b <> f.n || Array.length x <> f.n then
+  let n = f.n in
+  if Array.length b <> n || Array.length x <> n then
     invalid_arg "Sparse.lu_solve_into: dimension mismatch";
+  let lp = f.l.ptr and lc = f.l.col and lv = f.l.value in
+  let up = f.u.ptr and uc = f.u.col and uv = f.u.value in
   (* Forward substitution on the permuted RHS (x doubles as y). *)
-  for i = 0 to f.n - 1 do
-    let s = ref b.(f.perm.(i)) in
-    let row = f.lrows.(i) in
-    for e = 0 to Array.length row - 1 do
-      let j, v = row.(e) in
-      s := !s -. (v *. x.(j))
+  for i = 0 to n - 1 do
+    let s = ref (Array.unsafe_get b (Array.unsafe_get f.perm i)) in
+    for e = Array.unsafe_get lp i to Array.unsafe_get lp (i + 1) - 1 do
+      s :=
+        !s
+        -. (Array.unsafe_get lv e *. Array.unsafe_get x (Array.unsafe_get lc e))
     done;
-    x.(i) <- !s
+    Array.unsafe_set x i !s
   done;
   (* Backward substitution. *)
-  for i = f.n - 1 downto 0 do
-    let s = ref x.(i) in
-    let row = f.urows.(i) in
-    for e = 0 to Array.length row - 1 do
-      let j, v = row.(e) in
-      s := !s -. (v *. x.(j))
+  for i = n - 1 downto 0 do
+    let s = ref (Array.unsafe_get x i) in
+    for e = Array.unsafe_get up i to Array.unsafe_get up (i + 1) - 1 do
+      s :=
+        !s
+        -. (Array.unsafe_get uv e *. Array.unsafe_get x (Array.unsafe_get uc e))
     done;
-    x.(i) <- !s /. f.diag.(i)
+    Array.unsafe_set x i (!s /. Array.unsafe_get f.diag i)
   done
 
 let lu_solve f b =
@@ -259,12 +309,9 @@ let refactor sym triplets =
       buckets.(pi) <- (j, v) :: buckets.(pi))
     triplets;
   let diag = Array.make n 0.0 in
-  let lrows =
-    Array.init n (fun i -> Array.map (fun j -> (j, 0.0)) sym.slpat.(i))
-  in
-  let urows =
-    Array.init n (fun i -> Array.map (fun j -> (j, 0.0)) sym.supat.(i))
-  in
+  (* The patterns with zero values, filled in below. *)
+  let zeros pat = csr_of_rows (Array.map (Array.map (fun j -> (j, 0.0))) pat) in
+  let l = zeros sym.slpat and u = zeros sym.supat in
   (* Up-looking row elimination over the fixed pattern: scatter the row
      into a dense workspace, eliminate against already-finished U rows
      in ascending pivot order, gather L/U values back out. Every column
@@ -273,35 +320,28 @@ let refactor sym triplets =
   let w = Array.make n 0.0 in
   for i = 0 to n - 1 do
     List.iter (fun (j, v) -> w.(j) <- w.(j) +. v) buckets.(i);
-    let lp = sym.slpat.(i) in
-    let lrow = lrows.(i) in
-    for e = 0 to Array.length lp - 1 do
-      let j = lp.(e) in
+    for e = l.ptr.(i) to l.ptr.(i + 1) - 1 do
+      let j = l.col.(e) in
       let f = w.(j) /. diag.(j) in
-      lrow.(e) <- (j, f);
-      let urow = urows.(j) in
-      for u = 0 to Array.length urow - 1 do
-        let k, uv = urow.(u) in
-        w.(k) <- w.(k) -. (f *. uv)
+      l.value.(e) <- f;
+      for q = u.ptr.(j) to u.ptr.(j + 1) - 1 do
+        let k = u.col.(q) in
+        w.(k) <- w.(k) -. (f *. u.value.(q))
       done
     done;
     let d = w.(i) in
     if abs_float d < 1e-300 then raise (Singular i);
     diag.(i) <- d;
-    let up = sym.supat.(i) in
-    let urow = urows.(i) in
-    for e = 0 to Array.length up - 1 do
-      let k = up.(e) in
-      urow.(e) <- (k, w.(k))
+    for e = u.ptr.(i) to u.ptr.(i + 1) - 1 do
+      u.value.(e) <- w.(u.col.(e))
     done;
     (* Clear the workspace along the row pattern. *)
-    Array.iter (fun j -> w.(j) <- 0.0) lp;
+    for e = l.ptr.(i) to l.ptr.(i + 1) - 1 do
+      w.(l.col.(e)) <- 0.0
+    done;
     w.(i) <- 0.0;
-    Array.iter (fun j -> w.(j) <- 0.0) up
+    for e = u.ptr.(i) to u.ptr.(i + 1) - 1 do
+      w.(u.col.(e)) <- 0.0
+    done
   done;
-  let nnz =
-    n
-    + Array.fold_left (fun acc r -> acc + Array.length r) 0 lrows
-    + Array.fold_left (fun acc r -> acc + Array.length r) 0 urows
-  in
-  { n; perm = Array.copy sym.sperm; lrows; urows; diag; nnz }
+  make_lu ~perm:(Array.copy sym.sperm) l u diag

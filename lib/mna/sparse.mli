@@ -7,13 +7,28 @@
     hash-sparse vectors during elimination, pivots are chosen by a
     Markowitz-style rule (fewest fill candidates) subject to a
     numerical threshold against the column maximum, and the resulting
-    factors are stored compressed for repeated forward/backward solves
-    — the access pattern of a fixed-timestep linear network. *)
+    factors are stored as compressed sparse rows (flat index and value
+    arrays) for repeated forward/backward solves — the access pattern
+    of a fixed-timestep linear network. *)
 
 type triplet = int * int * float
 (** [(row, col, value)]; duplicate entries accumulate. *)
 
-type lu
+(** A matrix in compressed sparse rows: row [i]'s entries are
+    [ptr.(i) .. ptr.(i+1) - 1] of [col] and [value], by ascending
+    column. *)
+type csr = private { ptr : int array; col : int array; value : float array }
+
+(** [P A = L U] with unit-diagonal [L]: row [i] of the factors is row
+    [perm.(i)] of [A]. Read-only outside this module. *)
+type lu = private {
+  n : int;
+  perm : int array;
+  l : csr;  (** strictly lower part of [L] *)
+  u : csr;  (** strictly upper part of [U] *)
+  diag : float array;  (** diagonal of [U] *)
+  nnz : int;
+}
 
 exception Singular of int
 (** No admissible pivot in the given elimination step. *)
@@ -22,6 +37,16 @@ val lu_factor : n:int -> triplet list -> lu
 (** Factor the [n x n] matrix given by its nonzero entries.
     @raise Singular on structurally or numerically singular input
     @raise Invalid_argument on out-of-range indices. *)
+
+val of_dense : Matrix.lu -> lu
+(** The nonzero entries of a dense partial-pivot factor, with its
+    pivots, in the compressed form. {!lu_solve_into} on the result does
+    the dense substitution's operations in the same order, minus the
+    terms whose factor entry is exactly zero. Subtracting [±0] leaves a
+    nonzero partial sum unchanged, so for a finite right-hand side
+    every solution component equals {!Matrix.lu_solve_into}'s: bit for
+    bit when it is nonzero, and under [Float.equal] when it is zero —
+    the sign of an exact zero is the only possible difference. *)
 
 val lu_solve_into : lu -> b:float array -> x:float array -> unit
 (** Allocation-free solve; [b] is not modified, [b] and [x] may not

@@ -11,6 +11,29 @@ type device = {
   slot : int;
 }
 
+(* What a device adds to the right-hand side: a backward-Euler history
+   term or a source value. *)
+type rhs_op =
+  | Cap_history  (* [c/h * v] into the terminals *)
+  | Current  (* a source current out of [a], into [b] *)
+  | Voltage  (* a source voltage in the branch row *)
+  | Ind_history  (* [-(l/h) * i] in the branch row *)
+
+(* The RHS plan: one entry per device that contributes to the RHS, in
+   device order (so the sums accumulate as a per-device loop's would),
+   as parallel flat arrays. The companion coefficients [c/h] and
+   [-(l/h)] are cached for the [h] they were last computed with. *)
+type rhs_plan = {
+  op : rhs_op array;
+  pa : int array;  (* terminals, -1 for ground *)
+  pb : int array;
+  row : int array;  (* the branch row of a [Voltage]/[Ind_history] *)
+  islot : int array;  (* the input slot of a source, -1 for a constant *)
+  param : float array;  (* c, l, or a constant source's value *)
+  coef : float array;  (* c/h or -(l/h) for [coef_h] *)
+  mutable coef_h : float;
+}
+
 type t = {
   node_index : (string, int) Hashtbl.t;  (* non-ground nodes -> 0.. *)
   by_name : (string, device) Hashtbl.t;
@@ -19,12 +42,39 @@ type t = {
       (* the piecewise-linear devices and their thresholds, in stamp order *)
   inputs : string array;  (* input signal of each slot *)
   size : int;
+  plan : rhs_plan;
 }
 
 let needs_current_unknown (d : Component.t) =
   match d.kind with
   | Vsource _ | Inductor _ | Vcvs _ -> true
   | Resistor _ | Capacitor _ | Isource _ | Vccs _ | Pwl_conductance _ -> false
+
+let rhs_plan devices =
+  let const = function Component.Dc v -> v | Component.Input _ -> 0.0 in
+  let entries =
+    Array.of_list
+      (List.filter_map
+         (fun (d : device) ->
+           match d.component.kind with
+           | Resistor _ | Vccs _ | Pwl_conductance _ | Vcvs _ -> None
+           | Capacitor c -> Some (d, Cap_history, c)
+           | Isource src -> Some (d, Current, const src)
+           | Vsource src -> Some (d, Voltage, const src)
+           | Inductor l -> Some (d, Ind_history, l))
+         (Array.to_list devices))
+  in
+  let dev f = Array.map (fun (d, _, _) -> f d) entries in
+  {
+    op = Array.map (fun (_, op, _) -> op) entries;
+    pa = dev (fun d -> d.pos);
+    pb = dev (fun d -> d.neg);
+    row = dev (fun d -> d.branch);
+    islot = dev (fun d -> d.slot);
+    param = Array.map (fun (_, _, v) -> v) entries;
+    coef = Array.make (Array.length entries) 0.0;
+    coef_h = nan;
+  }
 
 (* Every name is looked up here, once: the per-step paths below only
    index arrays. *)
@@ -78,7 +128,8 @@ let build circuit =
            | _ -> None)
          (Array.to_list devices))
   in
-  { node_index; by_name; devices; pwl; inputs; size = !next }
+  { node_index; by_name; devices; pwl; inputs; size = !next;
+    plan = rhs_plan devices }
 
 let size s = s.size
 let devices s = s.devices
@@ -86,8 +137,12 @@ let inputs s = s.inputs
 let has_pwl s = Array.length s.pwl > 0
 let pwl_count s = Array.length s.pwl
 
-let node_value state i = if i < 0 then 0.0 else state.(i)
-let branch_voltage state d = node_value state d.pos -. node_value state d.neg
+(* Inlined, so that the per-step loops read the state unboxed. *)
+let[@inline] node_value (state : float array) i =
+  if i < 0 then 0.0 else state.(i)
+
+let[@inline] branch_voltage state d =
+  node_value state d.pos -. node_value state d.neg
 
 (* Stamping through an abstract accumulator so that both the dense and
    the sparse back-ends share the device models. *)
@@ -160,32 +215,41 @@ let stamp_triplets ?state s ~h =
   stamp_into ?state s ~h ~add:(fun i j v -> acc := (i, j, v) :: !acc);
   !acc
 
-let source_value inputs d = function
-  | Component.Dc v -> v
-  | Component.Input _ -> inputs.(d.slot)
+let[@inline] source_value p inputs e =
+  if p.islot.(e) >= 0 then inputs.(p.islot.(e)) else p.param.(e)
 
 (* Runs once per step (per solver pass on the paper path): a plain
-   loop, so a call allocates nothing. *)
+   loop over the plan, so a call allocates nothing. The coefficients
+   are recomputed only when [h] differs from the cached one (the fast
+   path's adaptive substeps change it). *)
 let stamp_rhs s ~h ~state ~inputs ~rhs =
+  let p = s.plan in
+  if h <> p.coef_h then begin
+    for e = 0 to Array.length p.op - 1 do
+      match p.op.(e) with
+      | Cap_history -> p.coef.(e) <- p.param.(e) /. h
+      | Ind_history -> p.coef.(e) <- -.(p.param.(e) /. h)
+      | Current | Voltage -> ()
+    done;
+    p.coef_h <- h
+  end;
   Array.fill rhs 0 (Array.length rhs) 0.0;
-  for i = 0 to Array.length s.devices - 1 do
-    let d = s.devices.(i) in
-    let a = d.pos and b = d.neg in
-    match d.component.kind with
-    | Resistor _ | Vccs _ | Pwl_conductance _ | Vcvs _ -> ()
-    | Capacitor c ->
+  for e = 0 to Array.length p.op - 1 do
+    let a = p.pa.(e) and b = p.pb.(e) in
+    match p.op.(e) with
+    | Cap_history ->
         (* History current of the backward-Euler companion model. *)
-        let ieq = c /. h *. branch_voltage state d in
+        let ieq = p.coef.(e) *. (node_value state a -. node_value state b) in
         if a >= 0 then rhs.(a) <- rhs.(a) +. ieq;
         if b >= 0 then rhs.(b) <- rhs.(b) -. ieq
-    | Isource src ->
-        let j = source_value inputs d src in
+    | Current ->
+        let j = source_value p inputs e in
         if a >= 0 then rhs.(a) <- rhs.(a) -. j;
         if b >= 0 then rhs.(b) <- rhs.(b) +. j
-    | Vsource src -> rhs.(d.branch) <- source_value inputs d src
-    | Inductor l ->
-        let k = d.branch in
-        rhs.(k) <- -.(l /. h) *. state.(k)
+    | Voltage -> rhs.(p.row.(e)) <- source_value p inputs e
+    | Ind_history ->
+        let k = p.row.(e) in
+        rhs.(k) <- p.coef.(e) *. state.(k)
   done
 
 type locator =

@@ -74,7 +74,10 @@ val stamp_rhs :
   unit
 (** Fill [rhs] for one step: [state] is the previous solution vector
     (history terms), [inputs] holds the value of each input slot (see
-    {!inputs}) at the new time point. *)
+    {!inputs}) at the new time point. Walks a plan of the contributing
+    devices built by {!build}, in device order; the companion
+    coefficients [c/h] and [-(l/h)] are kept for the last [h] and
+    recomputed when it changes. *)
 
 (** Where an output quantity sits in a solution vector. *)
 type locator =

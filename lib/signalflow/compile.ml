@@ -657,26 +657,36 @@ let load_consts t regs =
          (Array.length regs) t.n_regs);
   Array.iteri (fun i c -> regs.(t.n_slots + i) <- c) t.consts
 
+(* Unchecked register access, as primitives: a local [get]/[set] would
+   be a closure over the register file, allocated on every [exec]. *)
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
 (* All operand indices were validated below [n_regs] at build time and
    [load_consts] checked the array length, so the hot loop can elide
-   bounds checks. *)
+   bounds checks. The operands of a commutative add or multiply are
+   bound before the operation: the code generator may otherwise fold
+   one load into the instruction and swap the operands, and when both
+   are NaN the left one's sign is the one the tree engine keeps. *)
 let exec t (regs : float array) =
   let code = t.code in
-  let get i = Array.unsafe_get regs i in
-  let set i v = Array.unsafe_set regs i v in
   for i = 0 to Array.length code - 1 do
     match Array.unsafe_get code i with
-    | Mov (d, s) -> set d (get s)
-    | Neg (d, a) -> set d (-.get a)
-    | Add (d, a, b) -> set d (get a +. get b)
-    | Sub (d, a, b) -> set d (get a -. get b)
-    | Mul (d, a, b) -> set d (get a *. get b)
-    | Div (d, a, b) -> set d (get a /. get b)
-    | App (f, d, a) -> set d (Expr.apply_fun f (get a))
+    | Mov (d, s) -> set regs d (get regs s)
+    | Neg (d, a) -> set regs d (-.get regs a)
+    | Add (d, a, b) ->
+        let x = get regs a and y = get regs b in
+        set regs d (x +. y)
+    | Sub (d, a, b) -> set regs d (get regs a -. get regs b)
+    | Mul (d, a, b) ->
+        let x = get regs a and y = get regs b in
+        set regs d (x *. y)
+    | Div (d, a, b) -> set regs d (get regs a /. get regs b)
+    | App (f, d, a) -> set regs d (Expr.apply_fun f (get regs a))
     | Cmp (c, d, a, b) ->
         (* Compared here rather than through [Expr.apply_cmp]: a call
            across modules boxes both operands under [-opaque]. *)
-        let x = get a and y = get b in
+        let x = get regs a and y = get regs b in
         let r =
           match c with
           | Expr.Lt -> x < y
@@ -684,15 +694,22 @@ let exec t (regs : float array) =
           | Expr.Gt -> x > y
           | Expr.Ge -> x >= y
         in
-        set d (if r then 1.0 else 0.0)
+        set regs d (if r then 1.0 else 0.0)
     | Andb (d, a, b) ->
-        set d (if get a <> 0.0 && get b <> 0.0 then 1.0 else 0.0)
+        set regs d
+          (if get regs a <> 0.0 && get regs b <> 0.0 then 1.0 else 0.0)
     | Orb (d, a, b) ->
-        set d (if get a <> 0.0 || get b <> 0.0 then 1.0 else 0.0)
-    | Notb (d, a) -> set d (if get a <> 0.0 then 0.0 else 1.0)
-    | Sel (d, c, a, b) -> set d (if get c <> 0.0 then get a else get b)
-    | Mul_add (d, a, b, c) -> set d ((get a *. get b) +. get c)
-    | Add_mul (d, c, a, b) -> set d (get c +. (get a *. get b))
+        set regs d
+          (if get regs a <> 0.0 || get regs b <> 0.0 then 1.0 else 0.0)
+    | Notb (d, a) -> set regs d (if get regs a <> 0.0 then 0.0 else 1.0)
+    | Sel (d, c, a, b) ->
+        set regs d (if get regs c <> 0.0 then get regs a else get regs b)
+    | Mul_add (d, a, b, c) ->
+        let x = get regs a and y = get regs b and z = get regs c in
+        set regs d ((x *. y) +. z)
+    | Add_mul (d, c, a, b) ->
+        let x = get regs a and y = get regs b and z = get regs c in
+        set regs d (z +. (x *. y))
   done
 
 (* ---- generic (abstract) execution ---- *)

@@ -73,7 +73,8 @@ end
     SC_THREAD-like processes: a sequential body that suspends itself
     with [wait] calls, implemented with OCaml effects (one-shot
     continuations) — no OS threads involved. A thread starts at time
-    zero and dies when its body returns. *)
+    zero and dies when its body returns. Each thread owns one timeout
+    event and one resume process, which all its waits reuse. *)
 
 module Thread : sig
   val spawn : t -> name:string -> (unit -> unit) -> unit

@@ -26,40 +26,56 @@ let attach bus ~name dev =
     bus.devices;
   bus.devices <- bus.devices @ [ (name, dev) ]
 
-let decode bus addr =
-  let rec go = function
-    | [] -> raise (Bus_error addr)
-    | (_, d) :: rest ->
-        if addr >= d.base && addr < d.base + d.size then (d, addr - d.base)
-        else go rest
-  in
-  go bus.devices
+(* The device mapping [addr]; a top-level loop, so a transfer builds no
+   pair and no closure. *)
+let rec device_at addr = function
+  | [] -> raise (Bus_error addr)
+  | (_, d) :: rest ->
+      if addr >= d.base && addr < d.base + d.size then d
+      else device_at addr rest
 
 let iss_bus bus =
   {
     Iss.read32 =
       (fun addr ->
         bus.transfers <- bus.transfers + 1;
-        let d, off = decode bus addr in
-        d.read off);
+        let d = device_at addr bus.devices in
+        d.read (addr - d.base));
     Iss.write32 =
       (fun addr v ->
         bus.transfers <- bus.transfers + 1;
-        let d, off = decode bus addr in
-        d.write off v);
+        let d = device_at addr bus.devices in
+        d.write (addr - d.base) v);
   }
 
 let transfers bus = bus.transfers
 
 module Ram = struct
+  (* The words are paged, copy-on-write from one shared zero page: a
+     platform run touches a few pages of its RAM and allocates only
+     those. *)
+  let page_bits = 8
+
   let attach bus ~base ~size_words =
-    let mem = Array.make size_words 0 in
+    let page_words = 1 lsl page_bits in
+    let zero = Array.make page_words 0 in
+    let pages =
+      Array.make ((size_words + page_words - 1) lsr page_bits) zero
+    in
     attach bus ~name:"ram"
       {
         base;
         size = size_words * 4;
-        read = (fun off -> mem.(off / 4));
-        write = (fun off v -> mem.(off / 4) <- v land 0xFFFFFFFF);
+        read =
+          (fun off ->
+            let w = off lsr 2 in
+            pages.(w lsr page_bits).(w land (page_words - 1)));
+        write =
+          (fun off v ->
+            let w = off lsr 2 in
+            let p = w lsr page_bits in
+            if pages.(p) == zero then pages.(p) <- Array.make page_words 0;
+            pages.(p).(w land (page_words - 1)) <- v land 0xFFFFFFFF);
       }
 
   let load bus ~base words =

@@ -81,40 +81,38 @@ let step cpu =
   let funct = w land 0x3F in
   let imm = w land 0xFFFF in
   let next_pc = ref (mask32 (cpu.pc + 4)) in
-  let wr i v = set_reg cpu i v in
   (match opcode with
   | 0 -> (
       (* R-type *)
       match funct with
-      | 0 -> wr rd (cpu.regs.(rt) lsl shamt)  (* sll *)
-      | 2 -> wr rd (mask32 cpu.regs.(rt) lsr shamt)  (* srl *)
-      | 3 -> wr rd (sign32 cpu.regs.(rt) asr shamt)  (* sra *)
+      | 0 -> set_reg cpu rd (cpu.regs.(rt) lsl shamt)  (* sll *)
+      | 2 -> set_reg cpu rd (mask32 cpu.regs.(rt) lsr shamt)  (* srl *)
+      | 3 -> set_reg cpu rd (sign32 cpu.regs.(rt) asr shamt)  (* sra *)
       | 8 -> next_pc := cpu.regs.(rs)  (* jr *)
-      | 32 | 33 -> wr rd (cpu.regs.(rs) + cpu.regs.(rt))  (* add/addu *)
-      | 34 | 35 -> wr rd (cpu.regs.(rs) - cpu.regs.(rt))  (* sub/subu *)
-      | 36 -> wr rd (cpu.regs.(rs) land cpu.regs.(rt))  (* and *)
-      | 37 -> wr rd (cpu.regs.(rs) lor cpu.regs.(rt))  (* or *)
-      | 38 -> wr rd (cpu.regs.(rs) lxor cpu.regs.(rt))  (* xor *)
-      | 39 -> wr rd (lnot (cpu.regs.(rs) lor cpu.regs.(rt)))  (* nor *)
-      | 42 -> wr rd (if sign32 cpu.regs.(rs) < sign32 cpu.regs.(rt) then 1 else 0)
-      | 43 -> wr rd (if mask32 cpu.regs.(rs) < mask32 cpu.regs.(rt) then 1 else 0)
-      | 16 -> wr rd cpu.hi  (* mfhi *)
-      | 18 -> wr rd cpu.lo  (* mflo *)
+      | 32 | 33 -> set_reg cpu rd (cpu.regs.(rs) + cpu.regs.(rt))  (* add/addu *)
+      | 34 | 35 -> set_reg cpu rd (cpu.regs.(rs) - cpu.regs.(rt))  (* sub/subu *)
+      | 36 -> set_reg cpu rd (cpu.regs.(rs) land cpu.regs.(rt))  (* and *)
+      | 37 -> set_reg cpu rd (cpu.regs.(rs) lor cpu.regs.(rt))  (* or *)
+      | 38 -> set_reg cpu rd (cpu.regs.(rs) lxor cpu.regs.(rt))  (* xor *)
+      | 39 -> set_reg cpu rd (lnot (cpu.regs.(rs) lor cpu.regs.(rt)))  (* nor *)
+      | 42 ->
+          set_reg cpu rd
+            (if sign32 cpu.regs.(rs) < sign32 cpu.regs.(rt) then 1 else 0)
+      | 43 ->
+          set_reg cpu rd
+            (if mask32 cpu.regs.(rs) < mask32 cpu.regs.(rt) then 1 else 0)
+      | 16 -> set_reg cpu rd cpu.hi  (* mfhi *)
+      | 18 -> set_reg cpu rd cpu.lo  (* mflo *)
       | 24 | 25 ->
           (* mult/multu *)
-          let a, b =
-            if funct = 24 then (sign32 cpu.regs.(rs), sign32 cpu.regs.(rt))
-            else (mask32 cpu.regs.(rs), mask32 cpu.regs.(rt))
-          in
-          let p = a * b in
+          let conv = if funct = 24 then sign32 else mask32 in
+          let p = conv cpu.regs.(rs) * conv cpu.regs.(rt) in
           cpu.lo <- mask32 p;
           cpu.hi <- mask32 (p asr 32)
       | 26 | 27 ->
           (* div/divu *)
-          let a, b =
-            if funct = 26 then (sign32 cpu.regs.(rs), sign32 cpu.regs.(rt))
-            else (mask32 cpu.regs.(rs), mask32 cpu.regs.(rt))
-          in
+          let conv = if funct = 26 then sign32 else mask32 in
+          let a = conv cpu.regs.(rs) and b = conv cpu.regs.(rt) in
           if b = 0 then begin
             cpu.lo <- 0;
             cpu.hi <- 0
@@ -147,7 +145,8 @@ let step cpu =
       match rs with
       | 0 ->
           (* mfc0 rt, rd *)
-          wr rt (match rd with 12 -> if cpu.ie then 1 else 0 | 14 -> cpu.epc | _ -> 0)
+          set_reg cpu rt
+            (match rd with 12 -> if cpu.ie then 1 else 0 | 14 -> cpu.epc | _ -> 0)
       | 4 ->
           (* mtc0 rt, rd *)
           (match rd with
@@ -161,7 +160,7 @@ let step cpu =
       | _ -> raise (Decode_error (w, cpu.pc)))
   | 2 -> next_pc := (cpu.pc land 0xF0000000) lor ((w land 0x3FFFFFF) lsl 2)
   | 3 ->
-      wr 31 (cpu.pc + 4);
+      set_reg cpu 31 (cpu.pc + 4);
       next_pc := (cpu.pc land 0xF0000000) lor ((w land 0x3FFFFFF) lsl 2)
   | 4 ->
       (* beq: no delay slot in this ISS *)
@@ -170,22 +169,30 @@ let step cpu =
   | 5 ->
       if mask32 cpu.regs.(rs) <> mask32 cpu.regs.(rt) then
         next_pc := mask32 (cpu.pc + 4 + (sign16 imm lsl 2))
-  | 8 | 9 -> wr rt (cpu.regs.(rs) + sign16 imm)  (* addi/addiu *)
-  | 10 -> wr rt (if sign32 cpu.regs.(rs) < sign16 imm then 1 else 0)  (* slti *)
-  | 11 -> wr rt (if mask32 cpu.regs.(rs) < mask32 (sign16 imm) then 1 else 0)
-  | 12 -> wr rt (cpu.regs.(rs) land imm)  (* andi *)
-  | 13 -> wr rt (cpu.regs.(rs) lor imm)  (* ori *)
-  | 14 -> wr rt (cpu.regs.(rs) lxor imm)  (* xori *)
-  | 15 -> wr rt (imm lsl 16)  (* lui *)
+  | 8 | 9 -> set_reg cpu rt (cpu.regs.(rs) + sign16 imm)  (* addi/addiu *)
+  | 10 ->
+      (* slti *)
+      set_reg cpu rt (if sign32 cpu.regs.(rs) < sign16 imm then 1 else 0)
+  | 11 ->
+      set_reg cpu rt
+        (if mask32 cpu.regs.(rs) < mask32 (sign16 imm) then 1 else 0)
+  | 12 -> set_reg cpu rt (cpu.regs.(rs) land imm)  (* andi *)
+  | 13 -> set_reg cpu rt (cpu.regs.(rs) lor imm)  (* ori *)
+  | 14 -> set_reg cpu rt (cpu.regs.(rs) lxor imm)  (* xori *)
+  | 15 -> set_reg cpu rt (imm lsl 16)  (* lui *)
   | 32 ->
       (* lb *)
       let b = read_byte cpu (mask32 (cpu.regs.(rs) + sign16 imm)) in
-      wr rt (if b land 0x80 <> 0 then b lor 0xFFFFFF00 else b)
-  | 36 -> wr rt (read_byte cpu (mask32 (cpu.regs.(rs) + sign16 imm)))  (* lbu *)
+      set_reg cpu rt (if b land 0x80 <> 0 then b lor 0xFFFFFF00 else b)
+  | 36 ->
+      (* lbu *)
+      set_reg cpu rt (read_byte cpu (mask32 (cpu.regs.(rs) + sign16 imm)))
   | 40 ->
       (* sb *)
       write_byte cpu (mask32 (cpu.regs.(rs) + sign16 imm)) cpu.regs.(rt)
-  | 35 -> wr rt (cpu.bus.read32 (mask32 (cpu.regs.(rs) + sign16 imm)))  (* lw *)
+  | 35 ->
+      (* lw *)
+      set_reg cpu rt (cpu.bus.read32 (mask32 (cpu.regs.(rs) + sign16 imm)))
   | 43 ->
       cpu.bus.write32 (mask32 (cpu.regs.(rs) + sign16 imm)) (mask32 cpu.regs.(rt))
   | _ -> raise (Decode_error (w, cpu.pc)));

@@ -23,6 +23,7 @@
 
 module Matrix = Amsvp_mna.Matrix
 module Sparse = Amsvp_mna.Sparse
+module System = Amsvp_mna.System
 module Dc = Amsvp_mna.Dc
 module Engine = Amsvp_mna.Engine
 module Circuit = Amsvp_netlist.Circuit
@@ -155,11 +156,25 @@ let test_fast_pwl_restamps () =
 
 (* ---- Random circuits: QCheck differential harness ---- *)
 
+(* The random circuit families: RC ladders, series RLC networks and
+   rectifiers, each from two parameters. *)
+let rc_params = QCheck.(pair (int_range 1 6) (float_range 0.5 4.0))
+let random_rc (order, rscale) = Circuits.rc_ladder ~r:(5e3 *. rscale) order
+let rlc_params = QCheck.(pair (float_range 0.5 3.0) (float_range 0.5 3.0))
+
+let random_rlc (rs, ls) =
+  Circuits.rlc_series ~r:(100.0 *. rs) ~l:(10e-3 *. ls) ()
+
+let rect_params = QCheck.(pair (float_range 0.3 3.0) (float_range 0.5 2.0))
+
+let random_rect (rscale, gscale) =
+  Circuits.rectifier ~r:(1e3 *. rscale) ~g_on:(1e-2 *. gscale) ()
+
 let prop_fast_matches_paper_rc =
   QCheck.Test.make ~name:"fast matches paper on random RC ladders" ~count:10
-    QCheck.(pair (int_range 1 6) (float_range 0.5 4.0))
-    (fun (order, rscale) ->
-      let tc = Circuits.rc_ladder ~r:(5e3 *. rscale) order in
+    rc_params
+    (fun p ->
+      let tc = random_rc p in
       let e, _, _ =
         nrmse_fast_vs_paper ~substeps:4 tc ~dt:2.5e-7 ~t_stop:2.5e-4
       in
@@ -167,9 +182,9 @@ let prop_fast_matches_paper_rc =
 
 let prop_fast_matches_paper_rlc =
   QCheck.Test.make ~name:"fast matches paper on random RLC networks" ~count:8
-    QCheck.(pair (float_range 0.5 3.0) (float_range 0.5 3.0))
-    (fun (rs, ls) ->
-      let tc = Circuits.rlc_series ~r:(100.0 *. rs) ~l:(10e-3 *. ls) () in
+    rlc_params
+    (fun p ->
+      let tc = random_rlc p in
       let e, _, _ =
         nrmse_fast_vs_paper ~substeps:8 tc ~dt:1e-6 ~t_stop:2e-3
       in
@@ -177,11 +192,9 @@ let prop_fast_matches_paper_rlc =
 
 let prop_fast_matches_paper_pwl =
   QCheck.Test.make ~name:"fast matches paper on random rectifiers" ~count:8
-    QCheck.(pair (float_range 0.3 3.0) (float_range 0.5 2.0))
-    (fun (rscale, gscale) ->
-      let tc =
-        Circuits.rectifier ~r:(1e3 *. rscale) ~g_on:(1e-2 *. gscale) ()
-      in
+    rect_params
+    (fun p ->
+      let tc = random_rect p in
       let e, _, _ =
         nrmse_fast_vs_paper ~substeps:8 tc ~dt:5e-6 ~t_stop:2e-3
       in
@@ -225,6 +238,228 @@ let prop_sparse_matches_dense =
       let xd' = dense_solution triplets' ~n b in
       let xr' = Sparse.lu_solve (Sparse.refactor sym triplets') b in
       rel_close xd xs && rel_close xd xr && rel_close xd' xr')
+
+(* ---- The flat solver and RHS plan against the arithmetic they
+   replaced ---- *)
+
+(* A circuit of any random family, plus a seed for the vectors and
+   timesteps a property draws. The circuit gains a constant and an
+   input-driven current source on random nodes, so that every kind of
+   RHS contribution occurs. *)
+let random_circuit =
+  let family =
+    QCheck.Gen.(
+      oneof
+        [
+          map random_rc (QCheck.gen rc_params);
+          map random_rlc (QCheck.gen rlc_params);
+          map random_rect (QCheck.gen rect_params);
+        ])
+  in
+  QCheck.make
+    ~print:(fun ((tc : Circuits.testcase), seed) ->
+      Printf.sprintf "%s, seed %d" tc.label seed)
+    QCheck.Gen.(pair family (int_bound 1_000_000))
+
+let with_current_sources (tc : Circuits.testcase) rs =
+  let c = tc.circuit in
+  let ground = Circuit.ground c in
+  let nodes = Array.of_list (List.filter (( <> ) ground) (Circuit.nodes c)) in
+  let node () = nodes.(Random.State.int rs (Array.length nodes)) in
+  Circuit.add_isource c ~name:"iq" ~pos:(node ()) ~neg:ground
+    (Component.Dc (Random.State.float rs 2e-3));
+  Circuit.add_isource c ~name:"iu" ~pos:ground ~neg:(node ())
+    (Component.Input "iu_in");
+  c
+
+(* A vector with some exact zeros of either sign, so the zero-sign rule
+   of [Sparse.of_dense] is exercised. *)
+let random_vector rs n =
+  Array.init n (fun _ ->
+      match Random.State.int rs 4 with
+      | 0 -> 0.0
+      | 1 -> -0.0
+      | _ -> Random.State.float rs 2.0 -. 1.0)
+
+let bits = Int64.bits_of_float
+
+(* The dense substitution loop: the ELN stepper's solve before it went
+   through the factor's nonzeros. *)
+let dense_substitution (f : Matrix.lu) b =
+  let n = f.ln in
+  let x = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let s = ref b.(f.perm.(i)) in
+    for j = 0 to i - 1 do
+      s := !s -. (f.lu.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !s
+  done;
+  for i = n - 1 downto 0 do
+    let s = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      s := !s -. (f.lu.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !s /. f.lu.((i * n) + i)
+  done;
+  x
+
+let prop_flat_matches_dense_loop =
+  QCheck.Test.make
+    ~name:"flat solve of a dense factor equals the dense loop" ~count:40
+    random_circuit
+    (fun (tc, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let sys = System.build tc.circuit in
+      let n = System.size sys in
+      let h = 1e-7 *. (1.0 +. Random.State.float rs 100.0) in
+      let state = random_vector rs n in
+      let f = Matrix.lu_factor (System.stamp_matrix ~state sys ~h) in
+      let flat = Sparse.of_dense f in
+      List.for_all
+        (fun _ ->
+          let b = random_vector rs n in
+          let expected = dense_substitution f b in
+          let x = Array.make n nan in
+          Sparse.lu_solve_into flat ~b ~x;
+          Array.for_all2
+            (fun e g ->
+              Float.equal e g && (e = 0.0 || Int64.equal (bits e) (bits g)))
+            expected x)
+        [ 1; 2; 3 ])
+
+(* [Sparse.refactor]'s numeric elimination and the solve, as they were
+   written over per-row [(column, value)] arrays, run over the pattern
+   of the factor under test: [perm] and the column indices of [l] and
+   [u]. *)
+let reference_refactor (pattern : Sparse.lu) triplets =
+  let n = pattern.n in
+  let cols (m : Sparse.csr) i =
+    Array.sub m.col m.ptr.(i) (m.ptr.(i + 1) - m.ptr.(i))
+  in
+  let pos = Array.make n 0 in
+  Array.iteri (fun i p -> pos.(p) <- i) pattern.perm;
+  let buckets = Array.make n [] in
+  List.iter
+    (fun (i, j, v) -> buckets.(pos.(i)) <- (j, v) :: buckets.(pos.(i)))
+    triplets;
+  let diag = Array.make n 0.0 in
+  let zeros m = Array.init n (fun i -> Array.map (fun j -> (j, 0.0)) (cols m i)) in
+  let lrows = zeros pattern.l and urows = zeros pattern.u in
+  let w = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    List.iter (fun (j, v) -> w.(j) <- w.(j) +. v) buckets.(i);
+    Array.iteri
+      (fun e (j, _) ->
+        let f = w.(j) /. diag.(j) in
+        lrows.(i).(e) <- (j, f);
+        Array.iter (fun (k, uv) -> w.(k) <- w.(k) -. (f *. uv)) urows.(j))
+      lrows.(i);
+    diag.(i) <- w.(i);
+    Array.iteri (fun e (k, _) -> urows.(i).(e) <- (k, w.(k))) urows.(i);
+    Array.iter (fun (j, _) -> w.(j) <- 0.0) lrows.(i);
+    w.(i) <- 0.0;
+    Array.iter (fun (j, _) -> w.(j) <- 0.0) urows.(i)
+  done;
+  let solve b =
+    let x = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let s = ref b.(pattern.perm.(i)) in
+      Array.iter (fun (j, v) -> s := !s -. (v *. x.(j))) lrows.(i);
+      x.(i) <- !s
+    done;
+    for i = n - 1 downto 0 do
+      let s = ref x.(i) in
+      Array.iter (fun (j, v) -> s := !s -. (v *. x.(j))) urows.(i);
+      x.(i) <- !s /. diag.(i)
+    done;
+    x
+  in
+  (lrows, urows, diag, solve)
+
+let prop_refactor_matches_reference =
+  QCheck.Test.make
+    ~name:"refactor and flat solve equal the reference loop over the pattern"
+    ~count:40 random_circuit
+    (fun (tc, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let sys = System.build tc.circuit in
+      let n = System.size sys in
+      let stamp h = System.stamp_triplets ~state:(random_vector rs n) sys ~h in
+      let sym = Sparse.analyze ~n (stamp 1e-6) in
+      (* Numeric refactors at other timesteps (and, for the rectifier,
+         other regions) on the analysed pattern. *)
+      List.for_all
+        (fun h ->
+          let triplets = stamp h in
+          match Sparse.refactor sym triplets with
+          | exception Sparse.Singular _ -> true
+          | lu ->
+              let lrows, urows, diag, solve = reference_refactor lu triplets in
+              let same a b = Int64.equal (bits a) (bits b) in
+              (* CSR values are the rows' values, concatenated. *)
+              let values rows =
+                Array.concat (List.map (Array.map snd) (Array.to_list rows))
+              in
+              let b = random_vector rs n in
+              let x = Array.make n nan in
+              Sparse.lu_solve_into lu ~b ~x;
+              Array.for_all2 same lu.l.value (values lrows)
+              && Array.for_all2 same lu.u.value (values urows)
+              && Array.for_all2 same lu.diag diag
+              && Array.for_all2 same (solve b) x)
+        [ 1e-6; 3e-7; 2e-5 ])
+
+(* [System.stamp_rhs] as a per-device loop over [System.devices], as it
+   was written before the plan. *)
+let reference_rhs sys ~h ~state ~inputs =
+  let rhs = Array.make (System.size sys) 0.0 in
+  let v i = if i < 0 then 0.0 else state.(i) in
+  let source (d : System.device) = function
+    | Component.Dc x -> x
+    | Component.Input _ -> inputs.(d.slot)
+  in
+  Array.iter
+    (fun (d : System.device) ->
+      let a = d.pos and b = d.neg in
+      match d.component.kind with
+      | Resistor _ | Vccs _ | Pwl_conductance _ | Vcvs _ -> ()
+      | Capacitor c ->
+          let ieq = c /. h *. (v a -. v b) in
+          if a >= 0 then rhs.(a) <- rhs.(a) +. ieq;
+          if b >= 0 then rhs.(b) <- rhs.(b) -. ieq
+      | Isource src ->
+          let j = source d src in
+          if a >= 0 then rhs.(a) <- rhs.(a) -. j;
+          if b >= 0 then rhs.(b) <- rhs.(b) +. j
+      | Vsource src -> rhs.(d.branch) <- source d src
+      | Inductor l -> rhs.(d.branch) <- -.(l /. h) *. state.(d.branch))
+    (System.devices sys);
+  rhs
+
+let prop_rhs_plan_matches_device_loop =
+  QCheck.Test.make ~name:"stamp_rhs equals the per-device loop" ~count:40
+    random_circuit
+    (fun (tc, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let sys = System.build (with_current_sources tc rs) in
+      let n = System.size sys in
+      let rhs = Array.make n nan in
+      (* The timestep changes between calls and comes back, so a
+         coefficient cached for a stale [h] shows. *)
+      let h1 = 1e-7 *. (1.0 +. Random.State.float rs 10.0) in
+      List.for_all
+        (fun h ->
+          let state = random_vector rs n in
+          let inputs =
+            random_vector rs (Array.length (System.inputs sys))
+          in
+          System.stamp_rhs sys ~h ~state ~inputs ~rhs;
+          Array.for_all2
+            (fun a b -> Int64.equal (bits a) (bits b))
+            (reference_rhs sys ~h ~state ~inputs)
+            rhs)
+        [ h1; h1 /. 3.0; h1 /. 3.0; h1; 2.5e-5 ])
 
 let test_stale_pivot_fallback () =
   (* analyze picks its pivot order from the values it is given; feed
@@ -532,6 +767,9 @@ let () =
             prop_fast_matches_paper_rlc;
             prop_fast_matches_paper_pwl;
             prop_sparse_matches_dense;
+            prop_flat_matches_dense_loop;
+            prop_refactor_matches_reference;
+            prop_rhs_plan_matches_device_loop;
           ] );
       ( "sparse",
         [

@@ -314,6 +314,32 @@ let test_rc20_counts () =
     (Option.value ~default:0
        (List.assoc_opt "madd" (Compile.traffic c).Compile.t_opcode_mix))
 
+(* Minor-heap words allocated while [f ()] runs. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The bytecode loop indexes the register file directly: an [exec]
+   builds no closure and boxes no float. *)
+let test_exec_allocation_free () =
+  List.iter
+    (fun (label, tc) ->
+      let p = (Flow.abstract_testcase tc ~dt:50e-9).Flow.program in
+      let c = Sfprogram.compile p in
+      let regs = Array.make (Compile.n_regs c) 0.0 in
+      Compile.load_consts c regs;
+      Compile.exec c regs;
+      let words =
+        minor_words (fun () ->
+            for _ = 1 to 1000 do
+              Compile.exec c regs
+            done)
+      in
+      Alcotest.(check (float 0.0)) (label ^ ": minor words of 1000 exec") 0.0
+        words)
+    [ ("RC20", Circuits.rc_ladder 20); ("RECT", Circuits.rectifier ()) ]
+
 let roundtrip_equal_traces p stimuli t_stop =
   let text = Serialize.program_to_string p in
   let p' = Serialize.program_of_string text in
@@ -439,6 +465,8 @@ let () =
             test_compiled_live_set_checked;
           Alcotest.test_case "RC20 live and fused counts" `Quick
             test_rc20_counts;
+          Alcotest.test_case "exec allocates nothing" `Quick
+            test_exec_allocation_free;
           Alcotest.test_case "counters exact, also after an abort" `Quick
             test_run_counters_exact;
           Alcotest.test_case "table sources and trace reuse" `Quick

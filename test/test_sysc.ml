@@ -582,6 +582,137 @@ let test_wrappers_pinned () =
         ((1000, 2000), (1000, 1000)) );
     ]
 
+(* Seeded random kernel scenarios. Each model mixes timed and delta
+   notifications with same-instant ties, signal writes (some of them
+   no-ops), dynamic sensitivity and thread waits on time and on events,
+   and logs every activation as (time, delta cycle, process). The
+   digests pin the kernel's scheduling order across rewrites of its
+   data structures. Regenerate after an intentional semantic change:
+
+     AMSVP_GOLDEN_REGEN=1 dune exec test/test_sysc.exe -- test scenarios
+     cp _build/default/test/fixtures/de_scenarios.golden test/fixtures/
+*)
+let scenario_seeds = List.init 40 (fun i -> i + 1)
+
+let scenario_log seed =
+  let module Rng = Amsvp_util.Rng in
+  let rng = Rng.create seed in
+  let pick n = Rng.int rng ~bound:n in
+  let k = De.create () in
+  let log = Buffer.create 8192 in
+  let mark name =
+    Printf.bprintf log "%d %d %s\n" (De.now_ps k) (De.stats k).De.delta_cycles
+      name
+  in
+  let n_ev = 2 + pick 4 in
+  let n_sig = 1 + pick 3 in
+  let name prefix i = Printf.sprintf "%s%d" prefix i in
+  let events = Array.init n_ev (fun i -> De.Event.create k (name "e" i)) in
+  let sigs =
+    Array.init n_sig (fun i -> De.Signal.int_signal k ~name:(name "s" i) 0)
+  in
+  (* An explicit event or a signal's change event. *)
+  let any_event () =
+    let i = pick (n_ev + n_sig) in
+    if i < n_ev then events.(i) else De.Signal.change_event sigs.(i - n_ev)
+  in
+  (* Small delays, so that notifications tie at the same instant. *)
+  let delay () = [| 0; 0; 1; 1; 2; 5; 10 |].(pick 7) in
+  let procs = ref [||] in
+  let budget = ref 400 in
+  let act () =
+    if !budget > 0 then begin
+      decr budget;
+      (* Each draw is bound before use, so the order in which the
+         generator is consumed does not depend on argument evaluation
+         order. *)
+      match pick 7 with
+      | 0 ->
+          let e = events.(pick n_ev) in
+          De.Event.notify_delayed e ~delay_ps:(delay ())
+      | 1 -> De.Event.notify_delta events.(pick n_ev)
+      | 2 | 3 ->
+          let s = sigs.(pick n_sig) in
+          De.Signal.write s (pick 3)
+      | 4 ->
+          let d = delay () in
+          let e1 = events.(pick n_ev) in
+          let e2 = events.(pick n_ev) in
+          De.Event.notify_delayed e1 ~delay_ps:d;
+          De.Event.notify_delayed e2 ~delay_ps:d
+      | 5 ->
+          let p = !procs.(pick (Array.length !procs)) in
+          De.Event.sensitize p (any_event ())
+      | _ -> ()
+    end
+  in
+  procs :=
+    Array.init (2 + pick 5) (fun i ->
+        let name = Printf.sprintf "p%d" i in
+        De.spawn k ~name (fun () ->
+            mark name;
+            for _ = 0 to pick 2 do
+              act ()
+            done));
+  Array.iter
+    (fun p ->
+      for _ = 0 to pick 2 do
+        De.Event.sensitize p (any_event ())
+      done)
+    !procs;
+  for i = 0 to 1 + pick 2 do
+    let name = Printf.sprintf "t%d" i in
+    De.Thread.spawn k ~name (fun () ->
+        mark name;
+        for _ = 0 to 8 + pick 16 do
+          if pick 2 = 0 then De.Thread.wait_ps k (delay ())
+          else De.Thread.wait_event k (any_event ());
+          mark name;
+          act ()
+        done)
+  done;
+  De.Event.notify_delta events.(0);
+  let e = events.(pick n_ev) in
+  De.Event.notify_delayed e ~delay_ps:(delay ());
+  De.run_until k ~ps:60;
+  mark "pause";
+  De.run_until k ~ps:400;
+  let s = De.stats k in
+  Printf.bprintf log "stats %d %d %d %d\n" s.De.activations s.De.delta_cycles
+    s.De.timed_notifications s.De.signal_updates;
+  Buffer.contents log
+
+let test_scenario_golden () =
+  let regen = Sys.getenv_opt "AMSVP_GOLDEN_REGEN" = Some "1" in
+  let fixture =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) "fixtures")
+      "de_scenarios.golden"
+  in
+  let text =
+    String.concat ""
+      (List.map
+         (fun seed ->
+           let log = scenario_log seed in
+           Printf.sprintf "%d %d %s\n" seed
+             (List.length (String.split_on_char '\n' log) - 1)
+             (Digest.to_hex (Digest.string log)))
+         scenario_seeds)
+  in
+  if regen then begin
+    (try Sys.remove fixture with Sys_error _ -> ());
+    let oc = open_out_bin fixture in
+    output_string oc text;
+    close_out oc
+  end
+  else
+    let ic = open_in_bin fixture in
+    let expected = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Alcotest.(check (list string)) "scenario digests"
+      (String.split_on_char '\n' expected)
+      (String.split_on_char '\n' text)
+
 let () =
   Alcotest.run "sysc"
     [
@@ -611,6 +742,8 @@ let () =
           Alcotest.test_case "no subscriber leak" `Quick
             test_thread_repeated_event_waits_no_leak;
         ] );
+      ( "scenarios",
+        [ Alcotest.test_case "scenario golden" `Quick test_scenario_golden ] );
       ( "tdf",
         [
           Alcotest.test_case "static schedule order" `Quick test_tdf_schedule_order;

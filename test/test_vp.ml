@@ -238,6 +238,52 @@ let test_bus_decode_error () =
        false
      with Bus.Bus_error 0x8000_0000 -> true)
 
+(* The instruction path of the Table III firmware allocates nothing:
+   the bus finds a transfer's device without building a pair, and the
+   ISS writes registers without a per-step closure. *)
+let test_instruction_path_allocation_free () =
+  let bus = Bus.create () in
+  Bus.Ram.attach bus ~base:0 ~size_words:1024;
+  let adc = Bus.Adc.attach bus ~base:0x1000_1000 in
+  let uart = Bus.Uart.attach bus ~base:0x1000_0000 in
+  Bus.Ram.load bus ~base:0
+    (Asm.assemble
+       {|
+        li   $t0, 0x10001000
+        li   $t1, 0x10000000
+        li   $s0, 0
+        li   $s1, 0
+loop:   lw   $t2, 4($t0)
+        beq  $t2, $s0, loop
+        move $s0, $t2
+        lw   $t3, 0($t0)
+        addu $s1, $s1, $t3
+        andi $t4, $t2, 15
+        bne  $t4, $zero, loop
+        srl  $t5, $s1, 8
+        andi $t5, $t5, 255
+        sw   $t5, 0($t1)
+        j    loop
+|});
+  let cpu = Iss.create (Bus.iss_bus bus) in
+  let run n =
+    for k = 1 to n do
+      if k mod 10 = 0 then Bus.Adc.set_sample adc ~volts:1e-3;
+      Iss.set_irq cpu (Bus.Adc.irq_pending adc);
+      Iss.step cpu
+    done
+  in
+  run 1000;
+  let transfers = Bus.transfers bus in
+  let before = Gc.minor_words () in
+  run 40_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words of 40000 steps" 0.0 words;
+  Alcotest.(check bool) "the firmware polled the ADC" true
+    (Bus.transfers bus - transfers > 40_000);
+  Alcotest.(check bool) "and reported on the UART" true
+    (Bus.Uart.tx_count uart > 0)
+
 let test_bus_overlap_rejected () =
   let bus = Bus.create () in
   Bus.Ram.attach bus ~base:0 ~size_words:16;
@@ -573,6 +619,8 @@ let () =
           Alcotest.test_case "uart" `Quick test_uart_collects_output;
           Alcotest.test_case "adc" `Quick test_adc_sample_conversion;
           Alcotest.test_case "adc irq" `Quick test_adc_irq_semantics;
+          Alcotest.test_case "instruction path allocates nothing" `Quick
+            test_instruction_path_allocation_free;
         ] );
       ( "uart_rtl",
         [
