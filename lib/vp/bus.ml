@@ -53,7 +53,8 @@ let transfers bus = bus.transfers
 module Ram = struct
   (* The words are paged, copy-on-write from one shared zero page: a
      platform run touches a few pages of its RAM and allocates only
-     those. *)
+     those. A whole array per run went straight to the major heap and
+     raised the heap peak of back-to-back runs. *)
   let page_bits = 8
 
   let attach bus ~base ~size_words =

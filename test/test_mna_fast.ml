@@ -243,9 +243,7 @@ let prop_sparse_matches_dense =
    replaced ---- *)
 
 (* A circuit of any random family, plus a seed for the vectors and
-   timesteps a property draws. The circuit gains a constant and an
-   input-driven current source on random nodes, so that every kind of
-   RHS contribution occurs. *)
+   timesteps a property draws. *)
 let random_circuit =
   let family =
     QCheck.Gen.(
@@ -261,6 +259,8 @@ let random_circuit =
       Printf.sprintf "%s, seed %d" tc.label seed)
     QCheck.Gen.(pair family (int_bound 1_000_000))
 
+(* The circuit plus a constant and an input-driven current source on
+   random nodes, so that every kind of RHS contribution occurs. *)
 let with_current_sources (tc : Circuits.testcase) rs =
   let c = tc.circuit in
   let ground = Circuit.ground c in

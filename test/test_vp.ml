@@ -284,6 +284,26 @@ loop:   lw   $t2, 4($t0)
   Alcotest.(check bool) "and reported on the UART" true
     (Bus.Uart.tx_count uart > 0)
 
+(* RAM is paged copy-on-write: untouched words read 0 on every page,
+   and a write lands on its own page only. *)
+let test_ram_pages () =
+  let bus = Bus.create () in
+  Bus.Ram.attach bus ~base:0x1000 ~size_words:1000;
+  let b = Bus.iss_bus bus in
+  let addr w = 0x1000 + (4 * w) in
+  b.Iss.write32 (addr 300) 0x1_2345_6789;
+  b.Iss.write32 (addr 999) 7;
+  Alcotest.(check int) "written, masked to 32 bits" 0x2345_6789
+    (b.Iss.read32 (addr 300));
+  Alcotest.(check int) "last word" 7 (b.Iss.read32 (addr 999));
+  List.iter
+    (fun w ->
+      Alcotest.(check int) (Printf.sprintf "word %d untouched" w) 0
+        (b.Iss.read32 (addr w)))
+    [ 0; 44; 256; 299; 301; 511; 512; 600; 998 ];
+  Alcotest.check_raises "beyond the RAM" (Bus.Bus_error (addr 1000))
+    (fun () -> ignore (b.Iss.read32 (addr 1000)))
+
 let test_bus_overlap_rejected () =
   let bus = Bus.create () in
   Bus.Ram.attach bus ~base:0 ~size_words:16;
@@ -621,6 +641,7 @@ let () =
           Alcotest.test_case "adc irq" `Quick test_adc_irq_semantics;
           Alcotest.test_case "instruction path allocates nothing" `Quick
             test_instruction_path_allocation_free;
+          Alcotest.test_case "ram pages" `Quick test_ram_pages;
         ] );
       ( "uart_rtl",
         [
