@@ -179,10 +179,9 @@ let with_frontend_errors ?file f =
   | Diag.Rejected finding -> fatal_finding finding
   | Lexer.Lex_error (msg, line, col) ->
       fatal_finding (Diag.error ~span:(span line col) "AMS001" msg)
-  | Parser.Parse_error (msg, line, col) | Vparser.Parse_error (msg, line, col)
-    ->
+  | Parser.Parse_error (msg, line, col) ->
       fatal_finding (Diag.error ~span:(span line col) "AMS002" msg)
-  | Elaborate.Elab_error (msg, sp) | Velaborate.Elab_error (msg, sp) ->
+  | Elaborate.Elab_error (msg, sp) ->
       fatal_finding (Diag.error ?span:sp "AMS003" msg)
   | Amsvp_core.Assemble.No_definition v ->
       fatal_finding
@@ -198,7 +197,7 @@ let with_frontend_errors ?file f =
       fatal_finding
         (Diag.error "AMS030"
            (Printf.sprintf "underdetermined system (%s)" msg))
-  | Invalid_argument msg ->
+  | Invalid_argument msg | Sfprogram.Undefined msg ->
       Printf.eprintf "error: %s\n" msg;
       exit 1
 
@@ -210,31 +209,7 @@ let flatten_any lang src ~file top inputs =
 let abstract_model file top output dt mode integration lang inputs =
   with_frontend_errors ~file (fun () ->
       let flat = flatten_any lang (read_file file) ~file top inputs in
-      match Elaborate.classify flat with
-      | `Conservative ->
-          let circuit = Elaborate.to_circuit flat in
-          Flow.abstract_circuit ~name:top ~mode ~integration circuit
-            ~outputs:[ output ] ~dt
-      | `Signal_flow ->
-          let contributions = Elaborate.signal_flow_assignments flat in
-          let program =
-            Flow.convert_signal_flow ~name:top
-              ~inputs:flat.Elaborate.input_ports ~outputs:[ output ]
-              ~contributions ~dt
-          in
-          {
-            Flow.program;
-            nodes = List.length flat.Elaborate.nets;
-            branches = List.length flat.Elaborate.contributions;
-            classes = 0;
-            variants = 0;
-            definitions = List.length contributions;
-            explain = Explain.of_signal_flow program;
-            acquisition_s = 0.0;
-            enrichment_s = 0.0;
-            assemble_s = 0.0;
-            solve_s = 0.0;
-          })
+      Elaborate.abstract ~mode ~integration flat ~outputs:[ output ] ~dt)
 
 (* abstract *)
 

@@ -3,7 +3,6 @@ module Ast = Amsvp_vams.Ast
 module Lexer = Amsvp_vams.Lexer
 module Parser = Amsvp_vams.Parser
 module Elaborate = Amsvp_vams.Elaborate
-module Vast = Amsvp_vhdlams.Vast
 module Vparser = Amsvp_vhdlams.Vparser
 module Velaborate = Amsvp_vhdlams.Velaborate
 module Circuit = Amsvp_netlist.Circuit
@@ -17,13 +16,8 @@ module Solve = Amsvp_core.Solve
 
 type lang = [ `Verilog_ams | `Vhdl_ams ]
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-  scan 0
-
 (* ------------------------------------------------------------------ *)
-(* AST passes (Verilog-AMS)                                            *)
+(* AST passes (both front-ends)                                       *)
 (* ------------------------------------------------------------------ *)
 
 type decl_kind = Knet | Kreal | Kbranch | Kparam | Kground
@@ -77,7 +71,7 @@ let ast_module_findings ~overridden (m : Ast.module_def) =
             ids
       | Ast.Branch_decl (_, names) ->
           List.iter (fun n -> declare n Kbranch sp) names
-      | Ast.Parameter (name, _) -> declare name Kparam sp
+      | Ast.Parameter { name; _ } -> declare name Kparam sp
       | Ast.Analog _ | Ast.Instance _ -> ())
     m.Ast.items;
   (* Usage collection. *)
@@ -125,7 +119,7 @@ let ast_module_findings ~overridden (m : Ast.module_def) =
     (fun (it : Ast.item) ->
       match it.Ast.idesc with
       | Ast.Analog stmts -> List.iter (walk_stmt ~cond:false) stmts
-      | Ast.Parameter (_, e) -> note e
+      | Ast.Parameter { default; _ } -> Option.iter note default
       | Ast.Branch_decl ((a, b), _) ->
           use_net a it.Ast.ispan;
           use_net b it.Ast.ispan
@@ -279,14 +273,20 @@ let ast_module_findings ~overridden (m : Ast.module_def) =
   List.iter
     (fun (it : Ast.item) ->
       match it.Ast.idesc with
-      | Ast.Parameter (name, { Ast.edesc = Ast.Number 0.0; _ })
       | Ast.Parameter
-          ( name,
-            {
-              Ast.edesc =
-                Ast.Unop (Ast.Neg, { Ast.edesc = Ast.Number 0.0; _ });
-              _;
-            } ) ->
+          { name; default = Some { Ast.edesc = Ast.Number 0.0; _ }; _ }
+      | Ast.Parameter
+          {
+            name;
+            default =
+              Some
+                {
+                  Ast.edesc =
+                    Ast.Unop (Ast.Neg, { Ast.edesc = Ast.Number 0.0; _ });
+                  _;
+                };
+            _;
+          } ->
           Hashtbl.replace zero_params name ()
       | _ -> ())
     m.Ast.items;
@@ -730,17 +730,11 @@ let signal_flow_findings ?amplitude_budget ~input_bound ~dt top
                    (Expr.var_name v));
             ]
         | exception Solve.Underdetermined msg -> [ Diag.error "AMS030" msg ]
-        | exception Invalid_argument msg ->
-            let code =
-              if
-                contains_substring msg "never assigned"
-                || contains_substring msg "unknown quantity"
-              then "AMS030"
-              else "AMS040"
-            in
-            (* Fatal on this route: the direct conversion has no
-               simultaneous solve to fall back on. *)
-            [ Diag.error code msg ]
+        (* Fatal on this route: the direct conversion has no
+           simultaneous solve to fall back on. *)
+        | exception Amsvp_sf.Sfprogram.Undefined msg ->
+            [ Diag.error "AMS030" msg ]
+        | exception Invalid_argument msg -> [ Diag.error "AMS040" msg ]
       end
 
 let flat_findings ?amplitude_budget ~input_bound ~dt top
@@ -754,51 +748,29 @@ let flat_findings ?amplitude_budget ~input_bound ~dt top
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(dt = 50e-9) ?amplitude_budget ?(input_bound = default_input_bound) ~file
-    src =
-  match lang with
-  | `Verilog_ams -> (
-      match Parser.parse ~file src with
-      | exception Lexer.Lex_error (msg, line, col) ->
-          [ Diag.error ~span:(Diag.span ~file line col) "AMS001" msg ]
-      | exception Parser.Parse_error (msg, line, col) ->
-          [ Diag.error ~span:(Diag.span ~file line col) "AMS002" msg ]
-      | [] -> [ Diag.error "AMS003" "design contains no modules" ]
-      | design ->
-          let ast = ast_findings design in
-          let top =
-            match top with
-            | Some t -> t
-            | None -> (List.hd (List.rev design)).Ast.name
-          in
-          let deep =
-            match Elaborate.flatten design ~top with
-            | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
-            | flat ->
-                flat_findings ?amplitude_budget ~input_bound ~dt top flat
-          in
-          ast @ deep)
-  | `Vhdl_ams -> (
-      match Vparser.parse ~file src with
-      | exception Vparser.Parse_error (msg, line, col) ->
-          [ Diag.error ~span:(Diag.span ~file line col) "AMS002" msg ]
-      | design -> (
-          let entities =
-            List.filter_map
-              (function Vast.Entity e -> Some e.Vast.ename | _ -> None)
-              design
-          in
-          let top =
-            match (top, List.rev entities) with
-            | Some t, _ -> Some t
-            | None, e :: _ -> Some e
-            | None, [] -> None
-          in
-          match top with
-          | None -> [ Diag.error "AMS003" "design contains no entities" ]
-          | Some top -> (
-              match Velaborate.flatten design ~top ~inputs with
-              | exception Velaborate.Elab_error (msg, sp) ->
-                  [ ams003 (msg, sp) ]
-              | flat ->
-                  flat_findings ?amplitude_budget ~input_bound ~dt top flat)))
+let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(dt = 50e-9)
+    ?amplitude_budget ?(input_bound = default_input_bound) ~file src =
+  let parse, flatten, units =
+    match lang with
+    | `Verilog_ams ->
+        (Parser.parse, (fun d ~top -> Elaborate.flatten d ~top), "modules")
+    | `Vhdl_ams -> (Vparser.parse, Velaborate.flatten ~inputs, "entities")
+  in
+  match parse ~file src with
+  | exception Lexer.Lex_error (msg, line, col) ->
+      [ Diag.error ~span:(Diag.span ~file line col) "AMS001" msg ]
+  | exception Parser.Parse_error (msg, line, col) ->
+      [ Diag.error ~span:(Diag.span ~file line col) "AMS002" msg ]
+  | [] -> [ Diag.error "AMS003" ("design contains no " ^ units) ]
+  | design ->
+      let top =
+        match top with
+        | Some t -> t
+        | None -> (List.hd (List.rev design)).Ast.name
+      in
+      let deep =
+        match flatten design ~top with
+        | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
+        | flat -> flat_findings ?amplitude_budget ~input_bound ~dt top flat
+      in
+      ast_findings design @ deep

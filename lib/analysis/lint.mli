@@ -5,15 +5,15 @@
 
     + {b front-end} — lexing ([AMS001]) and parsing ([AMS002]) errors,
       with their [file:line:col];
-    + {b AST passes} (Verilog-AMS only — the VHDL-AMS subset declares
-      quantities implicitly, so the equivalent mistakes surface during
-      elaboration): undeclared nets ([AMS010]), unused declarations
+    + {b AST passes} (both languages: VHDL-AMS is parsed onto the same
+      AST, its quantities as named branches): undeclared nets
+      ([AMS010]), unused declarations
       ([AMS011]), malformed or direction-violating branch accesses
       ([AMS012]), duplicate ([AMS013]) and self-referential ([AMS014])
       contributions, nested [ddt]/[idt] ([AMS015]) and parameters with
       default 0 used as divisors ([AMS016]);
-    + {b elaboration} — hierarchy errors become located [AMS003]
-      findings;
+    + {b elaboration} — hierarchy, name and parameter errors become
+      located [AMS003] findings;
     + {b topology} — {!Amsvp_netlist.Circuit.diagnose} over the
       recognised network ([AMS020]–[AMS024]), with each finding's
       subject resolved back to the span of the contribution that

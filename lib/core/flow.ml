@@ -213,7 +213,9 @@ let convert_signal_flow ~name ~inputs ~outputs ~contributions ~dt =
         @ [ { Sfprogram.target; expr = finish target e } ])
       contributions
   in
-  Sfprogram.make ~name ~inputs ~outputs ~assignments ~dt
+  let program = { Sfprogram.name; inputs; outputs; assignments; dt } in
+  Sfprogram.validate program;
+  program
 
 let pp_report ppf r =
   Format.fprintf ppf

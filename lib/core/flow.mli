@@ -63,6 +63,12 @@ val convert_signal_flow :
 (** Direct conversion of an explicit signal-flow description: each
     contribution [target <+ expr] is discretised ([ddt] → backward
     difference, [idt] → accumulator signal) and written out in the same
-    order as in the source (§III-C). *)
+    order as in the source (§III-C).
+    @raise Amsvp_sf.Sfprogram.Undefined on a read of a quantity nothing
+    defines or an output nothing assigns
+    @raise Invalid_argument on any other invalid program (e.g. a
+    zero-delay read before the assignment)
+    @raise Solve.Nonlinear, Solve.Underdetermined on a self-reference
+    the scalar solve cannot resolve. *)
 
 val pp_report : Format.formatter -> report -> unit

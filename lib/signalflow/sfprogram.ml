@@ -12,9 +12,14 @@ type t = {
 
 let is_input p name = List.mem name p.inputs
 
-let validate p =
+exception Undefined of string
+
+(* [undefined] reports a read of an unknown quantity or an output that
+   is never assigned; every other violation is [Invalid_argument]. *)
+let validate_with ~undefined p =
   if p.dt <= 0.0 then invalid_arg "Sfprogram: dt must be positive";
   let fail fmt = Printf.ksprintf invalid_arg fmt in
+  let undefined fmt = Printf.ksprintf undefined fmt in
   let targets = Hashtbl.create 16 in
   List.iter
     (fun a ->
@@ -43,8 +48,11 @@ let validate p =
                 | Expr.Potential _ | Expr.Flow _ | Expr.Param _ -> false
               in
               if not (input_history || Hashtbl.mem targets base) then
-                fail "Sfprogram: %s reads history of unknown quantity %s"
+                undefined "Sfprogram: %s reads history of unknown quantity %s"
                   (Expr.var_name a.target) (Expr.var_name v)
+          | base when not (Hashtbl.mem targets base) ->
+              undefined "Sfprogram: %s reads %s, which is never assigned"
+                (Expr.var_name a.target) (Expr.var_name v)
           | base ->
               if not (Hashtbl.mem assigned_so_far base) then
                 fail
@@ -56,12 +64,14 @@ let validate p =
   List.iter
     (fun o ->
       if not (Hashtbl.mem targets o.Expr.base) then
-        fail "Sfprogram: output %s is never assigned" (Expr.var_name o))
+        undefined "Sfprogram: output %s is never assigned" (Expr.var_name o))
     p.outputs
+
+let validate = validate_with ~undefined:(fun msg -> raise (Undefined msg))
 
 let make ~name ~inputs ~outputs ~assignments ~dt =
   let p = { name; inputs; outputs; assignments; dt } in
-  validate p;
+  validate_with ~undefined:invalid_arg p;
   p
 
 let fold_read_vars p f acc =

@@ -32,6 +32,16 @@ val make :
     sample of some target; outputs must be assigned.
     @raise Invalid_argument describing the first violation. *)
 
+exception Undefined of string
+(** A read of a quantity no assignment defines, or an output that is
+    never assigned; the message names both. *)
+
+val validate : t -> unit
+(** The check {!make} runs, for a program built as a record.
+    @raise Undefined on an undefined quantity or output
+    @raise Invalid_argument on any other violation (ordering,
+    duplicates, residual [ddt]/[idt] or parameters). *)
+
 val max_delay : t -> int
 (** Deepest history referenced by any assignment (0 when the program is
     purely combinational). *)

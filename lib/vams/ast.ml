@@ -31,7 +31,7 @@ and item_desc =
   | Net_decl of string * string list
   | Ground_decl of string list
   | Branch_decl of (string * string) * string list
-  | Parameter of string * expr
+  | Parameter of { name : string; default : expr option; local : bool }
   | Analog of stmt list
   | Instance of {
       module_name : string;

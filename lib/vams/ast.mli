@@ -9,7 +9,11 @@
 
     Every node carries the {!Amsvp_diag.Diag.span} of the token that
     opened it, so elaboration errors and lint findings can point at
-    [file:line:col]. *)
+    [file:line:col].
+
+    The VHDL-AMS front-end ([Amsvp_vhdlams.Vparser]) lowers its subset
+    onto this same tree, so one elaborator and one lint serve both
+    languages. *)
 
 type span = Amsvp_diag.Diag.span
 
@@ -62,7 +66,11 @@ and item_desc =
   | Ground_decl of string list  (** [ground gnd;] *)
   | Branch_decl of (string * string) * string list
       (** [branch (a,b) br1, br2;] *)
-  | Parameter of string * expr  (** [parameter real r = 5k;] *)
+  | Parameter of { name : string; default : expr option; local : bool }
+      (** [parameter real r = 5k;]. A [local] one (a VHDL-AMS
+          [constant]) takes no instance override; a [None] default (a
+          VHDL-AMS generic declared without one) must be overridden by
+          every instance. *)
   | Analog of stmt list  (** [analog begin ... end] *)
   | Instance of {
       module_name : string;

@@ -27,8 +27,8 @@ type flat = {
 
 (* Elaboration context of one module instance. *)
 type ctx = {
-  design : Ast.design;
   path : string;  (* hierarchical prefix, "" for top *)
+  scope : string;  (* [path], or the module name at top level *)
   bindings : (string * string) list;  (* port -> global net *)
   params : (string * float) list;
   branches : (string * (string * string)) list;  (* named branch -> pair *)
@@ -58,7 +58,7 @@ let rec const_eval ctx (e : Ast.expr) =
   | Ast.Ident p -> (
       match List.assoc_opt p ctx.params with
       | Some v -> v
-      | None -> fail ~span "unknown parameter %s in %s" p ctx.path)
+      | None -> fail ~span "unknown parameter %s in %s" p ctx.scope)
   | Ast.Unop (Ast.Neg, a) -> -.const_eval ctx a
   | Ast.Unop (Ast.Not, _) -> fail ~span "boolean in constant expression"
   | Ast.Binop (op, a, b) -> (
@@ -231,13 +231,20 @@ let rec exec_stmts ctx guard stmts =
           if else_b <> [] then exec_stmts ctx (combined guard (Expr.Not c)) else_b)
     stmts
 
+let overridable (m : Ast.module_def) name =
+  List.exists
+    (fun (item : Ast.item) ->
+      match item.Ast.idesc with
+      | Ast.Parameter p -> p.name = name && not p.local
+      | _ -> false)
+    m.Ast.items
+
 let rec elaborate_module design ~path ~bindings ~overrides ~ground_nets ~acc_ctx
     (m : Ast.module_def) =
-  (* Parameter environment: defaults overridden by the instance. *)
   let base_ctx =
     {
-      design;
       path;
+      scope = (if path = "" then m.Ast.name else path);
       bindings;
       params = [];
       branches = [];
@@ -247,19 +254,25 @@ let rec elaborate_module design ~path ~bindings ~overrides ~ground_nets ~acc_ctx
       locals = [];
     }
   in
+  (* Parameter environment in declaration order: a default may read the
+     parameters declared before it, and an instance override replaces
+     it. *)
   let params =
-    List.filter_map
-      (fun (item : Ast.item) ->
+    List.fold_left
+      (fun params (item : Ast.item) ->
         match item.Ast.idesc with
-        | Ast.Parameter (name, default) ->
+        | Ast.Parameter { name; default; _ } ->
             let v =
-              match List.assoc_opt name overrides with
-              | Some v -> v
-              | None -> const_eval { base_ctx with params = base_ctx.params } default
+              match (List.assoc_opt name overrides, default) with
+              | Some v, _ -> v
+              | None, Some d -> const_eval { base_ctx with params } d
+              | None, None ->
+                  fail ~span:item.Ast.ispan "parameter %s of %s has no value"
+                    name m.Ast.name
             in
-            Some (name, v)
-        | _ -> None)
-      m.Ast.items
+            (name, v) :: params
+        | _ -> params)
+      [] m.Ast.items
   in
   let branches =
     List.concat_map
@@ -292,8 +305,8 @@ let rec elaborate_module design ~path ~bindings ~overrides ~ground_nets ~acc_ctx
       match item.Ast.idesc with
       | Ast.Analog stmts ->
           exec_stmts ctx None stmts;
-          (* chronological order: earlier chunks first *)
-          acc_ctx := !acc_ctx @ List.rev ctx.acc;
+          (* both newest first; [flatten] restores source order *)
+          acc_ctx := ctx.acc @ !acc_ctx;
           ctx.acc <- []
       | Ast.Instance { module_name; instance_name; overrides = ovr; connections }
         -> (
@@ -326,7 +339,13 @@ let rec elaborate_module design ~path ~bindings ~overrides ~ground_nets ~acc_ctx
                   connections
               in
               let child_overrides =
-                List.map (fun (name, e) -> (name, const_eval ctx e)) ovr
+                List.map
+                  (fun (name, (e : Ast.expr)) ->
+                    if not (overridable child name) then
+                      fail ~span:e.Ast.espan "module %s has no parameter %s"
+                        module_name name;
+                    (name, const_eval ctx e))
+                  ovr
               in
               elaborate_module design ~path:child_path ~bindings:child_bindings
                 ~overrides:child_overrides ~ground_nets ~acc_ctx child)
@@ -348,7 +367,7 @@ let flatten design ~top =
       let bindings = List.map (fun p -> (p, p)) m.Ast.ports in
       elaborate_module design ~path:"" ~bindings ~overrides:[] ~ground_nets
         ~acc_ctx m;
-      let raw = !acc_ctx in
+      let raw = List.rev !acc_ctx in
       (* Rewrite ground aliases and collect nets. *)
       let canon net = if Hashtbl.mem ground_nets net then "gnd" else net in
       let raw =
@@ -556,18 +575,16 @@ let signal_flow_assignments flat =
     (fun c -> (Expr.potential c.branch.pos "gnd", rewrite_inputs c.rhs))
     flat.contributions
 
-let parse_and_abstract src ~top ~outputs ~dt =
-  let design = Parser.parse src in
-  let flat = flatten design ~top in
+let abstract ?mode ?integration flat ~outputs ~dt =
   match classify flat with
   | `Conservative ->
-      let circuit = to_circuit flat in
-      Amsvp_core.Flow.abstract_circuit ~name:top circuit ~outputs ~dt
+      Amsvp_core.Flow.abstract_circuit ~name:flat.top ?mode ?integration
+        (to_circuit flat) ~outputs ~dt
   | `Signal_flow ->
       let contributions = signal_flow_assignments flat in
       let program =
-        Amsvp_core.Flow.convert_signal_flow ~name:top ~inputs:flat.input_ports
-          ~outputs ~contributions ~dt
+        Amsvp_core.Flow.convert_signal_flow ~name:flat.top
+          ~inputs:flat.input_ports ~outputs ~contributions ~dt
       in
       {
         Amsvp_core.Flow.program;
@@ -582,3 +599,6 @@ let parse_and_abstract src ~top ~outputs ~dt =
         assemble_s = 0.0;
         solve_s = 0.0;
       }
+
+let parse_and_abstract src ~top ~outputs ~dt =
+  abstract (flatten (Parser.parse src) ~top) ~outputs ~dt

@@ -42,8 +42,10 @@ type flat = {
 }
 
 val flatten : Ast.design -> top:string -> flat
-(** @raise Elab_error on unknown modules/ports, arity mismatches,
-    unresolved identifiers or unsupported constructs. *)
+(** A parameter default may read the parameters declared before it; an
+    instance override must name a non-local parameter of the module.
+    @raise Elab_error on unknown modules/ports/parameters, arity
+    mismatches, unresolved identifiers or unsupported constructs. *)
 
 val classify : flat -> [ `Signal_flow | `Conservative ]
 (** [`Signal_flow] when every contribution drives a potential to
@@ -63,6 +65,19 @@ val signal_flow_assignments : flat -> (Expr.var * Expr.t) list
     for [Flow.convert_signal_flow].
     @raise Elab_error if the model is not signal-flow. *)
 
+val abstract :
+  ?mode:Amsvp_core.Solve.mode ->
+  ?integration:Amsvp_core.Solve.integration ->
+  flat ->
+  outputs:Expr.var list ->
+  dt:float ->
+  Amsvp_core.Flow.report
+(** The abstraction of a flat model, whichever front-end produced it:
+    the abstraction flow over {!to_circuit} (conservative route, with
+    [mode] and [integration]) or the direct conversion of
+    {!signal_flow_assignments} (signal-flow route). The report is named
+    after the top module. *)
+
 val parse_and_abstract :
   string ->
   top:string ->
@@ -70,5 +85,4 @@ val parse_and_abstract :
   dt:float ->
   Amsvp_core.Flow.report
 (** One-call front door: parse Verilog-AMS source text, elaborate the
-    top module and run the abstraction flow (conservative route) or the
-    direct conversion (signal-flow route). *)
+    top module and {!abstract} it. *)

@@ -226,7 +226,10 @@ let parse_parameter st sp =
   eat_punct st "=";
   let e = parse_ternary st in
   eat_punct st ";";
-  { Ast.idesc = Ast.Parameter (name, e); ispan = sp }
+  {
+    Ast.idesc = Ast.Parameter { name; default = Some e; local = false };
+    ispan = sp;
+  }
 
 let parse_overrides st =
   (* #(.name(expr), ...) *)

@@ -1,26 +1,20 @@
-(** Elaboration of the VHDL-AMS subset onto the shared flat model.
-
-    Entities/architectures are flattened exactly like Verilog-AMS
-    modules: instances are expanded with generic substitution and port
-    binding, across/through quantity pairs become branches, and
-    simultaneous statements become per-branch contributions. The result
-    is an {!Amsvp_vams.Elaborate.flat}, so classification, device
-    recognition and both conversion routes are shared with the
-    Verilog-AMS front-end.
-
-    VHDL-AMS terminals carry no direction, so the externally driven
-    ports of the top entity are given explicitly ([~inputs]). The
-    actual name [ground] (or [gnd]) in a port map denotes the reference
-    node. *)
+(** Elaboration of the VHDL-AMS subset: {!Vparser} already lowers it
+    onto the Verilog-AMS {!Amsvp_vams.Ast}, so this is
+    {!Amsvp_vams.Elaborate.flatten} plus the one thing VHDL-AMS lacks.
+    Terminals carry no direction, so the externally driven ports of the
+    top entity are given explicitly ([~inputs]) and marked
+    input-direction before flattening. *)
 
 exception Elab_error of string * Amsvp_diag.Diag.span option
-(** message and, when the error traces back to a source construct, its
-    [file:line:col] span. *)
+(** The same exception as {!Amsvp_vams.Elaborate.Elab_error}. *)
 
 val flatten :
-  Vast.design -> top:string -> inputs:string list -> Amsvp_vams.Elaborate.flat
-(** @raise Elab_error on unknown entities/ports/quantities, arity or
-    binding problems. *)
+  Amsvp_vams.Ast.design ->
+  top:string ->
+  inputs:string list ->
+  Amsvp_vams.Elaborate.flat
+(** @raise Elab_error when an input is not a port of the top entity, and
+    as {!Amsvp_vams.Elaborate.flatten} does. *)
 
 val parse_and_abstract :
   string ->
@@ -29,6 +23,6 @@ val parse_and_abstract :
   outputs:Expr.var list ->
   dt:float ->
   Amsvp_core.Flow.report
-(** Parse VHDL-AMS source, elaborate the top entity and run the
-    abstraction flow (conservative route) or the direct conversion
-    (signal-flow route), exactly as the Verilog-AMS front door does. *)
+(** Parse VHDL-AMS source, elaborate the top entity and
+    {!Amsvp_vams.Elaborate.abstract} it, exactly as the Verilog-AMS
+    front door does. *)

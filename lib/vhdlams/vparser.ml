@@ -1,6 +1,8 @@
 module Diag = Amsvp_diag.Diag
 
-exception Parse_error of string * int * int
+module Ast = Amsvp_vams.Ast
+
+exception Parse_error = Amsvp_vams.Parser.Parse_error
 
 type token = Ident of string | Number of float | Punct of string | Eof
 
@@ -95,7 +97,15 @@ let tokenize src =
   out := { tok = Eof; line = !line; col = n - !bol + 1 } :: !out;
   List.rev !out
 
-type state = { toks : ptok array; mutable pos : int; file : string }
+(* [quantities] maps each quantity of the architecture being parsed to
+   its branch access: the across name reads [V(branch)], the through
+   name [I(branch)]. *)
+type state = {
+  toks : ptok array;
+  mutable pos : int;
+  file : string;
+  mutable quantities : (string * Ast.expr_desc) list;
+}
 
 let peek st = st.toks.(st.pos).tok
 
@@ -103,9 +113,10 @@ let here st =
   let t = st.toks.(st.pos) in
   Diag.span ~file:st.file t.line t.col
 
-let fail st msg =
-  let t = st.toks.(st.pos) in
-  raise (Parse_error (msg, t.line, t.col))
+let fail_at (sp : Diag.span) msg =
+  raise (Parse_error (msg, sp.Diag.line, sp.Diag.col))
+
+let fail st msg = fail_at (here st) msg
 
 let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
 
@@ -138,68 +149,89 @@ let eat_ident st =
 
 let ident_list st =
   let rec go acc =
-    let id = eat_ident st in
+    let sp = here st in
+    let id = (sp, eat_ident st) in
     if accept_punct st "," then go (id :: acc) else List.rev (id :: acc)
   in
   go []
 
-(* Expressions. *)
+let mk espan edesc = { Ast.edesc; espan }
+let item ispan idesc = { Ast.idesc; ispan }
+
+(* [ident_list] names as electrical nets, spanned at the first one. *)
+let net_decl names =
+  item (fst (List.hd names)) (Ast.Net_decl ("electrical", List.map snd names))
+
+(* Expressions. Compound nodes inherit the span of their leftmost
+   constituent, as in the Verilog-AMS parser. *)
 let rec parse_or st =
+  let sp = here st in
   let rec go acc =
-    if accept_kw st "or" then go (Vast.Binop (`Or, acc, parse_and st)) else acc
+    if accept_kw st "or" then go (mk sp (Ast.Binop (Ast.Or, acc, parse_and st)))
+    else acc
   in
   go (parse_and st)
 
 and parse_and st =
+  let sp = here st in
   let rec go acc =
-    if accept_kw st "and" then go (Vast.Binop (`And, acc, parse_cmp st))
+    if accept_kw st "and" then
+      go (mk sp (Ast.Binop (Ast.And, acc, parse_cmp st)))
     else acc
   in
   go (parse_cmp st)
 
 and parse_cmp st =
+  let sp = here st in
   let a = parse_add st in
   let op =
     match peek st with
-    | Punct "<" -> Some `Lt
-    | Punct "<=" -> Some `Le
-    | Punct ">" -> Some `Gt
-    | Punct ">=" -> Some `Ge
+    | Punct "<" -> Some Ast.Lt
+    | Punct "<=" -> Some Ast.Le
+    | Punct ">" -> Some Ast.Gt
+    | Punct ">=" -> Some Ast.Ge
     | _ -> None
   in
   match op with
   | None -> a
   | Some op ->
       advance st;
-      Vast.Binop (op, a, parse_add st)
+      mk sp (Ast.Binop (op, a, parse_add st))
 
 and parse_add st =
+  let sp = here st in
   let rec go acc =
-    if accept_punct st "+" then go (Vast.Binop (`Add, acc, parse_mul st))
-    else if accept_punct st "-" then go (Vast.Binop (`Sub, acc, parse_mul st))
+    if accept_punct st "+" then go (mk sp (Ast.Binop (Ast.Add, acc, parse_mul st)))
+    else if accept_punct st "-" then
+      go (mk sp (Ast.Binop (Ast.Sub, acc, parse_mul st)))
     else acc
   in
   go (parse_mul st)
 
 and parse_mul st =
+  let sp = here st in
   let rec go acc =
-    if accept_punct st "*" then go (Vast.Binop (`Mul, acc, parse_unary st))
-    else if accept_punct st "/" then go (Vast.Binop (`Div, acc, parse_unary st))
+    if accept_punct st "*" then
+      go (mk sp (Ast.Binop (Ast.Mul, acc, parse_unary st)))
+    else if accept_punct st "/" then
+      go (mk sp (Ast.Binop (Ast.Div, acc, parse_unary st)))
     else acc
   in
   go (parse_unary st)
 
 and parse_unary st =
-  if accept_punct st "-" then Vast.Unop (`Neg, parse_unary st)
+  let sp = here st in
+  if accept_punct st "-" then mk sp (Ast.Unop (Ast.Neg, parse_unary st))
   else if accept_punct st "+" then parse_unary st
-  else if accept_kw st "not" then Vast.Unop (`Not, parse_unary st)
+  else if accept_kw st "not" then mk sp (Ast.Unop (Ast.Not, parse_unary st))
   else parse_primary st
 
 and parse_primary st =
+  let sp = here st in
   match peek st with
   | Number f ->
       advance st;
-      Vast.Number f
+      mk sp (Ast.Number f)
   | Punct "(" ->
       advance st;
       let e = parse_or st in
@@ -207,10 +239,13 @@ and parse_primary st =
       e
   | Ident name -> (
       advance st;
+      let quantity = List.assoc_opt name st.quantities in
       if accept_punct st "'" then begin
         let attr = eat_ident st in
         if attr <> "dot" then fail st ("unsupported attribute '" ^ attr);
-        Vast.Dot name
+        match quantity with
+        | Some access -> mk sp (Ast.Call ("ddt", [ mk sp access ]))
+        | None -> fail_at sp ("'dot applies to a quantity, got " ^ name)
       end
       else if accept_punct st "(" then begin
         let rec args acc =
@@ -221,14 +256,18 @@ and parse_primary st =
             List.rev (e :: acc)
           end
         in
-        Vast.Call (name, args [])
+        mk sp (Ast.Call (name, args []))
       end
-      else Vast.Name name)
+      else
+        match quantity with
+        | Some access -> mk sp access
+        | None -> mk sp (Ast.Ident name))
   | Punct p -> fail st (Printf.sprintf "unexpected '%s'" p)
   | Eof -> fail st "unexpected end of input"
 
-(* Statements. *)
+(* Statements: [q == rhs;] is a contribution to q's branch. *)
 let rec parse_stmt st =
+  let sp = here st in
   if accept_kw st "if" then begin
     let cond = parse_or st in
     eat_kw st "use";
@@ -242,81 +281,109 @@ let rec parse_stmt st =
     eat_kw st "end";
     eat_kw st "use";
     eat_punct st ";";
-    Vast.If_use (cond, then_b, else_b)
+    { Ast.sdesc = Ast.If (cond, then_b, else_b); sspan = sp }
   end
   else begin
-    let span = here st in
     let q = eat_ident st in
+    let target =
+      match List.assoc_opt q st.quantities with
+      | Some access -> mk sp access
+      | None -> fail_at sp ("simultaneous statement on unknown quantity " ^ q)
+    in
     eat_punct st "==";
     let rhs = parse_or st in
     eat_punct st ";";
-    Vast.Simult (q, rhs, span)
+    { Ast.sdesc = Ast.Contribution (target, rhs); sspan = sp }
   end
 
-let parse_assoc_list st =
-  (* ( formal => actual, ... ) where actual is an expression or a
-     terminal name; we capture the raw expression and let the
-     elaborator interpret it. *)
+(* ( formal => actual, ... ) *)
+let parse_assoc_list st actual =
   eat_punct st "(";
   let rec go acc =
     let formal = eat_ident st in
     eat_punct st "=>";
-    let actual = parse_or st in
-    if accept_punct st "," then go ((formal, actual) :: acc)
+    let acc = (formal, actual st) :: acc in
+    if accept_punct st "," then go acc
     else begin
       eat_punct st ")";
-      List.rev ((formal, actual) :: acc)
+      List.rev acc
     end
   in
   go []
 
-let parse_entity st =
-  (* entity <id> is [generic (...);] [port (...);] end [entity] [id]; *)
-  let ename = eat_ident st in
-  eat_kw st "is";
-  let generics = ref [] in
-  if accept_kw st "generic" then begin
-    eat_punct st "(";
-    let rec go () =
-      let names = ident_list st in
-      eat_punct st ":";
-      eat_kw st "real";
-      let default =
-        if accept_punct st ":=" then Some (parse_or st) else None
-      in
-      List.iter
-        (fun gname -> generics := { Vast.gname; default } :: !generics)
-        names;
-      if accept_punct st ";" then go ()
-    in
-    go ();
-    eat_punct st ")";
-    eat_punct st ";"
-  end;
-  let ports = ref [] in
-  if accept_kw st "port" then begin
-    eat_punct st "(";
-    let rec go () =
-      eat_kw st "terminal";
-      let names = ident_list st in
-      eat_punct st ":";
-      eat_kw st "electrical";
-      ports := !ports @ names;
-      if accept_punct st ";" then go ()
-    in
-    go ();
-    eat_punct st ")";
-    eat_punct st ";"
-  end;
-  eat_kw st "end";
-  ignore (accept_kw st "entity");
-  (match peek st with Ident _ -> ignore (eat_ident st) | _ -> ());
+(* ( element; element; ... ); *)
+let parse_clause st element =
+  eat_punct st "(";
+  let rec go acc =
+    let acc = element () :: acc in
+    if accept_punct st ";" then go acc else List.concat (List.rev acc)
+  in
+  let items = go [] in
+  eat_punct st ")";
   eat_punct st ";";
-  { Vast.ename; generics = List.rev !generics; ports = !ports }
+  items
 
+let parse_end st kw =
+  eat_kw st "end";
+  ignore (accept_kw st kw);
+  (match peek st with Ident _ -> advance st | _ -> ());
+  eat_punct st ";"
+
+(* entity <id> is [generic (...);] [port (...);] end [entity] [id];
+   Generics become parameters and terminal ports electrical nets; the
+   reference names [ground]/[gnd] become a ground declaration unless
+   they are ports. The architecture's items are appended later. *)
+let parse_entity st mspan =
+  let name = eat_ident st in
+  eat_kw st "is";
+  let generics =
+    if not (accept_kw st "generic") then []
+    else
+      parse_clause st (fun () ->
+          let names = ident_list st in
+          eat_punct st ":";
+          eat_kw st "real";
+          let default =
+            if accept_punct st ":=" then Some (parse_or st) else None
+          in
+          List.map
+            (fun (sp, name) ->
+              item sp (Ast.Parameter { name; default; local = false }))
+            names)
+  in
+  let port_decls =
+    if not (accept_kw st "port") then []
+    else
+      parse_clause st (fun () ->
+          eat_kw st "terminal";
+          let names = ident_list st in
+          eat_punct st ":";
+          eat_kw st "electrical";
+          [ net_decl names ])
+  in
+  parse_end st "entity";
+  let ports =
+    List.concat_map
+      (fun (it : Ast.item) ->
+        match it.Ast.idesc with Ast.Net_decl (_, ns) -> ns | _ -> [])
+      port_decls
+  in
+  let grounds =
+    List.filter (fun g -> not (List.mem g ports)) [ "ground"; "gnd" ]
+  in
+  {
+    Ast.name;
+    ports;
+    items = port_decls @ generics @ [ item mspan (Ast.Ground_decl grounds) ];
+    mspan;
+  }
+
+(* A quantity declares its branch, named after the through quantity
+   ([br_<across>] for an across-only one), and brings its names into
+   scope; terminals are nets and constants local parameters. *)
 let parse_decl st =
   if accept_kw st "quantity" then begin
-    let span = here st in
+    let sp = here st in
     let across = eat_ident st in
     eat_kw st "across";
     (* either "i through p to n" or directly "p to n" *)
@@ -328,140 +395,139 @@ let parse_decl st =
     eat_kw st "to";
     let neg = eat_ident st in
     eat_punct st ";";
-    Some (Vast.Quantity { across; through; pos; neg; qspan = span })
+    let branch = Option.value through ~default:("br_" ^ across) in
+    let through_q =
+      List.map (fun i -> (i, Ast.Access ("I", [ branch ]))) (Option.to_list through)
+    in
+    st.quantities <-
+      ((across, Ast.Access ("V", [ branch ])) :: through_q) @ st.quantities;
+    Some (item sp (Ast.Branch_decl ((pos, neg), [ branch ])))
   end
   else if accept_kw st "terminal" then begin
     let names = ident_list st in
     eat_punct st ":";
     eat_kw st "electrical";
     eat_punct st ";";
-    Some (Vast.Terminal names)
+    Some (net_decl names)
   end
   else if accept_kw st "constant" then begin
+    let sp = here st in
     let name = eat_ident st in
     eat_punct st ":";
     eat_kw st "real";
     eat_punct st ":=";
     let e = parse_or st in
     eat_punct st ";";
-    Some (Vast.Constant (name, e))
+    Some (item sp (Ast.Parameter { name; default = Some e; local = true }))
   end
   else None
 
-let actual_to_string st (e : Vast.expr) =
-  match e with
-  | Vast.Name s -> s
+let terminal_actual st =
+  match peek st with
+  | Ident s ->
+      advance st;
+      s
   | _ -> fail st "port map actual must be a terminal name or 'ground'"
 
+(* A concurrent statement: "label : entity [work.]name ..." is an
+   instance, anything else a simultaneous statement, which becomes its
+   own analog block so contributions keep their body order. *)
+let parse_concurrent st =
+  let sp = here st in
+  let analog () = item sp (Ast.Analog [ parse_stmt st ]) in
+  match peek st with
+  | Ident "if" -> analog ()
+  | _ ->
+      let save = st.pos in
+      let instance_name = eat_ident st in
+      if accept_punct st ":" then begin
+        eat_kw st "entity";
+        (* optional library prefix: work.name *)
+        let name1 = eat_ident st in
+        let module_name = if accept_punct st "." then eat_ident st else name1 in
+        let map kw actual =
+          if accept_kw st kw then begin
+            eat_kw st "map";
+            parse_assoc_list st actual
+          end
+          else []
+        in
+        let overrides = map "generic" parse_or in
+        let connections = map "port" terminal_actual in
+        eat_punct st ";";
+        item sp (Ast.Instance { module_name; instance_name; overrides; connections })
+      end
+      else begin
+        st.pos <- save;
+        analog ()
+      end
+
+(* architecture <id> of <id> is decls begin body end [architecture] [id];
+   yields the entity name and the architecture's items. *)
 let parse_architecture st =
-  (* architecture <id> of <id> is decls begin body end [architecture] [id]; *)
-  let aname = eat_ident st in
+  ignore (eat_ident st);
   eat_kw st "of";
-  let of_entity = eat_ident st in
+  let entity = eat_ident st in
   eat_kw st "is";
-  let decls = ref [] in
-  let rec decl_loop () =
-    match parse_decl st with
-    | Some d ->
-        decls := d :: !decls;
-        decl_loop ()
-    | None -> ()
+  st.quantities <- [];
+  let rec decls acc =
+    match parse_decl st with Some d -> decls (d :: acc) | None -> List.rev acc
   in
-  decl_loop ();
+  let decls = decls [] in
   eat_kw st "begin";
-  let body = ref [] in
-  let rec body_loop () =
+  let rec body acc =
     match peek st with
-    | Ident "end" -> ()
-    | Ident "if" ->
-        body := Vast.Stmt (parse_stmt st) :: !body;
-        body_loop ()
-    | Ident _ ->
-        (* lookahead: "label : entity ..." is an instance, otherwise a
-           simultaneous statement. *)
-        let save = st.pos in
-        let first = eat_ident st in
-        if accept_punct st ":" then begin
-          eat_kw st "entity";
-          (* optional library prefix: work.name *)
-          let name1 = eat_ident st in
-          let entity =
-            if accept_punct st "." then eat_ident st else name1
-          in
-          let generic_map =
-            if accept_kw st "generic" then begin
-              eat_kw st "map";
-              parse_assoc_list st
-            end
-            else []
-          in
-          let port_map =
-            if accept_kw st "port" then begin
-              eat_kw st "map";
-              List.map
-                (fun (f, a) -> (f, actual_to_string st a))
-                (parse_assoc_list st)
-            end
-            else []
-          in
-          eat_punct st ";";
-          body :=
-            Vast.Instance { label = first; entity; generic_map; port_map }
-            :: !body;
-          body_loop ()
-        end
-        else begin
-          st.pos <- save;
-          body := Vast.Stmt (parse_stmt st) :: !body;
-          body_loop ()
-        end
+    | Ident "end" -> List.rev acc
+    | Ident _ -> body (parse_concurrent st :: acc)
     | _ -> fail st "expected concurrent statement"
   in
-  body_loop ();
-  eat_kw st "end";
-  ignore (accept_kw st "architecture");
-  (match peek st with Ident _ -> ignore (eat_ident st) | _ -> ());
-  eat_punct st ";";
-  { Vast.aname; of_entity; decls = List.rev !decls; body = List.rev !body }
+  let body = body [] in
+  parse_end st "architecture";
+  st.quantities <- [];
+  (entity, decls @ body)
 
 let state_of ?(file = "<input>") src =
-  { toks = Array.of_list (tokenize src); pos = 0; file }
+  { toks = Array.of_list (tokenize src); pos = 0; file; quantities = [] }
 
+(* Each entity, joined with its first architecture, is one module. *)
 let parse ?file src =
   let st = state_of ?file src in
-  let units = ref [] in
-  let rec go () =
+  let rec go entities archs =
     match peek st with
-    | Eof -> ()
+    | Eof -> (List.rev entities, List.rev archs)
     | Ident "library" ->
         advance st;
         ignore (ident_list st);
         eat_punct st ";";
-        go ()
+        go entities archs
     | Ident "use" ->
         advance st;
         (* dotted name, possibly ending in .all *)
         ignore (eat_ident st);
         while accept_punct st "." do
-          (match peek st with
-          | Ident _ -> ignore (eat_ident st)
-          | _ -> fail st "expected name after '.'")
+          match peek st with
+          | Ident _ -> advance st
+          | _ -> fail st "expected name after '.'"
         done;
         eat_punct st ";";
-        go ()
+        go entities archs
     | Ident "entity" ->
+        let sp = here st in
         advance st;
-        units := Vast.Entity (parse_entity st) :: !units;
-        go ()
+        go (parse_entity st sp :: entities) archs
     | Ident "architecture" ->
         advance st;
-        units := Vast.Architecture (parse_architecture st) :: !units;
-        go ()
+        go entities (parse_architecture st :: archs)
     | Ident other -> fail st (Printf.sprintf "unexpected '%s'" other)
     | Number _ | Punct _ -> fail st "expected a design unit"
   in
-  go ();
-  List.rev !units
+  let entities, archs = go [] [] in
+  List.map
+    (fun (m : Ast.module_def) ->
+      match List.assoc_opt m.Ast.name archs with
+      | Some items -> { m with Ast.items = m.Ast.items @ items }
+      | None -> fail_at m.Ast.mspan ("entity " ^ m.Ast.name ^ " has no architecture"))
+    entities
 
 let parse_expr_string src =
   let st = state_of src in

@@ -105,6 +105,39 @@ let test_signal_flow_codes () =
      analog V(out) <+ V(in) - V(out) * V(out);\nendmodule"
     "AMS042"
 
+(* The direct conversion tells an undefined quantity or output
+   (AMS030) from an ordering violation (AMS040) by exception, not by
+   message text. *)
+let test_signal_flow_typed_errors () =
+  let v n = Expr.potential n "gnd" in
+  let convert ~outputs contributions =
+    ignore
+      (Flow.convert_signal_flow ~name:"t" ~inputs:[ "in" ] ~outputs
+         ~contributions ~dt:1e-6)
+  in
+  let raises_undefined label f =
+    Alcotest.(check bool) label true
+      (match f () with
+      | () -> false
+      | exception Amsvp_sf.Sfprogram.Undefined _ -> true)
+  in
+  raises_undefined "output never assigned" (fun () ->
+      convert ~outputs:[ v "ghost" ] [ (v "out", Expr.var (Expr.signal "in")) ]);
+  raises_undefined "read of an unknown quantity" (fun () ->
+      convert ~outputs:[ v "out" ]
+        [ (v "out", Expr.Ddt (Expr.var (v "ghost"))) ]);
+  Alcotest.(check bool) "ordering is not undefined" true
+    (match
+       convert ~outputs:[ v "out" ]
+         [
+           (v "out", Expr.var (v "x"));
+           (v "x", Expr.var (Expr.signal "in"));
+         ]
+     with
+    | () -> false
+    | exception Amsvp_sf.Sfprogram.Undefined _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_stability_warning () =
   (* tau = rc = 125us; dt = 1s is far beyond it *)
   let src =
@@ -132,17 +165,20 @@ let test_stability_warning () =
      cp _build/default/test/fixtures/*.golden test/fixtures/
 *)
 
-(* [(base, amplitude_budget)] — the budget feeds the AMS063 pass for
-   the fixtures that exercise it. *)
+(* [(source, amplitude_budget)] — the budget feeds the AMS063 pass for
+   the fixtures that exercise it. [base.vams] is diffed against
+   [base.golden]; a VHDL-AMS [base.vhd], linted with input [tin],
+   against [base.vhd.golden]. *)
 let golden_fixtures =
   [
-    ("lint_showcase", None);
-    ("lint_unused", None);
-    ("lint_ordering", None);
-    ("absint_div0", None);
-    ("absint_nonfinite", None);
-    ("absint_const", None);
-    ("absint_amplitude", Some 5.0);
+    ("lint_showcase.vams", None);
+    ("lint_showcase.vhd", None);
+    ("lint_unused.vams", None);
+    ("lint_ordering.vams", None);
+    ("absint_div0.vams", None);
+    ("absint_nonfinite.vams", None);
+    ("absint_const.vams", None);
+    ("absint_amplitude.vams", Some 5.0);
   ]
 
 (* [dune runtest] runs from the test directory, [dune exec] from the
@@ -160,14 +196,19 @@ let read_file path =
 let test_golden_baselines () =
   let regen = Sys.getenv_opt "AMSVP_GOLDEN_REGEN" = Some "1" in
   List.iter
-    (fun (base, amplitude_budget) ->
-      let vams = Filename.concat fixture_dir (base ^ ".vams") in
-      let golden = Filename.concat fixture_dir (base ^ ".golden") in
+    (fun (source, amplitude_budget) ->
+      let vhdl = Filename.check_suffix source ".vhd" in
+      let vams = Filename.concat fixture_dir source in
+      let golden =
+        Filename.concat fixture_dir
+          (if vhdl then source ^ ".golden"
+           else Filename.chop_suffix source ".vams" ^ ".golden")
+      in
       let report =
         Diag.report_to_text
           (Lint.lint ?amplitude_budget
-             ~file:("fixtures/" ^ base ^ ".vams")
-             (read_file vams))
+             ~lang:(if vhdl then `Vhdl_ams else `Verilog_ams)
+             ~inputs:[ "tin" ] ~file:("fixtures/" ^ source) (read_file vams))
         ^ "\n"
       in
       if regen then begin
@@ -434,6 +475,8 @@ let () =
           Alcotest.test_case "ast codes" `Quick test_ast_codes;
           Alcotest.test_case "clean models" `Quick test_clean_models_lint_clean;
           Alcotest.test_case "signal-flow codes" `Quick test_signal_flow_codes;
+          Alcotest.test_case "signal-flow typed errors" `Quick
+            test_signal_flow_typed_errors;
           Alcotest.test_case "stability warning" `Quick test_stability_warning;
         ] );
       ( "baselines",

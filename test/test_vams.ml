@@ -263,6 +263,61 @@ let test_unknown_module () =
         (Parser.parse "module top(a); input electrical a; widget w (.p(a)); endmodule")
         ~top:"top")
 
+(* The error and its span, or [None] when elaboration succeeds. *)
+let elab_error src ~top =
+  match Elaborate.flatten (Parser.parse ~file:"k.vams" src) ~top with
+  | _ -> None
+  | exception Elaborate.Elab_error (msg, sp) ->
+      Some (msg, Option.map (fun (s : Amsvp_diag.Diag.span) -> (s.line, s.col)) sp)
+
+let resistances flat =
+  List.filter_map
+    (fun (d : Component.t) ->
+      match d.Component.kind with Component.Resistor r -> Some r | _ -> None)
+    (Circuit.devices (Elaborate.to_circuit flat))
+
+let test_parameter_scope () =
+  (* A default reads the parameters declared before it. *)
+  let src =
+    "module k(a);\n\
+    \  inout electrical a;\n\
+    \  parameter real r = 1.5;\n\
+    \  parameter real r2 = 2.0 * r;\n\
+    \  analog V(a) <+ r2 * I(a);\n\
+     endmodule\n"
+  in
+  Alcotest.(check (list (float 0.0))) "r2 = 2 r" [ 3.0 ]
+    (resistances (Elaborate.flatten (Parser.parse src) ~top:"k"))
+
+let test_top_level_error_names_module () =
+  (* A default cannot read a later parameter; the error at top level
+     names the module instead of an empty instance path. *)
+  let src =
+    "module k(a);\n\
+    \  inout electrical a;\n\
+    \  parameter real r2 = 2.0 * r;\n\
+    \  parameter real r = 1.5;\n\
+    \  analog V(a) <+ r2 * I(a);\n\
+     endmodule\n"
+  in
+  Alcotest.(check (option (pair string (option (pair int int)))))
+    "later parameter out of scope"
+    (Some ("unknown parameter r in k", Some (3, 29)))
+    (elab_error src ~top:"k")
+
+let test_misspelled_override () =
+  let src =
+    Sources.primitives
+    ^ "module top(a); input electrical a;\n\
+      \  resistor #(.rr(5.0)) r1 (.p(a), .n(gnd));\n\
+       endmodule"
+  in
+  match elab_error src ~top:"top" with
+  | Some (msg, Some _) ->
+      Alcotest.(check string) "message" "module resistor has no parameter rr" msg
+  | Some (_, None) -> Alcotest.fail "override error without a span"
+  | None -> Alcotest.fail "misspelled override accepted"
+
 let test_unknown_port () =
   let src =
     Sources.primitives
@@ -494,6 +549,11 @@ let () =
           Alcotest.test_case "ground alias" `Quick test_ground_alias;
           Alcotest.test_case "unknown module" `Quick test_unknown_module;
           Alcotest.test_case "unknown port" `Quick test_unknown_port;
+          Alcotest.test_case "parameter scope" `Quick test_parameter_scope;
+          Alcotest.test_case "top-level error names module" `Quick
+            test_top_level_error_names_module;
+          Alcotest.test_case "misspelled override" `Quick
+            test_misspelled_override;
           Alcotest.test_case "nonlinear device rejected" `Quick
             test_nonlinear_device_rejected;
           Alcotest.test_case "PWL recognition" `Quick test_pwl_recognition;
