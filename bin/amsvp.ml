@@ -649,7 +649,6 @@ let netlist_cmd =
 module Spec = Amsvp_sweep.Spec
 module Sweep_runner = Amsvp_sweep.Runner
 module Sweep_report = Amsvp_sweep.Report
-module Sweep_checkpoint = Amsvp_sweep.Checkpoint
 module Daemon = Amsvp_serve.Daemon
 module Serve_client = Amsvp_serve.Client
 module Serve_protocol = Amsvp_serve.Protocol
@@ -787,37 +786,23 @@ let sweep_cmd =
               Printf.eprintf "error: %s\n" m;
               exit 1)
     in
-    let completed, writer =
-      match checkpoint with
-      | None -> ([], None)
-      | Some path ->
-          let circuit = tc.Amsvp_netlist.Circuits.label in
-          let points = Spec.point_count spec in
-          if resume then begin
-            (* Refuse a foreign checkpoint explicitly instead of letting
-               open_resume silently truncate it. *)
-            match Sweep_checkpoint.load ~path spec ~circuit with
-            | Error m ->
-                Printf.eprintf "error: %s\n" m;
-                exit 1
-            | Ok _ ->
-                let completed, w =
-                  Sweep_checkpoint.open_resume ~path spec ~circuit ~points
-                in
-                (completed, Some w)
-          end
-          else ([], Some (Sweep_checkpoint.create ~path spec ~circuit ~points))
-    in
-    if completed <> [] then
-      Printf.printf "resuming: %d point(s) recovered from the checkpoint\n"
-        (List.length completed);
-    let on_point =
-      Option.map (fun w r -> Sweep_checkpoint.append w r) writer
+    let checkpoint =
+      Option.map (fun p -> if resume then `Resume p else `Fresh p) checkpoint
     in
     let summary =
-      Sweep_runner.run ~prune:prune_static ?on_point ~completed spec tc
+      match
+        Sweep_runner.session ?checkpoint ~prune:prune_static
+          ~on_open:(fun n ->
+            if n > 0 then
+              Printf.printf
+                "resuming: %d point(s) recovered from the checkpoint\n" n)
+          (Sweep_runner.prepare spec tc)
+      with
+      | Ok summary -> summary
+      | Error m ->
+          Printf.eprintf "error: %s\n" m;
+          exit 1
     in
-    Option.iter Sweep_checkpoint.close writer;
     (match report_out with
     | Some basename ->
         List.iter

@@ -1,8 +1,8 @@
 module Spec = Amsvp_sweep.Spec
 module Runner = Amsvp_sweep.Runner
 module Diag = Amsvp_diag.Diag
-module Checkpoint = Amsvp_sweep.Checkpoint
 module Pool = Amsvp_sweep.Pool
+module Health = Amsvp_probe.Health
 module Circuits = Amsvp_netlist.Circuits
 module Obs = Amsvp_obs.Obs
 module Journal = Amsvp_obs.Journal
@@ -174,8 +174,102 @@ let checkpoint_path st spec ~circuit =
     (fun dir ->
       Filename.concat dir
         (Printf.sprintf "%s-%s.ckpt.jsonl" spec.Spec.name
-           (Checkpoint.digest spec ~circuit)))
+           (Amsvp_sweep.Checkpoint.digest spec ~circuit)))
     st.cfg.checkpoint_dir
+
+(* One accepted submit: the sweep session on the warm pool, streamed
+   to the client frame by frame. *)
+let run_submit st conn ~id spec (tc : Circuits.testcase) ctx pool =
+  Obs.with_span ~cat:"serve"
+    ~args:[ ("sweep", spec.Spec.name); ("id", string_of_int id) ]
+    "serve.request"
+  @@ fun () ->
+  let circuit = tc.Circuits.label in
+  let total = Array.length (Runner.ctx_points ctx) in
+  let ckpt = checkpoint_path st spec ~circuit in
+  let signal =
+    match spec.Spec.output with
+    | Some s -> s
+    | None -> Expr.var_name tc.Circuits.output
+  in
+  let set_in_flight n =
+    st.in_flight <- n;
+    Obs.Gauge.set g_in_flight (float_of_int n)
+  in
+  (* The session appends each result to the checkpoint and streams it
+     through [on_result]; the daemon's own bookkeeping wraps that. *)
+  let execute ~on_result pending =
+    set_in_flight (Array.length pending);
+    ignore
+      (Pool.run pool ~retries:st.cfg.retries ~signal ~request_id:id
+         ~tally:st.tally
+         ~on_result:(fun r ->
+           st.points_run <- st.points_run + 1;
+           set_in_flight (st.in_flight - 1);
+           let has k =
+             List.exists
+               (fun i -> i.Health.kind = k)
+               r.Runner.health.Health.v_issues
+           in
+           if has Health.Timeout then st.timeouts <- st.timeouts + 1
+           else if has Health.Crashed then st.crashed <- st.crashed + 1;
+           on_result r;
+           (* The worker streams its own journal through the telemetry
+              frames; this parent-side record is the dispatch
+              bookkeeping view of the same point. *)
+           jlog ~req:id st "shard.result"
+             [
+               ("point", Journal.S r.Runner.point.Amsvp_sweep.Sampler.label);
+               ("cached", Journal.B r.Runner.cached);
+               ("healthy", Journal.B r.Runner.health.Health.v_healthy);
+               ("wall_s", Journal.F r.Runner.wall_s);
+             ];
+           tick_metrics st;
+           if st.points_run land 31 = 0 then Journal.flush ())
+         ~should_stop:(fun () -> !(st.draining))
+         pending);
+    set_in_flight 0
+  in
+  match
+    Runner.session
+      ?checkpoint:(Option.map (fun p -> `Resume p) ckpt)
+      ~on_open:(fun resumed ->
+        send conn
+          (Protocol.Accepted
+             { id; sweep = spec.Spec.name; circuit; points = total; resumed }))
+      ~on_point:(fun r -> send conn (Protocol.Point { id; result = r }))
+      ~execute ctx
+  with
+  | Error message -> send conn (Protocol.Failed { message })
+  | Ok s ->
+      let delivered = Array.length s.Runner.points in
+      let complete = delivered = total in
+      (* A finished sweep's checkpoint has served its purpose; dropping
+         it keeps a resubmit a fresh (warm-ctx) run rather than an
+         instant replay of stale results. *)
+      (match ckpt with
+      | Some path when complete && Sys.file_exists path -> Sys.remove path
+      | _ -> ());
+      send conn
+        (Protocol.Done
+           {
+             id;
+             points = delivered;
+             unhealthy = s.Runner.unhealthy;
+             cache_hits = s.Runner.cache_hits;
+             cache_misses = s.Runner.cache_misses;
+             total_s = s.Runner.total_s;
+             complete;
+           });
+      jlog ~req:id st "request.done"
+        [
+          ("sweep", Journal.S spec.Spec.name);
+          ("points", Journal.I delivered);
+          ("complete", Journal.B complete);
+          ("total_s", Journal.F s.Runner.total_s);
+        ];
+      Journal.flush ();
+      tick_metrics ~force:true st
 
 let handle_submit st conn ~id ~spec_text =
   match Spec.of_string spec_text with
@@ -207,160 +301,32 @@ let handle_submit st conn ~id ~spec_text =
           | exception e ->
               send conn
                 (Protocol.Failed { message = Printexc.to_string e })
-          | { ctx; _ }
-            when List.exists
-                   (fun (f : Diag.finding) -> f.Diag.severity = Diag.Error)
-                   (Runner.screen ~werror:st.cfg.werror ctx) ->
-              (* Value-range screen (AMS06x): errors — native AMS060 or
-                 anything upgraded by the daemon's [werror] — reject the
-                 submit with the full diagnostics list.  (The screen is
-                 a pure function of the warm ctx, so re-running it here
-                 is cheap and keeps the guard side-effect free.) *)
+          | { ctx; pool } -> (
               let findings = Runner.screen ~werror:st.cfg.werror ctx in
-              let errors =
+              match
                 List.length
                   (List.filter
                      (fun (f : Diag.finding) -> f.Diag.severity = Diag.Error)
                      findings)
-              in
-              jlog ~req:id st "submit.rejected"
-                [ ("sweep", Journal.S spec.Spec.name);
-                  ("errors", Journal.I errors) ];
-              send conn
-                (Protocol.Rejected
-                   {
-                     message =
-                       Printf.sprintf
-                         "value-range screen rejected the sweep: %d error(s)"
-                         errors;
-                     findings;
-                   })
-          | { ctx; pool } ->
-              Obs.with_span ~cat:"serve"
-                ~args:[ ("sweep", spec.Spec.name); ("id", string_of_int id) ]
-                "serve.request"
-              @@ fun () ->
-              let circuit = tc.Circuits.label in
-              let points = Runner.ctx_points ctx in
-              let total = Array.length points in
-              let ckpt = checkpoint_path st spec ~circuit in
-              let completed, writer =
-                match ckpt with
-                | None -> ([], None)
-                | Some path ->
-                    let completed, w =
-                      Checkpoint.open_resume ~path spec ~circuit ~points:total
-                    in
-                    (completed, Some w)
-              in
-              match Runner.split ctx completed with
-              | exception Invalid_argument message ->
-                  Option.iter Checkpoint.close writer;
-                  send conn (Protocol.Failed { message })
-              | _, pending ->
+              with
+              | 0 -> run_submit st conn ~id spec tc ctx pool
+              | errors ->
+                  (* Value-range screen (AMS06x): errors — native AMS060
+                     or anything upgraded by the daemon's [werror] —
+                     reject the submit with the full diagnostics list. *)
+                  jlog ~req:id st "submit.rejected"
+                    [ ("sweep", Journal.S spec.Spec.name);
+                      ("errors", Journal.I errors) ];
                   send conn
-                    (Protocol.Accepted
+                    (Protocol.Rejected
                        {
-                         id;
-                         sweep = spec.Spec.name;
-                         circuit;
-                         points = total;
-                         resumed = List.length completed;
-                       });
-                  (* Recovered points stream first, so the client always
-                     sees the full result set in one session. *)
-                  List.iter
-                    (fun r -> send conn (Protocol.Point { id; result = r }))
-                    completed;
-                  let signal =
-                    match spec.Spec.output with
-                    | Some s -> s
-                    | None -> Expr.var_name tc.Circuits.output
-                  in
-                  let executed = ref 0 in
-                  let t0 = Obs.now_ns () in
-                  st.in_flight <- Array.length pending;
-                  Obs.Gauge.set g_in_flight (float_of_int st.in_flight);
-                  let fresh =
-                    Pool.run pool ~retries:st.cfg.retries ~signal ~request_id:id
-                      ~tally:st.tally
-                      ~on_result:(fun r ->
-                        incr executed;
-                        st.points_run <- st.points_run + 1;
-                        st.in_flight <- st.in_flight - 1;
-                        Obs.Gauge.set g_in_flight (float_of_int st.in_flight);
-                        let issues =
-                          r.Runner.health.Amsvp_probe.Health.v_issues
-                        in
-                        let has k =
-                          List.exists
-                            (fun i -> i.Amsvp_probe.Health.kind = k)
-                            issues
-                        in
-                        if has Amsvp_probe.Health.Timeout then
-                          st.timeouts <- st.timeouts + 1
-                        else if has Amsvp_probe.Health.Crashed then
-                          st.crashed <- st.crashed + 1;
-                        (match writer with
-                        | Some w -> Checkpoint.append w r
-                        | None -> ());
-                        send conn (Protocol.Point { id; result = r });
-                        (* The worker streams its own journal through the
-                           telemetry frames; this parent-side record is the
-                           dispatch bookkeeping view of the same point. *)
-                        jlog ~req:id st "shard.result"
-                          [
-                            ("point",
-                             Journal.S r.Runner.point.Amsvp_sweep.Sampler.label);
-                            ("cached", Journal.B r.Runner.cached);
-                            ("healthy",
-                             Journal.B
-                               r.Runner.health.Amsvp_probe.Health.v_healthy);
-                            ("wall_s", Journal.F r.Runner.wall_s);
-                          ];
-                        tick_metrics st;
-                        if !executed land 31 = 0 then Journal.flush ())
-                      ~should_stop:(fun () -> !(st.draining))
-                      pending
-                  in
-                  st.in_flight <- 0;
-                  Obs.Gauge.set g_in_flight 0.0;
-                  let total_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
-                  Option.iter Checkpoint.close writer;
-                  let delivered =
-                    Array.of_list
-                      (completed @ List.filter_map Fun.id (Array.to_list fresh))
-                  in
-                  let n_delivered = Array.length delivered in
-                  let complete = n_delivered = total in
-                  (* A finished sweep's checkpoint has served its purpose;
-                     dropping it keeps a resubmit a fresh (warm-ctx) run
-                     rather than an instant replay of stale results. *)
-                  (match ckpt with
-                  | Some path when complete && Sys.file_exists path ->
-                      Sys.remove path
-                  | _ -> ());
-                  let s = Runner.summarize ctx delivered ~total_s in
-                  send conn
-                    (Protocol.Done
-                       {
-                         id;
-                         points = n_delivered;
-                         unhealthy = s.Runner.unhealthy;
-                         cache_hits = s.Runner.cache_hits;
-                         cache_misses = s.Runner.cache_misses;
-                         total_s;
-                         complete;
-                       });
-                  jlog ~req:id st "request.done"
-                    [
-                      ("sweep", Journal.S spec.Spec.name);
-                      ("points", Journal.I n_delivered);
-                      ("complete", Journal.B complete);
-                      ("total_s", Journal.F total_s);
-                    ];
-                  Journal.flush ();
-                  tick_metrics ~force:true st))
+                         message =
+                           Printf.sprintf
+                             "value-range screen rejected the sweep: %d \
+                              error(s)"
+                             errors;
+                         findings;
+                       }))))
 
 let stats_reply st =
   Protocol.Stats_reply

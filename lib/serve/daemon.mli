@@ -19,7 +19,10 @@
     checkpoint identity). With [checkpoint_dir] set, every completed
     point is appended to a per-sweep checkpoint file, so a daemon
     killed mid-sweep resumes on resubmit, streaming recovered points
-    first and executing only the remainder.
+    first and executing only the remainder. A submit runs
+    {!Amsvp_sweep.Runner.session} on the warm pool, the session
+    [amsvp sweep --resume] runs too: a foreign checkpoint fails the
+    submit, and a completed one is deleted.
 
     The daemon journals under origin ["daemon"] and ingests each
     worker's journal events, spans, and counter deltas shipped over

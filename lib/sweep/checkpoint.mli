@@ -4,9 +4,9 @@
     spec + circuit (via an MD5 of the spec's canonical text form), then
     one {!Point_result} line per {e completed} point, appended and
     flushed as points finish.  Killing the process — SIGKILL included —
-    loses at most the line being written; {!load} recovers every intact
-    result and a resumed run ({!Runner.run}'s [completed] argument)
-    reruns only the missing points.
+    loses at most the line being written: {!resume} recovers every
+    intact result, cuts the torn tail off, and {!Runner.session} reruns
+    only the missing points.
 
     Floats round-trip byte-exactly ({!Amsvp_util.Json.print}'s float
     rule), so a resumed sweep's report equals the uninterrupted one's. *)
@@ -33,18 +33,21 @@ val load :
   Spec.t ->
   circuit:string ->
   (Point_result.t list, string) result
-(** Recovered results, in file order. [Ok []] when the file is missing
-    or empty; [Error] when it exists but its header does not match this
-    spec + circuit. A torn final line (kill mid-write) is silently
-    dropped. *)
+(** The results {!resume} would recover, in file order, without
+    touching the file. *)
 
-val open_resume :
+val resume :
   path:string ->
   Spec.t ->
   circuit:string ->
   points:int ->
-  Point_result.t list * writer
-(** [load] then reopen for appending: recovered results plus a writer
-    positioned after them. A missing, empty or {e mismatched} file is
-    truncated to a fresh checkpoint (callers wanting to refuse a
-    mismatch should {!load} first and check). *)
+  (Point_result.t list * writer, string) result
+(** Reopen a checkpoint for appending: its intact results, in file
+    order, and a writer positioned after them.
+    - A file with no complete first line — missing, empty, or killed
+      inside {!create} — holds nothing: it is {!create}d afresh.
+    - A complete header that does not match this spec + circuit is
+      [Error]; the file is left alone.
+    - Results are kept up to the first line that is torn (no newline)
+      or does not decode; the file is truncated there, so appended
+      lines start on a line of their own. *)

@@ -1,6 +1,6 @@
 (** The worker-process pool that runs sweep points in parallel.
 
-    [amsvp sweep --jobs N] ({!Runner.run} with [jobs > 1]) and the
+    [amsvp sweep --jobs N] ({!Runner.session} with [jobs > 1]) and the
     serve daemon both run points here. A pool forks {e worker
     processes}, which gives three things threads in one runtime could
     not: a crashed point (segfault, OOM kill, stack overflow) takes
@@ -11,7 +11,7 @@
     makes the fork safe.
 
     A pool is created once per work function and lives until {!close}.
-    {!Runner.run} closes its pool when the sweep ends; the serve daemon
+    {!Runner.session} closes its pool when the sweep ends; the serve daemon
     keeps one per warm prepared sweep, so its workers are forked by the
     first submit of that sweep, serve every later submit of it, and
     exit when the sweep is evicted from the daemon's cache or the
@@ -127,7 +127,7 @@ val unregister_parent_fd : Unix.file_descr -> unit
 val guard : (Sampler.point -> Point_result.t) -> Sampler.point -> Point_result.t
 (** [guard f p] is [f p], or, when [f] raises, a [Crashed] verdict whose
     signal names the exception (NaN values, zero wall clock). Workers
-    run every task through it, and so does {!Runner.run}'s inline
+    run every task through it, and so does {!Runner.session}'s inline
     path, so a raising point reports the same for any [jobs]. *)
 
 val create :

@@ -432,28 +432,10 @@ let summarize ctx (results : point_result array) ~total_s =
     total_s;
   }
 
-let split ctx completed =
-  let slots = Array.make (Array.length ctx.c_points) None in
-  List.iter
-    (fun (r : point_result) ->
-      let i = r.point.Sampler.index in
-      if i < 0 || i >= Array.length slots then
-        invalid_arg
-          (Printf.sprintf "Sweep: completed point index %d outside 0..%d" i
-             (Array.length slots - 1));
-      slots.(i) <- Some r)
-    completed;
-  let pending =
-    List.filter
-      (fun (p : Sampler.point) -> Option.is_none slots.(p.Sampler.index))
-      (Array.to_list ctx.c_points)
-  in
-  (slots, Array.of_list pending)
-
 (* Run [pending] and hand each result to [on_result] in this process:
    inline when [jobs] is 1, else on a pool of [jobs] worker processes
    forked for this call and closed when it returns. *)
-let execute ctx ~on_result pending =
+let dispatch ctx ~on_result pending =
   let work p = run_point ctx p in
   if ctx.c_jobs = 1 then
     Array.iter (fun p -> on_result (Pool.guard work p)) pending
@@ -470,35 +452,63 @@ let execute ctx ~on_result pending =
              pending))
   end
 
-let run ?jobs ?(prune = false) ?on_point ?(completed = [])
-    (spec : Spec.t) (tc : Circuits.testcase) =
+let session ?checkpoint ?(prune = false) ?on_open ?on_point ?execute ctx =
+  let spec = ctx.c_spec and circuit = ctx.c_tc.Circuits.label in
+  let points = Array.length ctx.c_points in
+  let opened =
+    match checkpoint with
+    | None -> Ok ([], None)
+    | Some (`Fresh path) ->
+        Ok ([], Some (Checkpoint.create ~path spec ~circuit ~points))
+    | Some (`Resume path) ->
+        Result.map
+          (fun (recovered, w) -> (recovered, Some w))
+          (Checkpoint.resume ~path spec ~circuit ~points)
+  in
+  Result.map
+    (fun (recovered, writer) ->
+      Fun.protect ~finally:(fun () -> Option.iter Checkpoint.close writer)
+      @@ fun () ->
+      let slots = Array.make points None in
+      let delivered () = List.filter_map Fun.id (Array.to_list slots) in
+      let pending () =
+        Array.of_list
+          (List.filter
+             (fun (p : Sampler.point) ->
+               Option.is_none slots.(p.Sampler.index))
+             (Array.to_list ctx.c_points))
+      in
+      let fill (r : point_result) = slots.(r.point.Sampler.index) <- Some r in
+      let emit r = Option.iter (fun f -> f r) on_point in
+      List.iter fill recovered;
+      (* Recovered points stream first, so a consumer sees the full
+         result set in one session. *)
+      let recovered = delivered () in
+      Option.iter (fun f -> f (List.length recovered)) on_open;
+      List.iter emit recovered;
+      let finish r =
+        fill r;
+        Option.iter (fun w -> Checkpoint.append w r) writer;
+        emit r
+      in
+      (* Pre-flight static pruning: points the abstract interpreter
+         proves unhealthy are answered without simulation (their
+         [Pruned] results are checkpointed and streamed like any other)
+         and removed from the dispatch set. *)
+      if prune then
+        List.iter
+          (fun (d : Prune.decision) ->
+            finish (pruned_result ctx d.Prune.d_point d.Prune.d_bad))
+          (prune_static ctx (pending ()));
+      let execute = Option.value execute ~default:(dispatch ctx) in
+      let t0 = Obs.now_ns () in
+      execute ~on_result:finish (pending ());
+      let total_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
+      summarize ctx (Array.of_list (delivered ())) ~total_s)
+    opened
+
+let run ?jobs ?prune ?on_point (spec : Spec.t) (tc : Circuits.testcase) =
   let ctx = prepare ?jobs spec tc in
-  (* Checkpointed results fill their slots instead of running, so a
-     resumed sweep reports exactly as an uninterrupted one (modulo wall
-     clocks). *)
-  let slots, pending = split ctx completed in
-  let finish (r : point_result) =
-    slots.(r.point.Sampler.index) <- Some r;
-    Option.iter (fun f -> f r) on_point
-  in
-  (* Pre-flight static pruning: points the abstract interpreter proves
-     unhealthy are answered without simulation (their [Pruned] results
-     go through [on_point] like any other, so checkpoints and service
-     streams see them) and removed from the dispatch set. *)
-  let pending =
-    if not prune then pending
-    else begin
-      List.iter
-        (fun (d : Prune.decision) ->
-          finish (pruned_result ctx d.Prune.d_point d.Prune.d_bad))
-        (prune_static ctx pending);
-      Array.of_list
-        (List.filter
-           (fun (p : Sampler.point) -> Option.is_none slots.(p.Sampler.index))
-           (Array.to_list pending))
-    end
-  in
-  let t0 = Obs.now_ns () in
-  execute ctx ~on_result:finish pending;
-  let total_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
-  summarize ctx (Array.map Option.get slots) ~total_s
+  match session ?prune ?on_point ctx with
+  | Ok summary -> summary
+  | Error m -> invalid_arg m (* only a checkpoint can be refused *)

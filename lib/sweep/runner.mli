@@ -19,7 +19,7 @@
     The per-point machinery is also exposed piecewise — {!prepare} once,
     {!run_point} many — so a long-running service can keep the prepared
     sweep (probed circuit, recorded plan, compiled bytecode template)
-    warm across requests and dispatch points from its own scheduler. *)
+    warm across requests and hand {!session} its own executor. *)
 
 type point_result = Point_result.t = {
   point : Sampler.point;
@@ -93,46 +93,49 @@ val run_point : ?timeout_s:float -> ctx -> Sampler.point -> point_result
     carries a [Timeout] health issue with NaN values instead of
     stalling the caller. *)
 
-val split :
-  ctx -> point_result list -> point_result option array * Sampler.point array
-(** [split ctx completed] sorts the sweep's points by what a checkpoint
-    recovered: slot [i] of the array holds the recovered result of
-    point [i] ([None] when there is none), and the points without one
-    come second, in expansion order — the points still to run.
-    @raise Invalid_argument on a completed point index outside the
-    expansion. *)
+(** {1 Sweep sessions} *)
 
-val summarize : ctx -> point_result array -> total_s:float -> summary
-(** Aggregate per-point results into the report-ready summary: counts
-    and statistics over whatever results are given (a drained serve
-    request summarises the points it delivered); [points] keeps their
-    order, which is expansion order for {!run}. *)
+val session :
+  ?checkpoint:[ `Fresh of string | `Resume of string ] ->
+  ?prune:bool ->
+  ?on_open:(int -> unit) ->
+  ?on_point:(point_result -> unit) ->
+  ?execute:(on_result:(point_result -> unit) -> Sampler.point array -> unit) ->
+  ctx ->
+  (summary, string) result
+(** Run the prepared sweep once, the one path [amsvp sweep] and the
+    serve daemon share. In order:
+    + open [checkpoint]: [`Fresh path] creates it, [`Resume path]
+      goes through {!Checkpoint.resume} (a foreign header is [Error],
+      before anything else happens);
+    + [on_open] gets the number of recovered points, then [on_point]
+      each of them, in expansion order;
+    + with [prune] (default false), the points the {!Prune} pre-flight
+      proves unhealthy (against the spec's [amplitude_limit] and the
+      structural non-finite hazard — a MUST analysis, so no healthy
+      point is skipped) get a pruned result: NaN values, one [Pruned]
+      health issue, zero wall clock;
+    + [execute] gets the remaining points and calls [on_result] in this
+      process once per point it finishes. It defaults to the ctx's own
+      executor: inline for [jobs = 1], else a {!Pool} of [jobs] workers
+      forked and closed within the call;
+    + each pruned or executed result is appended to the checkpoint once,
+      then passed to [on_point];
+    + the checkpoint is closed on every exit, a raise included, and the
+      delivered points are summarised in expansion order, [total_s]
+      timing [execute] alone.
+
+    An executor may stop early (the daemon's drain): the summary then
+    holds fewer points than the expansion, and resuming the checkpoint
+    finishes the rest with a report byte-identical to an uninterrupted
+    run's (wall clocks aside). *)
 
 val run :
   ?jobs:int ->
   ?prune:bool ->
   ?on_point:(point_result -> unit) ->
-  ?completed:point_result list ->
   Spec.t ->
   Amsvp_netlist.Circuits.testcase ->
   summary
-(** Execute the sweep over the given test case: {!prepare}, {!split},
-    {!run_point} over every pending point (inline for [jobs = 1], on a
-    {!Pool} of [jobs] worker processes otherwise, closed before [run]
-    returns), {!summarize}.
-
-    [prune] (default false) runs the {!Prune} pre-flight first: the
-    abstract interpreter proves sub-regions of parameter space
-    unhealthy against the spec's [amplitude_limit] and the structural
-    non-finite hazard, and those points are answered with a pruned
-    result (NaN values, one [Pruned] health issue, zero wall clock)
-    instead of being simulated, leaving every surviving point's result
-    untouched (the proof is a MUST analysis, so nothing healthy is
-    ever skipped).  [completed] injects results recovered from a
-    checkpoint: their points are skipped and the recovered results
-    merged back in expansion order, so a resumed sweep summarises
-    exactly like an uninterrupted one (wall clocks aside).  [on_point]
-    is invoked in this process once per freshly executed (or pruned)
-    point as it finishes; checkpoint appends hang off it.
-    @raise Invalid_argument on an invalid spec or output, or on a
-    [completed] point index outside the expansion. *)
+(** {!prepare} then {!session} without a checkpoint.
+    @raise Invalid_argument on an invalid spec or output. *)

@@ -518,6 +518,25 @@ let test_checkpoint_mismatch_and_torn_tail () =
   | Ok rs -> Alcotest.(check int) "torn tail dropped" 2 (List.length rs));
   Sys.remove path
 
+(* Resume [ctx]'s sweep from the checkpoint at [path]: the summary,
+   how many points the session recovered, and how many it executed
+   (delivered after the recovered ones). *)
+let resume_session ctx path =
+  let resumed = ref (-1) and delivered = ref 0 in
+  match
+    Runner.session ~checkpoint:(`Resume path)
+      ~on_open:(fun n -> resumed := n)
+      ~on_point:(fun _ -> incr delivered)
+      ctx
+  with
+  | Error m -> Alcotest.failf "resume: %s" m
+  | Ok s -> (s, !resumed, !delivered - !resumed)
+
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
 let test_resume_determinism () =
   let path = tmp "amsvp_ckpt_resume.jsonl" in
   if Sys.file_exists path then Sys.remove path;
@@ -527,33 +546,143 @@ let test_resume_determinism () =
   let report_a = Report.json ~timings:false full in
   let total = Array.length full.Runner.points in
   (* Interrupted run: checkpoint every point, die after the second. *)
-  let w = Checkpoint.create ~path small_spec ~circuit:"RECT" ~points:total in
+  let ctx = Runner.prepare small_spec tc in
   let seen = ref 0 in
   (try
      ignore
-       (Runner.run
-          ~on_point:(fun r ->
-            Checkpoint.append w r;
+       (Runner.session ~checkpoint:(`Fresh path)
+          ~on_point:(fun _ ->
             incr seen;
             if !seen = 2 then failwith "simulated kill")
-          small_spec tc)
+          ctx)
    with Failure _ -> ());
-  Checkpoint.close w;
-  (* Resume: recover, execute only the remainder, merge. *)
   let completed =
     match Checkpoint.load ~path small_spec ~circuit:"RECT" with
     | Ok rs -> rs
     | Error m -> Alcotest.failf "load: %s" m
   in
   Alcotest.(check int) "recovered" 2 (List.length completed);
-  let executed = ref 0 in
-  let resumed =
-    Runner.run ~on_point:(fun _ -> incr executed) ~completed small_spec tc
-  in
-  Alcotest.(check int) "only the remainder ran" (total - 2) !executed;
+  (* Resume: recover, execute only the remainder, merge. *)
+  let resumed, recovered, executed = resume_session ctx path in
+  Alcotest.(check int) "resume recovered" 2 recovered;
+  Alcotest.(check int) "only the remainder ran" (total - 2) executed;
   let report_b = Report.json ~timings:false resumed in
   Alcotest.(check string) "byte-identical reports" report_a report_b;
   Sys.remove path
+
+(* A resume must cut a torn tail before appending: otherwise the first
+   appended line is glued to the partial one and the next resume stops
+   there. *)
+let test_resume_cuts_torn_tail () =
+  let path = tmp "amsvp_ckpt_tail.jsonl" in
+  let tc = resolve_exn small_spec in
+  let ctx = Runner.prepare small_spec tc in
+  let r = Array.map (Runner.run_point ctx) (Runner.ctx_points ctx) in
+  let w = Checkpoint.create ~path small_spec ~circuit:"RECT" ~points:5 in
+  Checkpoint.append w r.(0);
+  Checkpoint.append w r.(1);
+  Checkpoint.close w;
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc "{\"index\":2,\"label\":\"p00";
+  close_out oc;
+  (match Checkpoint.resume ~path small_spec ~circuit:"RECT" ~points:5 with
+  | Error m -> Alcotest.failf "resume: %s" m
+  | Ok (rs, w) ->
+      Alcotest.(check int) "first resume" 2 (List.length rs);
+      Checkpoint.append w r.(2);
+      Checkpoint.append w r.(3);
+      Checkpoint.close w);
+  (match Checkpoint.load ~path small_spec ~circuit:"RECT" with
+  | Error m -> Alcotest.failf "load: %s" m
+  | Ok rs ->
+      Alcotest.(check (list int)) "all four recovered" [ 0; 1; 2; 3 ]
+        (List.map
+           (fun (x : Runner.point_result) -> x.point.Sampler.index)
+           rs));
+  Sys.remove path
+
+(* A header cut short by a kill inside [create] resumes as an empty
+   checkpoint; a complete header of another sweep is refused, and the
+   file is left as it was. *)
+let test_resume_torn_and_foreign_header () =
+  let path = tmp "amsvp_ckpt_header.jsonl" in
+  let tc = resolve_exn small_spec in
+  let ctx = Runner.prepare small_spec tc in
+  let total = Array.length (Runner.ctx_points ctx) in
+  let w = Checkpoint.create ~path small_spec ~circuit:"RECT" ~points:total in
+  Checkpoint.close w;
+  let header = slurp path in
+  write_file path (String.sub header 0 (String.length header / 2));
+  let s, recovered, executed = resume_session ctx path in
+  Alcotest.(check int) "torn header recovers nothing" 0 recovered;
+  Alcotest.(check int) "every point ran" total executed;
+  Alcotest.(check int) "summary complete" total
+    (Array.length s.Runner.points);
+  Alcotest.(check string) "header rewritten" header
+    (String.sub (slurp path) 0 (String.length header));
+  let foreign = { small_spec with Spec.seed = 99 } in
+  let w = Checkpoint.create ~path foreign ~circuit:"RECT" ~points:total in
+  Checkpoint.close w;
+  let before = slurp path in
+  (match Runner.session ~checkpoint:(`Resume path) ctx with
+  | Ok _ -> Alcotest.fail "a foreign checkpoint must be refused"
+  | Error _ -> ());
+  Alcotest.(check string) "foreign file untouched" before (slurp path);
+  Sys.remove path
+
+(* The deterministic half of kill-anywhere: a kill leaves a prefix of
+   the checkpoint, so cut a complete one at a random byte, resume, cut
+   the resumed file again and resume again. Each resume must recover
+   exactly the intact lines of the cut, execute only the rest, and
+   report byte-identically to an uninterrupted run. *)
+let truncate_anywhere ~jobs ~tag =
+  let tc = resolve_exn small_spec in
+  let ctx = Runner.prepare ~jobs small_spec tc in
+  let path = tmp (Printf.sprintf "amsvp_ckpt_cut_%s.jsonl" tag) in
+  let reference =
+    lazy
+      (match Runner.session ~checkpoint:(`Fresh path) ctx with
+      | Ok s -> (Report.json ~timings:false s, slurp path)
+      | Error m -> Alcotest.failf "fresh: %s" m)
+  in
+  let total = Array.length (Runner.ctx_points ctx) in
+  let cut_and_resume text frac =
+    let len = int_of_float (frac *. float_of_int (String.length text)) in
+    write_file path (String.sub text 0 len);
+    let intact =
+      match Checkpoint.load ~path small_spec ~circuit:"RECT" with
+      | Ok rs -> List.length rs
+      | Error m -> Alcotest.failf "load: %s" m
+    in
+    let s, recovered, executed = resume_session ctx path in
+    let report, _ = Lazy.force reference in
+    recovered = intact
+    && executed = total - recovered
+    && Report.json ~timings:false s = report
+    &&
+    match Checkpoint.load ~path small_spec ~circuit:"RECT" with
+    | Ok rs ->
+        List.sort compare
+          (List.map
+             (fun (r : Runner.point_result) -> r.point.Sampler.index)
+             rs)
+        = List.init total Fun.id
+    | Error _ -> false
+  in
+  fun (f1, f2) ->
+    let _, complete = Lazy.force reference in
+    cut_and_resume complete f1 && cut_and_resume (slurp path) f2
+
+let prop_truncate_anywhere =
+  QCheck.Test.make ~name:"truncate anywhere, resume twice, same report"
+    ~count:100
+    QCheck.(pair (float_bound_inclusive 1.0) (float_bound_inclusive 1.0))
+    (truncate_anywhere ~jobs:1 ~tag:"inline")
+
+let test_truncate_anywhere_pool () =
+  (* Mid-point-line, then mid-header of the resumed file. *)
+  Alcotest.(check bool) "2-worker pool" true
+    (truncate_anywhere ~jobs:2 ~tag:"pool" (0.6, 0.05))
 
 (* ---- end-to-end daemon session ---- *)
 
@@ -945,6 +1074,152 @@ let test_daemon_timeout_counters () =
       | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
       | _ -> Alcotest.fail "daemon killed"
 
+(* A daemon checkpointing into [dir] resumes a submit from the
+   digest-named file: [k] intact lines and a torn tail give
+   [resumed = k], the recovered points stream first, every result is
+   bit-identical to an in-process run, and the file is removed once the
+   sweep completes. A drained submit keeps its checkpoint. *)
+let test_daemon_resume () =
+  let pid_tag = Unix.getpid () in
+  let dir = tmp (Printf.sprintf "amsvp_serve_ckpt_%d" pid_tag) in
+  let sock = tmp (Printf.sprintf "amsvp_serve_rs_%d.sock" pid_tag) in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  if Sys.file_exists sock then Sys.remove sock;
+  let path_of spec =
+    Filename.concat dir
+      (Printf.sprintf "%s-%s.ckpt.jsonl" spec.Spec.name
+         (Checkpoint.digest spec ~circuit:"RECT"))
+  in
+  let tc = resolve_exn small_spec in
+  let ctx = Runner.prepare small_spec tc in
+  let expected = Array.map (Runner.run_point ctx) (Runner.ctx_points ctx) in
+  let total = Array.length expected and k = 2 in
+  let path = path_of small_spec in
+  let w = Checkpoint.create ~path small_spec ~circuit:"RECT" ~points:total in
+  for i = 0 to k - 1 do
+    Checkpoint.append w expected.(i)
+  done;
+  Checkpoint.close w;
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc "{\"index\":2,\"lab";
+  close_out oc;
+  match Unix.fork () with
+  | 0 ->
+      (try
+         Daemon.serve
+           {
+             (Daemon.default_config ~socket_path:sock) with
+             workers = 2;
+             checkpoint_dir = Some dir;
+           }
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      guard_daemon pid @@ fun () ->
+      wait_for_socket sock;
+      let c = Client.connect sock in
+      let submit ?(on_point = ignore) spec =
+        let frames = ref [] in
+        match
+          Client.submit c ~spec_text:(Spec.to_string spec)
+            ~on_event:(fun f ->
+              frames := f :: !frames;
+              match f with Protocol.Point _ -> on_point () | _ -> ())
+            ()
+        with
+        | Ok final -> (List.rev !frames, final)
+        | Error m -> Alcotest.failf "submit: %s" m
+      in
+      (match submit small_spec with
+      | ( Protocol.Accepted { resumed; points; _ } :: rest,
+          Protocol.Done { points = done_points; complete; _ } ) ->
+          Alcotest.(check int) "resumed" k resumed;
+          Alcotest.(check int) "accepted points" total points;
+          Alcotest.(check int) "done points" total done_points;
+          Alcotest.(check bool) "complete" true complete;
+          let results =
+            List.filter_map
+              (function
+                | Protocol.Point { result; _ } -> Some result | _ -> None)
+              rest
+          in
+          let index (r : Runner.point_result) = r.point.Sampler.index in
+          Alcotest.(check (list int)) "recovered points stream first"
+            (List.init k Fun.id)
+            (List.filteri (fun i _ -> i < k) (List.map index results));
+          Alcotest.(check (list int))
+            "every point once" (List.init total Fun.id)
+            (List.sort compare (List.map index results));
+          List.iter
+            (fun r ->
+              Alcotest.(check (list int64))
+                (Printf.sprintf "point %d bit-identical" (index r))
+                (bits expected.(index r)) (bits r))
+            results
+      | _, final ->
+          Alcotest.failf "unexpected session ending in %s"
+            (Protocol.encode_response final));
+      Alcotest.(check bool) "completed checkpoint removed" false
+        (Sys.file_exists path);
+      (* A complete header of another sweep is refused and left alone;
+         a header torn inside [create] resumes as empty. *)
+      let w =
+        Checkpoint.create ~path { small_spec with Spec.seed = 99 }
+          ~circuit:"RECT" ~points:total
+      in
+      Checkpoint.close w;
+      let foreign = slurp path in
+      (* The client reports a [Failed] frame as [Error]. *)
+      (match Client.submit c ~spec_text:(Spec.to_string small_spec) () with
+      | Error m ->
+          Alcotest.(check bool) "failure names the mismatch" true
+            (String.starts_with ~prefix:("checkpoint " ^ path) m)
+      | Ok final ->
+          Alcotest.failf "foreign checkpoint: got %s"
+            (Protocol.encode_response final));
+      Alcotest.(check string) "foreign file untouched" foreign (slurp path);
+      write_file path (String.sub foreign 0 (String.length foreign / 2));
+      (match submit small_spec with
+      | ( Protocol.Accepted { resumed = 0; _ } :: _,
+          Protocol.Done { complete = true; _ } ) -> ()
+      | _, final ->
+          Alcotest.failf "torn header: got %s"
+            (Protocol.encode_response final));
+      Alcotest.(check bool) "torn-header checkpoint completed and removed"
+        false (Sys.file_exists path);
+      (* SIGTERM on the first point drains the daemon mid-sweep. *)
+      let drain_spec =
+        { small_spec with Spec.name = "srv_drain"; samples = 120 }
+      in
+      let signalled = ref false in
+      let on_point () =
+        if not !signalled then begin
+          signalled := true;
+          Unix.kill pid Sys.sigterm
+        end
+      in
+      (match submit ~on_point drain_spec with
+      | _, Protocol.Done { points; complete = false; _ } -> (
+          let kept = path_of drain_spec in
+          Alcotest.(check bool) "drained checkpoint kept" true
+            (Sys.file_exists kept);
+          match Checkpoint.load ~path:kept drain_spec ~circuit:"RECT" with
+          | Ok rs ->
+              Alcotest.(check int) "kept every delivered point" points
+                (List.length rs);
+              Sys.remove kept
+          | Error m -> Alcotest.failf "load: %s" m)
+      | _, final ->
+          Alcotest.failf "expected a drained done, got %s"
+            (Protocol.encode_response final));
+      Client.close c;
+      let _, status = Unix.waitpid [] pid in
+      (match status with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
+      | _ -> Alcotest.fail "daemon killed");
+      Unix.rmdir dir
+
 (* A daemon under --werror must answer a submit whose value-range
    screen errors with a structured [Rejected] frame carrying the
    diagnostics — and keep serving: the worker never crashes, later
@@ -1043,12 +1318,21 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_checkpoint_roundtrip;
           Alcotest.test_case "mismatch and torn tail" `Quick
             test_checkpoint_mismatch_and_torn_tail;
+          Alcotest.test_case "resume cuts a torn tail" `Quick
+            test_resume_cuts_torn_tail;
+          Alcotest.test_case "torn header resumes, foreign is refused" `Quick
+            test_resume_torn_and_foreign_header;
+          Alcotest.test_case "truncate anywhere on a pool" `Quick
+            test_truncate_anywhere_pool;
           Alcotest.test_case "resume determinism" `Quick
             test_resume_determinism;
-        ] );
+        ]
+        @ qt [ prop_truncate_anywhere ] );
       ( "daemon",
         [
           Alcotest.test_case "end-to-end session" `Quick test_daemon_session;
+          Alcotest.test_case "resume from the checkpoint dir" `Quick
+            test_daemon_resume;
           Alcotest.test_case "eviction closes the pool" `Quick
             test_daemon_eviction;
           Alcotest.test_case "eviction beside a younger pool" `Quick
