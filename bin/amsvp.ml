@@ -18,10 +18,10 @@ module Vparser = Amsvp_vhdlams.Vparser
 module Ac = Amsvp_mna.Ac
 module Elaborate = Amsvp_vams.Elaborate
 module Parser = Amsvp_vams.Parser
-module Lexer = Amsvp_vams.Lexer
 module Codegen = Amsvp_codegen.Codegen
 module Flow = Amsvp_core.Flow
 module Explain = Amsvp_core.Explain
+module Solve = Amsvp_core.Solve
 module Sfprogram = Amsvp_sf.Sfprogram
 module Wrap = Amsvp_sysc.Wrap
 module Engine = Amsvp_mna.Engine
@@ -131,28 +131,24 @@ let dt_arg =
        ~doc:"Discretisation time step (default 50 ns, as in the paper).")
 
 let mode_arg =
-  let modes = [ ("auto", `Auto); ("exact", `Exact); ("relaxed", `Relaxed) ] in
-  Arg.(value & opt (enum modes) `Auto & info [ "mode" ]
+  Arg.(value & opt (enum Solve.modes) `Auto & info [ "mode" ]
        ~doc:"Solve mode: $(b,auto), $(b,exact) or $(b,relaxed).")
 
 let integration_arg =
-  let kinds =
-    [ ("backward-euler", `Backward_euler); ("trapezoidal", `Trapezoidal) ]
-  in
-  Arg.(value & opt (enum kinds) `Backward_euler & info [ "integration" ]
+  Arg.(value & opt (enum Solve.integrations) `Backward_euler
+       & info [ "integration" ]
        ~doc:"Integration rule: $(b,backward-euler) or $(b,trapezoidal).")
 
 let fidelity_arg =
-  let kinds = [ ("paper", `Paper); ("fast", `Fast) ] in
-  Arg.(value & opt (enum kinds) `Paper & info [ "fidelity" ]
+  Arg.(value & opt (enum Solve.fidelities) `Paper & info [ "fidelity" ]
        ~doc:"Conservative solver cost model: $(b,paper) (faithful SPICE \
              structure, bit-identical to previous releases) or $(b,fast) \
              (reused sparse factors, Newton early-exit, adaptive \
              substepping; bounded error, much faster).")
 
 let lang_arg =
-  let langs = [ ("verilog-ams", `Verilog); ("vhdl-ams", `Vhdl) ] in
-  Arg.(value & opt (enum langs) `Verilog & info [ "lang" ]
+  let langs = [ ("verilog-ams", `Verilog_ams); ("vhdl-ams", `Vhdl_ams) ] in
+  Arg.(value & opt (enum langs) `Verilog_ams & info [ "lang" ]
        ~doc:"Input language: $(b,verilog-ams) or $(b,vhdl-ams).")
 
 let inputs_arg =
@@ -167,44 +163,39 @@ let read_file path =
   close_in ic;
   s
 
-(* Front-end and flow exceptions all render as one located diagnostic
-   line (the same [Diag] scheme `amsvp lint` reports through). *)
+(* Front-end errors and flow rejections render as one located
+   diagnostic line: the same finding `amsvp lint` reports. *)
 let fatal_finding f =
   prerr_endline (Diag.to_text f);
   exit 1
 
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 1)
+    fmt
+
 let with_frontend_errors ?file f =
-  let span line col = Diag.span ?file line col in
-  try f () with
-  | Diag.Rejected finding -> fatal_finding finding
-  | Lexer.Lex_error (msg, line, col) ->
-      fatal_finding (Diag.error ~span:(span line col) "AMS001" msg)
-  | Parser.Parse_error (msg, line, col) ->
-      fatal_finding (Diag.error ~span:(span line col) "AMS002" msg)
-  | Elaborate.Elab_error (msg, sp) ->
-      fatal_finding (Diag.error ?span:sp "AMS003" msg)
-  | Amsvp_core.Assemble.No_definition v ->
-      fatal_finding
-        (Diag.error "AMS030"
-           (Printf.sprintf "no equation defines %s" (Expr.var_name v)))
-  | Amsvp_core.Solve.Nonlinear v ->
-      fatal_finding
-        (Diag.error "AMS042"
-           (Printf.sprintf "nonlinear definition for %s (outside the linear \
-                            scope)"
-              (Expr.var_name v)))
-  | Amsvp_core.Solve.Underdetermined msg ->
-      fatal_finding
-        (Diag.error "AMS030"
-           (Printf.sprintf "underdetermined system (%s)" msg))
-  | Invalid_argument msg | Sfprogram.Undefined msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+  match Elaborate.front_end ?file f with
+  | Ok v -> v
+  | Error finding | (exception Diag.Rejected finding) -> fatal_finding finding
+  | exception Invalid_argument msg -> die "%s" msg
 
 let flatten_any lang src ~file top inputs =
   match lang with
-  | `Verilog -> Elaborate.flatten (Parser.parse ~file src) ~top
-  | `Vhdl -> Velaborate.flatten (Vparser.parse ~file src) ~top ~inputs
+  | `Verilog_ams -> Elaborate.flatten (Parser.parse ~file src) ~top
+  | `Vhdl_ams -> Velaborate.flatten (Vparser.parse ~file src) ~top ~inputs
+
+(* The network of a conservative model, for the commands that simulate
+   or analyse one ([what] names the command in the refusal of a
+   signal-flow model), with the flat model it came from. *)
+let conservative_circuit ~what lang file top inputs =
+  let flat = flatten_any lang (read_file file) ~file top inputs in
+  match Elaborate.classify flat with
+  | `Conservative -> (flat, Elaborate.to_circuit flat)
+  | `Signal_flow ->
+      die "%s is a signal-flow model; %s needs a network" top what
 
 let abstract_model file top output dt mode integration lang inputs =
   with_frontend_errors ~file (fun () ->
@@ -319,9 +310,7 @@ let probe_set (sigs, vcd_out, wave_out, every) ~default =
       (fun s ->
         match Expr.access_of_string s with
         | Ok v -> ignore (Probe.tap set v)
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            exit 1)
+        | Error m -> die "%s" m)
       sigs;
     Some set
   end
@@ -369,31 +358,24 @@ let simulate_cmd =
               (Wrap.run_tdf ~engine ?reads ?observe p ~stimuli ~t_stop)
                 .Wrap.trace
           | `Eln | `Vams -> (
-              let flat = flatten_any lang (read_file file) ~file top inputs in
-              match Elaborate.classify flat with
-              | `Signal_flow ->
-                  Printf.eprintf
-                    "error: %s is a signal-flow model; the conservative \
-                     solvers need a network\n"
-                    top;
-                  exit 1
-              | `Conservative -> (
-                  let circuit = Elaborate.to_circuit flat in
-                  let circuit = Flow.insert_probes circuit ~outputs:[ output ] in
-                  let inputs =
-                    List.map
-                      (fun n -> (n, stim))
-                      (Amsvp_netlist.Circuit.input_signals circuit)
-                  in
-                  match moc with
-                  | `Eln ->
-                      (Wrap.run_eln ?observe circuit ~inputs ~output ~dt
-                         ~t_stop)
-                        .Wrap.trace
-                  | _ ->
-                      (Engine.spice_like ~fidelity ?observe circuit ~inputs
-                         ~output ~dt ~t_stop)
-                        .Engine.trace))
+              let _, circuit =
+                conservative_circuit ~what:"the conservative solver" lang
+                  file top inputs
+              in
+              let circuit = Flow.insert_probes circuit ~outputs:[ output ] in
+              let inputs =
+                List.map
+                  (fun n -> (n, stim))
+                  (Amsvp_netlist.Circuit.input_signals circuit)
+              in
+              match moc with
+              | `Eln ->
+                  (Wrap.run_eln ?observe circuit ~inputs ~output ~dt ~t_stop)
+                    .Wrap.trace
+              | _ ->
+                  (Engine.spice_like ~fidelity ?observe circuit ~inputs
+                     ~output ~dt ~t_stop)
+                    .Engine.trace)
         in
         probe_export probecfg probes;
         Printf.printf "# time(s)  %s\n" (Expr.var_name output);
@@ -599,22 +581,10 @@ let explain_cmd =
 
 (* op / netlist *)
 
-let conservative_circuit lang file top inputs output =
-  let flat = flatten_any lang (read_file file) ~file top inputs in
-  (match Elaborate.classify flat with
-  | `Conservative -> ()
-  | `Signal_flow ->
-      Printf.eprintf "error: this analysis needs a conservative network\n";
-      exit 1);
-  let circuit = Elaborate.to_circuit flat in
-  match output with
-  | Some o -> Flow.insert_probes circuit ~outputs:[ o ]
-  | None -> circuit
-
 let op_cmd =
   let run file top lang inputs levels =
     with_frontend_errors ~file (fun () ->
-        let circuit = conservative_circuit lang file top inputs None in
+        let _, circuit = conservative_circuit ~what:"op" lang file top inputs in
         match Amsvp_mna.Dc.operating_point ~inputs:levels circuit with
         | sol -> Format.printf "%a@." Amsvp_mna.Dc.pp sol
         | exception Amsvp_mna.Dc.No_fixed_point passes ->
@@ -636,7 +606,9 @@ let op_cmd =
 let netlist_cmd =
   let run file top lang inputs =
     with_frontend_errors ~file (fun () ->
-        let circuit = conservative_circuit lang file top inputs None in
+        let _, circuit =
+          conservative_circuit ~what:"netlist" lang file top inputs
+        in
         print_string (Amsvp_netlist.Export.to_spice ~title:top circuit))
   in
   Cmd.v
@@ -682,8 +654,7 @@ let axis_conv =
       fun ppf (a : Spec.axis) -> Format.pp_print_string ppf a.Spec.param )
 
 let fidelity_opt_arg =
-  let kinds = [ ("paper", `Paper); ("fast", `Fast) ] in
-  Arg.(value & opt (some (enum kinds)) None & info [ "fidelity" ]
+  Arg.(value & opt (some (enum Solve.fidelities)) None & info [ "fidelity" ]
        ~doc:"Reference-engine cost model: $(b,paper) (faithful) or $(b,fast) \
              (reused sparse factors, Newton early-exit; bounded error). \
              Overrides the spec's $(b,fidelity) directive; defaults to the \
@@ -695,7 +666,7 @@ let sweep_cmd =
       report_out checkpoint resume point_timeout prune_static amplitude_limit
       =
     with_obs obscfg @@ fun () ->
-    with_frontend_errors @@ fun () ->
+    with_frontend_errors ?file @@ fun () ->
     let spec =
       match spec_file with
       | None -> Spec.default
@@ -739,52 +710,42 @@ let sweep_cmd =
       }
     in
     if resume && checkpoint = None then begin
-      Printf.eprintf "error: --resume needs --checkpoint\n";
-      exit 1
+      die "--resume needs --checkpoint"
     end;
-    let tc =
+    let tc, spans =
       match file with
       | Some path ->
           let top =
             match top with
             | Some t -> t
-            | None ->
-                Printf.eprintf "error: --file needs --top\n";
-                exit 1
+            | None -> die "--file needs --top"
           in
-          let flat = flatten_any lang (read_file path) ~file:path top inputs in
-          (match Elaborate.classify flat with
-          | `Conservative -> ()
-          | `Signal_flow ->
-              Printf.eprintf "error: sweeps need a conservative network\n";
-              exit 1);
-          let circuit = Elaborate.to_circuit flat in
+          let flat, circuit =
+            conservative_circuit ~what:"a sweep" lang path top inputs
+          in
           let output =
             match spec.Spec.output with
             | Some s -> (
                 match Expr.access_of_string s with
                 | Ok v -> v
-                | Error m ->
-                    Printf.eprintf "error: %s\n" m;
-                    exit 1)
+                | Error m -> die "%s" m)
             | None -> Expr.potential "out" "gnd"
           in
           let stim = Stimulus.square ~period:1e-3 ~low:0.0 ~high:1.0 in
-          {
-            Amsvp_netlist.Circuits.label = top;
-            circuit;
-            output;
-            stimuli =
-              List.map
-                (fun n -> (n, stim))
-                (Amsvp_netlist.Circuit.input_signals circuit);
-          }
+          ( {
+              Amsvp_netlist.Circuits.label = top;
+              circuit;
+              output;
+              stimuli =
+                List.map
+                  (fun n -> (n, stim))
+                  (Amsvp_netlist.Circuit.input_signals circuit);
+            },
+            Some (lazy (Elaborate.spans flat)) )
       | None -> (
           match Sweep_runner.resolve spec with
-          | Ok tc -> tc
-          | Error m ->
-              Printf.eprintf "error: %s\n" m;
-              exit 1)
+          | Ok tc -> (tc, None)
+          | Error m -> die "%s" m)
     in
     let checkpoint =
       Option.map (fun p -> if resume then `Resume p else `Fresh p) checkpoint
@@ -796,12 +757,10 @@ let sweep_cmd =
             if n > 0 then
               Printf.printf
                 "resuming: %d point(s) recovered from the checkpoint\n" n)
-          (Sweep_runner.prepare spec tc)
+          (Sweep_runner.prepare ?spans spec tc)
       with
       | Ok summary -> summary
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
+      | Error m -> die "%s" m
     in
     (match report_out with
     | Some basename ->
@@ -894,16 +853,12 @@ let sweep_cmd =
            ~doc:"Sine stimulus applied to every input.")
   in
   let mode_opt =
-    let modes = [ ("auto", `Auto); ("exact", `Exact); ("relaxed", `Relaxed) ] in
-    Arg.(value & opt (some (enum modes)) None & info [ "mode" ]
+    Arg.(value & opt (some (enum Solve.modes)) None & info [ "mode" ]
          ~doc:"Solve mode: $(b,auto), $(b,exact) or $(b,relaxed).")
   in
   let integration_opt =
-    let kinds =
-      [ ("backward-euler", `Backward_euler); ("trapezoidal", `Trapezoidal) ]
-    in
-    Arg.(value & opt (some (enum kinds)) None & info [ "integration" ]
-         ~doc:"Integration rule.")
+    Arg.(value & opt (some (enum Solve.integrations)) None
+         & info [ "integration" ] ~doc:"Integration rule.")
   in
   let no_reference_arg =
     Arg.(value & flag
@@ -1078,8 +1033,7 @@ let serve_cmd =
                    running.")
   in
   let serve_fidelity_arg =
-    let kinds = [ ("paper", `Paper); ("fast", `Fast) ] in
-    Arg.(value & opt (some (enum kinds)) None & info [ "fidelity" ]
+    Arg.(value & opt (some (enum Solve.fidelities)) None & info [ "fidelity" ]
          ~doc:"Default reference-engine cost model for submitted specs that \
                carry no $(b,fidelity) directive of their own (the directive \
                always wins): $(b,paper) or $(b,fast).")
@@ -1119,9 +1073,7 @@ let submit_cmd =
     let client =
       match connect () with
       | Some c -> c
-      | None ->
-          Printf.eprintf "error: cannot connect to %s\n" socket;
-          exit 1
+      | None -> die "cannot connect to %s" socket
     in
     let show resp =
       if not quiet then
@@ -1151,10 +1103,7 @@ let submit_cmd =
       in
       let first = sample client in
       Serve_client.close client;
-      if not first then begin
-        Printf.eprintf "error: no stats reply from %s\n" socket;
-        exit 1
-      end;
+      if not first then die "no stats reply from %s" socket;
       let rec loop () =
         Unix.sleepf every;
         match connect () with
@@ -1290,9 +1239,6 @@ let submit_cmd =
 let lint_cmd =
   let run file top lang inputs dt format werror suppress amplitude_budget
       input_bound =
-    let lang =
-      match lang with `Verilog -> `Verilog_ams | `Vhdl -> `Vhdl_ams
-    in
     let findings =
       Lint.lint ~lang ?top ~inputs ~dt ?amplitude_budget ?input_bound ~file
         (read_file file)
@@ -1354,13 +1300,9 @@ let lint_cmd =
 let ac_cmd =
   let run file top output lang inputs input fstart fstop points =
     with_frontend_errors ~file (fun () ->
-        let flat = flatten_any lang (read_file file) ~file top inputs in
-        (match Elaborate.classify flat with
-        | `Conservative -> ()
-        | `Signal_flow ->
-            Printf.eprintf "error: AC analysis needs a conservative network\n";
-            exit 1);
-        let circuit = Elaborate.to_circuit flat in
+        let _, circuit =
+          conservative_circuit ~what:"AC analysis" lang file top inputs
+        in
         let circuit = Flow.insert_probes circuit ~outputs:[ output ] in
         let input =
           match input with

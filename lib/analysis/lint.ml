@@ -1,6 +1,5 @@
 module Diag = Amsvp_diag.Diag
 module Ast = Amsvp_vams.Ast
-module Lexer = Amsvp_vams.Lexer
 module Parser = Amsvp_vams.Parser
 module Elaborate = Amsvp_vams.Elaborate
 module Vparser = Amsvp_vhdlams.Vparser
@@ -9,12 +8,8 @@ module Circuit = Amsvp_netlist.Circuit
 module Component = Amsvp_netlist.Component
 module Flow = Amsvp_core.Flow
 module Check = Amsvp_core.Check
-module Acquisition = Amsvp_core.Acquisition
-module Enrich = Amsvp_core.Enrich
-module Assemble = Amsvp_core.Assemble
-module Solve = Amsvp_core.Solve
 
-type lang = [ `Verilog_ams | `Vhdl_ams ]
+type lang = Elaborate.lang
 
 (* ------------------------------------------------------------------ *)
 (* AST passes (both front-ends)                                       *)
@@ -41,7 +36,7 @@ let overridden_params design =
     design;
   tbl
 
-let ast_module_findings ~overridden (m : Ast.module_def) =
+let ast_module_findings ~lang ~overridden (m : Ast.module_def) =
   let findings = ref [] in
   let add f = findings := f :: !findings in
   let decls = Hashtbl.create 16 in
@@ -160,13 +155,15 @@ let ast_module_findings ~overridden (m : Ast.module_def) =
             || Hashtbl.mem overridden (m.Ast.name, name)
       in
       if not used then
-        let what =
-          match kind with
-          | Knet -> "net"
-          | Kreal -> "analog variable"
-          | Kbranch -> "branch"
-          | Kparam -> "parameter"
-          | Kground -> "ground"
+        let what, name =
+          match (kind, lang) with
+          | Knet, _ -> ("net", name)
+          | Kreal, _ -> ("analog variable", name)
+          | Kbranch, `Verilog_ams -> ("branch", name)
+          (* a VHDL-AMS quantity is lowered onto a named branch *)
+          | Kbranch, `Vhdl_ams -> ("quantity", Vparser.quantity_of_branch name)
+          | Kparam, _ -> ("parameter", name)
+          | Kground, _ -> ("ground", name)
         in
         add
           (Diag.warning ~span:sp ~subject:name "AMS011"
@@ -315,21 +312,9 @@ let ast_module_findings ~overridden (m : Ast.module_def) =
   List.iter divcheck !all_exprs;
   List.rev !findings
 
-let ast_findings (design : Ast.design) =
+let ast_findings ~lang (design : Ast.design) =
   let overridden = overridden_params design in
-  List.concat_map (ast_module_findings ~overridden) design
-
-(* ------------------------------------------------------------------ *)
-(* Elaborated-model passes (shared by both front-ends)                 *)
-(* ------------------------------------------------------------------ *)
-
-let sanitize =
-  String.map (fun ch ->
-      if ch = '(' || ch = ')' || ch = ',' || ch = '.' then '_' else ch)
-
-let has_error fs = List.exists (fun f -> f.Diag.severity = Diag.Error) fs
-
-let ams003 (msg, sp) = Diag.error ?span:sp "AMS003" msg
+  List.concat_map (ast_module_findings ~lang ~overridden) design
 
 (* ------------------------------------------------------------------ *)
 (* Semantic value-range passes (abstract interpretation)               *)
@@ -447,302 +432,88 @@ let absint_findings ?amplitude_budget ?report_dead ~span_of_target program =
   bounded_findings ?amplitude_budget ~input_bound:default_input_bound
     ?report_dead ~span_of_target program
 
-(* The ground-connected part of a circuit: devices with both terminals
-   reachable from ground. Lets the deeper passes run even when a
-   floating island was diagnosed. *)
-let grounded_subcircuit circuit =
-  let devices = Circuit.devices circuit in
-  let adj = Hashtbl.create 16 in
-  let link a b =
-    Hashtbl.replace adj a (b :: (try Hashtbl.find adj a with Not_found -> []))
+(* The continued circuit with its sensing probes, and its
+   ground-referenced node voltages as the outputs: asking for every
+   branch potential forces Assemble to define the floating ones
+   algebraically, which hides the state form (and its time constants)
+   from the safety pass. *)
+let with_node_voltages circuit =
+  let probed = Flow.insert_probes circuit ~outputs:[] in
+  let all =
+    List.map Component.potential_var (Circuit.devices probed)
+    |> List.sort_uniq Expr.compare_var
   in
-  List.iter
-    (fun (d : Component.t) ->
-      link d.Component.pos d.Component.neg;
-      link d.Component.neg d.Component.pos)
-    devices;
-  let visited = Hashtbl.create 16 in
-  let rec visit n =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.replace visited n ();
-      List.iter visit (try Hashtbl.find adj n with Not_found -> [])
-    end
+  let to_ground (v : Expr.var) =
+    match v.Expr.base with
+    | Expr.Potential (_, b) -> b = Circuit.ground probed
+    | _ -> false
   in
-  visit (Circuit.ground circuit);
-  let keep =
-    List.filter
-      (fun (d : Component.t) ->
-        Hashtbl.mem visited d.Component.pos
-        && Hashtbl.mem visited d.Component.neg)
-      devices
-  in
-  if List.length keep = List.length devices then circuit
-  else begin
-    let c = Circuit.create ~ground:(Circuit.ground circuit) () in
-    List.iter (Circuit.add c) keep;
-    c
-  end
+  (probed, match List.filter to_ground all with [] -> all | vs -> vs)
 
+(* One run of the flow that goes on past a floating island
+   (AMS020/021) on the grounded part of the network, then the safety
+   pass over its definitions and the value ranges of its program. *)
 let conservative_findings ?amplitude_budget ~input_bound ~dt
     (flat : Elaborate.flat) =
-  match Elaborate.to_circuit flat with
-  | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
-  | circuit ->
-      (* Span resolution: a topology or solvability finding names a
-         device or node; point it at the first contribution that
-         created that device (device names are the sanitised flow id)
-         or touched that node. *)
-      let dev_span = Hashtbl.create 16 and node_span = Hashtbl.create 16 in
-      List.iter
-        (fun (c : Elaborate.contribution) ->
-          let name = sanitize c.Elaborate.branch.Elaborate.flow_id in
-          if not (Hashtbl.mem dev_span name) then
-            Hashtbl.add dev_span name c.Elaborate.span;
-          let note_node n =
-            if not (Hashtbl.mem node_span n) then
-              Hashtbl.add node_span n c.Elaborate.span
-          in
-          note_node c.Elaborate.branch.Elaborate.pos;
-          note_node c.Elaborate.branch.Elaborate.neg;
-          (* Sensed-only nets (controlled-source references) appear in
-             the rhs but on no branch; map them too so a solvability
-             finding about them points at the sensing contribution. *)
-          Expr.Var_set.iter
-            (fun (v : Expr.var) ->
-              match v.Expr.base with
-              | Expr.Potential (a, b) ->
-                  note_node a;
-                  note_node b
-              | Expr.Flow _ | Expr.Signal _ | Expr.Param _ -> ())
-            (Expr.vars c.Elaborate.rhs))
-        flat.Elaborate.contributions;
-      let span_of_subject s =
-        match Hashtbl.find_opt dev_span s with
-        | Some sp -> Some sp
-        | None -> Hashtbl.find_opt node_span s
+  match Elaborate.front_end (fun () -> Elaborate.to_circuit flat) with
+  | Error f -> [ f ]
+  | Ok circuit ->
+      let spans = lazy (Elaborate.spans flat) in
+      let s =
+        Flow.run ~spans
+          ~continue_with:(fun c -> with_node_voltages (Circuit.grounded c))
+          circuit ~outputs:[] ~dt
       in
-      let span_of_var (v : Expr.var) =
-        match v.Expr.base with
-        | Expr.Flow (n, _) -> Hashtbl.find_opt dev_span n
-        | Expr.Potential (a, b) -> (
-            match Hashtbl.find_opt node_span a with
-            | Some sp -> Some sp
-            | None -> Hashtbl.find_opt node_span b)
-        | Expr.Signal _ | Expr.Param _ -> None
+      let span_of v = (Lazy.force spans).Flow.of_var v in
+      let safety =
+        match s.Flow.assembled with
+        | Some asm -> Check.abstraction_safety ~span_of ~dt asm
+        | None -> []
       in
-      let attach f =
-        match (f.Diag.span, f.Diag.subject) with
-        | None, Some s -> (
-            match span_of_subject s with
-            | Some sp -> Diag.with_span f sp
-            | None -> f)
-        | _ -> f
+      let values =
+        match s.Flow.solved with
+        | Some { Flow.program; _ } ->
+            (* the solver emits auxiliary definitions (branch currents,
+               potential differences) that are legitimately unused —
+               dead-code reporting is for user-written assignments
+               only *)
+            bounded_findings ?amplitude_budget ~input_bound ~report_dead:false
+              ~span_of_target:span_of program
+        | None -> []
       in
-      let topo = List.map attach (Circuit.diagnose circuit) in
-      (* Degrade gracefully: a floating island (AMS020/021) does not
-         block the solvability passes — they run on the grounded part
-         of the network. Source loops/cutsets (AMS022/023) make the
-         remaining system singular by construction, so deeper passes
-         would only repeat them. *)
-      let blocking =
-        List.exists
-          (fun f ->
-            f.Diag.severity = Diag.Error
-            && (f.Diag.code = "AMS022" || f.Diag.code = "AMS023"))
-          topo
-      in
-      let circuit = grounded_subcircuit circuit in
-      if blocking || Circuit.device_count circuit = 0 then topo
-      else begin
-        match
-          let probed = Flow.insert_probes circuit ~outputs:[] in
-          let acq = Acquisition.of_circuit probed in
-          let map, _stats = Enrich.enrich acq in
-          let solv = Check.solvability ~span_of:span_of_var map ~outputs:[] in
-          if has_error solv then solv
-          else begin
-            let asm_outputs =
-              (* The ground-referenced node voltages: asking for every
-                 branch potential forces Assemble to define the floating
-                 ones algebraically, which hides the state form (and its
-                 time constants) from the safety pass. *)
-              let g = Circuit.ground probed in
-              let all =
-                List.map Component.potential_var (Circuit.devices probed)
-                |> List.sort_uniq Expr.compare_var
-              in
-              let grounded =
-                List.filter
-                  (fun (v : Expr.var) ->
-                    match v.Expr.base with
-                    | Expr.Potential (_, b) -> b = g
-                    | _ -> false)
-                  all
-              in
-              if grounded <> [] then grounded else all
-            in
-            let inputs = Circuit.input_signals probed in
-            match Assemble.assemble map ~inputs ~outputs:asm_outputs with
-            | exception Assemble.No_definition v ->
-                solv
-                @ [
-                    Diag.error ?span:(span_of_var v)
-                      ~subject:(Expr.var_name v) "AMS030"
-                      (Printf.sprintf
-                         "no consistent set of equations defines %s"
-                         (Expr.var_name v));
-                  ]
-            | asm ->
-                (* Matching is necessary, not sufficient: run the solver
-                   to catch a rank-deficient definition choice the same
-                   way the flow's own gate does. *)
-                let late =
-                  match
-                    Solve.solve_with_plan ~mode:`Auto
-                      ~integration:`Backward_euler ~name:"lint" ~dt asm
-                  with
-                  | _ -> []
-                  | exception Solve.Underdetermined msg ->
-                      [
-                        Diag.error "AMS030"
-                          (Printf.sprintf "underdetermined system (%s)" msg);
-                      ]
-                  | exception Solve.Nonlinear v ->
-                      [
-                        Diag.error
-                          ?span:(span_of_var v)
-                          ~subject:(Expr.var_name v) "AMS042"
-                          (Printf.sprintf
-                             "nonlinear definition for %s (outside the \
-                              linear scope)"
-                             (Expr.var_name v));
-                      ]
-                in
-                let base =
-                  solv @ late
-                  @ Check.abstraction_safety ~span_of:span_of_var ~dt asm
-                in
-                (* value-range passes, on the very program the flow
-                   would hand the execution engines *)
-                let sem =
-                  if has_error base then []
-                  else
-                    match
-                      Flow.abstract_circuit ~name:"lint" probed
-                        ~outputs:asm_outputs ~dt
-                    with
-                    | report ->
-                        (* the solver emits auxiliary definitions (branch
-                           currents, potential differences) that are
-                           legitimately unused — dead-code reporting is
-                           for user-written assignments only *)
-                        bounded_findings ?amplitude_budget ~input_bound
-                          ~report_dead:false ~span_of_target:span_of_var
-                          report.Flow.program
-                    | exception _ -> []
-                in
-                base @ sem
-          end
-        with
-        | deep -> topo @ deep
-        | exception Invalid_argument msg -> topo @ [ Diag.error "AMS030" msg ]
-      end
+      s.Flow.findings @ safety @ values
 
 let signal_flow_findings ?amplitude_budget ~input_bound ~dt top
     (flat : Elaborate.flat) =
-  match Elaborate.signal_flow_assignments flat with
-  | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
-  | assigns ->
-      let spans =
-        List.map
-          (fun (c : Elaborate.contribution) -> c.Elaborate.span)
-          flat.Elaborate.contributions
+  match
+    Elaborate.front_end (fun () -> Elaborate.signal_flow_assignments flat)
+  with
+  | Error f -> [ f ]
+  | Ok assigns -> (
+      (* Outputs of the converted program: the targets driving declared
+         output ports, else everything — the narrower the output set,
+         the more the value-range passes can say about interior
+         quantities (constants, dead code). *)
+      let port n = List.mem n flat.Elaborate.output_ports in
+      let drives_port ((t : Expr.var), _) =
+        match t.Expr.base with
+        | Expr.Potential (a, b) | Expr.Flow (a, b) -> port a || port b
+        | Expr.Signal s -> port s
+        | Expr.Param _ -> false
       in
-      let pairs = List.combine assigns spans in
-      let inputs = flat.Elaborate.input_ports in
-      let target_bases =
-        List.map (fun ((v : Expr.var), _) -> v.Expr.base) assigns
+      let outs =
+        match List.filter drives_port assigns with [] -> assigns | outs -> outs
       in
-      let is_defined (v : Expr.var) =
-        match v.Expr.base with
-        | Expr.Signal s -> List.mem s inputs
-        | Expr.Param _ -> true
-        | base -> List.mem base target_bases
-      in
-      (* AMS030: a quantity read but neither an input nor a target. *)
-      let seen = Hashtbl.create 8 in
-      let undefined =
-        List.concat_map
-          (fun ((_, rhs), sp) ->
-            Expr.Var_set.elements (Expr.vars rhs)
-            |> List.filter_map (fun (v : Expr.var) ->
-                   let name = Expr.var_name { v with Expr.delay = 0 } in
-                   if is_defined v || Hashtbl.mem seen name then None
-                   else begin
-                     Hashtbl.replace seen name ();
-                     Some
-                       (Diag.error ~span:sp ~subject:name "AMS030"
-                          (Printf.sprintf
-                             "quantity %s is read but never defined" name))
-                   end))
-          pairs
-      in
-      if undefined <> [] then undefined
-      else begin
-        (* Outputs of the converted program: the targets driving
-           declared output ports, else everything — the narrower the
-           output set, the more the value-range passes can say about
-           interior quantities (constants, dead code). *)
-        let drives_port (v : Expr.var) =
-          let port n = List.mem n flat.Elaborate.output_ports in
-          match v.Expr.base with
-          | Expr.Potential (a, b) | Expr.Flow (a, b) -> port a || port b
-          | Expr.Signal s -> port s
-          | Expr.Param _ -> false
-        in
-        let port_outs =
-          List.filter_map
-            (fun ((t : Expr.var), _) -> if drives_port t then Some t else None)
-            assigns
-        in
-        let outs = if port_outs <> [] then port_outs else List.map fst assigns in
-        match
-          Flow.convert_signal_flow ~name:top ~inputs ~outputs:outs
-            ~contributions:assigns ~dt
-        with
-        | program ->
-            (* value-range passes over the converted program; span each
-               finding at the contribution that defined its target *)
-            let span_of_target (v : Expr.var) =
-              List.find_map
-                (fun (((t : Expr.var), _), sp) ->
-                  if Expr.equal_var t v then Some sp else None)
-                pairs
-            in
-            bounded_findings ?amplitude_budget ~input_bound ~span_of_target
-              program
-        | exception Solve.Nonlinear v ->
-            [
-              Diag.error ~subject:(Expr.var_name v) "AMS042"
-                (Printf.sprintf
-                   "nonlinear self-reference on %s is outside the linear \
-                    abstraction scope"
-                   (Expr.var_name v));
-            ]
-        | exception Solve.Underdetermined msg -> [ Diag.error "AMS030" msg ]
-        (* Fatal on this route: the direct conversion has no
-           simultaneous solve to fall back on. *)
-        | exception Amsvp_sf.Sfprogram.Undefined msg ->
-            [ Diag.error "AMS030" msg ]
-        | exception Invalid_argument msg -> [ Diag.error "AMS040" msg ]
-      end
-
-let flat_findings ?amplitude_budget ~input_bound ~dt top
-    (flat : Elaborate.flat) =
-  match Elaborate.classify flat with
-  | `Conservative -> conservative_findings ?amplitude_budget ~input_bound ~dt flat
-  | `Signal_flow ->
-      signal_flow_findings ?amplitude_budget ~input_bound ~dt top flat
+      let spans = lazy (Elaborate.spans flat) in
+      match
+        Flow.signal_flow ~spans ~name:top ~inputs:flat.Elaborate.input_ports
+          ~outputs:(List.map fst outs) ~contributions:assigns ~dt
+      with
+      | Error findings -> findings
+      | Ok program ->
+          bounded_findings ?amplitude_budget ~input_bound
+            ~span_of_target:(fun v -> (Lazy.force spans).Flow.of_var v)
+            program)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -756,21 +527,24 @@ let lint ?(lang = `Verilog_ams) ?top ?(inputs = []) ?(dt = 50e-9)
         (Parser.parse, (fun d ~top -> Elaborate.flatten d ~top), "modules")
     | `Vhdl_ams -> (Vparser.parse, Velaborate.flatten ~inputs, "entities")
   in
-  match parse ~file src with
-  | exception Lexer.Lex_error (msg, line, col) ->
-      [ Diag.error ~span:(Diag.span ~file line col) "AMS001" msg ]
-  | exception Parser.Parse_error (msg, line, col) ->
-      [ Diag.error ~span:(Diag.span ~file line col) "AMS002" msg ]
-  | [] -> [ Diag.error "AMS003" ("design contains no " ^ units) ]
-  | design ->
+  match Elaborate.front_end ~file (fun () -> parse ~file src) with
+  | Error f -> [ f ]
+  | Ok [] -> [ Diag.error "AMS003" ("design contains no " ^ units) ]
+  | Ok design ->
       let top =
         match top with
         | Some t -> t
         | None -> (List.hd (List.rev design)).Ast.name
       in
       let deep =
-        match flatten design ~top with
-        | exception Elaborate.Elab_error (msg, sp) -> [ ams003 (msg, sp) ]
-        | flat -> flat_findings ?amplitude_budget ~input_bound ~dt top flat
+        match Elaborate.front_end (fun () -> flatten design ~top) with
+        | Error f -> [ f ]
+        | Ok flat -> (
+            match Elaborate.classify flat with
+            | `Conservative ->
+                conservative_findings ?amplitude_budget ~input_bound ~dt flat
+            | `Signal_flow ->
+                signal_flow_findings ?amplitude_budget ~input_bound ~dt top
+                  flat)
       in
-      ast_findings design @ deep
+      ast_findings ~lang design @ deep

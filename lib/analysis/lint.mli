@@ -13,21 +13,21 @@
       contributions, nested [ddt]/[idt] ([AMS015]) and parameters with
       default 0 used as divisors ([AMS016]);
     + {b elaboration} — hierarchy, name and parameter errors become
-      located [AMS003] findings;
-    + {b topology} — {!Amsvp_netlist.Circuit.diagnose} over the
-      recognised network ([AMS020]–[AMS024]), with each finding's
-      subject resolved back to the span of the contribution that
-      created the device or node;
-    + {b structural solvability} — {!Amsvp_core.Check.solvability} over
-      the enriched equation map ([AMS030]/[AMS031]);
+      located [AMS003] findings ({!Amsvp_vams.Elaborate.front_end}, the
+      same mapping the CLI uses);
+    + {b the flow} — one {!Amsvp_core.Flow.run} (conservative route) or
+      {!Amsvp_core.Flow.signal_flow} (signal-flow route), located by
+      {!Amsvp_vams.Elaborate.spans}: topology ([AMS020]–[AMS024]),
+      structural solvability ([AMS030]/[AMS031]) and the assemble and
+      solve failures, or the signal-flow route's undefined reads
+      ([AMS030]) and ordering violations ([AMS040]) — the findings
+      [amsvp abstract] stops at. A floating island does not stop the
+      run: it continues on the grounded part of the network;
     + {b abstraction safety} — {!Amsvp_core.Check.abstraction_safety}
-      over the assembled definitions ([AMS040]/[AMS041]); on the
-      signal-flow route, reads of never-defined quantities are
-      [AMS030] and zero-delay ordering violations are [AMS040] errors
-      (they are fatal to the direct conversion);
-    + {b value ranges} — once a route yields a signal-flow program
-      with no errors, {!Absint} analyses it to a widened fixpoint with
-      inputs confined to [±input_bound]: guaranteed division by zero
+      over the assembled definitions ([AMS040]/[AMS041]);
+    + {b value ranges} — {!Absint} analyses the program the flow
+      produced to a widened fixpoint with inputs confined to
+      [±input_bound]: guaranteed division by zero
       ([AMS060]), possible NaN/infinity at an output ([AMS061]),
       proven-constant or dead definitions ([AMS062]) and proven output
       bounds beyond the declared amplitude budget ([AMS063]).
@@ -36,7 +36,7 @@
     that depend on it but never the independent ones, so one run
     reports as much as the model admits. *)
 
-type lang = [ `Verilog_ams | `Vhdl_ams ]
+type lang = Amsvp_vams.Elaborate.lang
 
 val absint_findings :
   ?amplitude_budget:float ->

@@ -101,14 +101,7 @@ let of_signal_flow (p : Sfprogram.t) =
         p.Sfprogram.assignments;
   }
 
-let mode_label : Solve.mode -> string = function
-  | `Auto -> "auto"
-  | `Exact -> "exact"
-  | `Relaxed -> "relaxed"
-
-let integration_label : Solve.integration -> string = function
-  | `Backward_euler -> "backward-euler"
-  | `Trapezoidal -> "trapezoidal"
+let mode_label (m : Solve.mode) = Solve.name_of Solve.modes m
 
 let origin_label (o : Eqn.origin) =
   match o with
@@ -164,7 +157,8 @@ let to_json e =
          ("mode", Str (mode_label e.requested_mode));
          ( "effective_mode",
            Str (mode_label (plan.Solve.effective_mode :> Solve.mode)) );
-         ("integration", Str (integration_label plan.Solve.integration_used));
+         ( "integration",
+           Str (Solve.(name_of integrations) plan.Solve.integration_used) );
          ("regions", int plan.Solve.regions);
          ("ddt_aux", int plan.Solve.ddt_aux);
          ("classes", int e.classes_total);
@@ -183,7 +177,7 @@ let pp ppf e =
     "mode: %s (effective %s), integration: %s, regions: %d%s@,"
     (mode_label e.requested_mode)
     (mode_label (plan.Solve.effective_mode :> Solve.mode))
-    (integration_label plan.Solve.integration_used)
+    (Solve.(name_of integrations) plan.Solve.integration_used)
     plan.Solve.regions
     (if plan.Solve.ddt_aux > 0 then
        Printf.sprintf ", ddt auxiliaries: %d" plan.Solve.ddt_aux

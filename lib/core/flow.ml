@@ -36,7 +36,7 @@ let timed name f = Obs.timed ~cat:"flow" name f
    potential of any device is observed through an ideal voltmeter: a
    zero-current source between the two nodes, which adds the variable
    to the equation system without disturbing the network. *)
-let with_probes circuit outputs =
+let insert_probes circuit ~outputs =
   let devices = Circuit.devices circuit in
   let node_exists n = List.mem n (Circuit.nodes circuit) in
   let present (a, b) =
@@ -86,73 +86,145 @@ let with_probes circuit outputs =
     c
   end
 
-let insert_probes circuit ~outputs = with_probes circuit outputs
+type spans = {
+  of_subject : string -> Diag.span option;
+  of_var : Expr.var -> Diag.span option;
+}
 
-let abstract_circuit ?(name = "abstracted") ?(mode = `Auto)
-    ?(integration = `Backward_euler) circuit ~outputs ~dt =
+type stages = {
+  findings : Diag.finding list;
+  enriched : (Acquisition.t * Eqmap.t) option;
+  assembled : Assemble.result option;
+  solved : report option;
+}
+
+(* A source loop or current-source cutset (AMS022/AMS023) makes the
+   equation system singular by construction: the equation stages would
+   only repeat it. *)
+let blocking =
+  List.exists (fun f ->
+      f.Diag.severity = Diag.Error
+      && (f.Diag.code = "AMS022" || f.Diag.code = "AMS023"))
+
+(* The resolver is forced only for a finding that names a subject or a
+   quantity and has no span yet. *)
+let span_of_var spans v =
+  match spans with Some (lazy s) -> s.of_var v | None -> None
+
+let locate spans f =
+  match (f.Diag.span, f.Diag.subject, spans) with
+  | None, Some subject, Some spans ->
+      Option.fold ~none:f ~some:(Diag.with_span f)
+        ((Lazy.force spans).of_subject subject)
+  | _ -> f
+
+exception Stopped
+
+let run ?(name = "abstracted") ?(mode = `Auto)
+    ?(integration = `Backward_euler) ?spans ?(solve = true) ?continue_with
+    circuit ~outputs ~dt =
+  let span_of = span_of_var spans in
+  let probed = insert_probes circuit ~outputs in
+  (* Pre-flight gate: a malformed topology stops the run with located
+     findings instead of letting a deep solver exception surface. *)
+  let topology = List.map (locate spans) (Circuit.diagnose probed) in
+  let s =
+    ref { findings = topology; enriched = None; assembled = None; solved = None }
+  in
+  let add fs = s := { !s with findings = !s.findings @ fs } in
+  (* Structural matching is necessary but not sufficient: a degenerate
+     topology can pass the gates and still leave Assemble or Solve
+     without a usable pivot, and [Invalid_argument] is a structurally
+     invalid circuit the topology pass did not name. Those late failures
+     become located findings too, so every way abstraction can fail
+     speaks the same language. *)
+  let stage label f =
+    let failed = function
+      | Assemble.No_definition v ->
+          Diag.error ?span:(span_of v) ~subject:(Expr.var_name v) "AMS030"
+            (Printf.sprintf "no consistent set of equations defines %s"
+               (Expr.var_name v))
+      | Solve.Underdetermined msg ->
+          Diag.error "AMS030" (Printf.sprintf "underdetermined system (%s)" msg)
+      | Solve.Nonlinear v ->
+          Diag.error ?span:(span_of v) ~subject:(Expr.var_name v) "AMS042"
+            (Printf.sprintf
+               "nonlinear definition for %s (outside the linear scope)"
+               (Expr.var_name v))
+      | Invalid_argument msg -> Diag.error "AMS030" msg
+      | e -> raise e
+    in
+    match timed label f with
+    | r -> r
+    | exception e ->
+        add [ failed e ];
+        raise Stopped
+  in
+  let next =
+    match continue_with with
+    | None ->
+        if Diag.error_count topology > 0 then None else Some (probed, outputs)
+    | Some continue_with ->
+        if blocking topology then None
+        else
+          let circuit, outputs = continue_with circuit in
+          if Circuit.device_count circuit = 0 then None
+          else Some (insert_probes circuit ~outputs, outputs)
+  in
+  (match next with
+  | None -> ()
+  | Some (circuit, outputs) -> (
+      try
+        let acq, acquisition_s =
+          stage "flow.acquisition" (fun () -> Acquisition.of_circuit circuit)
+        in
+        let (map, stats), enrichment_s =
+          stage "flow.enrich" (fun () -> Enrich.enrich acq)
+        in
+        s := { !s with enriched = Some (acq, map) };
+        let solvability = Check.solvability ~span_of map ~outputs in
+        add solvability;
+        if Diag.error_count solvability > 0 then raise Stopped;
+        let inputs = Circuit.input_signals circuit in
+        let asm, assemble_s =
+          stage "flow.assemble" (fun () ->
+              Assemble.assemble map ~inputs ~outputs)
+        in
+        s := { !s with assembled = Some asm };
+        if solve then
+          let (program, plan), solve_s =
+            stage "flow.solve" (fun () ->
+                Solve.solve_with_plan ~mode ~integration ~name ~dt asm)
+          in
+          let report =
+            {
+              program;
+              nodes = Graph.node_count acq.Acquisition.graph;
+              branches = Graph.branch_count acq.Acquisition.graph;
+              classes = Eqmap.class_count map;
+              variants = stats.Enrich.variants;
+              definitions = List.length asm.Assemble.defs;
+              explain = Explain.of_abstraction ~name ~dt ~mode map asm plan;
+              acquisition_s;
+              enrichment_s;
+              assemble_s;
+              solve_s;
+            }
+          in
+          s := { !s with solved = Some report }
+      with Stopped -> ()));
+  !s
+
+let abstract_circuit ?(name = "abstracted") ?mode ?integration ?spans
+    circuit ~outputs ~dt =
   if outputs = [] then invalid_arg "Flow: no outputs of interest";
   Obs.with_span ~cat:"flow" ~args:[ ("model", name) ] "flow.abstract"
   @@ fun () ->
   Obs.Counter.incr c_abstractions;
-  let circuit = with_probes circuit outputs in
-  (* Pre-flight gates: reject a malformed topology or a structurally
-     singular system with a located Diag finding instead of letting a
-     deep solver exception surface. *)
-  Check.gate (Circuit.diagnose circuit);
-  let inputs = Circuit.input_signals circuit in
-  let acq, acquisition_s =
-    timed "flow.acquisition" (fun () -> Acquisition.of_circuit circuit)
-  in
-  let (map, stats), enrichment_s =
-    timed "flow.enrich" (fun () -> Enrich.enrich acq)
-  in
-  Check.gate (Check.solvability map ~outputs);
-  (* Structural matching is necessary but not sufficient: a degenerate
-     topology can pass the gates and still leave Assemble or Solve
-     without a usable pivot. Those late failures become located Diag
-     rejections too, so every way abstraction can fail speaks the same
-     language. *)
-  let asm, assemble_s =
-    timed "flow.assemble" (fun () ->
-        try Assemble.assemble map ~inputs ~outputs
-        with Assemble.No_definition v ->
-          raise
-            (Diag.Rejected
-               (Diag.error ~subject:(Expr.var_name v) "AMS030"
-                  (Printf.sprintf "no consistent set of equations defines %s"
-                     (Expr.var_name v)))))
-  in
-  let (program, plan), solve_s =
-    timed "flow.solve" (fun () ->
-        try Solve.solve_with_plan ~mode ~integration ~name ~dt asm with
-        | Solve.Underdetermined msg ->
-            raise
-              (Diag.Rejected
-                 (Diag.error "AMS030"
-                    (Printf.sprintf "underdetermined system (%s)" msg)))
-        | Solve.Nonlinear v ->
-            raise
-              (Diag.Rejected
-                 (Diag.error ~subject:(Expr.var_name v) "AMS042"
-                    (Printf.sprintf
-                       "nonlinear definition for %s (outside the linear \
-                        scope)"
-                       (Expr.var_name v)))))
-  in
-  let explain = Explain.of_abstraction ~name ~dt ~mode map asm plan in
-  {
-    program;
-    nodes = Graph.node_count acq.Acquisition.graph;
-    branches = Graph.branch_count acq.Acquisition.graph;
-    classes = Eqmap.class_count map;
-    variants = stats.Enrich.variants;
-    definitions = List.length asm.Assemble.defs;
-    explain;
-    acquisition_s;
-    enrichment_s;
-    assemble_s;
-    solve_s;
-  }
+  let s = run ~name ?mode ?integration ?spans circuit ~outputs ~dt in
+  Check.gate s.findings;
+  (* A run without an error finding reached every stage. *)
+  Option.get s.solved
 
 let abstract_testcase ?(mode = `Auto) ?(integration = `Backward_euler)
     (tc : Circuits.testcase) ~dt =
@@ -216,6 +288,56 @@ let convert_signal_flow ~name ~inputs ~outputs ~contributions ~dt =
   let program = { Sfprogram.name; inputs; outputs; assignments; dt } in
   Sfprogram.validate program;
   program
+
+(* The signal-flow route: the direct conversion with its failures as
+   findings. A read of a quantity that is neither an input nor a target
+   is reported for every such quantity, at the contribution that reads
+   it; the conversion's own failures are fatal, as the route has no
+   simultaneous solve to fall back on. *)
+let signal_flow ~spans ~name ~inputs ~outputs ~contributions ~dt =
+  let span_of = span_of_var (Some spans) in
+  let targets =
+    List.map (fun ((t : Expr.var), _) -> t.Expr.base) contributions
+  in
+  let is_defined (v : Expr.var) =
+    match v.Expr.base with
+    | Expr.Signal s -> List.mem s inputs
+    | Expr.Param _ -> true
+    | base -> List.mem base targets
+  in
+  let seen = Hashtbl.create 8 in
+  let undefined =
+    List.concat_map
+      (fun (target, rhs) ->
+        Expr.Var_set.elements (Expr.vars rhs)
+        |> List.filter_map (fun (v : Expr.var) ->
+               let q = Expr.var_name { v with Expr.delay = 0 } in
+               if is_defined v || Hashtbl.mem seen q then None
+               else begin
+                 Hashtbl.replace seen q ();
+                 Some
+                   (Diag.error ?span:(span_of target) ~subject:q "AMS030"
+                      (Printf.sprintf "quantity %s is read but never defined"
+                         q))
+               end))
+      contributions
+  in
+  if undefined <> [] then Error undefined
+  else
+    match convert_signal_flow ~name ~inputs ~outputs ~contributions ~dt with
+    | program -> Ok program
+    | exception Sfprogram.Undefined msg -> Error [ Diag.error "AMS030" msg ]
+    | exception Invalid_argument msg -> Error [ Diag.error "AMS040" msg ]
+    | exception Solve.Underdetermined msg -> Error [ Diag.error "AMS030" msg ]
+    | exception Solve.Nonlinear v ->
+        Error
+          [
+            Diag.error ?span:(span_of v) ~subject:(Expr.var_name v) "AMS042"
+              (Printf.sprintf
+                 "nonlinear self-reference on %s is outside the linear \
+                  abstraction scope"
+                 (Expr.var_name v));
+          ]
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -4,12 +4,13 @@ type integration = [ `Backward_euler | `Trapezoidal ]
 
 type fidelity = [ `Paper | `Fast ]
 
-let fidelity_to_string = function `Paper -> "paper" | `Fast -> "fast"
+let modes = [ ("auto", `Auto); ("exact", `Exact); ("relaxed", `Relaxed) ]
 
-let fidelity_of_string = function
-  | "paper" -> Ok `Paper
-  | "fast" -> Ok `Fast
-  | s -> Error (Printf.sprintf "unknown fidelity %S (expected paper or fast)" s)
+let integrations =
+  [ ("backward-euler", `Backward_euler); ("trapezoidal", `Trapezoidal) ]
+
+let fidelities = [ ("paper", `Paper); ("fast", `Fast) ]
+let name_of table v = fst (List.find (fun (_, w) -> w = v) table)
 
 let auto_threshold = 16
 

@@ -44,17 +44,22 @@ type fidelity = [ `Paper | `Fast ]
     Newton early-exit and adaptive substepping — bounded-error, much
     faster (see {!Amsvp_mna.Engine.spice_like}). *)
 
-val fidelity_to_string : fidelity -> string
-(** ["paper"] / ["fast"] — the sweep-spec and CLI spelling. *)
-
-val fidelity_of_string : string -> (fidelity, string) result
-
 type integration = [ `Backward_euler | `Trapezoidal ]
 (** Integration rule used when discretising (default backward Euler).
     Trapezoidal integration gives second-order accuracy: state updates
     become [x = x@-1 + dt/2 (f_t + f_{t-1})] and remaining derivatives
     are computed by the trapezoidal differentiator
     [s = (2/dt)(arg - arg@-1) - s@-1] through auxiliary quantities. *)
+
+val modes : (string * mode) list
+val integrations : (string * integration) list
+
+val fidelities : (string * fidelity) list
+(** The one spelling of each value, shared by the CLI, sweep specs and
+    the plan account. *)
+
+val name_of : (string * 'a) list -> 'a -> string
+(** [name_of table v] is [v]'s name in [table]. *)
 
 (** {1 Solver plan}
 

@@ -253,6 +253,16 @@ let diagnose c =
     floating_findings @ stranded_findings @ loop_findings @ cutset_findings
   end
 
+let grounded c =
+  let connected = reach c (fun _ -> true) in
+  match List.partition (fun (d : Component.t) -> connected d.pos) (devices c)
+  with
+  | _, [] -> c
+  | keep, _ ->
+      let g = create ~ground:c.ground () in
+      List.iter (add g) keep;
+      g
+
 let validate c =
   let findings = diagnose c in
   let errors = List.filter (fun f -> f.Diag.severity = Diag.Error) findings in

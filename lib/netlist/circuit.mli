@@ -106,6 +106,11 @@ val diagnose : t -> Amsvp_diag.Diag.finding list
     - [AMS023] — a current-defined branch (Isource/VCCS) with no
       conductive return path, i.e. a current-source cutset. *)
 
+val grounded : t -> t
+(** The part of the network connected to ground: every device of an
+    island none of whose terminals reaches ground (AMS020/AMS021) is
+    dropped. The circuit itself when nothing is. *)
+
 val validate : t -> (unit, string) result
 (** Structural checks: at least one device, every node connected to the
     ground component of the graph, no duplicate device names. Now a

@@ -291,8 +291,8 @@ let handle_submit st conn ~id ~spec_text =
       | Ok tc -> (
           match ctx_for ~id st spec tc with
           | exception Diag.Rejected f ->
-              (* The lint gate inside [Runner.prepare] refused the
-                 circuit: a structured reply, not a dead worker. *)
+              (* The flow inside [Runner.prepare] refused the circuit:
+                 a structured reply, not a dead worker. *)
               jlog ~req:id st "submit.rejected"
                 [ ("sweep", Journal.S spec.Spec.name);
                   ("code", Journal.S f.Diag.code) ];
@@ -303,12 +303,7 @@ let handle_submit st conn ~id ~spec_text =
                 (Protocol.Failed { message = Printexc.to_string e })
           | { ctx; pool } -> (
               let findings = Runner.screen ~werror:st.cfg.werror ctx in
-              match
-                List.length
-                  (List.filter
-                     (fun (f : Diag.finding) -> f.Diag.severity = Diag.Error)
-                     findings)
-              with
+              match Diag.error_count findings with
               | 0 -> run_submit st conn ~id spec tc ctx pool
               | errors ->
                   (* Value-range screen (AMS06x): errors — native AMS060

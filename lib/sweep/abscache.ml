@@ -1,6 +1,6 @@
 module Circuit = Amsvp_netlist.Circuit
+module Flow = Amsvp_core.Flow
 module Acquisition = Amsvp_core.Acquisition
-module Enrich = Amsvp_core.Enrich
 module Eqmap = Amsvp_core.Eqmap
 module Assemble = Amsvp_core.Assemble
 module Solve = Amsvp_core.Solve
@@ -27,16 +27,19 @@ type t = {
           each rebound point so plan replay also skips compilation *)
 }
 
-let record_plan ?(mode = `Auto) ?(integration = `Backward_euler) ~name ~dt
-    circuit ~outputs =
+let record_plan ?(mode = `Auto) ?(integration = `Backward_euler) ?spans ~name
+    ~dt circuit ~outputs =
+  (* The flow up to assemble, gated like [Flow.abstract_circuit]: a
+     defective sweep model is rejected here, once, with a located
+     finding — before any scenario point is expanded. The plan solves
+     the representative itself, in [build]. *)
+  let s =
+    Flow.run ~name ~mode ~integration ?spans ~solve:false circuit ~outputs ~dt
+  in
+  Check.gate s.Flow.findings;
   let inputs = Circuit.input_signals circuit in
-  let acq = Acquisition.of_circuit circuit in
-  let map, _stats = Enrich.enrich acq in
-  (* Same pre-flight gate as [Flow.abstract_circuit]: a structurally
-     unsolvable sweep model is rejected here, once, with a located
-     finding — before any scenario point is expanded. *)
-  Check.gate (Check.solvability map ~outputs);
-  let asm = Assemble.assemble map ~inputs ~outputs in
+  let acq, map = Option.get s.Flow.enriched in
+  let asm = Option.get s.Flow.assembled in
   let n_dipoles = List.length acq.Acquisition.dipoles in
   let topo =
     Array.init
@@ -131,8 +134,8 @@ let rebind t circuit =
         None
   end
 
-let build ?mode ?integration ~name ~dt circuit ~outputs =
-  let t = record_plan ?mode ?integration ~name ~dt circuit ~outputs in
+let build ?mode ?integration ?spans ~name ~dt circuit ~outputs =
+  let t = record_plan ?mode ?integration ?spans ~name ~dt circuit ~outputs in
   (* Solve the representative once so the plan also carries a compiled
      template: rebound points share its schedule and registers and only
      patch the constant pool. Computed here, before any worker is

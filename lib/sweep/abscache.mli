@@ -6,7 +6,7 @@
     choice of which equation class defines which quantity depends only
     on the sparsity pattern, not on the coefficients.
 
-    [build] runs acquisition → enrichment → assemble once on a
+    [build] runs the flow ({!Amsvp_core.Flow.run}) up to assemble once on a
     representative circuit and records the {e plan}: for every defined
     quantity, the id of the consumed equation class and whether it was
     defined through its own derivative.  [rebind] then replays the plan
@@ -27,16 +27,18 @@ type t
 val build :
   ?mode:Amsvp_core.Solve.mode ->
   ?integration:Amsvp_core.Solve.integration ->
+  ?spans:Amsvp_core.Flow.spans Lazy.t ->
   name:string ->
   dt:float ->
   Amsvp_netlist.Circuit.t ->
   outputs:Expr.var list ->
   t
 (** Record the plan from a representative circuit.  The circuit must
-    already carry its probes ({!Flow.insert_probes}) so that the sweep
-    overrides and the replay see the same structure.
-    @raise Invalid_argument, Assemble.No_definition, etc. as
-    {!Flow.abstract_circuit} does. *)
+    already carry its probes ({!Amsvp_core.Flow.insert_probes}) so that
+    the sweep overrides and the replay see the same structure.
+    @raise Amsvp_diag.Diag.Rejected with the first error finding of the
+    run (topology, solvability or assemble), located through [spans]
+    when given. *)
 
 val key : t -> string
 (** The {!Amsvp_netlist.Circuit.structure_key} the plan was built

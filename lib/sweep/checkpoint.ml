@@ -3,7 +3,10 @@ module Json = Amsvp_util.Json
 let version = 1
 let kind = "amsvp-sweep-checkpoint"
 
+(* How many processes run the points changes no result: [jobs] is no
+   part of a sweep's identity. *)
 let digest (spec : Spec.t) ~circuit =
+  let spec = { spec with Spec.jobs = None } in
   Digest.to_hex (Digest.string (Spec.to_string spec ^ "\ncircuit " ^ circuit))
 
 (* ---- checkpoint files ---- *)

@@ -12,8 +12,9 @@
     rule), so a resumed sweep's report equals the uninterrupted one's. *)
 
 val digest : Spec.t -> circuit:string -> string
-(** Hex MD5 of the spec's canonical text form plus the circuit label —
-    the identity a checkpoint header records. *)
+(** Hex MD5 of the spec's canonical text form, [jobs] cleared, plus
+    the circuit label — the identity a checkpoint header records. A
+    checkpoint written under one [jobs] resumes under any other. *)
 
 (** {1 Checkpoint files} *)
 

@@ -1,7 +1,6 @@
 module Circuit = Amsvp_netlist.Circuit
 module Circuits = Amsvp_netlist.Circuits
 module Flow = Amsvp_core.Flow
-module Check = Amsvp_core.Check
 module Engine = Amsvp_mna.Engine
 module Sfprogram = Amsvp_sf.Sfprogram
 module Stimulus = Amsvp_util.Stimulus
@@ -104,7 +103,7 @@ type ctx = {
 
 let ctx_points c = c.c_points
 
-let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =
+let prepare ?jobs ?spans (spec : Spec.t) (tc : Circuits.testcase) =
   (match Spec.validate spec with
   | Ok () -> ()
   | Error m -> invalid_arg ("Sweep: " ^ m));
@@ -126,12 +125,6 @@ let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =
   let dt = Option.value spec.dt ~default:default_dt in
   let t_stop = Option.value spec.t_stop ~default:default_t_stop in
   let probed = Flow.insert_probes tc.Circuits.circuit ~outputs:[ output ] in
-  (* Fast-fail: lint the swept model once, before any scenario point is
-     expanded. Sweep points only change parameter values, so a
-     structural defect (floating node, short, unsolvable output) would
-     otherwise be rediscovered N times, one confusing failure per
-     point. *)
-  Check.gate (Circuit.diagnose probed);
   let input_names = Circuit.input_signals probed in
   let stim_of name =
     match spec.stimulus with
@@ -144,9 +137,11 @@ let prepare ?jobs (spec : Spec.t) (tc : Circuits.testcase) =
   let stim_assoc = List.map (fun n -> (n, stim_of n)) input_names in
   (* The plan is recorded once, before any worker is forked: the cache
      is immutable afterwards, so every point sees the same plan, inline
-     or in any worker process, no matter the schedule. *)
+     or in any worker process, no matter the schedule. It is also the
+     fast-fail: points only change parameter values, so a defect the
+     flow rejects here would otherwise fail every point. *)
   let cache =
-    Abscache.build ~mode:spec.mode ~integration:spec.integration
+    Abscache.build ~mode:spec.mode ~integration:spec.integration ?spans
       ~name:(tc.Circuits.label ^ "_sweep") ~dt probed ~outputs:[ output ]
   in
   let points = Array.of_list (Sampler.points spec) in
@@ -231,6 +226,21 @@ let pruned_result ctx (p : Sampler.point) (bad : Amsvp_analysis.Absint.bad) =
     cached = true;
   }
 
+(* A point's program: the recorded plan replayed on its circuit
+   ([true]), or the whole flow where the replay fails ([false]). *)
+let program_for ctx circuit =
+  match Abscache.rebind ctx.c_cache circuit with
+  | Some program -> (program, true)
+  | None ->
+      let spec = ctx.c_spec in
+      let rep =
+        Flow.abstract_circuit
+          ~name:(ctx.c_tc.Circuits.label ^ "_sweep")
+          ~mode:spec.Spec.mode ~integration:spec.Spec.integration circuit
+          ~outputs:[ ctx.c_output ] ~dt:ctx.c_dt
+      in
+      (rep.Flow.program, false)
+
 (* Static screen of a prepared sweep: the absint value-range pass over
    the representative program (the probed circuit with its nominal
    parameter values). The serve daemon rejects a submit whose screen
@@ -240,22 +250,9 @@ let pruned_result ctx (p : Sampler.point) (bad : Amsvp_analysis.Absint.bad) =
 let screen ?(werror = false) ctx =
   let module Diag = Amsvp_diag.Diag in
   let spec = ctx.c_spec in
-  let program =
-    match Abscache.rebind ctx.c_cache ctx.c_probed with
-    | Some p -> Some p
-    | None -> (
-        match
-          Flow.abstract_circuit
-            ~name:(ctx.c_tc.Circuits.label ^ "_screen")
-            ~mode:spec.Spec.mode ~integration:spec.Spec.integration
-            ctx.c_probed ~outputs:[ ctx.c_output ] ~dt:ctx.c_dt
-        with
-        | rep -> Some rep.Flow.program
-        | exception _ -> None)
-  in
-  match program with
-  | None -> []
-  | Some program ->
+  match program_for ctx ctx.c_probed with
+  | exception _ -> []
+  | program, _ ->
       Amsvp_analysis.Lint.absint_findings
         ?amplitude_budget:spec.Spec.amplitude_limit ~report_dead:false
         ~span_of_target:(fun _ -> None)
@@ -281,21 +278,8 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
       timeout_s
   in
   let circuit = Circuit.override ctx.c_probed p.Sampler.overrides in
-  let program, cached =
-    match Abscache.rebind ctx.c_cache circuit with
-    | Some program ->
-        Obs.Counter.incr c_cache_hits;
-        (program, true)
-    | None ->
-        Obs.Counter.incr c_cache_misses;
-        let rep =
-          Flow.abstract_circuit
-            ~name:(ctx.c_tc.Circuits.label ^ "_sweep")
-            ~mode:spec.mode ~integration:spec.integration circuit
-            ~outputs:[ ctx.c_output ] ~dt:ctx.c_dt
-        in
-        (rep.Flow.program, false)
-  in
+  let program, cached = program_for ctx circuit in
+  Obs.Counter.incr (if cached then c_cache_hits else c_cache_misses);
   match
     let runner =
       (* On a plan replay the bytecode template re-targets for free;

@@ -68,12 +68,19 @@ type ctx
     every later point of this ctx records into, so a process runs the
     points of one ctx one at a time. *)
 
-val prepare : ?jobs:int -> Spec.t -> Amsvp_netlist.Circuits.testcase -> ctx
-(** Validate the spec, lint the circuit once, record the abstraction
-    plan and expand the scenario points.  [jobs] defaults to the spec's
-    [jobs] directive, then to 1.
-    @raise Invalid_argument on an invalid spec or output, and whatever
-    the circuit lint gate raises on a structurally broken circuit. *)
+val prepare :
+  ?jobs:int ->
+  ?spans:Amsvp_core.Flow.spans Lazy.t ->
+  Spec.t ->
+  Amsvp_netlist.Circuits.testcase ->
+  ctx
+(** Validate the spec, record the abstraction plan
+    ({!Abscache.build}) and expand the scenario points.  [jobs]
+    defaults to the spec's [jobs] directive, then to 1.  [spans]
+    locates the findings of a model read from source.
+    @raise Invalid_argument on an invalid spec or output
+    @raise Amsvp_diag.Diag.Rejected with the first error finding of the
+    flow on a defective circuit. *)
 
 val ctx_points : ctx -> Sampler.point array
 (** Points in expansion order; [point.index] is the slot in this

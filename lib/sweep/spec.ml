@@ -1,3 +1,5 @@
+module Solve = Amsvp_core.Solve
+
 type range =
   | Grid of { lo : float; hi : float; n : int }
   | Values of float list
@@ -171,15 +173,6 @@ let stimulus_to_string = function
   | Sine { freq; amplitude } ->
       Printf.sprintf "sine %s %s" (fl freq) (fl amplitude)
 
-let mode_to_string = function
-  | `Auto -> "auto"
-  | `Exact -> "exact"
-  | `Relaxed -> "relaxed"
-
-let integration_to_string = function
-  | `Backward_euler -> "backward-euler"
-  | `Trapezoidal -> "trapezoidal"
-
 let to_string s =
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
@@ -191,16 +184,16 @@ let to_string s =
   | None -> ());
   (match s.t_stop with Some v -> line "t_stop %s" (fl v) | None -> ());
   (match s.dt with Some v -> line "dt %s" (fl v) | None -> ());
-  if s.mode <> default.mode then line "mode %s" (mode_to_string s.mode);
+  if s.mode <> default.mode then line "mode %s" (Solve.(name_of modes) s.mode);
   if s.integration <> default.integration then
-    line "integration %s" (integration_to_string s.integration);
+    line "integration %s" (Solve.(name_of integrations) s.integration);
   if s.samples <> default.samples then line "samples %d" s.samples;
   if s.seed <> default.seed then line "seed %d" s.seed;
   (match s.jobs with Some j -> line "jobs %d" j | None -> ());
   if s.reference <> default.reference then
     line "reference %s" (if s.reference then "on" else "off");
   (match s.fidelity with
-  | Some f -> line "fidelity %s" (Amsvp_core.Solve.fidelity_to_string f)
+  | Some f -> line "fidelity %s" (Solve.(name_of fidelities) f)
   | None -> ());
   (match s.nrmse_budget with
   | Some v -> line "nrmse_budget %s" (fl v)
@@ -230,6 +223,12 @@ let pp ppf s = Format.pp_print_string ppf (to_string s)
 exception Bad of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+let enum what table v =
+  match List.assoc_opt v table with
+  | Some x -> x
+  | None ->
+      failf "bad %s %S (%s)" what v (String.concat "|" (List.map fst table))
 
 let float_of tok =
   match float_of_string_opt tok with
@@ -277,23 +276,9 @@ let parse_line spec tokens =
   | "stimulus" :: rest -> { spec with stimulus = Some (parse_stimulus rest) }
   | "t_stop" :: v :: [] -> { spec with t_stop = Some (float_of v) }
   | "dt" :: v :: [] -> { spec with dt = Some (float_of v) }
-  | "mode" :: m :: [] ->
-      let mode =
-        match m with
-        | "auto" -> `Auto
-        | "exact" -> `Exact
-        | "relaxed" -> `Relaxed
-        | _ -> failf "bad mode %S" m
-      in
-      { spec with mode }
+  | "mode" :: m :: [] -> { spec with mode = enum "mode" Solve.modes m }
   | "integration" :: i :: [] ->
-      let integration =
-        match i with
-        | "backward-euler" -> `Backward_euler
-        | "trapezoidal" -> `Trapezoidal
-        | _ -> failf "bad integration %S" i
-      in
-      { spec with integration }
+      { spec with integration = enum "integration" Solve.integrations i }
   | "samples" :: v :: [] -> { spec with samples = int_of v }
   | "seed" :: v :: [] -> { spec with seed = int_of v }
   | "jobs" :: v :: [] -> { spec with jobs = Some (int_of v) }
@@ -305,10 +290,8 @@ let parse_line spec tokens =
         | _ -> failf "bad reference %S (on|off)" v
       in
       { spec with reference }
-  | "fidelity" :: f :: [] -> (
-      match Amsvp_core.Solve.fidelity_of_string f with
-      | Ok fidelity -> { spec with fidelity = Some fidelity }
-      | Error _ -> failf "bad fidelity %S (paper|fast)" f)
+  | "fidelity" :: f :: [] ->
+      { spec with fidelity = Some (enum "fidelity" Solve.fidelities f) }
   | "nrmse_budget" :: v :: [] -> { spec with nrmse_budget = Some (float_of v) }
   | "amplitude_limit" :: v :: [] ->
       { spec with amplitude_limit = Some (float_of v) }

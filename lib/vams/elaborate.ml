@@ -1,6 +1,7 @@
 module Circuit = Amsvp_netlist.Circuit
 module Component = Amsvp_netlist.Component
 module Diag = Amsvp_diag.Diag
+module Flow = Amsvp_core.Flow
 
 exception Elab_error of string * Diag.span option
 
@@ -25,8 +26,11 @@ type flat = {
   contributions : contribution list;
 }
 
+type lang = [ `Verilog_ams | `Vhdl_ams ]
+
 (* Elaboration context of one module instance. *)
 type ctx = {
+  lang : lang;  (* the source language, for its wording of errors *)
   path : string;  (* hierarchical prefix, "" for top *)
   scope : string;  (* [path], or the module name at top level *)
   bindings : (string * string) list;  (* port -> global net *)
@@ -118,9 +122,16 @@ let rec expr_of_ast ctx (e : Ast.expr) =
       | None -> (
           match List.assoc_opt p ctx.params with
           | Some v -> Expr.const v
-          | None ->
-              fail ~span "unresolved identifier %s (nets need V()/I() access)"
-                p))
+          | None -> (
+              match ctx.lang with
+              | `Verilog_ams ->
+                  fail ~span
+                    "unresolved identifier %s (nets need V()/I() access)" p
+              | `Vhdl_ams ->
+                  fail ~span
+                    "unresolved identifier %s (not a quantity, generic or \
+                     constant in scope)"
+                    p)))
   | Ast.Access ("V", args) -> (
       match args with
       | [ x ] when not (List.mem_assoc x ctx.branches) ->
@@ -239,10 +250,11 @@ let overridable (m : Ast.module_def) name =
       | _ -> false)
     m.Ast.items
 
-let rec elaborate_module design ~path ~bindings ~overrides ~ground_nets ~acc_ctx
-    (m : Ast.module_def) =
+let rec elaborate_module design ~lang ~path ~bindings ~overrides ~ground_nets
+    ~acc_ctx (m : Ast.module_def) =
   let base_ctx =
     {
+      lang;
       path;
       scope = (if path = "" then m.Ast.name else path);
       bindings;
@@ -347,14 +359,15 @@ let rec elaborate_module design ~path ~bindings ~overrides ~ground_nets ~acc_ctx
                     (name, const_eval ctx e))
                   ovr
               in
-              elaborate_module design ~path:child_path ~bindings:child_bindings
+              elaborate_module design ~lang ~path:child_path
+                ~bindings:child_bindings
                 ~overrides:child_overrides ~ground_nets ~acc_ctx child)
       | Ast.Port_direction _ | Ast.Net_decl _ | Ast.Ground_decl _
       | Ast.Branch_decl _ | Ast.Parameter _ ->
           ())
     m.Ast.items
 
-let flatten design ~top =
+let flatten ?(lang = `Verilog_ams) design ~top =
   match Ast.find_module design top with
   | None -> fail "unknown top module %s" top
   | Some m ->
@@ -365,8 +378,8 @@ let flatten design ~top =
       let acc_ctx = ref [] in
       (* Top-level ports are bound to nets of the same name. *)
       let bindings = List.map (fun p -> (p, p)) m.Ast.ports in
-      elaborate_module design ~path:"" ~bindings ~overrides:[] ~ground_nets
-        ~acc_ctx m;
+      elaborate_module design ~lang ~path:"" ~bindings ~overrides:[]
+        ~ground_nets ~acc_ctx m;
       let raw = List.rev !acc_ctx in
       (* Rewrite ground aliases and collect nets. *)
       let canon net = if Hashtbl.mem ground_nets net then "gnd" else net in
@@ -461,17 +474,19 @@ let classify flat =
   if all_to_ground && not (accesses_flow flat) then `Signal_flow
   else `Conservative
 
+(* The device a branch becomes: its flow id, sanitised. *)
+let device_name br =
+  String.map
+    (fun ch -> if ch = '(' || ch = ')' || ch = ',' || ch = '.' then '_' else ch)
+    br.flow_id
+
 (* Device recognition over the summed branch contribution. *)
 let recognise (c : contribution) =
   let br = c.branch in
   let span = c.span in
   let self_flow = Expr.flow br.flow_id "" in
   let self_pot = Expr.potential br.pos br.neg in
-  let name =
-    String.map
-      (fun ch -> if ch = '(' || ch = ')' || ch = ',' || ch = '.' then '_' else ch)
-      br.flow_id
-  in
+  let name = device_name br in
   let mk kind = Component.make ~name ~pos:br.pos ~neg:br.neg kind in
   let is p v = Eqn.compare_pseudo p v = 0 in
   (* Conductance coefficient of a per-region branch: g * V(self). *)
@@ -575,30 +590,95 @@ let signal_flow_assignments flat =
     (fun c -> (Expr.potential c.branch.pos "gnd", rewrite_inputs c.rhs))
     flat.contributions
 
-let abstract ?mode ?integration flat ~outputs ~dt =
+(* A signal-flow finding points at the contribution that assigns its
+   quantity. A topology or solvability finding names a device or node:
+   point it at the first contribution that created that device or
+   touched that node. *)
+let spans flat =
   match classify flat with
-  | `Conservative ->
-      Amsvp_core.Flow.abstract_circuit ~name:flat.top ?mode ?integration
-        (to_circuit flat) ~outputs ~dt
   | `Signal_flow ->
-      let contributions = signal_flow_assignments flat in
-      let program =
-        Amsvp_core.Flow.convert_signal_flow ~name:flat.top
-          ~inputs:flat.input_ports ~outputs ~contributions ~dt
+      let of_var v =
+        List.find_map
+          (fun c ->
+            if Expr.equal_var (Expr.potential c.branch.pos "gnd") v then
+              Some c.span
+            else None)
+          flat.contributions
+      in
+      { Flow.of_subject = (fun _ -> None); of_var }
+  | `Conservative ->
+      let dev_span = Hashtbl.create 16 and node_span = Hashtbl.create 16 in
+      let note tbl key span =
+        if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key span
+      in
+      List.iter
+        (fun c ->
+          note dev_span (device_name c.branch) c.span;
+          note node_span c.branch.pos c.span;
+          note node_span c.branch.neg c.span;
+          (* Sensed-only nets (controlled-source references) appear in
+             the rhs but on no branch; map them too so a solvability
+             finding about them points at the sensing contribution. *)
+          Expr.Var_set.iter
+            (fun (v : Expr.var) ->
+              match v.Expr.base with
+              | Expr.Potential (a, b) ->
+                  note node_span a c.span;
+                  note node_span b c.span
+              | Expr.Flow _ | Expr.Signal _ | Expr.Param _ -> ())
+            (Expr.vars c.rhs))
+        flat.contributions;
+      let either tbl a tbl' b =
+        match Hashtbl.find_opt tbl a with
+        | None -> Hashtbl.find_opt tbl' b
+        | sp -> sp
       in
       {
-        Amsvp_core.Flow.program;
-        nodes = List.length flat.nets;
-        branches = List.length flat.contributions;
-        classes = 0;
-        variants = 0;
-        definitions = List.length contributions;
-        explain = Amsvp_core.Explain.of_signal_flow program;
-        acquisition_s = 0.0;
-        enrichment_s = 0.0;
-        assemble_s = 0.0;
-        solve_s = 0.0;
+        Flow.of_subject = (fun s -> either dev_span s node_span s);
+        of_var =
+          (fun v ->
+            match v.Expr.base with
+            | Expr.Flow (n, _) -> Hashtbl.find_opt dev_span n
+            | Expr.Potential (a, b) -> either node_span a node_span b
+            | Expr.Signal _ | Expr.Param _ -> None);
       }
+
+let abstract ?mode ?integration flat ~outputs ~dt =
+  let spans = lazy (spans flat) in
+  match classify flat with
+  | `Conservative ->
+      Flow.abstract_circuit ~name:flat.top ?mode ?integration ~spans
+        (to_circuit flat) ~outputs ~dt
+  | `Signal_flow -> (
+      let contributions = signal_flow_assignments flat in
+      match
+        Flow.signal_flow ~spans ~name:flat.top ~inputs:flat.input_ports
+          ~outputs ~contributions ~dt
+      with
+      | Error findings -> raise (Diag.Rejected (List.hd findings))
+      | Ok program ->
+          {
+            Flow.program;
+            nodes = List.length flat.nets;
+            branches = List.length flat.contributions;
+            classes = 0;
+            variants = 0;
+            definitions = List.length contributions;
+            explain = Amsvp_core.Explain.of_signal_flow program;
+            acquisition_s = 0.0;
+            enrichment_s = 0.0;
+            assemble_s = 0.0;
+            solve_s = 0.0;
+          })
+
+let front_end ?file f =
+  match f () with
+  | v -> Ok v
+  | exception Lexer.Lex_error (msg, line, col) ->
+      Error (Diag.error ~span:(Diag.span ?file line col) "AMS001" msg)
+  | exception Parser.Parse_error (msg, line, col) ->
+      Error (Diag.error ~span:(Diag.span ?file line col) "AMS002" msg)
+  | exception Elab_error (msg, span) -> Error (Diag.error ?span "AMS003" msg)
 
 let parse_and_abstract src ~top ~outputs ~dt =
   abstract (flatten (Parser.parse src) ~top) ~outputs ~dt

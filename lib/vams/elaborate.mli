@@ -41,9 +41,15 @@ type flat = {
   contributions : contribution list;  (** in source order *)
 }
 
-val flatten : Ast.design -> top:string -> flat
+type lang = [ `Verilog_ams | `Vhdl_ams ]
+
+val flatten : ?lang:lang -> Ast.design -> top:string -> flat
 (** A parameter default may read the parameters declared before it; an
     instance override must name a non-local parameter of the module.
+    [lang] (default [`Verilog_ams]) is the language the design was
+    written in; it only words the errors (an unresolved identifier is
+    advice about [V()]/[I()] access in Verilog-AMS, about quantities,
+    generics and constants in VHDL-AMS).
     @raise Elab_error on unknown modules/ports/parameters, arity
     mismatches, unresolved identifiers or unsupported constructs. *)
 
@@ -62,8 +68,16 @@ val to_circuit : flat -> Amsvp_netlist.Circuit.t
 val signal_flow_assignments : flat -> (Expr.var * Expr.t) list
 (** The ordered contribution list of a signal-flow model, with
     top-level input-port potentials rewritten to input signals, ready
-    for [Flow.convert_signal_flow].
+    for {!Amsvp_core.Flow.signal_flow}.
     @raise Elab_error if the model is not signal-flow. *)
+
+val spans : flat -> Amsvp_core.Flow.spans
+(** Source anchors for the findings of either route over this model.
+    Signal-flow: a quantity maps to the contribution that assigns it.
+    Conservative: a device (the sanitised flow id) maps to the first
+    contribution that created it, a node or a potential over it to the
+    first contribution touching or sensing that node, a flow to its
+    device. *)
 
 val abstract :
   ?mode:Amsvp_core.Solve.mode ->
@@ -73,10 +87,21 @@ val abstract :
   dt:float ->
   Amsvp_core.Flow.report
 (** The abstraction of a flat model, whichever front-end produced it:
-    the abstraction flow over {!to_circuit} (conservative route, with
-    [mode] and [integration]) or the direct conversion of
-    {!signal_flow_assignments} (signal-flow route). The report is named
-    after the top module. *)
+    {!Amsvp_core.Flow.abstract_circuit} over {!to_circuit}
+    (conservative route, with [mode] and [integration]) or
+    {!Amsvp_core.Flow.signal_flow} over {!signal_flow_assignments}
+    (signal-flow route). The report is named after the top module.
+    @raise Amsvp_diag.Diag.Rejected with the first error finding of
+    the route, located through {!spans} — the same finding
+    [amsvp lint] reports for the defect.
+    @raise Elab_error as {!to_circuit} does. *)
+
+val front_end :
+  ?file:string -> (unit -> 'a) -> ('a, Amsvp_diag.Diag.finding) result
+(** Run a front-end step (lexing, parsing, elaboration, either
+    language) and turn its error into a located finding: a lexing error
+    is [AMS001], a parse error [AMS002], an elaboration error [AMS003].
+    [file] names the source in the lexer's and parser's positions. *)
 
 val parse_and_abstract :
   string ->

@@ -23,7 +23,7 @@ let flatten design ~top ~inputs =
       { m with Ast.items = dir :: m.Ast.items }
     end
   in
-  E.flatten (List.map mark design) ~top
+  E.flatten ~lang:`Vhdl_ams (List.map mark design) ~top
 
 let parse_and_abstract src ~top ~inputs ~outputs ~dt =
   E.abstract (flatten (Vparser.parse src) ~top ~inputs) ~outputs ~dt

@@ -381,6 +381,14 @@ let parse_entity st mspan =
 (* A quantity declares its branch, named after the through quantity
    ([br_<across>] for an across-only one), and brings its names into
    scope; terminals are nets and constants local parameters. *)
+let across_prefix = "br_"
+
+let quantity_of_branch b =
+  let n = String.length across_prefix in
+  if String.starts_with ~prefix:across_prefix b then
+    String.sub b n (String.length b - n)
+  else b
+
 let parse_decl st =
   if accept_kw st "quantity" then begin
     let sp = here st in
@@ -395,7 +403,7 @@ let parse_decl st =
     eat_kw st "to";
     let neg = eat_ident st in
     eat_punct st ";";
-    let branch = Option.value through ~default:("br_" ^ across) in
+    let branch = Option.value through ~default:(across_prefix ^ across) in
     let through_q =
       List.map (fun i -> (i, Ast.Access ("I", [ branch ]))) (Option.to_list through)
     in

@@ -38,5 +38,10 @@ val parse : ?file:string -> string -> Amsvp_vams.Ast.design
     architecture. [file] (default ["<input>"]) names the source in AST
     spans. *)
 
+val quantity_of_branch : string -> string
+(** The quantity a branch of this front-end is named after: the across
+    quantity of a [br_<across>] branch, the through quantity
+    otherwise. *)
+
 val parse_expr_string : string -> Amsvp_vams.Ast.expr
 (** Parse a single expression, with no quantity in scope (for tests). *)

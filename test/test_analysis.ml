@@ -9,6 +9,10 @@ module Lint = Amsvp_analysis.Lint
 module Circuit = Amsvp_netlist.Circuit
 module Component = Amsvp_netlist.Component
 module Flow = Amsvp_core.Flow
+module Parser = Amsvp_vams.Parser
+module Elaborate = Amsvp_vams.Elaborate
+module Vparser = Amsvp_vhdlams.Vparser
+module Velaborate = Amsvp_vhdlams.Velaborate
 module Spec = Amsvp_sweep.Spec
 
 let contains_substring s sub =
@@ -228,6 +232,45 @@ let test_golden_baselines () =
             "%s drifted from its baseline.\n--- expected\n%s--- got\n%s"
             vams expected report)
     golden_fixtures
+
+(* One defect, one finding: [Elaborate.abstract] — what [amsvp
+   abstract], [simulate] and [sweep --file] run — rejects each defective
+   fixture with a finding [Lint.lint] reports too, same code, span and
+   message. *)
+let test_abstract_lint_parity () =
+  List.iter
+    (fun (source, lang, top, out) ->
+      let file = "fixtures/" ^ source in
+      let src = read_file (Filename.concat fixture_dir source) in
+      let flat =
+        match lang with
+        | `Verilog_ams -> Elaborate.flatten (Parser.parse ~file src) ~top
+        | `Vhdl_ams ->
+            Velaborate.flatten (Vparser.parse ~file src) ~top
+              ~inputs:[ "tin" ]
+      in
+      let linted = Lint.lint ~lang ~inputs:[ "tin" ] ~file src in
+      match
+        Elaborate.abstract flat ~outputs:[ Expr.potential out "gnd" ]
+          ~dt:50e-9
+      with
+      | _ -> Alcotest.failf "%s: the abstraction should be rejected" source
+      | exception Diag.Rejected f ->
+          let same (g : Diag.finding) =
+            g.Diag.code = f.Diag.code
+            && g.Diag.span = f.Diag.span
+            && g.Diag.message = f.Diag.message
+          in
+          if not (List.exists same linted) then
+            Alcotest.failf "%s: %s is not among lint's findings:\n%s" source
+              (Diag.to_text f)
+              (Diag.report_to_text linted))
+    [
+      ("lint_undefined.vams", `Verilog_ams, "undefined", "out");
+      ("lint_showcase.vams", `Verilog_ams, "showcase", "out");
+      ("lint_showcase.vhd", `Vhdl_ams, "showcase", "tout");
+      ("lint_ordering.vams", `Verilog_ams, "ordering", "out");
+    ]
 
 (* [lint --input-bound]: widening the input box widens the proven
    output range the AMS063 message reports (the fixture's gain is 100). *)
@@ -483,6 +526,8 @@ let () =
         [
           Alcotest.test_case "fixture reports" `Quick test_golden_baselines;
           Alcotest.test_case "input bound" `Quick test_input_bound_widens_ranges;
+          Alcotest.test_case "abstract reports lint's finding" `Quick
+            test_abstract_lint_parity;
         ]
       );
       ( "acceptance",

@@ -570,6 +570,32 @@ let test_resume_determinism () =
   Alcotest.(check string) "byte-identical reports" report_a report_b;
   Sys.remove path
 
+(* How many processes run the points is no part of a sweep's identity:
+   a checkpoint written under jobs 1 resumes under jobs 2 and reports
+   byte-identically to an uninterrupted 2-process run. *)
+let test_resume_other_jobs () =
+  let path = tmp "amsvp_ckpt_jobs.jsonl" in
+  if Sys.file_exists path then Sys.remove path;
+  let spec jobs = { small_spec with Spec.jobs = Some jobs } in
+  let tc = resolve_exn small_spec in
+  let seen = ref 0 in
+  (try
+     ignore
+       (Runner.session ~checkpoint:(`Fresh path)
+          ~on_point:(fun _ ->
+            incr seen;
+            if !seen = 2 then failwith "simulated kill")
+          (Runner.prepare (spec 1) tc))
+   with Failure _ -> ());
+  let resumed, recovered, _ =
+    resume_session (Runner.prepare (spec 2) tc) path
+  in
+  Alcotest.(check int) "recovered under jobs 2" 2 recovered;
+  Alcotest.(check string) "byte-identical report"
+    (Report.json ~timings:false (Runner.run (spec 2) tc))
+    (Report.json ~timings:false resumed);
+  Sys.remove path
+
 (* A resume must cut a torn tail before appending: otherwise the first
    appended line is glued to the partial one and the next resume stops
    there. *)
@@ -1326,6 +1352,8 @@ let () =
             test_truncate_anywhere_pool;
           Alcotest.test_case "resume determinism" `Quick
             test_resume_determinism;
+          Alcotest.test_case "resume under other jobs" `Quick
+            test_resume_other_jobs;
         ]
         @ qt [ prop_truncate_anywhere ] );
       ( "daemon",

@@ -550,6 +550,45 @@ let test_lint_located () =
   Alcotest.(check (list (pair int int))) "AMS003 at irx" [ (8, 16) ] (located "AMS003");
   Alcotest.(check (list (pair int int))) "AMS011 at g" [ (2, 12) ] (located "AMS011")
 
+(* Each language is advised in its own terms: V()/I() access is
+   Verilog-AMS advice, a VHDL-AMS name is a quantity, generic or
+   constant; and an unused quantity is reported by its own name, not as
+   the branch it lowers to. *)
+let test_lint_wording () =
+  let messages code fs =
+    List.filter_map
+      (fun f -> if f.Diag.code = code then Some f.Diag.message else None)
+      fs
+  in
+  let verilog, vhdl = twin ~read:"rx" () in
+  Alcotest.(check (list string)) "Verilog-AMS AMS003"
+    [ "unresolved identifier rx (nets need V()/I() access)" ]
+    (messages "AMS003" (Lint.lint ~file:"t.vams" verilog));
+  Alcotest.(check (list string)) "VHDL-AMS AMS003"
+    [ "unresolved identifier rx (not a quantity, generic or constant in scope)" ]
+    (messages "AMS003"
+       (Lint.lint ~lang:`Vhdl_ams ~inputs:[ "tin" ] ~file:"t.vhd" vhdl));
+  let src =
+    "entity q is\n\
+    \  port (terminal tin, tout : electrical);\n\
+     end entity;\n\
+     architecture a of q is\n\
+    \  quantity vr across ir through tin to tout;\n\
+    \  quantity vl across il through tout to ground;\n\
+    \  quantity vx across tout to ground;\n\
+     begin\n\
+    \  vr == 1.0e3 * ir;\n\
+    \  vl == 2.0e3 * il;\n\
+     end architecture;\n"
+  in
+  let fs = Lint.lint ~lang:`Vhdl_ams ~inputs:[ "tin" ] ~file:"q.vhd" src in
+  Alcotest.(check (list string)) "unused quantity"
+    [ "quantity vx is declared but never used" ] (messages "AMS011" fs);
+  Alcotest.(check (list (option string))) "subject" [ Some "vx" ]
+    (List.filter_map
+       (fun f -> if f.Diag.code = "AMS011" then Some f.Diag.subject else None)
+       fs)
+
 let () =
   Alcotest.run "vhdlams"
     [
@@ -578,6 +617,7 @@ let () =
         [
           Alcotest.test_case "parity with Verilog-AMS" `Quick test_lint_parity;
           Alcotest.test_case "located findings" `Quick test_lint_located;
+          Alcotest.test_case "wording per language" `Quick test_lint_wording;
         ] );
       ( "equivalence",
         [
