@@ -830,7 +830,8 @@ let obs_serve_bench ~t_stop ~seed () =
      forked under, so each sample forks its own. *)
   let run_pool () =
     let pool =
-      Pool.create ~workers:2 (fun ~retry:_ p -> Sweep_runner.run_point ctx p)
+      Pool.create ~workers:2 ~points (fun ~retry:_ p ->
+          Sweep_runner.run_point ctx p)
     in
     Fun.protect
       ~finally:(fun () -> Pool.close pool)

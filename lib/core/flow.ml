@@ -124,7 +124,17 @@ let run ?(name = "abstracted") ?(mode = `Auto)
     ?(integration = `Backward_euler) ?spans ?(solve = true) ?continue_with
     circuit ~outputs ~dt =
   let span_of = span_of_var spans in
-  let probed = insert_probes circuit ~outputs in
+  match insert_probes circuit ~outputs with
+  | exception Invalid_argument msg ->
+      (* An output over a node the circuit does not have: there is
+         nothing to abstract. *)
+      {
+        findings = [ Diag.error "AMS030" msg ];
+        enriched = None;
+        assembled = None;
+        solved = None;
+      }
+  | probed ->
   (* Pre-flight gate: a malformed topology stops the run with located
      findings instead of letting a deep solver exception surface. *)
   let topology = List.map (locate spans) (Circuit.diagnose probed) in
@@ -327,6 +337,13 @@ let signal_flow ~spans ~name ~inputs ~outputs ~contributions ~dt =
     match convert_signal_flow ~name ~inputs ~outputs ~contributions ~dt with
     | program -> Ok program
     | exception Sfprogram.Undefined msg -> Error [ Diag.error "AMS030" msg ]
+    | exception Sfprogram.Read_before_assigned { reader; var } ->
+        Error
+          [
+            Diag.error ?span:(span_of reader) ~subject:(Expr.var_name reader)
+              "AMS040"
+              (Sfprogram.read_before_assigned_message reader var);
+          ]
     | exception Invalid_argument msg -> Error [ Diag.error "AMS040" msg ]
     | exception Solve.Underdetermined msg -> Error [ Diag.error "AMS030" msg ]
     | exception Solve.Nonlinear v ->

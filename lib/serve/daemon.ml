@@ -114,11 +114,14 @@ let tick_metrics ?(force = false) st =
         try write_metrics_file path with Sys_error _ -> ()
       end
 
+(* A client gone mid-stream does not stop the sweep: it still runs to
+   the checkpoint, the writes just stop landing anywhere. *)
+let flush_frames conn = try Lineio.flush conn with Unix.Unix_error _ -> ()
+
+(* Queued point frames go out first, in order. *)
 let send conn resp =
-  try Lineio.write_line conn (Protocol.encode_response resp)
-  with Unix.Unix_error _ -> ()
-(* client gone mid-stream: the sweep still runs to the checkpoint, the
-   sends just stop landing anywhere *)
+  Lineio.queue_line conn (Protocol.encode_response resp);
+  flush_frames conn
 
 let ctx_key spec circuit = Spec.to_string spec ^ "@" ^ circuit
 
@@ -162,6 +165,7 @@ let ctx_for ~id st spec (tc : Circuits.testcase) =
       let timeout_s = point_timeout st spec in
       let pool =
         Pool.create ~workers:st.cfg.workers ?timeout_s
+          ~points:(Runner.ctx_points ctx)
           (fun ~retry:_ p -> Runner.run_point ?timeout_s ctx p)
       in
       let warm = { ctx; pool } in
@@ -196,14 +200,20 @@ let run_submit st conn ~id spec (tc : Circuits.testcase) ctx pool =
     st.in_flight <- n;
     Obs.Gauge.set g_in_flight (float_of_int n)
   in
-  (* The session appends each result to the checkpoint and streams it
-     through [on_result]; the daemon's own bookkeeping wraps that. *)
-  let execute ~on_result pending =
+  (* The session appends each result line to the checkpoint and queues
+     its frame through [on_point]; the daemon's own bookkeeping wraps
+     that. Once a batch is delivered the session flushes the checkpoint
+     and the queued frames go out in one write. *)
+  let execute ~on_result ~on_batch pending =
     set_in_flight (Array.length pending);
+    flush_frames conn;
     ignore
       (Pool.run pool ~retries:st.cfg.retries ~signal ~request_id:id
          ~tally:st.tally
-         ~on_result:(fun r ->
+         ~on_batch:(fun () ->
+           on_batch ();
+           flush_frames conn)
+         ~on_result:(fun ~line r ->
            st.points_run <- st.points_run + 1;
            set_in_flight (st.in_flight - 1);
            let has k =
@@ -213,7 +223,7 @@ let run_submit st conn ~id spec (tc : Circuits.testcase) ctx pool =
            in
            if has Health.Timeout then st.timeouts <- st.timeouts + 1
            else if has Health.Crashed then st.crashed <- st.crashed + 1;
-           on_result r;
+           on_result ~line r;
            (* The worker streams its own journal through the telemetry
               frames; this parent-side record is the dispatch
               bookkeeping view of the same point. *)
@@ -237,7 +247,8 @@ let run_submit st conn ~id spec (tc : Circuits.testcase) ctx pool =
         send conn
           (Protocol.Accepted
              { id; sweep = spec.Spec.name; circuit; points = total; resumed }))
-      ~on_point:(fun r -> send conn (Protocol.Point { id; result = r }))
+      ~on_point:(fun ~line _ ->
+        Lineio.queue_line conn (Protocol.point_frame ~id line))
       ~execute ctx
   with
   | Error message -> send conn (Protocol.Failed { message })

@@ -12,6 +12,13 @@ val read_line : t -> [ `Line of string | `Eof | `Eof_partial | `Intr ]
     frame, which callers should treat as an error, not silently drop.
     [`Intr] surfaces EINTR so daemons can poll their drain flag. *)
 
-val write_line : t -> string -> unit
-(** Write [line ^ "\n"], handling short writes.
+val queue_line : t -> string -> unit
+(** Append [line ^ "\n"] to the lines waiting for {!flush}. *)
+
+val flush : t -> unit
+(** Write every queued line, in one [write] unless it comes back
+    short, and forget them even when the write fails.
     @raise Unix.Unix_error (e.g. [EPIPE]) when the peer is gone. *)
+
+val write_line : t -> string -> unit
+(** {!queue_line} then {!flush}: lines queued earlier go first. *)

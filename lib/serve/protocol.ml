@@ -102,6 +102,13 @@ let encode_response r =
           ("heap_words", int s.st_heap_words) ]
   | Bye -> ev "bye" []
 
+(* The [Point] frame around a result line as a worker printed it: the
+   bytes [encode_response] gives for the decoded result, without
+   printing it again. *)
+let point_frame ~id line =
+  Printf.sprintf "{\"v\":%d,\"ev\":\"point\",\"id\":%d,\"result\":%s}"
+    version id line
+
 (* ---- decoders: total, never raise ---- *)
 
 let parse_frame line =

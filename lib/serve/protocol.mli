@@ -77,5 +77,10 @@ val encode_request : request -> string
 
 val encode_response : response -> string
 
+val point_frame : id:int -> string -> string
+(** [point_frame ~id line] is [encode_response (Point { id; result })]
+    for the result [line] encodes ({!Amsvp_sweep.Point_result.to_line}),
+    built around [line] without decoding or printing it again. *)
+
 val decode_request : string -> (request, string) result
 val decode_response : string -> (response, string) result

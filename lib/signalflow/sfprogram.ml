@@ -13,10 +13,16 @@ type t = {
 let is_input p name = List.mem name p.inputs
 
 exception Undefined of string
+exception Read_before_assigned of { reader : Expr.var; var : Expr.var }
+
+let read_before_assigned_message reader var =
+  Printf.sprintf "Sfprogram: %s reads %s before it is assigned in this step"
+    (Expr.var_name reader) (Expr.var_name var)
 
 (* [undefined] reports a read of an unknown quantity or an output that
-   is never assigned; every other violation is [Invalid_argument]. *)
-let validate_with ~undefined p =
+   is never assigned, [unordered] a read of a target assigned later in
+   the step; every other violation is [Invalid_argument]. *)
+let validate_with ~undefined ~unordered p =
   if p.dt <= 0.0 then invalid_arg "Sfprogram: dt must be positive";
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   let undefined fmt = Printf.ksprintf undefined fmt in
@@ -55,9 +61,7 @@ let validate_with ~undefined p =
                 (Expr.var_name a.target) (Expr.var_name v)
           | base ->
               if not (Hashtbl.mem assigned_so_far base) then
-                fail
-                  "Sfprogram: %s reads %s before it is assigned in this step"
-                  (Expr.var_name a.target) (Expr.var_name v))
+                unordered a.target v)
         (Expr.vars a.expr);
       Hashtbl.add assigned_so_far a.target.Expr.base ())
     p.assignments;
@@ -67,11 +71,17 @@ let validate_with ~undefined p =
         undefined "Sfprogram: output %s is never assigned" (Expr.var_name o))
     p.outputs
 
-let validate = validate_with ~undefined:(fun msg -> raise (Undefined msg))
+let validate =
+  validate_with
+    ~undefined:(fun msg -> raise (Undefined msg))
+    ~unordered:(fun reader var -> raise (Read_before_assigned { reader; var }))
 
 let make ~name ~inputs ~outputs ~assignments ~dt =
   let p = { name; inputs; outputs; assignments; dt } in
-  validate_with ~undefined:invalid_arg p;
+  validate_with ~undefined:invalid_arg
+    ~unordered:(fun reader var ->
+      invalid_arg (read_before_assigned_message reader var))
+    p;
   p
 
 let fold_read_vars p f acc =

@@ -36,11 +36,20 @@ exception Undefined of string
 (** A read of a quantity no assignment defines, or an output that is
     never assigned; the message names both. *)
 
+exception Read_before_assigned of { reader : Expr.var; var : Expr.var }
+(** The assignment to [reader] reads [var] at the current time before
+    the assignment to [var], later in the same step. *)
+
+val read_before_assigned_message : Expr.var -> Expr.var -> string
+(** [read_before_assigned_message reader var]: the text {!make}'s
+    [Invalid_argument] gives for that ordering violation. *)
+
 val validate : t -> unit
 (** The check {!make} runs, for a program built as a record.
     @raise Undefined on an undefined quantity or output
-    @raise Invalid_argument on any other violation (ordering,
-    duplicates, residual [ddt]/[idt] or parameters). *)
+    @raise Read_before_assigned on the first ordering violation
+    @raise Invalid_argument on any other violation (duplicates,
+    residual [ddt]/[idt] or parameters). *)
 
 val max_delay : t -> int
 (** Deepest history referenced by any assignment (0 when the program is

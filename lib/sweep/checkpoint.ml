@@ -40,12 +40,14 @@ let create ~path spec ~circuit ~points =
   flush oc;
   oc
 
-let append oc r =
-  output_string oc (Point_result.to_line r);
-  output_char oc '\n';
-  (* One flush per point: a SIGKILL loses at most the line being
-     written, and [scan] discards a torn tail. *)
-  flush oc
+(* Buffered: the session flushes once per delivered batch, so a
+   SIGKILL loses at most that batch — [scan] discards a torn tail and a
+   resume recomputes the points it lost. *)
+let append oc line =
+  output_string oc line;
+  output_char oc '\n'
+
+let flush = flush
 
 let close = close_out
 

@@ -2,11 +2,11 @@
 
     A checkpoint is a JSONL file: a header line binding the file to one
     spec + circuit (via an MD5 of the spec's canonical text form), then
-    one {!Point_result} line per {e completed} point, appended and
-    flushed as points finish.  Killing the process — SIGKILL included —
-    loses at most the line being written: {!resume} recovers every
-    intact result, cuts the torn tail off, and {!Runner.session} reruns
-    only the missing points.
+    one {!Point_result} line per {e completed} point, appended as points
+    finish and flushed once per delivered batch.  Killing the process —
+    SIGKILL included — loses at most the batch being written: {!resume}
+    recovers every intact result, cuts the torn tail off, and
+    {!Runner.session} reruns only the missing points.
 
     Floats round-trip byte-exactly ({!Amsvp_util.Json.print}'s float
     rule), so a resumed sweep's report equals the uninterrupted one's. *)
@@ -24,8 +24,14 @@ val create :
   path:string -> Spec.t -> circuit:string -> points:int -> writer
 (** Truncate [path] and write the header line. *)
 
-val append : writer -> Point_result.t -> unit
-(** Append one result line and flush. *)
+val append : writer -> string -> unit
+(** Append one result line: {!Point_result.to_line} of a result, or the
+    same bytes as a worker sent them. The line is buffered until
+    {!flush} or {!close}; {!Runner.session} flushes once per delivered
+    batch, so a kill loses at most that batch, which a resume
+    recomputes. *)
+
+val flush : writer -> unit
 
 val close : writer -> unit
 

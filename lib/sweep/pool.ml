@@ -40,41 +40,44 @@ let make_tally () =
   { t_spawned = 0; t_crashed = 0; t_timeouts = 0; t_redispatched = 0;
     t_torn = 0 }
 
-(* ---- task codec (parent -> child), one line per dispatch ---- *)
+(* ---- task codec (parent -> child), one line per task ----
 
-(* Workers outlive the request they were forked in, so the request id
-   travels with each task rather than being fixed in the child. *)
-let encode_task ?request_id (p : Sampler.point) ~retry =
-  let open Json in
-  print
-    (Obj
-       ([ ("index", Num (float_of_int p.Sampler.index));
-          ("label", Str p.Sampler.label);
-          ("overrides", Obj (List.map (fun (k, v) -> (k, Num v)) p.overrides));
-          ("retry", Num (float_of_int retry)) ]
-       @
-       match request_id with
-       | Some id -> [ ("req", Num (float_of_int id)) ]
-       | None -> []))
+   A task names its points by index into the point table the child
+   inherited at fork, each with its dispatch attempt; labels and
+   overrides never travel. Workers outlive the request they were forked
+   in, so the request id travels with each task rather than being fixed
+   in the child. *)
+let encode_task ?request_id (batch : (int * int) array) =
+  let b = Buffer.create (24 + (12 * Array.length batch)) in
+  Buffer.add_string b "{\"points\":[";
+  Array.iteri
+    (fun i (index, retry) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b "[%d,%d]" index retry)
+    batch;
+  Buffer.add_char b ']';
+  Option.iter (Printf.bprintf b ",\"req\":%d") request_id;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
+
+let opt_all f l =
+  List.fold_right
+    (fun x acc ->
+      match (f x, acc) with Some y, Some tl -> Some (y :: tl) | _ -> None)
+    l (Some [])
 
 let decode_task line =
   match Json.parse line with
   | j -> (
-      match
-        ( Option.map int_of_float (Json.mem_float "index" j),
-          Json.mem_string "label" j,
-          Json.member "overrides" j,
-          Option.map int_of_float (Json.mem_float "retry" j) )
-      with
-      | Some index, Some label, Some (Json.Obj fields), Some retry ->
-          let overrides =
-            List.filter_map
-              (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v))
-              fields
-          in
-          let request_id = Option.map int_of_float (Json.mem_float "req" j) in
-          Some ({ Sampler.index; label; overrides }, retry, request_id)
-      | _ -> None)
+      let pair = function
+        | Json.Arr [ Json.Num index; Json.Num retry ] ->
+            Some (int_of_float index, int_of_float retry)
+        | _ -> None
+      in
+      match opt_all pair (Json.mem_list "points" j) with
+      | None | Some [] -> None
+      | Some batch ->
+          Some (batch, Option.map int_of_float (Json.mem_float "req" j)))
   | exception Json.Parse_error _ -> None
 
 (* ---- telemetry frames (child -> parent, on the result pipe) ----
@@ -164,12 +167,6 @@ let severity_of_label = function
   | "warn" -> Some Journal.Warn
   | "error" -> Some Journal.Error
   | _ -> None
-
-let opt_all f l =
-  List.fold_right
-    (fun x acc ->
-      match (f x, acc) with Some y, Some tl -> Some (y :: tl) | _ -> None)
-    l (Some [])
 
 let string_pairs = function
   | Json.Obj fields ->
@@ -328,36 +325,57 @@ let make_shipper oc =
       Obs.reset ()
     end
 
-(* The child is a line-driven slave: read one task, run it, write one
-   result, repeat; EOF on the task pipe is the shutdown signal. All
-   exits go through [Unix._exit] — the fork duplicated the parent's
-   buffered channels and an [exit] would flush them a second time. *)
-let child_loop ~slot f task_r res_w =
+(* A result waits in the child's buffer at most this long (plus one
+   point) before the batch ends, so a worker killed mid-batch loses
+   little work and a slow point's result still streams on its own. *)
+let flush_s = 5e-3
+
+(* The child is a line-driven slave: read one task, run its points in
+   order, write one result per point and flush once the task is done;
+   EOF on the task pipe is the shutdown signal. All exits go through
+   [Unix._exit] — the fork duplicated the parent's buffered channels and
+   an [exit] would flush them a second time. *)
+let child_loop ~slot ~points f task_r res_w =
   let ic = Unix.in_channel_of_descr task_r in
   let oc = Unix.out_channel_of_descr res_w in
   Journal.set_origin (Printf.sprintf "w%d:%d" slot (Unix.getpid ()));
   let ship = make_shipper oc in
+  let n = Array.length points in
+  let run_one request_id (index, retry) =
+    if index < 0 || index >= n then Unix._exit 3;
+    let point = points.(index) in
+    if Journal.enabled () then
+      Journal.emit ~cat:"serve" "task.begin"
+        ((match request_id with
+         | Some id -> [ ("id", Journal.I id) ]
+         | None -> [])
+        @ [
+            ("point", Journal.S point.Sampler.label);
+            ("index", Journal.I index);
+            ("retry", Journal.I retry);
+          ]);
+    let result = guard (f ~retry) point in
+    ship ();
+    output_string oc (Point_result.to_line result);
+    output_char oc '\n'
+  in
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> Unix._exit 0
     | line -> (
         match decode_task line with
         | None -> Unix._exit 3
-        | Some (point, retry, request_id) ->
-            if Journal.enabled () then
-              Journal.emit ~cat:"serve" "task.begin"
-                ((match request_id with
-                 | Some id -> [ ("id", Journal.I id) ]
-                 | None -> [])
-                @ [
-                    ("point", Journal.S point.Sampler.label);
-                    ("index", Journal.I point.Sampler.index);
-                    ("retry", Journal.I retry);
-                  ]);
-            let result = guard (f ~retry) point in
-            ship ();
-            output_string oc (Point_result.to_line result);
-            output_char oc '\n';
+        | Some (batch, request_id) ->
+            let last = ref (Unix.gettimeofday ()) in
+            List.iter
+              (fun entry ->
+                run_one request_id entry;
+                let now = Unix.gettimeofday () in
+                if now -. !last >= flush_s then begin
+                  flush oc;
+                  last := now
+                end)
+              batch;
             flush oc;
             loop ())
   in
@@ -385,13 +403,21 @@ let unregister_parent_fd fd =
    the parent reads a result. *)
 let depth = 2
 
+(* The work a task should carry: enough points that the per-task
+   round trip is paid once per ~millisecond of simulation. *)
+let task_s = 1e-3
+
+(* Points written to a worker in one task line, in order, as slots of
+   the run's point array; [answered] of them have come back. *)
+type task = { slots : int array; mutable answered : int }
+
 type worker = {
   slot : int;  (* stable position in the pool; part of the origin tag *)
   pid : int;
   to_child : Unix.file_descr;
   from_child : Unix.file_descr;
-  buf : Buffer.t;
-  tasks : int Queue.t;  (* point slots written to the child, head first *)
+  buf : Buffer.t;  (* a result line cut by the end of a read *)
+  tasks : task Queue.t;  (* tasks written to the child, head first *)
   mutable head_started : float;
   mutable head_deadline : float;  (* kill deadline of the head *)
   mutable alive : bool;
@@ -399,14 +425,23 @@ type worker = {
 
 type t = {
   work : retry:int -> Sampler.point -> Point_result.t;
+  points : Sampler.point array;  (* what task indices name *)
   timeout_s : float option;
+  chunk : Bytes.t;  (* one read from a worker *)
   ws : worker option array;  (* [None]: not forked yet, or reaped *)
   mutable closed : bool;
 }
 
-let create ~workers ?timeout_s work =
+let create ~workers ?timeout_s ~points work =
   if workers < 1 then invalid_arg "Pool.create: workers < 1";
-  { work; timeout_s; ws = Array.make workers None; closed = false }
+  {
+    work;
+    points;
+    timeout_s;
+    chunk = Bytes.create 16384;
+    ws = Array.make workers None;
+    closed = false;
+  }
 
 let spawn pool ~slot =
   let task_r, task_w = Unix.pipe ~cloexec:false () in
@@ -418,7 +453,7 @@ let spawn pool ~slot =
         !parent_fds;
       Unix.close task_w;
       Unix.close res_r;
-      child_loop ~slot pool.work task_r res_w
+      child_loop ~slot ~points:pool.points pool.work task_r res_w
   | pid ->
       Unix.close task_r;
       Unix.close res_w;
@@ -470,11 +505,10 @@ let close pool =
   end
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off < n then
-      let k = Unix.write fd b off (n - off) in
+      let k = Unix.write_substring fd s off (n - off) in
       go (off + k)
   in
   go 0
@@ -524,8 +558,16 @@ let ingest_telemetry_line ?tally ?request_id line =
   | `Not_telemetry -> false
 
 let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
-    ?(should_stop = fun () -> false) (points : Sampler.point array) =
+    ?on_batch ?(should_stop = fun () -> false)
+    (points : Sampler.point array) =
   if pool.closed then invalid_arg "Pool.run: pool closed";
+  Array.iter
+    (fun (p : Sampler.point) ->
+      let i = p.Sampler.index in
+      if i < 0 || i >= Array.length pool.points
+         || not (pool.points.(i) == p || pool.points.(i) = p)
+      then invalid_arg "Pool.run: a point is not in the pool's table")
+    points;
   let n = Array.length points in
   let results : Point_result.t option array = Array.make n None in
   if n = 0 then results
@@ -535,26 +577,39 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
       ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_pipe)
     @@ fun () ->
     let retry_count = Array.make n 0 in
+    (* A point that was in flight when its worker died runs alone from
+       then on, so whatever it does is charged to it alone. *)
+    let solo = Array.make n false in
     let requeue = Queue.create () in
     let next = ref 0 in
     let stop = ref false in
+    let delivered = ref false in
+    (* Worker-reported wall clock of this run's points, for sizing. *)
+    let timed = ref 0 and wall_sum = ref 0.0 in
     let count f = match tally with Some t -> f t | None -> () in
     (* The child runs the cooperative in-simulation timeout itself; the
        parent's kill deadline is the backstop for a worker that hangs
-       outside the stepping loop, so it is deliberately slack. *)
-    let kill_deadline now =
+       outside the stepping loop, so it is deliberately slack, and a
+       batch gets one allowance per point it has yet to answer. *)
+    let kill_deadline now ~left =
       match pool.timeout_s with
-      | Some t -> now +. (1.5 *. t) +. 0.5
+      | Some t -> now +. (1.5 *. t *. float_of_int left) +. 0.5
       | None -> infinity
     in
     let start_head w now =
       w.head_started <- now;
-      w.head_deadline <- kill_deadline now
+      match Queue.peek_opt w.tasks with
+      | Some t ->
+          w.head_deadline <-
+            kill_deadline now ~left:(Array.length t.slots - t.answered)
+      | None -> w.head_deadline <- infinity
     in
-    let finish slot r =
+    let finish ~line slot r =
       results.(slot) <- Some r;
-      match on_result with Some cb -> cb r | None -> ()
+      delivered := true;
+      match on_result with Some cb -> cb ~line r | None -> ()
     in
+    let verdict slot r = finish ~line:(Point_result.to_line r) slot r in
     let pending_available () = (not (Queue.is_empty requeue)) || !next < n in
     let pop_pending () =
       if not (Queue.is_empty requeue) then Queue.pop requeue
@@ -564,16 +619,48 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
         s
       end
     in
+    let peek_pending () =
+      if Queue.is_empty requeue then !next else Queue.peek requeue
+    in
+    (* k is 1 until two results are timed (a worker's first point also
+       pays its fork and first touches), then enough points for
+       [task_s] of work, but never more than an even share of what is
+       left for every task slot of the pool, so a short sweep still
+       spreads over all workers. *)
+    let task_size () =
+      if !timed < 2 then 1
+      else
+        let per = Array.length pool.ws * depth in
+        let left = Queue.length requeue + n - !next in
+        let cap = max 1 ((left + per - 1) / per) in
+        let mean = !wall_sum /. float_of_int !timed in
+        if mean *. float_of_int cap <= task_s then cap
+        else max 1 (int_of_float (Float.ceil (task_s /. mean)))
+    in
+    let take_task () =
+      let first = pop_pending () in
+      if solo.(first) then { slots = [| first |]; answered = 0 }
+      else begin
+        let k = task_size () in
+        let acc = ref [ first ] and len = ref 1 in
+        while !len < k && pending_available () && not solo.(peek_pending ()) do
+          acc := pop_pending () :: !acc;
+          incr len
+        done;
+        { slots = Array.of_list (List.rev !acc); answered = 0 }
+      end
+    in
     let live () = Array.to_list pool.ws |> List.filter_map Fun.id in
     let busy w = not (Queue.is_empty w.tasks) in
-    (* A worker died (EOF / kill). Only its head was running: it is
-       re-dispatched — bounded by [retries] — or gets a synthesised
-       verdict so the sweep can still complete. Tasks queued behind the
-       head never started and go back to pending uncharged. *)
+    (* A worker died (EOF / kill). A single-point head is re-dispatched
+       — bounded by [retries] — or gets a synthesised verdict so the
+       sweep can still complete. A batch head's unanswered points go
+       back uncharged, each to run alone. Tasks queued behind the head
+       never started and go back to pending uncharged. *)
     let handle_death ?(timed_out = false) w =
       (match Queue.take_opt w.tasks with
       | None -> ()
-      | Some slot ->
+      | Some { slots = [| slot |]; _ } ->
           let wall_s = Unix.gettimeofday () -. w.head_started in
           let p = points.(slot) in
           if timed_out then begin
@@ -584,7 +671,7 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
                 ("point", Journal.S p.Sampler.label);
                 ("wall_s", Journal.F wall_s);
               ];
-            finish slot (synth signal p Health.Timeout ~wall_s)
+            verdict slot (synth signal p Health.Timeout ~wall_s)
           end
           else if retry_count.(slot) < retries then begin
             retry_count.(slot) <- retry_count.(slot) + 1;
@@ -595,6 +682,7 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
                 ("point", Journal.S p.Sampler.label);
                 ("retry", Journal.I retry_count.(slot));
               ];
+            solo.(slot) <- true;
             Queue.push slot requeue
           end
           else begin
@@ -605,60 +693,108 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
                 ("point", Journal.S p.Sampler.label);
                 ("retries", Journal.I retry_count.(slot));
               ];
-            finish slot (synth signal p Health.Crashed ~wall_s)
-          end);
-      Queue.transfer w.tasks requeue;
+            verdict slot (synth signal p Health.Crashed ~wall_s)
+          end
+      | Some head ->
+          if timed_out then Obs.Counter.incr c_kills;
+          let left =
+            Array.sub head.slots head.answered
+              (Array.length head.slots - head.answered)
+          in
+          jlog ?req:request_id "shard.split"
+            [
+              ("points", Journal.I (Array.length left));
+              ("reason", Journal.S (if timed_out then "deadline" else "death"));
+            ];
+          Array.iter
+            (fun slot ->
+              solo.(slot) <- true;
+              Queue.push slot requeue)
+            left);
+      Queue.iter (fun t -> Array.iter (fun s -> Queue.push s requeue) t.slots)
+        w.tasks;
+      Queue.clear w.tasks;
       reap pool w
     in
+    let kill w = try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> () in
     let handle_line w line =
       if ingest_telemetry_line ?tally ?request_id line then ()
       else
-        match Point_result.of_line line with
-        | Ok r -> (
-            match Queue.take_opt w.tasks with
-            | Some slot ->
-                (* The queued task becomes the head now: its kill
-                   deadline starts here, not when it was written. *)
-                if busy w then start_head w (Unix.gettimeofday ());
-                finish slot r
-            | None -> () (* stray line; drop *))
-        | Error _ ->
-            (* A torn result is indistinguishable from a crash. *)
-            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+        match (Point_result.of_line line, Queue.peek_opt w.tasks) with
+        | Ok r, Some head
+          when r.Point_result.point.Sampler.index
+               = points.(head.slots.(head.answered)).Sampler.index ->
+            let slot = head.slots.(head.answered) in
+            head.answered <- head.answered + 1;
+            let now = Unix.gettimeofday () in
+            if head.answered = Array.length head.slots then begin
+              ignore (Queue.pop w.tasks);
+              (* The queued task becomes the head now: its kill deadline
+                 starts here, not when it was written. *)
+              start_head w now
+            end
+            else
+              w.head_deadline <-
+                kill_deadline now
+                  ~left:(Array.length head.slots - head.answered);
+            if Float.is_finite r.wall_s && r.wall_s >= 0.0 then begin
+              incr timed;
+              wall_sum := !wall_sum +. r.wall_s
+            end;
+            finish ~line slot r
+        | _ ->
+            (* A torn result, or one for a point this worker was not
+               running, is indistinguishable from a crash. *)
+            kill w;
             handle_death w
     in
+    let chunk = pool.chunk in
     let handle_readable w =
-      let chunk = Bytes.create 4096 in
-      match Unix.read w.from_child chunk 0 4096 with
+      match Unix.read w.from_child chunk 0 (Bytes.length chunk) with
       | 0 -> handle_death w
       | k ->
-          Buffer.add_subbytes w.buf chunk 0 k;
-          let s = Buffer.contents w.buf in
-          let parts = String.split_on_char '\n' s in
-          let rec go = function
-            | [] -> ()
-            | [ tail ] ->
-                Buffer.clear w.buf;
-                Buffer.add_string w.buf tail
-            | line :: rest ->
-                handle_line w line;
-                if w.alive then go rest
+          let rec eol i =
+            if i >= k then None
+            else if Bytes.get chunk i = '\n' then Some i
+            else eol (i + 1)
           in
-          go parts
+          let rec go start =
+            match eol start with
+            | Some e when w.alive ->
+                let line =
+                  if Buffer.length w.buf = 0 then
+                    Bytes.sub_string chunk start (e - start)
+                  else begin
+                    Buffer.add_subbytes w.buf chunk start (e - start);
+                    let l = Buffer.contents w.buf in
+                    Buffer.clear w.buf;
+                    l
+                  end
+                in
+                handle_line w line;
+                go (e + 1)
+            | _ ->
+                if w.alive then
+                  Buffer.add_subbytes w.buf chunk start (k - start)
+          in
+          go 0
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     in
-    let send w slot =
+    let send w task =
       let line =
-        encode_task ?request_id points.(slot) ~retry:retry_count.(slot) ^ "\n"
+        encode_task ?request_id
+          (Array.map
+             (fun s -> (points.(s).Sampler.index, retry_count.(s)))
+             task.slots)
       in
       match write_all w.to_child line with
       | () ->
-          if not (busy w) then start_head w (Unix.gettimeofday ());
-          Queue.push slot w.tasks
+          Queue.push task w.tasks;
+          if Queue.length w.tasks = 1 then start_head w (Unix.gettimeofday ())
       | exception Unix.Unix_error _ ->
           (* Pipe already broken: the EOF on the result pipe will reap
-             it; put the point back. *)
-          Queue.push slot requeue
+             it; put the points back. *)
+          Array.iter (fun s -> Queue.push s requeue) task.slots
     in
     (* Breadth first: every slot gets a head (forking the ones not
        running) before any gets a queued task, so a short sweep still
@@ -670,12 +806,12 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
             if (not !stop) && pending_available () then
               match w with
               | Some w when Queue.length w.tasks < level ->
-                  send w (pop_pending ())
+                  send w (take_task ())
               | None when level = 1 ->
                   let w = spawn pool ~slot in
                   Obs.Counter.incr c_spawned;
                   count (fun t -> t.t_spawned <- t.t_spawned + 1);
-                  send w (pop_pending ())
+                  send w (take_task ())
               | _ -> ())
           pool.ws
       done
@@ -707,15 +843,21 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
               ws
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         (* Kill-deadline check: a worker stuck past the backstop is
-           SIGKILLed and its head reported as timed out. *)
+           SIGKILLed; a single-point head is reported as timed out. *)
         let now = Unix.gettimeofday () in
         List.iter
           (fun w ->
             if w.alive && busy w && now > w.head_deadline then begin
-              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+              kill w;
               handle_death ~timed_out:true w
             end)
           ws;
+        (* Everything this wake-up delivered is out: the caller writes
+           it on in one go before the pool blocks again. *)
+        if !delivered then begin
+          delivered := false;
+          Option.iter (fun f -> f ()) on_batch
+        end;
         loop ()
       end
     in
@@ -727,7 +869,7 @@ let run pool ?(retries = 1) ?(signal = "") ?request_id ?tally ?on_result
         List.iter
           (fun w ->
             if busy w then begin
-              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+              kill w;
               reap pool w
             end)
           (live ());

@@ -19,29 +19,54 @@
     that has work for their slot, and a dead worker's slot is refilled
     the same way.
 
-    Each worker is a line-driven slave on a pipe pair: the parent
-    writes task lines (point, retry count, request id), the child
-    answers each with one {!Point_result} line, EOF on the task pipe
-    shuts it down. Two tasks are in flight per worker: the head it is
-    running and one queued behind it in the task pipe, so its next
-    task is already waiting when the parent reads a result.
+    Each worker is a line-driven slave on a pipe pair. The pool is
+    created over a point table; a worker inherits it at fork, so a task
+    line names its points by index only: [k] indices, each with its
+    dispatch attempt, plus the request id. The child runs them in
+    order and answers each with one {!Point_result} line, flushing once
+    per task (and mid-task once a result has waited 5 ms); EOF on the
+    task pipe shuts it down. Two tasks are in flight per worker: the
+    head it is running and one queued behind it in the task pipe, so
+    its next task is already waiting when the parent reads a result.
 
-    Failure handling, per point:
+    {b Batch size.} [k] is 1 until two results of the run are timed;
+    from then on it is the number of points whose mean worker-reported
+    [wall_s] adds up to ~1 ms, capped at
+    [ceil (left / (workers * 2))] for the [left] points not yet
+    dispatched, so a short sweep still spreads over every worker.
+
+    {b One encode per result, one write per batch.} The parent decodes
+    each result line once and hands the record {e and} the worker's
+    bytes to [on_result], so a checkpoint or a stream can forward the
+    line verbatim. After it has handled everything one wake-up read,
+    and before it blocks again, it calls [on_batch], where a caller
+    flushes what it buffered.
+
+    Failure handling keeps every verdict per point:
     - a work function that raises — the point gets a [Crashed] verdict
       from {!guard}, the same one an inline run gives it;
-    - worker death mid-point (EOF / signal) — the head is re-dispatched
-      to a fresh worker up to [retries] times, then reported with a
-      [Crashed] health verdict; a task queued behind it never started
-      and goes back to pending without being charged a retry;
-    - kill-deadline expiry (the in-child cooperative timeout is the
-      primary mechanism; this slack parent-side backstop catches a
-      worker hung outside the stepping loop) — worker SIGKILLed, head
-      reported with a [Timeout] verdict, {e not} retried. A queued
-      task's deadline starts when it becomes the head.
+    - worker death (EOF, a torn result line, or a result for a point it
+      was not running) during a single-point task — the point is
+      re-dispatched to a fresh worker up to [retries] times, then
+      reported with a [Crashed] health verdict;
+    - kill-deadline expiry of a single-point task (the in-child
+      cooperative timeout is the primary mechanism; this slack
+      parent-side backstop catches a worker hung outside the stepping
+      loop) — worker SIGKILLed, point reported with a [Timeout]
+      verdict, {e not} retried. The deadline is [1.5 * timeout_s + 0.5]
+      per unanswered point of the head, restarted by each answer; a
+      queued task's starts when it becomes the head;
+    - worker death or kill-deadline expiry during a multi-point task —
+      its unanswered points go back uncharged, and each runs alone from
+      then on, so the rules above decide its verdict exactly as they
+      would have without batching;
+    - a task queued behind the head never started: its points go back
+      to pending uncharged.
 
     Dispatch/kill/re-dispatch decisions are journaled in category
     ["serve"] (["shard.redispatch"], ["shard.kill"],
-    ["shard.crashed"]), tagged with the request id when one is given.
+    ["shard.crashed"], and ["shard.split"] for a batch whose worker was
+    lost), tagged with the request id when one is given.
 
     {b Telemetry.} Each child tags its process with the journal origin
     ["w<slot>:<pid>"] and, after every task, ships its new journal
@@ -62,8 +87,10 @@ type t
 type tally = {
   mutable t_spawned : int;  (** worker processes forked *)
   mutable t_crashed : int;  (** points exhausted their retries *)
-  mutable t_timeouts : int;  (** parent kill-deadline expiries *)
-  mutable t_redispatched : int;  (** re-dispatches after worker death *)
+  mutable t_timeouts : int;
+      (** points given a [Timeout] verdict by the parent kill deadline *)
+  mutable t_redispatched : int;
+      (** charged re-dispatches after worker death *)
   mutable t_torn : int;  (** telemetry frames dropped as torn *)
 }
 
@@ -133,14 +160,16 @@ val guard : (Sampler.point -> Point_result.t) -> Sampler.point -> Point_result.t
 val create :
   workers:int ->
   ?timeout_s:float ->
+  points:Sampler.point array ->
   (retry:int -> Sampler.point -> Point_result.t) ->
   t
-(** [create ~workers f] makes a pool of [workers] slots running [f];
-    nothing is forked yet. [f] receives the point's dispatch attempt
-    as [retry] (0 first time) — production callers ignore it; tests
-    use it to crash deterministically. [f] runs under {!guard}, and
-    should apply the cooperative timeout itself (e.g.
-    [Runner.run_point ?timeout_s]);
+(** [create ~workers ~points f] makes a pool of [workers] slots running
+    [f] on the entries of [points] (a prepared sweep's
+    [Runner.ctx_points]: [points.(i).index = i]); nothing is forked
+    yet. [f] receives the point's dispatch attempt as [retry] (0 first
+    time) — production callers ignore it; tests use it to crash
+    deterministically. [f] runs under {!guard}, and should apply the
+    cooperative timeout itself (e.g. [Runner.run_point ?timeout_s]);
     [timeout_s] here only arms the parent's kill-deadline backstop.
     @raise Invalid_argument on [workers < 1]. *)
 
@@ -150,25 +179,31 @@ val run :
   ?signal:string ->
   ?request_id:int ->
   ?tally:tally ->
-  ?on_result:(Point_result.t -> unit) ->
+  ?on_result:(line:string -> Point_result.t -> unit) ->
+  ?on_batch:(unit -> unit) ->
   ?should_stop:(unit -> bool) ->
   Sampler.point array ->
   Point_result.t option array
 (** [run pool points] executes every point on the pool's workers and
     returns results indexed like [points]; it returns with every
-    worker idle. [retries] (default 1) bounds re-dispatches per point.
-    [signal] names the swept output in synthesised
+    worker idle. Each point must be the entry of the pool's table at
+    its [index]. [retries] (default 1) bounds charged re-dispatches per
+    point. [signal] names the swept output in synthesised
     [Timeout]/[Crashed] verdicts. [on_result] runs in the parent as
-    each result arrives (checkpoint append / streaming). [should_stop]
-    is polled between dispatches: once true, no new point is
-    dispatched, points already written to a worker (the head and the
-    one queued behind it) finish and are delivered through
-    [on_result], and undispatched slots come back [None].
-    [request_id] is stamped on the children's ["task.begin"] journal
-    events and the parent's shard events; [tally] receives
-    worker-outcome counts as they happen. If [run] raises (e.g. from
-    [on_result]), workers still holding tasks are killed.
-    @raise Invalid_argument on a closed pool. *)
+    each result arrives, with the result's {!Point_result.to_line}
+    bytes as [line] (checkpoint append / streaming); [on_batch] runs
+    after each wake-up that delivered at least one result.
+    [should_stop] is polled between
+    dispatches: once true, no new task is dispatched, tasks already
+    written to a worker (the head and the one queued behind it) finish
+    and are delivered through [on_result], and undispatched slots come
+    back [None]. [request_id] is stamped on the children's
+    ["task.begin"] journal events and the parent's shard events;
+    [tally] receives worker-outcome counts as they happen. If [run]
+    raises (e.g. from [on_result]), workers still holding tasks are
+    killed.
+    @raise Invalid_argument on a closed pool, or a point outside the
+    pool's table. *)
 
 val close : t -> unit
 (** EOF on every worker's task pipe, then [waitpid] on each. Idempotent;

@@ -416,16 +416,24 @@ let summarize ctx (results : point_result array) ~total_s =
     total_s;
   }
 
-(* Run [pending] and hand each result to [on_result] in this process:
-   inline when [jobs] is 1, else on a pool of [jobs] worker processes
-   forked for this call and closed when it returns. *)
-let dispatch ctx ~on_result pending =
+(* Run [pending] and hand each result and its line to [on_result] in
+   this process, calling [on_batch] once what arrived together is
+   delivered: inline when [jobs] is 1 (one point per batch), else on a
+   pool of [jobs] worker processes forked for this call and closed when
+   it returns. *)
+let dispatch ctx ~on_result ~on_batch pending =
   let work p = run_point ctx p in
   if ctx.c_jobs = 1 then
-    Array.iter (fun p -> on_result (Pool.guard work p)) pending
+    Array.iter
+      (fun p ->
+        let r = Pool.guard work p in
+        on_result ~line:(Point_result.to_line r) r;
+        on_batch ())
+      pending
   else begin
     let pool =
       Pool.create ~workers:ctx.c_jobs ?timeout_s:ctx.c_spec.Spec.point_timeout
+        ~points:ctx.c_points
         (fun ~retry:_ p -> work p)
     in
     Fun.protect
@@ -433,7 +441,7 @@ let dispatch ctx ~on_result pending =
       (fun () ->
         ignore
           (Pool.run pool ~signal:(Expr.var_name ctx.c_output) ~on_result
-             pending))
+             ~on_batch pending))
   end
 
 let session ?checkpoint ?(prune = false) ?on_open ?on_point ?execute ctx =
@@ -463,36 +471,43 @@ let session ?checkpoint ?(prune = false) ?on_open ?on_point ?execute ctx =
              (Array.to_list ctx.c_points))
       in
       let fill (r : point_result) = slots.(r.point.Sampler.index) <- Some r in
-      let emit r = Option.iter (fun f -> f r) on_point in
+      let emit ~line r = Option.iter (fun f -> f ~line r) on_point in
       List.iter fill recovered;
       (* Recovered points stream first, so a consumer sees the full
          result set in one session. *)
       let recovered = delivered () in
       Option.iter (fun f -> f (List.length recovered)) on_open;
-      List.iter emit recovered;
-      let finish r =
+      List.iter (fun r -> emit ~line:(Point_result.to_line r) r) recovered;
+      (* The line is appended as it came (a worker's bytes, or the
+         inline encoding) and flushed once per delivered batch. *)
+      let finish ~line r =
         fill r;
-        Option.iter (fun w -> Checkpoint.append w r) writer;
-        emit r
+        Option.iter (fun w -> Checkpoint.append w line) writer;
+        emit ~line r
       in
+      let flush () = Option.iter Checkpoint.flush writer in
       (* Pre-flight static pruning: points the abstract interpreter
          proves unhealthy are answered without simulation (their
          [Pruned] results are checkpointed and streamed like any other)
          and removed from the dispatch set. *)
-      if prune then
+      if prune then begin
         List.iter
           (fun (d : Prune.decision) ->
-            finish (pruned_result ctx d.Prune.d_point d.Prune.d_bad))
+            let r = pruned_result ctx d.Prune.d_point d.Prune.d_bad in
+            finish ~line:(Point_result.to_line r) r)
           (prune_static ctx (pending ()));
+        flush ()
+      end;
       let execute = Option.value execute ~default:(dispatch ctx) in
       let t0 = Obs.now_ns () in
-      execute ~on_result:finish (pending ());
+      execute ~on_result:finish ~on_batch:flush (pending ());
       let total_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
       summarize ctx (Array.of_list (delivered ())) ~total_s)
     opened
 
 let run ?jobs ?prune ?on_point (spec : Spec.t) (tc : Circuits.testcase) =
   let ctx = prepare ?jobs spec tc in
+  let on_point = Option.map (fun f ~line:_ r -> f r) on_point in
   match session ?prune ?on_point ctx with
   | Ok summary -> summary
   | Error m -> invalid_arg m (* only a checkpoint can be refused *)

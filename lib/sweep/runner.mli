@@ -14,7 +14,8 @@
     before the fork, a raising point gets the same [Crashed] verdict
     on either path ({!Pool.guard}), and results cross the pipe in a
     byte-exact codec, so the per-point value results are a pure
-    function of the spec: identical for any [jobs].
+    function of the spec: identical for any [jobs] and any batching
+    of points into pool tasks.
 
     The per-point machinery is also exposed piecewise — {!prepare} once,
     {!run_point} many — so a long-running service can keep the prepared
@@ -106,8 +107,12 @@ val session :
   ?checkpoint:[ `Fresh of string | `Resume of string ] ->
   ?prune:bool ->
   ?on_open:(int -> unit) ->
-  ?on_point:(point_result -> unit) ->
-  ?execute:(on_result:(point_result -> unit) -> Sampler.point array -> unit) ->
+  ?on_point:(line:string -> point_result -> unit) ->
+  ?execute:
+    (on_result:(line:string -> point_result -> unit) ->
+    on_batch:(unit -> unit) ->
+    Sampler.point array ->
+    unit) ->
   ctx ->
   (summary, string) result
 (** Run the prepared sweep once, the one path [amsvp sweep] and the
@@ -123,11 +128,14 @@ val session :
       point is skipped) get a pruned result: NaN values, one [Pruned]
       health issue, zero wall clock;
     + [execute] gets the remaining points and calls [on_result] in this
-      process once per point it finishes. It defaults to the ctx's own
-      executor: inline for [jobs = 1], else a {!Pool} of [jobs] workers
-      forked and closed within the call;
-    + each pruned or executed result is appended to the checkpoint once,
-      then passed to [on_point];
+      process once per point it finishes, with the result's
+      {!Point_result.to_line} bytes as [line], and [on_batch] whenever
+      it has delivered what arrived together. It defaults to the ctx's
+      own executor: inline for [jobs = 1] (a batch per point), else a
+      {!Pool} of [jobs] workers forked and closed within the call;
+    + each pruned or executed result's line is appended to the
+      checkpoint once, then passed to [on_point] with the result; the
+      checkpoint is flushed at every [on_batch];
     + the checkpoint is closed on every exit, a raise included, and the
       delivered points are summarised in expansion order, [total_s]
       timing [execute] alone.

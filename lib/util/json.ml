@@ -277,12 +277,17 @@ let add_items b op cl f l =
     l;
   Buffer.add_char b cl
 
+(* The C conversion [Printf]'s [%.17g] ends in, called directly: the
+   same bytes without interpreting the format on every number. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let print v =
   let b = Buffer.create 256 in
   let rec value = function
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (string_of_bool x)
-    | Num v when Float.is_finite v -> Printf.bprintf b "%.17g" v
+    | Num v when Float.is_finite v ->
+        Buffer.add_string b (format_float "%.17g" v)
     | Num v ->
         add_string b
           (if Float.is_nan v then "NaN"

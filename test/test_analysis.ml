@@ -111,7 +111,8 @@ let test_signal_flow_codes () =
 
 (* The direct conversion tells an undefined quantity or output
    (AMS030) from an ordering violation (AMS040) by exception, not by
-   message text. *)
+   message text; the ordering one carries the reader and what it reads,
+   which is what locates the finding. *)
 let test_signal_flow_typed_errors () =
   let v n = Expr.potential n "gnd" in
   let convert ~outputs contributions =
@@ -130,7 +131,7 @@ let test_signal_flow_typed_errors () =
   raises_undefined "read of an unknown quantity" (fun () ->
       convert ~outputs:[ v "out" ]
         [ (v "out", Expr.Ddt (Expr.var (v "ghost"))) ]);
-  Alcotest.(check bool) "ordering is not undefined" true
+  Alcotest.(check bool) "ordering names the reader and what it reads" true
     (match
        convert ~outputs:[ v "out" ]
          [
@@ -139,8 +140,8 @@ let test_signal_flow_typed_errors () =
          ]
      with
     | () -> false
-    | exception Amsvp_sf.Sfprogram.Undefined _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Amsvp_sf.Sfprogram.Read_before_assigned { reader; var } ->
+        Expr.equal_var reader (v "out") && Expr.equal_var var (v "x"))
 
 let test_stability_warning () =
   (* tau = rc = 125us; dt = 1s is far beyond it *)
@@ -271,6 +272,42 @@ let test_abstract_lint_parity () =
       ("lint_showcase.vhd", `Vhdl_ams, "showcase", "tout");
       ("lint_ordering.vams", `Verilog_ams, "ordering", "out");
     ]
+
+(* An output over a node the model does not have is an AMS030 finding
+   on the conservative route as on the signal-flow one, never a raw
+   exception; the zero-delay ordering defect is located at the
+   contribution that reads too early. *)
+let test_user_errors_are_findings () =
+  let examples =
+    Filename.concat (Filename.dirname Sys.executable_name) "../examples"
+  in
+  let rejected ~file ~top ~out =
+    let src =
+      read_file
+        (if Filename.is_relative file then Filename.concat examples file
+         else file)
+    in
+    let flat = Elaborate.flatten (Parser.parse ~file src) ~top in
+    match Elaborate.abstract flat ~outputs:[ out ] ~dt:50e-9 with
+    | _ -> Alcotest.failf "%s: the abstraction should be rejected" file
+    | exception Diag.Rejected f -> f
+  in
+  let zig = Expr.potential "zig" "gnd" in
+  List.iter
+    (fun (file, top) ->
+      let f = rejected ~file ~top ~out:zig in
+      Alcotest.(check string) (file ^ ": code") "AMS030" f.Diag.code)
+    [ ("rc_lowpass.vams", "rc_lowpass"); ("sf_lowpass.vams", "sf_lowpass") ];
+  let f =
+    rejected
+      ~file:(Filename.concat fixture_dir "lint_ordering.vams")
+      ~top:"ordering" ~out:(Expr.potential "out" "gnd")
+  in
+  Alcotest.(check string) "ordering code" "AMS040" f.Diag.code;
+  Alcotest.(check (option (pair int int))) "at the early read" (Some (12, 5))
+    (Option.map
+       (fun (sp : Diag.span) -> (sp.Diag.line, sp.Diag.col))
+       f.Diag.span)
 
 (* [lint --input-bound]: widening the input box widens the proven
    output range the AMS063 message reports (the fixture's gain is 100). *)
@@ -528,6 +565,8 @@ let () =
           Alcotest.test_case "input bound" `Quick test_input_bound_widens_ranges;
           Alcotest.test_case "abstract reports lint's finding" `Quick
             test_abstract_lint_parity;
+          Alcotest.test_case "user errors are findings" `Quick
+            test_user_errors_are_findings;
         ]
       );
       ( "acceptance",

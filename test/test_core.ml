@@ -188,16 +188,18 @@ let test_flow_probe_insertion () =
   Alcotest.(check (float 1e-3)) "difference settles to zero" 0.0
     (Trace.last_value tr)
 
+(* An output over nodes the circuit lacks is a user error: an AMS030
+   finding, not a raw [Invalid_argument]. *)
 let test_flow_rejects_unknown_nodes () =
   let tc = Circuits.rc_ladder 1 in
-  Alcotest.(check bool) "unknown node rejected" true
+  Alcotest.(check (option string)) "unknown node rejected" (Some "AMS030")
     (try
        ignore
          (Flow.abstract_circuit tc.circuit
             ~outputs:[ Expr.potential "zig" "zag" ]
             ~dt);
-       false
-     with Invalid_argument _ -> true)
+       None
+     with Amsvp_diag.Diag.Rejected f -> Some f.Amsvp_diag.Diag.code)
 
 let test_convert_nonlinear_self_reference_rejected () =
   let out = Expr.potential "out" "gnd" in

@@ -477,7 +477,9 @@ let test_checkpoint_roundtrip () =
     Checkpoint.create ~path small_spec ~circuit:"RECT"
       ~points:(Array.length summary.Runner.points)
   in
-  Array.iter (Checkpoint.append w) summary.Runner.points;
+  Array.iter
+    (fun r -> Checkpoint.append w (Point_result.to_line r))
+    summary.Runner.points;
   Checkpoint.close w;
   (match Checkpoint.load ~path small_spec ~circuit:"RECT" with
   | Error m -> Alcotest.failf "load: %s" m
@@ -500,8 +502,8 @@ let test_checkpoint_mismatch_and_torn_tail () =
   let ctx = Runner.prepare small_spec tc in
   let p0 = Runner.run_point ctx (Runner.ctx_points ctx).(0) in
   let w = Checkpoint.create ~path small_spec ~circuit:"RECT" ~points:5 in
-  Checkpoint.append w p0;
-  Checkpoint.append w p0;
+  Checkpoint.append w (Point_result.to_line p0);
+  Checkpoint.append w (Point_result.to_line p0);
   Checkpoint.close w;
   (* Foreign spec: same file, different seed -> digest mismatch. *)
   let other = { small_spec with Spec.seed = 99 } in
@@ -526,7 +528,7 @@ let resume_session ctx path =
   match
     Runner.session ~checkpoint:(`Resume path)
       ~on_open:(fun n -> resumed := n)
-      ~on_point:(fun _ -> incr delivered)
+      ~on_point:(fun ~line:_ _ -> incr delivered)
       ctx
   with
   | Error m -> Alcotest.failf "resume: %s" m
@@ -551,7 +553,7 @@ let test_resume_determinism () =
   (try
      ignore
        (Runner.session ~checkpoint:(`Fresh path)
-          ~on_point:(fun _ ->
+          ~on_point:(fun ~line:_ _ ->
             incr seen;
             if !seen = 2 then failwith "simulated kill")
           ctx)
@@ -582,7 +584,7 @@ let test_resume_other_jobs () =
   (try
      ignore
        (Runner.session ~checkpoint:(`Fresh path)
-          ~on_point:(fun _ ->
+          ~on_point:(fun ~line:_ _ ->
             incr seen;
             if !seen = 2 then failwith "simulated kill")
           (Runner.prepare (spec 1) tc))
@@ -605,8 +607,8 @@ let test_resume_cuts_torn_tail () =
   let ctx = Runner.prepare small_spec tc in
   let r = Array.map (Runner.run_point ctx) (Runner.ctx_points ctx) in
   let w = Checkpoint.create ~path small_spec ~circuit:"RECT" ~points:5 in
-  Checkpoint.append w r.(0);
-  Checkpoint.append w r.(1);
+  Checkpoint.append w (Point_result.to_line r.(0));
+  Checkpoint.append w (Point_result.to_line r.(1));
   Checkpoint.close w;
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "{\"index\":2,\"label\":\"p00";
@@ -615,8 +617,8 @@ let test_resume_cuts_torn_tail () =
   | Error m -> Alcotest.failf "resume: %s" m
   | Ok (rs, w) ->
       Alcotest.(check int) "first resume" 2 (List.length rs);
-      Checkpoint.append w r.(2);
-      Checkpoint.append w r.(3);
+      Checkpoint.append w (Point_result.to_line r.(2));
+      Checkpoint.append w (Point_result.to_line r.(3));
       Checkpoint.close w);
   (match Checkpoint.load ~path small_spec ~circuit:"RECT" with
   | Error m -> Alcotest.failf "load: %s" m
@@ -709,6 +711,73 @@ let test_truncate_anywhere_pool () =
   (* Mid-point-line, then mid-header of the resumed file. *)
   Alcotest.(check bool) "2-worker pool" true
     (truncate_anywhere ~jobs:2 ~tag:"pool" (0.6, 0.05))
+
+(* ---- wire identity ---- *)
+
+(* A result crosses the pool once, as the line its worker printed: the
+   session appends those bytes to the checkpoint and the daemon wraps
+   them in the [Point] frame. Over random results — NaN and +-inf
+   values, empty and non-empty issues, with and without an NRMSE — both
+   must equal what the encoders print for the record the parent
+   decoded. The results are those of [small_spec]'s points, run on a
+   2-worker pool. *)
+let wire_ctx = lazy (Runner.prepare ~jobs:2 small_spec (resolve_exn small_spec))
+
+let prop_wire_identity =
+  let ctx = Lazy.force wire_ctx in
+  let points = Runner.ctx_points ctx in
+  let n = Array.length points in
+  QCheck.Test.make ~name:"forwarded lines equal the encoders" ~count:20
+    (QCheck.make QCheck.Gen.(list_repeat n gen_result))
+    (fun results ->
+      let results = Array.of_list results in
+      let path = tmp "amsvp_wire.jsonl" in
+      let pool =
+        Pool.create ~workers:2 ~points (fun ~retry:_ (p : Sampler.point) ->
+            { (results.(p.Sampler.index)) with Runner.point = p })
+      in
+      let id = 3 and frames = ref [] in
+      let session () =
+        Runner.session ~checkpoint:(`Fresh path)
+          ~on_point:(fun ~line r ->
+            frames := (Protocol.point_frame ~id line, r) :: !frames)
+          ~execute:(fun ~on_result ~on_batch pending ->
+            ignore (Pool.run pool ~on_result ~on_batch pending))
+          ctx
+      in
+      match Fun.protect ~finally:(fun () -> Pool.close pool) session with
+      | Error m -> QCheck.Test.fail_reportf "session: %s" m
+      | Ok _ ->
+          let delivered = List.rev !frames in
+          let checkpointed =
+            match String.split_on_char '\n' (slurp path) with
+            | _header :: lines -> List.filter (( <> ) "") lines
+            | [] -> []
+          in
+          Sys.remove path;
+          List.length delivered = n
+          && checkpointed
+             = List.map (fun (_, r) -> Point_result.to_line r) delivered
+          && List.for_all
+               (fun (frame, r) ->
+                 frame
+                 = Protocol.encode_response (Protocol.Point { id; result = r }))
+               delivered)
+
+(* A result line cut anywhere past the two bytes it shares with
+   telemetry frames is neither telemetry nor a result: the pool takes it for a
+   worker that died mid-write. *)
+let prop_torn_result_is_death =
+  QCheck.Test.make ~name:"a torn result line is a death" ~count:200
+    (QCheck.make QCheck.Gen.(pair gen_result (float_bound_inclusive 1.0)))
+    (fun (r, frac) ->
+      let line = Point_result.to_line r in
+      let cut =
+        String.sub line 0
+          (3 + int_of_float (frac *. float_of_int (String.length line - 4)))
+      in
+      (not (Pool.ingest_telemetry_line cut))
+      && Result.is_error (Point_result.of_line cut))
 
 (* ---- end-to-end daemon session ---- *)
 
@@ -1123,7 +1192,7 @@ let test_daemon_resume () =
   let path = path_of small_spec in
   let w = Checkpoint.create ~path small_spec ~circuit:"RECT" ~points:total in
   for i = 0 to k - 1 do
-    Checkpoint.append w expected.(i)
+    Checkpoint.append w (Point_result.to_line expected.(i))
   done;
   Checkpoint.close w;
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -1246,6 +1315,192 @@ let test_daemon_resume () =
       | _ -> Alcotest.fail "daemon killed");
       Unix.rmdir dir
 
+(* ---- kill at a random instant, then resume ----
+
+   A SIGKILL lands wherever it lands: mid-point, mid-batch, between a
+   checkpoint append and its flush, mid-frame. Whatever the checkpoint
+   then holds, resuming must give every point of examples/
+   rect_tolerance.sweep (reference off) exactly as the golden fixture
+   test_sweep pins them. *)
+
+(* test_sweep's golden line: every value field, printed %.17g. *)
+let golden_line (r : Runner.point_result) =
+  let num = Printf.sprintf "%.17g" in
+  let health =
+    if r.Runner.health.Health.v_healthy then "ok"
+    else
+      String.concat ";"
+        (List.map
+           (fun (i : Health.issue) ->
+             Printf.sprintf "%s@%s=%s"
+               (Health.kind_label i.Health.kind)
+               (num i.Health.time) (num i.Health.value))
+           r.Runner.health.Health.v_issues)
+  in
+  Printf.sprintf "%d %s %s %s %s" r.Runner.point.Sampler.index
+    (num r.Runner.out_final) (num r.Runner.out_rms)
+    (match r.Runner.nrmse with Some e -> num e | None -> "-")
+    health
+
+(* Next to the executable, where dune placed the (deps) copies, so the
+   tests find them from any working directory. *)
+let beside_exe path =
+  Filename.concat (Filename.dirname Sys.executable_name) path
+
+let rect_spec =
+  lazy
+    (match
+       Spec.of_string (slurp (beside_exe "../examples/rect_tolerance.sweep"))
+     with
+    | Ok s -> { s with Spec.reference = false }
+    | Error m -> Alcotest.failf "example spec: %s" m)
+
+let check_golden what (results : Runner.point_result list) =
+  let golden =
+    String.split_on_char '\n'
+      (slurp (beside_exe "fixtures/rect_tolerance_ref_off.golden"))
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let by_index (a : Runner.point_result) (b : Runner.point_result) =
+    compare a.point.Sampler.index b.point.Sampler.index
+  in
+  Alcotest.(check (list string)) what golden
+    (List.map golden_line (List.sort by_index results))
+
+let kill_seeds = [ 1; 2; 3; 4; 5; 6 ]
+
+(* [amsvp sweep --jobs 2 --checkpoint], SIGKILLed after a seeded random
+   delay, then resumed: the same session in a forked process, killed
+   anywhere between its start and a little past an uninterrupted run's
+   length. *)
+let test_kill_sweep_resume () =
+  let spec = Lazy.force rect_spec in
+  let ctx = Runner.prepare ~jobs:2 spec (resolve_exn spec) in
+  let t0 = Unix.gettimeofday () in
+  ignore (Runner.session ctx);
+  let length = Unix.gettimeofday () -. t0 in
+  let path = tmp (Printf.sprintf "amsvp_kill_sweep_%d.ckpt" (Unix.getpid ())) in
+  List.iter
+    (fun seed ->
+      if Sys.file_exists path then Sys.remove path;
+      let delay =
+        Random.State.float (Random.State.make [| seed |]) (1.2 *. length)
+      in
+      (match Unix.fork () with
+      | 0 ->
+          (try ignore (Runner.session ~checkpoint:(`Fresh path) ctx)
+           with _ -> ());
+          Unix._exit 0
+      | pid ->
+          Unix.sleepf delay;
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid));
+      let s, recovered, executed = resume_session ctx path in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: every point once" seed)
+        (Array.length (Runner.ctx_points ctx))
+        (recovered + executed);
+      check_golden
+        (Printf.sprintf "seed %d (killed after %.1f ms, %d recovered)" seed
+           (delay *. 1e3) recovered)
+        (Array.to_list s.Runner.points))
+    kill_seeds;
+  Sys.remove path
+
+(* The daemon SIGKILLed mid-submit — on a seeded random point frame, or
+   on the acceptance — then restarted on the same checkpoint directory:
+   the resubmit recovers exactly what the checkpoint kept and streams
+   every point as the golden fixture has it. *)
+let test_kill_daemon_resubmit () =
+  let spec = Lazy.force rect_spec in
+  let total = Spec.point_count spec in
+  let tag = Unix.getpid () in
+  let dir = tmp (Printf.sprintf "amsvp_kill_daemon_%d" tag) in
+  let sock = tmp (Printf.sprintf "amsvp_kill_daemon_%d.sock" tag) in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let path =
+    Filename.concat dir
+      (Printf.sprintf "%s-%s.ckpt.jsonl" spec.Spec.name
+         (Checkpoint.digest spec ~circuit:"RECT"))
+  in
+  let start () =
+    if Sys.file_exists sock then Sys.remove sock;
+    match Unix.fork () with
+    | 0 ->
+        (try
+           Daemon.serve
+             {
+               (Daemon.default_config ~socket_path:sock) with
+               workers = 2;
+               checkpoint_dir = Some dir;
+             }
+         with _ -> Unix._exit 1);
+        Unix._exit 0
+    | pid ->
+        wait_for_socket sock;
+        pid
+  in
+  let spec_text = Spec.to_string spec in
+  List.iter
+    (fun seed ->
+      let k = Random.State.int (Random.State.make [| seed |]) (total + 1) in
+      let pid = start () in
+      guard_daemon pid (fun () ->
+          let c = Client.connect sock in
+          let frames = ref 0 in
+          let kill () =
+            if !frames = k then
+              try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+          in
+          ignore
+            (Client.submit c ~spec_text
+               ~on_event:(function
+                 | Protocol.Accepted _ -> kill ()
+                 | Protocol.Point _ ->
+                     incr frames;
+                     kill ()
+                 | _ -> ())
+               ());
+          Client.close c);
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      let kept =
+        if not (Sys.file_exists path) then 0
+        else
+          match Checkpoint.load ~path spec ~circuit:"RECT" with
+          | Ok rs -> List.length rs
+          | Error m -> Alcotest.failf "load: %s" m
+      in
+      let pid = start () in
+      guard_daemon pid (fun () ->
+          let c = Client.connect sock in
+          let resumed = ref (-1) and results = ref [] in
+          (match
+             Client.submit c ~spec_text
+               ~on_event:(function
+                 | Protocol.Accepted { resumed = n; _ } -> resumed := n
+                 | Protocol.Point { result; _ } -> results := result :: !results
+                 | _ -> ())
+               ()
+           with
+          | Ok (Protocol.Done { complete = true; _ }) -> ()
+          | Ok r ->
+              Alcotest.failf "seed %d: final frame %s" seed
+                (Protocol.encode_response r)
+          | Error m -> Alcotest.failf "seed %d: resubmit: %s" seed m);
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d: resumed what the checkpoint kept" seed)
+            kept !resumed;
+          check_golden
+            (Printf.sprintf "seed %d (killed on frame %d, %d kept)" seed k kept)
+            !results;
+          Client.send c Protocol.Shutdown;
+          ignore (Client.recv c);
+          Client.close c;
+          ignore (Unix.waitpid [] pid)))
+    kill_seeds;
+  Unix.rmdir dir
+
 (* A daemon under --werror must answer a submit whose value-range
    screen errors with a structured [Rejected] frame carrying the
    diagnostics — and keep serving: the worker never crashes, later
@@ -1354,13 +1609,18 @@ let () =
             test_resume_determinism;
           Alcotest.test_case "resume under other jobs" `Quick
             test_resume_other_jobs;
+          Alcotest.test_case "sweep killed at random instants resumes" `Quick
+            test_kill_sweep_resume;
         ]
         @ qt [ prop_truncate_anywhere ] );
+      ("wire", qt [ prop_wire_identity; prop_torn_result_is_death ]);
       ( "daemon",
         [
           Alcotest.test_case "end-to-end session" `Quick test_daemon_session;
           Alcotest.test_case "resume from the checkpoint dir" `Quick
             test_daemon_resume;
+          Alcotest.test_case "killed mid-submit, restarted, resubmitted"
+            `Quick test_kill_daemon_resubmit;
           Alcotest.test_case "eviction closes the pool" `Quick
             test_daemon_eviction;
           Alcotest.test_case "eviction beside a younger pool" `Quick

@@ -205,9 +205,10 @@ let pool_points n =
   Array.init n (fun i ->
       { Sampler.index = i; label = Printf.sprintf "p%04d" i; overrides = [] })
 
-(* A one-shot pool: create, run, close. *)
+(* A one-shot pool: create, run, close. Every pool test draws its
+   points from this table. *)
 let with_pool ~workers ?timeout_s f k =
-  let pool = Pool.create ~workers ?timeout_s f in
+  let pool = Pool.create ~workers ?timeout_s ~points:(pool_points 400) f in
   Fun.protect ~finally:(fun () -> Pool.close pool) (fun () -> k pool)
 
 (* Every point of a run larger than the pool executes exactly once:
@@ -374,7 +375,7 @@ let test_pool_queued_not_charged () =
         else mk ~retry p)
       (fun pool ->
         Pool.run pool ~retries:1 ~tally
-          ~on_result:(fun r ->
+          ~on_result:(fun ~line:_ r ->
             let i = r.Runner.point.Sampler.index in
             delivered.(i) <- delivered.(i) + 1)
           points)
@@ -502,7 +503,7 @@ let test_pool_drain () =
         mk p)
       (fun pool ->
         Pool.run pool
-          ~on_result:(fun r ->
+          ~on_result:(fun ~line:_ r ->
             served := r.Runner.point.Sampler.index :: !served)
           ~should_stop:(fun () -> List.length !served >= 2)
           points)
@@ -564,7 +565,7 @@ let test_pool_exception () =
   Alcotest.(check string) "signal names the exception"
     (Printexc.to_string (Failure "boom"))
     inline.(1).Runner.health.Health.v_signal;
-  match Pool.create ~workers:0 (fun ~retry:_ p -> mk p) with
+  match Pool.create ~workers:0 ~points (fun ~retry:_ p -> mk p) with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
@@ -589,6 +590,131 @@ let test_pool_counters_under_contention () =
     (Array.length (Array.of_list (List.filter_map Fun.id (Array.to_list results))));
   Alcotest.(check int) "8000 increments" (before + 8000)
     (Obs.Counter.value c_contention)
+
+(* Batched dispatch must change nothing a point reports. Points carry
+   mixed costs — their work function reports the cost as [wall_s],
+   which is what the pool sizes its tasks from, and sleeps through the
+   long ones — so runs mix single-point tasks with batches of varying
+   size. Every point is delivered exactly once, with the bytes
+   [on_result] forwards equal to its result's line, and equals the
+   inline result apart from [wall_s]. *)
+let prop_pool_batched_equals_inline =
+  let costs = [| 0.0; 2e-5; 1e-4; 4e-4; 3e-3 |] in
+  QCheck.Test.make ~name:"batched pool equals inline dispatch" ~count:25
+    QCheck.(
+      pair (int_range 1 3)
+        (list_of_size (Gen.int_range 1 40)
+           (int_bound (Array.length costs - 1))))
+    (fun (workers, kinds) ->
+      let kinds = Array.of_list kinds in
+      let n = Array.length kinds in
+      let work ~retry (p : Sampler.point) =
+        let cost = costs.(kinds.(p.Sampler.index)) in
+        if cost > 1e-3 then Unix.sleepf cost;
+        { (mk ~retry p) with Runner.out_rms = cost; wall_s = cost }
+      in
+      let points = pool_points n in
+      let delivered = Array.make n 0 and forwarded = ref true in
+      let results =
+        with_pool ~workers work (fun pool ->
+            Pool.run pool
+              ~on_result:(fun ~line r ->
+                let i = r.Runner.point.Sampler.index in
+                delivered.(i) <- delivered.(i) + 1;
+                if line <> Point_result.to_line r then forwarded := false)
+              points)
+      in
+      let values (r : Runner.point_result) =
+        Point_result.to_line { r with Runner.wall_s = 0.0 }
+      in
+      !forwarded
+      && Array.for_all (( = ) 1) delivered
+      && Array.for_all2
+           (fun p r ->
+             match r with
+             | Some r -> values r = values (Pool.guard (work ~retry:0) p)
+             | None -> false)
+           points results)
+
+(* Batched against single-point dispatch of the same failures. The
+   pool sizes its tasks from the [wall_s] results report: 0 makes every
+   task after the first three singles take an even share of what is
+   left, 1 s keeps every task at one point. On a pool of one worker
+   over 11 points, with points 0 and 1 taking 20 ms so that their
+   results come back one at a time, the tasks are [0], [1], [2], then
+   [3; 4; 5; 6]. [out_rms] carries the attempt a point ran on. *)
+let dispatch_sized ?timeout_s ~wall_s work =
+  with_journal @@ fun () ->
+  let tally = Pool.make_tally () in
+  let work ~retry (p : Sampler.point) =
+    if p.Sampler.index < 2 then Unix.sleepf 0.02;
+    { (work ~retry p) with Runner.out_rms = float_of_int retry; wall_s }
+  in
+  let results =
+    with_pool ~workers:1 ?timeout_s work (fun pool ->
+        Pool.run pool ~retries:1 ~signal:"V(out,gnd)" ~tally (pool_points 11))
+  in
+  let verdict = function
+    | None -> "missing"
+    | Some (r : Runner.point_result) ->
+        let h = r.Runner.health in
+        if h.Health.v_healthy then
+          Point_result.to_line { r with Runner.wall_s = 0.0 }
+        else
+          String.concat ","
+            (List.map
+               (fun (i : Health.issue) -> Health.kind_label i.Health.kind)
+               h.Health.v_issues)
+  in
+  let splits =
+    List.filter_map
+      (fun e ->
+        if e.Journal.name = "shard.split" then payload_int "points" e
+        else None)
+      (Journal.events ())
+  in
+  (Array.map verdict results, tally, splits)
+
+(* A worker SIGKILLed after the first result of the 4-point batch: that
+   result stands (point 3 takes 20 ms, past the child's mid-task flush),
+   the other 3 go back uncharged and run alone, and point 4, which
+   kills its worker on its first attempt, is charged one re-dispatch
+   exactly as under single-point dispatch. *)
+let test_pool_batch_death () =
+  let work ~retry (p : Sampler.point) =
+    if p.Sampler.index = 3 then Unix.sleepf 0.02;
+    if p.Sampler.index = 4 && retry = 0 then
+      Unix.kill (Unix.getpid ()) Sys.sigkill;
+    mk p
+  in
+  let batched, bt, splits = dispatch_sized ~wall_s:0.0 work in
+  let single, st, single_splits = dispatch_sized ~wall_s:1.0 work in
+  Alcotest.(check (list int)) "the other 3 went back" [ 3 ] splits;
+  Alcotest.(check (list int)) "no batch under single dispatch" []
+    single_splits;
+  Alcotest.(check (array string)) "same verdicts" single batched;
+  Alcotest.(check int) "one charged re-dispatch" 1 bt.Pool.t_redispatched;
+  Alcotest.(check int) "as under single dispatch" st.Pool.t_redispatched
+    bt.Pool.t_redispatched;
+  Alcotest.(check int) "nothing exhausted" 0 bt.Pool.t_crashed
+
+(* Point 4 hangs outside the cooperative timeout inside the 4-point
+   batch: the batch's kill deadline (one allowance per point) expires,
+   the batch goes back uncharged, and point 4, alone, ends with the same
+   [Timeout] verdict it gets under single-point dispatch. *)
+let test_pool_batch_hang () =
+  let work ~retry:_ (p : Sampler.point) =
+    if p.Sampler.index = 4 then Unix.sleepf 30.0;
+    mk p
+  in
+  let batched, bt, splits = dispatch_sized ~timeout_s:0.05 ~wall_s:0.0 work in
+  let single, st, _ = dispatch_sized ~timeout_s:0.05 ~wall_s:1.0 work in
+  Alcotest.(check int) "the batch went back once" 1 (List.length splits);
+  Alcotest.(check (array string)) "same verdicts" single batched;
+  Alcotest.(check string) "hung point timed out" "timeout" batched.(4);
+  Alcotest.(check int) "one timeout verdict" 1 bt.Pool.t_timeouts;
+  Alcotest.(check int) "as under single dispatch" st.Pool.t_timeouts
+    bt.Pool.t_timeouts
 
 (* Stats *)
 
@@ -874,7 +1000,7 @@ let test_nrmse_budget_watchdog () =
 
 (* Golden per-point results of examples/rect_tolerance.sweep, with the
    reference on and off: every value field, printed %.17g, must match
-   the recorded fixture at --jobs 1 and --jobs 2. *)
+   the recorded fixture at --jobs 1, 2 and 3. *)
 let golden_line (r : Runner.point_result) =
   let num = Printf.sprintf "%.17g" in
   let health =
@@ -921,7 +1047,7 @@ let test_golden_rect_tolerance ~reference () =
         (Printf.sprintf "--jobs %d matches the fixture" jobs)
         expected
         (Array.to_list (Array.map golden_line s.Runner.points)))
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
 
 (* A point aborted by [point_timeout] leaves the signal-flow counters at
    the steps it took: the deadline is checked on every 64th observe
@@ -1093,6 +1219,11 @@ let () =
             test_pool_queued_deadline;
           Alcotest.test_case "workers ship telemetry" `Quick
             test_pool_telemetry_ship;
+          QCheck_alcotest.to_alcotest prop_pool_batched_equals_inline;
+          Alcotest.test_case "batch death returns the rest uncharged" `Quick
+            test_pool_batch_death;
+          Alcotest.test_case "hung point in a batch times out alone" `Quick
+            test_pool_batch_hang;
         ] );
       ( "stats",
         [
