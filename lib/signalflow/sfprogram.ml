@@ -19,13 +19,10 @@ let read_before_assigned_message reader var =
   Printf.sprintf "Sfprogram: %s reads %s before it is assigned in this step"
     (Expr.var_name reader) (Expr.var_name var)
 
-(* [undefined] reports a read of an unknown quantity or an output that
-   is never assigned, [unordered] a read of a target assigned later in
-   the step; every other violation is [Invalid_argument]. *)
-let validate_with ~undefined ~unordered p =
+let validate p =
   if p.dt <= 0.0 then invalid_arg "Sfprogram: dt must be positive";
   let fail fmt = Printf.ksprintf invalid_arg fmt in
-  let undefined fmt = Printf.ksprintf undefined fmt in
+  let undefined fmt = Printf.ksprintf (fun msg -> raise (Undefined msg)) fmt in
   let targets = Hashtbl.create 16 in
   List.iter
     (fun a ->
@@ -61,7 +58,7 @@ let validate_with ~undefined ~unordered p =
                 (Expr.var_name a.target) (Expr.var_name v)
           | base ->
               if not (Hashtbl.mem assigned_so_far base) then
-                unordered a.target v)
+                raise (Read_before_assigned { reader = a.target; var = v }))
         (Expr.vars a.expr);
       Hashtbl.add assigned_so_far a.target.Expr.base ())
     p.assignments;
@@ -71,17 +68,13 @@ let validate_with ~undefined ~unordered p =
         undefined "Sfprogram: output %s is never assigned" (Expr.var_name o))
     p.outputs
 
-let validate =
-  validate_with
-    ~undefined:(fun msg -> raise (Undefined msg))
-    ~unordered:(fun reader var -> raise (Read_before_assigned { reader; var }))
-
 let make ~name ~inputs ~outputs ~assignments ~dt =
   let p = { name; inputs; outputs; assignments; dt } in
-  validate_with ~undefined:invalid_arg
-    ~unordered:(fun reader var ->
-      invalid_arg (read_before_assigned_message reader var))
-    p;
+  (match validate p with
+  | () -> ()
+  | exception Undefined msg -> invalid_arg msg
+  | exception Read_before_assigned { reader; var } ->
+      invalid_arg (read_before_assigned_message reader var));
   p
 
 let fold_read_vars p f acc =
