@@ -24,8 +24,8 @@
     line names its points by index only: [k] indices, each with its
     dispatch attempt, plus the request id. The child runs them in
     order and answers each with one {!Point_result} line, flushing once
-    per task (and mid-task once a result has waited 5 ms); EOF on the
-    task pipe shuts it down. Two tasks are in flight per worker: the
+    per task (and mid-task once 5 ms have passed since its last flush);
+    EOF on the task pipe shuts it down. Two tasks are in flight per worker: the
     head it is running and one queued behind it in the task pipe, so
     its next task is already waiting when the parent reads a result.
 
@@ -69,7 +69,7 @@
     lost), tagged with the request id when one is given.
 
     {b Telemetry.} Each child tags its process with the journal origin
-    ["w<slot>:<pid>"] and, after every task, ships its new journal
+    ["w<slot>:<pid>"] and, after every point, ships its new journal
     events, completed spans, and positive counter deltas as
     {!telemetry} lines on the result pipe (before the result line).
     The parent ingests them into its own journal/span buffer/metric
