@@ -1,58 +1,31 @@
 (* Blocking line-delimited IO over a file descriptor, with a partial
    read buffer: TCP-ish socket reads hand back arbitrary chunks, the
-   protocol wants whole lines. Lines are consumed from [pos] on, so a
-   read that brings many lines is split without copying the rest each
-   time. Writes may be queued and sent together. *)
+   protocol wants whole lines. Writes may be queued and sent together. *)
 
-type t = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable pos : int;  (* start of the first unconsumed byte in [buf] *)
-  chunk : Bytes.t;
-  out : Buffer.t;  (* queued lines, not yet written *)
-}
+type t = { fd : Unix.file_descr; buf : Buffer.t; out : Buffer.t }
 
-let make fd =
-  {
-    fd;
-    buf = Buffer.create 512;
-    pos = 0;
-    chunk = Bytes.create 4096;
-    out = Buffer.create 512;
-  }
-
+let make fd = { fd; buf = Buffer.create 512; out = Buffer.create 512 }
 let fd t = t.fd
 
 let take_line t =
-  let len = Buffer.length t.buf in
-  let rec eol i =
-    if i >= len then None
-    else if Buffer.nth t.buf i = '\n' then Some i
-    else eol (i + 1)
-  in
-  match eol t.pos with
-  | None ->
-      (* Keep only the unterminated fragment before reading more. *)
-      if t.pos > 0 then begin
-        let rest = Buffer.sub t.buf t.pos (len - t.pos) in
-        Buffer.clear t.buf;
-        Buffer.add_string t.buf rest;
-        t.pos <- 0
-      end;
-      None
+  let s = Buffer.contents t.buf in
+  match String.index_opt s '\n' with
+  | None -> None
   | Some i ->
-      let line = Buffer.sub t.buf t.pos (i - t.pos) in
-      t.pos <- i + 1;
-      Some line
+      Buffer.clear t.buf;
+      Buffer.add_string t.buf
+        (String.sub s (i + 1) (String.length s - i - 1));
+      Some (String.sub s 0 i)
 
 let rec read_line t =
   match take_line t with
   | Some line -> `Line line
   | None -> (
-      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+      let chunk = Bytes.create 4096 in
+      match Unix.read t.fd chunk 0 4096 with
       | 0 -> if Buffer.length t.buf > 0 then `Eof_partial else `Eof
       | k ->
-          Buffer.add_subbytes t.buf t.chunk 0 k;
+          Buffer.add_subbytes t.buf chunk 0 k;
           read_line t
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Intr
       | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
