@@ -1443,7 +1443,11 @@ let test_kill_daemon_resubmit () =
   let spec_text = Spec.to_string spec in
   List.iter
     (fun seed ->
-      let k = Random.State.int (Random.State.make [| seed |]) (total + 1) in
+      let k =
+        int_of_float
+          (Random.State.float (Random.State.make [| seed |])
+             (float_of_int (total + 1)))
+      in
       let pid = start () in
       guard_daemon pid (fun () ->
           let c = Client.connect sock in
