@@ -47,6 +47,7 @@ let dt = 50e-9 (* the paper's time step (Section V-A) *)
    - [nrmse]: error against the section's reference trace;
    - [factorizations]: MNA factorisations of the run;
    - [max_ulp]: worst ulp distance between the two engines' traces;
+   - [instrs]: bytecode instructions one step executes;
    - [steps], [newton_iters], [wasted_iters]: Newton totals of a
      journaled SPICE-like run;
    - [points], [pruned]: sweep size and statically pruned points. *)
@@ -60,6 +61,7 @@ type bench_row = {
   ratio : float option;
   factorizations : int option;
   max_ulp : int option;
+  instrs : int option;
   steps : int option;
   newton_iters : int option;
   wasted_iters : int option;
@@ -70,9 +72,9 @@ type bench_row = {
 let bench_rows : bench_row list ref = ref []
 
 let row ~table ~comp ~target ?(meth = "") ?nrmse ?ratio ?factorizations
-    ?max_ulp ?steps ?newton_iters ?wasted_iters ?points ?pruned time_s =
+    ?max_ulp ?instrs ?steps ?newton_iters ?wasted_iters ?points ?pruned time_s =
   { table; comp; target; meth; time_s; nrmse; ratio; factorizations; max_ulp;
-    steps; newton_iters; wasted_iters; points; pruned }
+    instrs; steps; newton_iters; wasted_iters; points; pruned }
 
 let record r = bench_rows := r :: !bench_rows
 
@@ -88,7 +90,7 @@ let row_json r =
       | Some _ | None -> [])
     @ opt "ratio" Fun.id r.ratio
     @ int "factorizations" r.factorizations
-    @ int "max_ulp" r.max_ulp @ int "steps" r.steps
+    @ int "max_ulp" r.max_ulp @ int "instrs" r.instrs @ int "steps" r.steps
     @ int "newton_iters" r.newton_iters
     @ int "wasted_iters" r.wasted_iters @ int "points" r.points
     @ int "pruned" r.pruned)
@@ -1170,7 +1172,8 @@ let engines ~t_stop () =
       let row = row ~table:"engines" ~comp:label in
       record (row ~target:"step" ~meth:"tree" tree_s);
       record
-        (row ~target:"step" ~meth:"bytecode" ~ratio:t.b_over_a ~max_ulp byte_s);
+        (row ~target:"step" ~meth:"bytecode" ~ratio:t.b_over_a ~max_ulp
+           ~instrs:(Amsvp_sf.Compile.n_instrs compiled) byte_s);
       record (row ~target:"compile" compile_s);
       Printf.printf "%-6s %7d %7d %6d %12.2f %14.1f %14.1f %8.2fx %8d\n"
         label

@@ -28,7 +28,9 @@ val insert_probes :
     that is not a branch potential of the circuit gets a zero-current
     probe (an ideal voltmeter), making it observable by the equation
     system. Returns the original circuit unchanged when nothing is
-    missing. *)
+    missing.
+    @raise Invalid_argument on an output over a node the circuit
+    lacks ({!run} reports it as [AMS030]). *)
 
 type spans = {
   of_subject : string -> Amsvp_diag.Diag.span option;  (** device or node *)
@@ -64,8 +66,9 @@ val run :
     [Solve.Underdetermined] and [Invalid_argument] as [AMS030],
     [Solve.Nonlinear] as [AMS042]. [continue_with] goes on past
     topology errors other than a source loop or cutset (AMS022/AMS023),
-    on the circuit and outputs it returns for the unprobed one.
-    @raise Invalid_argument on outputs over unknown nodes. *)
+    on the circuit and outputs it returns for the unprobed one. An
+    output over a node the circuit lacks ends the run at once with an
+    [AMS030] finding. *)
 
 val abstract_circuit :
   ?name:string ->

@@ -124,9 +124,13 @@ type histogram = {
   h_help : string;
   bounds : float array;  (* ascending upper bounds; +Inf is implicit *)
   counts : int array;  (* length = Array.length bounds + 1 *)
-  mutable h_sum : float;
+  h_sum : sum_cell;
   mutable h_count : int;
 }
+
+(* A float-only record stores its field unboxed: as a field of the
+   mixed [histogram] record, every [observe] would box the new sum. *)
+and sum_cell = { mutable sum : float }
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
@@ -251,7 +255,7 @@ module Histogram = struct
             h_help = help;
             bounds = Array.copy buckets;
             counts = Array.make (Array.length buckets + 1) 0;
-            h_sum = 0.0;
+            h_sum = { sum = 0.0 };
             h_count = 0;
           }
         in
@@ -267,11 +271,11 @@ module Histogram = struct
       incr i
     done;
     h.counts.(!i) <- h.counts.(!i) + 1;
-    h.h_sum <- h.h_sum +. v;
+    h.h_sum.sum <- h.h_sum.sum +. v;
     h.h_count <- h.h_count + 1
 
   let count h = h.h_count
-  let sum h = h.h_sum
+  let sum h = h.h_sum.sum
 
   let bucket_counts h =
     let acc = ref 0 in
@@ -308,7 +312,7 @@ let reset () =
       | Gauge g -> g.g_value <- 0.0
       | Histogram h ->
           Array.fill h.counts 0 (Array.length h.counts) 0;
-          h.h_sum <- 0.0;
+          h.h_sum.sum <- 0.0;
           h.h_count <- 0)
     registry
 
@@ -437,7 +441,7 @@ let prometheus () =
                 (label_suffix [ ("le", le_s) ])
                 count)
             (Histogram.bucket_counts h);
-          Printf.bprintf b "%s_sum %.9g\n" n h.h_sum;
+          Printf.bprintf b "%s_sum %.9g\n" n h.h_sum.sum;
           Printf.bprintf b "%s_count %d\n" n h.h_count)
     (registered_in_order ());
   (* Per-span-name aggregates, so flow-stage and kernel spans show up in
@@ -496,7 +500,7 @@ let summary () =
     Buffer.add_string b "histograms:\n";
     List.iter
       (fun (h : histogram) ->
-        let count = h.h_count and sum = h.h_sum in
+        let count = h.h_count and sum = h.h_sum.sum in
         Printf.bprintf b "  %-40s count %d sum %.6g mean %.6g\n"
           h.h_name
           count

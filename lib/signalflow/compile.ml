@@ -19,8 +19,10 @@ type instr =
   | Orb of int * int * int
   | Notb of int * int
   | Sel of int * int * int * int  (** dst, cond, then, else *)
-  | Mul_add of int * int * int * int  (** d := a*b + c *)
-  | Add_mul of int * int * int * int  (** d := c + a*b *)
+  | Lin of int * int array
+      (** [d := ((a0*b0 + a1*b1) + ...)] over the operands
+          [[|a0; b0; a1; b1; ...|]], at least two terms; a term whose
+          [b] is [-1] is the plain register [a] (no product) *)
 
 type t = {
   mode : mode;
@@ -478,8 +480,7 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
     | App (_, _, a) -> [ a ]
     | Cmp (_, _, a, b) -> [ a; b ]
     | Sel (_, c, a, b) -> [ c; a; b ]
-    | Mul_add (_, a, b, c) -> [ a; b; c ]
-    | Add_mul (_, c, a, b) -> [ c; a; b ]
+    | Lin (_, ops) -> List.filter (fun r -> r >= 0) (Array.to_list ops)
   in
   let dst_of = function
     | Mov (d, _) | Neg (d, _) | Notb (d, _)
@@ -488,31 +489,77 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
     | App (_, d, _)
     | Cmp (_, d, _, _)
     | Sel (d, _, _, _)
-    | Mul_add (d, _, _, _)
-    | Add_mul (d, _, _, _) ->
+    | Lin (d, _) ->
         d
   in
-  (* -- multiply-add: a product read only by the addition right after
-     it folds into one instruction. Adjacency means no store can fall
-     between the two reads of the product's operands; the operand
-     order of the addition is kept (two opcodes), and execution is
-     still a rounded [*.] then a rounded [+.], so results stay
-     bit-identical. -- *)
+  (* [relabel fd fs i]: [i] with its destination mapped by [fd] and its
+     sources by [fs]; the plain-term marker of a [Lin] stays. *)
+  let relabel fd fs = function
+    | Mov (d, a) -> Mov (fd d, fs a)
+    | Neg (d, a) -> Neg (fd d, fs a)
+    | Notb (d, a) -> Notb (fd d, fs a)
+    | Add (d, a, b) -> Add (fd d, fs a, fs b)
+    | Sub (d, a, b) -> Sub (fd d, fs a, fs b)
+    | Mul (d, a, b) -> Mul (fd d, fs a, fs b)
+    | Div (d, a, b) -> Div (fd d, fs a, fs b)
+    | Andb (d, a, b) -> Andb (fd d, fs a, fs b)
+    | Orb (d, a, b) -> Orb (fd d, fs a, fs b)
+    | App (f, d, a) -> App (f, fd d, fs a)
+    | Cmp (c, d, a, b) -> Cmp (c, fd d, fs a, fs b)
+    | Sel (d, c, a, b) -> Sel (fd d, fs c, fs a, fs b)
+    | Lin (d, ops) ->
+        Lin (fd d, Array.map (fun r -> if r < 0 then r else fs r) ops)
+  in
+  (* -- sum-of-products fusion: an addition becomes a [Lin] row when
+     the instruction just before it defines a temporary that only the
+     row reads; a [Mul] then replaces the plain term it feeds, and a
+     row that is the leftmost term is spliced in front. The row keeps
+     absorbing while that holds. Every absorbed instruction writes a
+     temporary and the group is a run of consecutive instructions, so
+     no slot store falls between the reads of its operands. Terms stay
+     in source order and [exec] rounds each product, then each partial
+     sum left to right, so results stay bit-identical (no fused
+     [Float.fma]). A product that CSE shares has several readers and
+     stays a [Mul]. -- *)
   let vcode =
     let uses = Array.make (max 1 (!next_vtemp - temp_base)) 0 in
     let use s = if s >= temp_base then uses.(s - temp_base) <- uses.(s - temp_base) + 1 in
     List.iter (fun i -> List.iter use (srcs i)) !vcode;
     let single t = t >= temp_base && uses.(t - temp_base) = 1 in
-    (* [!vcode] is newest first, so an addition is met before the
-       product it may absorb *)
-    let rec fuse acc = function
-      | Add (d, x, y) :: Mul (t, a, b) :: rest when single t && (x = t || y = t) ->
-          let i = if x = t then Mul_add (d, a, b, y) else Add_mul (d, x, a, b) in
-          fuse (i :: acc) rest
-      | i :: rest -> fuse (i :: acc) rest
-      | [] -> Array.of_list acc
+    let absorb ops = function
+      | Mul (t, a, b) when single t ->
+          (* one reader, so [t] is at most one plain term *)
+          let rec find j =
+            if 2 * j >= Array.length ops then None
+            else if ops.(2 * j) = t && ops.((2 * j) + 1) < 0 then begin
+              let ops = Array.copy ops in
+              ops.(2 * j) <- a;
+              ops.((2 * j) + 1) <- b;
+              Some ops
+            end
+            else find (j + 1)
+          in
+          find 0
+      | Lin (t, row) when single t && ops.(0) = t && ops.(1) < 0 ->
+          Some (Array.append row (Array.sub ops 2 (Array.length ops - 2)))
+      | _ -> None
     in
-    fuse [] !vcode
+    (* [out] is the code so far, newest first *)
+    let rec push out i =
+      let row =
+        match i with
+        | Add (d, x, y) -> Some (d, [| x; -1; y; -1 |])
+        | Lin (d, ops) -> Some (d, ops)
+        | _ -> None
+      in
+      match (row, out) with
+      | Some (d, ops), prev :: rest -> (
+          match absorb ops prev with
+          | Some ops -> push rest (Lin (d, ops))
+          | None -> i :: out)
+      | _ -> i :: out
+    in
+    Array.of_list (List.rev (List.fold_left push [] (List.rev !vcode)))
   in
   (* -- pass 3: collapse virtual temporaries onto a small physical
      file. Last uses are computed over the whole program, so a value
@@ -542,7 +589,7 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
   let code =
     Array.mapi
       (fun i instr ->
-        let s = List.map rename (srcs instr) in
+        let renamed = relabel Fun.id rename instr in
         List.iter
           (fun v ->
             if v >= temp_base && Hashtbl.find_opt last_use v = Some i then
@@ -561,22 +608,7 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
             p
           end
         in
-        match (instr, s) with
-        | Mov _, [ a ] -> Mov (d, a)
-        | Neg _, [ a ] -> Neg (d, a)
-        | Notb _, [ a ] -> Notb (d, a)
-        | Add _, [ a; b ] -> Add (d, a, b)
-        | Sub _, [ a; b ] -> Sub (d, a, b)
-        | Mul _, [ a; b ] -> Mul (d, a, b)
-        | Div _, [ a; b ] -> Div (d, a, b)
-        | Andb _, [ a; b ] -> Andb (d, a, b)
-        | Orb _, [ a; b ] -> Orb (d, a, b)
-        | App (f, _, _), [ a ] -> App (f, d, a)
-        | Cmp (c, _, _, _), [ a; b ] -> Cmp (c, d, a, b)
-        | Sel _, [ c; a; b ] -> Sel (d, c, a, b)
-        | Mul_add _, [ a; b; c ] -> Mul_add (d, a, b, c)
-        | Add_mul _, [ c; a; b ] -> Add_mul (d, c, a, b)
-        | _ -> assert false)
+        relabel (fun _ -> d) Fun.id renamed)
       vcode
   in
   let targets = Array.of_list (List.map fst roots) in
@@ -640,7 +672,15 @@ let traffic t =
       | Orb _ -> count "or" 2 ~flop:0
       | Notb _ -> count "not" 1 ~flop:0
       | Sel _ -> count "sel" 3 ~flop:0
-      | Mul_add _ | Add_mul _ -> count "madd" 3 ~flop:2)
+      | Lin (_, ops) ->
+          (* k products and p plain terms: 2k + p reads, k products
+             and k + p - 1 additions *)
+          let terms = Array.length ops / 2 in
+          let products = ref 0 in
+          for j = 0 to terms - 1 do
+            if ops.((2 * j) + 1) >= 0 then incr products
+          done;
+          count "lin" (terms + !products) ~flop:(terms + !products - 1))
     t.code;
   let t_opcode_mix =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) mix []
@@ -704,12 +744,29 @@ let exec t (regs : float array) =
     | Notb (d, a) -> set regs d (if get regs a <> 0.0 then 0.0 else 1.0)
     | Sel (d, c, a, b) ->
         set regs d (if get regs c <> 0.0 then get regs a else get regs b)
-    | Mul_add (d, a, b, c) ->
-        let x = get regs a and y = get regs b and z = get regs c in
-        set regs d ((x *. y) +. z)
-    | Add_mul (d, c, a, b) ->
-        let x = get regs a and y = get regs b and z = get regs c in
-        set regs d (z +. (x *. y))
+    | Lin (d, ops) ->
+        (* a term with no second operand is a plain register *)
+        let x = get regs (Array.unsafe_get ops 0) in
+        let b = Array.unsafe_get ops 1 in
+        let acc =
+          ref
+            (if b < 0 then x
+             else
+               let y = get regs b in
+               x *. y)
+        in
+        for j = 1 to (Array.length ops lsr 1) - 1 do
+          let x = get regs (Array.unsafe_get ops (2 * j)) in
+          let b = Array.unsafe_get ops ((2 * j) + 1) in
+          let p =
+            if b < 0 then x
+            else
+              let y = get regs b in
+              x *. y
+          in
+          acc := !acc +. p
+        done;
+        set regs d !acc
   done
 
 (* ---- generic (abstract) execution ---- *)
@@ -750,10 +807,16 @@ let exec_with (ip : 'a interp) t (regs : 'a array) =
     | Orb (d, a, b) -> regs.(d) <- ip.i_or regs.(a) regs.(b)
     | Notb (d, a) -> regs.(d) <- ip.i_not regs.(a)
     | Sel (d, c, a, b) -> regs.(d) <- ip.i_sel regs.(c) regs.(a) regs.(b)
-    | Mul_add (d, a, b, c) ->
-        regs.(d) <- ip.i_add (ip.i_mul regs.(a) regs.(b)) regs.(c)
-    | Add_mul (d, c, a, b) ->
-        regs.(d) <- ip.i_add regs.(c) (ip.i_mul regs.(a) regs.(b))
+    | Lin (d, ops) ->
+        let term j =
+          let a = regs.(ops.(2 * j)) and b = ops.((2 * j) + 1) in
+          if b < 0 then a else ip.i_mul a regs.(b)
+        in
+        let acc = ref (term 0) in
+        for j = 1 to (Array.length ops / 2) - 1 do
+          acc := ip.i_add !acc (term j)
+        done;
+        regs.(d) <- !acc
   done
 
 (* ---- disassembly ---- *)
@@ -787,10 +850,13 @@ let pp ppf t =
       | Notb (d, a) -> Format.fprintf ppf "  %s := !%s" (r d) (r a)
       | Sel (d, c, a, b) ->
           Format.fprintf ppf "  %s := %s ? %s : %s" (r d) (r c) (r a) (r b)
-      | Mul_add (d, a, b, c) ->
-          Format.fprintf ppf "  %s := %s * %s + %s" (r d) (r a) (r b) (r c)
-      | Add_mul (d, c, a, b) ->
-          Format.fprintf ppf "  %s := %s + %s * %s" (r d) (r c) (r a) (r b));
+      | Lin (d, ops) ->
+          let term j =
+            let a = ops.(2 * j) and b = ops.((2 * j) + 1) in
+            if b < 0 then r a else r a ^ " * " ^ r b
+          in
+          Format.fprintf ppf "  %s := %s" (r d)
+            (String.concat " + " (List.init (Array.length ops / 2) term)));
       Format.fprintf ppf "@,")
     t.code;
   Format.fprintf ppf "@]"

@@ -30,11 +30,17 @@
       demand-first from the assignment roots, so unreferenced nodes
       are never scheduled, and temporaries are re-allocated from a
       free list after their last use;
-    - {e multiply-add}: a product whose only reader is the addition
-      scheduled right after it becomes one instruction, [d := a*b + c]
-      or [d := c + a*b] (the addition keeps its operand order). It
-      still rounds the product and then the sum, exactly as the
-      interpreter does — it is not a fused [Float.fma].
+    - {e sum-of-products rows}: a left-associated sum of products
+      such as an RC ladder row [d := k1*x1 + k2*x2 + k3*x3] becomes
+      one instruction, [d := ((a0*b0 + a1*b1) + ...)], whose terms may
+      also be plain registers. An addition absorbs the instruction
+      scheduled right before it while that instruction defines a
+      temporary only the addition reads — a product, or a row that is
+      the leftmost term — so no slot store falls inside a row, and a
+      product that CSE shares stays a separate multiply. Execution
+      rounds each product, then each partial sum left to right in
+      source order, exactly as the interpreter does — it is not a
+      fused [Float.fma].
 
     Conditionals are compiled eagerly ([Sel] evaluates both arms).
     This is value-identical to the interpreter's lazy evaluation
@@ -121,7 +127,9 @@ val traffic : t -> traffic
 (** Static per-step register/opcode traffic of the artifact. The
     bytecode is straight-line, so these are exact per-[exec] counts,
     computed without running anything — the runner multiplies by its
-    tick count for journal reporting. *)
+    tick count for journal reporting. A row of k products (mnemonic
+    [lin]) counts 2k reads and 2k-1 flops; each plain term adds one
+    read and one addition. *)
 
 val load_consts : t -> float array -> unit
 (** Preload the constant pool into its registers. Must be called once
@@ -164,8 +172,8 @@ val exec_with : 'a interp -> t -> 'a array -> unit
 (** One step over an arbitrary domain: the caller preloads constants
     (mapped from {!const_pool}) at registers [n_slots t ..] and input
     slots, then each instruction applies the supplied operation (a
-    multiply-add applies [i_mul], then [i_add] in the addition's
-    operand order).
+    sum-of-products row applies [i_mul] per product term, then
+    [i_add] left to right in source order).
     @raise Invalid_argument if the register file is shorter than
     {!n_regs}. *)
 

@@ -124,7 +124,18 @@ let prepare ?jobs ?spans (spec : Spec.t) (tc : Circuits.testcase) =
   in
   let dt = Option.value spec.dt ~default:default_dt in
   let t_stop = Option.value spec.t_stop ~default:default_t_stop in
-  let probed = Flow.insert_probes tc.Circuits.circuit ~outputs:[ output ] in
+  let probed =
+    match Flow.insert_probes tc.Circuits.circuit ~outputs:[ output ] with
+    | probed -> probed
+    | exception (Invalid_argument _ as e) ->
+        (* An output over a node the circuit lacks: the flow's run
+           reports it as its AMS030 finding, which the gate raises as
+           [Diag.Rejected] like every other refused sweep model. *)
+        Amsvp_core.Check.gate
+          (Flow.run ?spans tc.Circuits.circuit ~outputs:[ output ] ~dt)
+            .Flow.findings;
+        raise e
+  in
   let input_names = Circuit.input_signals probed in
   let stim_of name =
     match spec.stimulus with

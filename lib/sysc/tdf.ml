@@ -12,8 +12,8 @@ type port = {
 type tdf_module = {
   id : int;
   mod_name : string;
-  reads : (port * int) list;
-  writes : (port * int) list;
+  reads : (port * int) array;
+  writes : (port * int) array;
   body : int -> unit;  (* repetition index within the activation *)
 }
 
@@ -64,7 +64,15 @@ let port c port_name ~rate =
 let add_module_rated c ~name ~reads ~writes body =
   if c.started then invalid_arg "Tdf.add_module: cluster already started";
   let id = List.length c.modules in
-  let m = { id; mod_name = name; reads; writes; body } in
+  let m =
+    {
+      id;
+      mod_name = name;
+      reads = Array.of_list reads;
+      writes = Array.of_list writes;
+      body;
+    }
+  in
   List.iter
     (fun (p, rate) ->
       if rate < 1 then invalid_arg "Tdf.add_module: rate must be >= 1";
@@ -238,8 +246,16 @@ let start c ~until_ps =
         for i = 0 to Array.length c.schedule - 1 do
           let m, reps = c.schedule.(i) in
           for rep = 0 to reps - 1 do
-            List.iter (fun (p, rate) -> p.read_base <- rep * rate) m.reads;
-            List.iter (fun (p, rate) -> p.write_base <- rep * rate) m.writes;
+            (* loops, not [List.iter]: a closure over [rep] would be
+               allocated per module and repetition *)
+            for k = 0 to Array.length m.reads - 1 do
+              let p, rate = m.reads.(k) in
+              p.read_base <- rep * rate
+            done;
+            for k = 0 to Array.length m.writes - 1 do
+              let p, rate = m.writes.(k) in
+              p.write_base <- rep * rate
+            done;
             m.body rep
           done
         done;

@@ -4,10 +4,11 @@
    every built-in paper circuit and on the checked-in example models,
    including runs whose stimuli inject NaN and infinities, and bit for
    bit on randomly generated programs (NaN, +-inf and -0 constants
-   included), whether every assignment runs or only the live ones. The
-   [`Template]/[rebind_compiled] path (what the sweep engine replays)
-   is exercised by re-targeting each random program's artifact at a
-   constant-perturbed sibling. *)
+   included), whether every assignment runs or only the live ones, and
+   on generated sums of products, the rows the bytecode fuses into one
+   instruction. The [`Template]/[rebind_compiled] path (what the sweep
+   engine replays) is exercised by re-targeting each random program's
+   artifact at a constant-perturbed sibling. *)
 
 module Sfprogram = Amsvp_sf.Sfprogram
 module Compile = Amsvp_sf.Compile
@@ -19,6 +20,7 @@ module Stimulus = Amsvp_util.Stimulus
 module Wrap = Amsvp_sysc.Wrap
 module Parser = Amsvp_vams.Parser
 module Elaborate = Amsvp_vams.Elaborate
+module Absint = Amsvp_analysis.Absint
 
 let ulp_ok a b = Int64.compare (Metrics.ulp_distance a b) 1L <= 0
 
@@ -271,7 +273,7 @@ let targets (p : Sfprogram.t) =
 (* Step [reference] and [others] in lock-step and compare, after every
    step, each other runner's [vars] with the reference's values bit for
    bit — stricter than comparing output traces, since CSE,
-   dead-register elimination, multiply-add fusion and slicing must not
+   dead-register elimination, row fusion and slicing must not
    disturb intermediates. The reference must declare every target in
    [~reads]. *)
 let lockstep label stims reference others =
@@ -297,35 +299,138 @@ let lockstep label stims reference others =
    declaring every target makes it evaluate them all. Sliced and full
    runners of both engines, and the rebound template, must agree with
    the full tree interpreter on every target they compute. *)
+let check_engines (p, stims) =
+  let all = targets p in
+  let live =
+    let dead = Sfprogram.dead_targets p in
+    List.filter (fun v -> not (List.mem v dead)) all
+  in
+  let create ?compiled engine reads q =
+    Sfprogram.Runner.create ?compiled ~engine ~reads q
+  in
+  lockstep "program" stims (create `Tree all p)
+    [
+      ("bytecode/full", create `Bytecode all p, all);
+      ("tree/sliced", create `Tree [] p, live);
+      ("bytecode/sliced", create `Bytecode [] p, live);
+    ];
+  (* The sweep replay path: a [`Template] artifact compiled from [p],
+     re-targeted at the constant-perturbed sibling. *)
+  let p2 = perturb p in
+  match Sfprogram.rebind_compiled (Sfprogram.compile ~mode:`Template p) p2 with
+  | None ->
+      QCheck.Test.fail_reportf "rebind refused a same-shape program:@ %a"
+        Sfprogram.pp p2
+  | Some art ->
+      lockstep "perturbed" stims (create `Tree all p2)
+        [ ("rebound", create ~compiled:art `Bytecode [] p2, live) ]
+
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: tree = bytecode = rebound template"
-    ~count:300 arb_case (fun (p, stims) ->
-      let all = targets p in
-      let live =
-        let dead = Sfprogram.dead_targets p in
-        List.filter (fun v -> not (List.mem v dead)) all
+    ~count:300 arb_case (fun case ->
+      check_engines case;
+      true)
+
+(* ---- Sum-of-products rows ---- *)
+
+(* Left-associated sums of 1-8 terms, the shape the bytecode fuses into
+   one [Lin] instruction: each term is a product of two leaves, a plain
+   leaf, or a product from a pool every row may read, so CSE keeps
+   some products out of the rows. Leaves are [interesting] constants,
+   inputs, earlier targets and delayed samples, the target's own
+   history included. Raw constructors keep the shape exactly as
+   generated (the smart ones fold [0 * x] and [1 * x]). *)
+let gen_row_program =
+  let open QCheck.Gen in
+  let const_leaf =
+    map (fun i -> Expr.Const interesting.(i mod Array.length interesting)) nat
+  in
+  let pick xs = map (fun i -> xs.(i mod Array.length xs)) nat in
+  let mul a b = Expr.Mul (a, b) in
+  let shared_leaf =
+    frequency
+      [
+        (1, const_leaf);
+        ( 2,
+          pick
+            (Array.of_list
+               (List.map Expr.var
+                  (input_vars @ List.map (fun v -> Expr.delayed v 1) input_vars)))
+        );
+      ]
+  in
+  list_size (int_range 1 3) (map2 mul shared_leaf shared_leaf) >>= fun shared ->
+  let shared = Array.of_list shared in
+  int_range 1 4 >>= fun n_assign ->
+  let rec build i acc =
+    if i >= n_assign then return (List.rev acc)
+    else
+      let prior = List.init i target_var in
+      let hist =
+        List.concat_map
+          (fun v -> [ Expr.delayed v 1; Expr.delayed v 2 ])
+          (input_vars @ prior @ [ target_var i ])
       in
-      let create ?compiled engine reads q =
-        Sfprogram.Runner.create ?compiled ~engine ~reads q
+      let leaf =
+        frequency
+          [
+            (2, const_leaf);
+            (3, pick (Array.of_list (List.map Expr.var (input_vars @ prior @ hist))));
+          ]
       in
-      lockstep "program" stims (create `Tree all p)
-        [
-          ("bytecode/full", create `Bytecode all p, all);
-          ("tree/sliced", create `Tree [] p, live);
-          ("bytecode/sliced", create `Bytecode [] p, live);
-        ];
-      (* The sweep replay path: a [`Template] artifact compiled from
-         [p], re-targeted at the constant-perturbed sibling. *)
-      let p2 = perturb p in
-      (match
-         Sfprogram.rebind_compiled (Sfprogram.compile ~mode:`Template p) p2
-       with
-      | None ->
-          QCheck.Test.fail_reportf
-            "rebind refused a same-shape program:@ %a" Sfprogram.pp p2
-      | Some art ->
-          lockstep "perturbed" stims (create `Tree all p2)
-            [ ("rebound", create ~compiled:art `Bytecode [] p2, live) ]);
+      let term =
+        frequency [ (6, map2 mul leaf leaf); (2, leaf); (2, pick shared) ]
+      in
+      int_range 1 8 >>= fun n ->
+      list_repeat n term >>= fun terms ->
+      let e =
+        List.fold_left (fun a b -> Expr.Add (a, b)) (List.hd terms) (List.tl terms)
+      in
+      build (i + 1) ({ Sfprogram.target = target_var i; expr = e } :: acc)
+  in
+  build 0 [] >|= fun assignments ->
+  Sfprogram.make ~name:"rows" ~inputs
+    ~outputs:[ target_var (List.length assignments - 1) ]
+    ~assignments ~dt:1.0
+
+let arb_row_case =
+  QCheck.make
+    ~print:(fun (p, _) -> Format.asprintf "%a" Sfprogram.pp p)
+    QCheck.Gen.(
+      pair gen_row_program
+        (array_size (return 24) (pair gen_stimulus_value gen_stimulus_value)))
+
+(* The abstract interpreter, given the box the stimuli span, must
+   contain every value the concrete run computes. *)
+let check_intervals (p, stims) =
+  let box f =
+    Array.fold_left (fun acc s -> Absint.join acc (Absint.const (f s)))
+      (Absint.const (f stims.(0))) stims
+  in
+  let a =
+    Absint.analyze ~inputs:(List.combine inputs [ box fst; box snd ]) p
+  in
+  let all = targets p in
+  let r = Sfprogram.Runner.create ~engine:`Tree ~reads:all p in
+  Array.iteri
+    (fun t (u0, u1) ->
+      Sfprogram.Runner.step r ~inputs:[| u0; u1 |];
+      List.iter
+        (fun v ->
+          let x = Sfprogram.Runner.read r v in
+          let itv = List.assoc v a.Absint.a_targets in
+          if not (Absint.mem x itv) then
+            QCheck.Test.fail_reportf "step %d, %s: %h outside %s" t
+              (Expr.var_name v) x (Absint.to_string itv))
+        all)
+    stims
+
+let prop_rows =
+  QCheck.Test.make
+    ~name:"sum-of-products rows: tree = bytecode = rebound template, absint sound"
+    ~count:300 arb_row_case (fun case ->
+      check_engines case;
+      check_intervals case;
       true)
 
 let () =
@@ -342,5 +447,5 @@ let () =
         ] );
       ( "examples",
         [ Alcotest.test_case "example models" `Quick test_example_models ] );
-      ("property", qt [ prop_random_programs ]);
+      ("property", qt [ prop_random_programs; prop_rows ]);
     ]

@@ -176,6 +176,27 @@ let test_histogram_non_finite () =
   Alcotest.(check bool) "sum is poisoned, by design" true
     (Float.is_nan (Obs.Histogram.sum h))
 
+(* The running sum lives in a float-only cell, so recording a sample
+   boxes nothing. The samples are preallocated constants: the caller's
+   own boxing of a computed argument is not what is measured. *)
+let test_histogram_observe_allocation_free () =
+  fresh ();
+  let h =
+    Obs.Histogram.make ~buckets:[| 1.0; 2.0 |] "test_obs_histogram_alloc"
+  in
+  let a = 0.5 and b = 1.5 and c = 7.0 in
+  Obs.Histogram.observe h a;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Obs.Histogram.observe h a;
+    Obs.Histogram.observe h b;
+    Obs.Histogram.observe h c
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words of 3000 observe" 0.0 words;
+  Alcotest.(check int) "count" 3001 (Obs.Histogram.count h);
+  Alcotest.(check (float 0.0)) "sum" 9000.5 (Obs.Histogram.sum h)
+
 let test_reset () =
   fresh ();
   Obs.enable ();
@@ -360,6 +381,8 @@ let () =
             test_histogram_boundaries;
           Alcotest.test_case "histogram non-finite" `Quick
             test_histogram_non_finite;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_histogram_observe_allocation_free;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "sinks",

@@ -1575,6 +1575,50 @@ let test_daemon_werror_rejection () =
       | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
       | _ -> Alcotest.fail "daemon killed")
 
+(* A spec whose output names a node the circuit lacks is refused by
+   the flow while the sweep is prepared: a structured [Rejected] frame
+   carrying the AMS030 finding, not a [Failed] one, and the daemon
+   keeps serving. *)
+let test_daemon_unknown_output_rejected () =
+  let sock = tmp (Printf.sprintf "amsvp_serve_uo_%d.sock" (Unix.getpid ())) in
+  if Sys.file_exists sock then Sys.remove sock;
+  match Unix.fork () with
+  | 0 ->
+      (try
+         Daemon.serve
+           { (Daemon.default_config ~socket_path:sock) with workers = 1 }
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      wait_for_socket sock;
+      let c = Client.connect sock in
+      let zig =
+        { small_spec with Spec.name = "zig"; output = Some "V(zig,gnd)" }
+      in
+      (match Client.submit c ~spec_text:(Spec.to_string zig) () with
+      | Ok (Protocol.Rejected { findings = [ f ]; _ }) ->
+          Alcotest.(check string) "code" "AMS030" f.Diag.code;
+          Alcotest.(check string) "message"
+            "Flow: output V(zig,gnd) refers to unknown nodes" f.Diag.message
+      | Ok r ->
+          Alcotest.failf "expected one AMS030 rejection, got %s"
+            (Protocol.encode_response r)
+      | Error m -> Alcotest.failf "submit: %s" m);
+      Client.send c Protocol.Ping;
+      (match Client.recv c with
+      | Ok Protocol.Pong -> ()
+      | _ -> Alcotest.fail "daemon dead after rejection");
+      Client.send c Protocol.Shutdown;
+      (match Client.recv c with
+      | Ok Protocol.Bye -> ()
+      | _ -> Alcotest.fail "expected bye");
+      Client.close c;
+      let _, status = Unix.waitpid [] pid in
+      (match status with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
+      | _ -> Alcotest.fail "daemon killed")
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "serve"
@@ -1635,5 +1679,7 @@ let () =
             test_daemon_timeout_counters;
           Alcotest.test_case "werror rejection is structured, daemon survives"
             `Quick test_daemon_werror_rejection;
+          Alcotest.test_case "unknown output rejected with AMS030" `Quick
+            test_daemon_unknown_output_rejected;
         ] );
     ]

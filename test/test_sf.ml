@@ -309,10 +309,46 @@ let test_rc20_counts () =
   let c = Sfprogram.compile p in
   Alcotest.(check int) "live assignments" 43
     (Array.length (Compile.target_slots c));
-  Alcotest.(check int) "fused instructions" 120 (Compile.n_instrs c);
-  Alcotest.(check int) "multiply-adds" 78
-    (Option.value ~default:0
-       (List.assoc_opt "madd" (Compile.traffic c).Compile.t_opcode_mix))
+  (* each of the 38 ladder rows [d := k1*x1 + k2*x2 + k3*x3] is one
+     instruction, plus two two-term rows, two moves and two products *)
+  Alcotest.(check int) "fused instructions" 44 (Compile.n_instrs c);
+  Alcotest.(check (list (pair string int))) "opcode mix"
+    [ ("lin", 40); ("mov", 2); ("mul", 2) ]
+    (Compile.traffic c).Compile.t_opcode_mix
+
+(* A product two rows share stays a [Mul]; each row around it is one
+   [Lin] that reads the shared product as a plain term. Traffic counts
+   a row of k products and p plain terms as 2k + p reads and
+   2k + p - 1 flops. *)
+let test_row_fusion () =
+  let v = Expr.signal "v" in
+  let uv = Expr.Mul (Expr.var input, Expr.var v) in
+  let k c x = Expr.Mul (Expr.Const c, Expr.var x) in
+  let sum = function
+    | t :: ts -> List.fold_left (fun a b -> Expr.Add (a, b)) t ts
+    | [] -> invalid_arg "sum"
+  in
+  let p =
+    mk ~inputs:[ "u"; "v" ]
+      [
+        asg z (sum [ uv; k 2.0 input; k 3.0 v; k 5.0 (Expr.delayed input 1) ]);
+        asg y (sum [ k 7.0 z; uv ]);
+      ]
+  in
+  let c = Sfprogram.compile p in
+  let tr = Compile.traffic c in
+  Alcotest.(check (list (pair string int))) "opcode mix"
+    [ ("lin", 2); ("mul", 1) ]
+    tr.Compile.t_opcode_mix;
+  Alcotest.(check int) "reads" (2 + 7 + 3) tr.Compile.t_reads;
+  Alcotest.(check int) "writes" 3 tr.Compile.t_writes;
+  Alcotest.(check int) "flops" (1 + 6 + 2) tr.Compile.t_flops;
+  let rows =
+    String.split_on_char '\n' (Format.asprintf "%a" Compile.pp c)
+    |> List.map (fun l -> List.length (String.split_on_char '+' l) - 1)
+  in
+  Alcotest.(check bool) "the four-term row prints whole" true
+    (List.mem 3 rows)
 
 (* Minor-heap words allocated while [f ()] runs. *)
 let minor_words f =
@@ -465,6 +501,7 @@ let () =
             test_compiled_live_set_checked;
           Alcotest.test_case "RC20 live and fused counts" `Quick
             test_rc20_counts;
+          Alcotest.test_case "shared product and rows" `Quick test_row_fusion;
           Alcotest.test_case "exec allocates nothing" `Quick
             test_exec_allocation_free;
           Alcotest.test_case "counters exact, also after an abort" `Quick

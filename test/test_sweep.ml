@@ -941,6 +941,27 @@ let test_nan_point_flagged () =
     (contains csv ",health,");
   Alcotest.(check bool) "csv flags the nan" true (contains csv "nan@")
 
+(* An output over a node the circuit lacks is the flow's AMS030
+   finding, raised while the sweep is prepared — the coded error the
+   CLI prints and the daemon's [rejected] reply carry. *)
+let test_unknown_output_rejected () =
+  let tc = Option.get (Circuits.by_name "RECT") in
+  let spec =
+    {
+      Spec.default with
+      Spec.name = "zig";
+      output = Some "V(zig,gnd)";
+      t_stop = Some 1e-4;
+      axes = [ { Spec.param = "r1.r"; range = Spec.Values [ 1e3; 2e3 ] } ];
+    }
+  in
+  match Runner.prepare spec tc with
+  | _ -> Alcotest.fail "expected Diag.Rejected"
+  | exception Diag.Rejected f ->
+      Alcotest.(check string) "code" "AMS030" f.Diag.code;
+      Alcotest.(check string) "message"
+        "Flow: output V(zig,gnd) refers to unknown nodes" f.Diag.message
+
 let test_fast_fail_diagnoses_once () =
   (* A structurally defective model must be rejected at sweep setup —
      one located finding — not rediscovered by every scenario point.
@@ -1243,6 +1264,8 @@ let () =
           Alcotest.test_case "report outputs" `Quick test_report_outputs;
           Alcotest.test_case "fast-fail on bad model" `Quick
             test_fast_fail_diagnoses_once;
+          Alcotest.test_case "unknown output rejected with AMS030" `Quick
+            test_unknown_output_rejected;
           Alcotest.test_case "golden reference on" `Quick
             (test_golden_rect_tolerance ~reference:true);
           Alcotest.test_case "golden reference off" `Quick

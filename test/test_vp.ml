@@ -577,6 +577,26 @@ let test_platform_rc20_pinned () =
       Alcotest.(check string) (label ^ " UART text") uart r.Platform.uart_output)
     pinned
 
+(* The TDF binding's per-step allocation: the minor words that 4000
+   more steps of the Table III RC20 run cost (set-up cancels out). A
+   closure per module and repetition, to set its port bases, would
+   add 40 words a step. *)
+let test_tdf_words_per_step () =
+  let tc = Circuits.rc_ladder 20 in
+  let dt = 50e-9 in
+  let program = Some (Flow.abstract_testcase tc ~dt).Flow.program in
+  let words t_stop =
+    let before = Gc.minor_words () in
+    ignore
+      (Platform.run ~cpu_hz:2e8 ~testcase:tc ~program ~binding:Platform.Tdf ~dt
+         ~t_stop ());
+    Gc.minor_words () -. before
+  in
+  ignore (words 0.2e-3);
+  let per_step = (words 0.4e-3 -. words 0.2e-3) /. 4000.0 in
+  (* a few words of trace growth round away *)
+  Alcotest.(check (float 0.0)) "minor words per step" 12.0 (Float.round per_step)
+
 let test_platform_requires_program () =
   let tc, _ = rc1_setup () in
   Alcotest.(check bool) "missing program" true
@@ -660,6 +680,7 @@ let () =
           Alcotest.test_case "missing program" `Quick test_platform_requires_program;
           Alcotest.test_case "missing stimulus" `Quick
             test_platform_missing_stimulus;
+          Alcotest.test_case "TDF words per step" `Quick test_tdf_words_per_step;
           Alcotest.test_case "RC20 bindings pinned" `Quick
             test_platform_rc20_pinned;
         ] );
