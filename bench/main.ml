@@ -885,10 +885,9 @@ let absint_bench ~t_stop () =
       let a = Absint.analyze p in
       record (row ~comp:label ~target:"analyze" analyze_s);
       Printf.printf
-        "%-8s analyze: %8.4f ms   abstract steps: %2d%s   constant facts: %d\n"
+        "%-8s analyze: %8.4f ms   abstract steps: %2d%s\n"
         label (analyze_s *. 1e3) a.Absint.a_steps
-        (if a.Absint.a_widened then " (widened)" else "")
-        (List.length (Absint.constant_facts a)))
+        (if a.Absint.a_widened then " (widened)" else ""))
     [ "2IN"; "RC1"; "RC20"; "OA" ];
   (* Full front-end wall (parse + elaborate + every pass) on the
      shipped example, when run from the repo root where it lives. *)

@@ -666,20 +666,6 @@ let analyze ?(inputs = []) p =
     a_widened = !widened;
   }
 
-(* ---- facts for the bytecode compiler ---- *)
-
-let constant_facts analysis =
-  let lay = Sfprogram.layout_of analysis.a_program in
-  List.filter_map
-    (fun (target, v) ->
-      match singleton v with
-      | Some c when c <> 0.0 ->
-          (* signed zeros are indistinguishable in the domain, so a
-             proven 0 is never folded *)
-          Some (Sfprogram.layout_slot lay target, c)
-      | _ -> None)
-    analysis.a_targets
-
 (* ---- step-accurate proofs of unhealthiness ---- *)
 
 type bad = {

@@ -13,8 +13,7 @@
     - {!analyze} runs the program's step function abstractly (inputs,
       assignments in order, history rotations) to a widened fixpoint —
       a MAY analysis whose per-target ranges over-approximate every
-      reachable value, powering the AMS06x lint passes and the
-      proven-constant facts {!Amsvp_sf.Compile} folds;
+      reachable value, powering the AMS06x lint passes;
     - {!prove_unhealthy} follows the exact step sequence without
       joining across steps — a MUST analysis: when the whole abstract
       output at some step is non-finite (or finite but beyond the
@@ -117,13 +116,6 @@ val analyze : ?inputs:(string * itv) list -> Sfprogram.t -> analysis
     (at most 64), then widening iterations until
     the accumulated state is inductive. Inputs default to
     the unit box [[-1, 1]] per input signal not named in [inputs]. *)
-
-val constant_facts : analysis -> (int * float) list
-(** Slots proven to hold one finite nonzero constant at every step —
-    the [?facts] input of {!Amsvp_sf.Sfprogram.compile} /
-    {!Amsvp_sf.Compile.compile}. Zero is excluded: the domain cannot
-    distinguish signed zeros, and the engines' folding must stay
-    bit-identical. *)
 
 (** {1 Step-accurate MUST proofs} *)
 

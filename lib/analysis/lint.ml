@@ -29,7 +29,7 @@ let overridden_params design =
           match it.Ast.idesc with
           | Ast.Instance { module_name; overrides; _ } ->
               List.iter
-                (fun (p, _) -> Hashtbl.replace tbl (module_name, p) ())
+                (fun (p, _, _) -> Hashtbl.replace tbl (module_name, p) ())
                 overrides
           | _ -> ())
         m.Ast.items)
@@ -120,7 +120,7 @@ let ast_module_findings ~lang ~overridden (m : Ast.module_def) =
           use_net b it.Ast.ispan
       | Ast.Instance { connections; overrides; _ } ->
           List.iter (fun (_, net) -> use_net net it.Ast.ispan) connections;
-          List.iter (fun (_, e) -> note e) overrides
+          List.iter (fun (_, _, e) -> note e) overrides
       | Ast.Port_direction _ | Ast.Net_decl _ | Ast.Ground_decl _ -> ())
     m.Ast.items;
   let contribs = List.rev !contribs in

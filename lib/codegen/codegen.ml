@@ -1,4 +1,5 @@
 module Sfprogram = Amsvp_sf.Sfprogram
+module Compile = Amsvp_sf.Compile
 
 type target = Cpp | Systemc_de | Systemc_ams_tdf
 
@@ -7,274 +8,185 @@ let target_name = function
   | Systemc_de -> "SC-DE"
   | Systemc_ams_tdf -> "SC-AMS/TDF"
 
+(* A C++ identifier: other characters become '_', and a leading digit
+   (the paper's "2IN") gets an "m_" prefix. *)
 let sanitize_ident s =
-  String.map
-    (fun c ->
-      if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-      then c
-      else '_')
-    s
+  let s =
+    String.map
+      (fun c ->
+        if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+        then c
+        else '_')
+      s
+  in
+  if s = "" || (s.[0] >= '0' && s.[0] <= '9') then "m_" ^ s else s
 
-(* Every delayed sample of a quantity becomes a state member; the input
-   and target quantities of the current step are locals (C++/DE) or
-   port reads (TDF). *)
-let history_members (p : Sfprogram.t) =
-  let seen = Hashtbl.create 16 in
-  let members = ref [] in
-  List.iter
-    (fun (a : Sfprogram.assignment) ->
-      Expr.Var_set.iter
-        (fun v ->
-          if v.Expr.delay >= 1 then begin
-            (* All levels up to the deepest are needed for rotation. *)
-            for d = 1 to v.Expr.delay do
-              let dv = { v with Expr.delay = d } in
-              let key = Expr.var_c_name dv in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.add seen key ();
-                members := dv :: !members
-              end
-            done
-          end)
-        (Expr.vars a.Sfprogram.expr))
-    p.Sfprogram.assignments;
-  List.rev !members
-
-(* Rotation statements, deepest level first per base quantity. *)
-let rotations p =
-  let members = history_members p in
-  let by_base = Hashtbl.create 16 in
-  List.iter
-    (fun (v : Expr.var) ->
-      let base = { v with Expr.delay = 0 } in
-      let key = Expr.var_c_name base in
-      let d =
-        match Hashtbl.find_opt by_base key with
-        | Some (_, d) -> max d v.Expr.delay
-        | None -> v.Expr.delay
+(* A C++ expression that evaluates to exactly [c]: the shortest decimal
+   that reads back to the same double, or a <cmath> spelling of the
+   non-finite values (a NaN keeps its payload). A negative value is
+   parenthesised, so it can stand after any operator. *)
+let c_literal c =
+  let a = Float.abs c in
+  let s =
+    if Float.is_nan c then
+      let bits = Int64.bits_of_float c in
+      let quiet = Int64.logand bits 0x8_0000_0000_0000L <> 0L in
+      Printf.sprintf "%s(\"0x%Lx\")"
+        (if quiet then "std::nan" else "__builtin_nans")
+        (Int64.logand bits 0x7_ffff_ffff_ffffL)
+    else if a = Float.infinity then "HUGE_VAL"
+    else
+      let s =
+        List.find
+          (fun s -> Float.equal (float_of_string s) a)
+          (List.map (fun p -> Printf.sprintf "%.*g" p a) [ 15; 16; 17 ])
       in
-      Hashtbl.replace by_base key (base, d))
-    members;
-  Hashtbl.fold (fun _ (base, depth) acc -> (base, depth) :: acc) by_base []
-  |> List.sort (fun (a, _) (b, _) ->
-         String.compare (Expr.var_c_name a) (Expr.var_c_name b))
-  |> List.concat_map (fun (base, depth) ->
-         List.init depth (fun i ->
-             let k = depth - i in
-             Printf.sprintf "%s = %s;"
-               (Expr.var_c_name { base with Expr.delay = k })
-               (Expr.var_c_name { base with Expr.delay = k - 1 })))
-
-let emit_step_body p =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (a : Sfprogram.assignment) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s = %s;\n"
-           (Expr.var_c_name a.Sfprogram.target)
-           (Expr.to_c ~name:Expr.var_c_name a.Sfprogram.expr)))
-    p.Sfprogram.assignments;
-  List.iter
-    (fun line -> Buffer.add_string buf (line ^ "\n"))
-    (rotations p);
-  Buffer.contents buf
-
-let indent n text =
-  let pad = String.make n ' ' in
-  String.split_on_char '\n' text
-  |> List.map (fun l -> if l = "" then l else pad ^ l)
-  |> String.concat "\n"
+      if String.exists (fun ch -> ch = '.' || ch = 'e') s then s else s ^ ".0"
+  in
+  if Float.sign_bit c then "(-" ^ s ^ ")" else s
 
 let input_c_name s = Expr.var_c_name (Expr.signal s)
 
-let decl_members p =
-  let buf = Buffer.create 128 in
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "  double %s = 0.0;\n" (Expr.var_c_name v)))
-    (history_members p);
-  List.iter
-    (fun (a : Sfprogram.assignment) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  double %s = 0.0;\n"
-           (Expr.var_c_name a.Sfprogram.target)))
-    p.Sfprogram.assignments;
-  Buffer.contents buf
-
-let header (p : Sfprogram.t) target =
-  Printf.sprintf
-    "// %s model generated from '%s' by the abstraction flow\n\
-     // (conservative -> signal-flow, discrete time, dt = %g s)\n"
-    (target_name target) p.Sfprogram.name p.Sfprogram.dt
-
-let emit_cpp (p : Sfprogram.t) =
-  let cname = sanitize_ident p.Sfprogram.name in
-  let params =
-    String.concat ", "
-      (List.map (fun s -> "double " ^ input_c_name s) p.Sfprogram.inputs)
+(* The statements of one step of the plan: the bytecode, then the
+   history rotations. Slots are named after their variables, the
+   current sample of input [s] [input s]; constants are literals and
+   temporaries [tN], declared first. Also returns the set of names the
+   statements read or write. *)
+let step_body ~input (p : Sfprogram.t) (pl : Sfprogram.plan) =
+  let lay = pl.Sfprogram.layout in
+  let names = Array.map Expr.var_c_name (Sfprogram.layout_vars lay) in
+  let input_slots = Sfprogram.layout_input_slots lay in
+  List.iteri (fun k s -> names.(input_slots.(k)) <- input s) p.Sfprogram.inputs;
+  let used = Hashtbl.create 16 in
+  let use s =
+    Hashtbl.replace used s ();
+    s
   in
-  let outputs =
-    String.concat "\n"
-      (List.map
-         (fun o ->
-           Printf.sprintf "  double %s_value() const { return %s; }"
-             (sanitize_ident (Expr.var_c_name o))
-             (Expr.var_c_name o))
-         p.Sfprogram.outputs)
+  let slot i = use names.(i) in
+  let n_temps = ref 0 in
+  let temp i =
+    n_temps := max !n_temps (i + 1);
+    Printf.sprintf "t%d" i
   in
+  let code =
+    Format.asprintf "@[<v>%a@]"
+      (Compile.pp_code ~slot ~const:(fun _ c -> c_literal c) ~temp)
+      (Sfprogram.compile_plan pl)
+  in
+  let rotations =
+    Array.to_list pl.Sfprogram.rotations
+    |> List.map (fun (dst, src) -> Printf.sprintf "%s = %s;" (slot dst) (slot src))
+  in
+  let temps =
+    if !n_temps = 0 then []
+    else
+      [ "double " ^ String.concat ", " (List.init !n_temps (Printf.sprintf "t%d")) ^ ";" ]
+  in
+  (temps @ (if code = "" then [] else [ code ]) @ rotations, used)
+
+(* Lines (possibly multi-line strings), each indented by [n]. *)
+let block n lines =
+  let pad = String.make n ' ' in
   String.concat ""
-    [
-      header p Cpp;
-      Printf.sprintf "class %s {\npublic:\n" cname;
-      decl_members p;
-      Printf.sprintf "\n  void step(%s) {\n" params;
-      indent 4 (emit_step_body p);
-      "  }\n\n";
-      outputs;
-      "\n};\n";
-    ]
+    (List.concat_map
+       (fun text ->
+         List.map
+           (fun l -> if l = "" then "\n" else pad ^ l ^ "\n")
+           (String.split_on_char '\n' text))
+       lines)
 
-let emit_systemc_de (p : Sfprogram.t) =
+let emit_step_body p =
+  block 0 (fst (step_body ~input:input_c_name p (Sfprogram.plan p)))
+
+(* One skeleton for all targets; only the header, ports, input reads,
+   output writes, timestep and constructor depend on the target. *)
+let emit target (p : Sfprogram.t) =
+  let pl = Sfprogram.plan p in
   let cname = sanitize_ident p.Sfprogram.name in
-  let in_ports =
-    String.concat ""
-      (List.map
-         (fun s -> Printf.sprintf "  sc_core::sc_in<double> %s;\n" (input_c_name s))
-         p.Sfprogram.inputs)
+  let dt = c_literal p.Sfprogram.dt in
+  (* SystemC ports carry the signal names; their samples are locals. *)
+  let input s = if target = Cpp then input_c_name s else input_c_name s ^ "_v" in
+  let body, used = step_body ~input p pl in
+  let inputs = List.map input_c_name p.Sfprogram.inputs in
+  let outputs = List.map Expr.var_c_name p.Sfprogram.outputs in
+  let input_slots = Sfprogram.layout_input_slots pl.Sfprogram.layout in
+  let members =
+    Sfprogram.layout_vars pl.Sfprogram.layout
+    |> Array.to_list
+    |> List.filteri (fun i _ ->
+           pl.Sfprogram.readable.(i) && not (Array.mem i input_slots))
+    |> List.map (fun v -> Printf.sprintf "double %s = 0.0;" (Expr.var_c_name v))
   in
-  let out_ports =
-    String.concat ""
-      (List.map
-         (fun o ->
-           Printf.sprintf "  sc_core::sc_out<double> %s_out;\n"
-             (Expr.var_c_name o))
-         p.Sfprogram.outputs)
+  let ports kind =
+    List.map (Printf.sprintf "%s_in<double> %s;" kind) inputs
+    @ List.map (Printf.sprintf "%s_out<double> %s_out;" kind) outputs
   in
   let reads =
-    String.concat ""
-      (List.map
-         (fun s ->
-           Printf.sprintf "    const double %s_v = %s.read();\n"
-             (input_c_name s) (input_c_name s))
-         p.Sfprogram.inputs)
-  in
-  (* In the DE module, inputs are read from ports: rename in the body. *)
-  let body =
-    let renamed =
-      List.map
-        (fun (a : Sfprogram.assignment) ->
-          let expr =
-            Expr.subst
-              (fun v ->
-                match v.Expr.base with
-                | Expr.Signal s
-                  when v.Expr.delay = 0 && List.mem s p.Sfprogram.inputs ->
-                    Some (Expr.var (Expr.signal (s ^ "_v")))
-                | _ -> None)
-              a.Sfprogram.expr
-          in
-          { a with Sfprogram.expr })
-        p.Sfprogram.assignments
-    in
-    emit_step_body { p with Sfprogram.assignments = renamed }
+    List.filter_map
+      (fun s ->
+        if Hashtbl.mem used (input s) then
+          Some
+            (Printf.sprintf "const double %s = %s.read();" (input s)
+               (input_c_name s))
+        else None)
+      p.Sfprogram.inputs
   in
   let writes =
-    String.concat ""
-      (List.map
-         (fun o ->
-           Printf.sprintf "    %s_out.write(%s);\n" (Expr.var_c_name o)
-             (Expr.var_c_name o))
-         p.Sfprogram.outputs)
+    List.map (fun o -> Printf.sprintf "%s_out.write(%s);" o o) outputs
+  in
+  let include_, open_, ports, step_head, pre, post, tail =
+    match target with
+    | Cpp ->
+        ( [],
+          Printf.sprintf "class %s {\npublic:" cname,
+          [],
+          Printf.sprintf "void step(%s) {"
+            (String.concat ", " (List.map (( ^ ) "double ") inputs)),
+          [],
+          [],
+          List.map
+            (fun o ->
+              Printf.sprintf "double %s_value() const { return %s; }"
+                (sanitize_ident o) o)
+            outputs )
+    | Systemc_de ->
+        ( [ "#include <systemc>" ],
+          Printf.sprintf "SC_MODULE(%s) {" cname,
+          ports "sc_core::sc",
+          "void step() {",
+          reads,
+          writes
+          @ [
+              Printf.sprintf
+                "next_trigger(sc_core::sc_time(%s, sc_core::SC_SEC));" dt;
+            ],
+          [ Printf.sprintf "SC_CTOR(%s) {\n  SC_METHOD(step);\n}" cname ] )
+    | Systemc_ams_tdf ->
+        ( [ "#include <systemc-ams>" ],
+          Printf.sprintf "SCA_TDF_MODULE(%s) {" cname,
+          ports "sca_tdf::sca",
+          Printf.sprintf
+            "void set_attributes() {\n  set_timestep(%s, sc_core::SC_SEC);\n}\n\n\
+             void processing() {"
+            dt,
+          reads,
+          writes,
+          [ Printf.sprintf "SCA_CTOR(%s) {}" cname ] )
   in
   String.concat ""
     [
-      header p Systemc_de;
-      Printf.sprintf "SC_MODULE(%s) {\n" cname;
-      in_ports;
-      out_ports;
-      decl_members p;
-      "\n  void step() {\n";
-      reads;
-      indent 4 body;
-      writes;
-      Printf.sprintf
-        "    next_trigger(sc_core::sc_time(%g, sc_core::SC_SEC));\n"
-        p.Sfprogram.dt;
-      "  }\n\n";
-      Printf.sprintf "  SC_CTOR(%s) {\n    SC_METHOD(step);\n  }\n};\n" cname;
+      block 0
+        ([
+           Printf.sprintf
+             "// %s model generated from '%s' by the abstraction flow"
+             (target_name target) p.Sfprogram.name;
+           Printf.sprintf
+             "// (conservative -> signal-flow, discrete time, dt = %s s)" dt;
+           "#include <cmath>";
+         ]
+        @ include_ @ [ ""; open_ ]);
+      block 2 (ports @ members @ [ ""; step_head ]);
+      block 4 (pre @ body @ post);
+      block 2 ([ "}"; "" ] @ tail);
+      "};\n";
     ]
-
-let emit_systemc_ams_tdf (p : Sfprogram.t) =
-  let cname = sanitize_ident p.Sfprogram.name in
-  let in_ports =
-    String.concat ""
-      (List.map
-         (fun s -> Printf.sprintf "  sca_tdf::sca_in<double> %s;\n" (input_c_name s))
-         p.Sfprogram.inputs)
-  in
-  let out_ports =
-    String.concat ""
-      (List.map
-         (fun o ->
-           Printf.sprintf "  sca_tdf::sca_out<double> %s_out;\n"
-             (Expr.var_c_name o))
-         p.Sfprogram.outputs)
-  in
-  let reads =
-    String.concat ""
-      (List.map
-         (fun s ->
-           Printf.sprintf "    const double %s_v = %s.read();\n"
-             (input_c_name s) (input_c_name s))
-         p.Sfprogram.inputs)
-  in
-  let body =
-    let renamed =
-      List.map
-        (fun (a : Sfprogram.assignment) ->
-          let expr =
-            Expr.subst
-              (fun v ->
-                match v.Expr.base with
-                | Expr.Signal s
-                  when v.Expr.delay = 0 && List.mem s p.Sfprogram.inputs ->
-                    Some (Expr.var (Expr.signal (s ^ "_v")))
-                | _ -> None)
-              a.Sfprogram.expr
-          in
-          { a with Sfprogram.expr })
-        p.Sfprogram.assignments
-    in
-    emit_step_body { p with Sfprogram.assignments = renamed }
-  in
-  let writes =
-    String.concat ""
-      (List.map
-         (fun o ->
-           Printf.sprintf "    %s_out.write(%s);\n" (Expr.var_c_name o)
-             (Expr.var_c_name o))
-         p.Sfprogram.outputs)
-  in
-  String.concat ""
-    [
-      header p Systemc_ams_tdf;
-      Printf.sprintf "SCA_TDF_MODULE(%s) {\n" cname;
-      in_ports;
-      out_ports;
-      decl_members p;
-      "\n  void set_attributes() {\n";
-      Printf.sprintf "    set_timestep(%g, sc_core::SC_SEC);\n" p.Sfprogram.dt;
-      "  }\n\n  void processing() {\n";
-      reads;
-      indent 4 body;
-      writes;
-      "  }\n\n";
-      Printf.sprintf "  SCA_CTOR(%s) {}\n};\n" cname;
-    ]
-
-let emit target p =
-  match target with
-  | Cpp -> emit_cpp p
-  | Systemc_de -> emit_systemc_de p
-  | Systemc_ams_tdf -> emit_systemc_ams_tdf p

@@ -1,12 +1,18 @@
 (** Step 4 — Code generation (paper §IV-D).
 
-    Emits a source-level rendering of a solved signal-flow program in
-    the three target languages of the paper: plain C++ (Fig. 7.b),
-    SystemC-DE (an [SC_MODULE] clocked at the model timestep) and
-    SystemC-AMS/TDF (an [SCA_TDF_MODULE] with [set_timestep] and
-    [processing]). The emitted text is a faithful rendering of the
-    update rules the OCaml back-ends execute; golden tests pin its
-    shape. *)
+    Emits a solved signal-flow program in the three target languages
+    of the paper: plain C++ (Fig. 7.b), SystemC-DE (an [SC_MODULE]
+    clocked at the model timestep) and SystemC-AMS/TDF (an
+    [SCA_TDF_MODULE] with [set_timestep] and [processing]).
+
+    The output is the bytecode the runners execute: the step plan of
+    {!Amsvp_sf.Sfprogram.plan} (live assignments, history rotations)
+    lowered by {!Amsvp_sf.Compile} and printed by its one instruction
+    printer. Slots are named after their variables, constants are
+    literals that read back to the same doubles, temporaries are
+    [double tN] locals. Compiled with [-ffp-contract=off], the model
+    steps bit-identically to [Sfprogram.Runner]'s [`Bytecode]
+    engine. *)
 
 type target = Cpp | Systemc_de | Systemc_ams_tdf
 
@@ -15,8 +21,12 @@ val target_name : target -> string
     paper's tables. *)
 
 val emit : target -> Amsvp_sf.Sfprogram.t -> string
-(** Complete compilation unit for the given target. *)
+(** Complete compilation unit for the given target. It includes
+    [<cmath>], and [<systemc>] or [<systemc-ams>] for the SystemC
+    targets. *)
 
 val emit_step_body : Amsvp_sf.Sfprogram.t -> string
-(** Just the update statements plus the state rotation — the body
-    shared by all three targets (and the code shown in Fig. 7.b). *)
+(** Just the statements of one step — temporaries, the bytecode, the
+    history rotations — with inputs named after their signals: the
+    body shared by all three targets (and the code shown in
+    Fig. 7.b). *)

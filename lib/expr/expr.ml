@@ -443,11 +443,11 @@ let fun_name = function
 
 let cmp_name = function Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 
-let pp_gen ~name ~ln_name ~cond_style ppf e =
+let pp ppf e =
   let rec go prec ppf e =
     match e with
     | Const c -> Format.fprintf ppf "%g" c
-    | Var x -> Format.pp_print_string ppf (name x)
+    | Var x -> Format.pp_print_string ppf (var_name x)
     | Neg a -> wrap prec 1 ppf (fun ppf -> Format.fprintf ppf "-%a" (go 2) a)
     | Add (a, b) ->
         wrap prec 0 ppf (fun ppf ->
@@ -463,16 +463,9 @@ let pp_gen ~name ~ln_name ~cond_style ppf e =
             Format.fprintf ppf "%a / %a" (go 1) a (go 2) b)
     | Ddt a -> Format.fprintf ppf "ddt(%a)" (go 0) a
     | Idt a -> Format.fprintf ppf "idt(%a)" (go 0) a
-    | App (fn, a) ->
-        let n = match fn with Ln -> ln_name | _ -> fun_name fn in
-        Format.fprintf ppf "%s(%a)" n (go 0) a
-    | Cond (c, a, b) -> (
-        match cond_style with
-        | `Ternary ->
-            wrap prec 0 ppf (fun ppf ->
-                Format.fprintf ppf "(%a ? %a : %a)" go_cond c (go 0) a (go 0) b)
-        | `If ->
-            Format.fprintf ppf "if (%a) %a else %a" go_cond c (go 2) a (go 2) b)
+    | App (fn, a) -> Format.fprintf ppf "%s(%a)" (fun_name fn) (go 0) a
+    | Cond (c, a, b) ->
+        Format.fprintf ppf "if (%a) %a else %a" go_cond c (go 2) a (go 2) b
   and go_cond ppf = function
     | Cmp (op, a, b) ->
         Format.fprintf ppf "%a %s %a" (go 1) a (cmp_name op) (go 1) b
@@ -484,11 +477,7 @@ let pp_gen ~name ~ln_name ~cond_style ppf e =
   in
   go 0 ppf e
 
-let pp ppf e = pp_gen ~name:var_name ~ln_name:"ln" ~cond_style:`If ppf e
 let to_string e = Format.asprintf "%a" pp e
-
-let pp_c ~name ppf e = pp_gen ~name ~ln_name:"log" ~cond_style:`Ternary ppf e
-let to_c ~name e = Format.asprintf "%a" (pp_c ~name) e
 
 let pp_tree ppf e =
   let rec go indent ppf e =

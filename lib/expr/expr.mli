@@ -6,7 +6,7 @@
     nodes are operators (paper, §IV-A). The module provides the
     manipulations every later step needs: substitution, linear-form
     extraction, solving for a variable, backward-Euler discretisation of
-    [ddt]/[idt], evaluation and code-oriented printing. *)
+    [ddt]/[idt], evaluation and printing. *)
 
 (** {1 Variables} *)
 
@@ -187,8 +187,6 @@ val pp : Format.formatter -> t -> unit
 (** Verilog-AMS-flavoured rendering, parenthesised by precedence. *)
 
 val to_string : t -> string
-
-val to_c : name:(var -> string) -> t -> string
 
 val pp_tree : Format.formatter -> t -> unit
 (** Indented tree dump used to reproduce the paper's Fig. 6/7 views. *)

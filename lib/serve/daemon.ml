@@ -415,13 +415,20 @@ let serve cfg =
   in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let bound_path =
+    Filename.concat
+      (Filename.dirname cfg.socket_path)
+      (Printf.sprintf ".amsvp-%d.sock" (Unix.getpid ()))
+  in
   Pool.register_parent_fd sock;
   Fun.protect
     ~finally:(fun () ->
       List.iter (evict st) st.ctx_order;
       Pool.unregister_parent_fd sock;
       (try Unix.close sock with Unix.Unix_error _ -> ());
-      (try Sys.remove cfg.socket_path with Sys_error _ -> ());
+      List.iter
+        (fun path -> try Sys.remove path with Sys_error _ -> ())
+        [ bound_path; cfg.socket_path ];
       Journal.flush ();
       tick_metrics ~force:true st;
       (match cfg.trace_out with
@@ -433,9 +440,13 @@ let serve cfg =
       Sys.set_signal Sys.sigint prev_int;
       Sys.set_signal Sys.sigpipe prev_pipe)
   @@ fun () ->
-  if Sys.file_exists cfg.socket_path then Sys.remove cfg.socket_path;
-  Unix.bind sock (Unix.ADDR_UNIX cfg.socket_path);
+  (* Bound and listening under a temporary name, then renamed into
+     place: a client that connects as soon as the path exists is never
+     refused. *)
+  if Sys.file_exists bound_path then Sys.remove bound_path;
+  Unix.bind sock (Unix.ADDR_UNIX bound_path);
   Unix.listen sock 8;
+  Unix.rename bound_path cfg.socket_path;
   jlog st "up"
     [
       ("socket", Journal.S cfg.socket_path);

@@ -213,29 +213,7 @@ let collect_consts assigns =
 
 (* ---- compilation ---- *)
 
-let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
-  (* Facts are externally proven invariants "this slot holds exactly
-     the finite nonzero constant c after every store". They only make
-     sense under value folding, and zero is refused because the domain
-     that proves facts cannot tell the signed zeros apart. With no
-     facts the artifact is bit-identical to one compiled without the
-     parameter. *)
-  let facts_tbl : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  if mode = `Optimize then
-    List.iter
-      (fun (s, c) ->
-        if c <> 0.0 && not (Float.is_nan c) then Hashtbl.replace facts_tbl s c)
-      facts;
-  let assigns =
-    if Hashtbl.length facts_tbl = 0 then assigns
-    else
-      List.map
-        (fun (tslot, e) ->
-          match Hashtbl.find_opt facts_tbl tslot with
-          | Some c -> (tslot, Expr.Const c)
-          | None -> (tslot, e))
-        assigns
-  in
+let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
   let shape = shape_of ~slot ~n_slots assigns in
   (* checked [slot]: every variable register must stay below the slot
      region so the unchecked accesses of [exec] are safe. *)
@@ -296,18 +274,13 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
             id)
   in
   let mk_read s =
-    (* a slot with a proven-constant fact always reads that value
-       (validated programs never read a target before its store) *)
-    match Hashtbl.find_opt facts_tbl s with
-    | Some c -> mk_const c
-    | None -> (
-        let k = Kread (s, version.(s)) in
-        match Hashtbl.find_opt keys k with
-        | Some id -> id
-        | None ->
-            let id = fresh (Nread s) in
-            Hashtbl.add keys k id;
-            id)
+    let k = Kread (s, version.(s)) in
+    match Hashtbl.find_opt keys k with
+    | Some id -> id
+    | None ->
+        let id = fresh (Nread s) in
+        Hashtbl.add keys k id;
+        id
   in
   let mk_op op args =
     let folded =
@@ -614,10 +587,10 @@ let compile_unobserved ~(mode : mode) ~facts ~slot ~n_slots assigns =
   let targets = Array.of_list (List.map fst roots) in
   { mode; shape; n_slots; n_regs = temp_base + !n_temps; consts; targets; code }
 
-let compile ?(mode : mode = `Optimize) ?(facts = []) ~slot ~n_slots assigns =
+let compile ?(mode : mode = `Optimize) ~slot ~n_slots assigns =
   Obs.with_span ~cat:"sf" "sf.compile" @@ fun () ->
   let t0 = Obs.now_ns () in
-  let t = compile_unobserved ~mode ~facts ~slot ~n_slots assigns in
+  let t = compile_unobserved ~mode ~slot ~n_slots assigns in
   Obs.Counter.incr c_programs;
   Obs.Counter.add c_instrs (Array.length t.code);
   Obs.Histogram.observe h_compile_seconds
@@ -689,6 +662,8 @@ let traffic t =
   { t_reads = !reads; t_writes = !writes; t_flops = !flops; t_opcode_mix }
 
 (* ---- execution ---- *)
+
+let const_pool t = Array.copy t.consts
 
 let load_consts t regs =
   if Array.length regs < t.n_regs then
@@ -785,8 +760,6 @@ type 'a interp = {
   i_sel : 'a -> 'a -> 'a -> 'a;
 }
 
-let const_pool t = Array.copy t.consts
-
 let exec_with (ip : 'a interp) t (regs : 'a array) =
   if Array.length regs < t.n_regs then
     invalid_arg
@@ -819,44 +792,59 @@ let exec_with (ip : 'a interp) t (regs : 'a array) =
         regs.(d) <- !acc
   done
 
-(* ---- disassembly ---- *)
+(* ---- printing ---- *)
+
+let c_fun = function
+  | Expr.Sin -> "std::sin"
+  | Expr.Cos -> "std::cos"
+  | Expr.Exp -> "std::exp"
+  | Expr.Ln -> "std::log"
+  | Expr.Sqrt -> "std::sqrt"
+  | Expr.Abs -> "std::fabs"
+  | Expr.Tanh -> "std::tanh"
+
+(* One instruction as a C++ statement over named registers. Conditions
+   stay 0.0 / 1.0 doubles and a row sums left to right, so compiled
+   without contraction the statement rounds exactly as [exec] does. *)
+let pp_instr ~reg:r ppf instr =
+  let bool d fmt = Format.fprintf ppf ("%s = " ^^ fmt ^^ " ? 1.0 : 0.0;") (r d) in
+  match instr with
+  | Mov (d, a) -> Format.fprintf ppf "%s = %s;" (r d) (r a)
+  | Neg (d, a) -> Format.fprintf ppf "%s = -%s;" (r d) (r a)
+  | Add (d, a, b) -> Format.fprintf ppf "%s = %s + %s;" (r d) (r a) (r b)
+  | Sub (d, a, b) -> Format.fprintf ppf "%s = %s - %s;" (r d) (r a) (r b)
+  | Mul (d, a, b) -> Format.fprintf ppf "%s = %s * %s;" (r d) (r a) (r b)
+  | Div (d, a, b) -> Format.fprintf ppf "%s = %s / %s;" (r d) (r a) (r b)
+  | App (f, d, a) -> Format.fprintf ppf "%s = %s(%s);" (r d) (c_fun f) (r a)
+  | Cmp (c, d, a, b) -> bool d "%s %s %s" (r a) (cmp_tag c) (r b)
+  | Andb (d, a, b) -> bool d "%s != 0.0 && %s != 0.0" (r a) (r b)
+  | Orb (d, a, b) -> bool d "%s != 0.0 || %s != 0.0" (r a) (r b)
+  | Notb (d, a) -> bool d "%s == 0.0" (r a)
+  | Sel (d, c, a, b) ->
+      Format.fprintf ppf "%s = %s != 0.0 ? %s : %s;" (r d) (r c) (r a) (r b)
+  | Lin (d, ops) ->
+      let term j =
+        let a = ops.(2 * j) and b = ops.((2 * j) + 1) in
+        if b < 0 then r a else r a ^ " * " ^ r b
+      in
+      Format.fprintf ppf "%s = %s;" (r d)
+        (String.concat " + " (List.init (Array.length ops / 2) term))
+
+let pp_code ~slot ~const ~temp ppf t =
+  let n_consts = Array.length t.consts in
+  let reg i =
+    if i < t.n_slots then slot i
+    else if i < t.n_slots + n_consts then
+      const (i - t.n_slots) t.consts.(i - t.n_slots)
+    else temp (i - t.n_slots - n_consts)
+  in
+  Format.pp_print_list (pp_instr ~reg) ppf (Array.to_list t.code)
 
 let pp ppf t =
-  let r i =
-    if i < t.n_slots then Printf.sprintf "s%d" i
-    else if i < t.n_slots + Array.length t.consts then
-      Printf.sprintf "c%d{%g}" (i - t.n_slots) t.consts.(i - t.n_slots)
-    else Printf.sprintf "t%d" (i - t.n_slots - Array.length t.consts)
-  in
-  Format.fprintf ppf "@[<v>bytecode: %d instr, %d regs (%d slots, %d consts)@,"
-    (Array.length t.code) t.n_regs t.n_slots (Array.length t.consts);
-  Array.iter
-    (fun instr ->
-      (match instr with
-      | Mov (d, s) -> Format.fprintf ppf "  %s := %s" (r d) (r s)
-      | Neg (d, a) -> Format.fprintf ppf "  %s := -%s" (r d) (r a)
-      | Add (d, a, b) -> Format.fprintf ppf "  %s := %s + %s" (r d) (r a) (r b)
-      | Sub (d, a, b) -> Format.fprintf ppf "  %s := %s - %s" (r d) (r a) (r b)
-      | Mul (d, a, b) -> Format.fprintf ppf "  %s := %s * %s" (r d) (r a) (r b)
-      | Div (d, a, b) -> Format.fprintf ppf "  %s := %s / %s" (r d) (r a) (r b)
-      | App (f, d, a) ->
-          Format.fprintf ppf "  %s := %s(%s)" (r d) (fun_tag f) (r a)
-      | Cmp (c, d, a, b) ->
-          Format.fprintf ppf "  %s := %s %s %s" (r d) (r a) (cmp_tag c) (r b)
-      | Andb (d, a, b) ->
-          Format.fprintf ppf "  %s := %s && %s" (r d) (r a) (r b)
-      | Orb (d, a, b) ->
-          Format.fprintf ppf "  %s := %s || %s" (r d) (r a) (r b)
-      | Notb (d, a) -> Format.fprintf ppf "  %s := !%s" (r d) (r a)
-      | Sel (d, c, a, b) ->
-          Format.fprintf ppf "  %s := %s ? %s : %s" (r d) (r c) (r a) (r b)
-      | Lin (d, ops) ->
-          let term j =
-            let a = ops.(2 * j) and b = ops.((2 * j) + 1) in
-            if b < 0 then r a else r a ^ " * " ^ r b
-          in
-          Format.fprintf ppf "  %s := %s" (r d)
-            (String.concat " + " (List.init (Array.length ops / 2) term)));
-      Format.fprintf ppf "@,")
-    t.code;
-  Format.fprintf ppf "@]"
+  Format.fprintf ppf "@[<v 2>bytecode: %d instr, %d regs (%d slots, %d consts)@,%a@]"
+    (Array.length t.code) t.n_regs t.n_slots (Array.length t.consts)
+    (pp_code
+       ~slot:(Printf.sprintf "s%d")
+       ~const:(Printf.sprintf "c%d{%g}")
+       ~temp:(Printf.sprintf "t%d"))
+    t

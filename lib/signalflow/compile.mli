@@ -68,7 +68,6 @@ type t
 
 val compile :
   ?mode:mode ->
-  ?facts:(int * float) list ->
   slot:(Expr.var -> int) ->
   n_slots:int ->
   (int * Expr.t) list ->
@@ -77,17 +76,6 @@ val compile :
     slot and right-hand side, in execution order) into bytecode.
     [slot] must map every variable occurring in the right-hand sides to
     a register below [n_slots]. Default mode is [`Optimize].
-
-    [facts] are externally proven invariants (from
-    [Amsvp_analysis.Absint]): slot [s] holds exactly the finite
-    nonzero constant [c] after every store. The whole right-hand side
-    of a fact slot and every read of it fold to the constant,
-    strengthening constant propagation and letting demand-driven
-    scheduling drop the computation entirely. Facts with a zero or NaN
-    value are ignored (signed zeros are indistinguishable to the
-    prover), as is the whole list under [`Template] (positional pools
-    must keep every literal). An empty [facts] yields an artifact
-    bit-identical to compiling without the parameter.
     @raise Invalid_argument on a [ddt]/[idt] node (un-discretised
     program) or a slot index out of range. *)
 
@@ -177,5 +165,26 @@ val exec_with : 'a interp -> t -> 'a array -> unit
     @raise Invalid_argument if the register file is shorter than
     {!n_regs}. *)
 
+(** {2 Printing}
+
+    One printer renders the instructions, as C++ statements
+    ([d = a * b + c;], conditions as [0.0]/[1.0] doubles, functions as
+    [std::log], [std::fabs], ...). Compiled without floating-point
+    contraction, each statement rounds exactly as {!exec} does, which
+    is what makes the generated C++ models ([Amsvp_codegen]) the
+    bytecode the runners execute. *)
+
+val pp_code :
+  slot:(int -> string) ->
+  const:(int -> float -> string) ->
+  temp:(int -> string) ->
+  Format.formatter ->
+  t ->
+  unit
+(** One statement per instruction, in execution order, separated by
+    cuts. Registers are named by [slot] (slot index), [const] (pool
+    index and value) and [temp] (temporary number, from 0). *)
+
 val pp : Format.formatter -> t -> unit
-(** Disassembly listing, one instruction per line. *)
+(** Disassembly listing: a summary line, then {!pp_code} with registers
+    named [s<slot>], [c<i>{<value>}] and [t<i>]. *)

@@ -220,26 +220,64 @@ let layout_rotations lay = Array.copy lay.l_rotations
 let assignment_slots lay (p : t) =
   List.map (fun a -> (layout_slot lay a.target, a.expr)) p.assignments
 
-(* The (slot, rhs) pairs of the live assignments only; the layout
-   stays the full program's, so slots, facts and template pools agree
-   with every other consumer of [layout_of]. *)
-let live_slots lay seen (p : t) =
-  List.filter_map
-    (fun a ->
-      if is_live seen a then Some (layout_slot lay a.target, a.expr) else None)
-    p.assignments
+let layout_vars lay =
+  let vars = Array.make lay.l_count (Expr.signal "") in
+  Hashtbl.iter (fun v s -> vars.(s) <- v) lay.l_table;
+  vars
 
-let compile_live ?mode ?facts lay live =
-  Compile.compile ?mode ?facts ~slot:(layout_slot lay) ~n_slots:lay.l_count live
+type plan = {
+  layout : layout;
+  live : (int * Expr.t) list;
+  readable : bool array;
+  rotations : (int * int) array;
+}
 
-let compile ?mode ?facts (p : t) =
+(* What one step evaluates: the live assignments against the full
+   program's layout (so slots and template pools agree with every
+   other consumer of [layout_of]), the slots that hold a value, and
+   the rotations of the histories some live assignment reads. *)
+let step_plan ?reads (p : t) =
   let lay = layout_of p in
-  compile_live ?mode ?facts lay (live_slots lay (demanded p) p)
+  let seen = demanded ?reads p in
+  let readable = Array.make (max 1 lay.l_count) false in
+  Hashtbl.iter
+    (fun (v : Expr.var) s ->
+      readable.(s) <-
+        Hashtbl.mem seen v.Expr.base
+        ||
+        match v.Expr.base with
+        | Expr.Signal name -> is_input p name
+        | Expr.Potential _ | Expr.Flow _ | Expr.Param _ -> false)
+    lay.l_table;
+  {
+    layout = lay;
+    live =
+      List.filter_map
+        (fun a ->
+          if is_live seen a then Some (layout_slot lay a.target, a.expr)
+          else None)
+        p.assignments;
+    readable;
+    rotations =
+      Array.of_list
+        (List.filter
+           (fun (dst, _) -> readable.(dst))
+           (Array.to_list lay.l_rotations));
+  }
+
+let plan p = step_plan p
+
+let lower ?mode pl =
+  Compile.compile ?mode ~slot:(layout_slot pl.layout)
+    ~n_slots:pl.layout.l_count pl.live
+
+let compile_plan pl = lower pl
+let compile ?mode (p : t) = lower ?mode (plan p)
 
 let rebind_compiled artifact (p : t) =
-  let lay = layout_of p in
-  Compile.rebind artifact ~slot:(layout_slot lay) ~n_slots:lay.l_count
-    (live_slots lay (demanded p) p)
+  let pl = plan p in
+  Compile.rebind artifact ~slot:(layout_slot pl.layout)
+    ~n_slots:pl.layout.l_count pl.live
 
 module Runner = struct
   module Obs = Amsvp_obs.Obs
@@ -281,19 +319,8 @@ module Runner = struct
   }
 
   let create ?(engine : engine = `Bytecode) ?compiled ?reads (p : program) =
-    let lay = layout_of p in
-    let seen = demanded ?reads p in
-    let live = live_slots lay seen p in
-    let readable = Array.make (max 1 lay.l_count) false in
-    Hashtbl.iter
-      (fun (v : Expr.var) s ->
-        readable.(s) <-
-          Hashtbl.mem seen v.Expr.base
-          ||
-          match v.Expr.base with
-          | Expr.Signal name -> is_input p name
-          | Expr.Potential _ | Expr.Flow _ | Expr.Param _ -> false)
-      lay.l_table;
+    let pl = step_plan ?reads p in
+    let lay = pl.layout in
     let impl, slots =
       match engine with
       | `Tree ->
@@ -301,7 +328,7 @@ module Runner = struct
             Array.of_list
               (List.map
                  (fun (s, e) -> (s, Expr.compile (layout_slot lay) e))
-                 live)
+                 pl.live)
           in
           (Tree_steps steps, Array.make (max 1 lay.l_count) 0.0)
       | `Bytecode ->
@@ -321,15 +348,15 @@ module Runner = struct
                     (Compile.n_slots a) lay.l_count
                 else if
                   Compile.target_slots a
-                  <> Array.of_list (List.map fst live)
+                  <> Array.of_list (List.map fst pl.live)
                 then
                   fail
                     "compiled artifact evaluates a different live set (%d \
                      assignments, this runner %d)"
                     (Array.length (Compile.target_slots a))
-                    (List.length live)
+                    (List.length pl.live)
                 else a
-            | None -> compile_live lay live
+            | None -> lower pl
           in
           let slots = Array.make (max 1 (Compile.n_regs artifact)) 0.0 in
           Compile.load_consts artifact slots;
@@ -340,17 +367,12 @@ module Runner = struct
       slots;
       n_state = lay.l_count;
       slot_of = layout_slot lay;
-      readable;
+      readable = pl.readable;
       input_slots = lay.l_input_slots;
       output_slots = lay.l_output_slots;
       impl;
-      n_assign = List.length live;
-      (* a history no live assignment reads needs no rotation *)
-      rotations =
-        Array.of_list
-          (List.filter
-             (fun (dst, _) -> readable.(dst))
-             (Array.to_list lay.l_rotations));
+      n_assign = List.length pl.live;
+      rotations = pl.rotations;
     }
 
   (* Only the variable slots are cleared: constant registers of the

@@ -111,13 +111,39 @@ val assignment_slots : layout -> t -> (int * Expr.t) list
     interpreter steps. {!compile} and the runners use only the live
     subset (see {!dead_targets}). *)
 
-val compile : ?mode:Compile.mode -> ?facts:(int * float) list -> t -> Compile.t
-(** Lower the live assignments (see {!dead_targets}) to bytecode
-    against the full program's canonical slot layout (the one
+val layout_vars : layout -> Expr.var array
+(** The variable of each slot. *)
+
+(** {2 Step plan} *)
+
+type plan = {
+  layout : layout;  (** the full program's {!layout_of} *)
+  live : (int * Expr.t) list;
+      (** (target slot, right-hand side) of each live assignment, in
+          execution order *)
+  readable : bool array;
+      (** per slot: an input or a live quantity, at any delay; every
+          other slot stays 0 *)
+  rotations : (int * int) array;
+      (** the layout's rotations whose destination is readable: a
+          history no live assignment reads is not rotated *)
+}
+(** What one step evaluates and keeps. The runners execute it and
+    [Amsvp_codegen] prints it, so both work from one lowering. *)
+
+val plan : t -> plan
+(** The plan of the outputs' live set; {!Runner.create} widens it by
+    its [reads]. *)
+
+val compile_plan : plan -> Compile.t
+(** Lower [plan.live] to bytecode against [plan.layout]. *)
+
+val compile : ?mode:Compile.mode -> t -> Compile.t
+(** [compile_plan (plan p)] in the given mode: the live assignments (see {!dead_targets})
+    lowered against the full program's canonical slot layout (the one
     {!Runner.create} uses). With [~mode:`Template] the artifact can be
     {!rebind_compiled} onto same-shaped programs; its constant pool
-    then holds the live assignments' literals only. [facts] are
-    proven-constant slot invariants forwarded to {!Compile.compile}. *)
+    then holds the live assignments' literals only. *)
 
 val rebind_compiled : Compile.t -> t -> Compile.t option
 (** Re-target a [`Template] artifact at a program with the same shape

@@ -36,7 +36,7 @@ and item_desc =
   | Instance of {
       module_name : string;
       instance_name : string;
-      overrides : (string * expr) list;
+      overrides : (string * span * expr) list;
       connections : (string * string) list;
     }
 

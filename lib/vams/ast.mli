@@ -75,7 +75,8 @@ and item_desc =
   | Instance of {
       module_name : string;
       instance_name : string;
-      overrides : (string * expr) list;  (** [#(.r(5k))] *)
+      overrides : (string * span * expr) list;
+          (** [#(.r(5k))]: name, the span of the name, value *)
       connections : (string * string) list;  (** [.p(in)] *)
     }
 

@@ -352,9 +352,9 @@ let rec elaborate_module design ~lang ~path ~bindings ~overrides ~ground_nets
               in
               let child_overrides =
                 List.map
-                  (fun (name, (e : Ast.expr)) ->
+                  (fun (name, name_span, e) ->
                     if not (overridable child name) then
-                      fail ~span:e.Ast.espan "module %s has no parameter %s"
+                      fail ~span:name_span "module %s has no parameter %s"
                         module_name name;
                     (name, const_eval ctx e))
                   ovr

@@ -237,14 +237,15 @@ let parse_overrides st =
     eat_punct st "(";
     let rec go acc =
       eat_punct st ".";
+      let sp = here st in
       let name = eat_ident st in
       eat_punct st "(";
       let e = parse_ternary st in
       eat_punct st ")";
-      if accept_punct st "," then go ((name, e) :: acc)
+      if accept_punct st "," then go ((name, sp, e) :: acc)
       else begin
         eat_punct st ")";
-        List.rev ((name, e) :: acc)
+        List.rev ((name, sp, e) :: acc)
       end
     in
     go []

@@ -296,13 +296,14 @@ let rec parse_stmt st =
     { Ast.sdesc = Ast.Contribution (target, rhs); sspan = sp }
   end
 
-(* ( formal => actual, ... ) *)
+(* ( formal => actual, ... ), each formal with its span *)
 let parse_assoc_list st actual =
   eat_punct st "(";
   let rec go acc =
+    let sp = here st in
     let formal = eat_ident st in
     eat_punct st "=>";
-    let acc = (formal, actual st) :: acc in
+    let acc = (formal, sp, actual st) :: acc in
     if accept_punct st "," then go acc
     else begin
       eat_punct st ")";
@@ -461,7 +462,9 @@ let parse_concurrent st =
           else []
         in
         let overrides = map "generic" parse_or in
-        let connections = map "port" terminal_actual in
+        let connections =
+          List.map (fun (p, _, net) -> (p, net)) (map "port" terminal_actual)
+        in
         eat_punct st ";";
         item sp (Ast.Instance { module_name; instance_name; overrides; connections })
       end

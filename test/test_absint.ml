@@ -3,9 +3,7 @@
    interval of its target, non-finite values only where the flags
    allow them), the step-accurate MUST proof (whenever
    [prove_unhealthy] claims a step, the concrete run really trips the
-   watchdog there), and the proven-constant facts pipeline into the
-   bytecode compiler (no facts — bit-identical; real facts — still
-   bit-identical, by the nonzero-constants-only rule). *)
+   watchdog there). *)
 
 module Sfprogram = Amsvp_sf.Sfprogram
 module Compile = Amsvp_sf.Compile
@@ -168,47 +166,6 @@ let prop_must_proof_sound =
               bad.Absint.b_step v;
           true)
 
-(* ---- proven-constant facts into the bytecode compiler ---- *)
-
-let same_float a b =
-  (Float.is_nan a && Float.is_nan b) || Float.equal a b
-
-let trace_with ?facts p us =
-  let compiled = Sfprogram.compile ?facts p in
-  let r = Sfprogram.Runner.create ~compiled p in
-  Array.map
-    (fun u ->
-      Sfprogram.Runner.step r ~inputs:[| u |];
-      Sfprogram.Runner.output r 0)
-    us
-
-(* Strengthening the compiler with the facts the analysis proved must
-   not move a single bit of the trace: facts are finite nonzero
-   constants, so every fold the optimizer performs computes the very
-   double the runtime would have. *)
-let prop_facts_bit_identical =
-  QCheck.Test.make ~name:"constant facts leave traces bit-identical"
-    ~count:300 gen_case (fun (p, us) ->
-      let base = trace_with p us in
-      let empty = trace_with ~facts:[] p us in
-      let facts = Absint.constant_facts (Absint.analyze p) in
-      let strengthened = trace_with ~facts p us in
-      Array.iteri
-        (fun i v ->
-          if not (same_float v empty.(i)) then
-            QCheck.Test.fail_reportf "empty facts moved step %d: %h vs %h" i v
-              empty.(i);
-          if not (same_float v strengthened.(i)) then
-            QCheck.Test.fail_reportf
-              "facts %s moved step %d: %h vs %h"
-              (String.concat ","
-                 (List.map
-                    (fun (s, c) -> Printf.sprintf "%d=%g" s c)
-                    facts))
-              i v strengthened.(i))
-        base;
-      true)
-
 (* ---- domain unit checks ---- *)
 
 let test_domain_basics () =
@@ -235,30 +192,6 @@ let test_domain_basics () =
   Alcotest.(check bool) "mem respects flags" false
     (mem Float.infinity (interval 0.0 1.0))
 
-let test_constant_facts_exclude_zero () =
-  (* x0 = 0 constant must not become a fact (signed-zero hazard); a
-     nonzero constant must. *)
-  let p =
-    Sfprogram.make ~name:"c" ~inputs:[ "u" ]
-      ~outputs:[ Expr.signal "x1" ]
-      ~assignments:
-        [
-          { Sfprogram.target = Expr.signal "x0"; expr = Expr.const 0.0 };
-          {
-            Sfprogram.target = Expr.signal "x1";
-            expr = Expr.(const 2.5 + var (Expr.signal "u") * const 0.0);
-          };
-        ]
-      ~dt:1e-6
-  in
-  let facts = Absint.constant_facts (Absint.analyze p) in
-  let layout = Sfprogram.layout_of p in
-  let slot v = Sfprogram.layout_slot layout v in
-  Alcotest.(check bool) "x0 = 0 excluded" false
-    (List.mem_assoc (slot (Expr.signal "x0")) facts);
-  Alcotest.(check bool) "x1 = 2.5 proven" true
-    (List.assoc_opt (slot (Expr.signal "x1")) facts = Some 2.5)
-
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "absint"
@@ -266,10 +199,7 @@ let () =
       ("domain",
         [
           Alcotest.test_case "basics" `Quick test_domain_basics;
-          Alcotest.test_case "facts exclude zero" `Quick
-            test_constant_facts_exclude_zero;
         ] );
       ( "soundness",
         qt [ prop_analysis_sound; prop_must_proof_sound ] );
-      ("facts", qt [ prop_facts_bit_identical ]);
     ]

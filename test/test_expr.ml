@@ -50,11 +50,6 @@ let test_pp_precedence () =
   let e2 = Expr.Add (Expr.Mul (vx, vy), Expr.const 2.0) in
   Alcotest.(check string) "no spurious parens" "x * y + 2" (Expr.to_string e2)
 
-let test_c_printing () =
-  let e = Expr.Cond (Expr.Cmp (Expr.Lt, vx, Expr.zero), Expr.Neg vx, vx) in
-  Alcotest.(check string) "ternary" "(x < 0 ? -x : x)"
-    (Expr.to_c ~name:Expr.var_c_name e)
-
 (* Evaluation *)
 
 let test_eval_arith () =
@@ -183,10 +178,7 @@ let test_unary_functions_eval_and_print () =
       (Expr.Sqrt, "sqrt", 4.0, 2.0);
       (Expr.Abs, "abs", -3.5, 3.5);
       (Expr.Tanh, "tanh", 0.0, 0.0);
-    ];
-  (* ln prints as log in C *)
-  Alcotest.(check string) "C log" "log(x)"
-    (Expr.to_c ~name:Expr.var_c_name (Expr.App (Expr.Ln, vx)))
+    ]
 
 (* Equations *)
 
@@ -329,7 +321,6 @@ let () =
           Alcotest.test_case "names" `Quick test_var_names;
           Alcotest.test_case "access forms" `Quick test_access_forms;
           Alcotest.test_case "precedence printing" `Quick test_pp_precedence;
-          Alcotest.test_case "C printing" `Quick test_c_printing;
         ] );
       ( "eval",
         [

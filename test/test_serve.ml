@@ -1120,6 +1120,47 @@ let test_daemon_jobs_directive_shares_ctx () =
       | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
       | _ -> Alcotest.fail "daemon killed"
 
+(* The socket path appears only once the daemon listens on it: a
+   client that connects the moment the path exists, with no retry, is
+   never refused. Started afresh each round, so the connect races the
+   daemon's startup every time. *)
+let test_daemon_socket_ready () =
+  for round = 1 to 25 do
+    let sock =
+      tmp (Printf.sprintf "amsvp_serve_ready_%d.sock" (Unix.getpid ()))
+    in
+    if Sys.file_exists sock then Sys.remove sock;
+    match Unix.fork () with
+    | 0 ->
+        (try
+           Daemon.serve
+             { (Daemon.default_config ~socket_path:sock) with workers = 1 }
+         with _ -> Unix._exit 1);
+        Unix._exit 0
+    | pid -> (
+        guard_daemon pid @@ fun () ->
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while not (Sys.file_exists sock) do
+          if Unix.gettimeofday () > deadline then
+            Alcotest.failf "round %d: daemon socket never appeared" round
+        done;
+        let c =
+          match Client.connect sock with
+          | c -> c
+          | exception Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "round %d: connect on first sight failed: %s"
+                round (Unix.error_message e)
+        in
+        Client.send c Protocol.Shutdown;
+        (match Client.recv c with
+        | Ok Protocol.Bye -> ()
+        | _ -> Alcotest.failf "round %d: expected bye" round);
+        Client.close c;
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.failf "round %d: daemon did not exit cleanly" round)
+  done
+
 (* Induce per-point timeouts with a microscopic default budget: every
    point must come back with a Timeout verdict and the stats reply must
    surface the count. *)
@@ -1665,6 +1706,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "end-to-end session" `Quick test_daemon_session;
+          Alcotest.test_case "connect on first sight of the socket" `Quick
+            test_daemon_socket_ready;
           Alcotest.test_case "resume from the checkpoint dir" `Quick
             test_daemon_resume;
           Alcotest.test_case "killed mid-submit, restarted, resubmitted"

@@ -313,8 +313,11 @@ let test_misspelled_override () =
        endmodule"
   in
   match elab_error src ~top:"top" with
-  | Some (msg, Some _) ->
-      Alcotest.(check string) "message" "module resistor has no parameter rr" msg
+  | Some (msg, Some pos) ->
+      Alcotest.(check string) "message" "module resistor has no parameter rr" msg;
+      (* at the name [rr], not at the value [5.0] *)
+      let line = List.length (String.split_on_char '\n' Sources.primitives) + 1 in
+      Alcotest.(check (pair int int)) "located at .rr" (line, 15) pos
   | Some (_, None) -> Alcotest.fail "override error without a span"
   | None -> Alcotest.fail "misspelled override accepted"
 

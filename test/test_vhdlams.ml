@@ -522,7 +522,23 @@ let test_lint_parity () =
       ("undefined name", [ "AMS003" ], twin ~read:"rx" ());
       ("unused parameter", [ "AMS011" ], twin ~unused:true ());
       ("misspelled override", [ "AMS003" ], twin ~override:"rr" ());
-    ]
+    ];
+  (* The misspelled override is located at its name, in both
+     languages. *)
+  let located fs =
+    List.filter_map
+      (fun f ->
+        match f.Diag.span with
+        | Some sp when f.Diag.code = "AMS003" -> Some (sp.Diag.line, sp.Diag.col)
+        | _ -> None)
+      fs
+  in
+  let verilog, vhdl = twin ~override:"rr" () in
+  Alcotest.(check (list (pair int int))) "Verilog-AMS AMS003 at .rr"
+    [ (11, 10) ] (located (Lint.lint ~file:"t.vams" verilog));
+  Alcotest.(check (list (pair int int))) "VHDL-AMS AMS003 at rr =>"
+    [ (16, 37) ]
+    (located (Lint.lint ~lang:`Vhdl_ams ~inputs:[ "tin" ] ~file:"t.vhd" vhdl))
 
 let test_lint_located () =
   (* An undefined name is reported at its position, and an unused
