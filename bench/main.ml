@@ -1116,15 +1116,80 @@ let mna_fast ~t_stop () =
 
 (* ---- Execution engines: tree interpreter vs register bytecode ---- *)
 
+let gxx = "/usr/bin/g++"
+
+(* The native model: [Codegen]'s C++ class for [p] and a driver that
+   steps it [steps] times over the inputs of [engines]' pass loop,
+   built with [g++ -O2 -ffp-contract=off] (so each statement rounds as
+   the bytecode does). Returns the fastest of five rounds in seconds
+   per step and the output after the last step. *)
+let native_step (p : Sfprogram.t) ~steps =
+  let dir = Filename.temp_dir "amsvp_native" "" in
+  let path f = Filename.concat dir f in
+  let write f text =
+    Out_channel.with_open_bin (path f) (fun oc -> output_string oc text)
+  in
+  let cls = Codegen.sanitize_ident p.Sfprogram.name in
+  let out =
+    Codegen.sanitize_ident (Expr.var_c_name (List.hd p.Sfprogram.outputs))
+  in
+  write "model.hpp" (Codegen.emit Codegen.Cpp p);
+  write "main.cpp"
+    (String.concat "\n"
+       [
+         "#include <chrono>";
+         "#include <cstdio>";
+         "#include \"model.hpp\"";
+         "int main() {";
+         Printf.sprintf "  %s m;" cls;
+         "  double best = 1e300;";
+         "  for (int round = 0; round < 5; round++) {";
+         Printf.sprintf "    m = %s();" cls;
+         "    auto t0 = std::chrono::steady_clock::now();";
+         Printf.sprintf "    for (int i = 1; i <= %d; i++) {" steps;
+         "      const double u = (i & 31) < 16 ? 0.0 : 1.0; (void)u;";
+         Printf.sprintf "      m.step(%s);"
+           (String.concat ", " (List.map (fun _ -> "u") p.Sfprogram.inputs));
+         "    }";
+         "    std::chrono::duration<double> d =";
+         "        std::chrono::steady_clock::now() - t0;";
+         "    if (d.count() < best) best = d.count();";
+         "  }";
+         Printf.sprintf
+           "  std::printf(\"%%.17g %%a\\n\", best / %d, m.%s_value());" steps
+           out;
+         "  return 0;";
+         "}";
+         "";
+       ]);
+  let run cmd = if Sys.command cmd <> 0 then failwith (cmd ^ ": failed") in
+  run
+    (Printf.sprintf "%s -std=c++17 -O2 -ffp-contract=off -o %s %s" gxx
+       (Filename.quote (path "model")) (Filename.quote (path "main.cpp")));
+  run
+    (Printf.sprintf "%s > %s" (Filename.quote (path "model"))
+       (Filename.quote (path "out.txt")));
+  let result =
+    Scanf.sscanf
+      (In_channel.with_open_bin (path "out.txt") In_channel.input_all)
+      "%f %h" (fun s y -> (s, y))
+  in
+  Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  result
+
 let engines ~t_stop () =
   header
     (Printf.sprintf
        "ENGINES -- per-step cost of the abstracted models (simulated %g ms): \
         tree interpreter vs register bytecode, identical outputs required"
        (t_stop *. 1e3));
-  Printf.printf "%-6s %7s %7s %6s %12s %14s %14s %9s %8s\n" "" "assign"
+  let native = Sys.file_exists gxx in
+  if not native then
+    Printf.printf "native: %s not found, skipping the native rows\n" gxx;
+  Printf.printf "%-6s %7s %7s %6s %12s %14s %14s %9s %8s %16s\n" "" "assign"
     "instrs" "regs" "compile(us)" "tree(ns/step)" "byte(ns/step)" "speedup"
-    "max-ulp";
+    "max-ulp" "native(ns/step)";
   List.iter
     (fun label ->
       let tc = Option.get (Circuits.by_name label) in
@@ -1160,9 +1225,9 @@ let engines ~t_stop () =
           Sfprogram.Runner.step runner ~inputs
         done
       in
+      let byte_runner = Sfprogram.Runner.create ~compiled p in
       let t =
-        paired ~rounds:5
-          (pass (Sfprogram.Runner.create ~compiled p))
+        paired ~rounds:5 (pass byte_runner)
           (pass (Sfprogram.Runner.create ~engine:`Tree p))
       in
       let per_step s = s /. float_of_int steps in
@@ -1174,12 +1239,27 @@ let engines ~t_stop () =
         (row ~target:"step" ~meth:"bytecode" ~ratio:t.b_over_a ~max_ulp
            ~instrs:(Amsvp_sf.Compile.n_instrs compiled) byte_s);
       record (row ~target:"compile" compile_s);
-      Printf.printf "%-6s %7d %7d %6d %12.2f %14.1f %14.1f %8.2fx %8d\n"
+      (* The native row carries how far its final output lies from the
+         bytecode's after the same steps. *)
+      let native_cell =
+        if not native then "-"
+        else begin
+          let native_s, y = native_step p ~steps in
+          let max_ulp =
+            Int64.to_int
+              (Metrics.ulp_distance y (Sfprogram.Runner.output byte_runner 0))
+          in
+          record (row ~target:"step" ~meth:"native" ~max_ulp native_s);
+          Printf.sprintf "%.1f" (native_s *. 1e9)
+        end
+      in
+      Printf.printf "%-6s %7d %7d %6d %12.2f %14.1f %14.1f %8.2fx %8d %16s\n"
         label
         (List.length p.Sfprogram.assignments)
         (Amsvp_sf.Compile.n_instrs compiled)
         (Amsvp_sf.Compile.n_regs compiled)
-        (compile_s *. 1e6) (tree_s *. 1e9) (byte_s *. 1e9) t.b_over_a max_ulp)
+        (compile_s *. 1e6) (tree_s *. 1e9) (byte_s *. 1e9) t.b_over_a max_ulp
+        native_cell)
     [ "2IN"; "RC1"; "RC20"; "OA"; "RECT" ]
 
 type cli = {

@@ -12,13 +12,21 @@
     literals that read back to the same doubles, temporaries are
     [double tN] locals. Compiled with [-ffp-contract=off], the model
     steps bit-identically to [Sfprogram.Runner]'s [`Bytecode]
-    engine. *)
+    engine, except that a NaN computed from two NaN operands may
+    differ in sign and payload: C++ leaves to the compiler which
+    operand's NaN a [+] or [*] returns. *)
 
 type target = Cpp | Systemc_de | Systemc_ams_tdf
 
 val target_name : target -> string
 (** ["C++"], ["SC-DE"], ["SC-AMS/TDF"] — the labels used in the
     paper's tables. *)
+
+val sanitize_ident : string -> string
+(** The C++ identifier a name becomes: other characters turn into
+    ['_'], and a leading digit gets an ["m_"] prefix. {!emit} names the
+    class after the program and each output accessor [<o>_value]
+    after the output's C name this way. *)
 
 val emit : target -> Amsvp_sf.Sfprogram.t -> string
 (** Complete compilation unit for the given target. It includes

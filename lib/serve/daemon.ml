@@ -54,11 +54,16 @@ let g_in_flight =
   Obs.Gauge.make ~help:"points dispatched but not yet resolved"
     "amsvp_serve_in_flight"
 
-(* A warm prepared sweep and the worker pool that runs its points. The
-   pool's work function is fixed at creation, which is sound because
-   the per-point timeout is a function of the spec and the daemon
-   config, both fixed by the cache key. *)
-type warm = { ctx : Runner.ctx; pool : Pool.t }
+(* A warm prepared sweep, the worker pool that runs its points, the
+   value-range screen's findings and the checkpoint path. All are
+   fixed at creation, which is sound because each is a function of the
+   spec and the daemon config, both fixed by the cache key. *)
+type warm = {
+  ctx : Runner.ctx;
+  pool : Pool.t;
+  findings : Diag.finding list;
+  checkpoint : string option;
+}
 
 (* Daemon state. One instance per [serve] call; the signal handlers
    write only the [draining] flag (the single async-signal-safe thing
@@ -138,6 +143,14 @@ let evict st key =
   Hashtbl.remove st.ctxs key;
   st.ctx_order <- List.filter (( <> ) key) st.ctx_order
 
+let checkpoint_path st spec ~circuit =
+  Option.map
+    (fun dir ->
+      Filename.concat dir
+        (Printf.sprintf "%s-%s.ckpt.jsonl" spec.Spec.name
+           (Amsvp_sweep.Checkpoint.digest spec ~circuit)))
+    st.cfg.checkpoint_dir
+
 let ctx_for ~id st spec (tc : Circuits.testcase) =
   let key = ctx_key spec tc.Circuits.label in
   match Hashtbl.find_opt st.ctxs key with
@@ -155,6 +168,7 @@ let ctx_for ~id st spec (tc : Circuits.testcase) =
         Obs.with_span ~cat:"serve" "serve.prepare" @@ fun () ->
         Runner.prepare spec tc
       in
+      let findings = Runner.screen ~werror:st.cfg.werror ctx in
       (* Make room first, so the sweep about to run is never the one
          evicted (a cache of size 0 behaves as size 1). *)
       (match List.rev st.ctx_order with
@@ -168,29 +182,28 @@ let ctx_for ~id st spec (tc : Circuits.testcase) =
           ~points:(Runner.ctx_points ctx)
           (fun ~retry:_ p -> Runner.run_point ?timeout_s ctx p)
       in
-      let warm = { ctx; pool } in
+      let warm =
+        {
+          ctx;
+          pool;
+          findings;
+          checkpoint = checkpoint_path st spec ~circuit:tc.Circuits.label;
+        }
+      in
       Hashtbl.replace st.ctxs key warm;
       st.ctx_order <- key :: st.ctx_order;
       warm
 
-let checkpoint_path st spec ~circuit =
-  Option.map
-    (fun dir ->
-      Filename.concat dir
-        (Printf.sprintf "%s-%s.ckpt.jsonl" spec.Spec.name
-           (Amsvp_sweep.Checkpoint.digest spec ~circuit)))
-    st.cfg.checkpoint_dir
-
 (* One accepted submit: the sweep session on the warm pool, streamed
    to the client frame by frame. *)
-let run_submit st conn ~id spec (tc : Circuits.testcase) ctx pool =
+let run_submit st conn ~id spec (tc : Circuits.testcase) warm =
   Obs.with_span ~cat:"serve"
     ~args:[ ("sweep", spec.Spec.name); ("id", string_of_int id) ]
     "serve.request"
   @@ fun () ->
   let circuit = tc.Circuits.label in
+  let ctx = warm.ctx and ckpt = warm.checkpoint in
   let total = Array.length (Runner.ctx_points ctx) in
-  let ckpt = checkpoint_path st spec ~circuit in
   let signal =
     match spec.Spec.output with
     | Some s -> s
@@ -208,7 +221,7 @@ let run_submit st conn ~id spec (tc : Circuits.testcase) ctx pool =
     set_in_flight (Array.length pending);
     flush_frames conn;
     ignore
-      (Pool.run pool ~retries:st.cfg.retries ~signal ~request_id:id
+      (Pool.run warm.pool ~retries:st.cfg.retries ~signal ~request_id:id
          ~tally:st.tally
          ~on_batch:(fun () ->
            on_batch ();
@@ -312,10 +325,9 @@ let handle_submit st conn ~id ~spec_text =
           | exception e ->
               send conn
                 (Protocol.Failed { message = Printexc.to_string e })
-          | { ctx; pool } -> (
-              let findings = Runner.screen ~werror:st.cfg.werror ctx in
-              match Diag.error_count findings with
-              | 0 -> run_submit st conn ~id spec tc ctx pool
+          | warm -> (
+              match Diag.error_count warm.findings with
+              | 0 -> run_submit st conn ~id spec tc warm
               | errors ->
                   (* Value-range screen (AMS06x): errors — native AMS060
                      or anything upgraded by the daemon's [werror] —
@@ -331,7 +343,7 @@ let handle_submit st conn ~id ~spec_text =
                              "value-range screen rejected the sweep: %d \
                               error(s)"
                              errors;
-                         findings;
+                         findings = warm.findings;
                        }))))
 
 let stats_reply st =

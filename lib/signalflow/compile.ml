@@ -23,6 +23,10 @@ type instr =
       (** [d := ((a0*b0 + a1*b1) + ...)] over the operands
           [[|a0; b0; a1; b1; ...|]], at least two terms; a term whose
           [b] is [-1] is the plain register [a] (no product) *)
+  | Rows of int array
+      (** only in the executable form: a run of three-product rows,
+          seven registers per row, [[|d; a0; b0; a1; b1; a2; b2|]] for
+          [d := (a0*b0 + a1*b1) + a2*b2] *)
 
 type t = {
   mode : mode;
@@ -35,6 +39,9 @@ type t = {
   consts : float array;  (** [consts.(i)] preloads register [n_slots + i] *)
   targets : int array;  (** target slot of each compiled assignment *)
   code : instr array;
+  exe : instr array;
+      (** what {!exec} runs: [code] with each maximal run of
+          three-product rows folded into one [Rows] block *)
 }
 
 let n_slots t = t.n_slots
@@ -212,6 +219,29 @@ let collect_consts assigns =
   Array.of_list (List.rev !acc)
 
 (* ---- compilation ---- *)
+
+(* The executable form of [code]: each maximal run of consecutive
+   rows of exactly three products becomes one [Rows] block, so [exec]
+   dispatches once per run and steps each row with no term loop. *)
+let blocks code =
+  let out = ref [] and run = ref [] in
+  let close () =
+    if !run <> [] then begin
+      out := Rows (Array.concat (List.rev !run)) :: !out;
+      run := []
+    end
+  in
+  Array.iter
+    (function
+      | Lin (d, ([| _; b0; _; b1; _; b2 |] as ops))
+        when b0 >= 0 && b1 >= 0 && b2 >= 0 ->
+          run := Array.append [| d |] ops :: !run
+      | i ->
+          close ();
+          out := i :: !out)
+    code;
+  close ();
+  Array.of_list (List.rev !out)
 
 let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
   let shape = shape_of ~slot ~n_slots assigns in
@@ -454,6 +484,7 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
     | Cmp (_, _, a, b) -> [ a; b ]
     | Sel (_, c, a, b) -> [ c; a; b ]
     | Lin (_, ops) -> List.filter (fun r -> r >= 0) (Array.to_list ops)
+    | Rows _ -> assert false
   in
   let dst_of = function
     | Mov (d, _) | Neg (d, _) | Notb (d, _)
@@ -464,6 +495,7 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
     | Sel (d, _, _, _)
     | Lin (d, _) ->
         d
+    | Rows _ -> assert false
   in
   (* [relabel fd fs i]: [i] with its destination mapped by [fd] and its
      sources by [fs]; the plain-term marker of a [Lin] stays. *)
@@ -482,6 +514,7 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
     | Sel (d, c, a, b) -> Sel (fd d, fs c, fs a, fs b)
     | Lin (d, ops) ->
         Lin (fd d, Array.map (fun r -> if r < 0 then r else fs r) ops)
+    | Rows _ -> assert false
   in
   (* -- sum-of-products fusion: an addition becomes a [Lin] row when
      the instruction just before it defines a temporary that only the
@@ -493,7 +526,9 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
      in source order and [exec] rounds each product, then each partial
      sum left to right, so results stay bit-identical (no fused
      [Float.fma]). A product that CSE shares has several readers and
-     stays a [Mul]. -- *)
+     stays a [Mul]; when one sits between the row and what the row
+     would absorb, and neither reads the other's result, the product
+     is scheduled first. -- *)
   let vcode =
     let uses = Array.make (max 1 (!next_vtemp - temp_base)) 0 in
     let use s = if s >= temp_base then uses.(s - temp_base) <- uses.(s - temp_base) + 1 in
@@ -527,9 +562,19 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
       in
       match (row, out) with
       | Some (d, ops), prev :: rest -> (
-          match absorb ops prev with
-          | Some ops -> push rest (Lin (d, ops))
-          | None -> i :: out)
+          match (absorb ops prev, prev, rest) with
+          | Some ops, _, _ -> push rest (Lin (d, ops))
+          | None, Mul (t, a, b), next :: rest
+            when t >= temp_base
+                 && (not (List.mem (dst_of next) [ a; b ]))
+                 && not (List.mem t (srcs next)) -> (
+              match absorb ops next with
+              | Some ops -> (
+                  match push rest (Lin (d, ops)) with
+                  | row :: out -> row :: prev :: out
+                  | [] -> assert false)
+              | None -> i :: out)
+          | None, _, _ -> i :: out)
       | _ -> i :: out
     in
     Array.of_list (List.rev (List.fold_left push [] (List.rev !vcode)))
@@ -585,7 +630,16 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
       vcode
   in
   let targets = Array.of_list (List.map fst roots) in
-  { mode; shape; n_slots; n_regs = temp_base + !n_temps; consts; targets; code }
+  {
+    mode;
+    shape;
+    n_slots;
+    n_regs = temp_base + !n_temps;
+    consts;
+    targets;
+    code;
+    exe = blocks code;
+  }
 
 let compile ?(mode : mode = `Optimize) ~slot ~n_slots assigns =
   Obs.with_span ~cat:"sf" "sf.compile" @@ fun () ->
@@ -653,7 +707,8 @@ let traffic t =
           for j = 0 to terms - 1 do
             if ops.((2 * j) + 1) >= 0 then incr products
           done;
-          count "lin" (terms + !products) ~flop:(terms + !products - 1))
+          count "lin" (terms + !products) ~flop:(terms + !products - 1)
+      | Rows _ -> assert false)
     t.code;
   let t_opcode_mix =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) mix []
@@ -677,6 +732,8 @@ let load_consts t regs =
 external get : float array -> int -> float = "%array_unsafe_get"
 external set : float array -> int -> float -> unit = "%array_unsafe_set"
 
+external iget : int array -> int -> int = "%array_unsafe_get"
+
 (* All operand indices were validated below [n_regs] at build time and
    [load_consts] checked the array length, so the hot loop can elide
    bounds checks. The operands of a commutative add or multiply are
@@ -684,7 +741,7 @@ external set : float array -> int -> float -> unit = "%array_unsafe_set"
    one load into the instruction and swap the operands, and when both
    are NaN the left one's sign is the one the tree engine keeps. *)
 let exec t (regs : float array) =
-  let code = t.code in
+  let code = t.exe in
   for i = 0 to Array.length code - 1 do
     match Array.unsafe_get code i with
     | Mov (d, s) -> set regs d (get regs s)
@@ -742,6 +799,29 @@ let exec t (regs : float array) =
           acc := !acc +. p
         done;
         set regs d !acc
+    | Rows rows ->
+        (* Fixed arity: three rounded products, summed left to right.
+           Each row stores its target only after its last read, since a
+           temporary target may reuse an operand's register. *)
+        for k = 0 to (Array.length rows / 7) - 1 do
+          let o = 7 * k in
+          let p0 =
+            let x = get regs (iget rows (o + 1)) in
+            let y = get regs (iget rows (o + 2)) in
+            x *. y
+          in
+          let p1 =
+            let x = get regs (iget rows (o + 3)) in
+            let y = get regs (iget rows (o + 4)) in
+            x *. y
+          in
+          let p2 =
+            let x = get regs (iget rows (o + 5)) in
+            let y = get regs (iget rows (o + 6)) in
+            x *. y
+          in
+          set regs (iget rows o) ((p0 +. p1) +. p2)
+        done
   done
 
 (* ---- generic (abstract) execution ---- *)
@@ -790,6 +870,7 @@ let exec_with (ip : 'a interp) t (regs : 'a array) =
           acc := ip.i_add !acc (term j)
         done;
         regs.(d) <- !acc
+    | Rows _ -> assert false
   done
 
 (* ---- printing ---- *)
@@ -829,6 +910,7 @@ let pp_instr ~reg:r ppf instr =
       in
       Format.fprintf ppf "%s = %s;" (r d)
         (String.concat " + " (List.init (Array.length ops / 2) term))
+  | Rows _ -> assert false
 
 let pp_code ~slot ~const ~temp ppf t =
   let n_consts = Array.length t.consts in

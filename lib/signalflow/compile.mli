@@ -7,9 +7,14 @@
     trees of a whole program into a flat, register-based bytecode: an
     array of three-address instructions over a single unboxed [float
     array] register file whose low registers alias the runner's
-    variable slots. Executing a step is then one tight match loop with
+    variable slots. Executing a step is one pass over that code with
     no allocation and no indirect calls (beyond [sin]/[exp]-style
-    primitives).
+    primitives). When an artifact is built it also derives the form
+    {!exec} runs: each maximal run of consecutive rows of exactly three
+    products (the RC-ladder shape) is one block, stepped row by row
+    with no term loop, so a ladder pays one dispatch per run rather
+    than one per row; every other instruction is dispatched on its
+    own. {!rebind} shares that form.
 
     Lowering goes through a value-numbering DAG, which gives three
     classic optimisations for free, and two more run around it:
@@ -37,10 +42,11 @@
       scheduled right before it while that instruction defines a
       temporary only the addition reads — a product, or a row that is
       the leftmost term — so no slot store falls inside a row, and a
-      product that CSE shares stays a separate multiply. Execution
-      rounds each product, then each partial sum left to right in
-      source order, exactly as the interpreter does — it is not a
-      fused [Float.fma].
+      product that CSE shares stays a separate multiply, scheduled
+      ahead of a row it would otherwise split from its leftmost term.
+      Execution rounds each product, then each partial sum left to
+      right in source order, exactly as the interpreter does — it is
+      not a fused [Float.fma].
 
     Conditionals are compiled eagerly ([Sel] evaluates both arms).
     This is value-identical to the interpreter's lazy evaluation
@@ -172,7 +178,9 @@ val exec_with : 'a interp -> t -> 'a array -> unit
     [std::log], [std::fabs], ...). Compiled without floating-point
     contraction, each statement rounds exactly as {!exec} does, which
     is what makes the generated C++ models ([Amsvp_codegen]) the
-    bytecode the runners execute. *)
+    bytecode the runners execute. One exception: a NaN computed from
+    two NaN operands may differ in sign and payload, since C++ leaves
+    to the compiler which operand of a [+] or [*] it returns. *)
 
 val pp_code :
   slot:(int -> string) ->

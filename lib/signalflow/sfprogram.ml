@@ -314,8 +314,10 @@ module Runner = struct
     output_slots : int array;
     impl : impl;
     n_assign : int;
-    rotations : (int * int) array;
-        (** dst, src pairs applied (in order) after each step *)
+    rot_dst : int array;
+    rot_src : int array;
+        (** [slots.(rot_dst.(i)) <- slots.(rot_src.(i))], in order of
+            [i], after each step *)
   }
 
   let create ?(engine : engine = `Bytecode) ?compiled ?reads (p : program) =
@@ -372,7 +374,8 @@ module Runner = struct
       output_slots = lay.l_output_slots;
       impl;
       n_assign = List.length pl.live;
-      rotations = pl.rotations;
+      rot_dst = Array.map fst pl.rotations;
+      rot_src = Array.map snd pl.rotations;
     }
 
   (* Only the variable slots are cleared: constant registers of the
@@ -390,9 +393,12 @@ module Runner = struct
           r.slots.(tgt) <- f r.slots
         done
     | Bytecode artifact -> Compile.exec artifact r.slots);
-    for i = 0 to Array.length r.rotations - 1 do
-      let dst, src = r.rotations.(i) in
-      r.slots.(dst) <- r.slots.(src)
+    (* Unchecked: both arrays have one entry per rotation and hold
+       layout slots, all below [n_state]. *)
+    let slots = r.slots and dst = r.rot_dst and src = r.rot_src in
+    for i = 0 to Array.length dst - 1 do
+      Array.unsafe_set slots (Array.unsafe_get dst i)
+        (Array.unsafe_get slots (Array.unsafe_get src i))
     done
 
   let check_arity r what n =

@@ -15,29 +15,34 @@ type state = { src : string; mutable pos : int }
 
 let fail st msg = raise (Parse_error (msg, st.pos))
 
+(* The byte at the cursor, read in place; ['\000'] past the end, which
+   every caller rejects as it would a NUL byte. Inside a string, where
+   a NUL byte is content, the reader checks the end itself. *)
 let peek st =
-  if st.pos < String.length st.src then Some st.src.[st.pos] else None
+  if st.pos < String.length st.src then String.unsafe_get st.src st.pos
+  else '\000'
 
 let advance st = st.pos <- st.pos + 1
 
 let rec skip_ws st =
   match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
+  | ' ' | '\t' | '\n' | '\r' ->
       advance st;
       skip_ws st
   | _ -> ()
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected %C" c)
+  if peek st = c then advance st else fail st (Printf.sprintf "expected %C" c)
 
 let literal st word value =
   let n = String.length word in
-  if
-    st.pos + n <= String.length st.src
-    && String.sub st.src st.pos n = word
-  then begin
+  let rec matches i =
+    i = n
+    || (st.pos + i < String.length st.src
+       && st.src.[st.pos + i] = word.[i]
+       && matches (i + 1))
+  in
+  if matches 0 then begin
     st.pos <- st.pos + n;
     value
   end
@@ -50,106 +55,124 @@ let hex_digit st c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> fail st "bad \\u escape"
 
-(* \uXXXX escapes are decoded to UTF-8; surrogate pairs are combined
-   when both halves are present. *)
+(* A string without escapes is one [String.sub]; one with escapes is
+   copied through a buffer a run of plain bytes at a time. \uXXXX
+   escapes are decoded to UTF-8; surrogate pairs are combined when both
+   halves are present. *)
 let parse_string st =
   expect st '"';
-  let b = Buffer.create 16 in
-  let rec read_u4 () =
-    if st.pos + 4 > String.length st.src then fail st "truncated \\u escape";
-    let v =
-      (hex_digit st st.src.[st.pos] lsl 12)
-      lor (hex_digit st st.src.[st.pos + 1] lsl 8)
-      lor (hex_digit st st.src.[st.pos + 2] lsl 4)
-      lor hex_digit st st.src.[st.pos + 3]
-    in
-    st.pos <- st.pos + 4;
-    v
-  and add_codepoint cp =
-    if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else if cp < 0x10000 then begin
-      Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xF0 lor (cp lsr 18)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-  and loop () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' ->
+  let src = st.src in
+  let n = String.length src in
+  (* the end of the run of plain bytes from [i] *)
+  let rec plain i =
+    if i < n && src.[i] <> '"' && src.[i] <> '\\' then plain (i + 1) else i
+  in
+  let start = st.pos in
+  let stop = plain start in
+  if stop < n && src.[stop] = '"' then begin
+    st.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else
+    let b = Buffer.create (stop - start + 16) in
+    let rec read_u4 () =
+      if st.pos + 4 > n then fail st "truncated \\u escape";
+      let v =
+        (hex_digit st src.[st.pos] lsl 12)
+        lor (hex_digit st src.[st.pos + 1] lsl 8)
+        lor (hex_digit st src.[st.pos + 2] lsl 4)
+        lor hex_digit st src.[st.pos + 3]
+      in
+      st.pos <- st.pos + 4;
+      v
+    and add_codepoint cp =
+      if cp < 0x80 then Buffer.add_char b (Char.chr cp)
+      else if cp < 0x800 then begin
+        Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
+        Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+      else if cp < 0x10000 then begin
+        Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
+        Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+        Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+      else begin
+        Buffer.add_char b (Char.chr (0xF0 lor (cp lsr 18)));
+        Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
+        Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+        Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+      end
+    and escape () =
+      (* the cursor is on the byte after a backslash *)
+      let short c =
+        advance st;
+        Buffer.add_char b c
+      in
+      match peek st with
+      | '"' -> short '"'
+      | '\\' -> short '\\'
+      | '/' -> short '/'
+      | 'b' -> short '\b'
+      | 'f' -> short '\012'
+      | 'n' -> short '\n'
+      | 'r' -> short '\r'
+      | 't' -> short '\t'
+      | 'u' ->
+          advance st;
+          let hi = read_u4 () in
+          let cp =
+            if hi >= 0xD800 && hi <= 0xDBFF
+               && st.pos + 6 <= n
+               && src.[st.pos] = '\\'
+               && src.[st.pos + 1] = 'u'
+            then begin
+              st.pos <- st.pos + 2;
+              let lo = read_u4 () in
+              if lo >= 0xDC00 && lo <= 0xDFFF then
+                0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+              else fail st "unpaired surrogate"
+            end
+            else hi
+          in
+          add_codepoint cp
+      | _ -> fail st "bad escape"
+    and loop () =
+      let stop = plain st.pos in
+      Buffer.add_substring b src st.pos (stop - st.pos);
+      st.pos <- stop;
+      if stop >= n then fail st "unterminated string"
+      else if src.[stop] = '"' then begin
         advance st;
         Buffer.contents b
-    | Some '\\' -> (
+      end
+      else begin
         advance st;
-        match peek st with
-        | Some '"' -> advance st; Buffer.add_char b '"'; loop ()
-        | Some '\\' -> advance st; Buffer.add_char b '\\'; loop ()
-        | Some '/' -> advance st; Buffer.add_char b '/'; loop ()
-        | Some 'b' -> advance st; Buffer.add_char b '\b'; loop ()
-        | Some 'f' -> advance st; Buffer.add_char b '\012'; loop ()
-        | Some 'n' -> advance st; Buffer.add_char b '\n'; loop ()
-        | Some 'r' -> advance st; Buffer.add_char b '\r'; loop ()
-        | Some 't' -> advance st; Buffer.add_char b '\t'; loop ()
-        | Some 'u' ->
-            advance st;
-            let hi = read_u4 () in
-            let cp =
-              if hi >= 0xD800 && hi <= 0xDBFF
-                 && st.pos + 6 <= String.length st.src
-                 && st.src.[st.pos] = '\\'
-                 && st.src.[st.pos + 1] = 'u'
-              then begin
-                st.pos <- st.pos + 2;
-                let lo = read_u4 () in
-                if lo >= 0xDC00 && lo <= 0xDFFF then
-                  0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
-                else fail st "unpaired surrogate"
-              end
-              else hi
-            in
-            add_codepoint cp;
-            loop ()
-        | _ -> fail st "bad escape")
-    | Some c ->
-        advance st;
-        Buffer.add_char b c;
+        escape ();
         loop ()
-  in
-  loop ()
+      end
+    in
+    loop ()
 
 let parse_number st =
   let start = st.pos in
-  let consume_while pred =
-    let rec go () =
-      match peek st with
-      | Some c when pred c ->
-          advance st;
-          go ()
-      | _ -> ()
-    in
-    go ()
+  let rec digits () =
+    match peek st with
+    | '0' .. '9' ->
+        advance st;
+        digits ()
+    | _ -> ()
   in
-  (match peek st with Some '-' -> advance st | _ -> ());
-  consume_while (function '0' .. '9' -> true | _ -> false);
+  if peek st = '-' then advance st;
+  digits ();
+  if peek st = '.' then begin
+    advance st;
+    digits ()
+  end;
   (match peek st with
-  | Some '.' ->
+  | 'e' | 'E' ->
       advance st;
-      consume_while (function '0' .. '9' -> true | _ -> false)
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      consume_while (function '0' .. '9' -> true | _ -> false)
+      (match peek st with '+' | '-' -> advance st | _ -> ());
+      digits ()
   | _ -> ());
   let text = String.sub st.src start (st.pos - start) in
   match float_of_string_opt text with
@@ -160,12 +183,12 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
+  if st.pos >= String.length st.src then fail st "unexpected end of input";
   match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '{' ->
+  | '{' ->
       advance st;
       skip_ws st;
-      if peek st = Some '}' then begin
+      if peek st = '}' then begin
         advance st;
         Obj []
       end
@@ -178,20 +201,20 @@ let rec parse_value st =
           let v = parse_value st in
           skip_ws st;
           match peek st with
-          | Some ',' ->
+          | ',' ->
               advance st;
               fields ((k, v) :: acc)
-          | Some '}' ->
+          | '}' ->
               advance st;
               Obj (List.rev ((k, v) :: acc))
           | _ -> fail st "expected ',' or '}'"
         in
         fields []
       end
-  | Some '[' ->
+  | '[' ->
       advance st;
       skip_ws st;
-      if peek st = Some ']' then begin
+      if peek st = ']' then begin
         advance st;
         Arr []
       end
@@ -200,30 +223,28 @@ let rec parse_value st =
           let v = parse_value st in
           skip_ws st;
           match peek st with
-          | Some ',' ->
+          | ',' ->
               advance st;
               elems (v :: acc)
-          | Some ']' ->
+          | ']' ->
               advance st;
               Arr (List.rev (v :: acc))
           | _ -> fail st "expected ',' or ']'"
         in
         elems []
       end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> Num (parse_number st)
-  | Some c -> fail st (Printf.sprintf "unexpected %C" c)
+  | '"' -> Str (parse_string st)
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '-' | '0' .. '9' -> Num (parse_number st)
+  | c -> fail st (Printf.sprintf "unexpected %C" c)
 
 let parse src =
   let st = { src; pos = 0 } in
   let v = parse_value st in
   skip_ws st;
-  (match peek st with
-  | None -> ()
-  | Some _ -> fail st "trailing content");
+  if st.pos < String.length src then fail st "trailing content";
   v
 
 let parse_lines src =

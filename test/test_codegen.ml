@@ -218,15 +218,6 @@ let sample k i =
 
 let hex f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
 
-let c_ident s =
-  let s =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c | _ -> '_')
-      s
-  in
-  if s = "" || (s.[0] >= '0' && s.[0] <= '9') then "m_" ^ s else s
-
 let input_name s = Expr.var_c_name (Expr.signal s)
 
 (* The driver's output for one model: a header, then per step the bits
@@ -260,7 +251,7 @@ let expected_output label (p : Sfprogram.t) =
    stdin (bits in hex), steps each target's class, prints the output
    bits. *)
 let driver_function i label (p : Sfprogram.t) =
-  let cls = c_ident p.Sfprogram.name in
+  let cls = Codegen.sanitize_ident p.Sfprogram.name in
   let n_in = List.length p.Sfprogram.inputs in
   let outs = List.map Expr.var_c_name p.Sfprogram.outputs in
   let print_row read =
@@ -283,7 +274,7 @@ let driver_function i label (p : Sfprogram.t) =
       "      const double *u = &in[i * n_in]; (void)u;\n";
       Printf.sprintf "      m.step(%s);\n"
         (String.concat ", " (List.init n_in (Printf.sprintf "u[%d]")));
-      print_row (fun o -> Printf.sprintf "m.%s_value()" (c_ident o));
+      print_row (fun o -> Printf.sprintf "m.%s_value()" (Codegen.sanitize_ident o));
       "    }\n  }\n";
       Printf.sprintf "  std::printf(\"== %s sc-de\\n\");\n" label;
       Printf.sprintf "  {\n    m%d_de::%s m(\"m\");\n" i cls;

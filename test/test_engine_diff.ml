@@ -227,11 +227,14 @@ let gen_stimulus_value =
         (1, return neg_infinity);
       ])
 
-let arb_case =
+(* A generated program with 24 steps of stimuli for its two inputs. *)
+let arb_of gen =
   QCheck.make
     ~print:(fun (p, _) -> Format.asprintf "%a" Sfprogram.pp p)
     QCheck.Gen.(
-      pair gen_program (array_size (return 24) (pair gen_stimulus_value gen_stimulus_value)))
+      pair gen (array_size (return 24) (pair gen_stimulus_value gen_stimulus_value)))
+
+let arb_case = arb_of gen_program
 
 (* Replace every constant (including those inside conditions) so the
    perturbed program shares the original's shape but no values. *)
@@ -393,12 +396,7 @@ let gen_row_program =
     ~outputs:[ target_var (List.length assignments - 1) ]
     ~assignments ~dt:1.0
 
-let arb_row_case =
-  QCheck.make
-    ~print:(fun (p, _) -> Format.asprintf "%a" Sfprogram.pp p)
-    QCheck.Gen.(
-      pair gen_row_program
-        (array_size (return 24) (pair gen_stimulus_value gen_stimulus_value)))
+let arb_row_case = arb_of gen_row_program
 
 (* The abstract interpreter, given the box the stimuli span, must
    contain every value the concrete run computes. *)
@@ -433,6 +431,108 @@ let prop_rows =
       check_intervals case;
       true)
 
+(* ---- Runs of three-product rows ---- *)
+
+(* Runs of 1-30 assignments whose right-hand side is a row of exactly
+   three products, the RC-ladder shape the bytecode steps as one
+   block: later rows read earlier targets of the run, and rows read
+   histories, their own target's included. A few assignments break
+   the run: a row with a plain term, a conditional over two rows (a
+   [Cmp] and a [Sel]), or a row nested as the first factor of another
+   (its target is then a temporary). Factors may also be shared
+   subexpressions — a product, a conditional, a row — which CSE
+   computes once and keeps in a register across rows; a row reading
+   one for the last time may reuse that register for its own target.
+   Leaves are [interesting] constants, so NaN, infinities and signed
+   zeros flow through every product and sum. *)
+let gen_run_program =
+  let open QCheck.Gen in
+  let const_leaf =
+    map (fun i -> Expr.Const interesting.(i mod Array.length interesting)) nat
+  in
+  let pick xs = map (fun i -> xs.(i mod Array.length xs)) nat in
+  let mul a b = Expr.Mul (a, b) in
+  let row a b c = Expr.Add (Expr.Add (a, b), c) in
+  let input_leaf =
+    frequency
+      [
+        (1, const_leaf);
+        ( 3,
+          pick
+            (Array.of_list
+               (List.map Expr.var
+                  (input_vars @ List.map (fun v -> Expr.delayed v 1) input_vars)))
+        );
+      ]
+  in
+  let product leaf = map2 mul leaf leaf in
+  let shared =
+    frequency
+      [
+        (1, product input_leaf);
+        ( 1,
+          map3
+            (fun c a b -> Expr.Cond (Expr.Cmp (c, a, b), a, b))
+            gen_cmp input_leaf input_leaf );
+        ( 1,
+          map3 row (product input_leaf) (product input_leaf)
+            (product input_leaf) );
+      ]
+  in
+  list_size (int_range 1 4) shared >>= fun shared ->
+  let shared = Array.of_list shared in
+  int_range 1 30 >>= fun n_assign ->
+  let rec build i acc =
+    if i >= n_assign then return (List.rev acc)
+    else
+      let prior = List.init i target_var in
+      let hist =
+        List.concat_map
+          (fun v -> [ Expr.delayed v 1; Expr.delayed v 2 ])
+          (input_vars @ prior @ [ target_var i ])
+      in
+      let leaf =
+        frequency
+          [
+            (2, const_leaf);
+            (5, pick (Array.of_list (List.map Expr.var (input_vars @ prior @ hist))));
+            (2, pick shared);
+          ]
+      in
+      let ladder = map3 row (product leaf) (product leaf) (product leaf) in
+      let rhs =
+        frequency
+          [
+            (12, ladder);
+            (1, map3 row (product leaf) leaf (product leaf));
+            ( 1,
+              map3
+                (fun (c, a, b) x y -> Expr.Cond (Expr.Cmp (c, a, b), x, y))
+                (triple gen_cmp leaf leaf) ladder ladder );
+            ( 2,
+              map3
+                (fun inner (k, b) c -> row (mul inner k) b c)
+                ladder
+                (pair leaf (product leaf))
+                (product leaf) );
+          ]
+      in
+      rhs >>= fun e ->
+      build (i + 1) ({ Sfprogram.target = target_var i; expr = e } :: acc)
+  in
+  build 0 [] >|= fun assignments ->
+  Sfprogram.make ~name:"runs" ~inputs
+    ~outputs:[ target_var (List.length assignments - 1) ]
+    ~assignments ~dt:1.0
+
+let prop_row_runs =
+  QCheck.Test.make
+    ~name:"runs of three-product rows: tree = bytecode = rebound template"
+    ~count:300 (arb_of gen_run_program)
+    (fun case ->
+      check_engines case;
+      true)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "engine-diff"
@@ -447,5 +547,5 @@ let () =
         ] );
       ( "examples",
         [ Alcotest.test_case "example models" `Quick test_example_models ] );
-      ("property", qt [ prop_random_programs; prop_rows ]);
+      ("property", qt [ prop_random_programs; prop_rows; prop_row_runs ]);
     ]

@@ -1573,7 +1573,8 @@ let test_daemon_werror_rejection () =
       let doomed =
         { small_spec with Spec.name = "doomed"; amplitude_limit = Some 1e-9 }
       in
-      (match Client.submit c ~spec_text:(Spec.to_string doomed) () with
+      let first = Client.submit c ~spec_text:(Spec.to_string doomed) () in
+      (match first with
       | Ok (Protocol.Rejected { message; findings }) ->
           Alcotest.(check bool) "message names the screen" true
             (String.length message > 0);
@@ -1590,6 +1591,16 @@ let test_daemon_werror_rejection () =
           Alcotest.failf "expected rejection, got %s"
             (Protocol.encode_response r)
       | Error m -> Alcotest.failf "submit: %s" m);
+      (* The second submit meets the warm sweep and its stored screen:
+         the same rejection, byte for byte. *)
+      (match (first, Client.submit c ~spec_text:(Spec.to_string doomed) ()) with
+      | Ok r1, Ok (Protocol.Rejected _ as r2) ->
+          Alcotest.(check string) "second rejection identical"
+            (Protocol.encode_response r1) (Protocol.encode_response r2)
+      | _, Ok r ->
+          Alcotest.failf "expected a second rejection, got %s"
+            (Protocol.encode_response r)
+      | _, Error m -> Alcotest.failf "second submit: %s" m);
       (* Daemon must still be alive and serving. *)
       Client.send c Protocol.Ping;
       (match Client.recv c with

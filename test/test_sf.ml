@@ -348,7 +348,24 @@ let test_row_fusion () =
     |> List.map (fun l -> List.length (String.split_on_char '+' l) - 1)
   in
   Alcotest.(check bool) "the four-term row prints whole" true
-    (List.mem 3 rows)
+    (List.mem 3 rows);
+  (* A shared product scheduled between a row and the row it absorbs
+     moves in front of both, so [z] stays one instruction. *)
+  let p =
+    mk ~inputs:[ "u"; "v" ]
+      [
+        asg z (sum [ sum [ k 2.0 input; k 3.0 v ]; uv ]);
+        asg y (sum [ uv; k 7.0 z ]);
+      ]
+  in
+  let c = Sfprogram.compile p in
+  Alcotest.(check int) "instructions" 3 (Compile.n_instrs c);
+  Alcotest.(check string) "listing"
+    "bytecode: 3 instr, 8 regs (4 slots, 3 consts)\n\
+    \  t0 = s0 * s1;\n\
+    \  s2 = c0{2} * s0 + c1{3} * s1 + t0;\n\
+    \  s3 = t0 + c2{7} * s2;"
+    (Format.asprintf "%a" Compile.pp c)
 
 (* Minor-heap words allocated while [f ()] runs. *)
 let minor_words f =

@@ -302,6 +302,28 @@ let prop_json_roundtrip =
     (QCheck.make ~print:Json.print gen_json)
     (fun v -> json_roundtrips v (Json.parse (Json.print v)))
 
+(* A document cut short — the torn last line a kill leaves — raises
+   [Parse_error] at every cut, never another exception and never a
+   value. The documents are arrays and objects, like every document
+   the repo writes: a number cut short can still read as a number. *)
+let prop_json_truncation =
+  QCheck.Test.make ~name:"every truncation raises Parse_error" ~count:300
+    (QCheck.make ~print:Json.print
+       QCheck.Gen.(
+         oneof
+           [
+             map (fun v -> Json.Arr [ v ]) gen_json;
+             map2 (fun k v -> Json.Obj [ (k, v) ]) gen_json_string gen_json;
+           ]))
+    (fun v ->
+      let text = Json.print v in
+      for n = 0 to String.length text - 1 do
+        match Json.parse (String.sub text 0 n) with
+        | exception Json.Parse_error _ -> ()
+        | _ -> QCheck.Test.fail_reportf "the first %d bytes parse" n
+      done;
+      true)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -335,6 +357,11 @@ let () =
       ( "json",
         [ Alcotest.test_case "print pinned" `Quick test_json_print_pinned ] );
       ( "properties",
-        qt [ prop_sample_at_is_monotone_on_monotone_traces; prop_json_roundtrip ]
+        qt
+          [
+            prop_sample_at_is_monotone_on_monotone_traces;
+            prop_json_roundtrip;
+            prop_json_truncation;
+          ]
       );
     ]
