@@ -75,7 +75,7 @@ let definitely_unhealthy ?amplitude i =
       | None -> false
     in
     if not fin_bad then None
-    else if has_flag i then Some `Nonfinite
+    else if no_finite i then Some `Nonfinite
     else Some `Amplitude
 
 let to_string i =
@@ -680,26 +680,8 @@ let check_bad ?amplitude ~dt ~step out =
       Some { b_kind = k; b_step = step; b_time = float_of_int step *. dt }
   | None -> None
 
-let prove_unhealthy ?(max_steps = 256) ?amplitude ~inputs p =
-  let pr = prog_of p in
-  let out_slot = (Sfprogram.layout_output_slots pr.lay).(0) in
-  let st = Array.make (max 1 pr.n) (const 0.0) in
-  let dt = p.Sfprogram.dt in
-  let found = ref None in
-  (try
-     for k = 1 to max_steps do
-       abstract_step pr ~inputs:(inputs k) st;
-       match check_bad ?amplitude ~dt ~step:k st.(out_slot) with
-       | Some b ->
-           found := Some b;
-           raise Exit
-       | None -> ()
-     done
-   with Exit -> ());
-  !found
-
-(* The same proof over a compiled artifact: the interval interpretation
-   runs the very bytecode the sweep engine executes (template pools
+(* The proof runs over a compiled artifact: the interval interpretation
+   executes the very bytecode the sweep engine runs (rebound pools
    included), through [Compile.exec_with]. *)
 
 let bool_itv { may_t; may_f } =

@@ -14,12 +14,13 @@
       assignments in order, history rotations) to a widened fixpoint —
       a MAY analysis whose per-target ranges over-approximate every
       reachable value, powering the AMS06x lint passes;
-    - {!prove_unhealthy} follows the exact step sequence without
-      joining across steps — a MUST analysis: when the whole abstract
-      output at some step is non-finite (or finite but beyond the
-      amplitude budget), {e every} concrete run in the analysed box
-      trips the corresponding health watchdog, which is what lets the
-      sweep engine skip provably-bad parameter sub-regions. *)
+    - {!prove_unhealthy_compiled} follows the exact step sequence of
+      the compiled bytecode without joining across steps — a MUST
+      analysis: when the whole abstract output at some step is
+      non-finite (or finite but beyond the amplitude budget),
+      {e every} concrete run in the analysed box trips the
+      corresponding health watchdog, which is what lets the sweep
+      engine skip provably-bad parameter sub-regions. *)
 
 module Sfprogram = Amsvp_sf.Sfprogram
 module Compile = Amsvp_sf.Compile
@@ -71,8 +72,10 @@ val definitely_unhealthy :
   ?amplitude:float -> itv -> [ `Nonfinite | `Amplitude ] option
 (** Every concrete value in the abstraction would trip a health
     watchdog: it is non-finite, or finite with magnitude strictly
-    above [amplitude]. [None] on [bot] (no value — nothing provable)
-    or whenever a healthy value remains possible. *)
+    above [amplitude]. [`Nonfinite] when no finite value is possible;
+    [`Amplitude] when some finite value is (non-finite ones may be
+    possible too). [None] on [bot] (no value — nothing provable) or
+    whenever a healthy value remains possible. *)
 
 val to_string : itv -> string
 val pp : Format.formatter -> itv -> unit
@@ -125,22 +128,6 @@ type bad = {
   b_time : float;  (** [b_step * dt] *)
 }
 
-val prove_unhealthy :
-  ?max_steps:int ->
-  ?amplitude:float ->
-  inputs:(int -> itv array) ->
-  Sfprogram.t ->
-  bad option
-(** Follow the exact abstract step sequence (no joins across steps,
-    at most [max_steps], default 256) and return the first step at
-    which the first output is {!definitely_unhealthy}.
-    [inputs k] gives the abstract inputs of step [k] (1-based) —
-    exact singletons when the stimulus is known. To cover a whole
-    family of rebound programs in one run, hull their constant pools
-    and use {!prove_unhealthy_compiled}. [Some _] is a proof that
-    {e every} concrete run in the box is reported unhealthy; [None]
-    proves nothing. *)
-
 val prove_unhealthy_compiled :
   ?max_steps:int ->
   ?amplitude:float ->
@@ -149,9 +136,16 @@ val prove_unhealthy_compiled :
   Sfprogram.t ->
   Compile.t ->
   bad option
-(** The same proof executed over the compiled bytecode through
-    {!Compile.exec_with} — the very artifact (template pools included)
-    the sweep engine runs. [pool] defaults to the artifact's own
-    constants.
+(** Run the program's compiled bytecode through {!Compile.exec_with}
+    over intervals — the very artifact the sweep engine runs —
+    following the exact abstract step sequence (no joins across steps,
+    at most [max_steps], default 256), and return the first step at
+    which the first output is {!definitely_unhealthy}.
+    [inputs k] gives the abstract inputs of step [k] (1-based) —
+    exact singletons when the stimulus is known. [pool] defaults to
+    the artifact's own constants; to cover a whole family of rebound
+    programs in one run, pass the hull of their constant pools.
+    [Some _] is a proof that {e every} concrete run in the box is
+    reported unhealthy; [None] proves nothing.
     @raise Invalid_argument on an artifact/program slot mismatch or a
     wrong pool size. *)

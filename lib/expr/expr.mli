@@ -138,6 +138,14 @@ val apply_cmp : cmp -> float -> float -> bool
 (** Pointwise semantics of the comparison operators (IEEE semantics:
     any comparison involving NaN is false). *)
 
+val fun_name : unary_fun -> string
+(** Source name of a unary function ([sin], [ln], [abs], ...): the one
+    name table behind {!pp}, the program text format and bytecode
+    shape keys. *)
+
+val cmp_name : cmp -> string
+(** Source spelling of a comparison ([<], [<=], [>], [>=]). *)
+
 val eval : (var -> float) -> t -> float
 (** Evaluate under an environment.
     @raise Continuous_time on [Ddt]/[Idt] nodes — continuous-time

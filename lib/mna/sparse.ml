@@ -46,93 +46,6 @@ exception Singular of int
    residual grew to ~1e-10. *)
 let pivot_threshold = 0.1
 
-let lu_factor ~n triplets =
-  let rows = Array.init n (fun _ -> Hashtbl.create 8) in
-  List.iter
-    (fun (i, j, v) ->
-      if i < 0 || i >= n || j < 0 || j >= n then
-        invalid_arg "Sparse.lu_factor: index out of range";
-      if v <> 0.0 then
-        let cur = try Hashtbl.find rows.(i) j with Not_found -> 0.0 in
-        Hashtbl.replace rows.(i) j (cur +. v))
-    triplets;
-  let perm = Array.init n (fun i -> i) in
-  let lrows = Array.make n [] in
-  for k = 0 to n - 1 do
-    (* Candidate pivots: rows k..n-1 with an entry in column k. The
-       numerically admissible one with the sparsest row wins
-       (Markowitz-style fill control with threshold pivoting). *)
-    let colmax = ref 0.0 in
-    for i = k to n - 1 do
-      match Hashtbl.find_opt rows.(i) k with
-      | Some v -> if abs_float v > !colmax then colmax := abs_float v
-      | None -> ()
-    done;
-    if !colmax < 1e-300 then raise (Singular k);
-    let best = ref (-1) and best_nnz = ref max_int in
-    for i = k to n - 1 do
-      match Hashtbl.find_opt rows.(i) k with
-      | Some v
-        when abs_float v >= pivot_threshold *. !colmax
-             && Hashtbl.length rows.(i) < !best_nnz ->
-          best := i;
-          best_nnz := Hashtbl.length rows.(i)
-      | Some _ | None -> ()
-    done;
-    let r = !best in
-    if r <> k then begin
-      let t = rows.(k) in
-      rows.(k) <- rows.(r);
-      rows.(r) <- t;
-      let t = perm.(k) in
-      perm.(k) <- perm.(r);
-      perm.(r) <- t;
-      let t = lrows.(k) in
-      lrows.(k) <- lrows.(r);
-      lrows.(r) <- t
-    end;
-    let pivot_row = rows.(k) in
-    let pivot = Hashtbl.find pivot_row k in
-    for i = k + 1 to n - 1 do
-      match Hashtbl.find_opt rows.(i) k with
-      | None -> ()
-      | Some a_ik ->
-          let f = a_ik /. pivot in
-          Hashtbl.remove rows.(i) k;
-          lrows.(i) <- (k, f) :: lrows.(i);
-          Hashtbl.iter
-            (fun j v ->
-              if j > k then begin
-                let cur = try Hashtbl.find rows.(i) j with Not_found -> 0.0 in
-                let nv = cur -. (f *. v) in
-                if nv = 0.0 then Hashtbl.remove rows.(i) j
-                else Hashtbl.replace rows.(i) j nv
-              end)
-            pivot_row
-    done
-  done;
-  let compress_l l =
-    let arr = Array.of_list l in
-    Array.sort (fun (a, _) (b, _) -> compare a b) arr;
-    arr
-  in
-  let diag = Array.make n 0.0 in
-  let urows =
-    Array.init n (fun i ->
-        let items =
-          Hashtbl.fold
-            (fun j v acc -> if j > i then (j, v) :: acc else acc)
-            rows.(i) []
-        in
-        diag.(i) <- (try Hashtbl.find rows.(i) i with Not_found -> 0.0);
-        if abs_float diag.(i) < 1e-300 then raise (Singular i);
-        let arr = Array.of_list items in
-        Array.sort (fun (a, _) (b, _) -> compare a b) arr;
-        arr)
-  in
-  make_lu ~perm (csr_of_rows (Array.map compress_l lrows)) (csr_of_rows urows)
-    diag
-
 (* The dense factor's nonzero entries, row by row in column order: the
    substitution below then does the dense loops' operations minus the
    terms whose factor entry is exactly zero. *)
@@ -204,10 +117,10 @@ let pivot_range f =
    U depend only on the sparsity structure once the pivot sequence is
    fixed, so both can be computed once per topology and reused by a
    cheap numeric refactor at every subsequent (h, region) change. The
-   analysis is the same Markowitz elimination as [lu_factor] except that
-   structural zeros are retained: zero-valued inserts stay in the row
-   and entries that cancel numerically are kept, making the recorded
-   pattern a superset of the fill of any matrix with this structure. *)
+   analysis is a Markowitz elimination on hash-sparse rows that retains
+   structural zeros: zero-valued inserts stay in the row and entries
+   that cancel numerically are kept, making the recorded pattern a
+   superset of the fill of any matrix with this structure. *)
 
 type symbolic = {
   sn : int;
@@ -229,6 +142,9 @@ let analyze ~n triplets =
   let perm = Array.init n (fun i -> i) in
   let lcols = Array.make n [] in
   for k = 0 to n - 1 do
+    (* Candidate pivots: rows k..n-1 with an entry in column k. The
+       numerically admissible one with the sparsest row wins
+       (Markowitz-style fill control with threshold pivoting). *)
     let colmax = ref 0.0 in
     for i = k to n - 1 do
       match Hashtbl.find_opt rows.(i) k with

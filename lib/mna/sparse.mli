@@ -3,13 +3,15 @@
     The paper notes that "the sparse linear solver and device evaluation
     are two most serious bottlenecks in this kind of simulators"
     (§III-B, citing DATE'15 work on fast sparse solvers). This module
-    provides the sparse counterpart of {!Matrix}: rows are kept as
-    hash-sparse vectors during elimination, pivots are chosen by a
-    Markowitz-style rule (fewest fill candidates) subject to a
-    numerical threshold against the column maximum, and the resulting
-    factors are stored as compressed sparse rows (flat index and value
-    arrays) for repeated forward/backward solves — the access pattern
-    of a fixed-timestep linear network. *)
+    provides the sparse counterpart of {!Matrix}: {!analyze} keeps rows
+    as hash-sparse vectors during one symbolic elimination, choosing
+    pivots by a Markowitz-style rule (fewest fill candidates) subject
+    to a numerical threshold against the column maximum; {!refactor}
+    computes the factors along that fixed pattern, stored as
+    compressed sparse rows (flat index and value arrays) for repeated
+    forward/backward solves — the access pattern of a fixed-timestep
+    linear network. A one-off factorisation is
+    [refactor (analyze ~n t) t]. *)
 
 type triplet = int * int * float
 (** [(row, col, value)]; duplicate entries accumulate. *)
@@ -32,11 +34,6 @@ type lu = private {
 
 exception Singular of int
 (** No admissible pivot in the given elimination step. *)
-
-val lu_factor : n:int -> triplet list -> lu
-(** Factor the [n x n] matrix given by its nonzero entries.
-    @raise Singular on structurally or numerically singular input
-    @raise Invalid_argument on out-of-range indices. *)
 
 val of_dense : Matrix.lu -> lu
 (** The nonzero entries of a dense partial-pivot factor, with its

@@ -63,7 +63,7 @@ val pwl_regions_into : t -> float array -> regions:bool array -> unit
 val stamp_triplets :
   ?state:float array -> t -> h:float -> (int * int * float) list
 (** The same stamps as {!stamp_matrix}, as sparse triplets for
-    {!Sparse.lu_factor}. *)
+    {!Sparse.analyze} and {!Sparse.refactor}. *)
 
 val stamp_rhs :
   t ->

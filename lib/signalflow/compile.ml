@@ -1,7 +1,5 @@
 module Obs = Amsvp_obs.Obs
 
-type mode = [ `Optimize | `Template ]
-
 (* Three-address instructions over one float register file. All
    operands are plain register indices, validated at build time, so
    [exec] can use unchecked array accesses. Conditions are materialised
@@ -29,14 +27,15 @@ type instr =
           [d := (a0*b0 + a1*b1) + a2*b2] *)
 
 type t = {
-  mode : mode;
   shape : string;
       (** structural key: slot layout + expression structure, constants
           elided — two programs with equal shapes share register
           allocation and scheduling *)
   n_slots : int;
   n_regs : int;
-  consts : float array;  (** [consts.(i)] preloads register [n_slots + i] *)
+  consts : float array;
+      (** [consts.(i)] preloads register [n_slots + i]: one position per
+          literal occurrence, in [collect_consts] order *)
   targets : int array;  (** target slot of each compiled assignment *)
   code : instr array;
   exe : instr array;
@@ -61,7 +60,7 @@ let c_instrs =
     "amsvp_sf_compiled_instrs_total"
 
 let c_rebinds =
-  Obs.Counter.make ~help:"template artifacts re-targeted without recompiling"
+  Obs.Counter.make ~help:"artifacts re-targeted without recompiling"
     "amsvp_sf_compile_rebinds_total"
 
 let h_compile_seconds =
@@ -86,44 +85,14 @@ type op =
 
 type node = Nconst of int  (** pool index *) | Nread of int  (** slot *) | Nop of op * int array
 
-(* Hash-consing key. Constants are keyed by their bit pattern in
-   [`Optimize] mode (0.0 and -0.0 stay distinct, every NaN payload is
-   its own value); in [`Template] mode every literal occurrence is a
-   fresh pool position and never unifies. Reads are keyed by (slot,
-   version) with the version bumped at each store, so a read before and
-   after an assignment to the same slot cannot unify. *)
-type key = Kconst of int64 | Kread of int * int | Kop of op * int list
-
-(* Exactly the IEEE operations the tree interpreter performs, so
-   compile-time folding is bit-identical to evaluating at run time.
-   The boolean connectives see only 0.0/1.0 operands here. *)
-let eval_op op (xs : float array) =
-  match (op, xs) with
-  | Oneg, [| a |] -> -.a
-  | Oadd, [| a; b |] -> a +. b
-  | Osub, [| a; b |] -> a -. b
-  | Omul, [| a; b |] -> a *. b
-  | Odiv, [| a; b |] -> a /. b
-  | Oapp f, [| a |] -> Expr.apply_fun f a
-  | Ocmp c, [| a; b |] -> if Expr.apply_cmp c a b then 1.0 else 0.0
-  | Oand, [| a; b |] -> if a <> 0.0 && b <> 0.0 then 1.0 else 0.0
-  | Oor, [| a; b |] -> if a <> 0.0 || b <> 0.0 then 1.0 else 0.0
-  | Onot, [| a |] -> if a <> 0.0 then 0.0 else 1.0
-  | Osel, [| c; a; b |] -> if c <> 0.0 then a else b
-  | _ -> invalid_arg "Compile.eval_op: arity"
+(* Hash-consing key. Every literal occurrence is its own pool
+   position and never unifies, so the schedule does not depend on
+   constant values. Reads are keyed by (slot, version) with the version
+   bumped at each store, so a read before and after an assignment to
+   the same slot cannot unify. *)
+type key = Kread of int * int | Kop of op * int list
 
 (* ---- structural shape ---- *)
-
-let fun_tag = function
-  | Expr.Sin -> "sin"
-  | Expr.Cos -> "cos"
-  | Expr.Exp -> "exp"
-  | Expr.Ln -> "ln"
-  | Expr.Sqrt -> "sqrt"
-  | Expr.Abs -> "abs"
-  | Expr.Tanh -> "tanh"
-
-let cmp_tag = function Expr.Lt -> "<" | Expr.Le -> "<=" | Expr.Gt -> ">" | Expr.Ge -> ">="
 
 let shape_of ~slot ~n_slots assigns =
   let b = Buffer.create 256 in
@@ -143,7 +112,7 @@ let shape_of ~slot ~n_slots assigns =
     | Expr.Ddt _ | Expr.Idt _ ->
         invalid_arg "Compile: ddt/idt cannot be compiled"
     | Expr.App (f, a) ->
-        Printf.bprintf b "(%s " (fun_tag f);
+        Printf.bprintf b "(%s " (Expr.fun_name f);
         walk a;
         Buffer.add_char b ')'
     | Expr.Cond (c, x, y) ->
@@ -164,7 +133,7 @@ let shape_of ~slot ~n_slots assigns =
     Buffer.add_char b ')'
   and walk_cond c =
     match c with
-    | Expr.Cmp (op, x, y) -> bin (cmp_tag op) x y
+    | Expr.Cmp (op, x, y) -> bin (Expr.cmp_name op) x y
     | Expr.And (c1, c2) ->
         Buffer.add_string b "(&& ";
         walk_cond c1;
@@ -190,8 +159,8 @@ let shape_of ~slot ~n_slots assigns =
   Buffer.contents b
 
 (* Literal constants in the left-to-right traversal order used by the
-   lowering pass: the pool layout of a [`Template] artifact, so
-   {!rebind} can patch values positionally. *)
+   lowering pass: the pool layout of every artifact, so {!rebind} can
+   patch values positionally. *)
 let collect_consts assigns =
   let acc = ref [] in
   let rec walk e =
@@ -243,7 +212,7 @@ let blocks code =
   close ();
   Array.of_list (List.rev !out)
 
-let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
+let compile_unobserved ~slot ~n_slots assigns =
   let shape = shape_of ~slot ~n_slots assigns in
   (* checked [slot]: every variable register must stay below the slot
      region so the unchecked accesses of [exec] are safe. *)
@@ -258,10 +227,7 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
   (* -- pass 1: lower to a value-numbered DAG -- *)
   let nodes : (int, node) Hashtbl.t = Hashtbl.create 64 in
   let keys : (key, int) Hashtbl.t = Hashtbl.create 64 in
-  let cval : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  let pool = ref [] in
   let pool_n = ref 0 in
-  let pool_ix : (int64, int) Hashtbl.t = Hashtbl.create 16 in
   let version = Array.make (max 1 n_slots) 0 in
   let next_id = ref 0 in
   let fresh node =
@@ -270,38 +236,11 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
     Hashtbl.add nodes id node;
     id
   in
-  let pool_slot c =
-    match mode with
-    | `Template ->
-        let i = !pool_n in
-        incr pool_n;
-        pool := c :: !pool;
-        i
-    | `Optimize -> (
-        let bits = Int64.bits_of_float c in
-        match Hashtbl.find_opt pool_ix bits with
-        | Some i -> i
-        | None ->
-            let i = !pool_n in
-            incr pool_n;
-            pool := c :: !pool;
-            Hashtbl.add pool_ix bits i;
-            i)
-  in
-  let mk_const c =
-    match mode with
-    | `Template ->
-        (* every occurrence is its own rebindable pool position *)
-        fresh (Nconst (pool_slot c))
-    | `Optimize -> (
-        let k = Kconst (Int64.bits_of_float c) in
-        match Hashtbl.find_opt keys k with
-        | Some id -> id
-        | None ->
-            let id = fresh (Nconst (pool_slot c)) in
-            Hashtbl.add keys k id;
-            Hashtbl.add cval id c;
-            id)
+  (* every occurrence is its own rebindable pool position *)
+  let mk_const () =
+    let i = !pool_n in
+    incr pool_n;
+    fresh (Nconst i)
   in
   let mk_read s =
     let k = Kread (s, version.(s)) in
@@ -313,35 +252,19 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
         id
   in
   let mk_op op args =
-    let folded =
-      if mode = `Template then None
-      else
-        let vals = Array.map (fun a -> Hashtbl.find_opt cval a) args in
-        if Array.for_all Option.is_some vals then
-          Some (mk_const (eval_op op (Array.map Option.get vals)))
-        else
-          match (op, vals) with
-          (* constant condition: the dead arm is never scheduled *)
-          | Osel, [| Some c; _; _ |] ->
-              Some (if c <> 0.0 then args.(1) else args.(2))
-          | _ -> None
-    in
-    match folded with
+    let k = Kop (op, Array.to_list args) in
+    match Hashtbl.find_opt keys k with
     | Some id -> id
-    | None -> (
-        let k = Kop (op, Array.to_list args) in
-        match Hashtbl.find_opt keys k with
-        | Some id -> id
-        | None ->
-            let id = fresh (Nop (op, args)) in
-            Hashtbl.add keys k id;
-            id)
+    | None ->
+        let id = fresh (Nop (op, args)) in
+        Hashtbl.add keys k id;
+        id
   in
-  (* explicit left-to-right sequencing: template pool positions must
-     match the traversal order of [collect_consts] *)
+  (* explicit left-to-right sequencing: pool positions must match the
+     traversal order of [collect_consts] *)
   let rec lower e =
     match e with
-    | Expr.Const c -> mk_const c
+    | Expr.Const _ -> mk_const ()
     | Expr.Var x -> mk_read (slot x)
     | Expr.Neg a ->
         let a' = lower a in
@@ -406,7 +329,7 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
         (tslot, r))
       assigns
   in
-  let consts = Array.of_list (List.rev !pool) in
+  let consts = collect_consts assigns in
   let const_base = n_slots in
   let temp_base = n_slots + Array.length consts in
   (* -- pass 2: demand-driven scheduling over virtual registers.
@@ -631,7 +554,6 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
   in
   let targets = Array.of_list (List.map fst roots) in
   {
-    mode;
     shape;
     n_slots;
     n_regs = temp_base + !n_temps;
@@ -641,10 +563,10 @@ let compile_unobserved ~(mode : mode) ~slot ~n_slots assigns =
     exe = blocks code;
   }
 
-let compile ?(mode : mode = `Optimize) ~slot ~n_slots assigns =
+let compile ~slot ~n_slots assigns =
   Obs.with_span ~cat:"sf" "sf.compile" @@ fun () ->
   let t0 = Obs.now_ns () in
-  let t = compile_unobserved ~mode ~slot ~n_slots assigns in
+  let t = compile_unobserved ~slot ~n_slots assigns in
   Obs.Counter.incr c_programs;
   Obs.Counter.add c_instrs (Array.length t.code);
   Obs.Histogram.observe h_compile_seconds
@@ -652,7 +574,7 @@ let compile ?(mode : mode = `Optimize) ~slot ~n_slots assigns =
   t
 
 let rebind t ~slot ~n_slots assigns =
-  if t.mode <> `Template || n_slots <> t.n_slots then None
+  if n_slots <> t.n_slots then None
   else if not (String.equal (shape_of ~slot ~n_slots assigns) t.shape) then
     None
   else
@@ -897,7 +819,7 @@ let pp_instr ~reg:r ppf instr =
   | Mul (d, a, b) -> Format.fprintf ppf "%s = %s * %s;" (r d) (r a) (r b)
   | Div (d, a, b) -> Format.fprintf ppf "%s = %s / %s;" (r d) (r a) (r b)
   | App (f, d, a) -> Format.fprintf ppf "%s = %s(%s);" (r d) (c_fun f) (r a)
-  | Cmp (c, d, a, b) -> bool d "%s %s %s" (r a) (cmp_tag c) (r b)
+  | Cmp (c, d, a, b) -> bool d "%s %s %s" (r a) (Expr.cmp_name c) (r b)
   | Andb (d, a, b) -> bool d "%s != 0.0 && %s != 0.0" (r a) (r b)
   | Orb (d, a, b) -> bool d "%s != 0.0 || %s != 0.0" (r a) (r b)
   | Notb (d, a) -> bool d "%s == 0.0" (r a)

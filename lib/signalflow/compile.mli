@@ -16,21 +16,17 @@
     than one per row; every other instruction is dispatched on its
     own. {!rebind} shares that form.
 
-    Lowering goes through a value-numbering DAG, which gives three
+    Lowering goes through a value-numbering DAG, which gives two
     classic optimisations for free, and two more run around it:
 
     - {e liveness}: [Sfprogram.compile] passes only the assignments
       that reach an output, so a slot no output depends on is never
       computed; the slot layout is the full program's all the same;
-
-    - {e constant folding}: an operation whose operands are all
-      constants is evaluated at compile time with exactly the IEEE
-      operations the interpreter would use, so results stay
-      bit-identical;
     - {e common-subexpression elimination}, across all equations of the
       program: slot reads are keyed by (slot, version), with the
       version bumped at each store, so only genuinely unchanged
-      subexpressions unify;
+      subexpressions unify; literal constants never unify (see
+      Templates below);
     - {e dead-register elimination}: instructions are emitted
       demand-first from the assignment roots, so unreferenced nodes
       are never scheduled, and temporaries are re-allocated from a
@@ -56,16 +52,14 @@
 
     {2 Templates}
 
-    A [`Template] artifact disables value-dependent folding and keys
-    every literal constant by its position, so two programs that differ
-    only in constant values (the situation created by the sweep
-    engine's rebind-and-re-solve plan replay) share one compilation:
-    {!rebind} checks the structural shape and patches the constant
-    pool without re-running lowering, scheduling or allocation. *)
-
-type mode =
-  [ `Optimize  (** fold constants; artifact is specific to the values *)
-  | `Template  (** positional constants; {!rebind} can re-target it *) ]
+    Every artifact is a template: lowering never looks at a constant's
+    value (no folding, no merging of equal literals) and gives every
+    literal occurrence its own constant-pool position. Two programs
+    that differ only in constant values (the situation created by the
+    sweep engine's rebind-and-re-solve plan replay) therefore share one
+    compilation: {!rebind} checks the structural shape and patches the
+    constant pool without re-running lowering, scheduling or
+    allocation. *)
 
 type t
 (** A compiled program: immutable, shareable across runners. Registers
@@ -73,7 +67,6 @@ type t
     temporaries live above. *)
 
 val compile :
-  ?mode:mode ->
   slot:(Expr.var -> int) ->
   n_slots:int ->
   (int * Expr.t) list ->
@@ -81,16 +74,16 @@ val compile :
 (** [compile ~slot ~n_slots assigns] lowers [assigns] (pairs of target
     slot and right-hand side, in execution order) into bytecode.
     [slot] must map every variable occurring in the right-hand sides to
-    a register below [n_slots]. Default mode is [`Optimize].
+    a register below [n_slots].
     @raise Invalid_argument on a [ddt]/[idt] node (un-discretised
     program) or a slot index out of range. *)
 
 val rebind : t -> slot:(Expr.var -> int) -> n_slots:int -> (int * Expr.t) list -> t option
-(** [rebind t ~slot ~n_slots assigns] re-targets a [`Template] artifact
-    at a program with the same shape (same slot layout, same expression
+(** [rebind t ~slot ~n_slots assigns] re-targets an artifact at a
+    program with the same shape (same slot layout, same expression
     structure, same variable occurrences) but possibly different
     constant values: the constant pool is replaced, everything else is
-    reused. [None] when [t] is not a template or the shape differs. *)
+    reused. [None] when the shape differs. *)
 
 val n_slots : t -> int
 (** Number of low registers aliasing runner slots. *)
@@ -141,7 +134,7 @@ val exec : t -> float array -> unit
     The bytecode is straight-line, so it can be executed over any
     value domain by supplying the operations — this is how the
     abstract interpreter ([Amsvp_analysis.Absint]) runs the very
-    artifact the sweep engine executes, template pools included. *)
+    artifact the sweep engine executes, rebound pools included. *)
 
 type 'a interp = {
   i_neg : 'a -> 'a;
@@ -159,8 +152,8 @@ type 'a interp = {
 
 val const_pool : t -> float array
 (** A copy of the constant pool; [const_pool t].(i) preloads register
-    [n_slots t + i] (positional — a [`Template] artifact's pool lines
-    up with [rebind]'s collect order). *)
+    [n_slots t + i] (positional — the pool lines up with {!rebind}'s
+    collect order). *)
 
 val exec_with : 'a interp -> t -> 'a array -> unit
 (** One step over an arbitrary domain: the caller preloads constants

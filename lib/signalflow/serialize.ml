@@ -24,17 +24,7 @@ and atom e =
   | Expr.Mul (a, b) -> Printf.sprintf "%s * %s" (atom a) (atom b)
   | Expr.Div (a, b) -> Printf.sprintf "%s / %s" (atom a) (atom b)
   | Expr.App (fn, a) ->
-      let name =
-        match fn with
-        | Expr.Sin -> "sin"
-        | Expr.Cos -> "cos"
-        | Expr.Exp -> "exp"
-        | Expr.Ln -> "ln"
-        | Expr.Sqrt -> "sqrt"
-        | Expr.Abs -> "abs"
-        | Expr.Tanh -> "tanh"
-      in
-      Printf.sprintf "%s(%s)" name (expr_to_string a)
+      Printf.sprintf "%s(%s)" (Expr.fun_name fn) (expr_to_string a)
   | Expr.Add _ | Expr.Sub _ | Expr.Cond _ ->
       Printf.sprintf "(%s)" (expr_to_string e)
   | Expr.Ddt _ | Expr.Idt _ ->
@@ -42,14 +32,8 @@ and atom e =
 
 and cond_to_string = function
   | Expr.Cmp (op, a, b) ->
-      let ops =
-        match op with
-        | Expr.Lt -> "<"
-        | Expr.Le -> "<="
-        | Expr.Gt -> ">"
-        | Expr.Ge -> ">="
-      in
-      Printf.sprintf "%s %s %s" (expr_to_string a) ops (expr_to_string b)
+      Printf.sprintf "%s %s %s" (expr_to_string a) (Expr.cmp_name op)
+        (expr_to_string b)
   | Expr.And (c1, c2) ->
       Printf.sprintf "(%s) && (%s)" (cond_to_string c1) (cond_to_string c2)
   | Expr.Or (c1, c2) ->

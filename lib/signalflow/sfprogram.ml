@@ -267,12 +267,11 @@ let step_plan ?reads (p : t) =
 
 let plan p = step_plan p
 
-let lower ?mode pl =
-  Compile.compile ?mode ~slot:(layout_slot pl.layout)
-    ~n_slots:pl.layout.l_count pl.live
+let compile_plan pl =
+  Compile.compile ~slot:(layout_slot pl.layout) ~n_slots:pl.layout.l_count
+    pl.live
 
-let compile_plan pl = lower pl
-let compile ?mode (p : t) = lower ?mode (plan p)
+let compile (p : t) = compile_plan (plan p)
 
 let rebind_compiled artifact (p : t) =
   let pl = plan p in
@@ -358,7 +357,7 @@ module Runner = struct
                     (Array.length (Compile.target_slots a))
                     (List.length pl.live)
                 else a
-            | None -> lower pl
+            | None -> compile_plan pl
           in
           let slots = Array.make (max 1 (Compile.n_regs artifact)) 0.0 in
           Compile.load_consts artifact slots;

@@ -138,15 +138,15 @@ val plan : t -> plan
 val compile_plan : plan -> Compile.t
 (** Lower [plan.live] to bytecode against [plan.layout]. *)
 
-val compile : ?mode:Compile.mode -> t -> Compile.t
-(** [compile_plan (plan p)] in the given mode: the live assignments (see {!dead_targets})
+val compile : t -> Compile.t
+(** [compile_plan (plan p)]: the live assignments (see {!dead_targets})
     lowered against the full program's canonical slot layout (the one
-    {!Runner.create} uses). With [~mode:`Template] the artifact can be
-    {!rebind_compiled} onto same-shaped programs; its constant pool
-    then holds the live assignments' literals only. *)
+    {!Runner.create} uses). Every artifact can be {!rebind_compiled}
+    onto same-shaped programs; its constant pool holds the live
+    assignments' literals only, one position per occurrence. *)
 
 val rebind_compiled : Compile.t -> t -> Compile.t option
-(** Re-target a [`Template] artifact at a program with the same shape
+(** Re-target an artifact at a program with the same shape
     but different constant values (the sweep engine's plan-replay
     case), skipping lowering, scheduling and register allocation.
     [None] when the shapes differ; fall back to {!compile}. *)

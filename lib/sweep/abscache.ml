@@ -23,8 +23,8 @@ type t = {
   entries : entry list;  (** dependencies first, like [Assemble.defs] *)
   template : Compile.t option;
       (** bytecode compiled once from the representative's solved
-          program in [`Template] mode; {!compiled_for} re-targets it at
-          each rebound point so plan replay also skips compilation *)
+          program; {!compiled_for} re-targets it at each rebound point
+          so plan replay also skips compilation *)
 }
 
 let record_plan ?(mode = `Auto) ?(integration = `Backward_euler) ?spans ~name
@@ -142,7 +142,7 @@ let build ?mode ?integration ?spans ~name ~dt circuit ~outputs =
      forked, so the cache stays immutable afterwards. *)
   let template =
     match rebind t circuit with
-    | Some p -> Some (Sfprogram.compile ~mode:`Template p)
+    | Some p -> Some (Sfprogram.compile p)
     | None -> None
   in
   { t with template }

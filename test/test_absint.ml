@@ -1,9 +1,9 @@
 (* Tests for the abstract interpreter: the soundness property (every
    concrete trace value of a random program lies inside the proven
    interval of its target, non-finite values only where the flags
-   allow them), the step-accurate MUST proof (whenever
-   [prove_unhealthy] claims a step, the concrete run really trips the
-   watchdog there). *)
+   allow them), the step-accurate MUST proof over the bytecode
+   (whenever [prove_unhealthy_compiled] claims a step, the concrete run
+   really trips the watchdog there). *)
 
 module Sfprogram = Amsvp_sf.Sfprogram
 module Compile = Amsvp_sf.Compile
@@ -135,36 +135,85 @@ let prop_analysis_sound =
       | _ -> ());
       true)
 
-(* MUST-proof soundness: when [prove_unhealthy] (fed the exact
+(* A sibling of [p] with every constant scaled: the same shape, so the
+   artifact of [p] rebinds onto it — a second member of a sweep box. *)
+let rescale (p : Sfprogram.t) =
+  let rec expr e =
+    match e with
+    | Expr.Const c -> Expr.Const (c *. 1.25)
+    | Expr.Var _ -> e
+    | Expr.Neg a -> Expr.Neg (expr a)
+    | Expr.Add (a, b) -> Expr.Add (expr a, expr b)
+    | Expr.Sub (a, b) -> Expr.Sub (expr a, expr b)
+    | Expr.Mul (a, b) -> Expr.Mul (expr a, expr b)
+    | Expr.Div (a, b) -> Expr.Div (expr a, expr b)
+    | Expr.Ddt a -> Expr.Ddt (expr a)
+    | Expr.Idt a -> Expr.Idt (expr a)
+    | Expr.App (f, a) -> Expr.App (f, expr a)
+    | Expr.Cond (c, a, b) -> Expr.Cond (cond c, expr a, expr b)
+  and cond = function
+    | Expr.Cmp (op, a, b) -> Expr.Cmp (op, expr a, expr b)
+    | Expr.And (a, b) -> Expr.And (cond a, cond b)
+    | Expr.Or (a, b) -> Expr.Or (cond a, cond b)
+    | Expr.Not a -> Expr.Not (cond a)
+  in
+  {
+    p with
+    Sfprogram.assignments =
+      List.map
+        (fun (a : Sfprogram.assignment) -> { a with Sfprogram.expr = expr a.expr })
+        p.Sfprogram.assignments;
+  }
+
+(* MUST-proof soundness: when [prove_unhealthy_compiled] (fed the exact
    singleton stimulus) claims step [b], the concrete run is really
-   unhealthy at step [b]. *)
+   unhealthy at step [b]. Checked as [Prune] uses the proof: once over
+   the artifact's own pool, and once over the hull of two rebound
+   pools, where the claim must hold for both programs. *)
 let prop_must_proof_sound =
   QCheck.Test.make ~name:"prove_unhealthy never claims a healthy run"
     ~count:300 gen_case (fun (p, us) ->
       let amplitude = 1.0e6 in
       let inputs k = [| Absint.const us.(min (k - 1) (nsteps - 1)) |] in
-      match
-        Absint.prove_unhealthy ~max_steps:nsteps ~amplitude ~inputs p
-      with
-      | None -> true
-      | Some bad ->
-          let rows = concrete_trace p us in
-          let out = List.hd p.Sfprogram.outputs in
-          let v = List.assoc out (List.nth rows (bad.Absint.b_step - 1)) in
-          let tripped =
-            match bad.Absint.b_kind with
-            | `Nonfinite -> not (Float.is_finite v)
-            | `Amplitude ->
-                (not (Float.is_finite v)) || Float.abs v > amplitude
+      let prove ?pool art =
+        Absint.prove_unhealthy_compiled ~max_steps:nsteps ~amplitude ?pool
+          ~inputs p art
+      in
+      let check_claim q = function
+        | None -> ()
+        | Some bad ->
+            let rows = concrete_trace q us in
+            let out = List.hd q.Sfprogram.outputs in
+            let v = List.assoc out (List.nth rows (bad.Absint.b_step - 1)) in
+            let tripped =
+              match bad.Absint.b_kind with
+              | `Nonfinite -> not (Float.is_finite v)
+              | `Amplitude ->
+                  (not (Float.is_finite v)) || Float.abs v > amplitude
+            in
+            if not tripped then
+              QCheck.Test.fail_reportf
+                "claimed %s at step %d but the concrete output of@ %a@ is %h"
+                (match bad.Absint.b_kind with
+                | `Nonfinite -> "nonfinite"
+                | `Amplitude -> "amplitude")
+                bad.Absint.b_step Sfprogram.pp q v
+      in
+      let art = Sfprogram.compile p in
+      check_claim p (prove art);
+      let p2 = rescale p in
+      (match Sfprogram.rebind_compiled art p2 with
+      | None -> QCheck.Test.fail_report "a rescaled program did not rebind"
+      | Some art2 ->
+          let pool =
+            Array.map2
+              (fun a b -> Absint.join (Absint.const a) (Absint.const b))
+              (Compile.const_pool art) (Compile.const_pool art2)
           in
-          if not tripped then
-            QCheck.Test.fail_reportf
-              "claimed %s at step %d but the concrete output is %h"
-              (match bad.Absint.b_kind with
-              | `Nonfinite -> "nonfinite"
-              | `Amplitude -> "amplitude")
-              bad.Absint.b_step v;
-          true)
+          let claim = prove ~pool art in
+          check_claim p claim;
+          check_claim p2 claim);
+      true)
 
 (* ---- domain unit checks ---- *)
 

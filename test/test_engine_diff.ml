@@ -6,7 +6,7 @@
    bit on randomly generated programs (NaN, +-inf and -0 constants
    included), whether every assignment runs or only the live ones, and
    on generated sums of products, the rows the bytecode fuses into one
-   instruction. The [`Template]/[rebind_compiled] path (what the sweep
+   instruction. The [rebind_compiled] path (what the sweep
    engine replays) is exercised by re-targeting each random program's
    artifact at a constant-perturbed sibling. *)
 
@@ -317,10 +317,10 @@ let check_engines (p, stims) =
       ("tree/sliced", create `Tree [] p, live);
       ("bytecode/sliced", create `Bytecode [] p, live);
     ];
-  (* The sweep replay path: a [`Template] artifact compiled from [p],
+  (* The sweep replay path: the artifact compiled from [p],
      re-targeted at the constant-perturbed sibling. *)
   let p2 = perturb p in
-  match Sfprogram.rebind_compiled (Sfprogram.compile ~mode:`Template p) p2 with
+  match Sfprogram.rebind_compiled (Sfprogram.compile p) p2 with
   | None ->
       QCheck.Test.fail_reportf "rebind refused a same-shape program:@ %a"
         Sfprogram.pp p2

@@ -316,6 +316,52 @@ let test_rc20_counts () =
     [ ("lin", 40); ("mov", 2); ("mul", 2) ]
     (Compile.traffic c).Compile.t_opcode_mix
 
+(* Every artifact is a template: the one a circuit compiles to at the
+   simulate defaults rebinds onto the program of the same circuit with
+   other R/C values, and the rebound run is bit for bit a fresh
+   runner's. *)
+let test_every_artifact_rebinds () =
+  let scaled (tc : Circuits.testcase) =
+    let circuit = tc.Circuits.circuit in
+    let bindings =
+      List.filter_map
+        (fun (key, v) ->
+          if String.ends_with ~suffix:".r" key then Some (key, v *. 1.3)
+          else if String.ends_with ~suffix:".c" key then Some (key, v *. 0.7)
+          else None)
+        (Amsvp_netlist.Circuit.params circuit)
+    in
+    { tc with Circuits.circuit = Amsvp_netlist.Circuit.override circuit bindings }
+  in
+  List.iter
+    (fun (label, dt) ->
+      let tc = Option.get (Circuits.by_name label) in
+      let name = Printf.sprintf "%s at %g s" label dt in
+      let p = (Flow.abstract_testcase tc ~dt).Flow.program in
+      let p' = (Flow.abstract_testcase (scaled tc) ~dt).Flow.program in
+      match Sfprogram.rebind_compiled (Sfprogram.compile p) p' with
+      | None -> Alcotest.failf "%s: the artifact refused to rebind" name
+      | Some art ->
+          let stimuli =
+            Array.of_list
+              (List.map
+                 (fun i -> List.assoc i tc.Circuits.stimuli)
+                 p'.Sfprogram.inputs)
+          in
+          let run r = Sfprogram.Runner.run r ~stimuli ~t_stop:(400.0 *. dt) () in
+          let fresh = run (Sfprogram.Runner.create p') in
+          let rebound = run (Sfprogram.Runner.create ~compiled:art p') in
+          Alcotest.(check int) (name ^ ": samples") (Trace.length fresh)
+            (Trace.length rebound);
+          for i = 0 to Trace.length fresh - 1 do
+            let a = Trace.value fresh i and b = Trace.value rebound i in
+            if Int64.bits_of_float a <> Int64.bits_of_float b then
+              Alcotest.failf "%s: sample %d differs: %h vs %h" name i a b
+          done)
+    (List.concat_map
+       (fun label -> [ (label, 50e-9); (label, 1e-6) ])
+       [ "2IN"; "RC1"; "RC20"; "OA"; "RECT"; "RLC" ])
+
 (* A product two rows share stays a [Mul]; each row around it is one
    [Lin] that reads the shared product as a plain term. Traffic counts
    a row of k products and p plain terms as 2k + p reads and
@@ -518,6 +564,8 @@ let () =
             test_compiled_live_set_checked;
           Alcotest.test_case "RC20 live and fused counts" `Quick
             test_rc20_counts;
+          Alcotest.test_case "every artifact rebinds" `Quick
+            test_every_artifact_rebinds;
           Alcotest.test_case "shared product and rows" `Quick test_row_fusion;
           Alcotest.test_case "exec allocates nothing" `Quick
             test_exec_allocation_free;
