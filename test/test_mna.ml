@@ -353,6 +353,22 @@ let test_sparse_fill_stays_bounded_on_ladder () =
   Alcotest.(check bool) "near-linear fill" true
     (float_of_int z2 < 2.6 *. float_of_int z1)
 
+let prop_sparse_random_systems =
+  QCheck.Test.make ~name:"sparse LU solves random diagonally-dominant systems"
+    ~count:50
+    QCheck.(list_of_size (Gen.int_range 5 40) (triple (int_range 0 9) (int_range 0 9) (float_range (-2.0) 2.0)))
+    (fun entries ->
+      let n = 10 in
+      let triplets = entries @ List.init n (fun i -> (i, i, 25.0)) in
+      let f = sparse_factor ~n triplets in
+      let b = Array.init n (fun i -> float_of_int (i - 4)) in
+      let x = Sparse.lu_solve f b in
+      (* residual check against the assembled dense matrix *)
+      let m = Matrix.create n in
+      List.iter (fun (i, j, v) -> Matrix.add_to m i j v) triplets;
+      let back = Matrix.mat_vec m x in
+      Array.for_all2 (fun u w -> abs_float (u -. w) < 1e-8) back b)
+
 (* AC small-signal analysis *)
 
 module Ac = Amsvp_mna.Ac
@@ -574,6 +590,7 @@ let () =
         qt
           [
             prop_lu_roundtrip;
+            prop_sparse_random_systems;
             prop_random_rc_ladder_dc_value;
           ]);
     ]
