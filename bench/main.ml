@@ -46,7 +46,9 @@ let dt = 50e-9 (* the paper's time step (Section V-A) *)
      of the variant under test;
    - [nrmse]: error against the section's reference trace;
    - [factorizations]: MNA factorisations of the run;
-   - [max_ulp]: worst ulp distance between the two engines' traces;
+   - [max_ulp]: worst ulp distance from the reference: the reference
+     stepper's trace for a bytecode row, the bytecode's final output
+     for a native row;
    - [instrs]: bytecode instructions one step executes;
    - [steps], [newton_iters], [wasted_iters]: Newton totals of a
      journaled SPICE-like run;
@@ -1125,7 +1127,7 @@ let mna_fast ~t_stop () =
         (if speedup >= 5.0 && nrmse <= 5e-3 then "PASS" else "FAIL"))
     cases
 
-(* ---- Execution engines: tree interpreter vs register bytecode ---- *)
+(* ---- Execution engines: register bytecode and native C++ ---- *)
 
 let gxx = "/usr/bin/g++"
 
@@ -1193,61 +1195,59 @@ let engines ~t_stop () =
   header
     (Printf.sprintf
        "ENGINES -- per-step cost of the abstracted models (simulated %g ms): \
-        tree interpreter vs register bytecode, identical outputs required"
+        register bytecode against the reference stepper, identical outputs \
+        required"
        (t_stop *. 1e3));
   let native = Sys.file_exists gxx in
   if not native then
     Printf.printf "native: %s not found, skipping the native rows\n" gxx;
-  Printf.printf "%-6s %7s %7s %6s %12s %14s %14s %9s %8s %16s\n" "" "assign"
-    "instrs" "regs" "compile(us)" "tree(ns/step)" "byte(ns/step)" "speedup"
-    "max-ulp" "native(ns/step)";
+  Printf.printf "%-6s %7s %7s %6s %12s %14s %8s %16s\n" "" "assign" "instrs"
+    "regs" "compile(us)" "byte(ns/step)" "max-ulp" "native(ns/step)";
   List.iter
     (fun label ->
       let tc = Option.get (Circuits.by_name label) in
       let p = (Flow.abstract_testcase tc ~dt).Flow.program in
       let compiled, compile_s = wall (fun () -> Sfprogram.compile p) in
-      (* Identical outputs first: the speed comparison is meaningless
-         if the engines disagree anywhere along the trace. *)
+      (* Identical outputs first: the step cost is meaningless if the
+         bytecode disagrees with the reference anywhere along the
+         trace. *)
       let stimuli = Wrap.stimuli_for p tc.Circuits.stimuli in
-      let run runner = Sfprogram.Runner.run runner ~stimuli ~t_stop () in
-      let tr_tree = run (Sfprogram.Runner.create ~engine:`Tree p) in
-      let tr_byte = run (Sfprogram.Runner.create ~compiled p) in
+      let reference = Amsvp_sf.Reference.run p ~stimuli ~t_stop in
+      let tr_byte =
+        Sfprogram.Runner.run (Sfprogram.Runner.create ~compiled p) ~stimuli
+          ~t_stop ()
+      in
       let max_ulp = ref 0L in
-      for i = 0 to Trace.length tr_tree - 1 do
+      for i = 0 to Trace.length reference - 1 do
         let d =
-          Metrics.ulp_distance (Trace.value tr_tree i) (Trace.value tr_byte i)
+          Metrics.ulp_distance (Trace.value reference i) (Trace.value tr_byte i)
         in
         if Int64.compare d !max_ulp > 0 then max_ulp := d
       done;
       if Int64.compare !max_ulp 1L > 0 then
         failwith
-          (Printf.sprintf "engines disagree on %s: max ulp distance %Ld" label
-             !max_ulp);
+          (Printf.sprintf
+             "bytecode disagrees with the reference on %s: max ulp distance %Ld"
+             label !max_ulp);
       (* Per-step cost: the bare hot loop, stimulus sampling excluded,
          input values toggled so piecewise-linear models exercise both
-         branches. Five rounds of the whole loop under each engine. *)
+         branches. Best of five rounds of the whole loop. *)
       let steps = max 1000 (int_of_float (t_stop /. dt)) in
       let inputs = Array.make (max 1 (List.length p.Sfprogram.inputs)) 0.0 in
-      let pass runner () =
-        Sfprogram.Runner.reset runner;
+      let byte_runner = Sfprogram.Runner.create ~compiled p in
+      let pass () =
+        Sfprogram.Runner.reset byte_runner;
         for i = 1 to steps do
           Array.fill inputs 0 (Array.length inputs)
             (if i land 31 < 16 then 0.0 else 1.0);
-          Sfprogram.Runner.step runner ~inputs
+          Sfprogram.Runner.step byte_runner ~inputs
         done
       in
-      let byte_runner = Sfprogram.Runner.create ~compiled p in
-      let t =
-        paired ~rounds:5 (pass byte_runner)
-          (pass (Sfprogram.Runner.create ~engine:`Tree p))
-      in
-      let per_step s = s /. float_of_int steps in
-      let tree_s = per_step t.b_s and byte_s = per_step t.a_s in
+      let byte_s = (paired ~rounds:5 pass ignore).a_s /. float_of_int steps in
       let max_ulp = Int64.to_int !max_ulp in
       let row = row ~table:"engines" ~comp:label in
-      record (row ~target:"step" ~meth:"tree" tree_s);
       record
-        (row ~target:"step" ~meth:"bytecode" ~ratio:t.b_over_a ~max_ulp
+        (row ~target:"step" ~meth:"bytecode" ~max_ulp
            ~instrs:(Amsvp_sf.Compile.n_instrs compiled) byte_s);
       record (row ~target:"compile" compile_s);
       (* The native row carries how far its final output lies from the
@@ -1264,13 +1264,11 @@ let engines ~t_stop () =
           Printf.sprintf "%.1f" (native_s *. 1e9)
         end
       in
-      Printf.printf "%-6s %7d %7d %6d %12.2f %14.1f %14.1f %8.2fx %8d %16s\n"
-        label
+      Printf.printf "%-6s %7d %7d %6d %12.2f %14.1f %8d %16s\n" label
         (List.length p.Sfprogram.assignments)
         (Amsvp_sf.Compile.n_instrs compiled)
         (Amsvp_sf.Compile.n_regs compiled)
-        (compile_s *. 1e6) (tree_s *. 1e9) (byte_s *. 1e9) t.b_over_a max_ulp
-        native_cell)
+        (compile_s *. 1e6) (byte_s *. 1e9) max_ulp native_cell)
     [ "2IN"; "RC1"; "RC20"; "OA"; "RECT" ]
 
 type cli = {

@@ -122,9 +122,11 @@ let top_arg =
        ~doc:"Top module to elaborate.")
 
 let out_arg =
-  Arg.(value & opt output_conv (Expr.potential "out" "gnd")
+  Arg.(value & opt (some output_conv) None
        & info [ "out" ] ~docv:"ACCESS"
-         ~doc:"Output signal of interest, e.g. 'V(out,gnd)'.")
+         ~doc:"Output signal of interest, e.g. 'V(out,gnd)'. Defaults to \
+               the potential of the top's single output port (for \
+               VHDL-AMS, the one port not listed in $(b,--inputs)).")
 
 let dt_arg =
   Arg.(value & opt float 50e-9 & info [ "dt" ] ~docv:"SECONDS"
@@ -156,12 +158,7 @@ let inputs_arg =
        ~doc:"Externally driven ports of a VHDL-AMS top entity (VHDL \
              terminals carry no direction; ignored for Verilog-AMS).")
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Front-end errors and flow rejections render as one located
    diagnostic line: the same finding `amsvp lint` reports. *)
@@ -197,10 +194,15 @@ let conservative_circuit ~what lang file top inputs =
   | `Signal_flow ->
       die "%s is a signal-flow model; %s needs a network" top what
 
+(* [--out], else the top's single output port. *)
+let resolve_output out flat =
+  match out with Some v -> v | None -> Elaborate.output_port flat
+
 let abstract_model file top output dt mode integration lang inputs =
   with_frontend_errors ~file (fun () ->
       let flat = flatten_any lang (read_file file) ~file top inputs in
-      Elaborate.abstract ~mode ~integration flat ~outputs:[ output ] ~dt)
+      Elaborate.abstract ~mode ~integration flat
+        ~outputs:[ resolve_output output flat ] ~dt)
 
 (* abstract *)
 
@@ -241,14 +243,6 @@ let moc_arg =
   Arg.(value & opt (enum mocs) `Cpp & info [ "moc" ]
        ~doc:"Model of computation: $(b,cpp), $(b,de), $(b,tdf), $(b,eln) or \
              $(b,vams).")
-
-let engine_arg =
-  let engines = [ ("bytecode", `Bytecode); ("tree", `Tree) ] in
-  Arg.(value & opt (enum engines) `Bytecode & info [ "engine" ]
-       ~doc:"Signal-flow execution engine for the abstracted model \
-             ($(b,cpp)/$(b,de)/$(b,tdf) MoCs): $(b,bytecode) (compiled \
-             register code, the default) or $(b,tree) (the reference \
-             interpreter). Both produce bit-identical traces.")
 
 let t_stop_arg =
   Arg.(value & opt float 2e-3 & info [ "t-stop" ] ~docv:"SECONDS"
@@ -327,7 +321,7 @@ let probe_export (_, vcd_out, wave_out, _) = function
 
 let simulate_cmd =
   let run obscfg file top output dt mode integration fidelity lang inputs
-      from_program moc engine t_stop (period, low, high) samples probecfg =
+      from_program moc t_stop (period, low, high) samples probecfg =
     with_obs obscfg @@ fun () ->
     with_frontend_errors ~file (fun () ->
         let p =
@@ -341,6 +335,9 @@ let simulate_cmd =
               (abstract_model file top output dt mode integration lang inputs)
                 .Flow.program
         in
+        let output =
+          Option.value output ~default:(List.hd p.Sfprogram.outputs)
+        in
         let probes = probe_set probecfg ~default:(Expr.var_name output) in
         let observe = Option.map Probe.observer probes in
         let reads = Option.map Probe.vars probes in
@@ -349,13 +346,13 @@ let simulate_cmd =
         let trace =
           match moc with
           | `Cpp ->
-              (Wrap.run_cpp ~engine ?reads ?observe p ~stimuli ~t_stop)
+              (Wrap.run_cpp ?reads ?observe p ~stimuli ~t_stop)
                 .Wrap.trace
           | `De ->
-              (Wrap.run_de ~engine ?reads ?observe p ~stimuli ~t_stop)
+              (Wrap.run_de ?reads ?observe p ~stimuli ~t_stop)
                 .Wrap.trace
           | `Tdf ->
-              (Wrap.run_tdf ~engine ?reads ?observe p ~stimuli ~t_stop)
+              (Wrap.run_tdf ?reads ?observe p ~stimuli ~t_stop)
                 .Wrap.trace
           | `Eln | `Vams -> (
               let _, circuit =
@@ -389,7 +386,7 @@ let simulate_cmd =
        ~doc:"Simulate a Verilog-AMS or VHDL-AMS model under a chosen MoC.")
     Term.(const run $ obs_flags $ file_arg $ top_arg $ out_arg $ dt_arg
           $ mode_arg $ integration_arg $ fidelity_arg $ lang_arg $ inputs_arg
-          $ from_program_arg $ moc_arg $ engine_arg $ t_stop_arg $ square_arg
+          $ from_program_arg $ moc_arg $ t_stop_arg $ square_arg
           $ samples_arg $ probe_args)
 
 (* report *)
@@ -553,10 +550,7 @@ let explain_cmd =
           else Explain.to_text report.Flow.explain ^ "\n"
         in
         match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc contents;
-            close_out oc
+        | Some path -> Obs.write_file path contents
         | None -> print_string contents)
   in
   let json_arg =
@@ -724,12 +718,14 @@ let sweep_cmd =
             conservative_circuit ~what:"a sweep" lang path top inputs
           in
           let output =
-            match spec.Spec.output with
-            | Some s -> (
-                match Expr.access_of_string s with
-                | Ok v -> v
-                | Error m -> die "%s" m)
-            | None -> Expr.potential "out" "gnd"
+            resolve_output
+              (Option.map
+                 (fun s ->
+                   match Expr.access_of_string s with
+                   | Ok v -> v
+                   | Error m -> die "%s" m)
+                 spec.Spec.output)
+              flat
           in
           let stim = Stimulus.square ~period:1e-3 ~low:0.0 ~high:1.0 in
           ( {
@@ -1300,9 +1296,10 @@ let lint_cmd =
 let ac_cmd =
   let run file top output lang inputs input fstart fstop points =
     with_frontend_errors ~file (fun () ->
-        let _, circuit =
+        let flat, circuit =
           conservative_circuit ~what:"AC analysis" lang file top inputs
         in
+        let output = resolve_output output flat in
         let circuit = Flow.insert_probes circuit ~outputs:[ output ] in
         let input =
           match input with

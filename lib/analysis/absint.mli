@@ -6,7 +6,7 @@
     [[lo, hi] ∪ {NaN if nan} ∪ {+inf if pinf} ∪ {-inf if ninf}].
     Endpoints are computed with ordinary round-to-nearest operations
     and nudged outward by the involved rounding steps, so every value
-    either execution engine can produce is inside the abstraction.
+    the bytecode or [Expr.eval] can produce is inside the abstraction.
 
     Two analyses are built on the domain:
 

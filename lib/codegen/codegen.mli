@@ -11,10 +11,9 @@
     printer. Slots are named after their variables, constants are
     literals that read back to the same doubles, temporaries are
     [double tN] locals. Compiled with [-ffp-contract=off], the model
-    steps bit-identically to [Sfprogram.Runner]'s [`Bytecode]
-    engine, except that a NaN computed from two NaN operands may
-    differ in sign and payload: C++ leaves to the compiler which
-    operand's NaN a [+] or [*] returns. *)
+    steps bit-identically to [Sfprogram.Runner], except that a NaN
+    computed from two NaN operands may differ in sign and payload: C++
+    leaves to the compiler which operand's NaN a [+] or [*] returns. *)
 
 type target = Cpp | Systemc_de | Systemc_ams_tdf
 

@@ -208,17 +208,6 @@ let delay_expr k e =
     invalid_arg "Expr.delay_expr: expression contains ddt/idt";
   subst (fun x -> Some (Var (delayed x k))) e
 
-let rec size = function
-  | Const _ | Var _ -> 1
-  | Neg e | Ddt e | Idt e | App (_, e) -> 1 + size e
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) -> 1 + size a + size b
-  | Cond (c, a, b) -> 1 + cond_size c + size a + size b
-
-and cond_size = function
-  | Cmp (_, a, b) -> 1 + size a + size b
-  | And (c1, c2) | Or (c1, c2) -> 1 + cond_size c1 + cond_size c2
-  | Not c -> 1 + cond_size c
-
 let apply_fun fn x =
   match fn with
   | Sin -> sin x
@@ -257,51 +246,6 @@ and eval_cond env = function
   | And (c1, c2) -> eval_cond env c1 && eval_cond env c2
   | Or (c1, c2) -> eval_cond env c1 || eval_cond env c2
   | Not c -> not (eval_cond env c)
-
-let rec compile slot e =
-  match e with
-  | Const c -> fun _ -> c
-  | Var x ->
-      let i = slot x in
-      fun a -> a.(i)
-  | Neg e ->
-      let f = compile slot e in
-      fun a -> -.f a
-  | Add (x, y) ->
-      let f = compile slot x and g = compile slot y in
-      fun a -> f a +. g a
-  | Sub (x, y) ->
-      let f = compile slot x and g = compile slot y in
-      fun a -> f a -. g a
-  | Mul (x, y) ->
-      let f = compile slot x and g = compile slot y in
-      fun a -> f a *. g a
-  | Div (x, y) ->
-      let f = compile slot x and g = compile slot y in
-      fun a -> f a /. g a
-  | Ddt _ | Idt _ ->
-      raise (Continuous_time "Expr.compile: ddt/idt cannot be compiled")
-  | App (fn, e) ->
-      let f = compile slot e in
-      fun a -> apply_fun fn (f a)
-  | Cond (c, x, y) ->
-      let fc = compile_cond slot c in
-      let f = compile slot x and g = compile slot y in
-      fun a -> if fc a then f a else g a
-
-and compile_cond slot = function
-  | Cmp (op, x, y) ->
-      let f = compile slot x and g = compile slot y in
-      fun a -> apply_cmp op (f a) (g a)
-  | And (c1, c2) ->
-      let f = compile_cond slot c1 and g = compile_cond slot c2 in
-      fun a -> f a && g a
-  | Or (c1, c2) ->
-      let f = compile_cond slot c1 and g = compile_cond slot c2 in
-      fun a -> f a || g a
-  | Not c ->
-      let f = compile_cond slot c in
-      fun a -> not (f a)
 
 let rec simplify e =
   match e with

@@ -118,21 +118,19 @@ val delay_expr : int -> t -> t
     @raise Invalid_argument if the expression still contains
     [Ddt]/[Idt] nodes (discretise first). *)
 
-val size : t -> int
-(** Number of AST nodes, used for complexity reporting. *)
-
 (** {1 Evaluation} *)
 
 val apply_fun : unary_fun -> float -> float
-(** Pointwise semantics of the unary functions. Every execution engine
-    (interpreter, compiled closures, bytecode) must route through this
-    single definition so their results stay bit-identical. *)
+(** Pointwise semantics of the unary functions. Every evaluator
+    ({!eval}, the bytecode, the abstract interpreter's exact case) must
+    route through this single definition so their results stay
+    bit-identical. *)
 
 exception Continuous_time of string
 (** A continuous-time operator ([Ddt] or [Idt]) reached a stage that
-    needs a discrete-time expression: {!eval}, {!compile},
-    {!discretize} (for [Idt]), or [Solve]'s trapezoidal rewrite (for
-    [Idt]). The message names the stage. *)
+    needs a discrete-time expression: {!eval}, {!discretize} (for
+    [Idt]), or [Solve]'s trapezoidal rewrite (for [Idt]). The message
+    names the stage. *)
 
 val apply_cmp : cmp -> float -> float -> bool
 (** Pointwise semantics of the comparison operators (IEEE semantics:
@@ -151,17 +149,20 @@ val eval : (var -> float) -> t -> float
     @raise Continuous_time on [Ddt]/[Idt] nodes — continuous-time
     operators cannot be evaluated pointwise; discretise first. *)
 
-val compile : (var -> int) -> t -> float array -> float
-(** [compile slot e] compiles [e] into a closure reading variable
-    values from an array at the indices given by [slot]. The closure
-    allocates nothing per call; this is the "plain C++" execution path.
-    @raise Continuous_time on [Ddt]/[Idt] nodes. *)
-
 (** {1 Algebra} *)
 
 val simplify : t -> t
-(** Constant folding and neutral-element elimination. [simplify] never
-    changes the value of the expression under any environment. *)
+(** Constant folding and neutral-element elimination through the smart
+    constructors, where [0.0] matches either zero. It keeps the value of
+    an expression whose intermediate values are all finite, up to the
+    sign of a zero, but not on special values (ROADMAP item 13):
+    - [x * 0.0] and [0.0 * x] fold to [+0.0], where IEEE gives NaN for
+      an infinite or NaN [x] and [-0.0] when the signs differ;
+    - [0.0 / e] folds to [+0.0], where IEEE gives NaN for [e] zero or
+      NaN and [-0.0] when the signs differ;
+    - [e + 0.0], [0.0 + e] and [e - 0.0] drop the zero, which is wrong
+      for [e = -0.0] in [e + 0.0] and [e - (-0.0)] ([+0.0] in IEEE);
+    - [0.0 - e] becomes [-e], which is wrong for [e = 0.0]. *)
 
 val linear_form : t -> ((var * float) list * float) option
 (** [linear_form e] writes [e] as [sum_i c_i * x_i + k] if [e] is an

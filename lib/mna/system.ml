@@ -134,7 +134,6 @@ let build circuit =
 let size s = s.size
 let devices s = s.devices
 let inputs s = s.inputs
-let has_pwl s = Array.length s.pwl > 0
 let pwl_count s = Array.length s.pwl
 
 (* Inlined, so that the per-step loops read the state unboxed. *)

@@ -49,8 +49,6 @@ val stamp_matrix : ?state:float array -> t -> h:float -> Matrix.t
     the zero vector) — re-stamping per solver pass is how the
     SPICE-like engine linearises them. *)
 
-val has_pwl : t -> bool
-
 val pwl_count : t -> int
 (** Number of piecewise-linear devices in stamp order. *)
 

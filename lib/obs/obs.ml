@@ -22,7 +22,6 @@ type span = {
 
 let on = ref false
 let enabled () = !on
-let set_enabled b = on := b
 let enable () = on := true
 let disable () = on := false
 let now_ns = Clock.now_ns

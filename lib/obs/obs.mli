@@ -24,7 +24,6 @@
 (** {1 Enable flag} *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
 val enable : unit -> unit
 val disable : unit -> unit
 

@@ -86,7 +86,6 @@ let watch set ?config var =
 
 let taps set = List.rev set.taps
 let monitors set = List.rev_map snd set.mons
-let is_empty set = set.taps = [] && set.mons = []
 let vars set = List.map Tap.var (taps set) @ List.rev_map fst set.mons
 
 let sample set ~time read =

@@ -53,7 +53,6 @@ val taps : t -> Tap.t list
 (** In attachment order. *)
 
 val monitors : t -> Health.t list
-val is_empty : t -> bool
 
 val vars : t -> Expr.var list
 (** Every variable {!sample} reads: tapped ones, then watched ones, in

@@ -661,7 +661,7 @@ external iget : int array -> int -> int = "%array_unsafe_get"
    bounds checks. The operands of a commutative add or multiply are
    bound before the operation: the code generator may otherwise fold
    one load into the instruction and swap the operands, and when both
-   are NaN the left one's sign is the one the tree engine keeps. *)
+   are NaN the left one's sign is the one [Expr.eval] keeps. *)
 let exec t (regs : float array) =
   let code = t.exe in
   for i = 0 to Array.length code - 1 do

@@ -1,13 +1,12 @@
 (** Bytecode compilation of signal-flow programs.
 
-    The tree-walking interpreter ([Expr.compile]) evaluates one nested
-    closure per AST node and boxes every intermediate float at the
-    closure boundary; that allocation-per-node cost dominates the hot
-    loop of the abstracted models. This module lowers the equation
-    trees of a whole program into a flat, register-based bytecode: an
-    array of three-address instructions over a single unboxed [float
-    array] register file whose low registers alias the runner's
-    variable slots. Executing a step is one pass over that code with
+    Walking an equation tree costs one call per AST node and boxes
+    every intermediate float; that allocation-per-node cost would
+    dominate the hot loop of the abstracted models. This module lowers
+    the equation trees of a whole program into a flat, register-based
+    bytecode: an array of three-address instructions over a single
+    unboxed [float array] register file whose low registers alias the
+    runner's variable slots. Executing a step is one pass over that code with
     no allocation and no indirect calls (beyond [sin]/[exp]-style
     primitives). When an artifact is built it also derives the form
     {!exec} runs: each maximal run of consecutive rows of exactly three
@@ -41,14 +40,14 @@
       product that CSE shares stays a separate multiply, scheduled
       ahead of a row it would otherwise split from its leftmost term.
       Execution rounds each product, then each partial sum left to
-      right in source order, exactly as the interpreter does — it is
-      not a fused [Float.fma].
+      right in source order, exactly as [Expr.eval] does — it is not a
+      fused [Float.fma].
 
     Conditionals are compiled eagerly ([Sel] evaluates both arms).
-    This is value-identical to the interpreter's lazy evaluation
-    because float operations cannot raise or trap here (division by
-    zero and domain errors produce inf/NaN in both engines), and
-    comparisons involving NaN are false in both.
+    This is value-identical to [Expr.eval]'s lazy evaluation because
+    float operations cannot raise or trap here (division by zero and
+    domain errors produce inf/NaN either way), and comparisons
+    involving NaN are false in both.
 
     {2 Templates}
 

@@ -138,13 +138,14 @@ let pp ppf p =
     p.assignments;
   Format.fprintf ppf "@]"
 
-(* Slot layout, shared by both execution engines. The allocation order
-   is a deterministic function of the program structure alone (inputs
-   in declaration order, then targets, then history levels discovered
-   through the ordered [Var_set] of reads), so two programs with the
-   same shape — as produced by the sweep engine's plan replay — get
-   identical layouts, and a bytecode artifact compiled against one is
-   valid for the other. *)
+(* Slot layout, shared by the runner, the code generator and the
+   abstract interpreter. The allocation order is a deterministic
+   function of the program structure alone (inputs in declaration
+   order, then targets, then history levels discovered through the
+   ordered [Var_set] of reads), so two programs with the same shape —
+   as produced by the sweep engine's plan replay — get identical
+   layouts, and a bytecode artifact compiled against one is valid for
+   the other. *)
 type layout = {
   l_table : (Expr.var, int) Hashtbl.t;
   l_count : int;
@@ -284,7 +285,7 @@ module Runner = struct
 
   type program = t
 
-  (* Signal-flow interpreter counters: one tick = one [step] call, one
+  (* Signal-flow runner counters: one tick = one [step] call, one
      op = one compiled assignment evaluated. *)
   let c_ticks = Obs.Counter.make ~help:"signal-flow steps" "amsvp_sf_ticks_total"
 
@@ -292,18 +293,12 @@ module Runner = struct
     Obs.Counter.make ~help:"signal-flow assignments evaluated"
       "amsvp_sf_ops_total"
 
-  type engine = [ `Tree | `Bytecode ]
-
-  type impl =
-    | Tree_steps of (int * (float array -> float)) array
-        (** target slot, compiled closure per assignment *)
-    | Bytecode of Compile.t
-
   type t = {
     program : program;
+    artifact : Compile.t;
     slots : float array;
-        (** for [Bytecode], the whole register file; variable slots are
-            the first [n_state] entries in both engines *)
+        (** the artifact's register file; variable slots are the first
+            [n_state] entries *)
     n_state : int;
     slot_of : Expr.var -> int;
     readable : bool array;
@@ -311,7 +306,6 @@ module Runner = struct
             history); every other slot stays 0 and must not be read *)
     input_slots : int array;
     output_slots : int array;
-    impl : impl;
     n_assign : int;
     rot_dst : int array;
     rot_src : int array;
@@ -319,79 +313,58 @@ module Runner = struct
             [i], after each step *)
   }
 
-  let create ?(engine : engine = `Bytecode) ?compiled ?reads (p : program) =
+  let create ?compiled ?reads (p : program) =
     let pl = step_plan ?reads p in
     let lay = pl.layout in
-    let impl, slots =
-      match engine with
-      | `Tree ->
-          let steps =
-            Array.of_list
-              (List.map
-                 (fun (s, e) -> (s, Expr.compile (layout_slot lay) e))
-                 pl.live)
+    let artifact =
+      match compiled with
+      | Some a ->
+          let fail fmt =
+            Printf.ksprintf
+              (fun m ->
+                invalid_arg
+                  (Printf.sprintf "Sfprogram.Runner.create(%s): %s" p.name m))
+              fmt
           in
-          (Tree_steps steps, Array.make (max 1 lay.l_count) 0.0)
-      | `Bytecode ->
-          let artifact =
-            match compiled with
-            | Some a ->
-                let fail fmt =
-                  Printf.ksprintf
-                    (fun m ->
-                      invalid_arg
-                        (Printf.sprintf "Sfprogram.Runner.create(%s): %s"
-                           p.name m))
-                    fmt
-                in
-                if Compile.n_slots a <> lay.l_count then
-                  fail "compiled artifact has %d slots, program needs %d"
-                    (Compile.n_slots a) lay.l_count
-                else if
-                  Compile.target_slots a
-                  <> Array.of_list (List.map fst pl.live)
-                then
-                  fail
-                    "compiled artifact evaluates a different live set (%d \
-                     assignments, this runner %d)"
-                    (Array.length (Compile.target_slots a))
-                    (List.length pl.live)
-                else a
-            | None -> compile_plan pl
-          in
-          let slots = Array.make (max 1 (Compile.n_regs artifact)) 0.0 in
-          Compile.load_consts artifact slots;
-          (Bytecode artifact, slots)
+          if Compile.n_slots a <> lay.l_count then
+            fail "compiled artifact has %d slots, program needs %d"
+              (Compile.n_slots a) lay.l_count
+          else if
+            Compile.target_slots a <> Array.of_list (List.map fst pl.live)
+          then
+            fail
+              "compiled artifact evaluates a different live set (%d \
+               assignments, this runner %d)"
+              (Array.length (Compile.target_slots a))
+              (List.length pl.live)
+          else a
+      | None -> compile_plan pl
     in
+    let slots = Array.make (max 1 (Compile.n_regs artifact)) 0.0 in
+    Compile.load_consts artifact slots;
     {
       program = p;
+      artifact;
       slots;
       n_state = lay.l_count;
       slot_of = layout_slot lay;
       readable = pl.readable;
       input_slots = lay.l_input_slots;
       output_slots = lay.l_output_slots;
-      impl;
       n_assign = List.length pl.live;
       rot_dst = Array.map fst pl.rotations;
       rot_src = Array.map snd pl.rotations;
     }
 
-  (* Only the variable slots are cleared: constant registers of the
-     bytecode engine are loaded once at [create] and must survive, and
-     temporaries are dead between steps by construction. *)
+  (* Only the variable slots are cleared: constant registers are
+     loaded once at [create] and must survive, and temporaries are dead
+     between steps by construction. *)
   let reset r = Array.fill r.slots 0 r.n_state 0.0
 
   (* One step over inputs already in their slots: the assignments,
      then the history rotations. *)
   let advance r =
-    (match r.impl with
-    | Tree_steps steps ->
-        for i = 0 to Array.length steps - 1 do
-          let tgt, f = steps.(i) in
-          r.slots.(tgt) <- f r.slots
-        done
-    | Bytecode artifact -> Compile.exec artifact r.slots);
+    Compile.exec r.artifact r.slots;
     (* Unchecked: both arrays have one entry per rotation and hold
        layout slots, all below [n_state]. *)
     let slots = r.slots and dst = r.rot_dst and src = r.rot_src in
@@ -483,30 +456,21 @@ module Runner = struct
     if Journal.enabled () then begin
       (* Per-step traffic is a static property of the artifact; the
          journal records it once per run, scaled by the tick count. *)
-      let base =
+      let tr = Compile.traffic r.artifact in
+      let payload =
         [
           ("program", Journal.S r.program.name);
           ("ticks", Journal.I nsteps);
           ("assigns_per_tick", Journal.I r.n_assign);
+          ("instrs_per_tick", Journal.I (Compile.n_instrs r.artifact));
+          ("reads_per_tick", Journal.I tr.Compile.t_reads);
+          ("writes_per_tick", Journal.I tr.Compile.t_writes);
+          ("flops_per_tick", Journal.I tr.Compile.t_flops);
+          ("regs", Journal.I (Compile.n_regs r.artifact));
         ]
-      in
-      let payload =
-        match r.impl with
-        | Tree_steps _ -> ("engine", Journal.S "tree") :: base
-        | Bytecode artifact ->
-            let tr = Compile.traffic artifact in
-            ("engine", Journal.S "bytecode")
-            :: base
-            @ [
-                ("instrs_per_tick", Journal.I (Compile.n_instrs artifact));
-                ("reads_per_tick", Journal.I tr.Compile.t_reads);
-                ("writes_per_tick", Journal.I tr.Compile.t_writes);
-                ("flops_per_tick", Journal.I tr.Compile.t_flops);
-                ("regs", Journal.I (Compile.n_regs artifact));
-              ]
-            @ List.map
-                (fun (op, n) -> ("op." ^ op, Journal.I n))
-                tr.Compile.t_opcode_mix
+        @ List.map
+            (fun (op, n) -> ("op." ^ op, Journal.I n))
+            tr.Compile.t_opcode_mix
       in
       Journal.emit ~time:t_stop ~cat:"sf" "run" payload
     end

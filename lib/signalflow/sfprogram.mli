@@ -72,16 +72,15 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Compilation}
 
-    Programs execute through one of two engines: the reference
-    tree-walking interpreter (one closure per AST node) and the
-    register bytecode of {!Compile} (a flat instruction array over an
-    unboxed float file — the default, measurably faster per step and
-    bit-identical in its results). *)
+    Programs execute as the register bytecode of {!Compile}: a flat
+    instruction array over an unboxed float file. {!Reference} steps
+    the same programs by evaluating their trees, with none of the
+    machinery below; it is the oracle the bytecode is tested against. *)
 
 (** {2 Slot layout}
 
-    The canonical slot layout both engines and the abstract
-    interpreter share: a deterministic function of the program
+    The canonical slot layout the runner, the code generator and the
+    abstract interpreter share: a deterministic function of the program
     structure alone (inputs in declaration order, then targets, then
     history levels), so same-shaped programs get identical layouts. *)
 
@@ -156,23 +155,12 @@ val rebind_compiled : Compile.t -> t -> Compile.t option
 module Runner : sig
   type program = t
 
-  type engine = [ `Tree | `Bytecode ]
-
   type t
   (** A compiled instance with its own mutable state, all slots
       preallocated; stepping allocates nothing. *)
 
-  val create :
-    ?engine:engine ->
-    ?compiled:Compile.t ->
-    ?reads:Expr.var list ->
-    program ->
-    t
-  (** [engine] selects the execution engine (default [`Bytecode]; the
-      interpreter remains available as [`Tree] for reference and
-      differential testing — both produce bit-identical traces).
-
-      Either engine evaluates only the live assignments (see
+  val create : ?compiled:Compile.t -> ?reads:Expr.var list -> program -> t
+  (** The runner evaluates only the live assignments (see
       {!dead_targets}): those an output depends on, plus those the
       caller declares in [reads] (default none) and what they depend
       on. A [reads] entry names a quantity by its base; every delay of
@@ -183,9 +171,9 @@ module Runner : sig
 
       [compiled] supplies a ready bytecode artifact (from
       {!Sfprogram.compile} or {!Sfprogram.rebind_compiled}) to skip
-      compilation; it is ignored under [`Tree]. Such an artifact covers
-      the outputs' live set only, so it cannot be combined with a
-      [reads] entry that widens that set.
+      compilation. Such an artifact covers the outputs' live set only,
+      so it cannot be combined with a [reads] entry that widens that
+      set.
       @raise Invalid_argument if [compiled] was built for a different
       slot layout or a different live set. *)
 

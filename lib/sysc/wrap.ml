@@ -116,30 +116,31 @@ let clocked_with_signal ~name ~signal ~dt step kernel ~until_ps record =
       De.Signal.write out_sig out;
       record t out)
 
-let run_cpp ?engine ?reads ?observe p ~stimuli ~t_stop =
+let run_cpp ?engine:(_ : [ `Bytecode ] option) ?reads ?observe p ~stimuli
+    ~t_stop =
   Obs.with_span ~cat:"sysc" ~args:[ ("program", p.Sfprogram.name) ]
     "wrap.run_cpp"
   @@ fun () ->
-  let runner = Sfprogram.Runner.create ?engine ?reads p in
+  let runner = Sfprogram.Runner.create ?reads p in
   let stims = stimuli_for p stimuli in
   let trace = Sfprogram.Runner.run runner ~stimuli:stims ~t_stop ?observe () in
   { trace; de_stats = None }
 
-let run_de ?engine ?reads ?observe p ~stimuli ~t_stop =
+let run_de ?reads ?observe p ~stimuli ~t_stop =
   Obs.with_span ~cat:"sysc" ~args:[ ("program", p.Sfprogram.name) ]
     "wrap.run_de"
   @@ fun () ->
-  let runner = Sfprogram.Runner.create ?engine ?reads p in
+  let runner = Sfprogram.Runner.create ?reads p in
   let step = model_step runner (stimuli_for p stimuli) in
   let dt = p.Sfprogram.dt in
   testbench ?observe (Sfprogram.Runner.read runner) ~dt ~t_stop
     (clocked_with_signal ~name:"model" ~signal:"out" ~dt step)
 
-let run_tdf ?engine ?reads ?observe p ~stimuli ~t_stop =
+let run_tdf ?reads ?observe p ~stimuli ~t_stop =
   Obs.with_span ~cat:"sysc" ~args:[ ("program", p.Sfprogram.name) ]
     "wrap.run_tdf"
   @@ fun () ->
-  let runner = Sfprogram.Runner.create ?engine ?reads p in
+  let runner = Sfprogram.Runner.create ?reads p in
   let stims = stimuli_for p stimuli in
   let dt = p.Sfprogram.dt in
   testbench ?observe (Sfprogram.Runner.read runner) ~dt ~t_stop

@@ -32,16 +32,16 @@ type result = {
 }
 
 val run_cpp :
-  ?engine:Amsvp_sf.Sfprogram.Runner.engine ->
+  ?engine:[ `Bytecode ] ->
   ?reads:Expr.var list ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_sf.Sfprogram.t ->
   stimuli:(string * Amsvp_util.Stimulus.t) list ->
   t_stop:float ->
   result
-(** [engine] (on every model runner) selects the signal-flow execution
-    engine — the default register bytecode or the reference [`Tree]
-    interpreter; both produce bit-identical traces.
+(** Every model runner steps the program's register bytecode
+    ({!Amsvp_sf.Sfprogram.Runner}). [engine] names that one engine,
+    only so that callers passing [~engine:`Bytecode] still build.
 
     [reads] (on every model runner) declares the quantities [observe]
     will read beyond the outputs; the model evaluates only what the
@@ -55,7 +55,6 @@ val run_cpp :
     @raise Invalid_argument if a program input has no stimulus. *)
 
 val run_de :
-  ?engine:Amsvp_sf.Sfprogram.Runner.engine ->
   ?reads:Expr.var list ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_sf.Sfprogram.t ->
@@ -64,7 +63,6 @@ val run_de :
   result
 
 val run_tdf :
-  ?engine:Amsvp_sf.Sfprogram.Runner.engine ->
   ?reads:Expr.var list ->
   ?observe:(float -> (Expr.var -> float) -> unit) ->
   Amsvp_sf.Sfprogram.t ->

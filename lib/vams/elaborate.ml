@@ -23,6 +23,7 @@ type flat = {
   nets : string list;
   input_ports : string list;
   output_ports : string list;
+  top_span : Diag.span;
   contributions : contribution list;
 }
 
@@ -452,8 +453,19 @@ let flatten ?(lang = `Verilog_ams) design ~top =
         nets;
         input_ports = direction Ast.Input;
         output_ports = direction Ast.Output;
+        top_span = m.Ast.mspan;
         contributions;
       }
+
+let output_port flat =
+  match flat.output_ports with
+  | [ port ] -> Expr.potential port flat.ground
+  | ports ->
+      Printf.ksprintf
+        (fun msg -> raise (Elab_error (msg, Some flat.top_span)))
+        "%s has output ports [%s], not one; name the output of interest \
+         explicitly (--out)"
+        flat.top (String.concat ", " ports)
 
 let accesses_flow flat =
   List.exists

@@ -38,6 +38,7 @@ type flat = {
   nets : string list;  (** global nets, ground included *)
   input_ports : string list;  (** input-direction ports of the top module *)
   output_ports : string list;  (** output-direction ports of the top module *)
+  top_span : Amsvp_diag.Diag.span;  (** where the top module is declared *)
   contributions : contribution list;  (** in source order *)
 }
 
@@ -52,6 +53,12 @@ val flatten : ?lang:lang -> Ast.design -> top:string -> flat
     generics and constants in VHDL-AMS).
     @raise Elab_error on unknown modules/ports/parameters, arity
     mismatches, unresolved identifiers or unsupported constructs. *)
+
+val output_port : flat -> Expr.var
+(** The default output of interest: the potential of the top's single
+    output port against ground.
+    @raise Elab_error, located at the top module and naming the
+    candidate ports, when the top has no output port or several. *)
 
 val classify : flat -> [ `Signal_flow | `Conservative ]
 (** [`Signal_flow] when every contribution drives a potential to

@@ -14,13 +14,14 @@ let flatten design ~top ~inputs =
               (Elab_error
                  (Printf.sprintf "top entity %s has no port %s" top p, None)))
         inputs;
-      let dir =
-        {
-          Ast.idesc = Ast.Port_direction (Ast.Input, inputs);
-          ispan = m.Ast.mspan;
-        }
+      let dir d ports =
+        { Ast.idesc = Ast.Port_direction (d, ports); ispan = m.Ast.mspan }
       in
-      { m with Ast.items = dir :: m.Ast.items }
+      let outputs = List.filter (fun p -> not (List.mem p inputs)) m.Ast.ports in
+      {
+        m with
+        Ast.items = dir Ast.Input inputs :: dir Ast.Output outputs :: m.Ast.items;
+      }
     end
   in
   E.flatten ~lang:`Vhdl_ams (List.map mark design) ~top

@@ -3,7 +3,8 @@
     {!Amsvp_vams.Elaborate.flatten} plus the one thing VHDL-AMS lacks.
     Terminals carry no direction, so the externally driven ports of the
     top entity are given explicitly ([~inputs]) and marked
-    input-direction before flattening. *)
+    input-direction before flattening; every other port of the top
+    entity is marked output-direction. *)
 
 exception Elab_error of string * Amsvp_diag.Diag.span option
 (** The same exception as {!Amsvp_vams.Elaborate.Elab_error}. *)

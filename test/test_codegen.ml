@@ -223,7 +223,7 @@ let input_name s = Expr.var_c_name (Expr.signal s)
 (* The driver's output for one model: a header, then per step the bits
    of every output; the SystemC targets add the timestep they set. *)
 let expected_output label (p : Sfprogram.t) =
-  let r = Sfprogram.Runner.create ~engine:`Bytecode p in
+  let r = Sfprogram.Runner.create p in
   let n_in = List.length p.Sfprogram.inputs in
   let n_out = List.length p.Sfprogram.outputs in
   let b = Buffer.create 4096 in

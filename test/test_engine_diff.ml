@@ -1,16 +1,19 @@
-(* Differential tests for the two signal-flow execution engines: the
-   reference tree-walking interpreter and the register bytecode of
-   [Amsvp_sf.Compile] must produce identical traces — within 1 ulp on
-   every built-in paper circuit and on the checked-in example models,
-   including runs whose stimuli inject NaN and infinities, and bit for
-   bit on randomly generated programs (NaN, +-inf and -0 constants
-   included), whether every assignment runs or only the live ones, and
-   on generated sums of products, the rows the bytecode fuses into one
-   instruction. The [rebind_compiled] path (what the sweep
-   engine replays) is exercised by re-targeting each random program's
-   artifact at a constant-perturbed sibling. *)
+(* Differential tests of the signal-flow runner against the reference
+   stepper [Amsvp_sf.Reference], which evaluates every assignment's
+   tree with [Expr.eval] and shares no slot layout, step plan or
+   rotation with the runner. The runner's register bytecode must
+   produce identical traces: within 1 ulp on every built-in paper
+   circuit and on the checked-in example models, including runs whose
+   stimuli inject NaN and infinities, and bit for bit on randomly
+   generated programs (NaN, +-inf and -0 constants included), whether
+   every assignment runs or only the live ones, and on generated sums
+   of products, the rows the bytecode fuses into one instruction. The
+   [rebind_compiled] path (what the sweep engine replays) is exercised
+   by re-targeting each random program's artifact at a
+   constant-perturbed sibling. *)
 
 module Sfprogram = Amsvp_sf.Sfprogram
+module Reference = Amsvp_sf.Reference
 module Compile = Amsvp_sf.Compile
 module Flow = Amsvp_core.Flow
 module Circuits = Amsvp_netlist.Circuits
@@ -34,19 +37,26 @@ let check_traces label a b =
         (Trace.time a i)
   done
 
-(* ---- Built-in circuits, both engines, explicit artifact path ---- *)
+(* Reference and bytecode traces of [p] under [stimuli]. *)
+let reference p ~stimuli = Reference.run p ~stimuli ~t_stop:2e-3
+
+let bytecode ?compiled p ~stimuli =
+  Sfprogram.Runner.run
+    (Sfprogram.Runner.create ?compiled p)
+    ~stimuli ~t_stop:2e-3 ()
+
+(* ---- Built-in circuits, fresh and pre-compiled artifacts ---- *)
 
 let diff_circuit (tc : Circuits.testcase) =
   let p = (Flow.abstract_testcase tc ~dt:1e-6).Flow.program in
   let stimuli = Wrap.stimuli_for p tc.Circuits.stimuli in
-  let run runner = Sfprogram.Runner.run runner ~stimuli ~t_stop:2e-3 () in
-  let tree = run (Sfprogram.Runner.create ~engine:`Tree p) in
-  let byte = run (Sfprogram.Runner.create p) in
-  check_traces (tc.Circuits.label ^ " tree/bytecode") tree byte;
+  let expected = reference p ~stimuli in
+  check_traces (tc.Circuits.label ^ " reference/bytecode") expected
+    (bytecode p ~stimuli);
   (* Same check through a pre-compiled artifact, as the sweep engine
      and the VP hand one in. *)
-  let art = run (Sfprogram.Runner.create ~compiled:(Sfprogram.compile p) p) in
-  check_traces (tc.Circuits.label ^ " tree/artifact") tree art
+  check_traces (tc.Circuits.label ^ " reference/artifact") expected
+    (bytecode ~compiled:(Sfprogram.compile p) p ~stimuli)
 
 let test_paper_circuits () =
   List.iter diff_circuit (Circuits.all_paper_cases ())
@@ -56,8 +66,8 @@ let test_more_circuits () =
     [ Circuits.rc_ladder 4; Circuits.rlc_series (); Circuits.rectifier () ]
 
 let test_non_finite_stimulus () =
-  (* A stimulus that turns NaN, then infinite, mid-run: both engines
-     must poison the state identically, sample for sample. *)
+  (* A stimulus that turns NaN, then infinite, mid-run: the bytecode
+     must poison the state as the reference does, sample for sample. *)
   List.iter
     (fun label ->
       let tc = Option.get (Circuits.by_name label) in
@@ -71,12 +81,8 @@ let test_non_finite_stimulus () =
       let stimuli =
         Array.make (List.length p.Sfprogram.inputs) stim
       in
-      let run engine =
-        Sfprogram.Runner.run
-          (Sfprogram.Runner.create ~engine p)
-          ~stimuli ~t_stop:2e-3 ()
-      in
-      check_traces (label ^ " non-finite") (run `Tree) (run `Bytecode))
+      check_traces (label ^ " non-finite") (reference p ~stimuli)
+        (bytecode p ~stimuli))
     [ "RC1"; "RECT"; "OA" ]
 
 (* ---- Example models through the Verilog-AMS front end ---- *)
@@ -118,12 +124,8 @@ let test_example_models () =
           (List.length p.Sfprogram.inputs)
           (Stimulus.square ~period:1e-3 ~low:0.0 ~high:1.0)
       in
-      let run engine =
-        Sfprogram.Runner.run
-          (Sfprogram.Runner.create ~engine p)
-          ~stimuli ~t_stop:2e-3 ()
-      in
-      check_traces (file ^ " tree/bytecode") (run `Tree) (run `Bytecode))
+      check_traces (file ^ " reference/bytecode") (reference p ~stimuli)
+        (bytecode p ~stimuli))
     [ ("rc_lowpass.vams", "rc_lowpass"); ("sf_lowpass.vams", "sf_lowpass") ]
 
 (* ---- Random programs ---- *)
@@ -273,26 +275,26 @@ let targets (p : Sfprogram.t) =
   List.map (fun (a : Sfprogram.assignment) -> a.Sfprogram.target)
     p.Sfprogram.assignments
 
-(* Step [reference] and [others] in lock-step and compare, after every
-   step, each other runner's [vars] with the reference's values bit for
+(* Step the reference and [others] in lock-step and compare, after
+   every step, each runner's [vars] with the reference's values bit for
    bit — stricter than comparing output traces, since CSE,
-   dead-register elimination, row fusion and slicing must not
-   disturb intermediates. The reference must declare every target in
-   [~reads]. *)
+   dead-register elimination, row fusion and slicing must not disturb
+   intermediates. *)
 let lockstep label stims reference others =
   let bits = Int64.bits_of_float in
   Array.iteri
     (fun t (a, b) ->
-      Sfprogram.Runner.step reference ~inputs:[| a; b |];
+      Reference.step reference ~inputs:[| a; b |];
       List.iter
         (fun (name, r, vars) ->
           Sfprogram.Runner.step r ~inputs:[| a; b |];
           List.iter
             (fun v ->
               let x = Sfprogram.Runner.read r v
-              and y = Sfprogram.Runner.read reference v in
+              and y = Reference.read reference v in
               if bits x <> bits y then
-                QCheck.Test.fail_reportf "%s: %s, step %d, %s: %h vs tree %h"
+                QCheck.Test.fail_reportf
+                  "%s: %s, step %d, %s: %h vs reference %h"
                   label name t (Expr.var_name v) x y)
             vars)
         others)
@@ -300,23 +302,17 @@ let lockstep label stims reference others =
 
 (* A runner without [~reads] evaluates only the live assignments;
    declaring every target makes it evaluate them all. Sliced and full
-   runners of both engines, and the rebound template, must agree with
-   the full tree interpreter on every target they compute. *)
+   runners, and the rebound template, must agree with the reference on
+   every target they compute. *)
 let check_engines (p, stims) =
   let all = targets p in
   let live =
     let dead = Sfprogram.dead_targets p in
     List.filter (fun v -> not (List.mem v dead)) all
   in
-  let create ?compiled engine reads q =
-    Sfprogram.Runner.create ?compiled ~engine ~reads q
-  in
-  lockstep "program" stims (create `Tree all p)
-    [
-      ("bytecode/full", create `Bytecode all p, all);
-      ("tree/sliced", create `Tree [] p, live);
-      ("bytecode/sliced", create `Bytecode [] p, live);
-    ];
+  let create ?compiled reads q = Sfprogram.Runner.create ?compiled ~reads q in
+  lockstep "program" stims (Reference.create p)
+    [ ("full", create all p, all); ("sliced", create [] p, live) ];
   (* The sweep replay path: the artifact compiled from [p],
      re-targeted at the constant-perturbed sibling. *)
   let p2 = perturb p in
@@ -325,11 +321,12 @@ let check_engines (p, stims) =
       QCheck.Test.fail_reportf "rebind refused a same-shape program:@ %a"
         Sfprogram.pp p2
   | Some art ->
-      lockstep "perturbed" stims (create `Tree all p2)
-        [ ("rebound", create ~compiled:art `Bytecode [] p2, live) ]
+      lockstep "perturbed" stims (Reference.create p2)
+        [ ("rebound", create ~compiled:art [] p2, live) ]
 
 let prop_random_programs =
-  QCheck.Test.make ~name:"random programs: tree = bytecode = rebound template"
+  QCheck.Test.make
+    ~name:"random programs: reference = bytecode = rebound template"
     ~count:300 arb_case (fun case ->
       check_engines case;
       true)
@@ -408,21 +405,22 @@ let check_intervals (p, stims) =
   let a =
     Absint.analyze ~inputs:(List.combine inputs [ box fst; box snd ]) p
   in
-  let all = targets p in
-  let r = Sfprogram.Runner.create ~engine:`Tree ~reads:all p in
+  let r = Reference.create p in
   Array.iteri
     (fun t (u0, u1) ->
-      Sfprogram.Runner.step r ~inputs:[| u0; u1 |];
+      Reference.step r ~inputs:[| u0; u1 |];
       List.iter
         (fun v ->
-          let x = Sfprogram.Runner.read r v in
+          let x = Reference.read r v in
           let itv = List.assoc v a.Absint.a_targets in
           if not (Absint.mem x itv) then
             QCheck.Test.fail_reportf "step %d, %s: %h outside %s" t
               (Expr.var_name v) x (Absint.to_string itv))
-        all)
+        (targets p))
     stims
 
+(* "tree" in the names below is the reference stepper, which evaluates
+   the expression trees. *)
 let prop_rows =
   QCheck.Test.make
     ~name:"sum-of-products rows: tree = bytecode = rebound template, absint sound"

@@ -67,13 +67,6 @@ let test_eval_ddt_rejected () =
     (Expr.Continuous_time "Expr.eval: ddt/idt cannot be evaluated pointwise")
     (fun () -> ignore (Expr.eval (fun _ -> 0.0) (Expr.Ddt vx)))
 
-let test_compile_idt_rejected () =
-  Alcotest.check_raises "idt rejected"
-    (Expr.Continuous_time "Expr.compile: ddt/idt cannot be compiled")
-    (fun () ->
-      let (_ : float array -> float) = Expr.compile (fun _ -> 0) (Expr.Idt vx) in
-      ())
-
 let test_discretize_idt_rejected () =
   Alcotest.check_raises "idt rejected"
     (Expr.Continuous_time
@@ -292,20 +285,6 @@ let prop_solve_for_substitutes_back =
           let residual = Expr.eval env (Eqn.residual eq) in
           abs_float residual <= 1e-6 *. (1.0 +. abs_float x_val))
 
-let prop_compile_matches_eval =
-  QCheck.Test.make ~name:"compiled closures agree with the interpreter"
-    ~count:300 arb_linear_expr (fun e ->
-      let vals = [ (x, 2.5); (y, -0.75) ] in
-      let env = env_of vals in
-      let slot v =
-        if Expr.equal_var v x then 0
-        else if Expr.equal_var v y then 1
-        else Alcotest.failf "unexpected var %s" (Expr.var_name v)
-      in
-      let f = Expr.compile slot e in
-      let a = Expr.eval env e and b = f [| 2.5; -0.75 |] in
-      abs_float (a -. b) <= 1e-9 *. (1.0 +. abs_float a))
-
 let prop_delay_shifts_all_vars =
   QCheck.Test.make ~name:"delay_expr shifts every variable" ~count:200
     arb_linear_expr (fun e ->
@@ -327,8 +306,6 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_eval_arith;
           Alcotest.test_case "conditional" `Quick test_eval_cond;
           Alcotest.test_case "ddt rejected" `Quick test_eval_ddt_rejected;
-          Alcotest.test_case "compile rejects idt" `Quick
-            test_compile_idt_rejected;
         ] );
       ( "simplify",
         [
@@ -369,7 +346,6 @@ let () =
             prop_simplify_preserves_eval;
             prop_linear_form_sound;
             prop_solve_for_substitutes_back;
-            prop_compile_matches_eval;
             prop_delay_shifts_all_vars;
           ] );
     ]

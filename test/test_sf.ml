@@ -164,32 +164,31 @@ let test_read_by_name () =
 
 (* Liveness: only what reaches an output or a declared read runs. *)
 
-let both_engines = [ ("tree", `Tree); ("bytecode", `Bytecode) ]
-
 let test_read_sliced_away () =
   (* z feeds nothing: without [~reads] it is never computed, and
-     reading it must fail loudly (naming it) instead of returning 0. *)
+     reading it must fail loudly (naming it) instead of returning 0.
+     The reference stepper evaluates every assignment, so it gives the
+     values the output and the declared read must take. *)
   let p =
     mk [ asg z Expr.(scale 3.0 (var input)); asg y Expr.(var input - Expr.one) ]
   in
-  List.iter
-    (fun (name, engine) ->
-      let r = Sfprogram.Runner.create ~engine p in
-      Sfprogram.Runner.step r ~inputs:[| 2.0 |];
-      Alcotest.(check (float 0.0)) (name ^ ": output") 1.0
-        (Sfprogram.Runner.read r y);
-      (match Sfprogram.Runner.read r z with
-      | v -> Alcotest.failf "%s: read of sliced-away z returned %g" name v
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool)
-            (name ^ ": message names z: " ^ msg)
-            true
-            (List.mem "z" (String.split_on_char ' ' msg)));
-      let r = Sfprogram.Runner.create ~engine ~reads:[ z ] p in
-      Sfprogram.Runner.step r ~inputs:[| 2.0 |];
-      Alcotest.(check (float 0.0)) (name ^ ": declared read") 6.0
-        (Sfprogram.Runner.read r z))
-    both_engines
+  let reference = Amsvp_sf.Reference.create p in
+  Amsvp_sf.Reference.step reference ~inputs:[| 2.0 |];
+  let r = Sfprogram.Runner.create p in
+  Sfprogram.Runner.step r ~inputs:[| 2.0 |];
+  Alcotest.(check (float 0.0)) "output"
+    (Amsvp_sf.Reference.read reference y)
+    (Sfprogram.Runner.read r y);
+  (match Sfprogram.Runner.read r z with
+  | v -> Alcotest.failf "read of sliced-away z returned %g" v
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("message names z: " ^ msg) true
+        (List.mem "z" (String.split_on_char ' ' msg)));
+  let r = Sfprogram.Runner.create ~reads:[ z ] p in
+  Sfprogram.Runner.step r ~inputs:[| 2.0 |];
+  Alcotest.(check (float 0.0)) "declared read"
+    (Amsvp_sf.Reference.read reference z)
+    (Sfprogram.Runner.read r z)
 
 let test_compiled_live_set_checked () =
   let p =
@@ -231,38 +230,33 @@ let test_run_counters_exact () =
         asg y Expr.(var w - Expr.one);
       ]
   in
-  List.iter
-    (fun (name, engine) ->
-      let r = Sfprogram.Runner.create ~engine p in
-      let tr, ticks, ops =
-        counted (fun () ->
-            Sfprogram.Runner.run r ~stimuli:[| (fun t -> t) |] ~t_stop:40.0 ())
-      in
-      Alcotest.(check int) (name ^ ": samples") 41 (Trace.length tr);
-      Alcotest.(check int) (name ^ ": ticks = nsteps") 40 ticks;
-      Alcotest.(check int) (name ^ ": ops = nsteps x live") 80 ops;
-      (* [observe] aborts the run right after step 17. *)
-      let stop_at_17 time _ = if time = 17.0 then raise Stop in
-      let into = Trace.create () in
-      let aborted, ticks, ops =
-        counted (fun () ->
-            match
-              Sfprogram.Runner.run_into r
-                ~sources:[| Sfprogram.Runner.Fn (fun t -> t) |]
-                ~t_stop:40.0 ~observe:stop_at_17 into
-            with
-            | () -> false
-            | exception Stop -> true)
-      in
-      Alcotest.(check bool) (name ^ ": aborted") true aborted;
-      Alcotest.(check int) (name ^ ": ticks = steps taken") 17 ticks;
-      Alcotest.(check int) (name ^ ": ops = steps taken x live") 34 ops;
-      Alcotest.(check int) (name ^ ": samples up to the abort") 18
-        (Trace.length into);
-      (* w at step 17 is 1 + 2 + ... + 17 = 153 *)
-      Alcotest.(check (float 0.0)) (name ^ ": last sample") 152.0
-        (Trace.last_value into))
-    both_engines
+  let r = Sfprogram.Runner.create p in
+  let tr, ticks, ops =
+    counted (fun () ->
+        Sfprogram.Runner.run r ~stimuli:[| (fun t -> t) |] ~t_stop:40.0 ())
+  in
+  Alcotest.(check int) "samples" 41 (Trace.length tr);
+  Alcotest.(check int) "ticks = nsteps" 40 ticks;
+  Alcotest.(check int) "ops = nsteps x live" 80 ops;
+  (* [observe] aborts the run right after step 17. *)
+  let stop_at_17 time _ = if time = 17.0 then raise Stop in
+  let into = Trace.create () in
+  let aborted, ticks, ops =
+    counted (fun () ->
+        match
+          Sfprogram.Runner.run_into r
+            ~sources:[| Sfprogram.Runner.Fn (fun t -> t) |]
+            ~t_stop:40.0 ~observe:stop_at_17 into
+        with
+        | () -> false
+        | exception Stop -> true)
+  in
+  Alcotest.(check bool) "aborted" true aborted;
+  Alcotest.(check int) "ticks = steps taken" 17 ticks;
+  Alcotest.(check int) "ops = steps taken x live" 34 ops;
+  Alcotest.(check int) "samples up to the abort" 18 (Trace.length into);
+  (* w at step 17 is 1 + 2 + ... + 17 = 153 *)
+  Alcotest.(check (float 0.0)) "last sample" 152.0 (Trace.last_value into)
 
 let test_run_into_tables () =
   (* A sampled table drives the loop exactly as the function it was

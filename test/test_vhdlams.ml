@@ -234,6 +234,56 @@ let test_unknown_input_port () =
        false
      with Velaborate.Elab_error _ -> true)
 
+(* Default output: the one port not listed in [~inputs]. *)
+
+let example_dir =
+  Filename.concat (Filename.dirname Sys.executable_name) "../examples"
+
+let test_example_default_output () =
+  let file = Filename.concat example_dir "rc_lowpass.vhd" in
+  let src = In_channel.with_open_bin file In_channel.input_all in
+  let flat =
+    Velaborate.flatten (Vparser.parse ~file src) ~top:"rc_lowpass"
+      ~inputs:[ "tin" ]
+  in
+  let output = E.output_port flat in
+  Alcotest.(check string) "the port not driven" "V(tout,gnd)"
+    (Expr.var_name output);
+  let p = (E.abstract flat ~outputs:[ output ] ~dt:50e-9).Flow.program in
+  Alcotest.(check (list string)) "abstracted output" [ "V(tout,gnd)" ]
+    (List.map Expr.var_name p.Sfprogram.outputs)
+
+let test_two_outputs_rejected () =
+  let src =
+    Vsources.primitives
+    ^ {|
+entity split is
+  port (terminal tin, a, b : electrical);
+end entity;
+architecture struct of split is
+begin
+  r1 : entity work.resistor port map (p => tin, n => a);
+  r2 : entity work.resistor port map (p => a, n => b);
+  r3 : entity work.resistor port map (p => b, n => ground);
+end architecture;
+|}
+  in
+  let flat =
+    Velaborate.flatten (Vparser.parse ~file:"split.vhd" src) ~top:"split"
+      ~inputs:[ "tin" ]
+  in
+  match E.front_end (fun () -> E.output_port flat) with
+  | Ok v -> Alcotest.failf "chose %s out of two ports" (Expr.var_name v)
+  | Error f ->
+      Alcotest.(check string) "code" "AMS003" f.Diag.code;
+      Alcotest.(check bool) "located in split.vhd" true
+        (match f.Diag.span with
+        | Some sp -> sp.Diag.file = "split.vhd" && sp.Diag.line > 1
+        | None -> false);
+      Alcotest.(check bool) ("names both ports: " ^ f.Diag.message) true
+        (String.starts_with ~prefix:"split has output ports [a, b]"
+           f.Diag.message)
+
 (* Parameters and overrides *)
 
 let resistances flat =
@@ -400,7 +450,7 @@ let ladder_verilog stages =
   let b = Buffer.create 2048 in
   Buffer.add_string b verilog_primitives;
   Buffer.add_string b
-    "module ladder(tin, tout);\n  input electrical tin;\n  inout electrical tout;\n";
+    "module ladder(tin, tout);\n  input electrical tin;\n  output electrical tout;\n";
   (match internal_nodes devices with
   | [] -> ()
   | nodes -> Printf.bprintf b "  electrical %s;\n" (String.concat ", " nodes));
@@ -417,7 +467,8 @@ let without_spans (f : E.flat) =
   let nowhere = Diag.span 0 0 in
   {
     f with
-    E.contributions =
+    E.top_span = nowhere;
+    contributions =
       List.map
         (fun (c : E.contribution) -> { c with E.span = nowhere })
         f.E.contributions;
@@ -624,6 +675,10 @@ let () =
           Alcotest.test_case "if/use regions" `Quick test_if_use_pwl;
           Alcotest.test_case "unknown entity" `Quick test_unknown_entity;
           Alcotest.test_case "unknown input port" `Quick test_unknown_input_port;
+          Alcotest.test_case "example's default output" `Quick
+            test_example_default_output;
+          Alcotest.test_case "two output ports rejected" `Quick
+            test_two_outputs_rejected;
           Alcotest.test_case "constant scope" `Quick test_constant_scope;
           Alcotest.test_case "misspelled generic" `Quick test_misspelled_generic;
           Alcotest.test_case "constant not overridable" `Quick
