@@ -99,52 +99,22 @@ let row_json r =
 
 (* Per-section span accounting, written as "sections" in
    BENCH_results.json. The recorder runs for the whole harness; each
-   section remembers the [Obs.span_count] interval it produced. Self
-   time is a span's duration minus the total duration of its direct
-   children, computed over the completion-ordered span list with a
-   per-(process, depth) pending table -- a child always completes
-   before its parent, and depth only nests within one process. *)
+   section remembers the [Obs.span_count] interval it produced and is
+   profiled by [Obs.span_totals] over it. *)
 let section_spans : (string * int * int) list ref = ref []
-
-let self_times (spans : Obs.span array) =
-  let pending : (string * int, int) Hashtbl.t = Hashtbl.create 32 in
-  let get k = Option.value ~default:0 (Hashtbl.find_opt pending k) in
-  Array.map
-    (fun (s : Obs.span) ->
-      let child = (s.Obs.proc, s.Obs.depth + 1) in
-      let self = s.Obs.dur_ns - get child in
-      Hashtbl.remove pending child;
-      let mine = (s.Obs.proc, s.Obs.depth) in
-      Hashtbl.replace pending mine (get mine + s.Obs.dur_ns);
-      self)
-    spans
 
 let sections_json () =
   let open Json in
-  let spans = Array.of_list (Obs.spans ()) in
-  let selfs = self_times spans in
   let section (name, lo, hi) =
-    let agg : (string, int * int * int) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    for j = lo to min hi (Array.length spans) - 1 do
-      let s = spans.(j) in
-      if s.Obs.dur_ns > 0 then begin
-        let calls, tot, slf =
-          Option.value ~default:(0, 0, 0) (Hashtbl.find_opt agg s.Obs.name)
-        in
-        if calls = 0 then order := s.Obs.name :: !order;
-        Hashtbl.replace agg s.Obs.name
-          (calls + 1, tot + s.Obs.dur_ns, slf + selfs.(j))
-      end
-    done;
-    let span n =
-      let calls, tot, slf = Hashtbl.find agg n in
+    let span (n, (t : Obs.span_total)) =
       Obj
-        [ ("name", Str n); ("calls", Num (float_of_int calls));
-          ("total_s", Num (float_of_int tot *. 1e-9));
-          ("self_s", Num (float_of_int slf *. 1e-9)) ]
+        [ ("name", Str n); ("calls", Num (float_of_int t.calls));
+          ("total_s", Num (float_of_int t.total_ns *. 1e-9));
+          ("self_s", Num (float_of_int t.self_ns *. 1e-9)) ]
     in
-    Obj [ ("section", Str name); ("spans", Arr (List.rev_map span !order)) ]
+    Obj
+      [ ("section", Str name);
+        ("spans", Arr (List.map span (Obs.span_totals ~lo ~hi))) ]
   in
   Arr (List.rev_map section !section_spans)
 

@@ -39,11 +39,14 @@ let c_newton_wasted =
     ~help:"Newton passes taken after the update norm already met tolerance"
     "amsvp_mna_wasted_newton_iters_total"
 
+(* Upper bounds of the residual decades: of the metrics histogram below
+   and of the per-step counts each newton.run record carries. *)
+let residual_decades = [| 1e-15; 1e-12; 1e-9; 1e-6; 1e-3; 1.0; 1e3 |]
+
 let h_newton_residual =
   Obs.Histogram.make
     ~help:"final Newton update norm (inf-norm) per solver substep"
-    ~buckets:[| 1e-15; 1e-12; 1e-9; 1e-6; 1e-3; 1.0; 1e3 |]
-    "amsvp_mna_newton_residual"
+    ~buckets:residual_decades "amsvp_mna_newton_residual"
 
 type stats = {
   steps : int;
@@ -228,7 +231,8 @@ type telemetry = {
   mutable dt_stress : float;
   mutable stressed_substeps : int;
   mutable converged_at : int;  (* of the last substep *)
-  mutable step_wasted : int;  (* since the last newton.step event *)
+  step_decades : int array;  (* steps by decade of their final norm *)
+  step_converged : int array;  (* steps by [converged_at] *)
 }
 
 let create_state ~substeps ~iterations ~fidelity circuit ~dt =
@@ -369,10 +373,8 @@ let newton st tel ~h ~t =
   (* The fast RHS depends only on the substep-start state and the
      input, so one build serves every pass. *)
   if fast then build_rhs st ~h;
-  let max_iters =
-    match st.cache with Some c when c.npwl = 0 -> 1 | _ -> st.iterations
-  in
-  let measure = fast || Option.is_some tel in
+  let exact = match st.cache with Some c -> c.npwl = 0 | None -> false in
+  let max_iters = if exact then 1 else st.iterations in
   let x_next = ref st.x and iter = ref 0 in
   let converged_at = ref 0 and stop = ref false in
   while (not !stop) && !iter < max_iters do
@@ -380,13 +382,16 @@ let newton st tel ~h ~t =
     let prev = !x_next in
     x_next := solve_pass st tel ~h ~t ~last:(!iter = max_iters) prev;
     st.solves <- st.solves + 1;
-    if
-      measure
+    (* A linear network's one solve is exact: its update norm against
+       the substep-start state would measure state motion. *)
+    if exact then (st.sc.delta <- 0.0; converged_at := 1)
+    else if
+      (fast || Option.is_some tel)
       && update_converged st.sc prev !x_next
       && !converged_at = 0
       &&
       match st.cache with
-      | Some c -> c.npwl = 0 || Fast_cache.same_regions c !x_next
+      | Some c -> Fast_cache.same_regions c !x_next
       | None -> true
     then begin
       converged_at := !iter;
@@ -399,7 +404,6 @@ let newton st tel ~h ~t =
       let wasted = if !converged_at > 0 then !iter - !converged_at else 0 in
       tl.total_iters <- tl.total_iters + !iter;
       tl.wasted_iters <- tl.wasted_iters + wasted;
-      tl.step_wasted <- tl.step_wasted + wasted;
       if tl.journal then Obs.Histogram.observe h_newton_residual st.sc.delta;
       if st.sc.delta > tl.max_residual then tl.max_residual <- st.sc.delta;
       tl.converged_at <- !converged_at
@@ -414,7 +418,7 @@ let newton st tel ~h ~t =
    count after a step that stayed comfortably inside it. *)
 let advance st tel ~sample =
   let fast = Option.is_some st.cache in
-  let solves0 = st.solves and ns_used = ref st.nsub in
+  let solves0 = st.solves and ns_used = ref st.nsub and redone = ref 0 in
   st.step <- st.step + 1;
   let t_end = float_of_int st.step *. st.dt in
   let t_base = float_of_int (st.step - 1) *. st.dt in
@@ -463,6 +467,7 @@ let advance st tel ~sample =
       Array.blit st.x_save 0 st.x 0 n;
       Array.blit st.xm1_save 0 st.xm1 0 n;
       st.nsub <- min st.substeps (ns * 2);
+      incr redone;
       retry := true
     end
     else if
@@ -475,15 +480,24 @@ let advance st tel ~sample =
   Obs.Histogram.observe h_solver_passes (float_of_int (st.solves - solves0));
   match tel with
   | Some tl when tl.journal ->
-      Journal.emit ~step:st.step ~time:t_end ~cat:"mna" "newton.step"
-        ([
-           ("residual", Journal.F st.sc.delta);
-           ("converged_at", Journal.I tl.converged_at);
-           ("wasted", Journal.I tl.step_wasted);
-           ("stress", Journal.F st.sc.step_stress);
-         ]
-        @ if fast then [ ("nsub", Journal.I !ns_used) ] else []);
-      tl.step_wasted <- 0
+      let d = Obs.Histogram.bucket h_newton_residual st.sc.delta in
+      tl.step_decades.(d) <- tl.step_decades.(d) + 1;
+      tl.step_converged.(tl.converged_at) <-
+        tl.step_converged.(tl.converged_at) + 1;
+      (* Only anomalous steps are journaled one by one; newton.run
+         carries the counts of all of them. *)
+      if
+        tl.converged_at = 0 || !redone > 0
+        || st.sc.step_stress > stress_threshold
+      then
+        Journal.emit ~step:st.step ~time:t_end ~cat:"mna" "newton.step"
+          [
+            ("residual", Journal.F st.sc.delta);
+            ("converged_at", Journal.I tl.converged_at);
+            ("stress", Journal.F st.sc.step_stress);
+            ("nsub", Journal.I !ns_used);
+            ("redone", Journal.I !redone);
+          ]
   | _ -> ()
 
 (* The run's journal summaries and the [newton] result record. *)
@@ -511,7 +525,7 @@ let summarize st tl ~nsteps =
           ("substeps", Journal.I st.substeps);
         ];
     Journal.emit ~cat:"mna" "newton.run"
-      [
+      ([
         ("steps", Journal.I nsteps);
         ("total_iters", Journal.I tl.total_iters);
         ("wasted_iters", Journal.I tl.wasted_iters);
@@ -521,6 +535,17 @@ let summarize st tl ~nsteps =
         ("dt_stress", Journal.F tl.dt_stress);
         ("dim", Journal.I (System.size st.sys));
       ]
+      (* Flat per-step counts: every residual decade, keyed by its
+         upper bound, and every pass some step converged at. *)
+      @ List.map2
+          (fun le n -> (Printf.sprintf "residual_le_%g" le, Journal.I n))
+          (Array.to_list residual_decades @ [ infinity ])
+          (Array.to_list tl.step_decades)
+      @ List.filter
+          (fun (_, n) -> n <> Journal.I 0)
+          (List.mapi
+             (fun k n -> (Printf.sprintf "converged_at_%d" k, Journal.I n))
+             (Array.to_list tl.step_converged)))
   end;
   ({
      total_iters = tl.total_iters;
@@ -575,7 +600,8 @@ let spice_like ?(substeps = 8) ?(iterations = 3) ?(fidelity = `Paper) ?observe
           dt_stress = 0.0;
           stressed_substeps = 0;
           converged_at = 0;
-          step_wasted = 0;
+          step_decades = Array.make (Array.length residual_decades + 1) 0;
+          step_converged = Array.make (iterations + 1) 0;
         }
     else None
   in

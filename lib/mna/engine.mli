@@ -52,7 +52,14 @@ type newton = {
     enabled — the residual norms have no other consumer there, so with
     the journal off the inner loop is byte-for-byte the pre-telemetry
     loop. With [`Fast] it is always computed: the update norm and the
-    stress drive the early exit and the substep controller. *)
+    stress drive the early exit and the substep controller (a linear
+    network's one exact solve converges at pass 1, update norm 0).
+    With the journal on, a run journals these fields as one
+    [newton.run] record with its steps counted per decade of their
+    final update norm ([residual_le_<bound>]) and per pass converged
+    at ([converged_at_<k>], 0 = never), and a [newton.step] event only
+    for a step that never converged, was redone with more substeps or
+    moved its state by more than half. *)
 
 type result = {
   trace : Amsvp_util.Trace.t;

@@ -199,13 +199,22 @@ let event_json e =
 
 let event_to_json e = Json.print (event_json e)
 
+(* The trailer of a dump whose rings lost events: not an event (it
+   has no seq or wall clock), a record of how many are missing. *)
+let dropped_json n =
+  Json.Obj
+    [ ("cat", Json.Str "obs"); ("name", Json.Str "journal.dropped");
+      ("sev", Json.Str "warn");
+      ("data", Json.Obj [ ("count", Json.Num (float_of_int n)) ]) ]
+
 let to_jsonl () =
   let b = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string b (event_to_json e);
-      Buffer.add_char b '\n')
-    (events ());
+  let line j =
+    Buffer.add_string b (Json.print j);
+    Buffer.add_char b '\n'
+  in
+  List.iter (fun e -> line (event_json e)) (events ());
+  if dropped () > 0 then line (dropped_json (dropped ()));
   Buffer.contents b
 
 let write_jsonl path =

@@ -53,7 +53,7 @@ type event = {
       (** emitting process tag (see {!set_origin}); [""] for the
           anonymous single-process default *)
   cat : string;  (** subsystem: ["mna"], ["sf"], ["sweep"], ["health"]... *)
-  name : string;  (** event kind within the category, e.g. ["newton.step"] *)
+  name : string;  (** event kind within the category, e.g. ["newton.run"] *)
   severity : severity;
   step : int;  (** solver/reporting step, [-1] when not applicable *)
   time : float;  (** simulated seconds, [nan] when not applicable *)
@@ -138,7 +138,10 @@ val event_to_json : event -> string
 (** {!event_json} printed on a single line. *)
 
 val to_jsonl : unit -> string
-(** Every event of {!events}, one JSON object per line. *)
+(** Every event of {!events}, one JSON object per line. When the rings
+    lost events, one more line ends the dump:
+    [{"cat":"obs","name":"journal.dropped","sev":"warn","data":{"count":n}}]
+    with [n] = {!dropped}. *)
 
 val write_jsonl : string -> unit
 (** [write_jsonl path] dumps {!to_jsonl} to [path]. *)

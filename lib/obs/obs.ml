@@ -261,7 +261,7 @@ module Histogram = struct
         (h, Histogram h))
       ~recover:(function Histogram h -> Some h | _ -> None)
 
-  let observe h v =
+  let[@inline] bucket h v =
     let n = Array.length h.bounds in
     let i = ref 0 in
     (* [v <= b] is false for NaN against every bound, so a NaN walks
@@ -269,7 +269,11 @@ module Histogram = struct
     while !i < n && not (v <= h.bounds.(!i)) do
       incr i
     done;
-    h.counts.(!i) <- h.counts.(!i) + 1;
+    !i
+
+  let observe h v =
+    let i = bucket h v in
+    h.counts.(i) <- h.counts.(i) + 1;
     h.h_sum.sum <- h.h_sum.sum +. v;
     h.h_count <- h.h_count + 1
 
@@ -315,22 +319,40 @@ let reset () =
           h.h_count <- 0)
     registry
 
-(* ---- span aggregation (shared by the prometheus/summary sinks) ---- *)
+(* ---- span aggregation (the summary and prometheus sinks, bench) ---- *)
 
-(* name -> (calls, total_ns), in first-completion order *)
-let span_aggregate () =
-  let snapshot = span_snapshot () in
-  let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 32 in
+type span_total = { calls : int; total_ns : int; self_ns : int }
+
+(* Self time is a span's duration minus the total duration of its
+   direct children, computed over the completion-ordered buffer with a
+   per-(process, depth) pending table: a child always completes before
+   its parent, and depth only nests within one process. *)
+let span_totals ~lo ~hi =
+  let pending : (string * int, int) Hashtbl.t = Hashtbl.create 32 in
+  let get k = Option.value ~default:0 (Hashtbl.find_opt pending k) in
+  let tbl : (string, span_total) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
-  Array.iter
-    (fun s ->
+  for j = max 0 lo to min hi !len - 1 do
+    let s = !buf.(j) in
+    let child = (s.proc, s.depth + 1) and mine = (s.proc, s.depth) in
+    let self = s.dur_ns - get child in
+    Hashtbl.remove pending child;
+    Hashtbl.replace pending mine (get mine + s.dur_ns);
+    (* An instant marks a moment: it has no time to total. *)
+    if s.dur_ns > 0 then
       match Hashtbl.find_opt tbl s.name with
       | None ->
           order := s.name :: !order;
-          Hashtbl.replace tbl s.name (1, s.dur_ns)
-      | Some (calls, total) ->
-          Hashtbl.replace tbl s.name (calls + 1, total + s.dur_ns))
-    snapshot;
+          Hashtbl.replace tbl s.name
+            { calls = 1; total_ns = s.dur_ns; self_ns = self }
+      | Some t ->
+          Hashtbl.replace tbl s.name
+            {
+              calls = t.calls + 1;
+              total_ns = t.total_ns + s.dur_ns;
+              self_ns = t.self_ns + self;
+            }
+  done;
   List.rev_map (fun n -> (n, Hashtbl.find tbl n)) !order
 
 (* ---- sinks ---- *)
@@ -446,26 +468,26 @@ let prometheus () =
   (* Per-span-name aggregates, so flow-stage and kernel spans show up in
      the same scrape as the counters. *)
   List.iter
-    (fun (name, (calls, total_ns)) ->
+    (fun (name, t) ->
       let n = "amsvp_span_" ^ prom_name name in
       header (n ^ "_calls_total") ("completions of span " ^ name) "counter";
-      Printf.bprintf b "%s_calls_total %d\n" n calls;
+      Printf.bprintf b "%s_calls_total %d\n" n t.calls;
       header (n ^ "_seconds_total") ("total wall time in span " ^ name) "counter";
       Printf.bprintf b "%s_seconds_total %.9g\n" n
-        (float_of_int total_ns *. 1e-9))
-    (span_aggregate ());
+        (float_of_int t.total_ns *. 1e-9))
+    (span_totals ~lo:0 ~hi:!len);
   Buffer.contents b
 
 let summary () =
   let b = Buffer.create 2048 in
-  let aggr = span_aggregate () in
+  let aggr = span_totals ~lo:0 ~hi:!len in
   if aggr <> [] then begin
     Buffer.add_string b "spans (name, calls, total, mean):\n";
     List.iter
-      (fun (name, (calls, total_ns)) ->
-        Printf.bprintf b "  %-40s %8d %10.3f ms %10.1f us\n" name calls
-          (float_of_int total_ns /. 1e6)
-          (float_of_int total_ns /. 1e3 /. float_of_int calls))
+      (fun (name, t) ->
+        Printf.bprintf b "  %-40s %8d %10.3f ms %10.1f us\n" name t.calls
+          (float_of_int t.total_ns /. 1e6)
+          (float_of_int t.total_ns /. 1e3 /. float_of_int t.calls))
       aggr
   end;
   let counters = ref [] and gauges = ref [] and histos = ref [] in

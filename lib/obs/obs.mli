@@ -79,6 +79,21 @@ val ingest_spans : proc:string -> span list -> unit
     when the recorder is disabled). Spans whose [proc] is [""] are
     stamped with [proc]. *)
 
+type span_total = {
+  calls : int;
+  total_ns : int;
+  self_ns : int;  (** total minus the time of direct child spans *)
+}
+
+val span_totals : lo:int -> hi:int -> (string * span_total) list
+(** Per span name, in first-completion order: the spans recorded at
+    buffer indices [lo] .. [hi - 1] ({!span_count} watermarks), instants
+    left out. A span's self time is its duration minus the durations of
+    its direct children (same [proc], one level deeper) completed in the
+    range before it. The {!summary} and {!prometheus} sinks aggregate
+    the whole buffer; a caller that records the watermarks around a
+    region gets that region's profile. *)
+
 (** {1 Metrics registry}
 
     Metrics are registered process-wide by series — name plus labels:
@@ -139,6 +154,10 @@ module Histogram : sig
       a bound is false) and still count towards [count] and [sum].
       @raise Invalid_argument if [buckets] is empty or not strictly
       ascending. *)
+
+  val bucket : t -> float -> int
+  (** The index of the bucket [observe] counts a value in, by the rule
+      above: [0] .. [n-1] for the bounds, [n] for the overflow. *)
 
   val observe : t -> float -> unit
   val count : t -> int

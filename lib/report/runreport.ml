@@ -50,6 +50,7 @@ type origin_row = {
 
 type t = {
   r_journal_events : int;
+  r_journal_dropped : int;
   r_profile : span_profile list;
   r_convergence : convergence option;
   r_cache : cache option;
@@ -60,157 +61,123 @@ type t = {
 
 (* ---- journal helpers ---- *)
 
-let ev_cat e = Option.value ~default:"" (Json.mem_string "cat" e)
-let ev_name e = Option.value ~default:"" (Json.mem_string "name" e)
+let str k j = Option.value ~default:"" (Json.mem_string k j)
+let num k j = Option.value ~default:0.0 (Json.mem_float k j)
+let ev_cat = str "cat"
+let ev_name = str "name"
 let ev_sev e = Option.value ~default:"info" (Json.mem_string "sev" e)
 let ev_data e = Option.value ~default:(Json.Obj []) (Json.member "data" e)
 
-let data_float k e = Json.mem_float k (ev_data e)
-let data_int k e = Option.map int_of_float (Json.mem_float k (ev_data e))
+let data_num k e = num k (ev_data e)
+let data_int k e = int_of_float (data_num k e)
 let data_bool k e = Json.mem_bool k (ev_data e)
+let sum f events = List.fold_left (fun n e -> n + f e) 0 events
+let count p events = List.length (List.filter p events)
+let named cat name e = ev_cat e = cat && ev_name e = name
 
-(* The decade bounds of the solver's residual histogram; counts here
-   are per-bucket (not cumulative), which reads better as a bar
-   chart. *)
-let residual_bounds = [| 1e-15; 1e-12; 1e-9; 1e-6; 1e-3; 1.0; 1e3 |]
+(* The [n] of [(key, n)] pairs summed per key, sorted by key. *)
+let tally pairs =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (k, n) ->
+      Hashtbl.replace tbl k
+        (n + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+    pairs;
+  List.sort Stdlib.compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
 
+(* The counts [runs] carry in fields [prefix ^ key], summed per key as
+   [parse] reads it; a field it cannot read is skipped. *)
+let keyed ~prefix parse runs =
+  let n = String.length prefix in
+  let field (k, v) =
+    if not (String.starts_with ~prefix k) then None
+    else
+      let key = String.sub k n (String.length k - n) in
+      match (parse key, Json.to_float v) with
+      | Some key, Some c -> Some (key, int_of_float c)
+      | _ -> None
+  in
+  tally
+    (List.concat_map
+       (fun e ->
+         match ev_data e with
+         | Json.Obj fields -> List.filter_map field fields
+         | _ -> [])
+       runs)
+
+(* From the [newton.run] summaries alone: the solver adds up each run's
+   steps into flat per-decade and per-pass counts. *)
 let build_convergence events =
-  let steps = List.filter (fun e -> ev_cat e = "mna") events in
-  let newton_steps = List.filter (fun e -> ev_name e = "newton.step") steps in
-  let runs = List.filter (fun e -> ev_name e = "newton.run") steps in
-  let singular =
-    List.length (List.filter (fun e -> ev_name e = "singular_pivot") steps)
-  in
-  let conditioning =
-    List.length (List.filter (fun e -> ev_name e = "conditioning") steps)
-  in
-  if newton_steps = [] && runs = [] && singular = 0 then None
-  else begin
-    let nb = Array.length residual_bounds in
-    let hist = Array.make (nb + 1) 0 in
-    let conv : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let wasted = ref 0 and max_res = ref 0.0 and max_stress = ref 0.0 in
-    List.iter
-      (fun e ->
-        (match data_float "residual" e with
-        | Some r ->
-            if r > !max_res then max_res := r;
-            let i = ref 0 in
-            while !i < nb && r > residual_bounds.(!i) do
-              incr i
-            done;
-            hist.(!i) <- hist.(!i) + 1
-        | None -> ());
-        (match data_int "converged_at" e with
-        | Some k ->
-            Hashtbl.replace conv k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt conv k))
-        | None -> ());
-        (match data_int "wasted" e with
-        | Some w -> wasted := !wasted + w
-        | None -> ());
-        match data_float "stress" e with
-        | Some s -> if s > !max_stress then max_stress := s
-        | None -> ())
-      newton_steps;
-    let total_iters =
+  let runs = List.filter (named "mna" "newton.run") events in
+  let singular = count (named "mna" "singular_pivot") events in
+  if runs = [] && singular = 0 then None
+  else
+    let largest k =
       List.fold_left
-        (fun acc e -> acc + Option.value ~default:0 (data_int "total_iters" e))
-        0 runs
-    in
-    let cv_residual_hist =
-      List.init (nb + 1) (fun i ->
-          ((if i < nb then residual_bounds.(i) else infinity), hist.(i)))
-    in
-    let cv_converged_hist =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) conv []
-      |> List.sort Stdlib.compare
+        (fun m e ->
+          let v = data_num k e in
+          if v > m then v else m)
+        0.0 runs
     in
     Some
       {
-        cv_steps = List.length newton_steps;
-        cv_residual_hist;
-        cv_converged_hist;
-        cv_wasted = !wasted;
-        cv_total_iters = total_iters;
-        cv_max_residual = !max_res;
-        cv_max_stress = !max_stress;
+        cv_steps = sum (data_int "steps") runs;
+        cv_residual_hist =
+          keyed ~prefix:"residual_le_" float_of_string_opt runs;
+        cv_converged_hist =
+          keyed ~prefix:"converged_at_" int_of_string_opt runs;
+        cv_wasted = sum (data_int "wasted_iters") runs;
+        cv_total_iters = sum (data_int "total_iters") runs;
+        cv_max_residual = largest "max_residual";
+        cv_max_stress = largest "dt_stress";
         cv_singular = singular;
-        cv_conditioning = conditioning;
+        cv_conditioning = count (named "mna" "conditioning") events;
       }
-  end
 
 let build_cache events =
-  let pts =
-    List.filter (fun e -> ev_cat e = "sweep" && ev_name e = "point") events
-  in
+  let pts = List.filter (named "sweep" "point") events in
   if pts = [] then None
-  else begin
-    let hits = ref 0 and unhealthy = ref 0 and wall = ref 0.0 in
-    List.iter
-      (fun e ->
-        if data_bool "cached" e = Some true then incr hits;
-        if data_bool "healthy" e = Some false then incr unhealthy;
-        wall := !wall +. Option.value ~default:0.0 (data_float "wall_s" e))
-      pts;
+  else
     let n = List.length pts in
+    let hits = count (fun e -> data_bool "cached" e = Some true) pts in
+    let wall = List.fold_left (fun w e -> w +. data_num "wall_s" e) 0.0 pts in
     Some
       {
         ca_points = n;
-        ca_hits = !hits;
-        ca_misses = n - !hits;
-        ca_wall_mean_s = !wall /. float_of_int n;
-        ca_unhealthy = !unhealthy;
+        ca_hits = hits;
+        ca_misses = n - hits;
+        ca_wall_mean_s = wall /. float_of_int n;
+        ca_unhealthy = count (fun e -> data_bool "healthy" e = Some false) pts;
       }
-  end
 
 let build_health events =
   let flagged =
     List.filter (fun e -> ev_sev e = "warn" || ev_sev e = "error") events
   in
   if flagged = [] then None
-  else begin
-    let warn = ref 0 and error = ref 0 in
-    let kinds : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun e ->
-        if ev_sev e = "error" then incr error else incr warn;
-        let k = ev_cat e ^ "/" ^ ev_name e in
-        Hashtbl.replace kinds k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k)))
-      flagged;
-    let he_kinds =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []
-      |> List.sort Stdlib.compare
-    in
-    Some { he_warn = !warn; he_error = !error; he_kinds }
-  end
+  else
+    let error = count (fun e -> ev_sev e = "error") flagged in
+    Some
+      {
+        he_warn = List.length flagged - error;
+        he_error = error;
+        he_kinds =
+          tally (List.map (fun e -> (ev_cat e ^ "/" ^ ev_name e, 1)) flagged);
+      }
 
 let build_traffic events =
-  let runs =
-    List.filter (fun e -> ev_cat e = "sf" && ev_name e = "run") events
-  in
+  let runs = List.filter (named "sf" "run") events in
   if runs = [] then None
-  else begin
-    let ticks = ref 0 and reads = ref 0 and writes = ref 0 and flops = ref 0 in
-    List.iter
-      (fun e ->
-        let t = Option.value ~default:0 (data_int "ticks" e) in
-        let per k = t * Option.value ~default:0 (data_int k e) in
-        ticks := !ticks + t;
-        reads := !reads + per "reads_per_tick";
-        writes := !writes + per "writes_per_tick";
-        flops := !flops + per "flops_per_tick")
-      runs;
+  else
+    let per k e = data_int "ticks" e * data_int k e in
     Some
       {
         tf_runs = List.length runs;
-        tf_ticks = !ticks;
-        tf_reads = !reads;
-        tf_writes = !writes;
-        tf_flops = !flops;
+        tf_ticks = sum (data_int "ticks") runs;
+        tf_reads = sum (per "reads_per_tick") runs;
+        tf_writes = sum (per "writes_per_tick") runs;
+        tf_flops = sum (per "flops_per_tick") runs;
       }
-  end
 
 (* Per-process breakdown of a merged journal. A single-process journal
    (no event carries an origin tag) yields [] so old reports are
@@ -218,26 +185,22 @@ let build_traffic events =
 let build_origins events =
   let ev_origin e = Option.value ~default:"" (Json.mem_string "origin" e) in
   if List.for_all (fun e -> ev_origin e = "") events then []
-  else begin
-    let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun e ->
-        let o = ev_origin e in
-        let evs, pts = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl o) in
-        let is_point = ev_cat e = "sweep" && ev_name e = "point" in
-        Hashtbl.replace tbl o (evs + 1, if is_point then pts + 1 else pts))
-      events;
-    Hashtbl.fold
-      (fun o (evs, pts) acc ->
+  else
+    let per_origin evs =
+      tally
+        (List.map
+           (fun e -> ((match ev_origin e with "" -> "main" | o -> o), 1))
+           evs)
+    in
+    let points = per_origin (List.filter (named "sweep" "point") events) in
+    List.map
+      (fun (o, n) ->
         {
-          og_origin = (if o = "" then "main" else o);
-          og_events = evs;
-          og_points = pts;
-        }
-        :: acc)
-      tbl []
-    |> List.sort (fun a b -> Stdlib.compare a.og_origin b.og_origin)
-  end
+          og_origin = o;
+          og_events = n;
+          og_points = Option.value ~default:0 (List.assoc_opt o points);
+        })
+      (per_origin events)
 
 let build_profile ~top bench =
   match bench with
@@ -246,22 +209,14 @@ let build_profile ~top bench =
       let spans =
         List.concat_map
           (fun sec ->
-            let section =
-              Option.value ~default:"" (Json.mem_string "section" sec)
-            in
             List.map
               (fun sp ->
                 {
-                  sp_section = section;
-                  sp_name =
-                    Option.value ~default:"" (Json.mem_string "name" sp);
-                  sp_calls =
-                    int_of_float
-                      (Option.value ~default:0.0 (Json.mem_float "calls" sp));
-                  sp_total_s =
-                    Option.value ~default:0.0 (Json.mem_float "total_s" sp);
-                  sp_self_s =
-                    Option.value ~default:0.0 (Json.mem_float "self_s" sp);
+                  sp_section = str "section" sec;
+                  sp_name = str "name" sp;
+                  sp_calls = int_of_float (num "calls" sp);
+                  sp_total_s = num "total_s" sp;
+                  sp_self_s = num "self_s" sp;
                 })
               (Json.mem_list "spans" sec))
           (Json.mem_list "sections" doc)
@@ -272,8 +227,12 @@ let build_profile ~top bench =
       List.filteri (fun i _ -> i < top) sorted
 
 let build ?(top = 15) ?(journal = []) ?bench () =
+  let trailers, journal =
+    List.partition (fun e -> ev_name e = "journal.dropped") journal
+  in
   {
     r_journal_events = List.length journal;
+    r_journal_dropped = sum (data_int "count") trailers;
     r_profile = build_profile ~top bench;
     r_convergence = build_convergence journal;
     r_cache = build_cache journal;
@@ -298,6 +257,9 @@ let to_text r =
   line ();
   if r.r_journal_events > 0 then
     Printf.bprintf b "journal: %d event(s)\n" r.r_journal_events;
+  if r.r_journal_dropped > 0 then
+    Printf.bprintf b "journal: %d event(s) DROPPED when a ring wrapped\n"
+      r.r_journal_dropped;
   if r.r_profile <> [] then begin
     Printf.bprintf b "\nSELF-TIME PROFILE (top %d spans by self time)\n"
       (List.length r.r_profile);
@@ -312,7 +274,7 @@ let to_text r =
   (match r.r_convergence with
   | None -> ()
   | Some cv ->
-      Printf.bprintf b "\nCONVERGENCE (%d newton.step event(s))\n" cv.cv_steps;
+      Printf.bprintf b "\nCONVERGENCE (%d reporting step(s))\n" cv.cv_steps;
       let max_n =
         List.fold_left (fun m (_, n) -> max m n) 0 cv.cv_residual_hist
       in
@@ -398,7 +360,8 @@ let to_json r =
   let bucket k key n = Obj [ (k, key); ("count", int n) ] in
   print
     (Obj
-       ([ ("journal_events", int r.r_journal_events) ]
+       ([ ("journal_events", int r.r_journal_events);
+          ("journal_dropped", int r.r_journal_dropped) ]
        @ list "profile"
            (fun sp ->
              [ ("section", Str sp.sp_section); ("name", Str sp.sp_name);
@@ -414,15 +377,11 @@ let to_json r =
                ("singular_pivots", int cv.cv_singular);
                ("conditioning_warnings", int cv.cv_conditioning);
                ( "residual_hist",
-                 Arr
-                   (List.map
-                      (fun (le, n) -> bucket "le" (Num le) n)
-                      cv.cv_residual_hist) );
+                 Arr (List.map (fun (le, n) -> bucket "le" (Num le) n)
+                        cv.cv_residual_hist) );
                ( "converged_at",
-                 Arr
-                   (List.map
-                      (fun (k, n) -> bucket "iteration" (int k) n)
-                      cv.cv_converged_hist) ) ])
+                 Arr (List.map (fun (k, n) -> bucket "iteration" (int k) n)
+                        cv.cv_converged_hist) ) ])
            r.r_convergence
        @ opt "cache"
            (fun ca ->

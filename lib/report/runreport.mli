@@ -19,8 +19,9 @@ type span_profile = {
   sp_self_s : float;
 }
 
+(** Summed over the journal's [mna]/[newton.run] run summaries. *)
 type convergence = {
-  cv_steps : int;  (** [mna]/[newton.step] events seen *)
+  cv_steps : int;  (** reporting steps of those runs *)
   cv_residual_hist : (float * int) list;
       (** non-cumulative counts per decade upper bound; the final
           entry's bound is [infinity] *)
@@ -66,6 +67,8 @@ type origin_row = {
 
 type t = {
   r_journal_events : int;
+  r_journal_dropped : int;
+      (** events lost by the rings, from the [journal.dropped] trailer *)
   r_profile : span_profile list;  (** sorted by self time, descending *)
   r_convergence : convergence option;
   r_cache : cache option;

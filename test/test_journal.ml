@@ -6,6 +6,8 @@
    merged order does not depend on arrival order. *)
 
 module Journal = Amsvp_obs.Journal
+module Json = Amsvp_util.Json
+module Runreport = Amsvp_report.Runreport
 
 let fresh () =
   Journal.reset ();
@@ -91,6 +93,34 @@ let test_ring_overwrites_oldest () =
   Alcotest.(check (list int)) "last events retained" [ 13; 14; 15; 16; 17; 18; 19; 20 ] is';
   teardown ()
 
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_dropped_trailer () =
+  let old_cap = Journal.capacity () in
+  Journal.set_capacity 4;
+  fresh ();
+  for i = 1 to 10 do
+    Journal.emit ~cat:"jt.drop" "e" [ ("i", Journal.I i) ]
+  done;
+  Journal.set_capacity old_cap;
+  let lines = Json.parse_lines (Journal.to_jsonl ()) in
+  teardown ();
+  Alcotest.(check int) "4 events, then the trailer" 5 (List.length lines);
+  let trailer = List.nth lines 4 in
+  Alcotest.(check (option string)) "trailer name" (Some "journal.dropped")
+    (Json.mem_string "name" trailer);
+  Alcotest.(check (option (float 0.0))) "trailer count" (Some 6.0)
+    (Option.bind (Json.member "data" trailer) (Json.mem_float "count"));
+  let r = Runreport.build ~journal:lines () in
+  Alcotest.(check int) "report reads the count" 6 r.Runreport.r_journal_dropped;
+  Alcotest.(check int) "the trailer is not an event" 4
+    r.Runreport.r_journal_events;
+  Alcotest.(check bool) "report prints the count" true
+    (contains (Runreport.to_text r) "6 event(s) DROPPED")
+
 (* ---- cross-process telemetry ---- *)
 
 let mk_event ~seq ~origin ~wall_ns ?(cat = "jt.xp") name =
@@ -105,6 +135,69 @@ let mk_event ~seq ~origin ~wall_ns ?(cat = "jt.xp") name =
     wall_ns;
     payload = [];
   }
+
+(* ---- the run report's CONVERGENCE section ---- *)
+
+let record name payload =
+  Journal.event_json
+    { (mk_event ~seq:0 ~origin:"" ~wall_ns:0 ~cat:"mna" name) with
+      Journal.payload }
+
+(* Two solver runs' newton.run summaries, with their flat per-step
+   counts, plus records the section must not re-count. *)
+let test_report_convergence () =
+  let run ~steps ~total ~wasted ~max_res ~stress counts =
+    record "newton.run"
+      ([ ("steps", Journal.I steps); ("total_iters", Journal.I total);
+         ("wasted_iters", Journal.I wasted);
+         ("max_residual", Journal.F max_res); ("dt_stress", Journal.F stress) ]
+      @ List.map (fun (k, n) -> (k, Journal.I n)) counts)
+  in
+  let decades =
+    [ "1e-15"; "1e-12"; "1e-09"; "1e-06"; "0.001"; "1"; "1000"; "inf" ]
+  in
+  let residuals l =
+    List.map2 (fun d n -> ("residual_le_" ^ d, n)) decades l
+  in
+  let journal =
+    [ run ~steps:10 ~total:30 ~wasted:5 ~max_res:1e-13 ~stress:0.7
+        (residuals [ 6; 4; 0; 0; 0; 0; 0; 0 ]
+        @ [ ("converged_at_1", 7); ("converged_at_2", 3) ]);
+      record "newton.step"
+        [ ("residual", Journal.F 0.5); ("converged_at", Journal.I 0);
+          ("stress", Journal.F 0.9) ];
+      run ~steps:5 ~total:20 ~wasted:0 ~max_res:2e-3 ~stress:0.2
+        (residuals [ 3; 0; 0; 0; 0; 1; 0; 1 ]
+        @ [ ("converged_at_0", 2); ("converged_at_1", 3) ]);
+      record "singular_pivot" [ ("column", Journal.I 2) ] ]
+  in
+  let r = Runreport.build ~journal () in
+  match r.Runreport.r_convergence with
+  | None -> Alcotest.fail "no CONVERGENCE section"
+  | Some cv ->
+      Alcotest.(check int) "steps" 15 cv.Runreport.cv_steps;
+      Alcotest.(check (list (pair (float 0.0) int))) "residual decades"
+        [ (1e-15, 9); (1e-12, 4); (1e-9, 0); (1e-6, 0); (1e-3, 0); (1.0, 1);
+          (1e3, 0); (infinity, 1) ]
+        cv.cv_residual_hist;
+      Alcotest.(check (list (pair int int))) "converged at"
+        [ (0, 2); (1, 10); (2, 3) ] cv.cv_converged_hist;
+      Alcotest.(check int) "wasted" 5 cv.cv_wasted;
+      Alcotest.(check int) "total" 50 cv.cv_total_iters;
+      Alcotest.(check (float 0.0)) "max residual" 2e-3 cv.cv_max_residual;
+      Alcotest.(check (float 0.0)) "max stress" 0.7 cv.cv_max_stress;
+      Alcotest.(check int) "singular pivots" 1 cv.cv_singular;
+      let text = Runreport.to_text r in
+      List.iter
+        (fun line ->
+          if not (contains text line) then
+            Alcotest.failf "report lacks %S:\n%s" line text)
+        [ "CONVERGENCE (15 reporting step(s))";
+          "residual <=1e-15         9";
+          "never converged within budget: 2 step(s)";
+          "converged at iteration 1: 10 step(s)";
+          "wasted Newton passes: 5 of 50 (10.0%)";
+          "max residual: 2.000e-03   max dt-stress: 0.700" ]
 
 let test_origin_tagging () =
   fresh ();
@@ -432,7 +525,12 @@ let () =
           Alcotest.test_case "emit fields and json" `Quick test_emit_fields;
           Alcotest.test_case "ring overwrites oldest" `Quick
             test_ring_overwrites_oldest;
+          Alcotest.test_case "dump ends with the dropped count" `Quick
+            test_dropped_trailer;
         ] );
+      ( "report",
+        [ Alcotest.test_case "convergence from newton.run" `Quick
+            test_report_convergence ] );
       ( "concurrency",
         [ Alcotest.test_case "4-process merge" `Quick test_process_merge ] );
       ( "telemetry",

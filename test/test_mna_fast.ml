@@ -35,6 +35,7 @@ module Stimulus = Amsvp_util.Stimulus
 module Metrics = Amsvp_util.Metrics
 module Journal = Amsvp_obs.Journal
 module Obs = Amsvp_obs.Obs
+module Runreport = Amsvp_report.Runreport
 
 let checkf tol = Alcotest.(check (float tol))
 (* Sample-for-sample bit identity. *)
@@ -525,8 +526,11 @@ let test_singular_parity () =
 (* ---- Telemetry: journal population and journal-off identity ---- *)
 
 (* Runs [run] with the journal off and on; checks the journal is pure
-   observation and emits one newton.step per reporting step and one
-   newton.run; returns both results and the newton.run payload. *)
+   observation, that the one newton.run record counts every reporting
+   step once in each of its histograms, and that every newton.step
+   journaled is anomalous: never converged within the budget, redone
+   with more substeps, or stressed past 0.5. Returns both results, the
+   newton.step events and a reader of the newton.run payload. *)
 let journal_on_off run =
   Journal.reset ();
   Journal.disable ();
@@ -541,14 +545,49 @@ let journal_on_off run =
     on.stats.factorizations;
   let events = List.filter (fun e -> e.Journal.cat = "mna") (Journal.events ()) in
   let steps = List.filter (fun e -> e.Journal.name = "newton.step") events in
-  Alcotest.(check int) "one newton.step per reporting step" on.stats.steps
-    (List.length steps);
-  match List.filter (fun e -> e.Journal.name = "newton.run") events with
-  | [ e ] -> (off, on, steps, fun k -> List.assoc_opt k e.Journal.payload)
-  | l -> Alcotest.failf "expected one newton.run event, got %d" (List.length l)
+  let payload =
+    match List.filter (fun e -> e.Journal.name = "newton.run") events with
+    | [ e ] -> e.Journal.payload
+    | l ->
+        Alcotest.failf "expected one newton.run event, got %d" (List.length l)
+  in
+  let counted prefix =
+    List.fold_left
+      (fun n (k, v) ->
+        match v with
+        | Journal.I c when String.starts_with ~prefix k -> n + c
+        | _ -> n)
+      0 payload
+  in
+  Alcotest.(check int) "residual decades count every step" on.stats.steps
+    (counted "residual_le_");
+  Alcotest.(check int) "converged-at counts count every step" on.stats.steps
+    (counted "converged_at_");
+  (* The report reads the engine's keys back. *)
+  (match
+     (Runreport.build ~journal:(List.map Journal.event_json events) ())
+       .r_convergence
+   with
+  | Some cv ->
+      Alcotest.(check int) "report: steps" on.stats.steps cv.cv_steps;
+      Alcotest.(check int) "report: residual decades" on.stats.steps
+        (List.fold_left (fun n (_, c) -> n + c) 0 cv.cv_residual_hist)
+  | None -> Alcotest.fail "report: no CONVERGENCE section");
+  List.iter
+    (fun e ->
+      let field k = List.assoc_opt k e.Journal.payload in
+      let anomalous =
+        field "converged_at" = Some (Journal.I 0)
+        || (match field "redone" with Some (Journal.I r) -> r > 0 | _ -> false)
+        || match field "stress" with Some (Journal.F s) -> s > 0.5 | _ -> false
+      in
+      if not anomalous then
+        Alcotest.failf "newton.step at step %d is not anomalous" e.Journal.step)
+    steps;
+  (off, on, steps, fun k -> List.assoc_opt k payload)
 
 let test_fast_journal_telemetry () =
-  let _, _, steps, run_field =
+  let _, on, steps, run_field =
     journal_on_off (fun () ->
         Engine.run_testcase_spice ~fidelity:`Fast (Circuits.rc_ladder 20)
           ~dt:2e-6 ~t_stop:1e-3)
@@ -563,14 +602,27 @@ let test_fast_journal_telemetry () =
   | Some (Journal.I t) ->
       Alcotest.(check bool) "total_iters positive" true (t > 0)
   | _ -> Alcotest.fail "newton.run missing total_iters");
+  (* A linear network's one solve per substep is exact. *)
+  Alcotest.(check bool) "every step converged at pass 1" true
+    (run_field "converged_at_1" = Some (Journal.I on.stats.steps));
+  Alcotest.(check bool) "max_residual = 0" true
+    (run_field "max_residual" = Some (Journal.F 0.0));
+  (* Only the steps the substep controller redid or that a stimulus
+     edge stressed are journaled, none for non-convergence. *)
   List.iter
     (fun e ->
+      if List.assoc_opt "converged_at" e.Journal.payload <> Some (Journal.I 1)
+      then
+        Alcotest.failf "newton.step at step %d: not converged at pass 1"
+          e.Journal.step;
       match List.assoc_opt "nsub" e.Journal.payload with
       | Some (Journal.I ns) ->
           if ns < 1 || ns > 8 then
             Alcotest.failf "newton.step nsub %d out of range" ns
       | _ -> Alcotest.fail "newton.step missing nsub")
-    steps
+    steps;
+  Alcotest.(check bool) "a few steps journaled, not every one" true
+    (List.length steps < on.stats.steps / 10)
 
 let test_paper_journal_telemetry () =
   (* The seed engine's summaries of these runs; with 3 passes the last
