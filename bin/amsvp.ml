@@ -113,6 +113,24 @@ let output_conv =
     ( (fun s -> Result.map_error (fun m -> `Msg m) (Expr.access_of_string s)),
       fun ppf v -> Format.pp_print_string ppf (Expr.var_name v) )
 
+(* [base] restricted to the values [ok] accepts: anything else is a
+   usage error naming the requirement [what]. *)
+let checked base ~what ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv base) (parse, Arg.conv_printer base)
+
+let positive_float =
+  checked Arg.float ~what:"a positive number" (fun v ->
+      v > 0.0 && Float.is_finite v)
+
+let int_at_least n =
+  checked Arg.int ~what:(Printf.sprintf "an integer >= %d" n) (fun v -> v >= n)
+
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
        ~doc:"Verilog-AMS source file.")
@@ -129,7 +147,7 @@ let out_arg =
                VHDL-AMS, the one port not listed in $(b,--inputs)).")
 
 let dt_arg =
-  Arg.(value & opt float 50e-9 & info [ "dt" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 50e-9 & info [ "dt" ] ~docv:"SECONDS"
        ~doc:"Discretisation time step (default 50 ns, as in the paper).")
 
 let mode_arg =
@@ -245,7 +263,7 @@ let moc_arg =
              $(b,vams).")
 
 let t_stop_arg =
-  Arg.(value & opt float 2e-3 & info [ "t-stop" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 2e-3 & info [ "t-stop" ] ~docv:"SECONDS"
        ~doc:"Simulated duration.")
 
 let square_arg =
@@ -254,8 +272,9 @@ let square_arg =
          ~doc:"Square-wave stimulus applied to every input port.")
 
 let samples_arg =
-  Arg.(value & opt int 20 & info [ "samples" ]
-       ~doc:"Number of equally spaced samples to print.")
+  Arg.(value & opt (int_at_least 2) 20 & info [ "samples" ]
+       ~doc:"Number of equally spaced samples to print (at least 2: the \
+             first at time 0, the last at $(b,--t-stop)).")
 
 let from_program_arg =
   Arg.(value & opt (some file) None & info [ "from-program" ] ~docv:"FILE"
@@ -284,7 +303,7 @@ let probe_args =
                    (signal,time,value).")
   in
   let every =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "probe-every" ] ~docv:"N"
              ~doc:"Retain one probe sample out of every $(docv) steps.")
   in
@@ -339,6 +358,22 @@ let simulate_cmd =
           Option.value output ~default:(List.hd p.Sfprogram.outputs)
         in
         let probes = probe_set probecfg ~default:(Expr.var_name output) in
+        (* the program models read only their own quantities: a probe
+           naming anything else is a finding before the run *)
+        (match (moc, probes) with
+        | (`Cpp | `De | `Tdf), Some set ->
+            let known = Sfprogram.layout_vars (Sfprogram.layout_of p) in
+            List.iter
+              (fun v ->
+                if not (Array.mem v known) then
+                  fatal_finding
+                    (Diag.error ~subject:(Expr.var_name v) "AMS030"
+                       (Printf.sprintf
+                          "probe %s names no quantity of the signal-flow \
+                           program %s"
+                          (Expr.var_name v) p.Sfprogram.name)))
+              (Probe.vars set)
+        | (`Cpp | `De | `Tdf | `Eln | `Vams), _ -> ());
         let observe = Option.map Probe.observer probes in
         let reads = Option.map Probe.vars probes in
         let stim = Stimulus.square ~period ~low ~high in
@@ -831,11 +866,11 @@ let sweep_cmd =
                runs them in-process, without forking.")
   in
   let t_stop_opt =
-    Arg.(value & opt (some float) None & info [ "t-stop" ] ~docv:"SECONDS"
+    Arg.(value & opt (some positive_float) None & info [ "t-stop" ] ~docv:"SECONDS"
          ~doc:"Simulated duration per point.")
   in
   let dt_opt =
-    Arg.(value & opt (some float) None & info [ "dt" ] ~docv:"SECONDS"
+    Arg.(value & opt (some positive_float) None & info [ "dt" ] ~docv:"SECONDS"
          ~doc:"Discretisation step.")
   in
   let square_opt =

@@ -93,8 +93,6 @@ let to_string i =
     in
     String.concat " ∪ " (fin_s @ flags)
 
-let pp ppf i = Format.pp_print_string ppf (to_string i)
-
 (* ---- outward rounding ----
 
    Endpoint candidates are computed with ordinary round-to-nearest
@@ -363,12 +361,13 @@ let app f a =
             in
             join (join finp edges) { bot with nan })
 
-(* ---- three-valued conditions ---- *)
+(* ---- conditions ----
 
-type tbool = { may_t : bool; may_f : bool }
+   As in the bytecode, a condition is a value: 1.0 where it may hold,
+   0.0 where it may fail. *)
 
 let cmp_abs c a b =
-  if is_bot a || is_bot b then { may_t = false; may_f = false }
+  if is_bot a || is_bot b then bot
   else
     let ord x = has_finite x || x.pinf || x.ninf in
     let xmin x =
@@ -389,7 +388,9 @@ let cmp_abs c a b =
       | Expr.Gt -> ((o && xmax a > xmin b), o && xmin a <= xmax b)
       | Expr.Ge -> ((o && xmax a >= xmin b), o && xmin a < xmax b)
     in
-    { may_t = t; may_f = f || a.nan || b.nan }
+    join
+      (if t then const 1.0 else bot)
+      (if f || a.nan || b.nan then const 0.0 else bot)
 
 (* ---- widening ---- *)
 
@@ -418,278 +419,12 @@ let widen old nw =
     in
     { lo; hi; nan = j.nan; pinf = j.pinf; ninf = j.ninf }
 
-(* ---- abstract evaluation of expression trees ----
+(* ---- interval interpretation of the bytecode ----
 
-   Both arms of a conditional are always walked, as the bytecode's
-   eager [Sel] computes both. *)
-
-type eval_ctx = {
-  env : itv array;
-  e_slot : Expr.var -> int;
-  mutable on_div : itv -> unit;
-}
-
-let rec eval_expr ctx e =
-  match e with
-  | Expr.Const c -> const c
-  | Expr.Var x -> ctx.env.(ctx.e_slot x)
-  | Expr.Neg a -> neg (eval_expr ctx a)
-  | Expr.Add (x, y) ->
-      let vx = eval_expr ctx x in
-      let vy = eval_expr ctx y in
-      add vx vy
-  | Expr.Sub (x, y) ->
-      let vx = eval_expr ctx x in
-      let vy = eval_expr ctx y in
-      (* cancellation: e - e is +0 for every finite value of e *)
-      if Stdlib.compare x y = 0 then
-        let z = if has_finite vx then const 0.0 else bot in
-        if has_flag vx then join z { bot with nan = true } else z
-      else sub vx vy
-  | Expr.Mul (x, y) ->
-      let vx = eval_expr ctx x in
-      let vy = eval_expr ctx y in
-      mul vx vy
-  | Expr.Div (x, y) ->
-      let vx = eval_expr ctx x in
-      let vy = eval_expr ctx y in
-      ctx.on_div vy;
-      div vx vy
-  | Expr.Ddt _ | Expr.Idt _ ->
-      invalid_arg "Absint: ddt/idt cannot be analyzed (discretise first)"
-  | Expr.App (f, a) -> app f (eval_expr ctx a)
-  | Expr.Cond (c, x, y) -> (
-      let tb = eval_cond ctx c in
-      let vx = eval_expr ctx x in
-      let vy = eval_expr ctx y in
-      match tb with
-      | { may_t = true; may_f = false } -> vx
-      | { may_t = false; may_f = true } -> vy
-      | { may_t = true; may_f = true } -> join vx vy
-      | { may_t = false; may_f = false } -> bot)
-
-and eval_cond ctx c =
-  match c with
-  | Expr.Cmp (op, x, y) ->
-      let vx = eval_expr ctx x in
-      let vy = eval_expr ctx y in
-      cmp_abs op vx vy
-  | Expr.And (c1, c2) ->
-      let a = eval_cond ctx c1 in
-      let b = eval_cond ctx c2 in
-      { may_t = a.may_t && b.may_t; may_f = a.may_f || b.may_f }
-  | Expr.Or (c1, c2) ->
-      let a = eval_cond ctx c1 in
-      let b = eval_cond ctx c2 in
-      { may_t = a.may_t || b.may_t; may_f = a.may_f && b.may_f }
-  | Expr.Not c ->
-      let a = eval_cond ctx c in
-      { may_t = a.may_f; may_f = a.may_t }
-
-let eval env e =
-  let tbl = Hashtbl.create 16 in
-  let next = ref 0 in
-  let vals = ref [] in
-  Expr.Var_set.iter
-    (fun v ->
-      Hashtbl.replace tbl v !next;
-      vals := env v :: !vals;
-      incr next)
-    (Expr.vars e);
-  let ctx =
-    {
-      env = Array.of_list (List.rev !vals);
-      e_slot = (fun v -> Hashtbl.find tbl v);
-      on_div = ignore;
-    }
-  in
-  eval_expr ctx e
-
-(* ---- whole-program analysis ---- *)
-
-type prog = {
-  program : Sfprogram.t;
-  lay : Sfprogram.layout;
-  assigns : (int * Expr.t) list;
-  n : int;
-  input_slots : int array;
-  rotations : (int * int) array;
-}
-
-let prog_of p =
-  let lay = Sfprogram.layout_of p in
-  {
-    program = p;
-    lay;
-    assigns = Sfprogram.assignment_slots lay p;
-    n = Sfprogram.layout_count lay;
-    input_slots = Sfprogram.layout_input_slots lay;
-    rotations = Sfprogram.layout_rotations lay;
-  }
-
-(* One abstract step over a slot-state: inputs, assignments in source
-   order, then the history rotations — exactly the runner's step. *)
-let abstract_step pr ?(on_div = fun _ _ -> ()) ?(on_assign = fun _ _ -> ())
-    ~inputs (st : itv array) =
-  Array.iteri (fun i s -> st.(s) <- inputs.(i)) pr.input_slots;
-  let ctx =
-    { env = st; e_slot = (fun v -> Sfprogram.layout_slot pr.lay v);
-      on_div = ignore }
-  in
-  List.iter
-    (fun (tslot, e) ->
-      ctx.on_div <- (fun d -> on_div tslot d);
-      let v = eval_expr ctx e in
-      on_assign tslot v;
-      st.(tslot) <- v)
-    pr.assigns;
-  Array.iter (fun (dst, src) -> st.(dst) <- st.(src)) pr.rotations
-
-type analysis = {
-  a_program : Sfprogram.t;
-  a_inputs : (string * itv) list;  (** the box the analysis assumed *)
-  a_targets : (Expr.var * itv) list;
-      (** per-assignment value range, joined over every step *)
-  a_outputs : (Expr.var * itv) list;
-      (** per-output trace range (includes the initial 0 sample) *)
-  a_div_sure : Expr.var list;
-      (** assignments containing a division whose divisor is provably
-          zero at every step *)
-  a_div_may : Expr.var list;
-  a_dead : Expr.var list;
-  a_steps : int;  (** exact abstract steps before stabilisation *)
-  a_widened : bool;
-}
-
-let default_input_box = fin (-1.0) 1.0
-
-let analyze ?(inputs = []) p =
-  let max_steps = 64 in
-  let pr = prog_of p in
-  let input_box =
-    List.map
-      (fun name ->
-        match List.assoc_opt name inputs with
-        | Some i -> (name, i)
-        | None -> (name, default_input_box))
-      p.Sfprogram.inputs
-  in
-  let in_itv = Array.of_list (List.map snd input_box) in
-  let st = Array.make (max 1 pr.n) (const 0.0) in
-  let acc = Array.copy st in
-  let joined_into_acc cur =
-    let changed = ref false in
-    Array.iteri
-      (fun i v ->
-        if not (leq v acc.(i)) then begin
-          changed := true;
-          acc.(i) <- join acc.(i) v
-        end)
-      cur;
-    !changed
-  in
-  (* exact warm-up: follow the real step sequence while it still
-     discovers new states *)
-  let steps = ref 0 in
-  (try
-     for k = 1 to max_steps do
-       abstract_step pr ~inputs:in_itv st;
-       steps := k;
-       if not (joined_into_acc st) then raise Exit
-     done
-   with Exit -> ());
-  (* stabilise: iterate the transfer function on the accumulated state,
-     widening until it is inductive (monotone transfer functions make
-     an inductive [acc] cover every reachable state) *)
-  let widened = ref false in
-  let stable = ref false in
-  let rounds = ref 0 in
-  while (not !stable) && !rounds < 40 do
-    incr rounds;
-    let nxt = Array.copy acc in
-    abstract_step pr ~inputs:in_itv nxt;
-    let covered = ref true in
-    Array.iteri (fun i v -> if not (leq v acc.(i)) then covered := false) nxt;
-    if !covered then stable := true
-    else begin
-      widened := true;
-      Array.iteri (fun i v -> acc.(i) <- widen acc.(i) v) nxt
-    end
-  done;
-  if not !stable then begin
-    widened := true;
-    Array.fill acc 0 (Array.length acc) top
-  end;
-  (* report pass at the fixpoint: per-assignment ranges and division
-     sites, each sound for every step of any concrete run *)
-  let tvals : (int, itv) Hashtbl.t = Hashtbl.create 16 in
-  let div_sure : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let div_may : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let final = Array.copy acc in
-  abstract_step pr ~inputs:in_itv final
-    ~on_assign:(fun tslot v -> Hashtbl.replace tvals tslot v)
-    ~on_div:(fun tslot d ->
-      if has_finite d && d.lo = 0.0 && d.hi = 0.0 && not (has_flag d) then
-        Hashtbl.replace div_sure tslot ()
-      else if may_zero d then Hashtbl.replace div_may tslot ());
-  let a_targets =
-    List.map
-      (fun (a : Sfprogram.assignment) ->
-        let s = Sfprogram.layout_slot pr.lay a.Sfprogram.target in
-        (a.Sfprogram.target, Option.value ~default:bot (Hashtbl.find_opt tvals s)))
-      p.Sfprogram.assignments
-  in
-  let a_outputs =
-    List.map
-      (fun o ->
-        match List.assoc_opt o a_targets with
-        | Some v -> (o, join (const 0.0) v)
-        | None -> (o, join (const 0.0) acc.(Sfprogram.layout_slot pr.lay o)))
-      p.Sfprogram.outputs
-  in
-  let of_slots tbl =
-    List.filter_map
-      (fun (a : Sfprogram.assignment) ->
-        let s = Sfprogram.layout_slot pr.lay a.Sfprogram.target in
-        if Hashtbl.mem tbl s then Some a.Sfprogram.target else None)
-      p.Sfprogram.assignments
-  in
-  {
-    a_program = p;
-    a_inputs = input_box;
-    a_targets;
-    a_outputs;
-    a_div_sure = of_slots div_sure;
-    a_div_may = of_slots div_may;
-    a_dead = Sfprogram.dead_targets p;
-    a_steps = !steps;
-    a_widened = !widened;
-  }
-
-(* ---- step-accurate proofs of unhealthiness ---- *)
-
-type bad = {
-  b_kind : [ `Nonfinite | `Amplitude ];
-  b_step : int;
-  b_time : float;
-}
-
-let check_bad ?amplitude ~dt ~step out =
-  match definitely_unhealthy ?amplitude out with
-  | Some k ->
-      Some { b_kind = k; b_step = step; b_time = float_of_int step *. dt }
-  | None -> None
-
-(* The proof runs over a compiled artifact: the interval interpretation
-   executes the very bytecode the sweep engine runs (rebound pools
-   included), through [Compile.exec_with]. *)
-
-let bool_itv { may_t; may_f } =
-  match (may_t, may_f) with
-  | true, true -> fin 0.0 1.0
-  | true, false -> const 1.0
-  | false, true -> const 0.0
-  | false, false -> bot
+   Both analyses run a compiled artifact through [Compile.exec_with]:
+   the very instructions and history rotations the runners execute.
+   Conditionals compute both arms, as the bytecode's eager [Sel]
+   does. *)
 
 let truthy i = has_flag i || (has_finite i && (i.hi > 0.0 || i.lo < 0.0))
 let falsy i = may_zero i
@@ -702,7 +437,7 @@ let interp : itv Compile.interp =
     i_mul = mul;
     i_div = div;
     i_app = app;
-    i_cmp = (fun c a b -> bool_itv (cmp_abs c a b));
+    i_cmp = cmp_abs;
     i_and =
       (fun a b ->
         if is_bot a || is_bot b then bot
@@ -731,31 +466,206 @@ let interp : itv Compile.interp =
           join (if truthy c then a else bot) (if falsy c then b else bot));
   }
 
+(* An interval register file for [artifact]: every slot 0, the
+   constant pool [pool] above the slots, temporaries unset. *)
+let registers artifact pool =
+  if Array.length pool <> Compile.n_consts artifact then
+    invalid_arg "Absint: pool size mismatch";
+  let regs = Array.make (max 1 (Compile.n_regs artifact)) (const 0.0) in
+  Array.blit pool 0 regs (Compile.n_slots artifact) (Array.length pool);
+  regs
+
+(* ---- whole-program analysis ---- *)
+
+type analysis = {
+  a_program : Sfprogram.t;
+  a_inputs : (string * itv) list;  (** the box the analysis assumed *)
+  a_targets : (Expr.var * itv) list;
+      (** per-assignment value range, joined over every step *)
+  a_outputs : (Expr.var * itv) list;
+      (** per-output trace range (includes the initial 0 sample) *)
+  a_div_sure : Expr.var list;
+      (** assignments containing a division whose divisor is provably
+          zero at every step *)
+  a_div_may : Expr.var list;
+  a_dead : Expr.var list;
+  a_steps : int;  (** exact abstract steps before stabilisation *)
+  a_widened : bool;
+}
+
+let default_input_box = fin (-1.0) 1.0
+
+let analyze ?(inputs = []) p =
+  let max_steps = 64 in
+  (* every target read: the artifact steps the whole program *)
+  let pl =
+    Sfprogram.plan
+      ~reads:(List.map (fun a -> a.Sfprogram.target) p.Sfprogram.assignments)
+      p
+  in
+  let artifact = Sfprogram.compile_plan pl in
+  let lay = pl.Sfprogram.layout in
+  let slot = Sfprogram.layout_slot lay in
+  let n = Sfprogram.layout_count lay in
+  let input_slots = Sfprogram.layout_input_slots lay in
+  let input_box =
+    List.map
+      (fun name ->
+        match List.assoc_opt name inputs with
+        | Some i -> (name, i)
+        | None -> (name, default_input_box))
+      p.Sfprogram.inputs
+  in
+  let in_itv = Array.of_list (List.map snd input_box) in
+  (* the state is the register file's slots; constants stay loaded and
+     temporaries are dead between steps *)
+  let regs =
+    registers artifact (Array.map const (Compile.const_pool artifact))
+  in
+  let step ip =
+    Array.iteri (fun i s -> regs.(s) <- in_itv.(i)) input_slots;
+    Compile.exec_with ip artifact regs
+  in
+  let acc = Array.sub regs 0 n in
+  let joined_into_acc () =
+    let changed = ref false in
+    for i = 0 to n - 1 do
+      if not (leq regs.(i) acc.(i)) then begin
+        changed := true;
+        acc.(i) <- join acc.(i) regs.(i)
+      end
+    done;
+    !changed
+  in
+  (* exact warm-up: follow the real step sequence while it still
+     discovers new states *)
+  let steps = ref 0 in
+  (try
+     for k = 1 to max_steps do
+       step interp;
+       steps := k;
+       if not (joined_into_acc ()) then raise Exit
+     done
+   with Exit -> ());
+  (* stabilise: iterate the transfer function on the accumulated state,
+     widening until it is inductive (monotone transfer functions make
+     an inductive [acc] cover every reachable state) *)
+  let widened = ref false in
+  let stable = ref false in
+  let rounds = ref 0 in
+  while (not !stable) && !rounds < 40 do
+    incr rounds;
+    Array.blit acc 0 regs 0 n;
+    step interp;
+    let covered = ref true in
+    for i = 0 to n - 1 do
+      if not (leq regs.(i) acc.(i)) then covered := false
+    done;
+    if !covered then stable := true
+    else begin
+      widened := true;
+      for i = 0 to n - 1 do
+        acc.(i) <- widen acc.(i) regs.(i)
+      done
+    end
+  done;
+  if not !stable then begin
+    widened := true;
+    Array.fill acc 0 n top
+  end;
+  (* report pass at the fixpoint: per-assignment ranges from the target
+     slots and divisors from the division instructions, each sound for
+     every step of any concrete run *)
+  let divisors = ref [] in
+  Array.blit acc 0 regs 0 n;
+  step
+    {
+      interp with
+      Compile.i_div =
+        (fun a b ->
+          divisors := b :: !divisors;
+          div a b);
+    };
+  let div_sure : (int, unit) Hashtbl.t = Hashtbl.create 4 in
+  let div_may : (int, unit) Hashtbl.t = Hashtbl.create 4 in
+  List.iter2
+    (fun d targets ->
+      let site =
+        if has_finite d && d.lo = 0.0 && d.hi = 0.0 && not (has_flag d) then
+          Some div_sure
+        else if may_zero d then Some div_may
+        else None
+      in
+      Option.iter (fun tbl -> Array.iter (fun s -> Hashtbl.replace tbl s ()) targets) site)
+    (List.rev !divisors)
+    (Array.to_list (Compile.div_targets artifact));
+  let a_targets =
+    List.map
+      (fun (a : Sfprogram.assignment) ->
+        (a.Sfprogram.target, regs.(slot a.Sfprogram.target)))
+      p.Sfprogram.assignments
+  in
+  let a_outputs =
+    List.map
+      (fun o ->
+        match List.assoc_opt o a_targets with
+        | Some v -> (o, join (const 0.0) v)
+        | None -> (o, join (const 0.0) acc.(slot o)))
+      p.Sfprogram.outputs
+  in
+  let of_slots tbl =
+    List.filter_map
+      (fun (a : Sfprogram.assignment) ->
+        if Hashtbl.mem tbl (slot a.Sfprogram.target) then Some a.Sfprogram.target
+        else None)
+      p.Sfprogram.assignments
+  in
+  {
+    a_program = p;
+    a_inputs = input_box;
+    a_targets;
+    a_outputs;
+    a_div_sure = of_slots div_sure;
+    a_div_may = of_slots div_may;
+    a_dead = Sfprogram.dead_targets p;
+    a_steps = !steps;
+    a_widened = !widened;
+  }
+
+(* ---- step-accurate proofs of unhealthiness ---- *)
+
+type bad = {
+  b_kind : [ `Nonfinite | `Amplitude ];
+  b_step : int;
+  b_time : float;
+}
+
+let check_bad ?amplitude ~dt ~step out =
+  match definitely_unhealthy ?amplitude out with
+  | Some k ->
+      Some { b_kind = k; b_step = step; b_time = float_of_int step *. dt }
+  | None -> None
+
 let prove_unhealthy_compiled ?(max_steps = 256) ?amplitude ?pool ~inputs p
     artifact =
-  let pr = prog_of p in
-  let out_slot = (Sfprogram.layout_output_slots pr.lay).(0) in
-  let n_regs = Compile.n_regs artifact in
-  let n_slots = Compile.n_slots artifact in
-  if n_slots <> pr.n then
+  let lay = Sfprogram.layout_of p in
+  let out_slot = (Sfprogram.layout_output_slots lay).(0) in
+  let input_slots = Sfprogram.layout_input_slots lay in
+  if Compile.n_slots artifact <> Sfprogram.layout_count lay then
     invalid_arg "Absint.prove_unhealthy_compiled: artifact/program mismatch";
-  let regs = Array.make (max 1 n_regs) (const 0.0) in
-  let cpool =
-    match pool with
-    | Some p -> p
-    | None -> Array.map const (Compile.const_pool artifact)
+  let regs =
+    registers artifact
+      (match pool with
+      | Some p -> p
+      | None -> Array.map const (Compile.const_pool artifact))
   in
-  if Array.length cpool <> Compile.n_consts artifact then
-    invalid_arg "Absint.prove_unhealthy_compiled: pool size mismatch";
-  Array.iteri (fun i c -> regs.(n_slots + i) <- c) cpool;
   let dt = p.Sfprogram.dt in
   let found = ref None in
   (try
      for k = 1 to max_steps do
        let inp = inputs k in
-       Array.iteri (fun i s -> regs.(s) <- inp.(i)) pr.input_slots;
+       Array.iteri (fun i s -> regs.(s) <- inp.(i)) input_slots;
        Compile.exec_with interp artifact regs;
-       Array.iter (fun (dst, src) -> regs.(dst) <- regs.(src)) pr.rotations;
        match check_bad ?amplitude ~dt ~step:k regs.(out_slot) with
        | Some b ->
            found := Some b;

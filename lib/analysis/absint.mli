@@ -8,16 +8,19 @@
     and nudged outward by the involved rounding steps, so every value
     the bytecode or [Expr.eval] can produce is inside the abstraction.
 
-    Two analyses are built on the domain:
+    Two analyses are built on the domain, and both interpret a compiled
+    artifact ({!Compile.t}) through {!Compile.exec_with}: the
+    instructions and history rotations the runners execute, not the
+    expression trees they came from.
 
-    - {!analyze} runs the program's step function abstractly (inputs,
-      assignments in order, history rotations) to a widened fixpoint —
-      a MAY analysis whose per-target ranges over-approximate every
-      reachable value, powering the AMS06x lint passes;
+    - {!analyze} runs the whole program's step (every assignment
+      live) abstractly to a widened fixpoint — a MAY analysis whose
+      per-target ranges over-approximate every reachable value,
+      powering the AMS06x lint passes;
     - {!prove_unhealthy_compiled} follows the exact step sequence of
-      the compiled bytecode without joining across steps — a MUST
-      analysis: when the whole abstract output at some step is
-      non-finite (or finite but beyond the amplitude budget),
+      the artifact the sweep engine runs without joining across
+      steps — a MUST analysis: when the whole abstract output at some
+      step is non-finite (or finite but beyond the amplitude budget),
       {e every} concrete run in the analysed box trips the
       corresponding health watchdog, which is what lets the sweep
       engine skip provably-bad parameter sub-regions. *)
@@ -34,9 +37,6 @@ type itv = {
   pinf : bool;  (** [+inf] is a possible value *)
   ninf : bool;  (** [-inf] is a possible value *)
 }
-
-val top : itv
-(** Every double. *)
 
 val const : float -> itv
 (** The singleton — non-finite values land in the flags. *)
@@ -78,20 +78,10 @@ val definitely_unhealthy :
     whenever a healthy value remains possible. *)
 
 val to_string : itv -> string
-val pp : Format.formatter -> itv -> unit
 
 (** {1 Transfer functions} *)
 
-val neg : itv -> itv
-val add : itv -> itv -> itv
-val sub : itv -> itv -> itv
-val mul : itv -> itv -> itv
 val div : itv -> itv -> itv
-val app : Expr.unary_fun -> itv -> itv
-
-val eval : (Expr.var -> itv) -> Expr.t -> itv
-(** Abstract evaluation of one expression under an environment.
-    @raise Invalid_argument on [ddt]/[idt] nodes. *)
 
 (** {1 Whole-program MAY analysis} *)
 
@@ -115,10 +105,13 @@ type analysis = {
 }
 
 val analyze : ?inputs:(string * itv) list -> Sfprogram.t -> analysis
-(** Fixpoint analysis: exact abstract steps while new states appear
-    (at most 64), then widening iterations until
-    the accumulated state is inductive. Inputs default to
-    the unit box [[-1, 1]] per input signal not named in [inputs]. *)
+(** Fixpoint analysis over the artifact of [Sfprogram.plan ~reads]
+    given every target: exact abstract steps while new states appear
+    (at most 64), then widening iterations until the accumulated state
+    is inductive. Ranges are read from the target slots, divisor ranges
+    from the division instructions, each reported on every assignment
+    that contains it ({!Compile.div_targets}). Inputs default to the
+    unit box [[-1, 1]] per input signal not named in [inputs]. *)
 
 (** {1 Step-accurate MUST proofs} *)
 

@@ -45,10 +45,6 @@ val with_span : finding -> span -> finding
 
 type code_info = { id : string; default_severity : severity; title : string }
 
-val codes : code_info list
-(** Every registered diagnostic code, sorted by id — the reference
-    table rendered in the README. *)
-
 val is_code : string -> bool
 
 (** {1 Reports} *)

@@ -47,8 +47,8 @@ let c_literal c =
 
 let input_c_name s = Expr.var_c_name (Expr.signal s)
 
-(* The statements of one step of the plan: the bytecode, then the
-   history rotations. Slots are named after their variables, the
+(* The statements of one step of the plan: its compiled artifact, history
+   rotations included. Slots are named after their variables, the
    current sample of input [s] [input s]; constants are literals and
    temporaries [tN], declared first. Also returns the set of names the
    statements read or write. *)
@@ -73,16 +73,12 @@ let step_body ~input (p : Sfprogram.t) (pl : Sfprogram.plan) =
       (Compile.pp_code ~slot ~const:(fun _ c -> c_literal c) ~temp)
       (Sfprogram.compile_plan pl)
   in
-  let rotations =
-    Array.to_list pl.Sfprogram.rotations
-    |> List.map (fun (dst, src) -> Printf.sprintf "%s = %s;" (slot dst) (slot src))
-  in
   let temps =
     if !n_temps = 0 then []
     else
       [ "double " ^ String.concat ", " (List.init !n_temps (Printf.sprintf "t%d")) ^ ";" ]
   in
-  (temps @ (if code = "" then [] else [ code ]) @ rotations, used)
+  ((temps @ if code = "" then [] else [ code ]), used)
 
 (* Lines (possibly multi-line strings), each indented by [n]. *)
 let block n lines =

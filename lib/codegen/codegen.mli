@@ -7,8 +7,8 @@
 
     The output is the bytecode the runners execute: the step plan of
     {!Amsvp_sf.Sfprogram.plan} (live assignments, history rotations)
-    lowered by {!Amsvp_sf.Compile} and printed by its one instruction
-    printer. Slots are named after their variables, constants are
+    lowered by {!Amsvp_sf.Compile} into one artifact and printed by its
+    one printer, rotations included. Slots are named after their variables, constants are
     literals that read back to the same doubles, temporaries are
     [double tN] locals. Compiled with [-ffp-contract=off], the model
     steps bit-identically to [Sfprogram.Runner], except that a NaN
@@ -34,6 +34,6 @@ val emit : target -> Amsvp_sf.Sfprogram.t -> string
 
 val emit_step_body : Amsvp_sf.Sfprogram.t -> string
 (** Just the statements of one step — temporaries, the bytecode, the
-    history rotations — with inputs named after their signals: the
-    body shared by all three targets (and the code shown in
-    Fig. 7.b). *)
+    history rotations, all printed from the artifact — with inputs
+    named after their signals: the body shared by all three targets
+    (and the code shown in Fig. 7.b). *)

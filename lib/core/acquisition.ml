@@ -7,7 +7,3 @@ let of_circuit circuit =
   let graph = Graph.of_circuit circuit in
   let dipoles = Circuit.dipole_equations circuit in
   { circuit; graph; dipoles }
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>acquisition: %a@,%a@]" Graph.pp a.graph
-    (Format.pp_print_list Eqn.pp) a.dipoles

@@ -13,5 +13,3 @@ type t = {
 val of_circuit : Amsvp_netlist.Circuit.t -> t
 (** @raise Invalid_argument on a structurally invalid circuit
     (floating nodes, no devices). *)
-
-val pp : Format.formatter -> t -> unit

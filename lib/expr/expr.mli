@@ -132,10 +132,6 @@ exception Continuous_time of string
     [Idt]), or [Solve]'s trapezoidal rewrite (for [Idt]). The message
     names the stage. *)
 
-val apply_cmp : cmp -> float -> float -> bool
-(** Pointwise semantics of the comparison operators (IEEE semantics:
-    any comparison involving NaN is false). *)
-
 val fun_name : unary_fun -> string
 (** Source name of a unary function ([sin], [ln], [abs], ...): the one
     name table behind {!pp}, the program text format and bytecode

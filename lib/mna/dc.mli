@@ -33,8 +33,5 @@ val current : solution -> string -> float
     inductors, controlled voltage sources) or of a resistor.
     @raise Invalid_argument otherwise. *)
 
-val read : solution -> Expr.var -> float
-(** Potentials and flows through the {!System.locate} conventions. *)
-
 val pp : Format.formatter -> solution -> unit
 (** Table of node voltages and source/inductor currents. *)

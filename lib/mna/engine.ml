@@ -703,12 +703,7 @@ module Eln_stepper = struct
       ~slots:st.inputs input_values;
     advance st
 
-  let output st = st.out
   let read st v = System.read (System.locate st.sys v) st.x
-
-  let reset st =
-    Array.fill st.x 0 (Array.length st.x) 0.0;
-    st.out <- 0.0
 end
 
 let eln_like circuit ~inputs ~output ~dt ~t_stop =
@@ -782,12 +777,6 @@ module Spice_stepper = struct
     advance s.st None ~sample:held;
     flush s.st ~steps:1;
     output s
-
-  let reset s =
-    Array.fill s.st.x 0 (Array.length s.st.x) 0.0;
-    Array.fill s.st.xm1 0 (Array.length s.st.xm1) 0.0;
-    s.st.nsub <- s.st.substeps;
-    s.st.step <- 0
 end
 
 let run_testcase_spice ?substeps ?iterations ?fidelity

@@ -145,14 +145,9 @@ module Eln_stepper : sig
       @raise Invalid_argument on an arity mismatch, naming the expected
       and actual input counts. *)
 
-  val output : t -> float
-  (** Output value after the last [step] (0 before the first). *)
-
   val read : t -> Expr.var -> float
   (** Evaluate any circuit quantity (node potential or branch flow)
       from the current state — used by waveform probes. *)
-
-  val reset : t -> unit
 end
 
 (** Step-wise interface to the SPICE-like engine, for lock-step
@@ -182,13 +177,8 @@ module Spice_stepper : sig
   (** @raise Invalid_argument on an arity mismatch, naming the expected
       and actual input counts. *)
 
-  val output : t -> float
-  (** Output quantity of the current state (0 before the first [step]). *)
-
   val read : t -> Expr.var -> float
   (** Evaluate any circuit quantity from the current state. *)
-
-  val reset : t -> unit
 end
 
 val run_testcase_spice :

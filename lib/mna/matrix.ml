@@ -4,15 +4,9 @@ let create n =
   if n < 0 then invalid_arg "Matrix.create: negative dimension";
   { n; a = Array.make (n * n) 0.0 }
 
-let dim m = m.n
-
 let check m i j =
   if i < 0 || i >= m.n || j < 0 || j >= m.n then
     invalid_arg "Matrix: index out of bounds"
-
-let get m i j =
-  check m i j;
-  m.a.((i * m.n) + j)
 
 let set m i j v =
   check m i j;
@@ -21,8 +15,6 @@ let set m i j v =
 let add_to m i j v =
   check m i j;
   m.a.((i * m.n) + j) <- m.a.((i * m.n) + j) +. v
-
-let copy m = { n = m.n; a = Array.copy m.a }
 
 type lu = { ln : int; lu : float array; perm : int array }
 

@@ -11,15 +11,11 @@ type t
 val create : int -> t
 (** [create n] is the [n x n] zero matrix. [n >= 0]. *)
 
-val dim : t -> int
-val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] accumulates [v] into [m.(i).(j)] — the stamping
     primitive. *)
-
-val copy : t -> t
 
 type lu = private {
   ln : int;  (** dimension *)

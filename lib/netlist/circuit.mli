@@ -56,7 +56,6 @@ val find : t -> string -> Component.t option
 val nodes : t -> string list
 (** All node names, ground included, sorted. *)
 
-val node_count : t -> int
 val device_count : t -> int
 
 val input_signals : t -> string list

@@ -229,7 +229,6 @@ module Gauge = struct
 
   let set g v = g.g_value <- v
   let value g = g.g_value
-  let name g = g.g_name
 end
 
 module Histogram = struct
@@ -291,8 +290,6 @@ module Histogram = struct
            h.bounds)
     in
     cumulative @ [ (infinity, h.h_count) ]
-
-  let name h = h.h_name
 end
 
 (* Every registered counter as (name, labels, value) — the worker-side

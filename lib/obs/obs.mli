@@ -127,7 +127,6 @@ module Gauge : sig
   val make : ?help:string -> ?labels:(string * string) list -> string -> t
   val set : t -> float -> unit
   val value : t -> float
-  val name : t -> string
 end
 
 module Histogram : sig
@@ -166,8 +165,6 @@ module Histogram : sig
   val bucket_counts : t -> (float * int) list
   (** Cumulative counts per upper bound, Prometheus-style; the final
       entry is [(infinity, count)]. *)
-
-  val name : t -> string
 end
 
 val counter_values : unit -> (string * (string * string) list * int) list

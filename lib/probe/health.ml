@@ -109,8 +109,6 @@ let create ?(config = default_config) signal =
     fired = [];
   }
 
-let signal m = m.signal
-
 let already_fired m kind = List.exists (fun i -> i.kind = kind) m.fired
 
 let fire m kind ~time ~value =
@@ -219,8 +217,6 @@ let mean m = if m.n_finite = 0 then nan else m.acc.mean
 
 let variance m =
   if m.n_finite = 0 then nan else m.acc.m2 /. float_of_int m.n_finite
-
-let stddev m = sqrt (variance m)
 
 let rms m =
   if m.n_finite = 0 then nan

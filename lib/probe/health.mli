@@ -72,8 +72,6 @@ val create : ?config:config -> string -> t
     @raise Invalid_argument on [stuck_after < 2] or a non-positive
     [amplitude_limit]/[nrmse_budget]. *)
 
-val signal : t -> string
-
 val observe : t -> time:float -> float -> unit
 (** Feed one sample. *)
 
@@ -112,7 +110,6 @@ val mean : t -> float
 val variance : t -> float
 (** Population variance (Welford). *)
 
-val stddev : t -> float
 val rms : t -> float
 
 val nrmse : t -> float option

@@ -85,7 +85,6 @@ let watch set ?config var =
   m
 
 let taps set = List.rev set.taps
-let monitors set = List.rev_map snd set.mons
 let vars set = List.map Tap.var (taps set) @ List.rev_map fst set.mons
 
 let sample set ~time read =

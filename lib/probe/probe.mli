@@ -15,8 +15,6 @@
 module Tap : sig
   type t
 
-  val name : t -> string
-  val var : t -> Expr.var
 
   val seen : t -> int
   (** Samples offered to the tap (before decimation and wrap-around). *)
@@ -49,11 +47,6 @@ val watch : t -> ?config:Health.config -> Expr.var -> Health.t
 (** Attach a health monitor fed by the same observe hook as the taps.
     The variable does not need a tap of its own. *)
 
-val taps : t -> Tap.t list
-(** In attachment order. *)
-
-val monitors : t -> Health.t list
-
 val vars : t -> Expr.var list
 (** Every variable {!sample} reads: tapped ones, then watched ones, in
     attachment order. A signal-flow runner evaluates only what its
@@ -69,8 +62,6 @@ val observer : t -> float -> (Expr.var -> float) -> unit
     value to pass as [?observe] to a runner. *)
 
 (** {1 Export} *)
-
-val traces : t -> (string * Amsvp_util.Trace.t) list
 
 val to_vcd : t -> string
 (** All taps as a VCD document ({!Amsvp_util.Vcd}, 1 ns ticks).

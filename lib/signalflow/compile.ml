@@ -41,6 +41,13 @@ type t = {
   exe : instr array;
       (** what {!exec} runs: [code] with each maximal run of
           three-product rows folded into one [Rows] block *)
+  rot_dst : int array;
+  rot_src : int array;
+      (** history rotations, after the instructions:
+          [regs.(rot_dst.(i)) <- regs.(rot_src.(i))] in order of [i] *)
+  div_targets : int array array;
+      (** per [Div] of [code], in order: the target slots of the
+          assignments whose right-hand side contains that division *)
 }
 
 let n_slots t = t.n_slots
@@ -48,6 +55,7 @@ let n_regs t = t.n_regs
 let n_instrs t = Array.length t.code
 let n_consts t = Array.length t.consts
 let target_slots t = Array.copy t.targets
+let div_targets t = Array.map Array.copy t.div_targets
 
 (* ---- observability ---- *)
 
@@ -212,8 +220,15 @@ let blocks code =
   close ();
   Array.of_list (List.rev !out)
 
-let compile_unobserved ~slot ~n_slots assigns =
+let compile_unobserved ~slot ~n_slots ~rotations assigns =
   let shape = shape_of ~slot ~n_slots assigns in
+  Array.iter
+    (fun (d, s) ->
+      if d < 0 || d >= n_slots || s < 0 || s >= n_slots then
+        invalid_arg
+          (Printf.sprintf "Compile: rotation %d <- %d out of range [0,%d)" d s
+             n_slots))
+    rotations;
   (* checked [slot]: every variable register must stay below the slot
      region so the unchecked accesses of [exec] are safe. *)
   let slot v =
@@ -260,6 +275,10 @@ let compile_unobserved ~slot ~n_slots assigns =
         Hashtbl.add keys k id;
         id
   in
+  (* the target slots of the assignments whose tree holds each division
+     node, newest first; [cur] is the assignment being lowered *)
+  let div_users : (int, int list) Hashtbl.t = Hashtbl.create 4 in
+  let cur = ref (-1) in
   (* explicit left-to-right sequencing: pool positions must match the
      traversal order of [collect_consts] *)
   let rec lower e =
@@ -284,7 +303,12 @@ let compile_unobserved ~slot ~n_slots assigns =
     | Expr.Div (x, y) ->
         let x' = lower x in
         let y' = lower y in
-        mk_op Odiv [| x'; y' |]
+        let id = mk_op Odiv [| x'; y' |] in
+        (match Hashtbl.find_opt div_users id with
+        | Some (t :: _) when t = !cur -> ()
+        | users ->
+            Hashtbl.replace div_users id (!cur :: Option.value ~default:[] users));
+        id
     | Expr.Ddt _ | Expr.Idt _ ->
         invalid_arg "Compile: ddt/idt cannot be compiled"
     | Expr.App (f, a) ->
@@ -320,6 +344,7 @@ let compile_unobserved ~slot ~n_slots assigns =
           invalid_arg
             (Printf.sprintf "Compile: target slot %d out of range [0,%d)"
                tslot n_slots);
+        cur := tslot;
         let r = lower e in
         (* the store makes this value the current content of the
            target slot: bump the version and let later reads of the
@@ -344,6 +369,9 @@ let compile_unobserved ~slot ~n_slots assigns =
     incr n_vinstr
   in
   let vreg : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* division nodes in emission order, newest first: the passes below
+     move only products and rows, so this is [code]'s order *)
+  let divs = ref [] in
   let next_vtemp = ref temp_base in
   let rec emit ?dst id =
     match Hashtbl.find_opt vreg id with
@@ -376,7 +404,9 @@ let compile_unobserved ~slot ~n_slots assigns =
             | Oadd, [| a; b |] -> push (Add (d, a, b))
             | Osub, [| a; b |] -> push (Sub (d, a, b))
             | Omul, [| a; b |] -> push (Mul (d, a, b))
-            | Odiv, [| a; b |] -> push (Div (d, a, b))
+            | Odiv, [| a; b |] ->
+                divs := id :: !divs;
+                push (Div (d, a, b))
             | Oapp f, [| a |] -> push (App (f, d, a))
             | Ocmp c, [| a; b |] -> push (Cmp (c, d, a, b))
             | Oand, [| a; b |] -> push (Andb (d, a, b))
@@ -561,20 +591,30 @@ let compile_unobserved ~slot ~n_slots assigns =
     targets;
     code;
     exe = blocks code;
+    rot_dst = Array.map fst rotations;
+    rot_src = Array.map snd rotations;
+    div_targets =
+      Array.of_list
+        (List.rev_map
+           (fun id -> Array.of_list (List.rev (Hashtbl.find div_users id)))
+           !divs);
   }
 
-let compile ~slot ~n_slots assigns =
+let compile ~slot ~n_slots ~rotations assigns =
   Obs.with_span ~cat:"sf" "sf.compile" @@ fun () ->
   let t0 = Obs.now_ns () in
-  let t = compile_unobserved ~slot ~n_slots assigns in
+  let t = compile_unobserved ~slot ~n_slots ~rotations assigns in
   Obs.Counter.incr c_programs;
   Obs.Counter.add c_instrs (Array.length t.code);
   Obs.Histogram.observe h_compile_seconds
     (float_of_int (Obs.now_ns () - t0) *. 1e-9);
   t
 
-let rebind t ~slot ~n_slots assigns =
+let rebind t ~slot ~n_slots ~rotations assigns =
   if n_slots <> t.n_slots then None
+  else if
+    rotations <> Array.map2 (fun d s -> (d, s)) t.rot_dst t.rot_src
+  then None
   else if not (String.equal (shape_of ~slot ~n_slots assigns) t.shape) then
     None
   else
@@ -678,7 +718,7 @@ let exec t (regs : float array) =
     | Div (d, a, b) -> set regs d (get regs a /. get regs b)
     | App (f, d, a) -> set regs d (Expr.apply_fun f (get regs a))
     | Cmp (c, d, a, b) ->
-        (* Compared here rather than through [Expr.apply_cmp]: a call
+        (* Compared here rather than through a call into [Expr]: a call
            across modules boxes both operands under [-opaque]. *)
         let x = get regs a and y = get regs b in
         let r =
@@ -744,6 +784,11 @@ let exec t (regs : float array) =
           in
           set regs (iget rows o) ((p0 +. p1) +. p2)
         done
+  done;
+  (* rotations hold layout slots, validated below [n_slots] *)
+  let dst = t.rot_dst and src = t.rot_src in
+  for i = 0 to Array.length dst - 1 do
+    set regs (iget dst i) (get regs (iget src i))
   done
 
 (* ---- generic (abstract) execution ---- *)
@@ -793,7 +838,8 @@ let exec_with (ip : 'a interp) t (regs : 'a array) =
         done;
         regs.(d) <- !acc
     | Rows _ -> assert false
-  done
+  done;
+  Array.iteri (fun i d -> regs.(d) <- regs.(t.rot_src.(i))) t.rot_dst
 
 (* ---- printing ---- *)
 
@@ -842,7 +888,11 @@ let pp_code ~slot ~const ~temp ppf t =
       const (i - t.n_slots) t.consts.(i - t.n_slots)
     else temp (i - t.n_slots - n_consts)
   in
-  Format.pp_print_list (pp_instr ~reg) ppf (Array.to_list t.code)
+  (* a rotation prints as the copy it is *)
+  let rotations =
+    List.init (Array.length t.rot_dst) (fun i -> Mov (t.rot_dst.(i), t.rot_src.(i)))
+  in
+  Format.pp_print_list (pp_instr ~reg) ppf (Array.to_list t.code @ rotations)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v 2>bytecode: %d instr, %d regs (%d slots, %d consts)@,%a@]"

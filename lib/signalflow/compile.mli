@@ -6,7 +6,10 @@
     the equation trees of a whole program into a flat, register-based
     bytecode: an array of three-address instructions over a single
     unboxed [float array] register file whose low registers alias the
-    runner's variable slots. Executing a step is one pass over that code with
+    runner's variable slots. An artifact is a whole step: after the
+    instructions it applies the program's history rotations
+    ([x@-k] receives [x@-(k-1)]) as plain register copies. Executing a
+    step is one pass over that code with
     no allocation and no indirect calls (beyond [sin]/[exp]-style
     primitives). When an artifact is built it also derives the form
     {!exec} runs: each maximal run of consecutive rows of exactly three
@@ -61,28 +64,39 @@
     allocation. *)
 
 type t
-(** A compiled program: immutable, shareable across runners. Registers
+(** A compiled step: immutable, shareable across runners. Registers
     [0 .. n_slots-1] alias the runner's variable slots; constants and
-    temporaries live above. *)
+    temporaries live above. It holds the instructions and the history
+    rotations that follow them. *)
 
 val compile :
   slot:(Expr.var -> int) ->
   n_slots:int ->
+  rotations:(int * int) array ->
   (int * Expr.t) list ->
   t
-(** [compile ~slot ~n_slots assigns] lowers [assigns] (pairs of target
-    slot and right-hand side, in execution order) into bytecode.
-    [slot] must map every variable occurring in the right-hand sides to
-    a register below [n_slots].
+(** [compile ~slot ~n_slots ~rotations assigns] lowers [assigns] (pairs
+    of target slot and right-hand side, in execution order) into
+    bytecode. [slot] must map every variable occurring in the
+    right-hand sides to a register below [n_slots]. [rotations] are
+    slot copies [(dst, src)], applied in order after the instructions
+    (the step plan's history rotations).
     @raise Invalid_argument on a [ddt]/[idt] node (un-discretised
     program) or a slot index out of range. *)
 
-val rebind : t -> slot:(Expr.var -> int) -> n_slots:int -> (int * Expr.t) list -> t option
-(** [rebind t ~slot ~n_slots assigns] re-targets an artifact at a
-    program with the same shape (same slot layout, same expression
-    structure, same variable occurrences) but possibly different
-    constant values: the constant pool is replaced, everything else is
-    reused. [None] when the shape differs. *)
+val rebind :
+  t ->
+  slot:(Expr.var -> int) ->
+  n_slots:int ->
+  rotations:(int * int) array ->
+  (int * Expr.t) list ->
+  t option
+(** [rebind t ~slot ~n_slots ~rotations assigns] re-targets an artifact
+    at a program with the same shape (same slot layout, same
+    rotations, same expression structure, same variable occurrences)
+    but possibly different constant values: the constant pool is
+    replaced, everything else is reused. [None] when the shape
+    differs. *)
 
 val n_slots : t -> int
 (** Number of low registers aliasing runner slots. *)
@@ -92,7 +106,8 @@ val n_regs : t -> int
     the runner must allocate its slot array this large. *)
 
 val n_instrs : t -> int
-(** Scheduled instruction count (after CSE and dead-code removal). *)
+(** Scheduled instruction count (after CSE and dead-code removal); the
+    rotations are not instructions and are not counted. *)
 
 val n_consts : t -> int
 (** Constant-pool size. *)
@@ -100,6 +115,14 @@ val n_consts : t -> int
 val target_slots : t -> int array
 (** Target slot of each compiled assignment, in execution order: the
     live set the artifact evaluates. *)
+
+val div_targets : t -> int array array
+(** One entry per division instruction, in execution order: the target
+    slots (in assignment order) of every assignment whose right-hand
+    side contains that division. A division that common-subexpression
+    elimination shares between assignments is one instruction listing
+    all of them; an assignment that only reads another's result does
+    not contain its divisions. *)
 
 type traffic = {
   t_reads : int;  (** register reads per executed step *)
@@ -113,7 +136,7 @@ val traffic : t -> traffic
 (** Static per-step register/opcode traffic of the artifact. The
     bytecode is straight-line, so these are exact per-[exec] counts,
     computed without running anything — the runner multiplies by its
-    tick count for journal reporting. A row of k products (mnemonic
+    tick count for journal reporting. Rotations are not counted. A row of k products (mnemonic
     [lin]) counts 2k reads and 2k-1 flops; each plain term adds one
     read and one addition. *)
 
@@ -125,8 +148,8 @@ val load_consts : t -> float array -> unit
 
 val exec : t -> float array -> unit
 (** Execute one step: evaluate every assignment in order, writing each
-    target's register. The array must be the one prepared with
-    {!load_consts}. *)
+    target's register, then apply the rotations. The array must be the
+    one prepared with {!load_consts}. *)
 
 (** {2 Generic execution}
 
@@ -159,7 +182,9 @@ val exec_with : 'a interp -> t -> 'a array -> unit
     (mapped from {!const_pool}) at registers [n_slots t ..] and input
     slots, then each instruction applies the supplied operation (a
     sum-of-products row applies [i_mul] per product term, then
-    [i_add] left to right in source order).
+    [i_add] left to right in source order), and the rotations copy
+    registers as {!exec} does. [i_div] is called once per division
+    instruction, in the order of {!div_targets}.
     @raise Invalid_argument if the register file is shorter than
     {!n_regs}. *)
 
@@ -181,9 +206,10 @@ val pp_code :
   Format.formatter ->
   t ->
   unit
-(** One statement per instruction, in execution order, separated by
-    cuts. Registers are named by [slot] (slot index), [const] (pool
-    index and value) and [temp] (temporary number, from 0). *)
+(** One statement per instruction, in execution order, then one
+    [dst = src;] per rotation, separated by cuts. Registers are named
+    by [slot] (slot index), [const] (pool index and value) and [temp]
+    (temporary number, from 0). *)
 
 val pp : Format.formatter -> t -> unit
 (** Disassembly listing: a summary line, then {!pp_code} with registers

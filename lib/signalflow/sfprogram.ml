@@ -216,10 +216,6 @@ let layout_slot lay v =
 let layout_count lay = lay.l_count
 let layout_input_slots lay = Array.copy lay.l_input_slots
 let layout_output_slots lay = Array.copy lay.l_output_slots
-let layout_rotations lay = Array.copy lay.l_rotations
-
-let assignment_slots lay (p : t) =
-  List.map (fun a -> (layout_slot lay a.target, a.expr)) p.assignments
 
 let layout_vars lay =
   let vars = Array.make lay.l_count (Expr.signal "") in
@@ -237,7 +233,7 @@ type plan = {
    program's layout (so slots and template pools agree with every
    other consumer of [layout_of]), the slots that hold a value, and
    the rotations of the histories some live assignment reads. *)
-let step_plan ?reads (p : t) =
+let plan ?reads (p : t) =
   let lay = layout_of p in
   let seen = demanded ?reads p in
   let readable = Array.make (max 1 lay.l_count) false in
@@ -266,18 +262,16 @@ let step_plan ?reads (p : t) =
            (Array.to_list lay.l_rotations));
   }
 
-let plan p = step_plan p
-
 let compile_plan pl =
   Compile.compile ~slot:(layout_slot pl.layout) ~n_slots:pl.layout.l_count
-    pl.live
+    ~rotations:pl.rotations pl.live
 
 let compile (p : t) = compile_plan (plan p)
 
 let rebind_compiled artifact (p : t) =
   let pl = plan p in
   Compile.rebind artifact ~slot:(layout_slot pl.layout)
-    ~n_slots:pl.layout.l_count pl.live
+    ~n_slots:pl.layout.l_count ~rotations:pl.rotations pl.live
 
 module Runner = struct
   module Obs = Amsvp_obs.Obs
@@ -307,14 +301,10 @@ module Runner = struct
     input_slots : int array;
     output_slots : int array;
     n_assign : int;
-    rot_dst : int array;
-    rot_src : int array;
-        (** [slots.(rot_dst.(i)) <- slots.(rot_src.(i))], in order of
-            [i], after each step *)
   }
 
   let create ?compiled ?reads (p : program) =
-    let pl = step_plan ?reads p in
+    let pl = plan ?reads p in
     let lay = pl.layout in
     let artifact =
       match compiled with
@@ -352,8 +342,6 @@ module Runner = struct
       input_slots = lay.l_input_slots;
       output_slots = lay.l_output_slots;
       n_assign = List.length pl.live;
-      rot_dst = Array.map fst pl.rotations;
-      rot_src = Array.map snd pl.rotations;
     }
 
   (* Only the variable slots are cleared: constant registers are
@@ -361,17 +349,9 @@ module Runner = struct
      between steps by construction. *)
   let reset r = Array.fill r.slots 0 r.n_state 0.0
 
-  (* One step over inputs already in their slots: the assignments,
-     then the history rotations. *)
-  let advance r =
-    Compile.exec r.artifact r.slots;
-    (* Unchecked: both arrays have one entry per rotation and hold
-       layout slots, all below [n_state]. *)
-    let slots = r.slots and dst = r.rot_dst and src = r.rot_src in
-    for i = 0 to Array.length dst - 1 do
-      Array.unsafe_set slots (Array.unsafe_get dst i)
-        (Array.unsafe_get slots (Array.unsafe_get src i))
-    done
+  (* One step over inputs already in their slots: the artifact holds
+     the assignments and the history rotations. *)
+  let advance r = Compile.exec r.artifact r.slots
 
   let check_arity r what n =
     if n <> Array.length r.input_slots then

@@ -100,16 +100,6 @@ val layout_input_slots : layout -> int array
 val layout_output_slots : layout -> int array
 (** Slot of each output, in declaration order. *)
 
-val layout_rotations : layout -> (int * int) array
-(** History rotations [(dst, src)] applied in order after each step
-    ([x@-k] receives [x@-(k-1)], deepest level first per quantity). *)
-
-val assignment_slots : layout -> t -> (int * Expr.t) list
-(** Every assignment's (target slot, right-hand side) pair, live or
-    not, in execution order: the whole-program view the abstract
-    interpreter steps. {!compile} and the runners use only the live
-    subset (see {!dead_targets}). *)
-
 val layout_vars : layout -> Expr.var array
 (** The variable of each slot. *)
 
@@ -124,18 +114,25 @@ type plan = {
       (** per slot: an input or a live quantity, at any delay; every
           other slot stays 0 *)
   rotations : (int * int) array;
-      (** the layout's rotations whose destination is readable: a
-          history no live assignment reads is not rotated *)
+      (** history rotations [(dst, src)], applied in order after the
+          assignments ([x@-k] receives [x@-(k-1)], deepest level first
+          per quantity), of the readable histories only: a history no
+          live assignment reads is not rotated *)
 }
-(** What one step evaluates and keeps. The runners execute it and
-    [Amsvp_codegen] prints it, so both work from one lowering. *)
+(** What one step evaluates and keeps. {!compile_plan} lowers it into
+    one artifact, rotations included; the runners execute that
+    artifact, [Amsvp_codegen] prints it and [Amsvp_analysis.Absint]
+    interprets it, so all three work from one lowering. *)
 
-val plan : t -> plan
-(** The plan of the outputs' live set; {!Runner.create} widens it by
-    its [reads]. *)
+val plan : ?reads:Expr.var list -> t -> plan
+(** The plan of the live set of the outputs and of [reads] (default
+    none), as for {!Runner.create}. Given every target, it makes every
+    assignment live: the whole-program step the value-range analysis
+    interprets. *)
 
 val compile_plan : plan -> Compile.t
-(** Lower [plan.live] to bytecode against [plan.layout]. *)
+(** Lower [plan.live] to bytecode against [plan.layout], followed by
+    [plan.rotations]. *)
 
 val compile : t -> Compile.t
 (** [compile_plan (plan p)]: the live assignments (see {!dead_targets})
@@ -157,7 +154,9 @@ module Runner : sig
 
   type t
   (** A compiled instance with its own mutable state, all slots
-      preallocated; stepping allocates nothing. *)
+      preallocated; stepping allocates nothing. One step stores the
+      inputs in their slots and is then one {!Compile.exec} of the
+      artifact, history rotations included. *)
 
   val create : ?compiled:Compile.t -> ?reads:Expr.var list -> program -> t
   (** The runner evaluates only the live assignments (see

@@ -70,7 +70,6 @@ let record_plan ?(mode = `Auto) ?(integration = `Backward_euler) ?spans ~name
     template = None;
   }
 
-let key t = t.key
 let definitions t = List.length t.entries
 
 exception Replay_failed

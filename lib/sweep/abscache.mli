@@ -40,10 +40,6 @@ val build :
     run (topology, solvability or assemble), located through [spans]
     when given. *)
 
-val key : t -> string
-(** The {!Amsvp_netlist.Circuit.structure_key} the plan was built
-    from. *)
-
 val definitions : t -> int
 (** Number of recorded definitions (the cone of influence size). *)
 

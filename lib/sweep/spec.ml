@@ -215,8 +215,6 @@ let to_string s =
     s.corners;
   Buffer.contents b
 
-let pp ppf s = Format.pp_print_string ppf (to_string s)
-
 (* Parser: one directive per line, '#' starts a comment, blank lines
    ignored. Errors carry the 1-based line number. *)
 

@@ -98,4 +98,3 @@ val to_string : t -> string
 (** Canonical text form; floats are printed with enough digits to
     round-trip, so [of_string (to_string s) = Ok s] for valid specs. *)
 
-val pp : Format.formatter -> t -> unit

@@ -49,13 +49,11 @@ end
 module Signal : sig
   type 'a signal
 
-  val create : t -> name:string -> eq:('a -> 'a -> bool) -> 'a -> 'a signal
-  (** A signal with an initial value; [eq] decides whether a write
-      changes the value (change detection drives sensitivity). *)
-
   val float_signal : t -> name:string -> float -> float signal
   val bool_signal : t -> name:string -> bool -> bool signal
   val int_signal : t -> name:string -> int -> int signal
+  (** A signal with an initial value. A write that leaves the value
+      equal changes nothing (change detection drives sensitivity). *)
 
   val read : 'a signal -> 'a
   (** The current (stable) value. *)

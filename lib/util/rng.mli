@@ -21,9 +21,6 @@ val derive : int -> stream:int -> t
     decorrelated sequences, and the construction is pure — calling it
     twice yields identical generators. *)
 
-val float : t -> float
-(** Uniform in [\[0, 1)] with 53 bits of precision. *)
-
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)].
     @raise Invalid_argument if [lo > hi]. *)

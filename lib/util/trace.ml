@@ -97,16 +97,3 @@ let of_fun f ~t0 ~dt ~n =
   done;
   tr
 
-let pp ppf tr =
-  if tr.len = 0 then Format.fprintf ppf "<empty trace>"
-  else begin
-    let vmin = ref tr.values.(0) and vmax = ref tr.values.(0) in
-    for i = 1 to tr.len - 1 do
-      if tr.values.(i) < !vmin then vmin := tr.values.(i);
-      if tr.values.(i) > !vmax then vmax := tr.values.(i)
-    done;
-    Format.fprintf ppf "<trace %d samples, t=[%g,%g], v=[%g,%g]>" tr.len
-      tr.times.(0)
-      tr.times.(tr.len - 1)
-      !vmin !vmax
-  end

@@ -73,4 +73,3 @@ val resample : t -> t0:float -> dt:float -> n:int -> float array
 val of_fun : (float -> float) -> t0:float -> dt:float -> n:int -> t
 
 (** [pp] prints a short summary (sample count, time span, value range). *)
-val pp : Format.formatter -> t -> unit

@@ -45,7 +45,6 @@ let set_irq cpu level = cpu.irq <- level
 let interrupts_enabled cpu = cpu.ie
 let interrupts_taken cpu = cpu.taken
 
-let pc cpu = cpu.pc
 let reg cpu i = cpu.regs.(i)
 
 let set_reg cpu i v = if i <> 0 then cpu.regs.(i) <- mask32 v

@@ -27,7 +27,6 @@ val step : t -> unit
     saved to EPC, interrupts are masked and control transfers to
     the fixed handler address 0x80. *)
 
-val pc : t -> int
 val reg : t -> int -> int
 (** Register file access (register 0 is hard-wired to zero). *)
 

@@ -309,6 +309,40 @@ let test_user_errors_are_findings () =
        (fun (sp : Diag.span) -> (sp.Diag.line, sp.Diag.col))
        f.Diag.span)
 
+(* Two definitions divide by the same provably-zero quantity; the
+   compiled step computes that division once, and AMS060 still names
+   both. A definition that only reads one of them contains no division
+   and is not reported. *)
+let test_shared_division_reported () =
+  let src =
+    "`include \"disciplines.vams\"\n\
+     module shared_div(in, out);\n\
+    \  input electrical in;\n\
+    \  output electrical out;\n\
+    \  electrical z, a, b;\n\
+    \  analog begin\n\
+    \    V(z,gnd) <+ 0.0 * V(in,gnd);\n\
+    \    V(a,gnd) <+ V(in,gnd) / V(z,gnd);\n\
+    \    V(b,gnd) <+ 2.0 * V(a,gnd);\n\
+    \    V(out,gnd) <+ V(in,gnd) / V(z,gnd) + V(b,gnd);\n\
+    \  end\n\
+     endmodule\n"
+  in
+  let sites =
+    List.filter_map
+      (fun f ->
+        if f.Diag.code = "AMS060" then
+          Some
+            ( Option.value ~default:"" f.Diag.subject,
+              Option.fold ~none:0 ~some:(fun sp -> sp.Diag.line) f.Diag.span )
+        else None)
+      (lint src)
+  in
+  Alcotest.(check (list (pair string int)))
+    "AMS060 on both definitions"
+    [ ("V(a,gnd)", 8); ("V(out,gnd)", 10) ]
+    (List.sort compare sites)
+
 (* [lint --input-bound]: widening the input box widens the proven
    output range the AMS063 message reports (the fixture's gain is 100). *)
 let test_input_bound_widens_ranges () =
@@ -563,6 +597,8 @@ let () =
         [
           Alcotest.test_case "fixture reports" `Quick test_golden_baselines;
           Alcotest.test_case "input bound" `Quick test_input_bound_widens_ranges;
+          Alcotest.test_case "shared division reported on each definition"
+            `Quick test_shared_division_reported;
           Alcotest.test_case "abstract reports lint's finding" `Quick
             test_abstract_lint_parity;
           Alcotest.test_case "user errors are findings" `Quick

@@ -230,24 +230,25 @@ let arb_linear_expr =
         Gen.return vy;
       ]
   in
-  let gen =
-    Gen.sized (fun n ->
-        let rec go n =
-          if n <= 0 then leaf
-          else
-            Gen.oneof
-              [
-                leaf;
-                Gen.map2 (fun a b -> Expr.Add (a, b)) (go (n / 2)) (go (n / 2));
-                Gen.map2 (fun a b -> Expr.Sub (a, b)) (go (n / 2)) (go (n / 2));
-                Gen.map2
-                  (fun c a -> Expr.Mul (Expr.const (float_of_int c), a))
-                  (Gen.int_range (-4) 4) (go (n - 1));
-                Gen.map (fun a -> Expr.Neg a) (go (n - 1));
-              ]
-        in
-        go (min n 12))
+  (* [Gen.fix] builds each level's generators only when that level is
+     drawn; a plain recursive [go] would allocate every level's
+     closures (about 2^12 per case) before drawing anything. *)
+  let go =
+    Gen.fix (fun go n ->
+        if n <= 0 then leaf
+        else
+          Gen.oneof
+            [
+              leaf;
+              Gen.map2 (fun a b -> Expr.Add (a, b)) (go (n / 2)) (go (n / 2));
+              Gen.map2 (fun a b -> Expr.Sub (a, b)) (go (n / 2)) (go (n / 2));
+              Gen.map2
+                (fun c a -> Expr.Mul (Expr.const (float_of_int c), a))
+                (Gen.int_range (-4) 4) (go (n - 1));
+              Gen.map (fun a -> Expr.Neg a) (go (n - 1));
+            ])
   in
+  let gen = Gen.sized (fun n -> go (min n 12)) in
   make ~print:Expr.to_string gen
 
 let prop_simplify_preserves_eval =

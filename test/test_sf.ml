@@ -433,6 +433,53 @@ let test_exec_allocation_free () =
         words)
     [ ("RC20", Circuits.rc_ladder 20); ("RECT", Circuits.rectifier ()) ]
 
+(* The artifact is the step: a bare register file stepped by
+   [Compile.exec] alone (constants loaded once, inputs stored at their
+   layout slots) holds, after every step, the outputs and the histories
+   [Runner.step] gives, bit for bit: the rotations are inside the
+   artifact. *)
+let test_artifact_is_the_step () =
+  let histories = ref 0 in
+  List.iter
+    (fun label ->
+      let tc = Option.get (Circuits.by_name label) in
+      let dt = 50e-9 in
+      let p = (Flow.abstract_testcase tc ~dt).Flow.program in
+      let c = Sfprogram.compile p in
+      let regs = Array.make (Compile.n_regs c) 0.0 in
+      Compile.load_consts c regs;
+      let r = Sfprogram.Runner.create p in
+      let pl = Sfprogram.plan p in
+      let lay = pl.Sfprogram.layout in
+      let input_slots = Sfprogram.layout_input_slots lay in
+      let vars = Sfprogram.layout_vars lay in
+      let history =
+        List.filter
+          (fun s -> pl.Sfprogram.readable.(s) && vars.(s).Expr.delay >= 1)
+          (List.init (Array.length vars) Fun.id)
+      in
+      histories := !histories + List.length history;
+      let checked = Array.to_list (Sfprogram.layout_output_slots lay) @ history in
+      let stimuli =
+        List.map (fun i -> List.assoc i tc.Circuits.stimuli) p.Sfprogram.inputs
+      in
+      for k = 1 to 400 do
+        let t = float_of_int k *. dt in
+        let inputs = Array.of_list (List.map (fun f -> f t) stimuli) in
+        Array.iteri (fun i s -> regs.(s) <- inputs.(i)) input_slots;
+        Compile.exec c regs;
+        Sfprogram.Runner.step r ~inputs;
+        List.iter
+          (fun s ->
+            let a = regs.(s) and b = Sfprogram.Runner.read r vars.(s) in
+            if Int64.bits_of_float a <> Int64.bits_of_float b then
+              Alcotest.failf "%s: step %d, %s: %h vs runner %h" label k
+                (Expr.var_name vars.(s)) a b)
+          checked
+      done)
+    [ "2IN"; "RC1"; "RC20"; "OA"; "RECT"; "RLC" ];
+  Alcotest.(check bool) "histories compared" true (!histories > 0)
+
 let roundtrip_equal_traces p stimuli t_stop =
   let text = Serialize.program_to_string p in
   let p' = Serialize.program_of_string text in
@@ -561,6 +608,8 @@ let () =
           Alcotest.test_case "every artifact rebinds" `Quick
             test_every_artifact_rebinds;
           Alcotest.test_case "shared product and rows" `Quick test_row_fusion;
+          Alcotest.test_case "the artifact is the step" `Quick
+            test_artifact_is_the_step;
           Alcotest.test_case "exec allocates nothing" `Quick
             test_exec_allocation_free;
           Alcotest.test_case "counters exact, also after an abort" `Quick
