@@ -849,6 +849,35 @@ let obs_serve_bench ~t_stop ~seed () =
 module Absint = Amsvp_analysis.Absint
 module Lint = Amsvp_analysis.Lint
 
+(* [rel] under the repository root: the first directory holding a
+   [dune-project] and [rel], walking up from the working directory,
+   then from the executable's. The bench writes its results into its
+   working directory, so it is usually run from a scratch one.
+   @raise Failure when neither walk finds it. *)
+let repo_file rel =
+  let rec walk dir =
+    let path = Filename.concat dir rel in
+    if
+      Sys.file_exists (Filename.concat dir "dune-project")
+      && Sys.file_exists path
+    then Some path
+    else
+      let up = Filename.dirname dir in
+      if up = dir then None else walk up
+  in
+  let absolute d =
+    if Filename.is_relative d then Filename.concat (Sys.getcwd ()) d else d
+  in
+  match
+    List.find_map walk
+      [ Sys.getcwd (); absolute (Filename.dirname Sys.executable_name) ]
+  with
+  | Some path -> path
+  | None ->
+      failwith
+        (Printf.sprintf "%s: not found above %s or %s" rel (Sys.getcwd ())
+           Sys.executable_name)
+
 (* The "absint" section: what the value-range engine costs and what it
    buys. Costs: the MAY fixpoint per circuit (the pass every lint run
    and daemon screen pays) and a full source-to-findings lint of the
@@ -873,15 +902,13 @@ let absint_bench ~t_stop () =
         (if a.Absint.a_widened then " (widened)" else ""))
     [ "2IN"; "RC1"; "RC20"; "OA" ];
   (* Full front-end wall (parse + elaborate + every pass) on the
-     shipped example, when run from the repo root where it lives. *)
-  let example = "examples/rc_lowpass.vams" in
-  if Sys.file_exists example then begin
-    let src = In_channel.with_open_text example In_channel.input_all in
-    let lint_s = best (fun () -> ignore (Lint.lint ~file:example src)) in
-    record (row ~comp:"rc_lowpass" ~target:"lint" lint_s);
-    Printf.printf "%-8s full lint: %8.4f ms\n" "rc_low" (lint_s *. 1e3)
-  end
-  else Printf.printf "(%s not found -- lint row skipped)\n" example;
+     shipped example, found from the repository root whatever the
+     working directory. *)
+  let example = repo_file "examples/rc_lowpass.vams" in
+  let src = In_channel.with_open_text example In_channel.input_all in
+  let lint_s = best (fun () -> ignore (Lint.lint ~file:example src)) in
+  record (row ~comp:"rc_lowpass" ~target:"lint" lint_s);
+  Printf.printf "%-8s full lint: %8.4f ms\n" "rc_low" (lint_s *. 1e3);
   (* RC1 is a 5 kOhm / 25 nF lowpass (f_c ~ 1.27 kHz). On a 2 kHz unit
      sine, grid points below ~5.5 kOhm provably exceed a 0.5 amplitude
      budget -- half this grid. Reference on: a pruned point skips the

@@ -25,6 +25,7 @@ module Solve = Amsvp_core.Solve
 module Sfprogram = Amsvp_sf.Sfprogram
 module Wrap = Amsvp_sysc.Wrap
 module Engine = Amsvp_mna.Engine
+module System = Amsvp_mna.System
 module Probe = Amsvp_probe.Probe
 module Stimulus = Amsvp_util.Stimulus
 module Trace = Amsvp_util.Trace
@@ -358,22 +359,28 @@ let simulate_cmd =
           Option.value output ~default:(List.hd p.Sfprogram.outputs)
         in
         let probes = probe_set probecfg ~default:(Expr.var_name output) in
-        (* the program models read only their own quantities: a probe
-           naming anything else is a finding before the run *)
-        (match (moc, probes) with
-        | (`Cpp | `De | `Tdf), Some set ->
-            let known = Sfprogram.layout_vars (Sfprogram.layout_of p) in
-            List.iter
-              (fun v ->
-                if not (Array.mem v known) then
-                  fatal_finding
-                    (Diag.error ~subject:(Expr.var_name v) "AMS030"
-                       (Printf.sprintf
-                          "probe %s names no quantity of the signal-flow \
-                           program %s"
-                          (Expr.var_name v) p.Sfprogram.name)))
-              (Probe.vars set)
-        | (`Cpp | `De | `Tdf | `Eln | `Vams), _ -> ());
+        (* every engine reads only its own quantities: a probe naming
+           anything else is a finding before the run *)
+        let check_probes ~known ~model =
+          Option.iter
+            (fun set ->
+              List.iter
+                (fun v ->
+                  if not (known v) then
+                    fatal_finding
+                      (Diag.error ~subject:(Expr.var_name v) "AMS030"
+                         (Printf.sprintf "probe %s names no quantity of the %s"
+                            (Expr.var_name v) model)))
+                (Probe.vars set))
+            probes
+        in
+        (match moc with
+        | `Cpp | `De | `Tdf ->
+            let vars = Sfprogram.layout_vars (Sfprogram.layout_of p) in
+            check_probes
+              ~known:(fun v -> Array.mem v vars)
+              ~model:("signal-flow program " ^ p.Sfprogram.name)
+        | `Eln | `Vams -> ());
         let observe = Option.map Probe.observer probes in
         let reads = Option.map Probe.vars probes in
         let stim = Stimulus.square ~period ~low ~high in
@@ -395,6 +402,9 @@ let simulate_cmd =
                   file top inputs
               in
               let circuit = Flow.insert_probes circuit ~outputs:[ output ] in
+              check_probes
+                ~known:(System.has_quantity (System.build circuit))
+                ~model:("circuit " ^ top);
               let inputs =
                 List.map
                   (fun n -> (n, stim))

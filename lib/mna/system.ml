@@ -35,6 +35,7 @@ type rhs_plan = {
 }
 
 type t = {
+  ground : string;
   node_index : (string, int) Hashtbl.t;  (* non-ground nodes -> 0.. *)
   by_name : (string, device) Hashtbl.t;
   devices : device array;
@@ -128,7 +129,7 @@ let build circuit =
            | _ -> None)
          (Array.to_list devices))
   in
-  { node_index; by_name; devices; pwl; inputs; size = !next;
+  { ground; node_index; by_name; devices; pwl; inputs; size = !next;
     plan = rhs_plan devices }
 
 let size s = s.size
@@ -273,6 +274,16 @@ let locate s v =
       | None -> invalid_arg ("System.locate: unknown device " ^ name))
   | Expr.Flow _ | Expr.Signal _ | Expr.Param _ ->
       invalid_arg "System.locate: unsupported quantity"
+
+let has_quantity s (v : Expr.var) =
+  let has_node n = n = s.ground || Hashtbl.mem s.node_index n in
+  match locate s v with
+  | exception Invalid_argument _ -> false
+  | Branch _ | Resistor_flow _ -> true
+  | Potential _ -> (
+      match v.Expr.base with
+      | Expr.Potential (a, b) -> has_node a && has_node b
+      | Expr.Flow _ | Expr.Signal _ | Expr.Param _ -> false)
 
 let read loc state =
   match loc with

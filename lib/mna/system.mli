@@ -92,5 +92,13 @@ val locate : t -> Expr.var -> locator
     @raise Invalid_argument for delayed, unsupported or unknown
     quantities. *)
 
+val has_quantity : t -> Expr.var -> bool
+(** Whether {!locate} resolves the quantity to one the circuit has: a
+    potential between two of its nodes (ground included) or the
+    current of a device {!locate} supports. A node outside the circuit
+    makes a potential unknown here, where {!locate} reads it as
+    ground; callers check user-named quantities (probes) with this
+    before a run. *)
+
 val read : locator -> float array -> float
 (** The located quantity's value in a solution vector. *)

@@ -49,12 +49,6 @@ let default_config =
    updating one writes the float in place instead of allocating a box,
    as a float field of the mixed record [t] would. *)
 type acc = {
-  (* streaming statistics over finite samples *)
-  mutable v_min : float;
-  mutable v_max : float;
-  mutable mean : float;
-  mutable m2 : float;  (* Welford sum of squared deviations *)
-  mutable sum_sq : float;  (* for RMS *)
   (* streaming NRMSE against a reference *)
   mutable err_sq : float;
   mutable ref_min : float;
@@ -67,8 +61,6 @@ type t = {
   signal : string;
   config : config;
   acc : acc;
-  mutable n_total : int;
-  mutable n_finite : int;
   mutable n_ref : int;
   mutable run : int;
   (* fired watchdogs, newest first *)
@@ -92,18 +84,11 @@ let create ?(config = default_config) signal =
     config;
     acc =
       {
-        v_min = infinity;
-        v_max = neg_infinity;
-        mean = 0.0;
-        m2 = 0.0;
-        sum_sq = 0.0;
         err_sq = 0.0;
         ref_min = infinity;
         ref_max = neg_infinity;
         last = nan;
       };
-    n_total = 0;
-    n_finite = 0;
     n_ref = 0;
     run = 0;
     fired = [];
@@ -143,22 +128,14 @@ let nrmse m =
    there the sample is read straight from its array and stays unboxed,
    and only a firing watchdog boxes it. *)
 let[@inline] observe m ~time v =
-  let a = m.acc in
-  m.n_total <- m.n_total + 1;
   if Float.is_finite v then begin
-    m.n_finite <- m.n_finite + 1;
-    if v < a.v_min then a.v_min <- v;
-    if v > a.v_max then a.v_max <- v;
-    let d = v -. a.mean in
-    a.mean <- a.mean +. (d /. float_of_int m.n_finite);
-    a.m2 <- a.m2 +. (d *. (v -. a.mean));
-    a.sum_sq <- a.sum_sq +. (v *. v);
     (match m.config.amplitude_limit with
     | Some limit when abs_float v > limit -> fire m Amplitude ~time ~value:v
     | _ -> ());
     match m.config.stuck_after with
     | None -> ()
     | Some k ->
+        let a = m.acc in
         if v = a.last then begin
           m.run <- m.run + 1;
           if m.run >= k then fire m Stuck ~time ~value:v
@@ -199,28 +176,22 @@ let replay m ~times ~values ?reference n =
   in
   short "times" times;
   short "values" values;
-  match reference with
+  let sum_sq = ref 0.0 in
+  (match reference with
   | None ->
       for i = 0 to n - 1 do
-        observe m ~time:times.(i) values.(i)
+        let v = values.(i) in
+        observe m ~time:times.(i) v;
+        sum_sq := !sum_sq +. (v *. v)
       done
   | Some refs ->
       short "reference values" refs;
       for i = 0 to n - 1 do
-        observe_ref m ~time:times.(i) ~value:values.(i) ~reference:refs.(i)
-      done
-
-let samples m = m.n_total
-let min_value m = if m.n_finite = 0 then nan else m.acc.v_min
-let max_value m = if m.n_finite = 0 then nan else m.acc.v_max
-let mean m = if m.n_finite = 0 then nan else m.acc.mean
-
-let variance m =
-  if m.n_finite = 0 then nan else m.acc.m2 /. float_of_int m.n_finite
-
-let rms m =
-  if m.n_finite = 0 then nan
-  else sqrt (m.acc.sum_sq /. float_of_int m.n_finite)
+        let v = values.(i) in
+        observe_ref m ~time:times.(i) ~value:v ~reference:refs.(i);
+        sum_sq := !sum_sq +. (v *. v)
+      done);
+  !sum_sq
 
 let issues m = List.rev m.fired
 let healthy m = m.fired = []

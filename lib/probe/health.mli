@@ -1,9 +1,7 @@
 (** Online numerical-health monitors for probed signals.
 
-    A monitor consumes one sample per simulated step and maintains
-    streaming statistics (min/max/RMS plus Welford mean/variance, so a
-    million-step run needs O(1) memory) together with a set of
-    watchdogs:
+    A monitor consumes one sample per simulated step and keeps a set
+    of watchdogs, in O(1) memory however long the run:
 
     - {b NaN/Inf} — always armed; fires on the first non-finite sample.
     - {b amplitude explosion} — fires when |value| exceeds
@@ -86,31 +84,16 @@ val replay :
   values:float array ->
   ?reference:float array ->
   int ->
-  unit
+  float
 (** [replay m ~times ~values n] feeds samples [0 .. n-1] of a recorded
     trace: the same as {!observe} on each in turn (with [reference],
-    {!observe_ref}), so the statistics and every fired issue — kind,
-    time, value, order — are identical, but nothing is allocated per
-    sample.
+    {!observe_ref}), so the NRMSE and every fired issue — kind, time,
+    value, order — are identical, but nothing is allocated per sample.
+    It returns the sum of the squares of [values.(0 .. n-1)], added in
+    index order (non-finite samples included), so a caller takes the
+    trace's RMS from the same walk.
     @raise Invalid_argument when an array holds fewer than [n]
     samples. *)
-
-(** {1 Streaming statistics}
-
-    All statistics are over the {e finite} samples seen so far (a NaN
-    trips the watchdog instead of poisoning the aggregates); they
-    return [nan] before the first finite sample. *)
-
-val samples : t -> int
-(** Total samples fed, finite or not. *)
-
-val min_value : t -> float
-val max_value : t -> float
-val mean : t -> float
-val variance : t -> float
-(** Population variance (Welford). *)
-
-val rms : t -> float
 
 val nrmse : t -> float option
 (** Streaming NRMSE; [None] until {!observe_ref} has been fed, or when

@@ -701,8 +701,10 @@ external iget : int array -> int -> int = "%array_unsafe_get"
    bounds checks. The operands of a commutative add or multiply are
    bound before the operation: the code generator may otherwise fold
    one load into the instruction and swap the operands, and when both
-   are NaN the left one's sign is the one [Expr.eval] keeps. *)
-let exec t (regs : float array) =
+   are NaN the left one's sign is the one [Expr.eval] keeps. The body
+   is inlined into {!exec} and into {!run}'s loop, so a table-fed run
+   pays no call per step. *)
+let[@inline] step t (regs : float array) =
   let code = t.exe in
   for i = 0 to Array.length code - 1 do
     match Array.unsafe_get code i with
@@ -789,6 +791,40 @@ let exec t (regs : float array) =
   let dst = t.rot_dst and src = t.rot_src in
   for i = 0 to Array.length dst - 1 do
     set regs (iget dst i) (get regs (iget src i))
+  done
+
+let exec t regs = step t regs
+
+let run_fail fmt = Printf.ksprintf invalid_arg ("Compile.run: " ^^ fmt)
+
+let check_run_slot t what s =
+  if s < 0 || s >= t.n_slots then
+    run_fail "%s slot %d outside 0..%d" what s (t.n_slots - 1)
+
+(* Every index the loop reads unchecked is checked here, once; loops
+   rather than closures keep a run allocation-free. *)
+let run t regs ~inputs ~tables ~out values n =
+  if Array.length regs < t.n_regs then
+    run_fail "register file %d < %d" (Array.length regs) t.n_regs;
+  if Array.length tables <> Array.length inputs then
+    run_fail "%d table(s) for %d input(s)" (Array.length tables)
+      (Array.length inputs);
+  for k = 0 to Array.length inputs - 1 do
+    check_run_slot t "input" inputs.(k);
+    if Array.length tables.(k) <= n then
+      run_fail "table of %d sample(s) for %d steps"
+        (Array.length tables.(k)) n
+  done;
+  check_run_slot t "output" out;
+  if Array.length values <= n then
+    run_fail "output buffer of %d sample(s) for %d steps"
+      (Array.length values) n;
+  for i = 1 to n do
+    for k = 0 to Array.length inputs - 1 do
+      set regs (iget inputs k) (get (Array.unsafe_get tables k) i)
+    done;
+    step t regs;
+    set values i (get regs out)
   done
 
 (* ---- generic (abstract) execution ---- *)

@@ -151,6 +151,28 @@ val exec : t -> float array -> unit
     target's register, then apply the rotations. The array must be the
     one prepared with {!load_consts}. *)
 
+val run :
+  t ->
+  float array ->
+  inputs:int array ->
+  tables:float array array ->
+  out:int ->
+  float array ->
+  int ->
+  unit
+(** [run t regs ~inputs ~tables ~out values n] executes steps [1 .. n]
+    over [regs] (prepared as for {!exec}): before step [i] it stores
+    [tables.(k).(i)] into register [inputs.(k)] for every [k], then runs
+    the step {!exec} runs, then stores register [out] into
+    [values.(i)]. [values.(0)] and the state before step 1 are the
+    caller's. The loop and the step share one body with {!exec}, so a
+    run is bit-identical to [n] rounds of stores, [exec] and reads, and
+    pays no call per step.
+    @raise Invalid_argument if [regs] is shorter than {!n_regs}, the
+    table count differs from the input count, an input or [out] is not
+    a slot below {!n_slots}, or a table or [values] holds [n] samples
+    or fewer. *)
+
 (** {2 Generic execution}
 
     The bytecode is straight-line, so it can be executed over any

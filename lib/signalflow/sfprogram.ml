@@ -414,25 +414,45 @@ module Runner = struct
       Obs.Counter.add c_ops (!taken * r.n_assign);
       Trace.set_length trace (!taken + 1)
     in
+    (* Every input a table and no observer: the sweep and serve path
+       runs as one compiled loop, with no call or source dispatch per
+       step. Stimulus functions, probes and point timeouts take the
+       stepped loop. *)
+    let tables =
+      if
+        Option.is_some observe
+        || Array.exists (function Fn _ -> true | Table _ -> false) sources
+      then None
+      else Some (Array.map (function Table a -> a | Fn _ -> [||]) sources)
+    in
     Fun.protect ~finally:publish (fun () ->
         times.(0) <- 0.0;
         values.(0) <- slots.(out);
-        (match observe with None -> () | Some f -> f 0.0 reader);
-        for i = 1 to nsteps do
-          let t = float_of_int i *. dt in
-          for k = 0 to Array.length sources - 1 do
-            (* A store per branch: a shared one would box the table's
-               float to match the function's boxed result. *)
-            match sources.(k) with
-            | Table a -> slots.(r.input_slots.(k)) <- a.(i)
-            | Fn f -> slots.(r.input_slots.(k)) <- f t
-          done;
-          advance r;
-          times.(i) <- t;
-          values.(i) <- slots.(out);
-          taken := i;
-          match observe with None -> () | Some f -> f t reader
-        done);
+        match tables with
+        | Some tables ->
+            for i = 1 to nsteps do
+              times.(i) <- float_of_int i *. dt
+            done;
+            Compile.run r.artifact slots ~inputs:r.input_slots ~tables ~out
+              values nsteps;
+            taken := nsteps
+        | None ->
+            (match observe with None -> () | Some f -> f 0.0 reader);
+            for i = 1 to nsteps do
+              let t = float_of_int i *. dt in
+              for k = 0 to Array.length sources - 1 do
+                (* A store per branch: a shared one would box the table's
+                   float to match the function's boxed result. *)
+                match sources.(k) with
+                | Table a -> slots.(r.input_slots.(k)) <- a.(i)
+                | Fn f -> slots.(r.input_slots.(k)) <- f t
+              done;
+              advance r;
+              times.(i) <- t;
+              values.(i) <- slots.(out);
+              taken := i;
+              match observe with None -> () | Some f -> f t reader
+            done);
     if Journal.enabled () then begin
       (* Per-step traffic is a static property of the artifact; the
          journal records it once per run, scaled by the tick count. *)

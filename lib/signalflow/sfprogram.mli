@@ -220,6 +220,13 @@ module Runner : sig
       "plain C++" execution model; the tick and op counters are added
       once per run, for the steps taken.
 
+      The loop is chosen from the input: when every source is a
+      [Table] and no [observe] is given (the sweep and serve path), the
+      whole run is one {!Compile.run} call; otherwise (a [Fn] source, a
+      probe, a point timeout) each step stores the inputs, calls
+      {!Compile.exec} and records the output. Both loops give the same
+      trace bit for bit and add the same counts.
+
       [observe] is called once per step (including the initial state at
       t = 0) with the current time and a reader over the runner's
       variables; it is how waveform probes ([Amsvp_probe]) attach

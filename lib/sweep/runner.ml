@@ -334,16 +334,6 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
          it before this point returns. *)
       let times, values = Trace.buffers trace and n = Trace.length trace in
       let out_final = if n = 0 then 0.0 else values.(n - 1) in
-      let out_rms =
-        if n = 0 then 0.0
-        else begin
-          let sum_sq = ref 0.0 in
-          for i = 0 to n - 1 do
-            sum_sq := !sum_sq +. (values.(i) *. values.(i))
-          done;
-          sqrt (!sum_sq /. float_of_int n)
-        end
-      in
       let nrmse =
         match reference with
         | None -> None
@@ -354,10 +344,11 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
       in
       (* The recorded trace is replayed through a health monitor after
          the run: same verdict as a live probe would give, with zero
-         cost on the stepping loop. With a reference engine on, the
-         monitor also streams the NRMSE watchdog against the
-         interpolated reference. *)
-      let health =
+         cost on the stepping loop. The same walk sums the squares
+         behind [out_rms]. With a reference engine on, the monitor
+         also streams the NRMSE watchdog against the interpolated
+         reference. *)
+      let health, out_rms =
         let config =
           {
             Health.default_config with
@@ -372,8 +363,9 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
               Array.init n (fun i -> Trace.sample_at r.Engine.trace times.(i)))
             reference
         in
-        Health.replay mon ~times ~values ?reference n;
-        Health.verdict mon
+        let sum_sq = Health.replay mon ~times ~values ?reference n in
+        ( Health.verdict mon,
+          if n = 0 then 0.0 else sqrt (sum_sq /. float_of_int n) )
       in
       let wall_s = float_of_int (Obs.now_ns () - t0) *. 1e-9 in
       Obs.Counter.incr c_points;

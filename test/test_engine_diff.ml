@@ -531,6 +531,100 @@ let prop_row_runs =
       check_engines case;
       true)
 
+(* ---- The table-fed loop ---- *)
+
+(* [run_into] with every source a [Table] and no observer is one
+   [Compile.run] call; a [Fn] source or an observer takes the stepped
+   loop of [Compile.exec] calls. Over the same samples all three must
+   record the same trace, bit for bit, and advance the tick and op
+   counters by the same amounts. *)
+module Obs = Amsvp_obs.Obs
+
+let c_ticks = Obs.Counter.make "amsvp_sf_ticks_total"
+let c_ops = Obs.Counter.make "amsvp_sf_ops_total"
+
+(* [tables.(k).(i)] is input [k] at step [i]; the [Fn] form reads the
+   same entry back from the step time. *)
+let table_vs_stepped label r ~dt ~tables =
+  let nsteps = Array.length tables.(0) - 1 in
+  let t_stop = float_of_int nsteps *. dt in
+  let run ?observe sources =
+    let t0 = Obs.Counter.value c_ticks and o0 = Obs.Counter.value c_ops in
+    let tr = Trace.create () in
+    Sfprogram.Runner.run_into r ~sources ~t_stop ?observe tr;
+    (tr, Obs.Counter.value c_ticks - t0, Obs.Counter.value c_ops - o0)
+  in
+  let table = Array.map (fun a -> Sfprogram.Runner.Table a) tables in
+  let fn =
+    Array.map
+      (fun a ->
+        Sfprogram.Runner.Fn (fun t -> a.(int_of_float (Float.round (t /. dt)))))
+      tables
+  in
+  let bits = Int64.bits_of_float in
+  let ((expected, ticks, ops) as table_run) = run table in
+  List.iter
+    (fun (name, (tr, t, o)) ->
+      if Trace.length tr <> Trace.length expected then
+        QCheck.Test.fail_reportf "%s, %s: %d samples, table run %d" label name
+          (Trace.length tr) (Trace.length expected);
+      for i = 0 to Trace.length tr - 1 do
+        if
+          bits (Trace.time tr i) <> bits (Trace.time expected i)
+          || bits (Trace.value tr i) <> bits (Trace.value expected i)
+        then
+          QCheck.Test.fail_reportf
+            "%s, %s: sample %d is (%h, %h), table run (%h, %h)" label name i
+            (Trace.time tr i) (Trace.value tr i) (Trace.time expected i)
+            (Trace.value expected i)
+      done;
+      if t <> ticks || o <> ops then
+        QCheck.Test.fail_reportf
+          "%s, %s: counters +%d ticks +%d ops, table run +%d +%d" label name t
+          o ticks ops)
+    [
+      ("table run", table_run);
+      ("stepped Fn run", run fn);
+      ("observed table run", run ~observe:(fun _ _ -> ()) table);
+    ]
+
+(* Full and sliced runners of [p], and its artifact rebound onto the
+   constant-perturbed sibling, each run both ways. *)
+let check_table_runs ~dt ~tables p =
+  let create ?compiled reads q = Sfprogram.Runner.create ?compiled ~reads q in
+  table_vs_stepped "full" (create (targets p) p) ~dt ~tables;
+  table_vs_stepped "sliced" (create [] p) ~dt ~tables;
+  let p2 = perturb p in
+  match Sfprogram.rebind_compiled (Sfprogram.compile p) p2 with
+  | None ->
+      QCheck.Test.fail_reportf "rebind refused a same-shape program:@ %a"
+        Sfprogram.pp p2
+  | Some art ->
+      table_vs_stepped "rebound" (create ~compiled:art [] p2) ~dt ~tables
+
+let prop_table_runs =
+  QCheck.Test.make ~name:"table run = stepped run" ~count:300
+    (arb_of
+       (QCheck.Gen.oneof [ gen_program; gen_row_program; gen_run_program ]))
+    (fun (p, stims) ->
+      (* entry 0 is never loaded: the runner is reset before step 1 *)
+      let column f = Array.append [| nan |] (Array.map f stims) in
+      check_table_runs ~dt:1.0 ~tables:[| column fst; column snd |] p;
+      true)
+
+let test_table_runs_circuits () =
+  List.iter
+    (fun (tc : Circuits.testcase) ->
+      let dt = 1e-6 in
+      let p = (Flow.abstract_testcase tc ~dt).Flow.program in
+      let tables =
+        Array.map
+          (fun f -> Stimulus.sample f ~dt ~n:2001)
+          (Wrap.stimuli_for p tc.Circuits.stimuli)
+      in
+      check_table_runs ~dt ~tables p)
+    (Circuits.all_paper_cases ())
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "engine-diff"
@@ -543,7 +637,14 @@ let () =
           Alcotest.test_case "non-finite stimuli" `Quick
             test_non_finite_stimulus;
         ] );
+      ( "tables",
+        [
+          Alcotest.test_case "paper circuits: table run = stepped run" `Quick
+            test_table_runs_circuits;
+        ] );
       ( "examples",
         [ Alcotest.test_case "example models" `Quick test_example_models ] );
-      ("property", qt [ prop_random_programs; prop_rows; prop_row_runs ]);
+      ( "property",
+        qt [ prop_random_programs; prop_rows; prop_row_runs; prop_table_runs ]
+      );
     ]

@@ -73,6 +73,36 @@ let test_voltage_divider () =
   let r = Engine.run_testcase_eln tc ~dt:1e-6 ~t_stop:1e-5 in
   checkf 1e-9 "3/4 of 10V" 7.5 (Trace.last_value r.trace)
 
+(* A probe is checked against the network before a run: potentials
+   between its nodes (ground included) and the currents [locate]
+   supports are known; a node or device the circuit lacks is not,
+   although [locate] reads a missing node as ground. *)
+let test_has_quantity () =
+  let c = Circuit.create () in
+  Circuit.add_vsource c ~name:"vs" ~pos:"a" ~neg:"gnd" (Component.Dc 10.0);
+  Circuit.add_resistor c ~name:"r1" ~pos:"a" ~neg:"mid" 1.0e3;
+  Circuit.add_capacitor c ~name:"c1" ~pos:"mid" ~neg:"gnd" 1.0e-9;
+  let sys = System.build c in
+  List.iter
+    (fun (label, v, expected) ->
+      Alcotest.(check bool) label expected (System.has_quantity sys v))
+    [
+      ("node to ground", Expr.potential "mid" "gnd", true);
+      ("between nodes", Expr.potential "a" "mid", true);
+      ("source current", Expr.flow "vs" "", true);
+      ("resistor current", Expr.flow "r1" "", true);
+      ("unknown node", Expr.potential "zz" "gnd", false);
+      ("unknown reference node", Expr.potential "a" "zz", false);
+      ("unknown device", Expr.flow "zz" "", false);
+      ("capacitor current (no unknown)", Expr.flow "c1" "", false);
+      ("delayed", Expr.delayed (Expr.potential "mid" "gnd") 1, false);
+      ("signal", Expr.signal "a", false);
+    ];
+  (* what [has_quantity] rejects as a missing node, [locate] reads as
+     ground *)
+  Alcotest.(check bool) "locate reads a missing node as ground" true
+    (System.locate sys (Expr.potential "zz" "gnd") = System.Potential (-1, -1))
+
 let test_vsource_loop_singular () =
   let c = Circuit.create () in
   Circuit.add_vsource c ~name:"v1" ~pos:"a" ~neg:"gnd" (Component.Dc 1.0);
@@ -537,6 +567,8 @@ let () =
       ( "dc",
         [
           Alcotest.test_case "voltage divider" `Quick test_voltage_divider;
+          Alcotest.test_case "probe quantities known to the network" `Quick
+            test_has_quantity;
           Alcotest.test_case "conflicting sources singular" `Quick
             test_vsource_loop_singular;
           Alcotest.test_case "2IN gain" `Quick test_two_input_dc_gain;

@@ -433,6 +433,34 @@ let test_exec_allocation_free () =
         words)
     [ ("RC20", Circuits.rc_ladder 20); ("RECT", Circuits.rectifier ()) ]
 
+(* [Compile.run] steps the same body in its own loop: 1000 table-fed
+   steps allocate nothing, and every index it will use unchecked is
+   checked once, up front. *)
+let test_compiled_run () =
+  let p = (Flow.abstract_testcase (Circuits.rectifier ()) ~dt:50e-9).Flow.program in
+  let c = Sfprogram.compile p in
+  let regs = Array.make (Compile.n_regs c) 0.0 in
+  Compile.load_consts c regs;
+  let lay = Sfprogram.layout_of p in
+  let inputs = Sfprogram.layout_input_slots lay in
+  let out = (Sfprogram.layout_output_slots lay).(0) in
+  let tables = Array.map (fun _ -> Array.init 1001 float_of_int) inputs in
+  let values = Array.make 1001 0.0 in
+  let run ?(regs = regs) ?(inputs = inputs) ?(tables = tables) ?(out = out)
+      ?(values = values) n () =
+    Compile.run c regs ~inputs ~tables ~out values n
+  in
+  run 1000 ();
+  Alcotest.(check (float 0.0)) "minor words of a 1000-step run" 0.0
+    (minor_words (run 1000));
+  expect_invalid "short register file" (run ~regs:[| 0.0 |] 10);
+  expect_invalid "table count" (run ~tables:[||] 10);
+  expect_invalid "input slot"
+    (run ~inputs:(Array.map (fun _ -> Compile.n_slots c) inputs) 10);
+  expect_invalid "output slot" (run ~out:(-1) 10);
+  expect_invalid "short table" (run 1001);
+  expect_invalid "short output buffer" (run ~values:[| 0.0 |] 10)
+
 (* The artifact is the step: a bare register file stepped by
    [Compile.exec] alone (constants loaded once, inputs stored at their
    layout slots) holds, after every step, the outputs and the histories
@@ -612,6 +640,8 @@ let () =
             test_artifact_is_the_step;
           Alcotest.test_case "exec allocates nothing" `Quick
             test_exec_allocation_free;
+          Alcotest.test_case "run allocates nothing, checks its arguments"
+            `Quick test_compiled_run;
           Alcotest.test_case "counters exact, also after an abort" `Quick
             test_run_counters_exact;
           Alcotest.test_case "table sources and trace reuse" `Quick
