@@ -1211,7 +1211,7 @@ let engines ~t_stop () =
       let stimuli = Wrap.stimuli_for p tc.Circuits.stimuli in
       let reference = Amsvp_sf.Reference.run p ~stimuli ~t_stop in
       let tr_byte =
-        Sfprogram.Runner.run (Sfprogram.Runner.create ~compiled p) ~stimuli
+        Sfprogram.Runner.run (Sfprogram.Runner.create p) ~stimuli
           ~t_stop ()
       in
       let max_ulp = ref 0L in
@@ -1231,7 +1231,7 @@ let engines ~t_stop () =
          branches. Best of five rounds of the whole loop. *)
       let steps = max 1000 (int_of_float (t_stop /. dt)) in
       let inputs = Array.make (max 1 (List.length p.Sfprogram.inputs)) 0.0 in
-      let byte_runner = Sfprogram.Runner.create ~compiled p in
+      let byte_runner = Sfprogram.Runner.create p in
       let pass () =
         Sfprogram.Runner.reset byte_runner;
         for i = 1 to steps do

@@ -360,26 +360,32 @@ let simulate_cmd =
         in
         let probes = probe_set probecfg ~default:(Expr.var_name output) in
         (* every engine reads only its own quantities: a probe naming
-           anything else is a finding before the run *)
-        let check_probes ~known ~model =
+           anything else is a finding before the run, whose text
+           [refusal v] gives *)
+        let check_probes refusal =
           Option.iter
             (fun set ->
               List.iter
                 (fun v ->
-                  if not (known v) then
-                    fatal_finding
-                      (Diag.error ~subject:(Expr.var_name v) "AMS030"
-                         (Printf.sprintf "probe %s names no quantity of the %s"
-                            (Expr.var_name v) model)))
+                  Option.iter
+                    (fun msg ->
+                      fatal_finding
+                        (Diag.error ~subject:(Expr.var_name v) "AMS030" msg))
+                    (refusal v))
                 (Probe.vars set))
             probes
         in
         (match moc with
         | `Cpp | `De | `Tdf ->
             let vars = Sfprogram.layout_vars (Sfprogram.layout_of p) in
-            check_probes
-              ~known:(fun v -> Array.mem v vars)
-              ~model:("signal-flow program " ^ p.Sfprogram.name)
+            check_probes (fun v ->
+                if Array.mem v vars then None
+                else
+                  Some
+                    (Printf.sprintf
+                       "probe %s names no quantity of the signal-flow \
+                        program %s"
+                       (Expr.var_name v) p.Sfprogram.name))
         | `Eln | `Vams -> ());
         let observe = Option.map Probe.observer probes in
         let reads = Option.map Probe.vars probes in
@@ -403,8 +409,7 @@ let simulate_cmd =
               in
               let circuit = Flow.insert_probes circuit ~outputs:[ output ] in
               check_probes
-                ~known:(System.has_quantity (System.build circuit))
-                ~model:("circuit " ^ top);
+                (System.probe_refusal (System.build circuit) ~circuit:top);
               let inputs =
                 List.map
                   (fun n -> (n, stim))
@@ -1345,7 +1350,13 @@ let ac_cmd =
           conservative_circuit ~what:"AC analysis" lang file top inputs
         in
         let output = resolve_output output flat in
-        let circuit = Flow.insert_probes circuit ~outputs:[ output ] in
+        let circuit =
+          match Flow.insert_probes circuit ~outputs:[ output ] with
+          | circuit -> circuit
+          | exception Invalid_argument msg ->
+              (* the finding [Flow.run] reports for the same output *)
+              fatal_finding (Diag.error "AMS030" msg)
+        in
         let input =
           match input with
           | Some i -> i

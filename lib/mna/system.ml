@@ -275,15 +275,29 @@ let locate s v =
   | Expr.Flow _ | Expr.Signal _ | Expr.Param _ ->
       invalid_arg "System.locate: unsupported quantity"
 
-let has_quantity s (v : Expr.var) =
+let probe_refusal s ~circuit (v : Expr.var) =
   let has_node n = n = s.ground || Hashtbl.mem s.node_index n in
-  match locate s v with
-  | exception Invalid_argument _ -> false
-  | Branch _ | Resistor_flow _ -> true
-  | Potential _ -> (
-      match v.Expr.base with
-      | Expr.Potential (a, b) -> has_node a && has_node b
-      | Expr.Flow _ | Expr.Signal _ | Expr.Param _ -> false)
+  let refuse fmt =
+    Printf.ksprintf Option.some ("probe %s " ^^ fmt) (Expr.var_name v)
+  in
+  let unknown () = refuse "names no quantity of the circuit %s" circuit in
+  match v.Expr.base with
+  | _ when v.Expr.delay <> 0 -> unknown ()
+  | Expr.Potential (a, b) ->
+      if has_node a && has_node b then None else unknown ()
+  | Expr.Flow (name, "") -> (
+      match Hashtbl.find_opt s.by_name name with
+      | None -> unknown ()
+      | Some d -> (
+          match locate s v with
+          | _ -> None
+          | exception Invalid_argument _ ->
+              refuse
+                "names the %s %s of the circuit %s, for which the solver \
+                 keeps no current"
+                (Component.kind_name d.component.kind)
+                name circuit))
+  | Expr.Flow _ | Expr.Signal _ | Expr.Param _ -> unknown ()
 
 let read loc state =
   match loc with

@@ -92,13 +92,15 @@ val locate : t -> Expr.var -> locator
     @raise Invalid_argument for delayed, unsupported or unknown
     quantities. *)
 
-val has_quantity : t -> Expr.var -> bool
-(** Whether {!locate} resolves the quantity to one the circuit has: a
-    potential between two of its nodes (ground included) or the
-    current of a device {!locate} supports. A node outside the circuit
-    makes a potential unknown here, where {!locate} reads it as
-    ground; callers check user-named quantities (probes) with this
-    before a run. *)
+val probe_refusal : t -> circuit:string -> Expr.var -> string option
+(** Whether a probe of a user-named quantity can be recorded, checked
+    before a run: [None] when {!locate} resolves it to a quantity the
+    circuit has, else the text of the refusal, e.g. ["probe V(zz,gnd)
+    names no quantity of the circuit rc"] (a node outside the circuit
+    is refused here, where {!locate} reads it as ground), or, for the
+    current of a device the solver keeps no current for, ["probe
+    I(c1) names the capacitor c1 of the circuit rc, for which the
+    solver keeps no current"]. [circuit] names the circuit in it. *)
 
 val read : locator -> float array -> float
 (** The located quantity's value in a solution vector. *)

@@ -20,6 +20,16 @@ let make ~name ~pos ~neg kind =
          name pos);
   { name; pos; neg; kind }
 
+let kind_name = function
+  | Resistor _ -> "resistor"
+  | Capacitor _ -> "capacitor"
+  | Inductor _ -> "inductor"
+  | Vsource _ -> "voltage source"
+  | Isource _ -> "current source"
+  | Vcvs _ -> "voltage-controlled voltage source"
+  | Vccs _ -> "voltage-controlled current source"
+  | Pwl_conductance _ -> "piecewise-linear conductance"
+
 let flow_var d = Expr.flow d.name ""
 let potential_var d = Expr.potential d.pos d.neg
 

@@ -34,6 +34,10 @@ val make : name:string -> pos:string -> neg:string -> kind -> t
 (** @raise Invalid_argument on a self-loop ([pos = neg]) or an empty
     name. *)
 
+val kind_name : kind -> string
+(** What the device is, in words: ["capacitor"], ["current source"],
+    ... *)
+
 val flow_var : t -> Expr.var
 (** [I(name)], the branch flow. *)
 

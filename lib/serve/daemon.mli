@@ -3,8 +3,8 @@
     One-shot [amsvp sweep] pays the whole Fig.-4 abstraction flow —
     acquisition, enrichment, assembly, bytecode compilation — on every
     invocation. The daemon pays it once: prepared sweeps
-    ({!Amsvp_sweep.Runner.ctx}, which bundle the recorded plan and the
-    compiled template) stay warm in an LRU cache keyed by the canonical
+    ({!Amsvp_sweep.Runner.ctx}, which bundle the probed circuit and the
+    recorded plan) stay warm in an LRU cache keyed by the canonical
     spec text, so a repeated request skips straight to point execution.
     Each cached sweep owns a {!Amsvp_sweep.Pool}, the executor
     [amsvp sweep --jobs N] uses too: its workers are forked by the

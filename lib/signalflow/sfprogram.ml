@@ -268,10 +268,11 @@ let compile_plan pl =
 
 let compile (p : t) = compile_plan (plan p)
 
-let rebind_compiled artifact (p : t) =
-  let pl = plan p in
+let rebind_plan artifact pl =
   Compile.rebind artifact ~slot:(layout_slot pl.layout)
     ~n_slots:pl.layout.l_count ~rotations:pl.rotations pl.live
+
+let rebind_compiled artifact (p : t) = rebind_plan artifact (plan p)
 
 module Runner = struct
   module Obs = Amsvp_obs.Obs
@@ -289,6 +290,7 @@ module Runner = struct
 
   type t = {
     program : program;
+    reads : Expr.var list option;  (** as given to [create] *)
     artifact : Compile.t;
     slots : float array;
         (** the artifact's register file; variable slots are the first
@@ -303,37 +305,14 @@ module Runner = struct
     n_assign : int;
   }
 
-  let create ?compiled ?reads (p : program) =
-    let pl = plan ?reads p in
+  (* A runner of [p] over the register file [slots], into which
+     [artifact]'s constants are loaded. *)
+  let load ?reads p pl artifact slots =
     let lay = pl.layout in
-    let artifact =
-      match compiled with
-      | Some a ->
-          let fail fmt =
-            Printf.ksprintf
-              (fun m ->
-                invalid_arg
-                  (Printf.sprintf "Sfprogram.Runner.create(%s): %s" p.name m))
-              fmt
-          in
-          if Compile.n_slots a <> lay.l_count then
-            fail "compiled artifact has %d slots, program needs %d"
-              (Compile.n_slots a) lay.l_count
-          else if
-            Compile.target_slots a <> Array.of_list (List.map fst pl.live)
-          then
-            fail
-              "compiled artifact evaluates a different live set (%d \
-               assignments, this runner %d)"
-              (Array.length (Compile.target_slots a))
-              (List.length pl.live)
-          else a
-      | None -> compile_plan pl
-    in
-    let slots = Array.make (max 1 (Compile.n_regs artifact)) 0.0 in
     Compile.load_consts artifact slots;
     {
       program = p;
+      reads;
       artifact;
       slots;
       n_state = lay.l_count;
@@ -344,9 +323,23 @@ module Runner = struct
       n_assign = List.length pl.live;
     }
 
+  let create ?reads (p : program) =
+    let pl = plan ?reads p in
+    let artifact = compile_plan pl in
+    load ?reads p pl artifact
+      (Array.make (max 1 (Compile.n_regs artifact)) 0.0)
+
+  (* The rebound artifact shares [r]'s code, hence its register count;
+     variable slots keep [r]'s values until the next [reset]. *)
+  let rebind r (p : program) =
+    let pl = plan ?reads:r.reads p in
+    Option.map
+      (fun artifact -> load ?reads:r.reads p pl artifact r.slots)
+      (rebind_plan r.artifact pl)
+
   (* Only the variable slots are cleared: constant registers are
-     loaded once at [create] and must survive, and temporaries are dead
-     between steps by construction. *)
+     loaded by [create] and [rebind] and must survive, and temporaries
+     are dead between steps by construction. *)
   let reset r = Array.fill r.slots 0 r.n_state 0.0
 
   (* One step over inputs already in their slots: the artifact holds

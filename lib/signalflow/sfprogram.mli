@@ -143,8 +143,9 @@ val compile : t -> Compile.t
 
 val rebind_compiled : Compile.t -> t -> Compile.t option
 (** Re-target an artifact at a program with the same shape
-    but different constant values (the sweep engine's plan-replay
-    case), skipping lowering, scheduling and register allocation.
+    but different constant values, skipping lowering, scheduling and
+    register allocation: the sweep pruner takes each point's constant
+    pool from it. {!Runner.rebind} does the same for a runner.
     [None] when the shapes differ; fall back to {!compile}. *)
 
 (** {1 Execution} *)
@@ -158,7 +159,7 @@ module Runner : sig
       inputs in their slots and is then one {!Compile.exec} of the
       artifact, history rotations included. *)
 
-  val create : ?compiled:Compile.t -> ?reads:Expr.var list -> program -> t
+  val create : ?reads:Expr.var list -> program -> t
   (** The runner evaluates only the live assignments (see
       {!dead_targets}): those an output depends on, plus those the
       caller declares in [reads] (default none) and what they depend
@@ -166,15 +167,19 @@ module Runner : sig
       it becomes readable. Entries the program does not assign are
       ignored here ({!read} still rejects them). Outputs, inputs and
       live quantities keep exactly the values the full program would
-      give them; nothing else is computed.
+      give them; nothing else is computed. *)
 
-      [compiled] supplies a ready bytecode artifact (from
-      {!Sfprogram.compile} or {!Sfprogram.rebind_compiled}) to skip
-      compilation. Such an artifact covers the outputs' live set only,
-      so it cannot be combined with a [reads] entry that widens that
-      set.
-      @raise Invalid_argument if [compiled] was built for a different
-      slot layout or a different live set. *)
+  val rebind : t -> program -> t option
+  (** [rebind r p]: a runner of [p] on [r]'s code and register file,
+      when [p]'s plan under [r]'s [reads] has the shape of [r]'s, as a
+      program differing only in constant values has (the sweep's plan
+      replay; see {!Compile.rebind}). Nothing is compiled or
+      allocated: [p]'s constants are loaded into [r]'s registers, and
+      the variable slots keep [r]'s values until the next {!reset},
+      which {!run_into} does first, so a run of it is a run of
+      [create ?reads p]. The register file is shared: [r] must not be
+      stepped or run afterwards. [None] when the shapes differ
+      (another live set included); [r] is then unchanged. *)
 
   val reset : t -> unit
   (** Zero all state (initial condition [X0 = 0]). *)

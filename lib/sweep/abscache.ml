@@ -5,8 +5,6 @@ module Eqmap = Amsvp_core.Eqmap
 module Assemble = Amsvp_core.Assemble
 module Solve = Amsvp_core.Solve
 module Check = Amsvp_core.Check
-module Sfprogram = Amsvp_sf.Sfprogram
-module Compile = Amsvp_sf.Compile
 
 type entry = { var : Expr.var; via : int; kind : [ `Cur | `Der ] }
 
@@ -21,18 +19,13 @@ type t = {
   n_dipoles : int;
   topo : Eqn.t array;  (** KCL/KVL origins; index is [class_id - n_dipoles] *)
   entries : entry list;  (** dependencies first, like [Assemble.defs] *)
-  template : Compile.t option;
-      (** bytecode compiled once from the representative's solved
-          program; {!compiled_for} re-targets it at each rebound point
-          so plan replay also skips compilation *)
 }
 
-let record_plan ?(mode = `Auto) ?(integration = `Backward_euler) ?spans ~name
+let build ?(mode = `Auto) ?(integration = `Backward_euler) ?spans ~name
     ~dt circuit ~outputs =
   (* The flow up to assemble, gated like [Flow.abstract_circuit]: a
      defective sweep model is rejected here, once, with a located
-     finding — before any scenario point is expanded. The plan solves
-     the representative itself, in [build]. *)
+     finding — before any scenario point is expanded. *)
   let s =
     Flow.run ~name ~mode ~integration ?spans ~solve:false circuit ~outputs ~dt
   in
@@ -67,7 +60,6 @@ let record_plan ?(mode = `Auto) ?(integration = `Backward_euler) ?spans ~name
     n_dipoles;
     topo;
     entries;
-    template = None;
   }
 
 let definitions t = List.length t.entries
@@ -132,21 +124,3 @@ let rebind t circuit =
       ->
         None
   end
-
-let build ?mode ?integration ?spans ~name ~dt circuit ~outputs =
-  let t = record_plan ?mode ?integration ?spans ~name ~dt circuit ~outputs in
-  (* Solve the representative once so the plan also carries a compiled
-     template: rebound points share its schedule and registers and only
-     patch the constant pool. Computed here, before any worker is
-     forked, so the cache stays immutable afterwards. *)
-  let template =
-    match rebind t circuit with
-    | Some p -> Some (Sfprogram.compile p)
-    | None -> None
-  in
-  { t with template }
-
-let compiled_for t program =
-  match t.template with
-  | None -> None
-  | Some tpl -> Sfprogram.rebind_compiled tpl program

@@ -48,11 +48,3 @@ val rebind : t -> Amsvp_netlist.Circuit.t -> Amsvp_sf.Sfprogram.t option
     structure key differs, a recorded rearrangement fails under the new
     values, or the numeric solve rejects the rebound system — in every
     case the caller should run the full abstraction instead. *)
-
-val compiled_for : t -> Amsvp_sf.Sfprogram.t -> Amsvp_sf.Compile.t option
-(** Re-target the plan's bytecode template (compiled once, at {!build}
-    time, from the solved representative) at a program returned by
-    {!rebind}: same schedule and register allocation, new constant
-    pool.  [None] when the solver produced a structurally different
-    program at this point (or the representative itself would not
-    solve) — the runner then compiles that program from scratch. *)

@@ -9,7 +9,7 @@ module Journal = Amsvp_obs.Journal
 type decision = { d_point : Sampler.point; d_bad : Absint.bad }
 
 (* A point that rebinds onto the recorded plan, with the constant pool
-   of the shared bytecode template re-targeted at its parameter values.
+   of the representative's bytecode re-targeted at its parameter values.
    Only such points participate in box proofs: the pool is the entire
    value-dependence of the artifact, so an interval hull over member
    pools covers every member's concrete execution. *)
@@ -76,22 +76,25 @@ let plan ~cache ~probed ~stimuli ~t_stop ?amplitude
     (points : Sampler.point array) =
   Obs.with_span ~cat:"sweep" "sweep.prune" @@ fun () ->
   let cands =
-    Array.to_list points
-    |> List.filter_map (fun (p : Sampler.point) ->
-           let circuit = Circuit.override probed p.Sampler.overrides in
-           match Abscache.rebind cache circuit with
-           | None -> None
-           | Some program -> (
-               match Abscache.compiled_for cache program with
-               | None -> None
-               | Some compiled ->
-                   Some
-                     {
-                       c_point = p;
-                       c_program = program;
-                       c_compiled = compiled;
-                       c_pool = Compile.const_pool compiled;
-                     }))
+    (* The plan replayed on the probed circuit itself, compiled once:
+       every candidate re-targets its bytecode. *)
+    match Abscache.rebind cache probed with
+    | None -> []
+    | Some representative ->
+        let template = Sfprogram.compile representative in
+        Array.to_list points
+        |> List.filter_map (fun (p : Sampler.point) ->
+               let circuit = Circuit.override probed p.Sampler.overrides in
+               Option.bind (Abscache.rebind cache circuit) (fun program ->
+                   Option.map
+                     (fun compiled ->
+                       {
+                         c_point = p;
+                         c_program = program;
+                         c_compiled = compiled;
+                         c_pool = Compile.const_pool compiled;
+                       })
+                     (Sfprogram.rebind_compiled template program)))
   in
   match cands with
   | [] -> []

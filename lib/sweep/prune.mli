@@ -1,15 +1,16 @@
 (** Pre-flight static pruning of provably-unhealthy sweep points.
 
     Before any point is simulated, the abstract interpreter
-    ({!Amsvp_analysis.Absint}) runs the sweep's own compiled bytecode
-    template over interval boxes of parameter space: the constant pool
-    of the re-targeted template is the entire value-dependence of a
-    point, so the interval hull over the pools of a set of points
-    covers every concrete execution in the set.  When the exact
-    (no-join) abstract step sequence proves the output definitely trips
-    a health watchdog — non-finite, or beyond the spec's
-    [amplitude_limit] — at some step, every member of the box would
-    fail the same way and is skipped with a [Pruned] verdict.
+    ({!Amsvp_analysis.Absint}) runs the bytecode of the sweep's
+    representative program (the recorded plan replayed on the nominal
+    circuit) over interval boxes of parameter space: that bytecode's
+    constant pool, re-targeted at a point, is the entire
+    value-dependence of the point, so the interval hull over the pools
+    of a set of points covers every concrete execution in the set.
+    When the exact (no-join) abstract step sequence proves the output
+    definitely trips a health watchdog — non-finite, or beyond the
+    spec's [amplitude_limit] — at some step, every member of the box
+    would fail the same way and is skipped with a [Pruned] verdict.
 
     The proof is a MUST analysis: stimuli are sampled exactly (one
     singleton per step), so pruning never skips a point whose run

@@ -73,18 +73,20 @@ let stimulus_fn = function
   | Spec.Sine { freq; amplitude } -> Stimulus.sine ~freq ~amplitude
 
 (* What every point of a prepared sweep records into: each input's
-   samples at the run's step times, and one trace of the run's length
-   that each point overwrites. *)
+   samples at the run's step times, one trace of the run's length that
+   each point overwrites, and the runner every plan-replayed point
+   rebinds (created by the first). *)
 type scratch = {
   s_tables : (string * float array) list;
   s_trace : Trace.t;
+  mutable s_runner : Sfprogram.Runner.t option;
 }
 
 (* A prepared sweep: everything shared by every point — the probed
-   circuit, stimuli, the recorded abstraction plan and its compiled
-   bytecode template — computed once.  The one-shot [run] builds one
-   and discards it; the serve daemon keeps it warm across requests and
-   forked worker shards inherit it for free. *)
+   circuit, stimuli and the recorded abstraction plan — computed once.
+   The one-shot [run] builds one and discards it; the serve daemon
+   keeps it warm across requests and forked worker shards inherit it
+   for free. *)
 type ctx = {
   c_spec : Spec.t;
   c_tc : Circuits.testcase;
@@ -163,6 +165,7 @@ let prepare ?jobs ?spans (spec : Spec.t) (tc : Circuits.testcase) =
          s_tables =
            List.map (fun (name, f) -> (name, Stimulus.sample f ~dt ~n)) stim_assoc;
          s_trace = Trace.create ~capacity:n ();
+         s_runner = None;
        })
   in
   {
@@ -292,15 +295,23 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
   let program, cached = program_for ctx circuit in
   Obs.Counter.incr (if cached then c_cache_hits else c_cache_misses);
   match
-    let runner =
-      (* On a plan replay the bytecode template re-targets for free;
-         cache misses (and shape drift) compile from scratch. *)
-      let compiled =
-        if cached then Abscache.compiled_for ctx.c_cache program else None
-      in
-      Sfprogram.Runner.create ?compiled program
-    in
     let scratch = Lazy.force ctx.c_scratch in
+    let runner =
+      (* A plan replay rebinds the kept runner to its constants; the
+         first replay creates it. A full-flow or shape-drifted program
+         runs on a one-off runner. *)
+      let keep r =
+        scratch.s_runner <- Some r;
+        r
+      in
+      match scratch.s_runner with
+      | _ when not cached -> Sfprogram.Runner.create program
+      | None -> keep (Sfprogram.Runner.create program)
+      | Some kept -> (
+          match Sfprogram.Runner.rebind kept program with
+          | Some r -> keep r
+          | None -> Sfprogram.Runner.create program)
+    in
     let sources =
       Array.of_list
         (List.map

@@ -19,8 +19,7 @@
 
     The per-point machinery is also exposed piecewise — {!prepare} once,
     {!run_point} many — so a long-running service can keep the prepared
-    sweep (probed circuit, recorded plan, compiled bytecode template)
-    warm across requests and hand {!session} its own executor. *)
+    sweep (probed circuit, recorded plan) warm across requests and hand {!session} its own executor. *)
 
 type point_result = Point_result.t = {
   point : Sampler.point;
@@ -61,12 +60,14 @@ val resolve : Spec.t -> (Amsvp_netlist.Circuits.testcase, string) result
 
 type ctx
 (** A validated, fully prepared sweep over one test case: the probed
-    circuit, resolved stimuli, the recorded abstraction plan with its
-    compiled bytecode template, and the materialised point list.
-    Inherited for free by forked worker processes. The only mutable
-    part is per process: the first {!run_point} a process runs samples
-    the stimuli at the run's step times and allocates one trace that
-    every later point of this ctx records into, so a process runs the
+    circuit, resolved stimuli, the recorded abstraction plan and the
+    materialised point list. Inherited for free by forked worker
+    processes. The only mutable part is per process: the first
+    {!run_point} a process runs samples the stimuli at the run's step
+    times and allocates one trace that every later point of this ctx
+    records into, and the first plan-replayed point's signal-flow
+    runner is kept for every later one to rebind
+    ({!Amsvp_sf.Sfprogram.Runner.rebind}), so a process runs the
     points of one ctx one at a time. *)
 
 val prepare :
@@ -99,7 +100,13 @@ val run_point : ?timeout_s:float -> ctx -> Sampler.point -> point_result
     [point_timeout]) bounds the point's wall clock: the simulation
     loops are aborted cooperatively once it expires and the result
     carries a [Timeout] health issue with NaN values instead of
-    stalling the caller. *)
+    stalling the caller.
+
+    A point whose program replays the plan runs on the process's kept
+    runner, rebound to its constants: nothing is compiled or
+    allocated. A point the full flow abstracts, or whose replayed
+    program no longer has the kept runner's shape, runs on a runner
+    of its own, which the next points do not reuse. *)
 
 (** {1 Sweep sessions} *)
 

@@ -8,8 +8,8 @@
    generated programs (NaN, +-inf and -0 constants included), whether
    every assignment runs or only the live ones, and on generated sums
    of products, the rows the bytecode fuses into one instruction. The
-   [rebind_compiled] path (what the sweep engine replays) is exercised
-   by re-targeting each random program's artifact at a
+   [Runner.rebind] path (what the sweep engine replays) is exercised
+   by rebinding a runner of each random program, after a run, to a
    constant-perturbed sibling. *)
 
 module Sfprogram = Amsvp_sf.Sfprogram
@@ -24,6 +24,11 @@ module Wrap = Amsvp_sysc.Wrap
 module Parser = Amsvp_vams.Parser
 module Elaborate = Amsvp_vams.Elaborate
 module Absint = Amsvp_analysis.Absint
+
+module Obs = Amsvp_obs.Obs
+
+let c_ticks = Obs.Counter.make "amsvp_sf_ticks_total"
+let c_ops = Obs.Counter.make "amsvp_sf_ops_total"
 
 let ulp_ok a b = Int64.compare (Metrics.ulp_distance a b) 1L <= 0
 
@@ -40,12 +45,10 @@ let check_traces label a b =
 (* Reference and bytecode traces of [p] under [stimuli]. *)
 let reference p ~stimuli = Reference.run p ~stimuli ~t_stop:2e-3
 
-let bytecode ?compiled p ~stimuli =
-  Sfprogram.Runner.run
-    (Sfprogram.Runner.create ?compiled p)
-    ~stimuli ~t_stop:2e-3 ()
+let bytecode_run r ~stimuli = Sfprogram.Runner.run r ~stimuli ~t_stop:2e-3 ()
+let bytecode p ~stimuli = bytecode_run (Sfprogram.Runner.create p) ~stimuli
 
-(* ---- Built-in circuits, fresh and pre-compiled artifacts ---- *)
+(* ---- Built-in circuits, fresh and rebound runners ---- *)
 
 let diff_circuit (tc : Circuits.testcase) =
   let p = (Flow.abstract_testcase tc ~dt:1e-6).Flow.program in
@@ -53,10 +56,15 @@ let diff_circuit (tc : Circuits.testcase) =
   let expected = reference p ~stimuli in
   check_traces (tc.Circuits.label ^ " reference/bytecode") expected
     (bytecode p ~stimuli);
-  (* Same check through a pre-compiled artifact, as the sweep engine
-     and the VP hand one in. *)
-  check_traces (tc.Circuits.label ^ " reference/artifact") expected
-    (bytecode ~compiled:(Sfprogram.compile p) p ~stimuli)
+  (* Same check through a runner rebound, after a run, to the program
+     it was created for, as the sweep engine rebinds its kept runner. *)
+  let r = Sfprogram.Runner.create p in
+  ignore (bytecode_run r ~stimuli);
+  match Sfprogram.Runner.rebind r p with
+  | None -> Alcotest.failf "%s: rebind onto itself refused" tc.Circuits.label
+  | Some r ->
+      check_traces (tc.Circuits.label ^ " reference/rebound") expected
+        (bytecode_run r ~stimuli)
 
 let test_paper_circuits () =
   List.iter diff_circuit (Circuits.all_paper_cases ())
@@ -300,29 +308,89 @@ let lockstep label stims reference others =
         others)
     stims
 
+let live_targets p =
+  let dead = Sfprogram.dead_targets p in
+  List.filter (fun v -> not (List.mem v dead)) (targets p)
+
+(* Entry [i] of each table is the input at step [i]; entry 0 is never
+   loaded, the runner is reset before step 1. *)
+let tables_of stims =
+  let column f = Array.append [| nan |] (Array.map f stims) in
+  [| column fst; column snd |]
+
+exception Abort
+
+(* Runners of [p2] rebound from a runner of [p] that has just run over
+   [tables]: once to completion, once aborted by its observer after
+   step 5. [Runner.rebind] reuses the register file, so each must carry
+   nothing over: a run of it, table-fed or stepped under an observer
+   reading every [live] quantity, gives a fresh runner's trace (times
+   and values), counter deltas and reads at every step, bit for bit. *)
+let rebound_runners label ~dt ~tables ~live p p2 =
+  let nsteps = Array.length tables.(0) - 1 in
+  let t_stop = float_of_int nsteps *. dt in
+  let sources = Array.map (fun a -> Sfprogram.Runner.Table a) tables in
+  let bits = Int64.bits_of_float in
+  let run ?observe r =
+    let t0 = Obs.Counter.value c_ticks and o0 = Obs.Counter.value c_ops in
+    let tr = Trace.create () in
+    Sfprogram.Runner.run_into r ~sources ~t_stop ?observe tr;
+    ( List.init (Trace.length tr) (fun i ->
+          (bits (Trace.time tr i), bits (Trace.value tr i))),
+      Obs.Counter.value c_ticks - t0,
+      Obs.Counter.value c_ops - o0 )
+  in
+  let observed r =
+    let reads = ref [] in
+    let record _ read =
+      reads := List.map (fun v -> bits (read v)) live :: !reads
+    in
+    let result = run ~observe:record r in
+    (result, !reads)
+  in
+  let fresh = run (Sfprogram.Runner.create p2)
+  and fresh_observed = observed (Sfprogram.Runner.create p2) in
+  List.map
+    (fun (name, abort) ->
+      let r = Sfprogram.Runner.create p in
+      let stop t _ = if t >= 5.0 *. dt then raise Abort in
+      (match run ?observe:(if abort then Some stop else None) r with
+      | _ -> ()
+      | exception Abort -> ());
+      match Sfprogram.Runner.rebind r p2 with
+      | None ->
+          QCheck.Test.fail_reportf
+            "%s: rebind refused a same-shape program:@ %a" label Sfprogram.pp
+            p2
+      | Some r2 ->
+          if run r2 <> fresh then
+            QCheck.Test.fail_reportf
+              "%s, rebound %s: table run differs from a fresh runner's" label
+              name;
+          if observed r2 <> fresh_observed then
+            QCheck.Test.fail_reportf
+              "%s, rebound %s: observed run differs from a fresh runner's"
+              label name;
+          (name, r2))
+    [ ("after a run", false); ("after an aborted run", true) ]
+
 (* A runner without [~reads] evaluates only the live assignments;
    declaring every target makes it evaluate them all. Sliced and full
-   runners, and the rebound template, must agree with the reference on
-   every target they compute. *)
+   runners, and the runners rebound to the constant-perturbed sibling,
+   must agree with the reference on every target they compute. *)
 let check_engines (p, stims) =
-  let all = targets p in
-  let live =
-    let dead = Sfprogram.dead_targets p in
-    List.filter (fun v -> not (List.mem v dead)) all
-  in
-  let create ?compiled reads q = Sfprogram.Runner.create ?compiled ~reads q in
+  let all = targets p and live = live_targets p in
+  let create reads q = Sfprogram.Runner.create ~reads q in
   lockstep "program" stims (Reference.create p)
     [ ("full", create all p, all); ("sliced", create [] p, live) ];
-  (* The sweep replay path: the artifact compiled from [p],
-     re-targeted at the constant-perturbed sibling. *)
+  (* The sweep replay path: a runner of [p] rebound to [p2]. *)
   let p2 = perturb p in
-  match Sfprogram.rebind_compiled (Sfprogram.compile p) p2 with
-  | None ->
-      QCheck.Test.fail_reportf "rebind refused a same-shape program:@ %a"
-        Sfprogram.pp p2
-  | Some art ->
+  List.iter
+    (fun (name, r) ->
+      Sfprogram.Runner.reset r;
       lockstep "perturbed" stims (Reference.create p2)
-        [ ("rebound", create ~compiled:art [] p2, live) ]
+        [ ("rebound " ^ name, r, live) ])
+    (rebound_runners "program" ~dt:1.0 ~tables:(tables_of stims) ~live p p2)
 
 let prop_random_programs =
   QCheck.Test.make
@@ -538,11 +606,6 @@ let prop_row_runs =
    loop of [Compile.exec] calls. Over the same samples all three must
    record the same trace, bit for bit, and advance the tick and op
    counters by the same amounts. *)
-module Obs = Amsvp_obs.Obs
-
-let c_ticks = Obs.Counter.make "amsvp_sf_ticks_total"
-let c_ops = Obs.Counter.make "amsvp_sf_ops_total"
-
 (* [tables.(k).(i)] is input [k] at step [i]; the [Fn] form reads the
    same entry back from the step time. *)
 let table_vs_stepped label r ~dt ~tables =
@@ -588,28 +651,23 @@ let table_vs_stepped label r ~dt ~tables =
       ("observed table run", run ~observe:(fun _ _ -> ()) table);
     ]
 
-(* Full and sliced runners of [p], and its artifact rebound onto the
+(* Full and sliced runners of [p], and runners of it rebound to the
    constant-perturbed sibling, each run both ways. *)
 let check_table_runs ~dt ~tables p =
-  let create ?compiled reads q = Sfprogram.Runner.create ?compiled ~reads q in
+  let create reads q = Sfprogram.Runner.create ~reads q in
   table_vs_stepped "full" (create (targets p) p) ~dt ~tables;
   table_vs_stepped "sliced" (create [] p) ~dt ~tables;
-  let p2 = perturb p in
-  match Sfprogram.rebind_compiled (Sfprogram.compile p) p2 with
-  | None ->
-      QCheck.Test.fail_reportf "rebind refused a same-shape program:@ %a"
-        Sfprogram.pp p2
-  | Some art ->
-      table_vs_stepped "rebound" (create ~compiled:art [] p2) ~dt ~tables
+  List.iter
+    (fun (name, r) -> table_vs_stepped ("rebound " ^ name) r ~dt ~tables)
+    (rebound_runners "tables" ~dt ~tables ~live:(live_targets p) p
+       (perturb p))
 
 let prop_table_runs =
   QCheck.Test.make ~name:"table run = stepped run" ~count:300
     (arb_of
        (QCheck.Gen.oneof [ gen_program; gen_row_program; gen_run_program ]))
     (fun (p, stims) ->
-      (* entry 0 is never loaded: the runner is reset before step 1 *)
-      let column f = Array.append [| nan |] (Array.map f stims) in
-      check_table_runs ~dt:1.0 ~tables:[| column fst; column snd |] p;
+      check_table_runs ~dt:1.0 ~tables:(tables_of stims) p;
       true)
 
 let test_table_runs_circuits () =

@@ -77,28 +77,36 @@ let test_voltage_divider () =
    between its nodes (ground included) and the currents [locate]
    supports are known; a node or device the circuit lacks is not,
    although [locate] reads a missing node as ground. *)
-let test_has_quantity () =
+let test_probe_refusal () =
   let c = Circuit.create () in
   Circuit.add_vsource c ~name:"vs" ~pos:"a" ~neg:"gnd" (Component.Dc 10.0);
   Circuit.add_resistor c ~name:"r1" ~pos:"a" ~neg:"mid" 1.0e3;
   Circuit.add_capacitor c ~name:"c1" ~pos:"mid" ~neg:"gnd" 1.0e-9;
   let sys = System.build c in
+  let unknown v = Some ("probe " ^ v ^ " names no quantity of the circuit rc") in
   List.iter
     (fun (label, v, expected) ->
-      Alcotest.(check bool) label expected (System.has_quantity sys v))
+      Alcotest.(check (option string)) label expected
+        (System.probe_refusal sys ~circuit:"rc" v))
     [
-      ("node to ground", Expr.potential "mid" "gnd", true);
-      ("between nodes", Expr.potential "a" "mid", true);
-      ("source current", Expr.flow "vs" "", true);
-      ("resistor current", Expr.flow "r1" "", true);
-      ("unknown node", Expr.potential "zz" "gnd", false);
-      ("unknown reference node", Expr.potential "a" "zz", false);
-      ("unknown device", Expr.flow "zz" "", false);
-      ("capacitor current (no unknown)", Expr.flow "c1" "", false);
-      ("delayed", Expr.delayed (Expr.potential "mid" "gnd") 1, false);
-      ("signal", Expr.signal "a", false);
+      ("node to ground", Expr.potential "mid" "gnd", None);
+      ("between nodes", Expr.potential "a" "mid", None);
+      ("source current", Expr.flow "vs" "", None);
+      ("resistor current", Expr.flow "r1" "", None);
+      ("unknown node", Expr.potential "zz" "gnd", unknown "V(zz,gnd)");
+      ("unknown reference node", Expr.potential "a" "zz", unknown "V(a,zz)");
+      ("unknown device", Expr.flow "zz" "", unknown "I(zz)");
+      ( "capacitor current (no unknown)",
+        Expr.flow "c1" "",
+        Some
+          "probe I(c1) names the capacitor c1 of the circuit rc, for which \
+           the solver keeps no current" );
+      ( "delayed",
+        Expr.delayed (Expr.potential "mid" "gnd") 1,
+        unknown "V(mid,gnd)@-1" );
+      ("signal", Expr.signal "a", unknown "a");
     ];
-  (* what [has_quantity] rejects as a missing node, [locate] reads as
+  (* what [probe_refusal] refuses as a missing node, [locate] reads as
      ground *)
   Alcotest.(check bool) "locate reads a missing node as ground" true
     (System.locate sys (Expr.potential "zz" "gnd") = System.Potential (-1, -1))
@@ -568,7 +576,7 @@ let () =
         [
           Alcotest.test_case "voltage divider" `Quick test_voltage_divider;
           Alcotest.test_case "probe quantities known to the network" `Quick
-            test_has_quantity;
+            test_probe_refusal;
           Alcotest.test_case "conflicting sources singular" `Quick
             test_vsource_loop_singular;
           Alcotest.test_case "2IN gain" `Quick test_two_input_dc_gain;

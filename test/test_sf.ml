@@ -190,12 +190,36 @@ let test_read_sliced_away () =
     (Amsvp_sf.Reference.read reference z)
     (Sfprogram.Runner.read r z)
 
-let test_compiled_live_set_checked () =
-  let p =
-    mk [ asg z Expr.(scale 3.0 (var input)); asg y Expr.(var input - Expr.one) ]
+(* [rebind] keeps the runner's live set, [~reads] included: onto a
+   program whose outputs make another set live it refuses, and the
+   runner still runs its own program. *)
+let test_rebind_refuses_other_live_set () =
+  let assignments k =
+    [ asg z Expr.(scale k (var input)); asg y Expr.(var input - Expr.one) ]
   in
-  expect_invalid "artifact for another live set" (fun () ->
-      Sfprogram.Runner.create ~compiled:(Sfprogram.compile p) ~reads:[ z ] p)
+  let p = mk (assignments 3.0) in
+  let other_output = mk ~outputs:[ z ] (assignments 3.0) in
+  let values r =
+    Trace.values
+      (Sfprogram.Runner.run r ~stimuli:[| (fun t -> t) |] ~t_stop:4.0 ())
+  in
+  let widened = Sfprogram.Runner.create ~reads:[ z ] p in
+  List.iter
+    (fun (name, r) ->
+      let before = values r in
+      Alcotest.(check bool) (name ^ ": refused") true
+        (Option.is_none (Sfprogram.Runner.rebind r other_output));
+      Alcotest.(check (array (float 0.0))) (name ^ ": runner unchanged")
+        before (values r))
+    [ ("another output", Sfprogram.Runner.create p); ("~reads z", widened) ];
+  Alcotest.(check (float 0.0)) "~reads z: z still read" 12.0
+    (Sfprogram.Runner.read widened z);
+  match Sfprogram.Runner.rebind widened (mk (assignments 5.0)) with
+  | None -> Alcotest.fail "same live set refused"
+  | Some r ->
+      ignore (values r);
+      Alcotest.(check (float 0.0)) "the reads carry over" 20.0
+        (Sfprogram.Runner.read r z)
 
 let test_run_records_trace () =
   let p = mk [ asg y (Expr.var input) ] in
@@ -310,10 +334,11 @@ let test_rc20_counts () =
     [ ("lin", 40); ("mov", 2); ("mul", 2) ]
     (Compile.traffic c).Compile.t_opcode_mix
 
-(* Every artifact is a template: the one a circuit compiles to at the
-   simulate defaults rebinds onto the program of the same circuit with
-   other R/C values, and the rebound run is bit for bit a fresh
-   runner's. *)
+(* Every artifact is a template: a runner of a circuit at the
+   simulate defaults rebinds to the program of the same circuit with
+   other R/C values, after a run to completion and after a run its
+   observer aborted, and the rebound runner carries nothing over: its
+   run is bit for bit a fresh runner's (times, values and counters). *)
 let test_every_artifact_rebinds () =
   let scaled (tc : Circuits.testcase) =
     let circuit = tc.Circuits.circuit in
@@ -333,25 +358,43 @@ let test_every_artifact_rebinds () =
       let name = Printf.sprintf "%s at %g s" label dt in
       let p = (Flow.abstract_testcase tc ~dt).Flow.program in
       let p' = (Flow.abstract_testcase (scaled tc) ~dt).Flow.program in
-      match Sfprogram.rebind_compiled (Sfprogram.compile p) p' with
-      | None -> Alcotest.failf "%s: the artifact refused to rebind" name
-      | Some art ->
-          let stimuli =
-            Array.of_list
-              (List.map
-                 (fun i -> List.assoc i tc.Circuits.stimuli)
-                 p'.Sfprogram.inputs)
-          in
-          let run r = Sfprogram.Runner.run r ~stimuli ~t_stop:(400.0 *. dt) () in
-          let fresh = run (Sfprogram.Runner.create p') in
-          let rebound = run (Sfprogram.Runner.create ~compiled:art p') in
-          Alcotest.(check int) (name ^ ": samples") (Trace.length fresh)
-            (Trace.length rebound);
-          for i = 0 to Trace.length fresh - 1 do
-            let a = Trace.value fresh i and b = Trace.value rebound i in
-            if Int64.bits_of_float a <> Int64.bits_of_float b then
-              Alcotest.failf "%s: sample %d differs: %h vs %h" name i a b
-          done)
+      let stimuli =
+        Array.of_list
+          (List.map
+             (fun i -> List.assoc i tc.Circuits.stimuli)
+             p'.Sfprogram.inputs)
+      in
+      let run ?observe r =
+        counted (fun () ->
+            Sfprogram.Runner.run r ~stimuli ~t_stop:(400.0 *. dt) ?observe ())
+      in
+      let fresh, fresh_ticks, fresh_ops = run (Sfprogram.Runner.create p') in
+      let bits = Int64.bits_of_float in
+      List.iter
+        (fun (how, observe) ->
+          let r = Sfprogram.Runner.create p in
+          (match run ?observe r with _ -> () | exception Stop -> ());
+          match Sfprogram.Runner.rebind r p' with
+          | None -> Alcotest.failf "%s: the runner refused to rebind %s" name how
+          | Some r ->
+              let rebound, ticks, ops = run r in
+              let name = Printf.sprintf "%s, rebound %s" name how in
+              Alcotest.(check int) (name ^ ": samples") (Trace.length fresh)
+                (Trace.length rebound);
+              for i = 0 to Trace.length fresh - 1 do
+                let ta = Trace.time fresh i and tb = Trace.time rebound i in
+                let a = Trace.value fresh i and b = Trace.value rebound i in
+                if bits ta <> bits tb || bits a <> bits b then
+                  Alcotest.failf "%s: sample %d is (%h, %h), fresh (%h, %h)"
+                    name i tb b ta a
+              done;
+              Alcotest.(check (pair int int)) (name ^ ": counters")
+                (fresh_ticks, fresh_ops) (ticks, ops))
+        [
+          ("after a run", None);
+          ( "after an aborted run",
+            Some (fun time _ -> if time >= 100.0 *. dt then raise Stop) );
+        ])
     (List.concat_map
        (fun label -> [ (label, 50e-9); (label, 1e-6) ])
        [ "2IN"; "RC1"; "RC20"; "OA"; "RECT"; "RLC" ])
@@ -629,8 +672,8 @@ let () =
           Alcotest.test_case "trace recording" `Quick test_run_records_trace;
           Alcotest.test_case "read of a sliced-away target" `Quick
             test_read_sliced_away;
-          Alcotest.test_case "compiled live set checked" `Quick
-            test_compiled_live_set_checked;
+          Alcotest.test_case "rebind refuses another live set" `Quick
+            test_rebind_refuses_other_live_set;
           Alcotest.test_case "RC20 live and fused counts" `Quick
             test_rc20_counts;
           Alcotest.test_case "every artifact rebinds" `Quick

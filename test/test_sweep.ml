@@ -1111,6 +1111,57 @@ let test_timeout_counts_steps_taken () =
     (Float.equal full.Runner.out_final again.Runner.out_final
     && Float.equal full.Runner.out_rms again.Runner.out_rms)
 
+(* A shape-drifting point: with [d1.g_off = 0] the replayed program
+   drops the diode's off-state term, so it no longer has the shape of
+   the runner the earlier points rebind. That point runs on a runner of
+   its own, exactly as a one-point run of it does; the point after it
+   still rebinds the kept runner; and the result lines (wall clock
+   aside) do not depend on the number of jobs. *)
+let test_shape_drift_point () =
+  let tc = Option.get (Circuits.by_name "RECT") in
+  let drift = { Spec.corner_name = "drift"; binds = [ ("d1.g_off", 0.0) ] } in
+  let spec jobs =
+    let s = { (small_spec jobs) with Spec.reference = false } in
+    { s with Spec.corners = drift :: s.Spec.corners }
+  in
+  let lines (s : Runner.summary) =
+    Array.to_list
+      (Array.map
+         (fun (r : Runner.point_result) ->
+           Point_result.to_line { r with Runner.wall_s = 0.0 })
+         s.Runner.points)
+  in
+  let compiled = Obs.Counter.make "amsvp_sf_compiled_programs_total"
+  and rebinds = Obs.Counter.make "amsvp_sf_compile_rebinds_total" in
+  let c0 = Obs.Counter.value compiled and r0 = Obs.Counter.value rebinds in
+  let s1 = Runner.run (spec 1) tc in
+  let n = Array.length s1.Runner.points in
+  Alcotest.(check int) "8 points" 8 n;
+  Alcotest.(check int) "every point replays the plan" n s1.Runner.cache_hits;
+  Alcotest.(check int) "compiled: the kept runner and the drifted point" 2
+    (Obs.Counter.value compiled - c0);
+  Alcotest.(check int) "every other point rebinds" (n - 2)
+    (Obs.Counter.value rebinds - r0);
+  let at = s1.Runner.points.(6) in
+  Alcotest.(check string) "the drifted point" "drift" at.Runner.point.Sampler.label;
+  let alone =
+    Runner.run
+      {
+        (spec 1) with
+        Spec.axes =
+          [ { Spec.param = "d1.g_off"; range = Spec.Values [ 0.0 ] } ];
+        corners = [];
+      }
+      tc
+  in
+  Alcotest.(check int) "one point" 1 (Array.length alone.Runner.points);
+  let r = alone.Runner.points.(0) in
+  Alcotest.(check string) "= a one-point run"
+    (Point_result.to_line { r with Runner.point = at.Runner.point; wall_s = 0.0 })
+    (List.nth (lines s1) 6);
+  Alcotest.(check (list string)) "--jobs 1 = --jobs 2" (lines s1)
+    (lines (Runner.run (spec 2) tc))
+
 (* Static pruning: on an RC low-pass swept across a resistance decade,
    a 0.5 V amplitude limit is provably breached at the low-R end. The
    pruned run must (a) skip exactly the points the unpruned run flags
@@ -1272,6 +1323,8 @@ let () =
             (test_golden_rect_tolerance ~reference:false);
           Alcotest.test_case "timeout counts steps taken" `Quick
             test_timeout_counts_steps_taken;
+          Alcotest.test_case "shape-drifted point runs alone" `Quick
+            test_shape_drift_point;
           Alcotest.test_case "static pruning sound and deterministic" `Quick
             test_prune_static_sound_and_deterministic;
         ] );
