@@ -103,6 +103,10 @@ val vars : t -> Var_set.t
 (** All variables occurring in the expression (including inside
     conditions). *)
 
+val fold_vars : ('a -> var -> 'a) -> 'a -> t -> 'a
+(** Fold over every variable occurrence, conditions included, without
+    building a set. *)
+
 val contains_var : var -> t -> bool
 
 val contains_ddt : t -> bool

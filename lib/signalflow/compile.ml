@@ -2,8 +2,9 @@ module Obs = Amsvp_obs.Obs
 
 (* Three-address instructions over one float register file. All
    operands are plain register indices, validated at build time, so
-   [exec] can use unchecked array accesses. Conditions are materialised
-   as 0.0 / 1.0 floats. *)
+   [exec] can use unchecked array accesses. In the code, conditions are
+   materialised as 0.0 / 1.0 floats; the executable form tests most of
+   them inline. *)
 type instr =
   | Mov of int * int
   | Neg of int * int
@@ -25,6 +26,22 @@ type instr =
       (** only in the executable form: a run of three-product rows,
           seven registers per row, [[|d; a0; b0; a1; b1; a2; b2|]] for
           [d := (a0*b0 + a1*b1) + a2*b2] *)
+  | Pick of bool * int * int * int
+      (** only in the executable form: [Pick (strict, a, b, k)] tests
+          [a < b] ([strict]) or [a <= b] on registers [a] and [b]; when
+          the test is false (NaN included) the next [k] instructions
+          (the then arm and its [Jmp]) are skipped, landing on the else
+          arm *)
+  | Jmp of int
+      (** only in the executable form, ending a then arm: skip the next
+          [k] instructions (the else arm) *)
+  | Pick_rows of bool * int * int * int * int array * int array
+      (** only in the executable form: [Pick_rows (strict, a, b, d,
+          yes, no)] tests as [Pick] does, then evaluates one row of
+          products, [yes] when the test holds and [no] otherwise (the
+          operands of a [Lin], one product allowed), into [d]: a
+          conditional whose arms are each one row, with no dispatch
+          for the arm *)
 
 type t = {
   shape : string;
@@ -39,8 +56,9 @@ type t = {
   targets : int array;  (** target slot of each compiled assignment *)
   code : instr array;
   exe : instr array;
-      (** what {!exec} runs: [code] with each maximal run of
-          three-product rows folded into one [Rows] block *)
+      (** what {!exec} runs: [code] with each lazy conditional group
+          folded into a [Pick] and each maximal run of three-product
+          rows into one [Rows] block *)
   rot_dst : int array;
   rot_src : int array;
       (** history rotations, after the instructions:
@@ -56,6 +74,11 @@ let n_instrs t = Array.length t.code
 let n_consts t = Array.length t.consts
 let target_slots t = Array.copy t.targets
 let div_targets t = Array.map Array.copy t.div_targets
+
+let lazy_conditionals t =
+  Array.fold_left
+    (fun n -> function Pick _ | Pick_rows _ -> n + 1 | _ -> n)
+    0 t.exe
 
 (* ---- observability ---- *)
 
@@ -102,13 +125,18 @@ type key = Kread of int * int | Kop of op * int list
 
 (* ---- structural shape ---- *)
 
+(* Built at every rebind, so with [Buffer] calls rather than [Printf]. *)
 let shape_of ~slot ~n_slots assigns =
   let b = Buffer.create 256 in
-  Printf.bprintf b "S%d" n_slots;
+  let int tag i =
+    Buffer.add_char b tag;
+    Buffer.add_string b (string_of_int i)
+  in
+  int 'S' n_slots;
   let rec walk e =
     match e with
     | Expr.Const _ -> Buffer.add_char b 'C'
-    | Expr.Var x -> Printf.bprintf b "v%d" (slot x)
+    | Expr.Var x -> int 'v' (slot x)
     | Expr.Neg a ->
         Buffer.add_string b "(-";
         walk a;
@@ -120,7 +148,9 @@ let shape_of ~slot ~n_slots assigns =
     | Expr.Ddt _ | Expr.Idt _ ->
         invalid_arg "Compile: ddt/idt cannot be compiled"
     | Expr.App (f, a) ->
-        Printf.bprintf b "(%s " (Expr.fun_name f);
+        Buffer.add_char b '(';
+        Buffer.add_string b (Expr.fun_name f);
+        Buffer.add_char b ' ';
         walk a;
         Buffer.add_char b ')'
     | Expr.Cond (c, x, y) ->
@@ -161,7 +191,8 @@ let shape_of ~slot ~n_slots assigns =
   in
   List.iter
     (fun (tslot, e) ->
-      Printf.bprintf b "|%d:=" tslot;
+      int '|' tslot;
+      Buffer.add_string b ":=";
       walk e)
     assigns;
   Buffer.contents b
@@ -197,28 +228,117 @@ let collect_consts assigns =
 
 (* ---- compilation ---- *)
 
-(* The executable form of [code]: each maximal run of consecutive
-   rows of exactly three products becomes one [Rows] block, so [exec]
-   dispatches once per run and steps each row with no term loop. *)
-let blocks code =
-  let out = ref [] and run = ref [] in
-  let close () =
-    if !run <> [] then begin
-      out := Rows (Array.concat (List.rev !run)) :: !out;
-      run := []
-    end
-  in
-  Array.iter
-    (function
-      | Lin (d, ([| _; b0; _; b1; _; b2 |] as ops))
+let srcs = function
+  | Mov (_, s) | Neg (_, s) | Notb (_, s) -> [ s ]
+  | Add (_, a, b) | Sub (_, a, b) | Mul (_, a, b) | Div (_, a, b)
+  | Andb (_, a, b) | Orb (_, a, b) ->
+      [ a; b ]
+  | App (_, _, a) -> [ a ]
+  | Cmp (_, _, a, b) -> [ a; b ]
+  | Sel (_, c, a, b) -> [ c; a; b ]
+  | Lin (_, ops) -> List.filter (fun r -> r >= 0) (Array.to_list ops)
+  | Rows _ | Pick _ | Jmp _ | Pick_rows _ -> assert false
+
+let dst_of = function
+  | Mov (d, _) | Neg (d, _) | Notb (d, _)
+  | Add (d, _, _) | Sub (d, _, _) | Mul (d, _, _) | Div (d, _, _)
+  | Andb (d, _, _) | Orb (d, _, _)
+  | App (_, d, _)
+  | Cmp (_, d, _, _)
+  | Sel (d, _, _, _)
+  | Lin (d, _) ->
+      d
+  | Rows _ | Pick _ | Jmp _ | Pick_rows _ -> assert false
+
+(* [relabel fd fs i]: [i] with its destination mapped by [fd] and its
+   sources by [fs]; the plain-term marker of a [Lin] stays. *)
+let relabel fd fs = function
+  | Mov (d, a) -> Mov (fd d, fs a)
+  | Neg (d, a) -> Neg (fd d, fs a)
+  | Notb (d, a) -> Notb (fd d, fs a)
+  | Add (d, a, b) -> Add (fd d, fs a, fs b)
+  | Sub (d, a, b) -> Sub (fd d, fs a, fs b)
+  | Mul (d, a, b) -> Mul (fd d, fs a, fs b)
+  | Div (d, a, b) -> Div (fd d, fs a, fs b)
+  | Andb (d, a, b) -> Andb (fd d, fs a, fs b)
+  | Orb (d, a, b) -> Orb (fd d, fs a, fs b)
+  | App (f, d, a) -> App (f, fd d, fs a)
+  | Cmp (c, d, a, b) -> Cmp (c, fd d, fs a, fs b)
+  | Sel (d, c, a, b) -> Sel (fd d, fs c, fs a, fs b)
+  | Lin (d, ops) ->
+      Lin (fd d, Array.map (fun r -> if r < 0 then r else fs r) ops)
+  | Rows _ | Pick _ | Jmp _ | Pick_rows _ -> assert false
+
+(* The executable form of [code]. [picks] maps the index of each
+   [Cmp] that opens a lazy conditional group [Cmp; then arm; else arm;
+   Sel] to the lengths of its two arms. A group whose arms are one
+   product or row each becomes one [Pick_rows]; any other becomes
+   [Pick; then arm; Jmp; else arm], each arm's last instruction
+   retargeted at the [Sel]'s destination. Either way one step runs the
+   taken arm only and never materialises the condition. Each maximal
+   run of consecutive rows of exactly three products, inside an arm or
+   not, becomes one [Rows] block, so [exec] dispatches once per run
+   and steps each row with no term loop. *)
+let blocks code picks =
+  let code = Array.copy code in
+  (* the executable form of [code.(lo .. hi - 1)], in order *)
+  let rec range lo hi =
+    let out = ref [] and run = ref [] in
+    let close () =
+      if !run <> [] then begin
+        out := Rows (Array.concat (List.rev !run)) :: !out;
+        run := []
+      end
+    in
+    let k = ref lo in
+    while !k < hi do
+      (match (code.(!k), Hashtbl.find_opt picks !k) with
+      | Cmp (op, _, x, y), Some (n_then, n_else) ->
+          close ();
+          let sel = !k + n_then + n_else + 1 in
+          let d = dst_of code.(sel) in
+          (* [x > y] is [y < x] and [x >= y] is [y <= x], NaN included *)
+          let strict, a, b =
+            match op with
+            | Expr.Lt -> (true, x, y)
+            | Expr.Le -> (false, x, y)
+            | Expr.Gt -> (true, y, x)
+            | Expr.Ge -> (false, y, x)
+          in
+          let row = function
+            | Mul (_, p, q) -> Some [| p; q |]
+            | Lin (_, ops) -> Some ops
+            | _ -> None
+          in
+          (match (n_then, n_else, row code.(!k + 1), row code.(!k + 2)) with
+          | 1, 1, Some yes, Some no ->
+              out := Pick_rows (strict, a, b, d, yes, no) :: !out
+          | _ ->
+              let arm lo n =
+                let last = lo + n - 1 in
+                code.(last) <- relabel (fun _ -> d) Fun.id code.(last);
+                range lo (lo + n)
+              in
+              let yes = arm (!k + 1) n_then
+              and no = arm (!k + 1 + n_then) n_else in
+              out :=
+                List.rev_append
+                  ((Pick (strict, a, b, List.length yes + 1) :: yes)
+                  @ (Jmp (List.length no) :: no))
+                  !out);
+          k := sel
+      | Lin (d, ([| _; b0; _; b1; _; b2 |] as ops)), _
         when b0 >= 0 && b1 >= 0 && b2 >= 0 ->
           run := Array.append [| d |] ops :: !run
-      | i ->
+      | i, _ ->
           close ();
-          out := i :: !out)
-    code;
-  close ();
-  Array.of_list (List.rev !out)
+          out := i :: !out);
+      incr k
+    done;
+    close ();
+    List.rev !out
+  in
+  Array.of_list (range 0 (Array.length code))
 
 let compile_unobserved ~slot ~n_slots ~rotations assigns =
   let shape = shape_of ~slot ~n_slots assigns in
@@ -369,9 +489,8 @@ let compile_unobserved ~slot ~n_slots ~rotations assigns =
     incr n_vinstr
   in
   let vreg : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  (* division nodes in emission order, newest first: the passes below
-     move only products and rows, so this is [code]'s order *)
-  let divs = ref [] in
+  (* the division node each [Div] computes, by destination register *)
+  let div_node : (int, int) Hashtbl.t = Hashtbl.create 4 in
   let next_vtemp = ref temp_base in
   let rec emit ?dst id =
     match Hashtbl.find_opt vreg id with
@@ -405,7 +524,7 @@ let compile_unobserved ~slot ~n_slots ~rotations assigns =
             | Osub, [| a; b |] -> push (Sub (d, a, b))
             | Omul, [| a; b |] -> push (Mul (d, a, b))
             | Odiv, [| a; b |] ->
-                divs := id :: !divs;
+                Hashtbl.replace div_node d id;
                 push (Div (d, a, b))
             | Oapp f, [| a |] -> push (App (f, d, a))
             | Ocmp c, [| a; b |] -> push (Cmp (c, d, a, b))
@@ -428,47 +547,6 @@ let compile_unobserved ~slot ~n_slots ~rotations assigns =
               let reg = emit r in
               push (Mov (tslot, reg))))
     roots;
-  let srcs = function
-    | Mov (_, s) | Neg (_, s) | Notb (_, s) -> [ s ]
-    | Add (_, a, b) | Sub (_, a, b) | Mul (_, a, b) | Div (_, a, b)
-    | Andb (_, a, b) | Orb (_, a, b) ->
-        [ a; b ]
-    | App (_, _, a) -> [ a ]
-    | Cmp (_, _, a, b) -> [ a; b ]
-    | Sel (_, c, a, b) -> [ c; a; b ]
-    | Lin (_, ops) -> List.filter (fun r -> r >= 0) (Array.to_list ops)
-    | Rows _ -> assert false
-  in
-  let dst_of = function
-    | Mov (d, _) | Neg (d, _) | Notb (d, _)
-    | Add (d, _, _) | Sub (d, _, _) | Mul (d, _, _) | Div (d, _, _)
-    | Andb (d, _, _) | Orb (d, _, _)
-    | App (_, d, _)
-    | Cmp (_, d, _, _)
-    | Sel (d, _, _, _)
-    | Lin (d, _) ->
-        d
-    | Rows _ -> assert false
-  in
-  (* [relabel fd fs i]: [i] with its destination mapped by [fd] and its
-     sources by [fs]; the plain-term marker of a [Lin] stays. *)
-  let relabel fd fs = function
-    | Mov (d, a) -> Mov (fd d, fs a)
-    | Neg (d, a) -> Neg (fd d, fs a)
-    | Notb (d, a) -> Notb (fd d, fs a)
-    | Add (d, a, b) -> Add (fd d, fs a, fs b)
-    | Sub (d, a, b) -> Sub (fd d, fs a, fs b)
-    | Mul (d, a, b) -> Mul (fd d, fs a, fs b)
-    | Div (d, a, b) -> Div (fd d, fs a, fs b)
-    | Andb (d, a, b) -> Andb (fd d, fs a, fs b)
-    | Orb (d, a, b) -> Orb (fd d, fs a, fs b)
-    | App (f, d, a) -> App (f, fd d, fs a)
-    | Cmp (c, d, a, b) -> Cmp (c, fd d, fs a, fs b)
-    | Sel (d, c, a, b) -> Sel (fd d, fs c, fs a, fs b)
-    | Lin (d, ops) ->
-        Lin (fd d, Array.map (fun r -> if r < 0 then r else fs r) ops)
-    | Rows _ -> assert false
-  in
   (* -- sum-of-products fusion: an addition becomes a [Lin] row when
      the instruction just before it defines a temporary that only the
      row reads; a [Mul] then replaces the plain term it feeds, and a
@@ -532,6 +610,102 @@ let compile_unobserved ~slot ~n_slots ~rotations assigns =
     in
     Array.of_list (List.rev (List.fold_left push [] (List.rev !vcode)))
   in
+  (* -- lazy conditionals: a [Sel] whose condition is a [Cmp] only it
+     reads and whose arms are temporaries only it reads is gathered
+     into one run [Cmp; then arm; else arm; Sel], which [blocks] turns
+     into a [Pick] or [Pick_rows]. An arm is its root and,
+     transitively, every instruction whose result only the arm reads;
+     a conditional inside an arm moves with it, so groups nest. The
+     instructions between the [Cmp] and the [Sel] that neither arm owns
+     (results CSE shares with the rest of the step) move, in order,
+     ahead of the [Cmp] and stay eager. That is sound because all of
+     them write temporaries: nothing in the run reads an arm's results
+     but the arm and the [Sel], and nothing shared reads the
+     condition. A run holding a slot store, or an arm instruction
+     outside the run, stays eager. -- *)
+  let vcode, picks =
+    let code = vcode and n = Array.length vcode in
+    let temp r = r >= temp_base in
+    let uses = Array.make (max 1 (!next_vtemp - temp_base)) 0 in
+    let def = Array.make (Array.length uses) (-1) in
+    Array.iter
+      (fun i ->
+        List.iter
+          (fun r -> if temp r then uses.(r - temp_base) <- uses.(r - temp_base) + 1)
+          (srcs i))
+      code;
+    let set_defs lo hi =
+      for k = lo to hi do
+        let d = dst_of code.(k) in
+        if temp d then def.(d - temp_base) <- k
+      done
+    in
+    set_defs 0 (n - 1);
+    let single r = temp r && uses.(r - temp_base) = 1 && def.(r - temp_base) >= 0 in
+    (* condition temporary -> lengths of the then and else arms *)
+    let groups : (int, int * int) Hashtbl.t = Hashtbl.create 4 in
+    for s = 0 to n - 1 do
+      match code.(s) with
+      | Sel (_, c, a, b) when single c && single a && single b -> (
+          let kc = def.(c - temp_base) in
+          match code.(kc) with
+          | Cmp _ ->
+              (* instruction index -> [true] in the then arm, [false] in
+                 the else arm *)
+              let owner : (int, bool) Hashtbl.t = Hashtbl.create 8 in
+              let gather in_then root =
+                (* readers of each temporary within this arm *)
+                let seen = Hashtbl.create 8 in
+                let rec go k =
+                  Hashtbl.replace owner k in_then;
+                  List.iter
+                    (fun r ->
+                      if temp r then begin
+                        let j = r - temp_base in
+                        let m = 1 + Option.value ~default:0 (Hashtbl.find_opt seen j) in
+                        Hashtbl.replace seen j m;
+                        if m = uses.(j) && def.(j) >= 0 then go def.(j)
+                      end)
+                    (srcs code.(k))
+                in
+                go def.(root - temp_base)
+              in
+              gather true a;
+              gather false b;
+              let shared = ref [] and yes = ref [] and no = ref [] in
+              for k = s - 1 downto kc + 1 do
+                let into =
+                  match Hashtbl.find_opt owner k with
+                  | Some true -> yes
+                  | Some false -> no
+                  | None -> shared
+                in
+                into := code.(k) :: !into
+              done;
+              if
+                Hashtbl.fold (fun k _ ok -> ok && k > kc && k < s) owner true
+                && List.for_all (fun i -> temp (dst_of i)) !shared
+              then begin
+                List.iteri
+                  (fun j i -> code.(kc + j) <- i)
+                  (!shared @ (code.(kc) :: !yes) @ !no);
+                set_defs kc (s - 1);
+                Hashtbl.replace groups c (List.length !yes, List.length !no)
+              end
+          | _ -> ())
+      | _ -> ()
+    done;
+    (* by the index of each group's [Cmp], now that none moves *)
+    let picks = Hashtbl.create 4 in
+    Array.iteri
+      (fun k i ->
+        match i with
+        | Cmp (_, c, _, _) when Hashtbl.mem groups c ->
+            Hashtbl.replace picks k (Hashtbl.find groups c)
+        | _ -> ())
+      code;
+    (code, picks)
+  in
   (* -- pass 3: collapse virtual temporaries onto a small physical
      file. Last uses are computed over the whole program, so a value
      shared across assignments (CSE) stays live until its final
@@ -590,14 +764,18 @@ let compile_unobserved ~slot ~n_slots ~rotations assigns =
     consts;
     targets;
     code;
-    exe = blocks code;
+    exe = blocks code picks;
     rot_dst = Array.map fst rotations;
     rot_src = Array.map snd rotations;
     div_targets =
       Array.of_list
-        (List.rev_map
-           (fun id -> Array.of_list (List.rev (Hashtbl.find div_users id)))
-           !divs);
+        (List.filter_map
+           (function
+             | Div (d, _, _) ->
+                 let id = Hashtbl.find div_node d in
+                 Some (Array.of_list (List.rev (Hashtbl.find div_users id)))
+             | _ -> None)
+           (Array.to_list vcode));
   }
 
 let compile ~slot ~n_slots ~rotations assigns =
@@ -634,9 +812,9 @@ type traffic = {
   t_opcode_mix : (string * int) list;
 }
 
-(* The bytecode is straight-line (no branches), so one [exec] performs
-   exactly the instruction sequence: per-step register traffic and the
-   opcode mix are static properties of the artifact. *)
+(* The code is straight-line (no branches): per-step register traffic
+   and the opcode mix of a step computing every arm are static
+   properties of the artifact. *)
 let traffic t =
   let reads = ref 0 and writes = ref 0 and flops = ref 0 in
   let mix = Hashtbl.create 12 in
@@ -670,7 +848,7 @@ let traffic t =
             if ops.((2 * j) + 1) >= 0 then incr products
           done;
           count "lin" (terms + !products) ~flop:(terms + !products - 1)
-      | Rows _ -> assert false)
+      | Rows _ | Pick _ | Jmp _ | Pick_rows _ -> assert false)
     t.code;
   let t_opcode_mix =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) mix []
@@ -696,6 +874,32 @@ external set : float array -> int -> float -> unit = "%array_unsafe_set"
 
 external iget : int array -> int -> int = "%array_unsafe_get"
 
+(* The value of a row: each product rounded, then the partial sums
+   left to right; a term with no second operand is a plain register.
+   Inlined, so the float is never boxed. *)
+let[@inline] row (regs : float array) ops =
+  let x = get regs (Array.unsafe_get ops 0) in
+  let b = Array.unsafe_get ops 1 in
+  let acc =
+    ref
+      (if b < 0 then x
+       else
+         let y = get regs b in
+         x *. y)
+  in
+  for j = 1 to (Array.length ops lsr 1) - 1 do
+    let x = get regs (Array.unsafe_get ops (2 * j)) in
+    let b = Array.unsafe_get ops ((2 * j) + 1) in
+    let p =
+      if b < 0 then x
+      else
+        let y = get regs b in
+        x *. y
+    in
+    acc := !acc +. p
+  done;
+  !acc
+
 (* All operand indices were validated below [n_regs] at build time and
    [load_consts] checked the array length, so the hot loop can elide
    bounds checks. The operands of a commutative add or multiply are
@@ -703,10 +907,15 @@ external iget : int array -> int -> int = "%array_unsafe_get"
    one load into the instruction and swap the operands, and when both
    are NaN the left one's sign is the one [Expr.eval] keeps. The body
    is inlined into {!exec} and into {!run}'s loop, so a table-fed run
-   pays no call per step. *)
+   pays no call per step. [pc] only moves forward: a lazy conditional
+   skips the arm it does not take, and every jump lands inside [exe]
+   or at its end. *)
 let[@inline] step t (regs : float array) =
   let code = t.exe in
-  for i = 0 to Array.length code - 1 do
+  let pc = ref 0 in
+  while !pc < Array.length code do
+    let i = !pc in
+    pc := i + 1;
     match Array.unsafe_get code i with
     | Mov (d, s) -> set regs d (get regs s)
     | Neg (d, a) -> set regs d (-.get regs a)
@@ -740,29 +949,7 @@ let[@inline] step t (regs : float array) =
     | Notb (d, a) -> set regs d (if get regs a <> 0.0 then 0.0 else 1.0)
     | Sel (d, c, a, b) ->
         set regs d (if get regs c <> 0.0 then get regs a else get regs b)
-    | Lin (d, ops) ->
-        (* a term with no second operand is a plain register *)
-        let x = get regs (Array.unsafe_get ops 0) in
-        let b = Array.unsafe_get ops 1 in
-        let acc =
-          ref
-            (if b < 0 then x
-             else
-               let y = get regs b in
-               x *. y)
-        in
-        for j = 1 to (Array.length ops lsr 1) - 1 do
-          let x = get regs (Array.unsafe_get ops (2 * j)) in
-          let b = Array.unsafe_get ops ((2 * j) + 1) in
-          let p =
-            if b < 0 then x
-            else
-              let y = get regs b in
-              x *. y
-          in
-          acc := !acc +. p
-        done;
-        set regs d !acc
+    | Lin (d, ops) -> set regs d (row regs ops)
     | Rows rows ->
         (* Fixed arity: three rounded products, summed left to right.
            Each row stores its target only after its last read, since a
@@ -786,6 +973,17 @@ let[@inline] step t (regs : float array) =
           in
           set regs (iget rows o) ((p0 +. p1) +. p2)
         done
+    | Pick (strict, a, b, k) ->
+        (* the comparison [Cmp] would make, false on NaN as a 0.0
+           condition is *)
+        let x = get regs a and y = get regs b in
+        if strict then (if not (x < y) then pc := i + 1 + k)
+        else if not (x <= y) then pc := i + 1 + k
+    | Jmp k -> pc := i + 1 + k
+    | Pick_rows (strict, a, b, d, yes, no) ->
+        let x = get regs a and y = get regs b in
+        set regs d
+          (row regs (if (if strict then x < y else x <= y) then yes else no))
   done;
   (* rotations hold layout slots, validated below [n_slots] *)
   let dst = t.rot_dst and src = t.rot_src in
@@ -873,7 +1071,7 @@ let exec_with (ip : 'a interp) t (regs : 'a array) =
           acc := ip.i_add !acc (term j)
         done;
         regs.(d) <- !acc
-    | Rows _ -> assert false
+    | Rows _ | Pick _ | Jmp _ | Pick_rows _ -> assert false
   done;
   Array.iteri (fun i d -> regs.(d) <- regs.(t.rot_src.(i))) t.rot_dst
 
@@ -914,7 +1112,7 @@ let pp_instr ~reg:r ppf instr =
       in
       Format.fprintf ppf "%s = %s;" (r d)
         (String.concat " + " (List.init (Array.length ops / 2) term))
-  | Rows _ -> assert false
+  | Rows _ | Pick _ | Jmp _ | Pick_rows _ -> assert false
 
 let pp_code ~slot ~const ~temp ppf t =
   let n_consts = Array.length t.consts in

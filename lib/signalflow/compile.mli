@@ -12,11 +12,7 @@
     step is one pass over that code with
     no allocation and no indirect calls (beyond [sin]/[exp]-style
     primitives). When an artifact is built it also derives the form
-    {!exec} runs: each maximal run of consecutive rows of exactly three
-    products (the RC-ladder shape) is one block, stepped row by row
-    with no term loop, so a ladder pays one dispatch per run rather
-    than one per row; every other instruction is dispatched on its
-    own. {!rebind} shares that form.
+    {!exec} runs (see Executable form below); {!rebind} shares it.
 
     Lowering goes through a value-numbering DAG, which gives two
     classic optimisations for free, and two more run around it:
@@ -46,11 +42,44 @@
       right in source order, exactly as [Expr.eval] does — it is not a
       fused [Float.fma].
 
-    Conditionals are compiled eagerly ([Sel] evaluates both arms).
-    This is value-identical to [Expr.eval]'s lazy evaluation because
-    float operations cannot raise or trap here (division by zero and
-    domain errors produce inf/NaN either way), and comparisons
-    involving NaN are false in both.
+    A conditional is one [Sel] over a 0.0 / 1.0 condition and its two
+    arms. In the code every arm is computed; the executable form (below)
+    runs most conditionals lazily. Both are value-identical to
+    [Expr.eval]'s lazy evaluation because float operations cannot raise
+    or trap here (division by zero and domain errors produce inf/NaN
+    either way), and comparisons involving NaN are false in both.
+
+    {2 Executable form}
+
+    The code is what {!pp_code}, {!traffic}, {!n_instrs}, {!exec_with}
+    (so [Amsvp_analysis.Absint]) and the generated C++ see. {!exec} and
+    {!run} step a form derived from it once, when the artifact is
+    built, with the same values bit for bit:
+
+    - {e rows}: each maximal run of consecutive rows of exactly three
+      products (the RC-ladder shape) is one block, stepped row by row
+      with no term loop, so a ladder pays one dispatch per run rather
+      than one per row;
+    - {e lazy conditionals}: a conditional whose condition is one
+      comparison that nothing else reads, and whose arms are
+      temporaries computed by instructions that only their own arm
+      reads, is one block that compares the operands inline (no 0/1
+      register), runs only the taken arm (the else arm when the
+      comparison is false, NaN included) and lets the arm's last
+      instruction write the conditional's target. The comparison reads
+      come before any arm write, and the target is stored after the
+      arm's last read, since a temporary target may share a register
+      with an operand. When both arms are one product or row, the block
+      evaluates the taken row inline with no dispatch for the arm (the
+      piecewise-linear diode's shape); otherwise the arm's instructions
+      follow the block, nested conditionals included, and a jump skips
+      the arm not taken. The scheduler keeps each such conditional's
+      private instructions next to it: results CSE shares with the rest
+      of the step move ahead of the comparison and stay eager, as does
+      a conditional whose arm CSE shares. {!lazy_conditionals} counts
+      the blocks;
+    - every other instruction is dispatched on its own, by the one
+      [match] of the step.
 
     {2 Templates}
 
@@ -124,6 +153,10 @@ val div_targets : t -> int array array
     all of them; an assignment that only reads another's result does
     not contain its divisions. *)
 
+val lazy_conditionals : t -> int
+(** Conditionals {!exec} runs lazily, one block of the executable form
+    each; every other conditional of the code computes both arms. *)
+
 type traffic = {
   t_reads : int;  (** register reads per executed step *)
   t_writes : int;  (** register writes per executed step *)
@@ -133,10 +166,12 @@ type traffic = {
 }
 
 val traffic : t -> traffic
-(** Static per-step register/opcode traffic of the artifact. The
-    bytecode is straight-line, so these are exact per-[exec] counts,
-    computed without running anything — the runner multiplies by its
-    tick count for journal reporting. Rotations are not counted. A row of k products (mnemonic
+(** Static per-step register/opcode traffic of the artifact's code.
+    The code is straight-line, so these are exact counts of a step
+    that computes both arms of every conditional, computed without
+    running anything — the runner multiplies by its tick count for
+    journal reporting; {!exec}'s lazy conditionals do no more than
+    this. Rotations are not counted. A row of k products (mnemonic
     [lin]) counts 2k reads and 2k-1 flops; each plain term adds one
     read and one addition. *)
 
@@ -148,8 +183,9 @@ val load_consts : t -> float array -> unit
 
 val exec : t -> float array -> unit
 (** Execute one step: evaluate every assignment in order, writing each
-    target's register, then apply the rotations. The array must be the
-    one prepared with {!load_consts}. *)
+    target's register, then apply the rotations. It runs the executable
+    form, taken arms only. The array must be the one prepared with
+    {!load_consts}; it allocates nothing. *)
 
 val run :
   t ->
@@ -175,7 +211,7 @@ val run :
 
 (** {2 Generic execution}
 
-    The bytecode is straight-line, so it can be executed over any
+    The code is straight-line, so it can be executed over any
     value domain by supplying the operations — this is how the
     abstract interpreter ([Amsvp_analysis.Absint]) runs the very
     artifact the sweep engine executes, rebound pools included. *)

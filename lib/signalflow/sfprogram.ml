@@ -268,11 +268,10 @@ let compile_plan pl =
 
 let compile (p : t) = compile_plan (plan p)
 
-let rebind_plan artifact pl =
+let rebind_compiled artifact (p : t) =
+  let pl = plan p in
   Compile.rebind artifact ~slot:(layout_slot pl.layout)
     ~n_slots:pl.layout.l_count ~rotations:pl.rotations pl.live
-
-let rebind_compiled artifact (p : t) = rebind_plan artifact (plan p)
 
 module Runner = struct
   module Obs = Amsvp_obs.Obs
@@ -291,6 +290,8 @@ module Runner = struct
   type t = {
     program : program;
     reads : Expr.var list option;  (** as given to [create] *)
+    plan : plan;  (** of [create]'s program; [rebind] keeps all but [live] *)
+    live_slot : bool array;  (** per variable slot: a live target *)
     artifact : Compile.t;
     slots : float array;
         (** the artifact's register file; variable slots are the first
@@ -307,12 +308,14 @@ module Runner = struct
 
   (* A runner of [p] over the register file [slots], into which
      [artifact]'s constants are loaded. *)
-  let load ?reads p pl artifact slots =
+  let load ?reads p pl live_slot artifact slots =
     let lay = pl.layout in
     Compile.load_consts artifact slots;
     {
       program = p;
       reads;
+      plan = pl;
+      live_slot;
       artifact;
       slots;
       n_state = lay.l_count;
@@ -326,16 +329,45 @@ module Runner = struct
   let create ?reads (p : program) =
     let pl = plan ?reads p in
     let artifact = compile_plan pl in
-    load ?reads p pl artifact
+    let live_slot = Array.make (max 1 pl.layout.l_count) false in
+    List.iter (fun (s, _) -> live_slot.(s) <- true) pl.live;
+    load ?reads p pl live_slot artifact
       (Array.make (max 1 (Compile.n_regs artifact)) 0.0)
 
-  (* The rebound artifact shares [r]'s code, hence its register count;
-     variable slots keep [r]'s values until the next [reset]. *)
+  (* [p] is planned on [r]'s layout, not its own: its live assignments
+     are those whose targets are live in [r], and [Compile.rebind]'s
+     shape key confirms them (a read outside the layout maps to slot -1,
+     which no shape holds); every other read and target must have a
+     slot too. The rebound artifact shares [r]'s code, hence its
+     register count; variable slots keep [r]'s values until the next
+     [reset]. *)
   let rebind r (p : program) =
-    let pl = plan ?reads:r.reads p in
-    Option.map
-      (fun artifact -> load ?reads:r.reads p pl artifact r.slots)
-      (rebind_plan r.artifact pl)
+    let pl = r.plan in
+    let table = pl.layout.l_table in
+    let slot v = Option.value ~default:(-1) (Hashtbl.find_opt table v) in
+    let inside (a : assignment) =
+      Hashtbl.mem table a.target
+      && (r.live_slot.(slot a.target)
+         || Expr.fold_vars (fun ok v -> ok && Hashtbl.mem table v) true a.expr)
+    in
+    if
+      p.inputs <> r.program.inputs
+      || not (List.equal Expr.equal_var p.outputs r.program.outputs)
+      || not (List.for_all inside p.assignments)
+    then None
+    else
+      let live =
+        List.filter_map
+          (fun a ->
+            let s = slot a.target in
+            if r.live_slot.(s) then Some (s, a.expr) else None)
+          p.assignments
+      in
+      Option.map
+        (fun artifact ->
+          load ?reads:r.reads p { pl with live } r.live_slot artifact r.slots)
+        (Compile.rebind r.artifact ~slot ~n_slots:pl.layout.l_count
+           ~rotations:pl.rotations live)
 
   (* Only the variable slots are cleared: constant registers are
      loaded by [create] and [rebind] and must survive, and temporaries

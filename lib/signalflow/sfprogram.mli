@@ -171,15 +171,20 @@ module Runner : sig
 
   val rebind : t -> program -> t option
   (** [rebind r p]: a runner of [p] on [r]'s code and register file,
-      when [p]'s plan under [r]'s [reads] has the shape of [r]'s, as a
-      program differing only in constant values has (the sweep's plan
-      replay; see {!Compile.rebind}). Nothing is compiled or
-      allocated: [p]'s constants are loaded into [r]'s registers, and
-      the variable slots keep [r]'s values until the next {!reset},
-      which {!run_into} does first, so a run of it is a run of
-      [create ?reads p]. The register file is shared: [r] must not be
-      stepped or run afterwards. [None] when the shapes differ
-      (another live set included); [r] is then unchanged. *)
+      when [p] has the shape of [r]'s program, as a program differing
+      only in constant values has (the sweep's plan replay; see
+      {!Compile.rebind}). [p] is not planned afresh: it is laid out on
+      [r]'s slot layout, live set (under [r]'s [reads]) and rotations,
+      and the shape key confirms them. Nothing is compiled, and the
+      register file is not reallocated: [p]'s constants are loaded into
+      [r]'s registers, and the variable slots keep [r]'s values until
+      the next {!reset}, which {!run_into} does first, so a run of it
+      is a run of [create ?reads p]. The register file is shared: [r]
+      must not be stepped or run afterwards. [None], never an
+      exception, when the shapes differ (another live set included),
+      when [p]'s inputs or outputs differ from [r]'s program's, or when
+      a target or a read of any of [p]'s assignments has no slot in
+      [r]'s layout; [r] is then unchanged. *)
 
   val reset : t -> unit
   (** Zero all state (initial condition [X0 = 0]). *)

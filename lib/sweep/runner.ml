@@ -74,13 +74,17 @@ let stimulus_fn = function
 
 (* What every point of a prepared sweep records into: each input's
    samples at the run's step times, one trace of the run's length that
-   each point overwrites, and the runner every plan-replayed point
-   rebinds (created by the first). *)
+   each point overwrites, and the runners plan-replayed points rebind:
+   one per program shape met (a parameter value can change the shape,
+   say a zero conductance), the last one rebound first, at most
+   [kept_shapes]. *)
 type scratch = {
   s_tables : (string * float array) list;
   s_trace : Trace.t;
-  mutable s_runner : Sfprogram.Runner.t option;
+  mutable s_runners : Sfprogram.Runner.t list;
 }
+
+let kept_shapes = 4
 
 (* A prepared sweep: everything shared by every point — the probed
    circuit, stimuli and the recorded abstraction plan — computed once.
@@ -165,7 +169,7 @@ let prepare ?jobs ?spans (spec : Spec.t) (tc : Circuits.testcase) =
          s_tables =
            List.map (fun (name, f) -> (name, Stimulus.sample f ~dt ~n)) stim_assoc;
          s_trace = Trace.create ~capacity:n ();
-         s_runner = None;
+         s_runners = [];
        })
   in
   {
@@ -297,20 +301,23 @@ let run_point ?timeout_s ctx (p : Sampler.point) =
   match
     let scratch = Lazy.force ctx.c_scratch in
     let runner =
-      (* A plan replay rebinds the kept runner to its constants; the
-         first replay creates it. A full-flow or shape-drifted program
-         runs on a one-off runner. *)
-      let keep r =
-        scratch.s_runner <- Some r;
-        r
+      (* A plan replay rebinds the kept runner of its shape to its
+         constants; the first replay of a shape creates it. A full-flow
+         program runs on a one-off runner. *)
+      let rec rebind tried = function
+        | [] ->
+            let r = Sfprogram.Runner.create program in
+            (r, List.filteri (fun i _ -> i < kept_shapes - 1) (List.rev tried))
+        | kept :: rest -> (
+            match Sfprogram.Runner.rebind kept program with
+            | Some r -> (r, List.rev_append tried rest)
+            | None -> rebind (kept :: tried) rest)
       in
-      match scratch.s_runner with
-      | _ when not cached -> Sfprogram.Runner.create program
-      | None -> keep (Sfprogram.Runner.create program)
-      | Some kept -> (
-          match Sfprogram.Runner.rebind kept program with
-          | Some r -> keep r
-          | None -> Sfprogram.Runner.create program)
+      if not cached then Sfprogram.Runner.create program
+      else
+        let r, others = rebind [] scratch.s_runners in
+        scratch.s_runners <- r :: others;
+        r
     in
     let sources =
       Array.of_list

@@ -65,9 +65,10 @@ type ctx
     processes. The only mutable part is per process: the first
     {!run_point} a process runs samples the stimuli at the run's step
     times and allocates one trace that every later point of this ctx
-    records into, and the first plan-replayed point's signal-flow
-    runner is kept for every later one to rebind
-    ({!Amsvp_sf.Sfprogram.Runner.rebind}), so a process runs the
+    records into, and the signal-flow runner of the first
+    plan-replayed point of each program shape is kept for the later
+    ones of that shape to rebind ({!Amsvp_sf.Sfprogram.Runner.rebind};
+    a few shapes, the last rebound tried first), so a process runs the
     points of one ctx one at a time. *)
 
 val prepare :
@@ -103,10 +104,12 @@ val run_point : ?timeout_s:float -> ctx -> Sampler.point -> point_result
     stalling the caller.
 
     A point whose program replays the plan runs on the process's kept
-    runner, rebound to its constants: nothing is compiled or
-    allocated. A point the full flow abstracts, or whose replayed
-    program no longer has the kept runner's shape, runs on a runner
-    of its own, which the next points do not reuse. *)
+    runner of its shape, rebound to its constants: nothing is
+    compiled. The first replayed point of a shape (a parameter value
+    can drift the shape, say a zero conductance) compiles that runner
+    and keeps it, in place of the least recently rebound one when four
+    are kept. A point the full flow abstracts runs on a
+    runner of its own, which the next points do not reuse. *)
 
 (** {1 Sweep sessions} *)
 

@@ -599,6 +599,87 @@ let prop_row_runs =
       check_engines case;
       true)
 
+(* ---- Lazy conditionals ---- *)
+
+(* Conditionals over one comparison, the shape the bytecode runs as a
+   [Pick]. An arm is a product, a row of products, a nested conditional
+   (two levels deep at most), a plain leaf, or a product from a pool
+   every assignment may read: CSE computes a pool product once, so an
+   arm that is one stays eager, and a row holding one keeps it outside
+   the arm. The compared operands and the arms read inputs, earlier
+   targets and histories, the target's own included, and [interesting]
+   constants, so ±0, ±inf and NaN reach the comparison (the stimuli
+   carry them too). A conditional may also be the first factor of a
+   row, its target then a temporary. Raw constructors keep the shapes
+   as generated. *)
+let gen_cond_program =
+  let open QCheck.Gen in
+  let const_leaf =
+    map (fun i -> Expr.Const interesting.(i mod Array.length interesting)) nat
+  in
+  let pick xs = map (fun i -> xs.(i mod Array.length xs)) nat in
+  let mul a b = Expr.Mul (a, b) in
+  let sum = function
+    | t :: ts -> List.fold_left (fun a b -> Expr.Add (a, b)) t ts
+    | [] -> invalid_arg "sum"
+  in
+  (* no constants: literals never unify, so these products are shared *)
+  let input_leaf =
+    pick
+      (Array.of_list
+         (List.map Expr.var
+            (input_vars @ List.map (fun v -> Expr.delayed v 1) input_vars)))
+  in
+  list_size (int_range 1 3) (map2 mul input_leaf input_leaf) >>= fun shared ->
+  let shared = Array.of_list shared in
+  int_range 1 5 >>= fun n_assign ->
+  let rec build i acc =
+    if i >= n_assign then return (List.rev acc)
+    else
+      let prior = List.init i target_var in
+      let hist =
+        List.concat_map
+          (fun v -> [ Expr.delayed v 1; Expr.delayed v 2 ])
+          (input_vars @ prior @ [ target_var i ])
+      in
+      let leaf =
+        frequency
+          [
+            (2, const_leaf);
+            (5, pick (Array.of_list (List.map Expr.var (input_vars @ prior @ hist))));
+          ]
+      in
+      let product = map2 mul leaf leaf in
+      let row =
+        int_range 2 4 >>= fun n ->
+        list_repeat n (frequency [ (4, product); (1, leaf); (1, pick shared) ])
+        >|= sum
+      in
+      let rec cond depth =
+        map3
+          (fun c (a, b) (x, y) -> Expr.Cond (Expr.Cmp (c, a, b), x, y))
+          gen_cmp (pair leaf leaf)
+          (pair (arm depth) (arm depth))
+      and arm depth =
+        frequency
+          ([ (3, product); (3, row); (1, pick shared); (1, leaf) ]
+          @ if depth > 0 then [ (2, cond (depth - 1)) ] else [])
+      in
+      let rhs =
+        frequency
+          [
+            (4, cond 2);
+            (1, map3 (fun c k x -> sum [ mul c k; x ]) (cond 1) leaf product);
+          ]
+      in
+      rhs >>= fun e ->
+      build (i + 1) ({ Sfprogram.target = target_var i; expr = e } :: acc)
+  in
+  build 0 [] >|= fun assignments ->
+  Sfprogram.make ~name:"conds" ~inputs
+    ~outputs:[ target_var (List.length assignments - 1) ]
+    ~assignments ~dt:1.0
+
 (* ---- The table-fed loop ---- *)
 
 (* [run_into] with every source a [Table] and no observer is one
@@ -670,6 +751,17 @@ let prop_table_runs =
       check_table_runs ~dt:1.0 ~tables:(tables_of stims) p;
       true)
 
+(* Each generated conditional program through the engines and both
+   run loops. *)
+let prop_conditionals =
+  QCheck.Test.make
+    ~name:"conditional arms: reference = bytecode = rebound template"
+    ~count:300 (arb_of gen_cond_program)
+    (fun ((p, stims) as case) ->
+      check_engines case;
+      check_table_runs ~dt:1.0 ~tables:(tables_of stims) p;
+      true)
+
 let test_table_runs_circuits () =
   List.iter
     (fun (tc : Circuits.testcase) ->
@@ -703,6 +795,13 @@ let () =
       ( "examples",
         [ Alcotest.test_case "example models" `Quick test_example_models ] );
       ( "property",
-        qt [ prop_random_programs; prop_rows; prop_row_runs; prop_table_runs ]
+        qt
+          [
+            prop_random_programs;
+            prop_rows;
+            prop_row_runs;
+            prop_table_runs;
+            prop_conditionals;
+          ]
       );
     ]

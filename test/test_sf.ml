@@ -221,6 +221,54 @@ let test_rebind_refuses_other_live_set () =
       Alcotest.(check (float 0.0)) "the reads carry over" 20.0
         (Sfprogram.Runner.read r z)
 
+(* [rebind] plans the program on the runner's own layout: a program
+   with a target or a read that has no slot there, live or dead, or
+   with other inputs, is refused with [None], never an exception, and
+   the runner is left as it was. *)
+let test_rebind_refuses_outside_layout () =
+  let w = Expr.signal "w" and u2 = Expr.signal "v" in
+  let p = mk [ asg z Expr.(scale 3.0 (var input)); asg y Expr.(var input - one) ] in
+  let r = Sfprogram.Runner.create p in
+  let values () =
+    Trace.values
+      (Sfprogram.Runner.run r ~stimuli:[| (fun t -> t) |] ~t_stop:4.0 ())
+  in
+  let before = values () in
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check bool) (name ^ ": refused") true
+        (Option.is_none (Sfprogram.Runner.rebind r q));
+      Alcotest.(check (array (float 0.0))) (name ^ ": runner unchanged")
+        before (values ()))
+    [
+      ( "a new target",
+        mk
+          [
+            asg z Expr.(scale 3.0 (var input));
+            asg w Expr.(scale 2.0 (var input));
+            asg y Expr.(var input - one);
+          ] );
+      ( "a new read, live",
+        mk
+          [
+            asg z Expr.(scale 3.0 (var input));
+            asg y Expr.(var (Expr.delayed input 1) - one);
+          ] );
+      ( "a new read, dead",
+        mk
+          [
+            asg z Expr.(scale 3.0 (var (Expr.delayed z 1)));
+            asg y Expr.(var input - one);
+          ] );
+      ( "other inputs",
+        mk ~inputs:[ "u"; "v" ]
+          [ asg z Expr.(scale 3.0 (var u2)); asg y Expr.(var input - one) ] );
+    ];
+  Alcotest.(check bool) "a same-layout program rebinds" true
+    (Option.is_some
+       (Sfprogram.Runner.rebind r
+          (mk [ asg z Expr.(scale 5.0 (var input)); asg y Expr.(var input - one) ])))
+
 let test_run_records_trace () =
   let p = mk [ asg y (Expr.var input) ] in
   let r = Sfprogram.Runner.create p in
@@ -457,24 +505,36 @@ let minor_words f =
   Gc.minor_words () -. before
 
 (* The bytecode loop indexes the register file directly: an [exec]
-   builds no closure and boxes no float. *)
+   builds no closure and boxes no float. RECT's diode is one lazy
+   conditional; its input alternates sign every 10 steps, so the
+   measured steps take both arms. *)
 let test_exec_allocation_free () =
   List.iter
-    (fun (label, tc) ->
+    (fun (label, tc, lazy_conditionals) ->
       let p = (Flow.abstract_testcase tc ~dt:50e-9).Flow.program in
       let c = Sfprogram.compile p in
+      Alcotest.(check int) (label ^ ": lazy conditionals") lazy_conditionals
+        (Compile.lazy_conditionals c);
       let regs = Array.make (Compile.n_regs c) 0.0 in
       Compile.load_consts c regs;
-      Compile.exec c regs;
+      let inputs = Sfprogram.layout_input_slots (Sfprogram.layout_of p) in
+      let step k =
+        let u = if k / 10 mod 2 = 0 then 1.0 else -1.0 in
+        for i = 0 to Array.length inputs - 1 do
+          regs.(inputs.(i)) <- u
+        done;
+        Compile.exec c regs
+      in
+      step 0;
       let words =
         minor_words (fun () ->
-            for _ = 1 to 1000 do
-              Compile.exec c regs
+            for k = 1 to 1000 do
+              step k
             done)
       in
       Alcotest.(check (float 0.0)) (label ^ ": minor words of 1000 exec") 0.0
         words)
-    [ ("RC20", Circuits.rc_ladder 20); ("RECT", Circuits.rectifier ()) ]
+    [ ("RC20", Circuits.rc_ladder 20, 0); ("RECT", Circuits.rectifier (), 1) ]
 
 (* [Compile.run] steps the same body in its own loop: 1000 table-fed
    steps allocate nothing, and every index it will use unchecked is
@@ -674,6 +734,8 @@ let () =
             test_read_sliced_away;
           Alcotest.test_case "rebind refuses another live set" `Quick
             test_rebind_refuses_other_live_set;
+          Alcotest.test_case "rebind refuses a program outside the layout"
+            `Quick test_rebind_refuses_outside_layout;
           Alcotest.test_case "RC20 live and fused counts" `Quick
             test_rc20_counts;
           Alcotest.test_case "every artifact rebinds" `Quick

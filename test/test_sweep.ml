@@ -1117,6 +1117,13 @@ let test_timeout_counts_steps_taken () =
    its own, exactly as a one-point run of it does; the point after it
    still rebinds the kept runner; and the result lines (wall clock
    aside) do not depend on the number of jobs. *)
+let result_lines (s : Runner.summary) =
+  Array.to_list
+    (Array.map
+       (fun (r : Runner.point_result) ->
+         Point_result.to_line { r with Runner.wall_s = 0.0 })
+       s.Runner.points)
+
 let test_shape_drift_point () =
   let tc = Option.get (Circuits.by_name "RECT") in
   let drift = { Spec.corner_name = "drift"; binds = [ ("d1.g_off", 0.0) ] } in
@@ -1124,13 +1131,7 @@ let test_shape_drift_point () =
     let s = { (small_spec jobs) with Spec.reference = false } in
     { s with Spec.corners = drift :: s.Spec.corners }
   in
-  let lines (s : Runner.summary) =
-    Array.to_list
-      (Array.map
-         (fun (r : Runner.point_result) ->
-           Point_result.to_line { r with Runner.wall_s = 0.0 })
-         s.Runner.points)
-  in
+  let lines = result_lines in
   let compiled = Obs.Counter.make "amsvp_sf_compiled_programs_total"
   and rebinds = Obs.Counter.make "amsvp_sf_compile_rebinds_total" in
   let c0 = Obs.Counter.value compiled and r0 = Obs.Counter.value rebinds in
@@ -1161,6 +1162,38 @@ let test_shape_drift_point () =
     (List.nth (lines s1) 6);
   Alcotest.(check (list string)) "--jobs 1 = --jobs 2" (lines s1)
     (lines (Runner.run (spec 2) tc))
+
+(* A shape-drifted first point: the process keeps a runner per shape,
+   so the nominal-shaped points after it compile one runner and rebind
+   it, rather than compiling one each. *)
+let test_shape_drift_first_point () =
+  let tc = Option.get (Circuits.by_name "RECT") in
+  let spec jobs =
+    {
+      (small_spec jobs) with
+      Spec.reference = false;
+      axes =
+        [
+          {
+            Spec.param = "d1.g_off";
+            range = Spec.Values [ 0.0; 1e-6; 2e-6; 3e-6 ];
+          };
+        ];
+      corners = [];
+    }
+  in
+  let compiled = Obs.Counter.make "amsvp_sf_compiled_programs_total"
+  and rebinds = Obs.Counter.make "amsvp_sf_compile_rebinds_total" in
+  let c0 = Obs.Counter.value compiled and r0 = Obs.Counter.value rebinds in
+  let s1 = Runner.run (spec 1) tc in
+  Alcotest.(check int) "4 points" 4 (Array.length s1.Runner.points);
+  Alcotest.(check int) "every point replays the plan" 4 s1.Runner.cache_hits;
+  Alcotest.(check int) "compiled: one runner per shape" 2
+    (Obs.Counter.value compiled - c0);
+  Alcotest.(check int) "the later nominal-shaped points rebind" 2
+    (Obs.Counter.value rebinds - r0);
+  Alcotest.(check (list string)) "--jobs 1 = --jobs 2" (result_lines s1)
+    (result_lines (Runner.run (spec 2) tc))
 
 (* Static pruning: on an RC low-pass swept across a resistance decade,
    a 0.5 V amplitude limit is provably breached at the low-R end. The
@@ -1325,6 +1358,8 @@ let () =
             test_timeout_counts_steps_taken;
           Alcotest.test_case "shape-drifted point runs alone" `Quick
             test_shape_drift_point;
+          Alcotest.test_case "shape-drifted first point, one runner per shape"
+            `Quick test_shape_drift_first_point;
           Alcotest.test_case "static pruning sound and deterministic" `Quick
             test_prune_static_sound_and_deterministic;
         ] );
